@@ -27,7 +27,7 @@ from .fields import FieldElement, FieldSpec, GF2_16, sample_random
 from .graphs import SymbolicMatrix, Weight, WeightedGraph
 from .polynomials import DensePolynomial, TooLarge
 from .weakly_skew import ws_nonsym_matrix
-from .verify import det_eval
+from .verify import CompiledMatrix, det_eval
 
 
 class NotCharTwo(Exception):
@@ -180,12 +180,14 @@ def partial_perm_identity(
         )
     rng = random.Random(seed)
     variables = sorted(set(api.variables()) | set(b.variables()))
+    compiled_api = CompiledMatrix(api, spec)
+    compiled_b = CompiledMatrix(b, spec)
     for _ in range(trials):
         point = {v: sample_random(spec, rng) for v in variables}
-        lhs = det_eval(api, point, spec)
+        lhs = det_eval(compiled_api, point, spec)
         rows = [
-            [_eval_entry(b.entry(i, j), point, spec) for j in range(n)]
-            for i in range(n)
+            [FieldElement(spec, row.get(j, 0)) for j in range(n)]
+            for row in compiled_b.rows(point)
         ]
         p = partial_permanent(rows)
         rhs = p * p
@@ -195,10 +197,6 @@ def partial_perm_identity(
                 trials=trials,
             )
     return PartialPermVerdict(ok=True, method="random", lhs="", rhs="", trials=trials)
-
-
-def _eval_entry(w: Weight, point, spec: FieldSpec) -> FieldElement:
-    return w.eval(point, spec)
 
 
 def referee_submatrix_sum(b: SymbolicMatrix) -> DensePolynomial:

@@ -489,7 +489,8 @@ def embed(x: FieldElement, spec: FieldSpec) -> FieldElement:
         if spec.kind == "prime":
             if q.denominator % spec.p == 0:
                 raise MixedFields(f"denominator of {q} vanishes in {spec}")
-            return spec.from_int(q.numerator) / spec.from_int(q.denominator)
+            p = spec.p
+            return FieldElement(spec, q.numerator * pow(q.denominator, -1, p) % p)
         if spec.kind == "binary":
             if q.denominator % 2 == 0:
                 raise MixedFields(f"{q} has even denominator, not embeddable in {spec}")

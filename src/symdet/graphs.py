@@ -259,9 +259,19 @@ def parse_matrix(text: str, spec: FieldSpec = RATIONAL) -> SymbolicMatrix:
     head = lines[0].split()
     dim = int(head[0])
     symmetric = len(head) > 1 and head[1] == "symmetric"
+    if len(lines) - 1 != dim:
+        raise ValueError(f"matrix header gives dimension {dim} but {len(lines) - 1} rows follow")
+    # gadget matrices repeat a handful of tokens, so parse each one once
+    weights: dict[str, Weight] = {}
     rows = []
-    for ln in lines[1 : dim + 1]:
-        rows.append([parse_weight(tok, spec) for tok in ln.split()])
+    for i, ln in enumerate(lines[1:], start=1):
+        tokens = ln.split()
+        if len(tokens) != dim:
+            raise ValueError(f"matrix row {i} has {len(tokens)} entries, header gives dimension {dim}")
+        for tok in tokens:
+            if tok not in weights:
+                weights[tok] = parse_weight(tok, spec)
+        rows.append([weights[tok] for tok in tokens])
     return SymbolicMatrix(rows, spec=spec, symmetric=symmetric, allow_linear=True)
 
 

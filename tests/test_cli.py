@@ -193,6 +193,17 @@ def test_cli_bad_file_exits_1(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text", ["3 symmetric\n0 x\nx 0\n", "1\nx\ny\n"])
+def test_cli_verify_rejects_matrix_of_wrong_dimension(tmp_path, capsys, text):
+    circ = tmp_path / "f.circuit"
+    circ.write_text(render_circuit(parse_expression("x")))
+    matrix = tmp_path / "m.matrix"
+    matrix.write_text(text)
+    code, _, err = run(["verify", str(circ), str(matrix), "--seed", "1"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "dimension" in err
+
+
 def test_cli_ci_mode_requires_seed(tmp_path, capsys):
     circ = tmp_path / "f.circuit"
     circ.write_text(render_circuit(parse_expression("x + y")))

@@ -155,6 +155,9 @@ def test_embed_rational_to_prime_and_binary():
     q = RATIONAL.from_fraction("3/5")
     e = embed(q, Z7)
     assert e == Z7.from_int(3) / Z7.from_int(5)
+    assert embed(RATIONAL.from_fraction("-3/5"), Z7) == -e
+    with pytest.raises(MixedFields):
+        embed(RATIONAL.from_fraction("2/7"), Z7)
     assert embed(RATIONAL.from_fraction("1/3"), GF2) == GF2.one()  # 1/odd -> parity
     with pytest.raises(MixedFields):
         embed(RATIONAL.from_fraction("1/2"), GF2_16)

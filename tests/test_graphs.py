@@ -190,6 +190,16 @@ def test_matrix_text_round_trip():
     assert render_matrix(back) == text
 
 
+@pytest.mark.parametrize("text", [
+    "3 symmetric\n0 x\nx 0",          # header larger than the rows given
+    "2\n0 x\nx 0\n1 1",               # rows past the header count
+    "2\n0 x\nx 0 1",                   # a row longer than the header says
+])
+def test_parse_matrix_rejects_dimension_mismatch(text):
+    with pytest.raises(ValueError, match="dimension"):
+        parse_matrix(text)
+
+
 def test_matrix_json():
     m = adjacency(triangle_2xyz())
     js = m.to_json()
