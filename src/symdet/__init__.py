@@ -33,6 +33,7 @@ from .circuits import (
     evaluate,
     measure,
     parse_circuit,
+    parse_expression,
     random_circuit,
     render_circuit,
     validate,
@@ -73,6 +74,5 @@ from .weakly_skew import build_ws_graph, ws_nonsym_matrix, ws_sym_matrix
 from .determinant import build_det_abp, det_sym_matrix, symmetrize_abp
 from .char2 import partial_perm_identity, partial_permanent, square_matrix_char2
 from .verify import Verdict, det_eval, identity_test
-from .cli import parse_expression
 
 __version__ = "0.1.0"

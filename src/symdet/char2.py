@@ -94,10 +94,6 @@ def partial_permanent(b) -> DensePolynomial | FieldElement:
             for i in range(n)
         ]
         acc = {0: DensePolynomial.constant(spec.one(), variables)}
-
-        def combine(x, y):
-            return x + y
-
     else:
         rows = list(b)
         n = len(rows)
@@ -106,10 +102,6 @@ def partial_permanent(b) -> DensePolynomial | FieldElement:
             raise ValueError("partial permanent needs a square matrix")
         entries = rows
         acc = {0: spec.one()} if n else {}
-
-        def combine(x, y):
-            return x + y
-
     if n == 0:
         raise ValueError("empty matrix")
     # row-by-row DP over the set of used columns
@@ -117,18 +109,18 @@ def partial_permanent(b) -> DensePolynomial | FieldElement:
         nxt: dict[int, object] = {}
         for mask, val in acc.items():
             cur = nxt.get(mask)
-            nxt[mask] = val if cur is None else combine(cur, val)  # skip row i
+            nxt[mask] = val if cur is None else cur + val  # skip row i
             for j in range(n):
                 if (mask >> j) & 1:
                     continue
                 term = val * entries[i][j]
                 key = mask | (1 << j)
                 cur = nxt.get(key)
-                nxt[key] = term if cur is None else combine(cur, term)
+                nxt[key] = term if cur is None else cur + term
         acc = nxt
     total = None
     for val in acc.values():
-        total = val if total is None else combine(total, val)
+        total = val if total is None else total + val
     return total
 
 

@@ -103,6 +103,7 @@ class Circuit:
             variables = tuple(seen)
         self.variables: tuple[str, ...] = tuple(variables)
         self._topo: tuple[int, ...] | None = None
+        self._minimized: Circuit | None = None  # set by minimize.minimize
 
     # -- structural queries ---------------------------------------------------
 
@@ -145,9 +146,6 @@ class Circuit:
             for idx, (a, _w) in enumerate(g.args):
                 out[a].append((g.gid, idx))
         return out
-
-    def out_degree(self, gid: int) -> int:
-        return sum(1 for g in self.gates.values() for a, _ in g.args if a == gid)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -302,19 +300,16 @@ def measure(circuit: Circuit) -> SizeReport:
     skinny = sum(1 for g in circuit.gates.values() if g.kind in COMPUTATION)
     fat = len(circuit.gates)
     var_inputs = sum(1 for g in circuit.gates.values() if g.kind == VAR)
-    if var_inputs == 0:
-        green = 0  # a variable-free circuit folds to one constant input
-    else:
-        from .minimize import ConstantCircuit, minimize  # deferred import
+    from .minimize import ConstantCircuit, green_form  # deferred import
 
-        try:
-            mini = minimize(circuit)
-        except ConstantCircuit:
-            # multiple-output circuit with a constant output: minimization
-            # does not apply, report the unreduced count
-            green = skinny
-        else:
-            green = sum(1 for g in mini.gates.values() if g.kind in COMPUTATION)
+    try:
+        form = green_form(circuit)
+    except ConstantCircuit:
+        # multiple-output circuit with a constant output: minimization
+        # does not apply, report the unreduced count
+        green = skinny
+    else:
+        green = sum(1 for g in form.gates.values() if g.kind in COMPUTATION)
     return SizeReport(skinny=skinny, fat=fat, var_inputs=var_inputs, green=green)
 
 
@@ -583,10 +578,12 @@ def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
         if line.startswith("output"):
             outputs = [gid_of(t) for t in line.split()[1:]]
             continue
-        lhs, rhs = (part.strip() for part in line.split("=", 1))
-        gid = gid_of(lhs)
+        lhs, eq, rhs = line.partition("=")
         toks = rhs.split()
-        kind = toks[0]
+        kind = toks[0] if toks else None
+        if not eq or len(toks) != (2 if kind in ("input", "const") else 3):
+            raise CircuitError(f"malformed gate line {raw!r}")
+        gid = gid_of(lhs.strip())
         if kind == "input":
             gates[gid] = Gate(gid, VAR, name=toks[1])
         elif kind == "const":
@@ -596,6 +593,159 @@ def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
         else:
             raise CircuitError(f"unknown gate kind {kind!r} in line {raw!r}")
     return validate(Circuit(gates, outputs, spec=spec, variables=variables))
+
+
+# ---------------------------------------------------------------------------
+# infix expressions
+# ---------------------------------------------------------------------------
+
+
+class SyntaxErrorAt(CircuitError):
+    def __init__(self, message: str, pos: int):
+        super().__init__(f"{message} at position {pos}")
+        self.pos = pos
+
+
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*()":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "/"):
+                j += 1
+            tokens.append(("num", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+            continue
+        raise SyntaxErrorAt(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, n))
+    return tokens
+
+
+def parse_expression(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
+    """Formula circuit for ``expr := term (('+'|'-') term)*`` with
+    ``term := factor ('*' factor)*`` and parenthesized sub-expressions.
+
+    Subtraction becomes an arrow weight -1 and constant multiplications ride
+    on arrow weights (green semantics): ``2*(x+y)`` costs one addition gate.
+    """
+    tokens = _tokenize(text)
+    pos = 0
+    b = CircuitBuilder(spec)
+
+    def peek():
+        return tokens[pos]
+
+    def take(kind=None):
+        nonlocal pos
+        tok = tokens[pos]
+        if kind and tok[0] != kind:
+            raise SyntaxErrorAt(f"expected {kind}, got {tok[1]!r}", tok[2])
+        pos += 1
+        return tok
+
+    # lowered form: (gate id or None, scalar); value = scalar * gate (or scalar)
+    def parse_expr():
+        sign = spec.one()
+        if peek()[0] == "-":
+            take()
+            sign = -spec.one()
+        arms = [(sign, parse_term())]
+        while peek()[0] in ("+", "-"):
+            op = take()[0]
+            s = spec.one() if op == "+" else -spec.one()
+            arms.append((s, parse_term()))
+        return lower_sum(arms)
+
+    def parse_term():
+        factors = [parse_factor()]
+        while peek()[0] == "*":
+            take()
+            factors.append(parse_factor())
+        return lower_product(factors)
+
+    def parse_factor():
+        kind, value, at = peek()
+        if kind == "num":
+            take()
+            return (None, parse_element(value, spec))
+        if kind == "name":
+            take()
+            return (b.var(value), spec.one())
+        if kind == "(":
+            take()
+            inner = parse_expr()
+            take(")")
+            return inner
+        raise SyntaxErrorAt(f"unexpected token {value!r}", at)
+
+    def lower_product(factors):
+        scalar = spec.one()
+        gates = []
+        for g, s in factors:
+            scalar = scalar * s
+            if g is not None:
+                gates.append(g)
+        if not gates:
+            return (None, scalar)
+        acc = gates[0]
+        for i, g in enumerate(gates[1:]):
+            acc = b.mul(acc, g, scalar if i == 0 else spec.one(), spec.one())
+            scalar = spec.one()
+        return (acc, scalar)
+
+    def lower_sum(arms):
+        # each arm: (sign, (gate|None, scalar)); constants become 1-inputs
+        parts = []
+        for sign, (g, s) in arms:
+            if g is None:
+                if not s.is_zero():
+                    parts.append((b.const(1), sign * s))
+            else:
+                parts.append((g, sign * s))
+        if not parts:
+            return (None, spec.zero())
+        if len(parts) == 1:
+            return parts[0]
+        (g1, s1), (g2, s2) = parts[0], parts[1]
+        acc = b.add(g1, g2, s1, s2)
+        for g, s in parts[2:]:
+            acc = b.add(acc, g, spec.one(), s)
+        return (acc, spec.one())
+
+    g, scalar = parse_expr()
+    take("end")
+    if g is None:
+        g = b.const(scalar)
+    elif not scalar.is_one():
+        gate = b._gates[g]
+        if gate.kind == CONST:
+            b._gates[g] = Gate(g, CONST, value=scalar * gate.value)
+        elif gate.kind == ADD:
+            # push the leftover scalar into the gate's arrow weights
+            (a, wa), (bb, wb) = gate.args
+            b._gates[g] = Gate(g, ADD, args=((a, wa * scalar), (bb, wb * scalar)))
+        elif gate.kind == MUL:
+            (a, wa), arg_b = gate.args
+            b._gates[g] = Gate(g, MUL, args=((a, wa * scalar), arg_b))
+        else:
+            g = b.add(g, b.const(1), scalar, 0)
+    return b.build([g])
 
 
 # re-exported so circuit users rarely need symdet.fields directly
@@ -612,7 +762,9 @@ __all__ = [
     "random_circuit",
     "render_circuit",
     "parse_circuit",
+    "parse_expression",
     "CircuitError",
+    "SyntaxErrorAt",
     "CyclicCircuit",
     "BadArity",
     "UnreachableGate",

@@ -10,28 +10,32 @@ and 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .circuits import (
+    ADD,
     Circuit,
     CircuitBuilder,
     CircuitError,
+    SyntaxErrorAt,  # noqa: F401  (re-exported: the CLI's parse errors)
     classify,
     measure,
     parse_circuit,
+    parse_expression,
     render_circuit,
 )
 from .char2 import partial_perm_identity, partial_permanent, square_matrix_char2
 from .determinant import det_sym_matrix
-from .fields import GF2, GF2_16, PRIME_DEFAULT, RATIONAL, FieldSpec
-from .formulas import sym_matrix, valiant_matrix
+from .fields import GF2, GF2_16, PRIME_DEFAULT, RATIONAL, FieldError, FieldSpec
+from .formulas import sym_lowering, valiant_lowering, valiant_matrix
 from .graphs import export_dot, parse_matrix, render_matrix
-from .minimize import minimize
+from .minimize import green_form, minimize
 from .oracles import symbolic_det
 from .polynomials import bounds_report
 from .verify import identity_test
-from .weakly_skew import ws_nonsym_matrix, ws_sym_matrix
+from .weakly_skew import ws_nonsym_matrix, ws_sym_lowering
 
 
 def field_from_flag(text: str) -> FieldSpec:
@@ -49,165 +53,6 @@ def field_from_flag(text: str) -> FieldSpec:
     if text.startswith("gf2:"):
         return FieldSpec.binary(int(text[4:]))
     raise argparse.ArgumentTypeError(f"unknown field {text!r}")
-
-
-# ---------------------------------------------------------------------------
-# expression parser
-# ---------------------------------------------------------------------------
-
-
-class SyntaxErrorAt(CircuitError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} at position {pos}")
-        self.pos = pos
-
-
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "/"):
-                j += 1
-            tokens.append(("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise SyntaxErrorAt(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
-    return tokens
-
-
-def parse_expression(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
-    """Formula circuit for ``expr := term (('+'|'-') term)*`` with
-    ``term := factor ('*' factor)*`` and parenthesized sub-expressions.
-
-    Subtraction becomes an arrow weight -1 and constant multiplications ride
-    on arrow weights (green semantics): ``2*(x+y)`` costs one addition gate.
-    """
-    from .fields import parse_element
-
-    tokens = _tokenize(text)
-    pos = 0
-    b = CircuitBuilder(spec)
-
-    def peek():
-        return tokens[pos]
-
-    def take(kind=None):
-        nonlocal pos
-        tok = tokens[pos]
-        if kind and tok[0] != kind:
-            raise SyntaxErrorAt(f"expected {kind}, got {tok[1]!r}", tok[2])
-        pos += 1
-        return tok
-
-    # lowered form: (gate id or None, scalar); value = scalar * gate (or scalar)
-    def parse_expr():
-        sign = spec.one()
-        if peek()[0] == "-":
-            take()
-            sign = -spec.one()
-        arms = [(sign, parse_term())]
-        while peek()[0] in ("+", "-"):
-            op = take()[0]
-            s = spec.one() if op == "+" else -spec.one()
-            arms.append((s, parse_term()))
-        return lower_sum(arms)
-
-    def parse_term():
-        factors = [parse_factor()]
-        while peek()[0] == "*":
-            take()
-            factors.append(parse_factor())
-        return lower_product(factors)
-
-    def parse_factor():
-        kind, value, at = peek()
-        if kind == "num":
-            take()
-            return (None, parse_element(value, spec))
-        if kind == "name":
-            take()
-            return (b.var(value), spec.one())
-        if kind == "(":
-            take()
-            inner = parse_expr()
-            take(")")
-            return inner
-        raise SyntaxErrorAt(f"unexpected token {value!r}", at)
-
-    def lower_product(factors):
-        scalar = spec.one()
-        gates = []
-        for g, s in factors:
-            scalar = scalar * s
-            if g is not None:
-                gates.append(g)
-        if not gates:
-            return (None, scalar)
-        acc = gates[0]
-        for i, g in enumerate(gates[1:]):
-            acc = b.mul(acc, g, scalar if i == 0 else spec.one(), spec.one())
-            scalar = spec.one()
-        return (acc, scalar)
-
-    def lower_sum(arms):
-        # each arm: (sign, (gate|None, scalar)); constants become 1-inputs
-        parts = []
-        for sign, (g, s) in arms:
-            if g is None:
-                if not s.is_zero():
-                    parts.append((b.const(1), sign * s))
-            else:
-                parts.append((g, sign * s))
-        if not parts:
-            return (None, spec.zero())
-        if len(parts) == 1:
-            return parts[0]
-        (g1, s1), (g2, s2) = parts[0], parts[1]
-        acc = b.add(g1, g2, s1, s2)
-        for g, s in parts[2:]:
-            acc = b.add(acc, g, spec.one(), s)
-        return (acc, spec.one())
-
-    g, scalar = parse_expr()
-    take("end")
-    if g is None:
-        g = b.const(scalar)
-    elif not scalar.is_one():
-        gate = b._gates[g]
-        if gate.kind == "const":
-            b._gates[g] = type(gate)(g, "const", value=scalar * gate.value)
-        elif gate.kind in ("add", "mul"):
-            # push the leftover scalar into the gate's arrow weights
-            (a, wa), (bb, wb) = gate.args
-            if gate.kind == "add":
-                b._gates[g] = type(gate)(
-                    g, gate.kind, args=((a, wa * scalar), (bb, wb * scalar))
-                )
-            else:
-                b._gates[g] = type(gate)(
-                    g, gate.kind, args=((a, wa * scalar), (bb, wb))
-                )
-        else:
-            g = b.add(g, b.const(1), scalar, 0)
-    return b.build([g])
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +107,13 @@ def cmd_minimize(args) -> int:
     return 0
 
 
+#: method -> (default size, build(circuit, size) -> (matrix, certificate of
+#: the gadget graph the matrix closes, or None where there is none))
 _BUILDERS = {
-    "valiant": ("green", lambda c, size: valiant_matrix(c)),
-    "sym": ("skinny", lambda c, size: sym_matrix(c, size)),
-    "ws-sym": ("fat", lambda c, size: ws_sym_matrix(c, size)),
-    "ws-nonsym": ("fat", lambda c, size: ws_nonsym_matrix(c, size)),
+    "valiant": ("green", lambda c, size: valiant_lowering(c)),
+    "sym": ("skinny", sym_lowering),
+    "ws-sym": ("fat", ws_sym_lowering),
+    "ws-nonsym": ("fat", lambda c, size: (ws_nonsym_matrix(c, size), None)),
 }
 
 
@@ -276,9 +123,7 @@ def build_bound(method: str, size: str, c: Circuit) -> int:
     if method == "valiant":
         # the builder decides on the minimized form: an addition-free green
         # form takes the diagonal fallback of dimension (variable leaves)+1
-        from .formulas import _green_form
-
-        has_add = any(g.kind == "add" for g in _green_form(c).gates.values())
+        has_add = any(g.kind == ADD for g in green_form(c).gates.values())
         return rep.green + 1 if has_add else rep.var_inputs + 1
     if method == "sym":
         if size == "green":
@@ -303,7 +148,7 @@ def cmd_build(args) -> int:
         print("error: symmetric closing needs 1/2; characteristic 2 is not supported "
               "(see char2-square)", file=sys.stderr)
         return 1
-    matrix = builder(c, size)
+    matrix, cert = builder(c, size)
     bound = build_bound(args.method, size, c)
     report = {
         "method": args.method,
@@ -331,23 +176,9 @@ def cmd_build(args) -> int:
                   "can be sharpened to 2e+1 resp. 2e+2", file=sys.stderr)
         if not args.output:
             sys.stdout.write(out)
-    if args.dot:
-        cert_graph = None
-        if args.method == "sym":
-            from .formulas import build_sym_graph
-
-            cert_graph = build_sym_graph(c, size).graph
-        elif args.method == "ws-sym":
-            from .weakly_skew import build_ws_graph
-
-            cert_graph = build_ws_graph(c, size).graph
-        elif args.method == "valiant":
-            from .formulas import build_valiant_digraph
-
-            cert_graph = build_valiant_digraph(c).graph
-        if cert_graph is not None:
-            with open(args.dot, "w") as fh:
-                fh.write(export_dot(cert_graph))
+    if args.dot and cert is not None:
+        with open(args.dot, "w") as fh:
+            fh.write(export_dot(cert.graph))
     return 0
 
 
@@ -452,7 +283,7 @@ def cmd_demo(args) -> int:
         ("ws-nonsym", "fat"),
         ("ws-nonsym", "green"),
     ):
-        matrix = _BUILDERS[method][1](c, size)
+        matrix, _ = _BUILDERS[method][1](c, size)
         bound = build_bound(method, size, c)
         verdict = identity_test(c, matrix, seed=1)
         print(f"{method:9s} {size:6s}: dim {matrix.dim:2d} <= {bound:2d}  {verdict.status}")
@@ -484,7 +315,8 @@ def cmd_demo(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="symdet", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -555,10 +387,14 @@ def main(argv=None) -> int:
     p = sub.add_parser("demo", help="reproduce the worked examples")
     p.set_defaults(fn=cmd_demo)
 
-    args = top.parse_args(argv)
+    return top
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CircuitError, ValueError, OSError) as exc:
+    except (CircuitError, FieldError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

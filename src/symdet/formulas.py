@@ -34,28 +34,19 @@ from .circuits import (
 )
 from .fields import FieldElement, FieldSpec, half
 from .graphs import (
+    CONSTW,
     SymbolicMatrix,
     Weight,
     WeightedDigraph,
     WeightedGraph,
     adjacency,
+    close_abp,
 )
-from .minimize import minimize
+from .minimize import green_form
 
 
 class NotAFormula(CircuitError):
     pass
-
-
-def _green_form(f: Circuit) -> Circuit:
-    """Minimize for green-size semantics; variable-free formulas fold to
-    one constant input (their green size is zero)."""
-    from .circuits import CircuitBuilder, evaluate
-
-    if any(g.kind == VAR for g in f.gates.values()):
-        return minimize(f)
-    b = CircuitBuilder(f.spec)
-    return b.build([b.const(evaluate(f, {})[0])])
 
 
 # -- formula trees -----------------------------------------------------------
@@ -101,14 +92,6 @@ def _deweight(node: Node, spec: FieldSpec) -> Node:
     return (op, (l, one), (r, one))
 
 
-def _tree_ops(node: Node, op: str | None = None) -> int:
-    if node[0] in (VAR, CONST):
-        return 0
-    _, (l, _), (r, _) = node
-    here = 1 if op is None or node[0] == op else 0
-    return here + _tree_ops(l, op) + _tree_ops(r, op)
-
-
 def _lemma_c0(node: Node, spec: FieldSpec, mul_sign: int = 1) -> FieldElement:
     """The scalar the path-sum lemma associates with a sub-formula.
 
@@ -144,6 +127,7 @@ class PathSumCertificate:
     c0: FieldElement
     parity: str
     source: Circuit
+    tree: Node      # the formula tree of ``source`` the gadget was built over
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +138,7 @@ class PathSumCertificate:
 def build_valiant_digraph(f: Circuit) -> PathSumCertificate:
     """Digraph with at most gsize(f)+2 vertices realizing the signed path sum."""
     spec = f.spec
-    work = _green_form(f)
+    work = green_form(f)
     tree = formula_tree(work)
     dg = WeightedDigraph(spec)
     s, t = dg.add_vertex(), dg.add_vertex()
@@ -188,7 +172,7 @@ def build_valiant_digraph(f: Circuit) -> PathSumCertificate:
 
     c0 = build(tree, s, t)
     dg.roles.update(s=s, t=t)
-    return PathSumCertificate(dg, s, t, c0, PARITY_NONSYM, work)
+    return PathSumCertificate(dg, s, t, c0, PARITY_NONSYM, work, tree)
 
 
 def _product_fallback(tree: Node, spec: FieldSpec) -> SymbolicMatrix:
@@ -224,59 +208,39 @@ def valiant_matrix(f: Circuit) -> SymbolicMatrix:
     Formulas without additions take the diagonal fallback of dimension n+1
     (n variables plus one constant slot, dropped when the constant is 1).
     """
+    return valiant_lowering(f)[0]
+
+
+def valiant_lowering(f: Circuit) -> tuple[SymbolicMatrix, PathSumCertificate]:
+    """:func:`valiant_matrix` together with the certificate it closes."""
     cert = build_valiant_digraph(f)
-    work = cert.source
-    tree = formula_tree(work)
-    if _tree_ops(tree, ADD) == 0:
-        return _product_fallback(tree, f.spec)
-
     spec = f.spec
+    if not any(g.kind == ADD for g in cert.source.gates.values()):
+        return _product_fallback(cert.tree, spec), cert
     dg, s, t, c0 = cert.graph, cert.s, cert.t, cert.c0
-    in_t = [(u, w) for (u, v), w in dg.arcs.items() if v == t]
-    if not in_t:
-        zero = Weight.const(spec.zero())
-        return SymbolicMatrix([[zero]], spec=spec)
+    if not any(v == t for _, v in dg.arcs):
+        return SymbolicMatrix([[Weight.const(spec.zero())]], spec=spec), cert
 
-    # locate a vertex with a single constant out-arc to host c0 (the free
+    # c0 goes on the first vertex with a single constant out-arc (the free
     # endpoint of some addition gadget); if every addition was pruned away,
-    # c0 goes on a fresh isolated loop, i.e. a 1x1 diagonal block
-    host = None
-    extra_block = False
-    for v in range(dg.n):
-        outs = dg.out(v)
-        if v not in (s, t) and len(outs) == 1 and outs[0][1].kind == "const":
-            host = v
-            break
+    # it goes on a fresh isolated loop, i.e. a 1x1 diagonal block
+    only_arc: dict[int, Weight | None] = {}
+    for (u, _), w in dg.arcs.items():
+        only_arc[u] = None if u in only_arc else w
+    host = min(
+        (u for u, w in only_arc.items()
+         if u not in (s, t) and w is not None and w.kind == CONSTW),
+        default=None,
+    )
+    merged = close_abp(
+        dg, s, t,
+        weight=lambda u, v, w: w.scale(c0) if u == host else w,
+        loop=lambda v: Weight.const(c0 if v == host else spec.one()),
+    )
     if host is None and not c0.is_one():
-        extra_block = True
-
-    # merge s and t, add the loop structure, read off the adjacency matrix
-    keep = [v for v in range(dg.n) if v != t]
-    renum = {v: i for i, v in enumerate(keep)}
-    merged = WeightedDigraph(spec)
-    for _ in keep:
-        merged.add_vertex()
-
-    def target(v: int) -> int:
-        return renum[s] if v == t else renum[v]
-
-    for (u, v), w in dg.arcs.items():
-        if host is not None and u == host:
-            w = w.scale(c0)
-        merged.add_arc(renum[u], target(v), w)
-    for v in keep:
-        nv = renum[v]
-        if v == s:
-            continue
-        if v == host:
-            merged.add_arc(nv, nv, Weight.const(c0))
-        else:
-            merged.add_arc(nv, nv, Weight.const(spec.one()))
-    if extra_block:
         v = merged.add_vertex()
         merged.add_arc(v, v, Weight.const(c0))
-    merged.roles["s"] = renum[s]
-    return adjacency(merged)
+    return adjacency(merged), cert
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +257,7 @@ def build_sym_graph(f: Circuit, mode: str = "skinny") -> PathSumCertificate:
     """
     spec = f.spec
     if mode == "green":
-        work = _green_form(f)
+        work = green_form(f)
         tree = formula_tree(work)
     elif mode == "skinny":
         work = f
@@ -354,7 +318,7 @@ def build_sym_graph(f: Circuit, mode: str = "skinny") -> PathSumCertificate:
 
     c0 = build(tree, s, t)
     g.roles.update(s=s, t=t)
-    return PathSumCertificate(g, s, t, c0, PARITY_SYM, work)
+    return PathSumCertificate(g, s, t, c0, PARITY_SYM, work, tree)
 
 
 def sym_matrix(f: Circuit, mode: str = "skinny") -> SymbolicMatrix:
@@ -363,8 +327,16 @@ def sym_matrix(f: Circuit, mode: str = "skinny") -> SymbolicMatrix:
     Dimension is at most 2e+3 with e the skinny size (mode ``skinny``) or
     the green size (mode ``green``).  Raises CharTwoHalf over GF(2^k).
     """
+    return sym_lowering(f, mode)[0]
+
+
+def sym_lowering(
+    f: Circuit, mode: str = "skinny"
+) -> tuple[SymbolicMatrix, PathSumCertificate]:
+    """:func:`sym_matrix` together with the certificate it closes; the
+    closing vertex goes on a copy, so the certificate's graph is unchanged."""
     cert = build_sym_graph(f, mode)
-    g: WeightedGraph = cert.graph
+    g = cert.graph.copy()
     spec = g.spec
     size_g = g.n  # vertex count before the closing vertex
     c = g.add_vertex()
@@ -373,7 +345,7 @@ def sym_matrix(f: Circuit, mode: str = "skinny") -> SymbolicMatrix:
     sign = spec.one() if (size_g // 2 - 1) % 2 == 0 else -spec.one()
     g.add_edge(c, cert.s, Weight.const(sign))
     g.roles["c"] = c
-    return adjacency(g)
+    return adjacency(g), cert
 
 
 def check_sym_certificate(cert: PathSumCertificate, max_vertices: int = 14) -> None:

@@ -16,7 +16,7 @@ accounting against fixed-dimension constructions may allow them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .fields import RATIONAL, FieldElement, FieldSpec, embed, parse_element
 from .polynomials import DensePolynomial
@@ -119,9 +119,6 @@ class WeightedDigraph:
             raise ValueError(f"arc {u}->{v} outside vertex range")
         self.arcs[(u, v)] = w
 
-    def out(self, u: int) -> Iterable[tuple[int, Weight]]:
-        return [(v, w) for (a, v), w in self.arcs.items() if a == u]
-
     def __repr__(self) -> str:
         return f"<digraph n={self.n} arcs={len(self.arcs)}>"
 
@@ -154,6 +151,11 @@ class WeightedGraph:
 
     def remove_edge(self, u: int, v: int) -> Weight:
         return self.edges.pop((min(u, v), max(u, v)))
+
+    def copy(self) -> "WeightedGraph":
+        g = WeightedGraph(self.spec)
+        g.n, g.edges, g.roles = self.n, dict(self.edges), dict(self.roles)
+        return g
 
     def neighbors(self, u: int) -> list[tuple[int, Weight]]:
         out = []
@@ -241,6 +243,32 @@ def adjacency(g: WeightedGraph | WeightedDigraph) -> SymbolicMatrix:
         rows[u][v] = w
         rows[v][u] = w
     return SymbolicMatrix(rows, spec=g.spec, symmetric=True, allow_linear=True)
+
+
+def close_abp(
+    dg: WeightedDigraph,
+    s: int,
+    t: int,
+    weight: Callable[[int, int, Weight], Weight],
+    loop: Callable[[int], Weight],
+) -> WeightedDigraph:
+    """Close an acyclic s-t branching program into a digraph whose cycle
+    covers are its s-t paths, each closed through s and completed by loops:
+    t merges into s, arc (u, v) gets weight ``weight(u, v, w)`` and every
+    vertex except s gets a loop of weight ``loop(v)``.  Vertices keep their
+    order with t removed; ``dg`` is left unchanged."""
+    keep = [v for v in range(dg.n) if v != t]
+    renum = {v: i for i, v in enumerate(keep)}
+    renum[t] = renum[s]
+    merged = WeightedDigraph(dg.spec)
+    merged.n = len(keep)
+    for (u, v), w in dg.arcs.items():
+        merged.add_arc(renum[u], renum[v], weight(u, v, w))
+    for v in keep:
+        if v != s:
+            merged.add_arc(renum[v], renum[v], loop(v))
+    merged.roles["s"] = renum[s]
+    return merged
 
 
 def render_matrix(m: SymbolicMatrix) -> str:

@@ -26,8 +26,10 @@ from .circuits import (
     MUL,
     VAR,
     Circuit,
+    CircuitBuilder,
     CircuitError,
     Gate,
+    evaluate,
     validate,
 )
 from .fields import FieldElement
@@ -143,7 +145,26 @@ def _split_out_degree(s: _Scratch, gid: int) -> None:
 
 
 def minimize(circuit: Circuit) -> Circuit:
-    """Return the minimized equivalent of a validated weighted circuit."""
+    """Return the minimized equivalent of a validated weighted circuit.
+
+    The result is kept on the (immutable) circuit, so the size measure, the
+    builders and the bound of one build share a single rewrite.
+    """
+    if circuit._minimized is None:
+        circuit._minimized = _rewrite(circuit)
+    return circuit._minimized
+
+
+def green_form(circuit: Circuit) -> Circuit:
+    """The circuit green sizes are measured on: the minimized circuit, or for
+    a variable-free circuit one constant input per output (green size 0)."""
+    if any(g.kind == VAR for g in circuit.gates.values()):
+        return minimize(circuit)
+    b = CircuitBuilder(circuit.spec)
+    return b.build([b.const(v) for v in evaluate(circuit, {})])
+
+
+def _rewrite(circuit: Circuit) -> Circuit:
     s = _Scratch(circuit)
     const = _constant_flags(s)
     if not any(k == VAR for k in s.kind.values()):

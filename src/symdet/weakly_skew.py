@@ -25,6 +25,7 @@ loops elsewhere; arc signs absorb the path-parity bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .circuits import (
     ADD,
@@ -41,6 +42,7 @@ from .graphs import (
     WeightedDigraph,
     WeightedGraph,
     adjacency,
+    close_abp,
 )
 from .minimize import minimize
 
@@ -65,35 +67,37 @@ def _input_weight(gate) -> Weight:
     return Weight.const(gate.value)
 
 
-def _prepare(circuit: Circuit, mode: str) -> Circuit:
-    if mode == "green":
-        return minimize(circuit)
-    if mode != "fat":
-        raise ValueError(f"unknown mode {mode!r}")
-    return circuit
+def _lower(
+    circuit: Circuit,
+    mode: str,
+    node: Callable[[list[tuple[int, Weight]]], int],
+    source: int,
+) -> tuple[Circuit, dict[int, int], dict[int, FieldElement]]:
+    """Peel a weakly skew circuit one gate at a time, sinks first.
 
-
-def build_ws_graph(circuit: Circuit, mode: str = "fat") -> WsCertificate:
-    """Gadget graph for a multiple-output weakly skew circuit.
-
-    In fat mode every gate gets its own gadget; in green mode the circuit is
-    minimized first and constant addition arguments are folded into edge
-    weights, so only computation gates and variable inputs cost vertices.
+    ``node(arms)`` receives the ``(vertex, Weight)`` arms that feed a gate and
+    returns the vertex later gadgets attach to.  An input is one arm from the
+    current source; in green mode an addition with one constant argument
+    becomes two arms, one of them from the source carrying the constant.  A
+    multiplication costs no node: its closed argument is peeled with the
+    vertex of its reusable argument as source.  Returns the working circuit
+    (minimized in green mode), the vertex of every gate a and its scalar c_a:
+    c_a times the path sum into the vertex of a is f_a.
     """
-    work = _prepare(circuit, mode)
+    if mode == "green":
+        work = minimize(circuit)
+    elif mode == "fat":
+        work = circuit
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     cl = classify(work)
     if not cl.is_weakly_skew:
         raise NotWeaklySkew("circuit is not weakly skew")
-    spec = work.spec
     gates = work.gates
     consumers = work.consumers()
-    absorb = mode == "green"
-
-    g = WeightedGraph(spec)
-    t_of: dict[int, int] = {}
+    one = work.spec.one()
+    vertex: dict[int, int] = {}
     c_of: dict[int, FieldElement] = {}
-    one = spec.one()
-    minus_one = -one
 
     def peel(gate_ids: frozenset[int], s: int) -> None:
         if not gate_ids:
@@ -106,57 +110,67 @@ def build_ws_graph(circuit: Circuit, mode: str = "fat") -> WsCertificate:
         gate = gates[sink]
         if gate.is_input:
             peel(gate_ids - {sink}, s)
-            v = g.add_vertex()
-            t = g.add_vertex()
-            g.add_edge(s, v, _input_weight(gate))
-            g.add_edge(v, t, Weight.const(minus_one))
-            t_of[sink] = t
+            vertex[sink] = node([(s, _input_weight(gate))])
             c_of[sink] = one
             return
         (a, wa), (b, wb) = gate.args
         if gate.kind == ADD:
-            const_args = [
-                (x, w) for x, w in gate.args if gates[x].kind == CONST
-            ]
-            if absorb and len(const_args) == 1:
+            const_args = [(x, w) for x, w in gate.args if gates[x].kind == CONST]
+            if mode == "green" and len(const_args) == 1:
                 beta, c1 = const_args[0]
                 gamma, c2 = next((x, w) for x, w in gate.args if x != beta)
                 peel(gate_ids - {sink, beta}, s)
-                v = g.add_vertex()
-                t = g.add_vertex()
-                g.add_edge(t_of[gamma], v, Weight.const(c2 * c_of[gamma]))
-                g.add_edge(v, t, Weight.const(minus_one))
-                g.add_edge(s, v, Weight.const(c1 * gates[beta].value))
-                t_of[sink] = t
-                c_of[sink] = one
-                return
-            peel(gate_ids - {sink}, s)
-            v = g.add_vertex()
-            t = g.add_vertex()
-            if a == b:
-                g.add_edge(t_of[a], v, Weight.const((wa + wb) * c_of[a]))
+                arms = [
+                    (vertex[gamma], Weight.const(c2 * c_of[gamma])),
+                    (s, Weight.const(c1 * gates[beta].value)),
+                ]
             else:
-                g.add_edge(t_of[a], v, Weight.const(wa * c_of[a]))
-                g.add_edge(t_of[b], v, Weight.const(wb * c_of[b]))
-            g.add_edge(v, t, Weight.const(minus_one))
-            t_of[sink] = t
+                peel(gate_ids - {sink}, s)
+                if a == b:
+                    arms = [(vertex[a], Weight.const((wa + wb) * c_of[a]))]
+                else:
+                    arms = [
+                        (vertex[a], Weight.const(wa * c_of[a])),
+                        (vertex[b], Weight.const(wb * c_of[b])),
+                    ]
+            vertex[sink] = node(arms)
             c_of[sink] = one
             return
-        # multiplication: recurse on the rest, then graft the closed
-        # sub-circuit with the reusable argument's t vertex as its source
+        # multiplication: peel the rest, then the closed sub-circuit with the
+        # reusable argument's vertex as its source
         beta, closed_set = cl.closed_subcircuit_of[sink]
         gamma = b if beta == a else a
         w_beta = wa if beta == a else wb
         w_gamma = wb if beta == a else wa
-        rest = gate_ids - {sink} - closed_set
-        peel(rest, s)
-        peel(frozenset(closed_set), t_of[gamma])
-        t_of[sink] = t_of[beta]
+        peel(gate_ids - {sink} - closed_set, s)
+        peel(frozenset(closed_set), vertex[gamma])
+        vertex[sink] = vertex[beta]
         c_of[sink] = w_beta * w_gamma * c_of[beta] * c_of[gamma]
+
+    peel(frozenset(gates), source)
+    return work, vertex, c_of
+
+
+def build_ws_graph(circuit: Circuit, mode: str = "fat") -> WsCertificate:
+    """Gadget graph for a multiple-output weakly skew circuit.
+
+    In fat mode every gate gets its own gadget; in green mode the circuit is
+    minimized first and constant addition arguments are folded into edge
+    weights, so only computation gates and variable inputs cost vertices.
+    """
+    g = WeightedGraph(circuit.spec)
+    minus_one = Weight.const(-circuit.spec.one())
+
+    def node(arms) -> int:
+        v, t = g.add_vertex(), g.add_vertex()
+        for u, w in arms:
+            g.add_edge(u, v, w)
+        g.add_edge(v, t, minus_one)
+        return t
 
     s = g.add_vertex()
     g.roles["s"] = s
-    peel(frozenset(gates), s)
+    work, t_of, c_of = _lower(circuit, mode, node, s)
     return WsCertificate(g, s, t_of, c_of, work, mode)
 
 
@@ -174,14 +188,23 @@ def _constant_fallback(circuit: Circuit) -> SymbolicMatrix | None:
 def ws_sym_matrix(circuit: Circuit, mode: str = "fat") -> SymbolicMatrix:
     """Symmetric determinantal representation of a single-output weakly skew
     circuit; dimension <= 2m+1 (fat) or 2(e+i)+1 (green)."""
+    return ws_sym_lowering(circuit, mode)[0]
+
+
+def ws_sym_lowering(
+    circuit: Circuit, mode: str = "fat"
+) -> tuple[SymbolicMatrix, WsCertificate | None]:
+    """:func:`ws_sym_matrix` together with the certificate it closes, which
+    is None for the 1x1 matrix of a variable-free circuit in green mode.  The
+    closing edge goes on a copy, so the certificate's graph is unchanged."""
     if len(circuit.outputs) != 1:
         raise CircuitError("symmetric lowering needs a single-output circuit")
     if mode == "green":
         fallback = _constant_fallback(circuit)
         if fallback is not None:
-            return fallback
+            return fallback, None
     cert = build_ws_graph(circuit, mode)
-    g = cert.graph
+    g = cert.graph.copy()
     spec = g.spec
     out = cert.source.outputs[0]
     t = cert.t_of[out]
@@ -189,7 +212,7 @@ def ws_sym_matrix(circuit: Circuit, mode: str = "fat") -> SymbolicMatrix:
     w_ts = cert.c_of[out] * half(spec) * sign
     g.add_edge(t, cert.s, Weight.const(w_ts))
     g.roles["t"] = t
-    return adjacency(g)
+    return adjacency(g), cert
 
 
 def check_ws_certificate(cert: WsCertificate, max_vertices: int = 14) -> None:
@@ -254,72 +277,17 @@ def build_ws_abp(
     """Path-sum ABP: for every reusable gate a, sum over s-to-vertex(a) paths
     of w(P) equals f_a / c_a.  One vertex per gate, none for multiplications
     (they alias their closed argument's vertex) or absorbed constants."""
-    work = _prepare(circuit, mode)
-    cl = classify(work)
-    if not cl.is_weakly_skew:
-        raise NotWeaklySkew("circuit is not weakly skew")
-    spec = work.spec
-    gates = work.gates
-    consumers = work.consumers()
-    absorb = mode == "green"
+    dg = WeightedDigraph(circuit.spec)
 
-    dg = WeightedDigraph(spec)
-    vert: dict[int, int] = {}
-    c_of: dict[int, FieldElement] = {}
-    one = spec.one()
-
-    def peel(gate_ids: frozenset[int], source: int) -> None:
-        if not gate_ids:
-            return
-        sink = max(
-            gid
-            for gid in gate_ids
-            if not any(c in gate_ids for c, _ in consumers[gid])
-        )
-        gate = gates[sink]
-        if gate.is_input:
-            peel(gate_ids - {sink}, source)
-            v = dg.add_vertex()
-            dg.add_arc(source, v, _input_weight(gate))
-            vert[sink] = v
-            c_of[sink] = one
-            return
-        (a, wa), (b, wb) = gate.args
-        if gate.kind == ADD:
-            const_args = [(x, w) for x, w in gate.args if gates[x].kind == CONST]
-            if absorb and len(const_args) == 1:
-                beta, c1 = const_args[0]
-                gamma, c2 = next((x, w) for x, w in gate.args if x != beta)
-                peel(gate_ids - {sink, beta}, source)
-                v = dg.add_vertex()
-                dg.add_arc(vert[gamma], v, Weight.const(c2 * c_of[gamma]))
-                dg.add_arc(source, v, Weight.const(c1 * gates[beta].value))
-                vert[sink] = v
-                c_of[sink] = one
-                return
-            peel(gate_ids - {sink}, source)
-            v = dg.add_vertex()
-            if a == b:
-                dg.add_arc(vert[a], v, Weight.const((wa + wb) * c_of[a]))
-            else:
-                dg.add_arc(vert[a], v, Weight.const(wa * c_of[a]))
-                dg.add_arc(vert[b], v, Weight.const(wb * c_of[b]))
-            vert[sink] = v
-            c_of[sink] = one
-            return
-        beta, closed_set = cl.closed_subcircuit_of[sink]
-        gamma = b if beta == a else a
-        w_beta = wa if beta == a else wb
-        w_gamma = wb if beta == a else wa
-        rest = gate_ids - {sink} - closed_set
-        peel(rest, source)
-        peel(frozenset(closed_set), vert[gamma])
-        vert[sink] = vert[beta]
-        c_of[sink] = w_beta * w_gamma * c_of[beta] * c_of[gamma]
+    def node(arms) -> int:
+        v = dg.add_vertex()
+        for u, w in arms:
+            dg.add_arc(u, v, w)
+        return v
 
     s = dg.add_vertex()
     dg.roles["s"] = s
-    peel(frozenset(gates), s)
+    work, vert, c_of = _lower(circuit, mode, node, s)
     return dg, s, vert, c_of, work
 
 
@@ -339,27 +307,15 @@ def ws_nonsym_matrix(
         if fallback is not None:
             return fallback
     dg, s, vert, c_of, work = build_ws_abp(circuit, mode)
-    spec = dg.spec
     out = work.outputs[0]
     t = vert[out]
-    c_out = c_of[out]
+    minus_one = -dg.spec.one()
 
-    keep = [v for v in range(dg.n) if v != t]
-    renum = {v: i for i, v in enumerate(keep)}
-    merged = WeightedDigraph(spec)
-    for _ in keep:
-        merged.add_vertex()
-    minus_one = -spec.one()
-    for (u, v), w in dg.arcs.items():
+    def weight(u: int, v: int, w: Weight) -> Weight:
         if v == t:
-            w = w.scale(c_out)  # each s-t path crosses exactly one in-arc of t
-            merged.add_arc(renum[u], renum[s], w)
-        else:
-            if signed:
-                w = w.scale(minus_one)  # (-1)^|P| bookkeeping, spread over arcs
-            merged.add_arc(renum[u], renum[v], w)
-    for v in keep:
-        if v != s:
-            merged.add_arc(renum[v], renum[v], Weight.const(spec.one()))
-    merged.roles["s"] = renum[s]
-    return adjacency(merged)
+            return w.scale(c_of[out])  # each s-t path crosses exactly one in-arc of t
+        # (-1)^|P| bookkeeping, spread over the arcs
+        return w.scale(minus_one) if signed else w
+
+    unit = Weight.const(dg.spec.one())
+    return adjacency(close_abp(dg, s, t, weight, loop=lambda v: unit))

@@ -300,3 +300,113 @@ def test_cli_build_never_reports_spurious_bound_violation(tmp_path, capsys, rng)
             assert code == 0, (i, method, size, out)
             report = json.loads(out)
             assert report["dimension"] <= report["bound"], (i, method, size)
+
+
+X_CIRCUIT = "vars x\ng0 = input x\noutput g0\n"
+HALF_CIRCUIT = "vars x\ng0 = input x\ng1 = const 1/2\ng2 = add g0 g1\noutput g2\n"
+
+
+@pytest.mark.parametrize("circuit, matrix, flags", [
+    (X_CIRCUIT, "1\n1/2\n", ["--field", "gf2_16"]),      # 1/2 has no inverse of 2
+    (HALF_CIRCUIT, "1\nx\n", ["--test-field", "gf2_16"]),  # 1/2 does not embed
+])
+def test_cli_verify_field_errors_exit_1(tmp_path, capsys, circuit, matrix, flags):
+    circ = tmp_path / "f.circuit"
+    circ.write_text(circuit)
+    mat = tmp_path / "m.matrix"
+    mat.write_text(matrix)
+    code, _, err = run(["verify", str(circ), str(mat), "--seed", "1", *flags], capsys)
+    assert code == 1
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("line", ["g1 = const 1/0", "g1 = add g0", "foo"])
+def test_cli_malformed_circuit_line_exits_1(tmp_path, capsys, line):
+    circ = tmp_path / "f.circuit"
+    circ.write_text(f"vars x\ng0 = input x\n{line}\noutput g0\n")
+    code, _, err = run(["parse", str(circ)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and line.split()[-1] in err
+
+
+def test_cli_build_dot_draws_the_gadget_of_the_build(tmp_path, capsys):
+    from symdet.formulas import build_sym_graph, build_valiant_digraph
+    from symdet.graphs import export_dot
+    from symdet.weakly_skew import build_ws_graph
+
+    c = parse_expression("(x+y)*(x+y) + 2*y*z")
+    circ = tmp_path / "f.circuit"
+    circ.write_text(render_circuit(c))
+    gadgets = {
+        ("valiant", "green"): build_valiant_digraph(c).graph,
+        ("sym", "skinny"): build_sym_graph(c, "skinny").graph,
+        ("sym", "green"): build_sym_graph(c, "green").graph,
+        ("ws-sym", "fat"): build_ws_graph(c, "fat").graph,
+        ("ws-sym", "green"): build_ws_graph(c, "green").graph,
+    }
+    for (method, size), graph in gadgets.items():
+        dot = tmp_path / f"{method}-{size}.dot"
+        code, _, _ = run(["build", "--method", method, "--size", size, str(circ),
+                          "--dot", str(dot)], capsys)
+        assert code == 0
+        assert dot.read_text() == export_dot(graph), (method, size)
+
+
+def test_cli_build_dot_of_constant_circuit(tmp_path, capsys):
+    # in green mode a variable-free circuit takes the 1x1 constant fallback
+    # of the weakly skew lowerings, which has no gadget graph to draw
+    circ = tmp_path / "f.circuit"
+    circ.write_text("g0 = const 3\ng1 = const 4\ng2 = mul g0 g1\noutput g2\n")
+    for method, drawn in [("valiant", True), ("sym", True), ("ws-sym", False),
+                          ("ws-nonsym", False)]:
+        dot = tmp_path / f"{method}.dot"
+        code, out, _ = run(["build", "--method", method, "--size", "green", str(circ),
+                            "--dot", str(dot)], capsys)
+        assert code == 0, method
+        assert dot.exists() == drawn, method
+        if method.startswith("ws"):
+            assert out == "1 symmetric\n12\n"
+
+
+def test_cli_build_minimizes_at_most_once(tmp_path, capsys, monkeypatch,
+                                          fig1_weakly_skew):
+    import importlib
+
+    module = importlib.import_module("symdet.minimize")  # symdet.minimize is the function
+    rewrites = []
+    rewrite = module._rewrite
+    monkeypatch.setattr(module, "_rewrite", lambda c: rewrites.append(c) or rewrite(c))
+    formula = tmp_path / "f.circuit"
+    formula.write_text(render_circuit(parse_expression("(x+y)*(x+y) + 2*y*z + 3")))
+    weakly_skew = tmp_path / "w.circuit"
+    weakly_skew.write_text(render_circuit(fig1_weakly_skew))
+    builds = [(formula, "valiant", "green"), (formula, "sym", "skinny"),
+              (formula, "sym", "green")]
+    builds += [(path, method, size) for path in (formula, weakly_skew)
+               for method in ("ws-sym", "ws-nonsym") for size in ("fat", "green")]
+    for path, method, size in builds:
+        rewrites.clear()
+        code, _, _ = run(["build", "--method", method, "--size", size, str(path),
+                          "--dot", str(tmp_path / "g.dot")], capsys)
+        assert code == 0
+        assert len(rewrites) <= 1, (path.name, method, size, len(rewrites))
+
+
+def test_cli_module_runs_without_warnings():
+    # importing symdet must not import symdet.cli, or ``python -m symdet.cli``
+    # warns that the module was already in sys.modules
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import symdet
+
+    src = str(pathlib.Path(symdet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "symdet.cli", "bounds", "--n", "2", "--d", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n,d,")

@@ -93,14 +93,14 @@ def test_valiant_unit_product_uses_n_dims():
 
 
 def test_valiant_dimension_bound(rng):
-    from symdet.formulas import _green_form
+    from symdet.minimize import green_form
 
     for _ in range(60):
         f = random_circuit("formula", rng.randint(1, 8), 4, rng,
                            weighted=True, const_prob=0.2)
         m = valiant_matrix(f)
         rep = measure(f)
-        has_add = any(g.kind == "add" for g in _green_form(f).gates.values())
+        has_add = any(g.kind == "add" for g in green_form(f).gates.values())
         if has_add:
             assert m.dim <= rep.green + 1, (m.dim, rep)
         else:
