@@ -27,7 +27,7 @@ from .fields import FieldElement, FieldSpec, GF2_16, sample_random
 from .graphs import SymbolicMatrix, Weight, WeightedGraph
 from .polynomials import DensePolynomial, TooLarge
 from .weakly_skew import ws_nonsym_matrix
-from .verify import CompiledMatrix, det_eval
+from .verify import CompiledMatrix
 
 
 class NotCharTwo(Exception):
@@ -154,9 +154,13 @@ def partial_perm_identity(
     spec: FieldSpec = GF2_16,
 ) -> PartialPermVerdict:
     """Check det(A + I_2n) = per*(B)^2 in characteristic 2, with
-    A = [[0, B], [B^T, 0]]; symbolic for n <= 4, by evaluation otherwise."""
+    A = [[0, B], [B^T, 0]]; symbolic for n <= 4, by evaluation otherwise:
+    det(A + I) at every trial point from one lockstep elimination, per*(B)
+    point by point, the first mismatch reported."""
     if spec.characteristic != 2:
         raise NotCharTwo(f"{spec} does not have characteristic 2")
+    if trials < 1:
+        raise ValueError(f"identity testing needs at least one trial, not {trials}")
     n = b.dim
     doubled = double_matrix(b)
     api = plus_identity(doubled.matrix)
@@ -172,16 +176,16 @@ def partial_perm_identity(
         )
     rng = random.Random(seed)
     variables = sorted(set(api.variables()) | set(b.variables()))
-    compiled_api = CompiledMatrix(api, spec)
-    compiled_b = CompiledMatrix(b, spec)
-    for _ in range(trials):
-        point = {v: sample_random(spec, rng) for v in variables}
-        lhs = det_eval(compiled_api, point, spec)
-        rows = [
-            [FieldElement(spec, row.get(j, 0)) for j in range(n)]
-            for row in compiled_b.rows(point)
-        ]
-        p = partial_permanent(rows)
+    points = [{v: sample_random(spec, rng) for v in variables} for _ in range(trials)]
+    lhs_lanes = CompiledMatrix(api, spec).det(points)
+    b_rows = CompiledMatrix(b, spec).rows(points)
+    zero = spec.zero()
+    for t, x in enumerate(lhs_lanes):
+        p = partial_permanent([
+            [FieldElement(spec, row[j][t]) if j in row else zero for j in range(n)]
+            for row in b_rows
+        ])
+        lhs = FieldElement(spec, x)
         rhs = p * p
         if lhs != rhs:
             return PartialPermVerdict(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .circuits import (
@@ -239,8 +240,10 @@ def cmd_verify(args) -> int:
     if args.json:
         print(json.dumps(verdict.to_json(), indent=2))
     else:
+        bound = ("" if verdict.error_bound_log2 is None
+                 else f", error <= 2^{math.ceil(verdict.error_bound_log2)}")
         print(f"{verdict.status} (dimension {verdict.dimension}, field {verdict.field},"
-              f" trials {verdict.trials})")
+              f" trials {verdict.trials}{bound})")
     return 0 if verdict.ok else 1
 
 

@@ -2,30 +2,37 @@
 
 Randomized identity testing evaluates both sides at uniform points of a
 large finite field; by the Schwartz-Zippel bound the probability that a
-wrong matrix survives t trials is at most (deg / |field|)^t, negligible at
-the default of 20 trials over Z_p with p = 2^61 - 1 (40 trials over the
-smaller GF(2^16)).  Small instances are upgraded to exact symbolic
-comparison.  Failures carry a reproducible witness (seed and point).
+wrong matrix survives t trials is at most (D / |field|)^t, where D bounds
+the degree of both sides: the matrix dimension, and the formal degree of the
+circuit times the power tested.  That is negligible at the default of 20
+trials over Z_p with p = 2^61 - 1 (40 trials over the smaller GF(2^16)), and
+every randomized verdict states it.  Small instances are upgraded to exact
+symbolic comparison.  Failures carry a reproducible witness (seed and point).
 
-Determinants over a finite field take one path.  A :class:`CompiledMatrix`
-embeds every nonzero constant of a :class:`SymbolicMatrix` into a plain int
-once (a Z_p residue or a GF(2^k) bit mask) and keeps the variable entries
-as slots; each trial fills the slots in and eliminates the sparse integer
-rows with Markowitz-style pivoting (fewest-entry column, shortest row), so
-the cost follows the nonzeros and fill-in rather than n^3 boxed field
-operations.  ``identity_test`` compiles once per call.  Over Q,
-:func:`det_eval` keeps dense elimination on exact field elements; it is the
-reference the tests check the compiled path against.
+Both sides are compiled once per field and evaluated at all trial points
+in lockstep: every value is a lane, a list of plain ints (Z_p residues or
+GF(2^k) bit masks) with one int per point.  A :class:`CompiledCircuit` is
+the circuit as a topologically ordered program with its constants and
+arrow weights embedded once.  A :class:`CompiledMatrix` holds the embedded
+nonzero constants of a :class:`SymbolicMatrix` plus slots for its variable
+entries, and all its determinants come from one sparse elimination with
+Markowitz-style pivoting (fewest-entry column, shortest row whose entry is
+nonzero in every lane), so the pivot search and the fill-in bookkeeping are
+paid once for all points.  :func:`det_eval` at one point is the one-lane
+case.  Over Q, :func:`det_eval` keeps dense elimination on exact field
+elements; it is the reference the tests check the lockstep path against.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from heapq import heapify, heappop, heappush
-from typing import Mapping
+from itertools import accumulate
+from typing import Mapping, Sequence
 
-from .circuits import COMPUTATION, Circuit, MissingAssignment, evaluate
+from .circuits import ADD, COMPUTATION, CONST, VAR, Circuit, MissingAssignment
 from .fields import (
     FieldElement,
     FieldSpec,
@@ -62,6 +69,10 @@ class Verdict:
     witness_point: dict[str, str] = dc_field(default_factory=dict)
     lhs: str | None = None
     rhs: str | None = None
+    # Schwartz-Zippel: a randomized verdict passes a wrong matrix with
+    # probability at most (degree_bound / |field|)^trials = 2^error_bound_log2
+    degree_bound: int | None = None
+    error_bound_log2: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -76,6 +87,9 @@ class Verdict:
         }
         if self.seed is not None:
             out["seed"] = self.seed
+        if self.degree_bound is not None:
+            out["degree_bound"] = self.degree_bound
+            out["error_bound_log2"] = self.error_bound_log2
         if self.status == FAILED:
             out["witness"] = {
                 "point": self.witness_point,
@@ -86,71 +100,110 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# determinant evaluation
+# lane arithmetic
 # ---------------------------------------------------------------------------
 
 
 class _IntArith:
-    """Arithmetic of one finite field on plain ints: Z_p residues, or GF(2^k)
-    bit masks with log/exp tables for k <= 16 and shift-and-add above."""
+    """Arithmetic of one finite field on lanes, lists of plain ints with one
+    int per trial point: Z_p residues, or GF(2^k) bit masks with log/exp
+    tables for k <= 16 and shift-and-add above."""
 
     def __init__(self, spec: FieldSpec):
         self.binary = spec.kind == "binary"
         self.p = p = spec.p
         if not self.binary:
-            def mul(a, b):
-                return a * b % p
+            def add(xs, ys):
+                return [(x + y) % p for x, y in zip(xs, ys)]
 
-            def inv(a):
-                return pow(a, -1, p)
+            def mul(xs, ys):
+                return [x * y % p for x, y in zip(xs, ys)]
 
-            def neg_scale(f, items):
-                f = p - f
-                return [(c, f * v % p) for c, v in items]
+            def scale(c, xs):
+                return [c * x % p for x in xs]
+
+            def inv(xs):
+                # Montgomery's trick: one modular inversion for all lanes
+                prefix = list(accumulate(xs, lambda a, b: a * b % p))
+                r = pow(prefix[-1], -1, p)
+                out = xs[:]
+                for i in range(len(xs) - 1, 0, -1):
+                    out[i] = r * prefix[i - 1] % p
+                    r = r * xs[i] % p
+                out[0] = r
+                return out
+
+            def submul(xs, fs, vs):
+                return [(x - f * v) % p for x, f, v in zip(xs, fs, vs)]
         elif spec.k <= 16:
             exp, log = _gf2_tables(spec)
             order = (1 << spec.k) - 1
 
-            def mul(a, b):
-                return exp[log[a] + log[b]] if a and b else 0
+            def add(xs, ys):
+                return [x ^ y for x, y in zip(xs, ys)]
 
-            def inv(a):
-                return exp[order - log[a]]
+            def mul(xs, ys):
+                return [exp[log[x] + log[y]] if x and y else 0 for x, y in zip(xs, ys)]
 
-            def neg_scale(f, items):
-                f = log[f]
-                return [(c, exp[f + log[v]]) for c, v in items]
+            def scale(c, xs):
+                if not c:
+                    return [0] * len(xs)
+                c = log[c]
+                return [exp[c + log[x]] if x else 0 for x in xs]
+
+            def inv(xs):
+                return [exp[order - log[x]] for x in xs]
+
+            def submul(xs, fs, vs):
+                return [x ^ exp[log[f] + log[v]] if f and v else x
+                        for x, f, v in zip(xs, fs, vs)]
         else:
             mod = spec.modulus
 
-            def mul(a, b):
-                return _gf2_mulmod(a, b, mod)
+            def add(xs, ys):
+                return [x ^ y for x, y in zip(xs, ys)]
 
-            def inv(a):
-                return _gf2_inverse(a, mod)
+            def mul(xs, ys):
+                return [_gf2_mulmod(x, y, mod) for x, y in zip(xs, ys)]
 
-            def neg_scale(f, items):
-                return [(c, _gf2_mulmod(f, v, mod)) for c, v in items]
+            def scale(c, xs):
+                return [_gf2_mulmod(c, x, mod) for x in xs]
+
+            def inv(xs):
+                return [_gf2_inverse(x, mod) for x in xs]
+
+            def submul(xs, fs, vs):
+                return [x ^ _gf2_mulmod(f, v, mod) for x, f, v in zip(xs, fs, vs)]
+        self.add = add
         self.mul = mul
-        self.inv = inv
-        # -(f * v) for each (column, v) of a pivot row
-        self.neg_scale = neg_scale
+        self.scale = scale  # a constant times each lane
+        self.inv = inv  # lanes must be nonzero
+        self.submul = submul  # xs - fs * vs, lane by lane
 
-    def det(self, rows: list[dict[int, int]]) -> int:
-        """Determinant of the square matrix whose nonzero entries are
-        ``rows[i] = {j: value}``, by sparse elimination; consumes ``rows``.
+    def det(self, rows: list[dict[int, list[int]]], t: int) -> list[int]:
+        """Determinants of ``t`` square matrices that share one sparsity
+        pattern: ``rows[i] = {j: lane}``, where lane l holds entry (i, j) of
+        matrix l and no lane list is all zero.  Consumes ``rows``.
 
-        Each step pivots on the remaining column with the fewest entries, at
-        its shortest row (Markowitz 1957), which keeps fill-in low on gadget
-        matrices.  The sign is the parity of the row -> column pivot map.
+        One elimination serves every lane.  Each step pivots on the remaining
+        column with the fewest entries, at its shortest row whose entry is
+        nonzero in every lane (Markowitz 1957), which keeps fill-in low on
+        gadget matrices; the sign is the parity of the row -> column pivot
+        map, computed once.  An entry that cancels in every lane is dropped.
+        When no row of the pivot column is nonzero in every lane, the lanes
+        where the best candidate vanishes are re-run one at a time and the
+        rest go on in lockstep; one lane never needs this.
         """
         n = len(rows)
-        mul, inv, neg_scale, binary, p = (
-            self.mul, self.inv, self.neg_scale, self.binary, self.p)
+        mul, inv, submul, binary, p = (
+            self.mul, self.inv, self.submul, self.binary, self.p)
+        out = [0] * t
+        lanes = list(range(t))  # the matrix each lockstep lane belongs to
+        original = [dict(row) for row in rows] if t > 1 else None
         col_rows: list[set[int]] = [set() for _ in range(n)]
         for i, row in enumerate(rows):
             if not row:
-                return 0
+                return out
             for j in row:
                 col_rows[j].add(i)
         # (entry count, column), pushed again whenever a count changes; an
@@ -159,15 +212,42 @@ class _IntArith:
         heapify(counts)
         done = [False] * n
         pivot_col = [0] * n
-        det = 1
+        det = [1] * t
+        zeros = [0] * t
         for _ in range(n):
             k, pc = heappop(counts)
             while done[pc] or k != len(col_rows[pc]):
                 k, pc = heappop(counts)
             below = col_rows[pc]
             if not below:
-                return 0
-            pr = min(below, key=lambda r: len(rows[r]))
+                return out
+            pr = min((r for r in below if all(rows[r][pc])),
+                     key=lambda r: len(rows[r]), default=None)
+            if pr is None:
+                # split off the lanes where the best candidate vanishes
+                pr = max(below, key=lambda r: (sum(map(bool, rows[r][pc])), -len(rows[r])))
+                keep = [i for i, v in enumerate(rows[pr][pc]) if v]
+                for i, v in enumerate(rows[pr][pc]):
+                    if not v:
+                        lane = lanes[i]
+                        out[lane] = self.det(
+                            [{c: [x[lane]] for c, x in row.items() if x[lane]}
+                             for row in original], 1)[0]
+                lanes = [lanes[i] for i in keep]
+                det = [det[i] for i in keep]
+                zeros = [0] * len(keep)
+                for r in set().union(*(col_rows[c] for c in range(n) if not done[c])):
+                    row = rows[r]
+                    for c, x in list(row.items()):
+                        x = [x[i] for i in keep]
+                        if any(x):
+                            row[c] = x
+                        else:
+                            del row[c]
+                            col_rows[c].discard(r)
+                            heappush(counts, (len(col_rows[c]), c))
+                    if not row:
+                        return out
             prow = rows[pr]
             pv = prow.pop(pc)
             det = mul(det, pv)
@@ -183,25 +263,105 @@ class _IntArith:
             pinv = inv(pv)
             for r in below:
                 row = rows[r]
-                for c, y in neg_scale(mul(row.pop(pc), pinv), items):
+                fs = mul(row.pop(pc), pinv)
+                for c, vs in items:
                     x = row.get(c)
-                    if x is None:
+                    y = submul(zeros if x is None else x, fs, vs)
+                    if any(y):
+                        if x is None:
+                            col_rows[c].add(r)
+                            heappush(counts, (len(col_rows[c]), c))
                         row[c] = y
-                        col_rows[c].add(r)
-                        heappush(counts, (len(col_rows[c]), c))
-                        continue
-                    x = x ^ y if binary else (x + y) % p
-                    if x:
-                        row[c] = x
-                    else:
+                    elif x is not None:
                         del row[c]
                         col_rows[c].discard(r)
                         heappush(counts, (len(col_rows[c]), c))
                 if not row:
-                    return 0
+                    return out
         if not binary and cover_sign(dict(enumerate(pivot_col))) < 0:
-            det = (p - det) % p
-        return det
+            det = [(p - d) % p for d in det]
+        for lane, d in zip(lanes, det):
+            out[lane] = d
+        return out
+
+
+def _lanes_of(
+    names: Sequence[str], points: Sequence[Mapping[str, FieldElement]], spec: FieldSpec
+) -> dict[str, list[int]]:
+    """The lane of each variable over the points.  Checks the points in order
+    and each in the order of ``names``, raising as ``circuits.evaluate`` would
+    on the first missing or foreign-field value."""
+    for point in points:
+        for name in names:
+            if name not in point:
+                raise MissingAssignment(f"no value for variable {name!r}")
+            x = point[name]
+            if x.spec != spec:
+                raise MixedFields(f"assignment for {name!r} lives in {x.spec}, not {spec}")
+    return {name: [point[name].value for point in points] for name in names}
+
+
+def _need_finite(spec: FieldSpec) -> None:
+    if spec.size is None:
+        raise UnsupportedField(f"compiled evaluation needs a finite field, not {spec}")
+
+
+class CompiledCircuit:
+    """A :class:`Circuit` compiled once into a finite field.
+
+    The program lists the computation gates in topological order with their
+    arrow weights embedded as plain ints, and every constant gate holds its
+    embedded value, so evaluating at many points embeds nothing again; a
+    weight-1 arrow skips its multiplication.  ``degrees`` holds the formal
+    degree of each output: 1 at a variable, 0 at a constant, the maximum at
+    an addition and the sum at a multiplication.
+    """
+
+    def __init__(self, circuit: Circuit, spec: FieldSpec):
+        _need_finite(spec)
+        self.spec = spec
+        self.arith = _IntArith(spec)
+        self.outputs = circuit.outputs
+        self.inputs: list[tuple[int, str]] = []
+        self.consts: list[tuple[int, int]] = []
+        self.program: list[tuple[int, str, int, int, int, int]] = []
+        degree: dict[int, int] = {}
+        for gid in circuit.topo_order():
+            g = circuit.gates[gid]
+            if g.kind == VAR:
+                self.inputs.append((gid, g.name))
+                degree[gid] = 1
+            elif g.kind == CONST:
+                self.consts.append((gid, embed(g.value, spec).value))
+                degree[gid] = 0
+            else:
+                (a, wa), (b, wb) = g.args
+                wa, wb = embed(wa, spec).value, embed(wb, spec).value
+                if g.kind != ADD:  # one constant scales the product
+                    wa, wb = self.arith.mul([wa], [wb])[0], 1
+                self.program.append((gid, g.kind, a, wa, b, wb))
+                da, db = degree[a], degree[b]
+                degree[gid] = max(da, db) if g.kind == ADD else da + db
+        self.degrees = tuple(degree[o] for o in circuit.outputs)
+        self.variables = tuple(dict.fromkeys(name for _, name in self.inputs))
+
+    def evaluate(self, points: Sequence[Mapping[str, FieldElement]]) -> list[list[int]]:
+        """The lane of each output over the points."""
+        lanes = _lanes_of(self.variables, points, self.spec)
+        t = len(points)
+        add, mul, scale = self.arith.add, self.arith.mul, self.arith.scale
+        vals = {gid: lanes[name] for gid, name in self.inputs}
+        for gid, c in self.consts:
+            vals[gid] = [c] * t
+        for gid, kind, a, wa, b, wb in self.program:
+            xa, xb = vals[a], vals[b]
+            if kind == ADD:
+                vals[gid] = add(xa if wa == 1 else scale(wa, xa),
+                                xb if wb == 1 else scale(wb, xb))
+            else:
+                x = mul(xa, xb)
+                vals[gid] = x if wa == 1 else scale(wa, x)
+        return [vals[o] for o in self.outputs]
 
 
 class CompiledMatrix:
@@ -209,13 +369,12 @@ class CompiledMatrix:
 
     Every nonzero constant becomes a plain int (a Z_p residue or a GF(2^k)
     bit mask) in per-row dicts; every variable entry becomes a slot
-    ``(i, j, variable, coefficient)``.  Evaluating at a point copies the
-    constant rows and fills in the slots, so nothing is re-embedded per trial.
+    ``(i, j, variable, coefficient)``.  Evaluating at points fills lanes from
+    the constants and the slots, so nothing is re-embedded per point.
     """
 
     def __init__(self, m: SymbolicMatrix, spec: FieldSpec):
-        if spec.size is None:
-            raise UnsupportedField(f"compiled evaluation needs a finite field, not {spec}")
+        _need_finite(spec)
         self.spec = spec
         self.arith = _IntArith(spec)
         self.const_rows: list[dict[int, int]] = [{} for _ in range(m.dim)]
@@ -234,24 +393,22 @@ class CompiledMatrix:
                     self.slots.append((i, j, w.name, embed(w.coeff, spec).value))
         self.variables = tuple(sorted({s[2] for s in self.slots}))
 
-    def rows(self, assignment: Mapping[str, FieldElement]) -> list[dict[int, int]]:
-        """Fresh sparse rows ``{column: value}`` of the matrix at a point."""
-        spec = self.spec
-        values = {}
-        for name in self.variables:
-            if name not in assignment:
-                raise MissingAssignment(f"no value for variable {name!r}")
-            x = assignment[name]
-            if x.spec != spec:
-                raise MixedFields(f"assignment for {name!r} lives in {x.spec}, not {spec}")
-            values[name] = x.value
-        mul = self.arith.mul
-        rows = [dict(r) for r in self.const_rows]
+    def rows(self, points: Sequence[Mapping[str, FieldElement]]) -> list[dict[int, list[int]]]:
+        """Fresh sparse rows ``{column: lane}`` of the matrix over the points;
+        an entry that is zero at every point is left out."""
+        lanes = _lanes_of(self.variables, points, self.spec)
+        t = len(points)
+        scale = self.arith.scale
+        rows = [{j: [v] * t for j, v in r.items()} for r in self.const_rows]
         for i, j, name, c in self.slots:
-            v = mul(values[name], c)
-            if v:
-                rows[i][j] = v
+            x = lanes[name] if c == 1 else scale(c, lanes[name])
+            if any(x):
+                rows[i][j] = x
         return rows
+
+    def det(self, points: Sequence[Mapping[str, FieldElement]]) -> list[int]:
+        """The determinant at each point, from one lockstep elimination."""
+        return self.arith.det(self.rows(points), len(points))
 
 
 def _dense_det(vals: list[list[FieldElement]], spec: FieldSpec) -> FieldElement:
@@ -289,8 +446,8 @@ def det_eval(
     """Exact determinant of the matrix at a point.
 
     Over a finite field the matrix is compiled (once, if a
-    :class:`CompiledMatrix` is passed) and eliminated sparsely on ints; over
-    Q it is eliminated densely on field elements.
+    :class:`CompiledMatrix` is passed) and eliminated sparsely as one lane;
+    over Q it is eliminated densely on field elements.
     """
     spec = spec or m.spec
     if isinstance(m, CompiledMatrix):
@@ -304,7 +461,7 @@ def det_eval(
             raise MissingAssignment(f"no value for variable {min(missing)!r}")
         vals = [[w.eval(assignment, spec) for w in row] for row in m.entries]
         return _dense_det(vals, spec)
-    return FieldElement(spec, m.arith.det(m.rows(assignment)))
+    return FieldElement(spec, m.det([assignment])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +490,20 @@ def identity_test(
     exact_upgrade: bool = True,
 ) -> Verdict:
     """Schwartz-Zippel test of det(m) == circuit polynomial (to the given
-    power); exact symbolic comparison when both sides are small enough."""
+    power); exact symbolic comparison when both sides are small enough.
+
+    All trial points are drawn first, in the order a trial-by-trial loop
+    would draw them; both sides are then evaluated at all of them in
+    lockstep, and the first point where they differ is the witness.
+    """
     if len(circuit.outputs) != 1:
         raise ValueError("identity testing needs a single-output circuit")
     if spec.size is None or spec.size < (1 << 16):
         raise FieldTooSmall(f"{spec} has fewer than 2^16 elements")
     if trials is None:
         trials = 20 if spec.size >= (1 << 32) else 40
+    if trials < 1:
+        raise ValueError(f"identity testing needs at least one trial, not {trials}")
 
     exact = None
     if exact_upgrade and power == 1:
@@ -349,32 +513,31 @@ def identity_test(
         # exact is False: keep going to attach a concrete witness point
     variables = tuple(sorted(set(circuit.variables) | set(m.variables())))
     compiled = CompiledMatrix(m, spec)
+    program = CompiledCircuit(circuit, spec)
     rng = random.Random(seed)
-    for _ in range(trials):
-        point = {v: sample_random(spec, rng) for v in variables}
-        lhs = evaluate(circuit, point, spec)[0] ** power
-        rhs = det_eval(compiled, point, spec)
+    points = [{v: sample_random(spec, rng) for v in variables} for _ in range(trials)]
+    lhs_lanes = program.evaluate(points)[0]
+    rhs_lanes = compiled.det(points)
+    degree_bound = max(m.dim, power * program.degrees[0])
+    common = dict(
+        trials=trials,
+        field=str(spec),
+        dimension=m.dim,
+        seed=seed,
+        degree_bound=degree_bound,
+        error_bound_log2=trials * (math.log2(degree_bound) - math.log2(spec.size)),
+    )
+    for point, x, y in zip(points, lhs_lanes, rhs_lanes):
+        lhs = FieldElement(spec, x) ** power
+        rhs = FieldElement(spec, y)
         if lhs != rhs:
             return Verdict(
                 FAILED,
-                trials=trials,
-                field=str(spec),
-                dimension=m.dim,
-                seed=seed,
-                witness_point={v: x.render() for v, x in point.items()},
+                witness_point={v: e.render() for v, e in point.items()},
                 lhs=lhs.render(),
                 rhs=rhs.render(),
+                **common,
             )
     if exact is False:
-        return Verdict(
-            FAILED,
-            trials=trials,
-            field=str(spec),
-            dimension=m.dim,
-            seed=seed,
-            lhs="symbolic mismatch",
-            rhs="symbolic mismatch",
-        )
-    return Verdict(
-        VERIFIED_RANDOM, trials=trials, field=str(spec), dimension=m.dim, seed=seed
-    )
+        return Verdict(FAILED, lhs="symbolic mismatch", rhs="symbolic mismatch", **common)
+    return Verdict(VERIFIED_RANDOM, **common)

@@ -166,6 +166,14 @@ def test_partial_perm_identity_random_n5_n6():
         assert verdict.ok and verdict.method == "random", n
 
 
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_partial_perm_identity_rejects_fewer_than_one_trial(n, trials):
+    entries = [[Weight.var(f"b{i}_{j}") for j in range(n)] for i in range(n)]
+    with pytest.raises(ValueError, match="at least one trial"):
+        partial_perm_identity(SymbolicMatrix(entries, spec=GF2_16), trials=trials)
+
+
 def test_parity_of_partial_matchings_via_determinant(rng):
     """For 0/1 matrices, det(A+I) mod 2 is the parity of partial matchings."""
     for _ in range(10):

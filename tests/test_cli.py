@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -410,3 +411,32 @@ def test_cli_module_runs_without_warnings():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("n,d,")
+
+
+TEN_PRODUCTS = "a*b+c*d+e*f+g*h+a*c+b*d+e*g+f*h+a*h+b*g"
+
+
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-5", "--json"]])
+def test_cli_verify_rejects_fewer_than_one_trial(tmp_path, capsys, flags):
+    one = tmp_path / "one.matrix"
+    one.write_text("1\n1\n")
+    code, out, err = run(["verify", "--expr", TEN_PRODUCTS, str(one), *flags], capsys)
+    assert code == 1
+    assert out == "" and err.startswith("error:") and "trial" in err
+
+
+def test_cli_verify_states_error_bound(tmp_path, capsys):
+    matrix = tmp_path / "m.matrix"
+    code, _, _ = run(["build", "--method", "sym", "--expr", TEN_PRODUCTS, "-o", str(matrix)],
+                     capsys)
+    assert code == 0
+    verify = ["verify", "--expr", TEN_PRODUCTS, str(matrix), "--seed", "3"]
+    code, out, _ = run(verify + ["--json"], capsys)
+    verdict = json.loads(out)
+    assert code == 0 and verdict["degree_bound"] == max(verdict["dimension"], 2)
+    bound = math.ceil(verdict["error_bound_log2"])
+    assert bound < -1000
+    code, out, _ = run(verify, capsys)
+    assert code == 0
+    assert out == (f"verified-random (dimension {verdict['dimension']}, field Z_{PRIME_DEFAULT.p},"
+                   f" trials 20, error <= 2^{bound})\n")

@@ -1,30 +1,38 @@
+import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdet.circuits import CircuitBuilder, MissingAssignment, random_circuit
+from symdet.circuits import CircuitBuilder, MissingAssignment, evaluate, random_circuit
 from symdet.fields import (
     GF2,
     GF2_16,
     PRIME_DEFAULT,
     RATIONAL,
     FieldSpec,
+    MixedFields,
     embed,
     sample_random,
 )
 from symdet.formulas import sym_matrix
 from symdet.graphs import SymbolicMatrix, Weight, parse_matrix
 from symdet.oracles import symbolic_det
+from symdet.weakly_skew import ws_sym_matrix
 from tests.conftest import mutate_matrix
 from symdet.verify import (
     FAILED,
     FieldTooSmall,
     VERIFIED_EXACT,
     VERIFIED_RANDOM,
+    CompiledCircuit,
     CompiledMatrix,
     Verdict,
+    _dense_det,
+    _IntArith,
     det_eval,
     identity_test,
 )
@@ -238,3 +246,195 @@ def test_perturbation_catch_rate(rng):
             if identity_test(f, bad, seed=total, exact_upgrade=False).status == FAILED:
                 caught += 1
     assert caught / total >= 0.99, f"caught {caught}/{total}"
+
+
+# -- lockstep evaluation against the slow references ---------------------------
+
+LANE_COUNTS = [1, 2, 7]
+
+
+def field_value(spec, n):
+    """n as an element of spec: an integer residue, or a GF(2^k) bit mask."""
+    return spec.from_bits(n) if spec.kind == "binary" else spec.from_int(n)
+
+
+@pytest.mark.parametrize("spec", COMPILED_FIELDS, ids=FIELD_IDS)
+@settings(max_examples=50, deadline=None)
+@given(rows=matrix_shapes(RATIONAL_ENTRY, Weight.const(RATIONAL.zero())),
+       t=st.sampled_from(LANE_COUNTS), data=st.data())
+def test_lane_det_matches_dense_rational_reference(spec, rows, t, data):
+    """Small values make entries vanish in some lanes but not in others."""
+    m = SymbolicMatrix(rows, allow_linear=True)
+    value = st.one_of(st.integers(-2, 2), st.integers(-250, 250))
+    q_points = [{v: RATIONAL.from_int(data.draw(value)) for v in NAMES} for _ in range(t)]
+    points = [{v: embed(x, spec) for v, x in q.items()} for q in q_points]
+    want = [embed(det_eval(m, q, RATIONAL), spec).value for q in q_points]
+    assert CompiledMatrix(m, spec).det(points) == want
+
+
+def spy_on_lane_det(monkeypatch) -> list[int]:
+    """Record the lane count of every elimination, re-runs included."""
+    calls = []
+    original = _IntArith.det
+
+    def det(self, rows, t):
+        calls.append(t)
+        return original(self, rows, t)
+
+    monkeypatch.setattr(_IntArith, "det", det)
+    return calls
+
+
+@pytest.mark.parametrize("spec", COMPILED_FIELDS, ids=FIELD_IDS)
+def test_lane_det_reruns_lanes_where_every_pivot_candidate_vanishes(spec, monkeypatch):
+    # column 0 holds x and y only: x vanishes at the first point, y at the
+    # second, so no row of it is nonzero in every lane
+    m = parse_matrix("2\nx 1\ny 1")
+    values = [(0, 5), (5, 0), (5, 6)]
+    points = [{"x": field_value(spec, x), "y": field_value(spec, y)} for x, y in values]
+    calls = spy_on_lane_det(monkeypatch)
+    got = CompiledMatrix(m, spec).det(points)
+    assert calls == [3, 1]
+    assert got == [(p["x"] - p["y"]).value for p in points]
+    assert got == [det_eval(m, p, spec).value for p in points]
+
+
+@pytest.mark.parametrize("spec", COMPILED_FIELDS, ids=FIELD_IDS)
+def test_lane_det_column_vanishing_in_one_lane(spec, monkeypatch):
+    m = parse_matrix("3\nx 0 0\n0 1 y\n0 1 1")  # det = x (1 - y)
+    values = [(0, 3), (4, 0), (5, 1)]
+    points = [{"x": field_value(spec, x), "y": field_value(spec, y)} for x, y in values]
+    calls = spy_on_lane_det(monkeypatch)
+    got = CompiledMatrix(m, spec).det(points)
+    assert calls[0] == 3 and 1 in calls
+    assert got == [(p["x"] * (1 - p["y"])).value for p in points]
+
+
+def formal_degree(circuit) -> int:
+    degree = {}
+    for gid in circuit.topo_order():
+        g = circuit.gates[gid]
+        if g.kind in ("input", "const"):
+            degree[gid] = 1 if g.kind == "input" else 0
+        else:
+            a, b = (degree[arg] for arg, _ in g.args)
+            degree[gid] = max(a, b) if g.kind == "add" else a + b
+    return degree[circuit.outputs[0]]
+
+
+# constants and weights that embed into every field under test
+CONSTANT_POOL = (0, 1, -1, 2, 7, Fraction(1, 3))
+WEIGHT_POOL = (1, 1, 1, 0, 2, -1, 3, Fraction(2, 3))
+
+
+@pytest.mark.parametrize("spec", COMPILED_FIELDS, ids=FIELD_IDS)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32), profile=st.sampled_from(["formula", "weakly-skew"]),
+       t=st.sampled_from(LANE_COUNTS))
+def test_compiled_circuit_matches_evaluate(spec, seed, profile, t):
+    rng = random.Random(seed)
+    c = random_circuit(profile, rng.randint(0, 12), 3, rng, constant_pool=CONSTANT_POOL,
+                       const_prob=0.3, weighted=True, weight_pool=WEIGHT_POOL)
+    points = [{v: sample_random(spec, rng) for v in c.variables} for _ in range(t)]
+    compiled = CompiledCircuit(c, spec)
+    want = [[evaluate(c, p, spec)[k].value for p in points] for k in range(len(c.outputs))]
+    assert compiled.evaluate(points) == want
+    assert compiled.degrees == (formal_degree(c),)
+
+
+def test_compiled_circuit_raises_like_evaluate():
+    b = CircuitBuilder()
+    c = b.build([b.add(b.mul(b.var("x"), b.var("y")), b.const(Fraction(1, 3)))])
+    one = PRIME_DEFAULT.one()
+    for point in ({"x": one}, {"x": one, "y": GF2_16.one()}):
+        with pytest.raises((MissingAssignment, MixedFields)) as want:
+            evaluate(c, point, PRIME_DEFAULT)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            CompiledCircuit(c, PRIME_DEFAULT).evaluate([{"x": one, "y": one}, point])
+    b = CircuitBuilder()
+    half = b.build([b.const(Fraction(1, 2))])
+    with pytest.raises(MixedFields):
+        CompiledCircuit(half, GF2_16)
+
+
+def reference_identity_test(circuit, m, spec, seed, power=1) -> dict:
+    """A trial-by-trial identity test: ``circuits.evaluate`` against dense
+    elimination on field elements, one point at a time."""
+    trials = 20 if spec.size >= (1 << 32) else 40
+    variables = tuple(sorted(set(circuit.variables) | set(m.variables())))
+    bound = max(m.dim, power * formal_degree(circuit))
+    out = {"status": VERIFIED_RANDOM, "trials": trials, "field": str(spec),
+           "dimension": m.dim, "seed": seed, "degree_bound": bound,
+           "error_bound_log2": trials * (math.log2(bound) - math.log2(spec.size))}
+    rng = random.Random(seed)
+    for _ in range(trials):
+        point = {v: sample_random(spec, rng) for v in variables}
+        lhs = evaluate(circuit, point, spec)[0] ** power
+        rhs = _dense_det([[w.eval(point, spec) for w in row] for row in m.entries], spec)
+        if lhs != rhs:
+            out["status"] = FAILED
+            out["witness"] = {"point": {v: x.render() for v, x in point.items()},
+                              "lhs": lhs.render(), "rhs": rhs.render()}
+            break
+    return out
+
+
+@pytest.mark.parametrize("spec", [PRIME_DEFAULT, FieldSpec.prime(65537)], ids=str)
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32), profile=st.sampled_from(["formula", "weakly-skew"]))
+def test_identity_test_matches_trial_by_trial_reference(spec, seed, profile):
+    rng = random.Random(seed)
+    c = random_circuit(profile, rng.randint(1, 5), 3, rng, const_prob=0.1,
+                       weighted=rng.random() < 0.5)
+    m = sym_matrix(c, "skinny") if profile == "formula" else ws_sym_matrix(c, "fat")
+    candidates = [m]
+    if any(not w.is_zero() for row in m.entries for w in row):
+        i, j = rng.choice([(i, j) for i in range(m.dim) for j in range(m.dim)
+                           if not m.entry(i, j).is_zero()])
+        candidates.append(m.with_entry(i, j, Weight.var(rng.choice(c.variables or ("x1",)))))
+    for matrix in candidates:
+        verdict = identity_test(c, matrix, spec=spec, seed=seed, exact_upgrade=False)
+        assert verdict.to_json() == reference_identity_test(c, matrix, spec, seed)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_char2_square_identity_test_matches_reference(seed):
+    from symdet.char2 import square_matrix_char2
+
+    rng = random.Random(seed)
+    c = random_circuit("weakly-skew", rng.randint(1, 5), 2, rng, spec=GF2_16,
+                       constant_pool=(1,), const_prob=0.2)
+    a = square_matrix_char2(c)
+    i, j = rng.randrange(a.dim), rng.randrange(a.dim)
+    bad = a.with_entry(i, j, Weight.var("x1") if a.entry(i, j).is_zero()
+                       else Weight.const(GF2_16.zero()))
+    for matrix in (a, bad):
+        verdict = identity_test(c, matrix, spec=GF2_16, power=2, seed=seed,
+                                exact_upgrade=False)
+        assert verdict.to_json() == reference_identity_test(c, matrix, GF2_16, seed, 2)
+
+
+# -- trial counts and the stated bound -------------------------------------------
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_identity_test_rejects_fewer_than_one_trial(trials):
+    b = CircuitBuilder()
+    c = b.build([b.mul(b.var("x"), b.var("y"))])
+    wrong = parse_matrix("1\n1")
+    with pytest.raises(ValueError, match="at least one trial"):
+        identity_test(c, wrong, trials=trials)
+
+
+def test_verdict_states_schwartz_zippel_bound(fig1_formula):
+    m = sym_matrix(fig1_formula, "skinny")
+    js = identity_test(fig1_formula, m, seed=7).to_json()
+    bound = max(m.dim, 2)
+    assert js["degree_bound"] == bound
+    assert js["error_bound_log2"] == pytest.approx(20 * math.log2(bound / PRIME_DEFAULT.p))
+    assert js["error_bound_log2"] < -1000
+    b = CircuitBuilder()
+    f = b.build([b.add(b.var("x"), b.var("y"))])
+    exact = identity_test(f, sym_matrix(f, "skinny")).to_json()
+    assert "degree_bound" not in exact and "error_bound_log2" not in exact
