@@ -14,17 +14,28 @@ doubled symmetric matrix
 is the square of the polynomial.  The same mechanism gives the partial
 permanent identity det(A + I) = per*(B)^2 for a bipartite biadjacency
 matrix B: covers by loops and 2-cycles are exactly partial matchings.
+
+per*(B) comes from one row-by-row DP over the set of used columns, written
+once and run on two kinds of value.  The symbolic per*(B) runs it on plain
+``{monomial: coefficient}`` maps whose monomials are ints packing one
+exponent per byte, so a variable entry is one addition per term and a unit
+coefficient skips the multiplication; one :class:`DensePolynomial` is built
+at the end.  The identity check runs it on lanes, lists of plain ints with
+one int per trial point (see :mod:`symdet.verify`), so every trial comes
+from one pass, as det(A + I) comes from one lockstep elimination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+import math
 import random
+from dataclasses import dataclass
+from functools import reduce
+from typing import Mapping, Sequence
 
 from .circuits import Circuit
-from .fields import FieldElement, FieldSpec, GF2_16, sample_random
-from .graphs import SymbolicMatrix, Weight, WeightedGraph
+from .fields import FieldElement, FieldSpec, GF2_16, MixedFields, embed, sample_random
+from .graphs import CONSTW, VARW, SymbolicMatrix, Weight, WeightedGraph
 from .polynomials import DensePolynomial, TooLarge
 from .weakly_skew import ws_nonsym_matrix
 from .verify import CompiledMatrix
@@ -76,6 +87,77 @@ def square_matrix_char2(circuit: Circuit) -> SymbolicMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _per_star(rows: list[dict], one, add, mul):
+    """per* by a row-by-row DP over the set of used columns.
+
+    ``rows[i]`` maps column j to entry (i, j), zero entries left out; ``one``
+    is the empty map's value, ``add(x, y)`` may reuse ``x``, and ``mul(x, e)``
+    returns a fresh value.  Every value in the DP is a distinct object and
+    is read only while its own mask is expanded, so reuse is safe.
+    """
+    acc = {0: one}
+    for row in rows:
+        nxt: dict[int, object] = {}
+        for mask, val in acc.items():
+            cur = nxt.get(mask)
+            nxt[mask] = val if cur is None else add(cur, val)  # row unmatched
+            for j, e in row.items():
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                term = mul(val, e)
+                cur = nxt.get(mask | bit)
+                nxt[mask | bit] = term if cur is None else add(cur, term)
+        acc = nxt
+    return reduce(add, acc.values())
+
+
+def _merge(dst: dict, src: dict) -> dict:
+    """Add the monomial map ``src`` into ``dst``, dropping cancelled terms."""
+    sums = {mono: dst[mono] + src[mono] for mono in dst.keys() & src.keys()}
+    dst.update(src)
+    for mono, c in sums.items():
+        if c:
+            dst[mono] = c
+        else:
+            del dst[mono]
+    return dst
+
+
+def _times(val: dict, entry: tuple[int, FieldElement | None]) -> dict:
+    """A monomial map times an entry ``(shift, coefficient)``: the shift
+    bumps one packed exponent (0 for a constant), a unit coefficient is None."""
+    shift, c = entry
+    if c is None:
+        return {mono + shift: x for mono, x in val.items()}
+    return {mono + shift: x * c for mono, x in val.items()}
+
+
+def _expand(entries, spec: FieldSpec, variables: tuple[str, ...]) -> DensePolynomial:
+    """Symbolic per* of a grid of weights, on plain monomial maps.
+
+    A monomial is an int packing one exponent per byte, byte k for
+    ``variables[k]``.  An exponent is at most n <= 8 (one factor per row),
+    so it never carries into the next byte and a variable entry is one
+    addition.  One :class:`DensePolynomial` is built at the end.
+    """
+    index = {v: k for k, v in enumerate(variables)}
+    rows = []
+    for row in entries:
+        r = {}
+        for j, w in enumerate(row):
+            c = None if w.kind == VARW else embed(w.coeff, spec)
+            if c is not None and c.is_zero():
+                continue
+            r[j] = (0 if w.kind == CONSTW else 1 << 8 * index[w.name],
+                    None if c is None or c.is_one() else c)
+        rows.append(r)
+    total = _per_star(rows, {0: spec.one()}, _merge, _times)
+    nv = len(variables)
+    return DensePolynomial(
+        spec, variables, {tuple(m.to_bytes(nv, "little")): c for m, c in total.items()})
+
+
 def partial_permanent(b) -> DensePolynomial | FieldElement:
     """per*(B): sum over injective partial maps of the products of chosen
     entries, the empty map contributing 1.
@@ -84,44 +166,44 @@ def partial_permanent(b) -> DensePolynomial | FieldElement:
     list of :class:`FieldElement` rows (evaluated result).
     """
     if isinstance(b, SymbolicMatrix):
-        n = b.dim
-        if n > 8:
-            raise TooLarge(f"symbolic partial permanent capped at 8x8, got {n}")
-        spec = b.spec
-        variables = b.variables()
-        entries = [
-            [b.entry(i, j).as_polynomial(variables, spec) for j in range(n)]
-            for i in range(n)
-        ]
-        acc = {0: DensePolynomial.constant(spec.one(), variables)}
-    else:
-        rows = list(b)
-        n = len(rows)
-        spec = rows[0][0].spec if n else None
-        if n and len(rows[0]) != n:
-            raise ValueError("partial permanent needs a square matrix")
-        entries = rows
-        acc = {0: spec.one()} if n else {}
-    if n == 0:
+        if b.dim > 8:
+            raise TooLarge(f"symbolic partial permanent capped at 8x8, got {b.dim}")
+        if b.dim == 0:
+            raise ValueError("empty matrix")
+        return _expand(b.entries, b.spec, b.variables())
+    rows = [list(row) for row in b]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("partial permanent needs a square matrix")
+    if not rows:
         raise ValueError("empty matrix")
-    # row-by-row DP over the set of used columns
-    for i in range(n):
-        nxt: dict[int, object] = {}
-        for mask, val in acc.items():
-            cur = nxt.get(mask)
-            nxt[mask] = val if cur is None else cur + val  # skip row i
-            for j in range(n):
-                if (mask >> j) & 1:
-                    continue
-                term = val * entries[i][j]
-                key = mask | (1 << j)
-                cur = nxt.get(key)
-                nxt[key] = term if cur is None else cur + term
-        acc = nxt
-    total = None
-    for val in acc.values():
-        total = val if total is None else total + val
-    return total
+    spec = rows[0][0].spec
+    if any(x.spec != spec for row in rows for x in row):
+        raise MixedFields("partial permanent of entries from several fields")
+    p = _expand([[Weight.const(x) for x in row] for row in rows], spec, ())
+    return p.coeffs.get((), spec.zero())
+
+
+def partial_permanent_lanes(
+    b: SymbolicMatrix, points: Sequence[Mapping[str, FieldElement]], spec: FieldSpec
+) -> list[int]:
+    """per*(B) at every point of a finite field, as plain ints (Z_p residues
+    or GF(2^k) bit masks), from one DP pass on lanes of one int per point."""
+    compiled = CompiledMatrix(b, spec)
+    arith = compiled.arith
+    return _per_star(compiled.rows(points), [1] * len(points), arith.add, arith.mul)
+
+
+def _embed_matrix(m: SymbolicMatrix, spec: FieldSpec) -> SymbolicMatrix:
+    """The matrix with every constant embedded into ``spec``; raises
+    :class:`MixedFields` when a constant has no image there."""
+    def image(w: Weight) -> Weight:
+        if w.kind == VARW:
+            return w
+        c = embed(w.coeff, spec)
+        return Weight.const(c) if w.kind == CONSTW else Weight.scaled(w.name, c)
+
+    return SymbolicMatrix([[image(w) for w in row] for row in m.entries], spec=spec,
+                          symmetric=m.symmetric, allow_linear=m.allow_linear)
 
 
 def plus_identity(a: SymbolicMatrix) -> SymbolicMatrix:
@@ -145,6 +227,10 @@ class PartialPermVerdict:
     lhs: str                # det(A + I)
     rhs: str                # per*(B)^2
     trials: int = 0
+    # Schwartz-Zippel: a random verdict passes a false identity with
+    # probability at most (degree_bound / |field|)^trials = 2^error_bound_log2
+    degree_bound: int | None = None
+    error_bound_log2: float | None = None
 
 
 def partial_perm_identity(
@@ -154,45 +240,43 @@ def partial_perm_identity(
     spec: FieldSpec = GF2_16,
 ) -> PartialPermVerdict:
     """Check det(A + I_2n) = per*(B)^2 in characteristic 2, with
-    A = [[0, B], [B^T, 0]]; symbolic for n <= 4, by evaluation otherwise:
-    det(A + I) at every trial point from one lockstep elimination, per*(B)
-    point by point, the first mismatch reported."""
+    A = [[0, B], [B^T, 0]], in ``spec``: B is embedded into ``spec`` first
+    (:class:`MixedFields` when it cannot be), then compared symbolically for
+    n <= 4 and by evaluation otherwise.  Both sides have degree at most 2n;
+    at ``trials`` random points det(A + I) comes from one lockstep
+    elimination and per*(B) from one DP pass on lanes, the first mismatch is
+    reported, and the verdict states the bound (2n / |F|)^trials."""
     if spec.characteristic != 2:
         raise NotCharTwo(f"{spec} does not have characteristic 2")
     if trials < 1:
         raise ValueError(f"identity testing needs at least one trial, not {trials}")
+    b = _embed_matrix(b, spec)
     n = b.dim
-    doubled = double_matrix(b)
-    api = plus_identity(doubled.matrix)
+    api = plus_identity(double_matrix(b).matrix)
+    # a scaled entry whose coefficient embeds to 0 leaves A but not B
+    variables = tuple(sorted(set(api.variables()) | set(b.variables())))
     if n <= 4:
         from .oracles import symbolic_det
 
-        variables = api.variables()
         lhs = symbolic_det(api, variables=variables)
-        pstar = partial_permanent(b)
-        rhs = pstar.with_variables(variables) * pstar.with_variables(variables)
+        pstar = partial_permanent(b).with_variables(variables)
+        rhs = pstar * pstar
         return PartialPermVerdict(
             ok=lhs == rhs, method="symbolic", lhs=lhs.render(), rhs=rhs.render()
         )
     rng = random.Random(seed)
-    variables = sorted(set(api.variables()) | set(b.variables()))
     points = [{v: sample_random(spec, rng) for v in variables} for _ in range(trials)]
-    lhs_lanes = CompiledMatrix(api, spec).det(points)
-    b_rows = CompiledMatrix(b, spec).rows(points)
-    zero = spec.zero()
-    for t, x in enumerate(lhs_lanes):
-        p = partial_permanent([
-            [FieldElement(spec, row[j][t]) if j in row else zero for j in range(n)]
-            for row in b_rows
-        ])
-        lhs = FieldElement(spec, x)
-        rhs = p * p
-        if lhs != rhs:
-            return PartialPermVerdict(
-                ok=False, method="random", lhs=lhs.render(), rhs=rhs.render(),
-                trials=trials,
-            )
-    return PartialPermVerdict(ok=True, method="random", lhs="", rhs="", trials=trials)
+    compiled = CompiledMatrix(api, spec)
+    lhs_lanes = compiled.det(points)
+    pstar = partial_permanent_lanes(b, points, spec)
+    rhs_lanes = compiled.arith.mul(pstar, pstar)
+    common = dict(method="random", trials=trials, degree_bound=2 * n,
+                  error_bound_log2=trials * (math.log2(2 * n) - math.log2(spec.size)))
+    for x, y in zip(lhs_lanes, rhs_lanes):
+        if x != y:
+            return PartialPermVerdict(ok=False, lhs=FieldElement(spec, x).render(),
+                                      rhs=FieldElement(spec, y).render(), **common)
+    return PartialPermVerdict(ok=True, lhs="", rhs="", **common)
 
 
 def referee_submatrix_sum(b: SymbolicMatrix) -> DensePolynomial:

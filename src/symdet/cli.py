@@ -213,6 +213,13 @@ def cmd_char2_square(args) -> int:
     return 0
 
 
+def _bound_text(error_bound_log2: float | None) -> str:
+    """The Schwartz-Zippel clause of a verdict line, empty when exact."""
+    if error_bound_log2 is None:
+        return ""
+    return f", error <= 2^{math.ceil(error_bound_log2)}"
+
+
 def cmd_pperm(args) -> int:
     with open(args.matrix) as fh:
         m = parse_matrix(fh.read(), args.field)
@@ -221,7 +228,8 @@ def cmd_pperm(args) -> int:
     if args.check_identity:
         spec = args.field if args.field.characteristic == 2 else GF2_16
         verdict = partial_perm_identity(m, seed=_resolve_seed(args), spec=spec)
-        print(f"det(A+I) == per*(B)^2 [{verdict.method}]: {verdict.ok}")
+        print(f"det(A+I) == per*(B)^2 [{verdict.method}"
+              f"{_bound_text(verdict.error_bound_log2)}]: {verdict.ok}")
         return 0 if verdict.ok else 1
     return 0
 
@@ -240,10 +248,8 @@ def cmd_verify(args) -> int:
     if args.json:
         print(json.dumps(verdict.to_json(), indent=2))
     else:
-        bound = ("" if verdict.error_bound_log2 is None
-                 else f", error <= 2^{math.ceil(verdict.error_bound_log2)}")
         print(f"{verdict.status} (dimension {verdict.dimension}, field {verdict.field},"
-              f" trials {verdict.trials}{bound})")
+              f" trials {verdict.trials}{_bound_text(verdict.error_bound_log2)})")
     return 0 if verdict.ok else 1
 
 

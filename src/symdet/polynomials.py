@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 from .circuits import ADD, CONST, VAR, Circuit, CircuitBuilder
@@ -185,17 +186,21 @@ class DensePolynomial:
     # -- text form ----------------------------------------------------------------
 
     def render(self) -> str:
+        """Terms in increasing exponent-tuple order, ``c * x y^2`` each."""
         if not self.coeffs:
             return "0"
+        names = self.variables
+        positions = range(len(names))
+        try:  # as bytes, equal-length tuples of exponents < 256 sort the same
+            order = sorted(self.coeffs, key=bytes)
+        except ValueError:
+            order = sorted(self.coeffs)
         parts = []
-        for mono in sorted(self.coeffs):
-            c = self.coeffs[mono]
-            factors = " ".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.variables, mono)
-                if e
-            )
-            parts.append(f"{c.render()} * {factors}" if factors else c.render())
+        for mono in order:
+            c = self.coeffs[mono].render()
+            factors = " ".join([f"{names[k]}^{mono[k]}" if mono[k] > 1 else names[k]
+                                for k in compress(positions, mono)])
+            parts.append(f"{c} * {factors}" if factors else c)
         return " + ".join(parts)
 
     def __repr__(self) -> str:

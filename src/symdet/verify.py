@@ -511,9 +511,9 @@ def identity_test(
         if exact:
             return Verdict(VERIFIED_EXACT, field=str(spec), dimension=m.dim)
         # exact is False: keep going to attach a concrete witness point
-    variables = tuple(sorted(set(circuit.variables) | set(m.variables())))
     compiled = CompiledMatrix(m, spec)
     program = CompiledCircuit(circuit, spec)
+    variables = tuple(sorted(set(circuit.variables) | set(compiled.variables)))
     rng = random.Random(seed)
     points = [{v: sample_random(spec, rng) for v in variables} for _ in range(trials)]
     lhs_lanes = program.evaluate(points)[0]

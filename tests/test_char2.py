@@ -1,19 +1,35 @@
-import pytest
+import math
+import random
+from itertools import combinations, permutations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symdet import char2
 from symdet.char2 import (
     NotCharTwo,
     double_matrix,
     partial_perm_identity,
     partial_permanent,
+    partial_permanent_lanes,
     plus_identity,
     referee_submatrix_sum,
     square_matrix_char2,
 )
 from symdet.circuits import CircuitBuilder, measure, random_circuit
-from symdet.fields import GF2, GF2_16, RATIONAL
-from symdet.graphs import SymbolicMatrix, Weight
+from symdet.fields import (
+    GF2,
+    GF2_16,
+    PRIME_DEFAULT,
+    RATIONAL,
+    FieldSpec,
+    MixedFields,
+    sample_random,
+)
+from symdet.graphs import CONSTW, VARW, SymbolicMatrix, Weight
 from symdet.oracles import enumerate_cycle_covers, symbolic_det
-from symdet.polynomials import parse_polynomial
+from symdet.polynomials import DensePolynomial, parse_polynomial
 from symdet.verify import identity_test
 from tests.conftest import poly_equal
 
@@ -195,3 +211,184 @@ def test_referee_cross_check(rng):
         lhs = symbolic_det(plus_identity(double_matrix(b).matrix),
                            variables=referee_submatrix_sum(b).variables)
         assert lhs == referee_submatrix_sum(b)
+
+
+def test_partial_permanent_rejects_ragged_rows():
+    o = GF2_16.one()
+    with pytest.raises(ValueError, match="square matrix"):
+        partial_permanent([[o, o], [o]])
+    with pytest.raises(ValueError, match="square matrix"):
+        partial_permanent([[o], [o, o]])
+    with pytest.raises(ValueError, match="empty matrix"):
+        partial_permanent([])
+
+
+def test_partial_permanent_rejects_mixed_value_rows():
+    with pytest.raises(MixedFields):
+        partial_permanent([[GF2_16.one(), GF2.one()], [GF2_16.one(), GF2_16.one()]])
+
+
+# -- per*(B) against references written here ------------------------------------
+
+PPERM_NAMES = ("x", "y", "z", "w")
+
+
+def element(spec):
+    if spec.kind == "binary":
+        return st.integers(0, spec.size - 1).map(spec.from_bits)
+    return st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6)).map(spec.from_int)
+
+
+def pperm_entry(spec):
+    """Zero, constant, variable and scaled-variable weights over a small
+    name pool, so that monomials repeat, merge and (in characteristic 2)
+    cancel."""
+    return st.one_of(
+        st.just(Weight.const(spec.zero())),
+        element(spec).map(Weight.const),
+        st.sampled_from(PPERM_NAMES).map(Weight.var),
+        st.sampled_from(PPERM_NAMES).map(Weight.var),
+        st.tuples(st.sampled_from(PPERM_NAMES), element(spec)).map(
+            lambda t: Weight.scaled(*t)),
+    )
+
+
+def brute_per_star(b: SymbolicMatrix) -> DensePolynomial:
+    """Sum over every injective partial map of the product of its entries."""
+    n, spec, variables = b.dim, b.spec, b.variables()
+    pos = {v: k for k, v in enumerate(variables)}
+    total = {}
+    for k in range(n + 1):
+        for rows in combinations(range(n), k):
+            for cols in permutations(range(n), k):
+                c, mono = spec.one(), [0] * len(variables)
+                for i, j in zip(rows, cols):
+                    w = b.entry(i, j)
+                    if w.kind != VARW:
+                        c = c * w.coeff
+                    if w.kind != CONSTW:
+                        mono[pos[w.name]] += 1
+                key = tuple(mono)
+                total[key] = total.get(key, spec.zero()) + c
+    return DensePolynomial(spec, variables, total)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF2_16, RATIONAL, PRIME_DEFAULT],
+                         ids=["GF2", "GF2_16", "Q", "p61"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_symbolic_partial_permanent_matches_brute_force(spec, data):
+    n = data.draw(st.integers(1, 5))
+    entry = pperm_entry(spec)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    b = SymbolicMatrix(rows, spec=spec, allow_linear=True)
+    p = partial_permanent(b)
+    assert p == brute_per_star(b)
+    assert p.render() == brute_per_star(b).render()
+
+
+def boxed_per_star(rows):
+    """per* of field-element rows by the used-column DP on boxed elements."""
+    n, spec = len(rows), rows[0][0].spec
+    acc = {0: spec.one()}
+    for i in range(n):
+        nxt = {}
+        for mask, val in acc.items():
+            nxt[mask] = nxt.get(mask, spec.zero()) + val
+            for j in range(n):
+                if not mask >> j & 1:
+                    key = mask | 1 << j
+                    nxt[key] = nxt.get(key, spec.zero()) + val * rows[i][j]
+        acc = nxt
+    return sum(acc.values(), spec.zero())
+
+
+LANE_FIELDS = [FieldSpec.prime(101), FieldSpec.binary(8), GF2_16, FieldSpec.binary(24)]
+
+
+@pytest.mark.parametrize("spec", LANE_FIELDS, ids=[str(f) for f in LANE_FIELDS])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), t=st.sampled_from([1, 2, 7]))
+def test_lane_partial_permanent_matches_boxed_reference(spec, data, t):
+    n = data.draw(st.integers(1, 6))
+    small = st.integers(0, 2).map(
+        spec.from_bits if spec.kind == "binary" else spec.from_int)
+    entry = st.one_of(pperm_entry(spec), small.map(Weight.const))
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    b = SymbolicMatrix(rows, spec=spec, allow_linear=True)
+    value = st.one_of(small, element(spec))  # some entries vanish in some lanes
+    points = [{v: data.draw(value) for v in PPERM_NAMES} for _ in range(t)]
+    lanes = partial_permanent_lanes(b, points, spec)
+    assert len(lanes) == t
+    for x, point in zip(lanes, points):
+        expected = boxed_per_star([[w.eval(point, spec) for w in row] for row in b.entries])
+        assert x == expected.value
+
+
+def test_boxed_reference_agrees_with_value_rows():
+    rng = random.Random(5)
+    for n in range(1, 6):
+        rows = [[sample_random(GF2_16, rng) for _ in range(n)] for _ in range(n)]
+        assert partial_permanent(rows) == boxed_per_star(rows)
+
+
+# -- verdicts ------------------------------------------------------------------
+
+
+def all_variable(n, spec):
+    entries = [[Weight.var(f"b{i}_{j}") for j in range(n)] for i in range(n)]
+    return SymbolicMatrix(entries, spec=spec)
+
+
+@pytest.mark.parametrize("n,trials", [(5, 20), (6, 3), (7, 1)])
+def test_random_verdict_states_schwartz_zippel_bound(n, trials):
+    verdict = partial_perm_identity(all_variable(n, GF2_16), trials=trials, seed=1)
+    assert verdict.ok and verdict.method == "random"
+    assert verdict.degree_bound == 2 * n
+    assert verdict.error_bound_log2 == pytest.approx(trials * math.log2(2 * n / 2**16))
+
+
+def test_symbolic_verdict_carries_no_bound():
+    verdict = partial_perm_identity(all_variable(3, GF2_16))
+    assert verdict.method == "symbolic"
+    assert verdict.degree_bound is None and verdict.error_bound_log2 is None
+
+
+def test_random_verdict_reports_first_mismatch(monkeypatch):
+    real = char2.partial_permanent_lanes
+
+    def off_by_one_in_lane_2(b, points, spec):
+        lanes = real(b, points, spec)
+        lanes[2] ^= 1
+        return lanes
+
+    monkeypatch.setattr(char2, "partial_permanent_lanes", off_by_one_in_lane_2)
+    b = all_variable(5, GF2_16)
+    verdict = partial_perm_identity(b, trials=4, seed=3)
+    assert not verdict.ok and verdict.method == "random" and verdict.trials == 4
+    assert verdict.lhs != verdict.rhs and verdict.lhs.startswith("0x")
+    assert verdict.degree_bound == 10
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 6])
+def test_identity_embeds_b_into_the_test_field_for_every_n(n):
+    """The verdict does not depend on n: B over Q is compared in GF(2^16)."""
+    assert partial_perm_identity(all_variable(n, RATIONAL), seed=2).ok
+    entries = [[Weight.var(f"b{i}_{j}") for j in range(n)] for i in range(n)]
+    entries[0][0] = Weight.const(RATIONAL.from_fraction("1/3"))
+    entries[-1][0] = Weight.scaled("b0_1", RATIONAL.from_int(2))  # embeds to 0
+    b = SymbolicMatrix(entries, spec=RATIONAL, allow_linear=True)
+    assert partial_perm_identity(b, seed=2).ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 6])
+def test_identity_rejects_entries_without_an_image(n):
+    with pytest.raises(MixedFields):
+        partial_perm_identity(all_variable(n, PRIME_DEFAULT).with_entry(
+            0, 0, Weight.const(PRIME_DEFAULT.from_int(3))))
+    entries = [[Weight.var(f"b{i}_{j}") for j in range(n)] for i in range(n)]
+    entries[0][0] = Weight.const(RATIONAL.from_fraction("1/2"))
+    with pytest.raises(MixedFields):
+        partial_perm_identity(SymbolicMatrix(entries, spec=RATIONAL))

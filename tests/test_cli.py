@@ -164,6 +164,37 @@ def test_cli_pperm(tmp_path, capsys):
     assert lines[1].endswith("True")
 
 
+def variable_matrix_text(n):
+    return f"{n}\n" + "".join(
+        " ".join(f"b{i}_{j}" for j in range(n)) + "\n" for i in range(n))
+
+
+@pytest.mark.parametrize("text,method", [
+    ("2\na b\nc d\n", "symbolic"),
+    (variable_matrix_text(5), "random, error <= 2^-253"),  # 20 log2(10 / 2^16)
+], ids=["n=2", "n=5"])
+def test_cli_pperm_verdict_over_q_does_not_depend_on_n(tmp_path, capsys, text, method):
+    mfile = tmp_path / "b.matrix"
+    mfile.write_text(text)
+    code, out, _ = run(["pperm", str(mfile), "--check-identity", "--field", "q",
+                        "--seed", "4"], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == f"det(A+I) == per*(B)^2 [{method}]: True"
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("field,entry", [("p61", "3"), ("q", "1/2")])
+def test_cli_pperm_entry_without_image_in_test_field(tmp_path, capsys, n, field, entry):
+    text = variable_matrix_text(n).replace("b0_0", entry, 1)
+    mfile = tmp_path / "b.matrix"
+    mfile.write_text(text)
+    code, out, err = run(["pperm", str(mfile), "--check-identity", "--field", field],
+                         capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert len(out.splitlines()) == 1  # per*(B) is printed before the check
+
+
 def test_cli_bounds_csv(capsys):
     code, out, _ = run(["bounds", "--n", "2", "--d", "2"], capsys)
     assert code == 0

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdet.circuits import classify, evaluate, measure
 from symdet.fields import RATIONAL
@@ -194,3 +196,28 @@ def test_ring_axioms(p, q, r):
 @_given(_poly_strategy())
 def test_poly_render_round_trip(p):
     assert parse_polynomial(p.render(), p.variables) == p
+
+
+def reference_render(p: DensePolynomial) -> str:
+    """Terms in increasing exponent-tuple order, each ``c * x y^2``."""
+    if not p.coeffs:
+        return "0"
+    parts = []
+    for mono in sorted(p.coeffs):
+        factors = " ".join(f"{v}^{e}" if e > 1 else v
+                           for v, e in zip(p.variables, mono) if e)
+        c = p.coeffs[mono].render()
+        parts.append(f"{c} * {factors}" if factors else c)
+    return " + ".join(parts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nv=st.integers(0, 5), data=st.data())
+def test_render_matches_reference(nv, data):
+    variables = tuple(f"v{k}" for k in range(nv))
+    # exponents up to 300 so that some monomials do not fit in bytes
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, 300))
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[exponent] * nv), st.integers(-5, 5).map(num), max_size=12))
+    p = DensePolynomial(RATIONAL, variables, terms)
+    assert p.render() == reference_render(p)

@@ -438,3 +438,21 @@ def test_verdict_states_schwartz_zippel_bound(fig1_formula):
     f = b.build([b.add(b.var("x"), b.var("y"))])
     exact = identity_test(f, sym_matrix(f, "skinny")).to_json()
     assert "degree_bound" not in exact and "error_bound_log2" not in exact
+
+
+def test_identity_test_takes_the_variables_from_the_compiled_matrix(fig1_formula, monkeypatch):
+    """Without the exact upgrade the dense matrix is scanned once, to compile
+    it: with ``SymbolicMatrix.variables`` disabled the verdicts, witnesses
+    included, stay the same."""
+    m = sym_matrix(fig1_formula, "skinny")
+    wrong = mutate_matrix(m, random.Random(1))
+    expected = [identity_test(fig1_formula, x, seed=3, exact_upgrade=False).to_json()
+                for x in (m, wrong)]
+    assert [e["status"] for e in expected] == [VERIFIED_RANDOM, FAILED]
+
+    def no_scan(self):
+        raise AssertionError("second scan of the dense matrix")
+
+    monkeypatch.setattr(SymbolicMatrix, "variables", no_scan)
+    assert [identity_test(fig1_formula, x, seed=3, exact_upgrade=False).to_json()
+            for x in (m, wrong)] == expected
