@@ -56,14 +56,11 @@ def double_matrix(m: SymbolicMatrix) -> BipartiteDoubling:
     """Bipartite doubling of the digraph represented by a square matrix."""
     spec = m.spec
     r = m.dim
-    zero = Weight.const(spec.zero())
-    rows = [[zero] * (2 * r) for _ in range(2 * r)]
+    rows: list[dict[int, Weight]] = [{} for _ in range(2 * r)]
     g = WeightedGraph(spec)
-    for _ in range(2 * r):
-        g.add_vertex()
-    for i in range(r):
-        for j in range(r):
-            w = m.entry(i, j)
+    g.n = 2 * r
+    for i, row in enumerate(m.rows):
+        for j, w in row.items():
             if w.is_zero():
                 continue
             rows[i][r + j] = w
@@ -133,8 +130,8 @@ def _times(val: dict, entry: tuple[int, FieldElement | None]) -> dict:
     return {mono + shift: x * c for mono, x in val.items()}
 
 
-def _expand(entries, spec: FieldSpec, variables: tuple[str, ...]) -> DensePolynomial:
-    """Symbolic per* of a grid of weights, on plain monomial maps.
+def _expand(rows, spec: FieldSpec, variables: tuple[str, ...]) -> DensePolynomial:
+    """Symbolic per* of sparse rows ``{column: weight}``, on plain monomial maps.
 
     A monomial is an int packing one exponent per byte, byte k for
     ``variables[k]``.  An exponent is at most n <= 8 (one factor per row),
@@ -142,17 +139,17 @@ def _expand(entries, spec: FieldSpec, variables: tuple[str, ...]) -> DensePolyno
     addition.  One :class:`DensePolynomial` is built at the end.
     """
     index = {v: k for k, v in enumerate(variables)}
-    rows = []
-    for row in entries:
+    packed = []
+    for row in rows:
         r = {}
-        for j, w in enumerate(row):
+        for j, w in row.items():
             c = None if w.kind == VARW else embed(w.coeff, spec)
             if c is not None and c.is_zero():
                 continue
             r[j] = (0 if w.kind == CONSTW else 1 << 8 * index[w.name],
                     None if c is None or c.is_one() else c)
-        rows.append(r)
-    total = _per_star(rows, {0: spec.one()}, _merge, _times)
+        packed.append(r)
+    total = _per_star(packed, {0: spec.one()}, _merge, _times)
     nv = len(variables)
     return DensePolynomial(
         spec, variables, {tuple(m.to_bytes(nv, "little")): c for m, c in total.items()})
@@ -170,7 +167,7 @@ def partial_permanent(b) -> DensePolynomial | FieldElement:
             raise TooLarge(f"symbolic partial permanent capped at 8x8, got {b.dim}")
         if b.dim == 0:
             raise ValueError("empty matrix")
-        return _expand(b.entries, b.spec, b.variables())
+        return _expand(b.rows, b.spec, b.variables())
     rows = [list(row) for row in b]
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("partial permanent needs a square matrix")
@@ -179,7 +176,7 @@ def partial_permanent(b) -> DensePolynomial | FieldElement:
     spec = rows[0][0].spec
     if any(x.spec != spec for row in rows for x in row):
         raise MixedFields("partial permanent of entries from several fields")
-    p = _expand([[Weight.const(x) for x in row] for row in rows], spec, ())
+    p = _expand([{j: Weight.const(x) for j, x in enumerate(row)} for row in rows], spec, ())
     return p.coeffs.get((), spec.zero())
 
 
@@ -202,20 +199,20 @@ def _embed_matrix(m: SymbolicMatrix, spec: FieldSpec) -> SymbolicMatrix:
         c = embed(w.coeff, spec)
         return Weight.const(c) if w.kind == CONSTW else Weight.scaled(w.name, c)
 
-    return SymbolicMatrix([[image(w) for w in row] for row in m.entries], spec=spec,
-                          symmetric=m.symmetric, allow_linear=m.allow_linear)
+    return SymbolicMatrix([{j: image(w) for j, w in row.items()} for row in m.rows],
+                          spec=spec, symmetric=m.symmetric, allow_linear=m.allow_linear)
 
 
 def plus_identity(a: SymbolicMatrix) -> SymbolicMatrix:
     """A + I, entrywise on the diagonal."""
     spec = a.spec
     one = Weight.const(spec.one())
-    rows = [list(r) for r in a.entries]
-    for i in range(a.dim):
-        w = rows[i][i]
-        if not w.is_zero():
+    rows = [dict(r) for r in a.rows]
+    for i, row in enumerate(rows):
+        w = row.get(i)
+        if w is not None and not w.is_zero():
             raise ValueError("diagonal already occupied")
-        rows[i][i] = one
+        row[i] = one
     return SymbolicMatrix(rows, spec=spec, symmetric=a.symmetric,
                           allow_linear=a.allow_linear)
 

@@ -92,8 +92,9 @@ def _deweight(node: Node, spec: FieldSpec) -> Node:
     return (op, (l, one), (r, one))
 
 
-def _lemma_c0(node: Node, spec: FieldSpec, mul_sign: int = 1) -> FieldElement:
-    """The scalar the path-sum lemma associates with a sub-formula.
+def _lemma_c0(op: str, cl: FieldElement, cr: FieldElement, mul_sign: int) -> FieldElement:
+    """The scalar the path-sum lemma associates with a sub-formula ``op``
+    whose arguments' scalars, times their arrow weights, are ``cl``, ``cr``.
 
     Zero exactly when the sub-formula vanishes because of zero weights, in
     which case the branch is dropped from the construction.  ``mul_sign`` is
@@ -102,15 +103,32 @@ def _lemma_c0(node: Node, spec: FieldSpec, mul_sign: int = 1) -> FieldElement:
     scalar absorbs one -1 per multiplication.  The symmetric construction
     keeps its endpoints apart and carries the -1 on the connecting edge.
     """
-    if node[0] in (VAR, CONST):
-        return spec.one()
-    op, (l, wl), (r, wr) = node
-    cl = wl * _lemma_c0(l, spec, mul_sign)
-    cr = wr * _lemma_c0(r, spec, mul_sign)
     if op == MUL:
         prod = cl * cr
         return -prod if mul_sign < 0 else prod
     return cl if not cl.is_zero() else cr
+
+
+def _lemma_c0s(tree: Node, spec: FieldSpec, mul_sign: int) -> dict[int, FieldElement]:
+    """The lemma scalar of every sub-formula of ``tree``, keyed by the id of
+    its node (a leaf's is 1), from one bottom-up pass over an explicit stack,
+    so each node is combined once and no recursion is added."""
+    c0: dict[int, FieldElement] = {}
+    stack = [tree]
+    while stack:
+        node = stack[-1]
+        if node[0] in (VAR, CONST):
+            c0[id(node)] = spec.one()
+            stack.pop()
+            continue
+        op, (l, wl), (r, wr) = node
+        todo = [x for x in (l, r) if id(x) not in c0]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        c0[id(node)] = _lemma_c0(op, wl * c0[id(l)], wr * c0[id(r)], mul_sign)
+    return c0
 
 
 # -- certificates -------------------------------------------------------------
@@ -140,6 +158,7 @@ def build_valiant_digraph(f: Circuit) -> PathSumCertificate:
     spec = f.spec
     work = green_form(f)
     tree = formula_tree(work)
+    c0s = _lemma_c0s(tree, spec, mul_sign=-1)
     dg = WeightedDigraph(spec)
     s, t = dg.add_vertex(), dg.add_vertex()
 
@@ -156,8 +175,7 @@ def build_valiant_digraph(f: Circuit) -> PathSumCertificate:
             ca = build(l, a, mid)
             cb = build(r, mid, b)
             return -(wl * wr * ca * cb)
-        cl = wl * _lemma_c0(l, spec, mul_sign=-1)
-        cr = wr * _lemma_c0(r, spec, mul_sign=-1)
+        cl, cr = wl * c0s[id(l)], wr * c0s[id(r)]
         if cl.is_zero() and cr.is_zero():
             return spec.zero()
         if cl.is_zero():
@@ -196,10 +214,7 @@ def _product_fallback(tree: Node, spec: FieldSpec) -> SymbolicMatrix:
     diag = [Weight.var(x) for x in names]
     if not const.is_one() or not diag:
         diag.append(Weight.const(const))
-    zero = Weight.const(spec.zero())
-    n = len(diag)
-    rows = [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]
-    return SymbolicMatrix(rows, spec=spec, symmetric=True)
+    return SymbolicMatrix([{i: w} for i, w in enumerate(diag)], spec=spec, symmetric=True)
 
 
 def valiant_matrix(f: Circuit) -> SymbolicMatrix:
@@ -265,6 +280,7 @@ def build_sym_graph(f: Circuit, mode: str = "skinny") -> PathSumCertificate:
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    c0s = _lemma_c0s(tree, spec, mul_sign=1) if mode == "green" else {}
     g = WeightedGraph(spec)
     s, t = g.add_vertex(), g.add_vertex()
 
@@ -295,13 +311,12 @@ def build_sym_graph(f: Circuit, mode: str = "skinny") -> PathSumCertificate:
             cb = build(r, m2, b)
             g.add_edge(m1, m2, Weight.const(-spec.one()))
             return wl * wr * ca * cb
-        cl = wl * _lemma_c0(l, spec)
-        cr = wr * _lemma_c0(r, spec)
         if mode == "skinny":
             # weightless tree: both lemma scalars are 1
             build(l, a, b)
             build(r, a, b)
             return spec.one()
+        cl, cr = wl * c0s[id(l)], wr * c0s[id(r)]
         if cl.is_zero() and cr.is_zero():
             return spec.zero()
         if cl.is_zero():
@@ -416,7 +431,7 @@ def to_permanent_matrix(m: SymbolicMatrix) -> SymbolicMatrix:
     minus_one = -spec.one()
     one = Weight.const(spec.one())
     rows = [
-        [one if (w.kind == "const" and w.coeff == minus_one) else w for w in row]
-        for row in m.entries
+        {j: one if (w.kind == CONSTW and w.coeff == minus_one) else w for j, w in row.items()}
+        for row in m.rows
     ]
     return SymbolicMatrix(rows, spec=spec, symmetric=m.symmetric)

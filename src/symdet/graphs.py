@@ -7,16 +7,21 @@ recorded by role name so constructions are reproducible.  Graphs are
 undirected with loops allowed and no parallel edges; a graph's adjacency
 matrix is symmetric by construction.
 
-:class:`SymbolicMatrix` is the target language: a dense square grid whose
-entries are :class:`Weight` values.  In strict mode (the default) scaled
-variables are rejected in final matrices; the comparison mode used for
-accounting against fixed-dimension constructions may allow them.
+:class:`SymbolicMatrix` is the target language: a square matrix whose
+entries are :class:`Weight` values, stored as its nonzeros only, one
+``{column: weight}`` dict per row (the row-compressed storage of Gustavson,
+"Two fast algorithms for sparse matrices", 1978).  Gadget matrices of
+dimension n have O(n) nonzeros, so building, rendering, parsing and
+compiling read and write the nonzeros; the dense grid is a view for the
+oracles.  In strict mode (the default) scaled variables are rejected in
+final matrices; the comparison mode used for accounting against
+fixed-dimension constructions may allow them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .fields import RATIONAL, FieldElement, FieldSpec, embed, parse_element
 from .polynomials import DensePolynomial
@@ -87,14 +92,23 @@ class Weight:
 
 
 def parse_weight(token: str, spec: FieldSpec) -> Weight:
+    """A variable ``x``, a constant ``c`` or a scaled variable ``c*x``.
+
+    A variable name must read back as a variable when rendered bare: it is
+    non-empty and starts with neither a digit nor a sign."""
     token = token.strip()
     if "*" in token:
         ctext, name = token.split("*", 1)
-        return Weight.scaled(name.strip(), parse_element(ctext, spec))
-    head = token.lstrip("-")
-    if head[:1].isdigit() or head[:2] in ("0x", "0X"):
-        return Weight.const(parse_element(token, spec))
-    return Weight.var(token)
+        name = name.strip()
+        coeff = parse_element(ctext, spec)
+    else:
+        head = token.lstrip("-")
+        if head[:1].isdigit() or head[:2] in ("0x", "0X"):
+            return Weight.const(parse_element(token, spec))
+        name, coeff = token, None
+    if not name or name[0].isdigit() or name[0] in "+-":
+        raise ValueError(f"malformed matrix entry {token!r}: bad variable name {name!r}")
+    return Weight.var(name) if coeff is None else Weight.scaled(name, coeff)
 
 
 class WeightedDigraph:
@@ -170,71 +184,109 @@ class WeightedGraph:
         return f"<graph n={self.n} edges={len(self.edges)}>"
 
 
+def _stored(w: Weight) -> bool:
+    """Whether a matrix keeps ``w``: everything but a constant zero.  A
+    scaled zero ``0*x`` stays, so its variable still counts."""
+    return w.kind != CONSTW or not w.coeff.is_zero()
+
+
 class SymbolicMatrix:
-    """Dense square matrix whose entries are variables or field constants."""
+    """Square matrix whose entries are variables or field constants.
+
+    ``rows[i]`` maps column j to entry (i, j) for the stored entries, in
+    column order; a constant zero is never stored.  Built from such rows or
+    from a dense list of lists.  ``entries`` and ``entry`` read the dense
+    view, with ``Weight.const(spec.zero())`` in the cells left out.
+    """
 
     def __init__(
         self,
-        entries: list[list[Weight]],
+        rows: Sequence[Mapping[int, Weight] | Sequence[Weight]],
         spec: FieldSpec = RATIONAL,
         symmetric: bool = False,
         allow_linear: bool = False,
     ):
-        self.dim = len(entries)
-        for row in entries:
-            if len(row) != self.dim:
-                raise ValueError("matrix is not square")
-        self.entries = tuple(tuple(row) for row in entries)
+        n = self.dim = len(rows)
+        self.rows: tuple[dict[int, Weight], ...] = tuple(
+            _sparse_row(row, n) for row in rows)
         self.spec = spec
         self.symmetric = symmetric
         self.allow_linear = allow_linear
+        self._zero = Weight.const(spec.zero())
         if symmetric:
-            for i in range(self.dim):
-                for j in range(i):
-                    if self.entries[i][j] != self.entries[j][i]:
-                        raise ValueError(f"symmetry broken at ({i},{j})")
+            # the first broken pair of a dense scan: smallest i, then j < i
+            broken = [
+                (max(i, j), min(i, j))
+                for i, row in enumerate(self.rows)
+                for j, w in row.items()
+                if self.rows[j].get(i) != w
+            ]
+            if broken:
+                raise ValueError("symmetry broken at ({},{})".format(*min(broken)))
         if not allow_linear:
-            for row in self.entries:
-                for w in row:
-                    if w.kind == SCALEDW:
-                        raise ValueError(
-                            "scaled-variable entry in strict-mode matrix; "
-                            "pass allow_linear=True for comparison mode"
-                        )
+            if any(w.kind == SCALEDW for row in self.rows for w in row.values()):
+                raise ValueError(
+                    "scaled-variable entry in strict-mode matrix; "
+                    "pass allow_linear=True for comparison mode"
+                )
+
+    @property
+    def entries(self) -> tuple[tuple[Weight, ...], ...]:
+        """The dense grid, built on each access."""
+        return tuple(tuple(row.get(j, self._zero) for j in range(self.dim))
+                     for row in self.rows)
 
     def entry(self, i: int, j: int) -> Weight:
-        return self.entries[i][j]
+        return self.rows[i].get(j, self._zero)
 
     def variables(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for row in self.entries:
-            for w in row:
-                if w.kind != CONSTW:
-                    seen.setdefault(w.name, None)
-        return tuple(sorted(seen))
+        return tuple(sorted({w.name for row in self.rows for w in row.values()
+                             if w.kind != CONSTW}))
 
     def with_entry(self, i: int, j: int, w: Weight) -> "SymbolicMatrix":
         """Copy with one entry replaced (symmetry flag dropped)."""
-        rows = [list(r) for r in self.entries]
+        rows = [dict(r) for r in self.rows]
         rows[i][j] = w
         return SymbolicMatrix(rows, spec=self.spec, symmetric=False,
                               allow_linear=self.allow_linear)
+
+    def _dense_text(self) -> list[list[str]]:
+        """Each row's rendered cells: one zero token, then the nonzeros."""
+        zero = self._zero.render()
+        out = []
+        for row in self.rows:
+            cells = [zero] * self.dim
+            for j, w in row.items():
+                cells[j] = w.render()
+            out.append(cells)
+        return out
 
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
             "symmetric": self.symmetric,
-            "entries": [[w.render() for w in row] for row in self.entries],
+            "entries": self._dense_text(),
         }
 
     def __repr__(self) -> str:
         return f"<{'symmetric ' if self.symmetric else ''}matrix dim={self.dim}>"
 
 
+def _sparse_row(row: Mapping[int, Weight] | Sequence[Weight], n: int) -> dict[int, Weight]:
+    """The stored entries of one row in column order, the order a dense scan
+    visits them, so compiling and eliminating work as on the dense grid."""
+    if isinstance(row, Mapping):
+        if any(not 0 <= j < n for j in row):
+            raise ValueError("matrix entry outside the square")
+        return {j: row[j] for j in sorted(row) if _stored(row[j])}
+    if len(row) != n:
+        raise ValueError("matrix is not square")
+    return {j: w for j, w in enumerate(row) if _stored(w)}
+
+
 def adjacency(g: WeightedGraph | WeightedDigraph) -> SymbolicMatrix:
     """Adjacency matrix; graphs expand to symmetric digraphs."""
-    zero = Weight.const(g.spec.zero())
-    rows = [[zero] * g.n for _ in range(g.n)]
+    rows: list[dict[int, Weight]] = [{} for _ in range(g.n)]
     if isinstance(g, WeightedDigraph):
         for (u, v), w in g.arcs.items():
             rows[u][v] = w
@@ -274,10 +326,7 @@ def close_abp(
 def render_matrix(m: SymbolicMatrix) -> str:
     """Matrix text format: header ``t [symmetric]``, then t rows of entries."""
     head = f"{m.dim} symmetric" if m.symmetric else f"{m.dim}"
-    lines = [head]
-    for row in m.entries:
-        lines.append(" ".join(w.render() for w in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join([head] + [" ".join(cells) for cells in m._dense_text()]) + "\n"
 
 
 def parse_matrix(text: str, spec: FieldSpec = RATIONAL) -> SymbolicMatrix:
@@ -289,17 +338,23 @@ def parse_matrix(text: str, spec: FieldSpec = RATIONAL) -> SymbolicMatrix:
     symmetric = len(head) > 1 and head[1] == "symmetric"
     if len(lines) - 1 != dim:
         raise ValueError(f"matrix header gives dimension {dim} but {len(lines) - 1} rows follow")
-    # gadget matrices repeat a handful of tokens, so parse each one once
+    # gadget matrices repeat a handful of tokens, so parse each one once;
+    # only the tokens of stored entries are kept
     weights: dict[str, Weight] = {}
+    zeros: set[str] = set()
     rows = []
     for i, ln in enumerate(lines[1:], start=1):
         tokens = ln.split()
         if len(tokens) != dim:
             raise ValueError(f"matrix row {i} has {len(tokens)} entries, header gives dimension {dim}")
-        for tok in tokens:
-            if tok not in weights:
-                weights[tok] = parse_weight(tok, spec)
-        rows.append([weights[tok] for tok in tokens])
+        # unseen tokens in reading order, so the first malformed one raises
+        for tok in sorted(set(tokens).difference(weights, zeros), key=tokens.index):
+            w = parse_weight(tok, spec)
+            if _stored(w):
+                weights[tok] = w
+            else:
+                zeros.add(tok)
+        rows.append({j: weights[tok] for j, tok in enumerate(tokens) if tok not in zeros})
     return SymbolicMatrix(rows, spec=spec, symmetric=symmetric, allow_linear=True)
 
 
@@ -337,8 +392,8 @@ def entries_alphabet_ok(
     if spec.characteristic != 2:
         allowed.add(spec.from_fraction("1/2"))
     allowed.update(extra_allowed)
-    for row in m.entries:
-        for w in row:
+    for row in m.rows:
+        for w in row.values():
             if w.kind == SCALEDW:
                 return False
             if w.kind == CONSTW and w.coeff not in allowed:

@@ -13,9 +13,10 @@ Both sides are compiled once per field and evaluated at all trial points
 in lockstep: every value is a lane, a list of plain ints (Z_p residues or
 GF(2^k) bit masks) with one int per point.  A :class:`CompiledCircuit` is
 the circuit as a topologically ordered program with its constants and
-arrow weights embedded once.  A :class:`CompiledMatrix` holds the embedded
-nonzero constants of a :class:`SymbolicMatrix` plus slots for its variable
-entries, and all its determinants come from one sparse elimination with
+arrow weights embedded once.  A :class:`CompiledMatrix` reads the stored
+nonzeros of a :class:`SymbolicMatrix` (never its dense view) and holds their
+embedded constants plus slots for its variable entries, so compiling costs
+O(nonzeros), and all its determinants come from one sparse elimination with
 Markowitz-style pivoting (fewest-entry column, shortest row whose entry is
 nonzero in every lane), so the pivot search and the fill-in bookkeeping are
 paid once for all points.  :func:`det_eval` at one point is the one-lane
@@ -367,8 +368,9 @@ class CompiledCircuit:
 class CompiledMatrix:
     """A :class:`SymbolicMatrix` embedded once into a finite field.
 
-    Every nonzero constant becomes a plain int (a Z_p residue or a GF(2^k)
-    bit mask) in per-row dicts; every variable entry becomes a slot
+    Built from the matrix's stored entries: every constant becomes a plain
+    int (a Z_p residue or a GF(2^k) bit mask) in per-row dicts, dropped
+    when it vanishes in the field, and every variable entry becomes a slot
     ``(i, j, variable, coefficient)``.  Evaluating at points fills lanes from
     the constants and the slots, so nothing is re-embedded per point.
     """
@@ -379,14 +381,12 @@ class CompiledMatrix:
         self.arith = _IntArith(spec)
         self.const_rows: list[dict[int, int]] = [{} for _ in range(m.dim)]
         self.slots: list[tuple[int, int, str, int]] = []
-        for i, row in enumerate(m.entries):
-            for j, w in enumerate(row):
+        for i, row in enumerate(m.rows):
+            for j, w in row.items():
                 if w.kind == CONSTW:
-                    # most cells are zero; test before embedding
-                    if w.coeff.value:
-                        v = embed(w.coeff, spec).value
-                        if v:
-                            self.const_rows[i][j] = v
+                    v = embed(w.coeff, spec).value
+                    if v:  # a rational constant may vanish mod p
+                        self.const_rows[i][j] = v
                 elif w.kind == VARW:
                     self.slots.append((i, j, w.name, 1))
                 else:
@@ -459,7 +459,11 @@ def det_eval(
         missing = set(m.variables()) - set(assignment)
         if missing:
             raise MissingAssignment(f"no value for variable {min(missing)!r}")
-        vals = [[w.eval(assignment, spec) for w in row] for row in m.entries]
+        zero = spec.zero()
+        vals = [[zero] * m.dim for _ in range(m.dim)]
+        for i, row in enumerate(m.rows):
+            for j, w in row.items():
+                vals[i][j] = w.eval(assignment, spec)
         return _dense_det(vals, spec)
     return FieldElement(spec, m.det([assignment])[0])
 

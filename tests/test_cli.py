@@ -236,6 +236,17 @@ def test_cli_verify_rejects_matrix_of_wrong_dimension(tmp_path, capsys, text):
     assert err.startswith("error:") and "dimension" in err
 
 
+@pytest.mark.parametrize("token", ["2*", "-", "3*0x"])
+def test_cli_verify_rejects_malformed_variable_token(tmp_path, capsys, token):
+    circ = tmp_path / "f.circuit"
+    circ.write_text(render_circuit(parse_expression("x")))
+    matrix = tmp_path / "m.matrix"
+    matrix.write_text(f"1\n{token}\n")
+    code, out, err = run(["verify", str(circ), str(matrix), "--seed", "1"], capsys)
+    assert code == 1 and "FAILED" not in out
+    assert err.startswith("error:") and repr(token) in err
+
+
 def test_cli_ci_mode_requires_seed(tmp_path, capsys):
     circ = tmp_path / "f.circuit"
     circ.write_text(render_circuit(parse_expression("x + y")))

@@ -1,5 +1,6 @@
 import pytest
 
+import symdet.formulas as formulas
 from symdet.circuits import (
     CircuitBuilder,
     measure,
@@ -263,3 +264,30 @@ def test_sym_graph_lower_bound_tight_on_sum_of_products():
         cert = build_sym_graph(f, "skinny")
         assert cert.graph.n == 2 * n + 2
         check_sym_certificate(cert)
+
+
+def addition_chain(depth: int):
+    """((x0 + 2 x1) + 2 x2) + ... with ``depth`` weighted additions."""
+    b = CircuitBuilder()
+    acc = b.var("x0")
+    for k in range(1, depth + 1):
+        acc = b.add(acc, b.var(f"x{k % 7}"), 1, 2)
+    return b.build([acc])
+
+
+@pytest.mark.parametrize("build", [lambda c: build_sym_graph(c, "green"),
+                                   build_valiant_digraph], ids=["sym", "valiant"])
+def test_lemma_c0_is_combined_once_per_node(build, monkeypatch):
+    calls = 0
+    combine = formulas._lemma_c0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return combine(*args)
+
+    monkeypatch.setattr(formulas, "_lemma_c0", counting)
+    cert = build(addition_chain(600))
+    # one combination per addition node (600), none per leaf
+    assert 0 < calls <= 600
+    assert not cert.c0.is_zero()

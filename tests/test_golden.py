@@ -5,15 +5,19 @@ The digest below covers the rendered matrix of every method and size
 every certificate, every ``build_bound`` value and ``square_matrix_char2``
 on fixed pseudo-random weighted and unweighted formulas and weakly skew
 circuits.  A construction that raises contributes its exception class, so
-the failure behaviour is pinned too.  Refactors of the lowering code must
-leave the digest unchanged; a deliberate change of output must say so and
-update it.
+the failure behaviour is pinned too.  Two more digests cover the same
+matrices as ``symdet build --json`` prints them (``to_json``) and after a
+text round trip, ``render_matrix(parse_matrix(text))``.  Refactors of the
+lowering code or of the matrix representation must leave the digests
+unchanged; a deliberate change of output must say so and update them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
+from functools import cache
 
 from symdet.char2 import square_matrix_char2
 from symdet.circuits import random_circuit
@@ -25,7 +29,7 @@ from symdet.formulas import (
     sym_matrix,
     valiant_matrix,
 )
-from symdet.graphs import export_dot, render_matrix
+from symdet.graphs import SymbolicMatrix, export_dot, parse_matrix, render_matrix
 from symdet.weakly_skew import (
     build_ws_abp,
     build_ws_graph,
@@ -34,6 +38,8 @@ from symdet.weakly_skew import (
 )
 
 GOLDEN_SHA256 = "07ecb10b0ef675aefd90637d8d0b13f0bf7803b6c3da7351d3a26e0f6faf01a3"
+JSON_SHA256 = "dbc0c1365c64c0d1f9188a2ded5bc310eaa97a1a7dd38e73b617d3360e6896a2"
+REPARSE_SHA256 = "e7a5dfa44f07508888c93ba15a64a1fa0d34d852b07003486f19113f532bbc30"
 
 METHOD_SIZES = (
     ("valiant", "green"),
@@ -65,16 +71,17 @@ def _path_sum(cert) -> str:
 
 
 def _outputs(c, formula: bool):
-    """Rendered outputs of every applicable construction on ``c``."""
+    """(label, output) of every applicable construction on ``c``: a
+    :class:`SymbolicMatrix`, or the text of anything else."""
     jobs = [
-        ("ws-sym fat", lambda: render_matrix(ws_sym_matrix(c, "fat"))),
-        ("ws-sym green", lambda: render_matrix(ws_sym_matrix(c, "green"))),
-        ("ws-nonsym fat", lambda: render_matrix(ws_nonsym_matrix(c, "fat"))),
-        ("ws-nonsym green", lambda: render_matrix(ws_nonsym_matrix(c, "green"))),
+        ("ws-sym fat", lambda: ws_sym_matrix(c, "fat")),
+        ("ws-sym green", lambda: ws_sym_matrix(c, "green")),
+        ("ws-nonsym fat", lambda: ws_nonsym_matrix(c, "fat")),
+        ("ws-nonsym green", lambda: ws_nonsym_matrix(c, "green")),
         ("ws-nonsym fat unsigned",
-         lambda: render_matrix(ws_nonsym_matrix(c, "fat", signed=False))),
+         lambda: ws_nonsym_matrix(c, "fat", signed=False)),
         ("ws-nonsym green unsigned",
-         lambda: render_matrix(ws_nonsym_matrix(c, "green", signed=False))),
+         lambda: ws_nonsym_matrix(c, "green", signed=False)),
         ("ws graph fat", lambda: _ws_graph(c, "fat")),
         ("ws graph green", lambda: _ws_graph(c, "green")),
         ("ws abp fat", lambda: _abp(c, "fat")),
@@ -82,9 +89,9 @@ def _outputs(c, formula: bool):
     ]
     if formula:
         jobs += [
-            ("valiant", lambda: render_matrix(valiant_matrix(c))),
-            ("sym skinny", lambda: render_matrix(sym_matrix(c, "skinny"))),
-            ("sym green", lambda: render_matrix(sym_matrix(c, "green"))),
+            ("valiant", lambda: valiant_matrix(c)),
+            ("sym skinny", lambda: sym_matrix(c, "skinny")),
+            ("sym green", lambda: sym_matrix(c, "green")),
             ("valiant digraph", lambda: _path_sum(build_valiant_digraph(c))),
             ("sym graph skinny", lambda: _path_sum(build_sym_graph(c, "skinny"))),
             ("sym graph green", lambda: _path_sum(build_sym_graph(c, "green"))),
@@ -95,10 +102,10 @@ def _outputs(c, formula: bool):
     ]
     for label, job in jobs:
         try:
-            text = job()
+            out = job()
         except Exception as exc:  # the failure class is part of the pinned output
-            text = f"raises {type(exc).__name__}"
-        yield f"{label}\n{text}"
+            out = f"raises {type(exc).__name__}"
+        yield label, out
 
 
 def corpus_outputs():
@@ -118,20 +125,37 @@ def corpus_outputs():
         c = random_circuit(profile, rng.randint(1, 8), 3, rng, spec=GF2_16,
                            constant_pool=(1, 3, 7), weighted=i % 4 >= 2,
                            weight_pool=(1, 1, 2, 5))
-        yield f"char2\n{render_matrix(square_matrix_char2(c))}"
+        yield "char2", square_matrix_char2(c)
 
 
-def corpus_digest() -> tuple[str, int]:
-    h = hashlib.sha256()
-    count = 0
-    for text in corpus_outputs():
-        h.update(text.encode())
-        h.update(b"\0")
+@cache
+def corpus_digests() -> tuple[int, str, int, str, str]:
+    """(output count, digest of the rendered outputs, matrix count, digest of
+    their ``to_json`` as ``symdet build --json`` prints it, digest of their
+    text round trip)."""
+    rendered, as_json, reparsed = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    count = matrices = 0
+    for label, out in corpus_outputs():
         count += 1
-    return h.hexdigest(), count
+        if isinstance(out, SymbolicMatrix):
+            text = render_matrix(out)
+            matrices += 1
+            as_json.update(json.dumps(out.to_json(), indent=2).encode() + b"\0")
+            reparsed.update(render_matrix(parse_matrix(text, out.spec)).encode() + b"\0")
+        else:
+            text = out
+        rendered.update(f"{label}\n{text}".encode() + b"\0")
+    return count, rendered.hexdigest(), matrices, as_json.hexdigest(), reparsed.hexdigest()
 
 
 def test_rendered_outputs_match_golden_digest():
-    digest, count = corpus_digest()
+    count, digest, _, _, _ = corpus_digests()
     assert count > 5000
     assert digest == GOLDEN_SHA256, f"{count} outputs hash to {digest}"
+
+
+def test_json_and_reparsed_matrices_match_golden_digests():
+    _, _, matrices, as_json, reparsed = corpus_digests()
+    assert matrices > 2000
+    assert as_json == JSON_SHA256, f"{matrices} matrices' to_json hash to {as_json}"
+    assert reparsed == REPARSE_SHA256, f"{matrices} reparsed matrices hash to {reparsed}"

@@ -1,6 +1,10 @@
-import pytest
+import re
 
-from symdet.fields import GF2, RATIONAL
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symdet.fields import GF2, GF2_16, PRIME_DEFAULT, RATIONAL, FieldSpec, embed
 from symdet.graphs import (
     SymbolicMatrix,
     Weight,
@@ -10,6 +14,7 @@ from symdet.graphs import (
     entries_alphabet_ok,
     export_dot,
     parse_matrix,
+    parse_weight,
     render_matrix,
 )
 from symdet.oracles import (
@@ -21,6 +26,7 @@ from symdet.oracles import (
     symbolic_det,
 )
 from symdet.polynomials import TooLarge, parse_polynomial
+from symdet.verify import CompiledMatrix, _dense_det
 from tests.conftest import poly_equal
 
 
@@ -277,3 +283,101 @@ def test_reversing_a_cover_cycle_preserves_weight(rng):
                 assert cover_weight(g, flipped, variables, RATIONAL) == cover_weight(
                     g, cover, variables, RATIONAL
                 )
+
+
+@pytest.mark.parametrize("token", ["2*", "-", "3*0x", "-x", "+y", "1/2* "])
+def test_parse_weight_rejects_names_that_do_not_read_back(token):
+    with pytest.raises(ValueError, match=re.escape(repr(token.strip()))):
+        parse_weight(token, RATIONAL)
+
+
+# -- the sparse representation against a dense reference ----------------------
+
+# tokens of matrix files: several spellings of zero, constants, variables
+# and scaled variables, scaled zeros included (they stay stored)
+TOKENS = {
+    RATIONAL: ["0", "0/3", "-0", "1", "-1", "1/2", "3", "-7/5",
+               "x", "y", "z", "2*x", "-1*y", "0*x", "0/5*z"],
+    GF2_16: ["0", "0x0", "0x00", "0x1", "0x1f", "3", "0xabc",
+             "x", "y", "z", "0x3*x", "0x0*y", "0*z"],
+}
+ZEROS = {RATIONAL: ["0", "0/3", "-0"], GF2_16: ["0", "0x0", "0x00"]}
+
+
+@st.composite
+def token_grids(draw, spec):
+    """A square grid of tokens, mostly zeros; symmetric (then perturbed at
+    a few cells) half of the time, so the first broken pair varies."""
+    n = draw(st.integers(1, 6))
+    token = st.one_of(st.sampled_from(ZEROS[spec]), st.sampled_from(TOKENS[spec]))
+    grid = [[draw(token) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(i):
+                grid[j][i] = grid[i][j]
+        for _ in range(draw(st.integers(0, 2))):
+            grid[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(token)
+    return grid
+
+
+def dense_text(grid) -> list[list[str]]:
+    return [[w.render() for w in row] for row in grid]
+
+
+def first_broken_pair(grid):
+    n = len(grid)
+    for i in range(n):
+        for j in range(i):
+            if grid[i][j] != grid[j][i]:
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("spec", [RATIONAL, GF2_16], ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sparse_matrix_matches_dense_reference(spec, data):
+    tokens = data.draw(token_grids(spec))
+    grid = [[parse_weight(tok, spec) for tok in row] for row in tokens]
+    n = len(grid)
+    broken = first_broken_pair(grid)
+    header = f"{n}" if broken else f"{n} symmetric"
+    text = "\n".join([header] + [" ".join(row) for row in tokens]) + "\n"
+    m = parse_matrix(text, spec)
+    built = [
+        SymbolicMatrix(grid, spec=spec, symmetric=not broken, allow_linear=True),
+        # rows given right to left are stored in column order all the same
+        SymbolicMatrix([dict(reversed(list(enumerate(row)))) for row in grid], spec=spec,
+                       symmetric=not broken, allow_linear=True),
+    ]
+    rendered = "\n".join([header] + [" ".join(r) for r in dense_text(grid)]) + "\n"
+    for x in [m] + built:
+        assert all(list(row) == sorted(row) for row in x.rows)
+        assert x.entries == tuple(tuple(row) for row in grid)
+        assert all(x.entry(i, j) == grid[i][j] for i in range(n) for j in range(n))
+        assert x.variables() == tuple(sorted({w.name for row in grid for w in row
+                                              if w.kind != "const"}))
+        assert render_matrix(x) == rendered
+        assert x.to_json() == {"dim": n, "symmetric": not broken,
+                               "entries": dense_text(grid)}
+        assert render_matrix(parse_matrix(rendered, spec)) == rendered
+    if broken:
+        for rows in (grid, [{j: w for j, w in enumerate(row)} for row in grid]):
+            with pytest.raises(ValueError, match=re.escape("symmetry broken at (%d,%d)" % broken)):
+                SymbolicMatrix(rows, spec=spec, symmetric=True, allow_linear=True)
+
+    # determinants: the compiled sparse path against dense elimination
+    names = ("x", "y", "z")
+    if spec == RATIONAL:
+        values = data.draw(st.tuples(*[st.integers(-50, 50)] * 3))
+        point = {v: RATIONAL.from_int(x) for v, x in zip(names, values)}
+        exact = _dense_det([[w.eval(point, spec) for w in row] for row in grid], spec)
+        for target in (PRIME_DEFAULT, FieldSpec.prime(65537)):
+            compiled = CompiledMatrix(m, target)
+            lane = compiled.det([{v: embed(x, target) for v, x in point.items()}])
+            assert lane == [embed(exact, target).value]
+    else:
+        values = data.draw(st.tuples(*[st.integers(0, spec.size - 1)] * 3))
+        point = {v: spec.from_bits(x) for v, x in zip(names, values)}
+        exact = _dense_det([[w.eval(point, spec) for w in row] for row in grid], spec)
+        assert CompiledMatrix(m, spec).det([point]) == [exact.value]

@@ -4,16 +4,21 @@ import random
 
 import pytest
 
+from symdet.char2 import partial_perm_identity, square_matrix_char2
 from symdet.circuits import classify, evaluate, measure, random_circuit
-from symdet.fields import PRIME_DEFAULT, RATIONAL, MixedFields, sample_random
+from symdet.determinant import det_sym_matrix, det_variable
+from symdet.fields import GF2_16, PRIME_DEFAULT, RATIONAL, MixedFields, sample_random
 from symdet.formulas import sym_matrix, valiant_matrix
+from symdet.graphs import SymbolicMatrix, parse_matrix, render_matrix
 from symdet.polynomials import (
+    DensePolynomial,
     monomial_sum_circuit,
     poly_to_formula,
     random_dense_polynomial,
 )
 from symdet.verify import det_eval, identity_test
 from symdet.weakly_skew import ws_nonsym_matrix, ws_sym_matrix
+from tests.conftest import leibniz_det
 
 
 def test_dense_polynomial_to_symmetric_matrix(rng):
@@ -98,3 +103,40 @@ def test_cli_pipeline_on_monomial_circuit(tmp_path, capsys):
     assert main(["verify", str(circ), str(matrix), "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("verified")
+
+
+def test_no_production_path_reads_the_dense_view(monkeypatch, fig1_formula, fig1_weakly_skew):
+    """build -> render -> parse -> identity test for every construction with
+    ``SymbolicMatrix.entries`` disabled: matrices are built, rendered,
+    parsed, compiled and checked from their nonzeros only."""
+    n = 2
+    names = tuple(sorted(det_variable(i, j) for i in range(1, n + 1) for j in range(1, n + 1)))
+    det_n = poly_to_formula(leibniz_det(
+        [[DensePolynomial.variable(det_variable(i, j), names, RATIONAL)
+          for j in range(1, n + 1)] for i in range(1, n + 1)]))
+    square = random_circuit("weakly-skew", 6, 3, random.Random(5), spec=GF2_16,
+                            constant_pool=(1, 3, 7))
+    builds = [
+        (fig1_formula, lambda: sym_matrix(fig1_formula, "skinny"), {}),
+        (fig1_formula, lambda: sym_matrix(fig1_formula, "green"), {}),
+        (fig1_formula, lambda: valiant_matrix(fig1_formula), {}),
+        (det_n, lambda: det_sym_matrix(n), {}),
+        (square, lambda: square_matrix_char2(square), {"spec": GF2_16, "power": 2}),
+    ] + [
+        (fig1_weakly_skew, lambda lower=lower, mode=mode: lower(fig1_weakly_skew, mode), {})
+        for lower in (ws_sym_matrix, ws_nonsym_matrix) for mode in ("fat", "green")
+    ]
+
+    def dense_view(self):
+        raise AssertionError("the dense view was materialized")
+
+    monkeypatch.setattr(SymbolicMatrix, "entries", property(dense_view))
+    for circuit, build, options in builds:
+        m = build()
+        m.to_json()
+        back = parse_matrix(render_matrix(m), m.spec)
+        for exact in (True, False):
+            assert identity_test(circuit, back, seed=3, exact_upgrade=exact, **options).ok
+    b = parse_matrix("5\n" + "\n".join(" ".join(f"b{i}{j}" if (i + j) % 3 else "0x1"
+                                                 for j in range(5)) for i in range(5)), GF2_16)
+    assert partial_perm_identity(b).ok
