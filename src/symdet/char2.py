@@ -22,7 +22,8 @@ exponent per byte, so a variable entry is one addition per term and a unit
 coefficient skips the multiplication; one :class:`DensePolynomial` is built
 at the end.  The identity check runs it on lanes, lists of plain ints with
 one int per trial point (see :mod:`symdet.verify`), so every trial comes
-from one pass, as det(A + I) comes from one lockstep elimination.
+from one pass, as det(A + I) comes from one lockstep elimination; the trial
+points are drawn straight into those lanes and compared as plain ints.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from functools import reduce
 from typing import Mapping, Sequence
 
 from .circuits import Circuit
-from .fields import FieldElement, FieldSpec, GF2_16, MixedFields, embed, sample_random
+from .fields import FieldElement, FieldSpec, GF2_16, MixedFields, embed, sample_lanes
 from .graphs import CONSTW, VARW, SymbolicMatrix, Weight, WeightedGraph
 from .polynomials import DensePolynomial, TooLarge
 from .weakly_skew import ws_nonsym_matrix
-from .verify import CompiledMatrix
+from .verify import CompiledMatrix, _lanes_of
 
 
 class NotCharTwo(Exception):
@@ -184,10 +185,16 @@ def partial_permanent_lanes(
     b: SymbolicMatrix, points: Sequence[Mapping[str, FieldElement]], spec: FieldSpec
 ) -> list[int]:
     """per*(B) at every point of a finite field, as plain ints (Z_p residues
-    or GF(2^k) bit masks), from one DP pass on lanes of one int per point."""
+    or GF(2^k) bit masks)."""
     compiled = CompiledMatrix(b, spec)
+    return per_star_lanes(compiled, _lanes_of(compiled.variables, points, spec), len(points))
+
+
+def per_star_lanes(compiled: CompiledMatrix, lanes: Mapping[str, list[int]], t: int) -> list[int]:
+    """per*(B), for B compiled into a finite field, at ``t`` points given as
+    the lane of each variable, from one DP pass on lanes of one int per point."""
     arith = compiled.arith
-    return _per_star(compiled.rows(points), [1] * len(points), arith.add, arith.mul)
+    return _per_star(compiled.lane_rows(lanes, t), [1] * t, arith.add, arith.mul)
 
 
 def _embed_matrix(m: SymbolicMatrix, spec: FieldSpec) -> SymbolicMatrix:
@@ -261,11 +268,10 @@ def partial_perm_identity(
         return PartialPermVerdict(
             ok=lhs == rhs, method="symbolic", lhs=lhs.render(), rhs=rhs.render()
         )
-    rng = random.Random(seed)
-    points = [{v: sample_random(spec, rng) for v in variables} for _ in range(trials)]
+    lanes = sample_lanes(spec, random.Random(seed), variables, trials)
     compiled = CompiledMatrix(api, spec)
-    lhs_lanes = compiled.det(points)
-    pstar = partial_permanent_lanes(b, points, spec)
+    lhs_lanes = compiled.lane_det(lanes, trials)
+    pstar = per_star_lanes(CompiledMatrix(b, spec), lanes, trials)
     rhs_lanes = compiled.arith.mul(pstar, pstar)
     common = dict(method="random", trials=trials, degree_bound=2 * n,
                   error_bound_log2=trials * (math.log2(2 * n) - math.log2(spec.size)))

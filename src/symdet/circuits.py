@@ -551,11 +551,25 @@ def render_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def is_variable_name(name: str) -> bool:
+    """A variable name reads back as a variable when a matrix entry renders
+    it bare: it is non-empty and starts with neither a digit nor a sign."""
+    return bool(name) and not name[0].isdigit() and name[0] not in "+-"
+
+
 def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
     """Parse the circuit file format produced by :func:`render_circuit`."""
     gates: dict[int, Gate] = {}
     outputs: list[int] = []
     variables: list[str] | None = None
+    # weights and constants repeat across a file, so parse each token once
+    elements: dict[str, FieldElement] = {}
+
+    def element(token: str) -> FieldElement:
+        x = elements.get(token)
+        if x is None:
+            x = elements[token] = parse_element(token, spec)
+        return x
 
     def gid_of(token: str) -> int:
         if not token.startswith("g"):
@@ -565,7 +579,7 @@ def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
     def arg_of(token: str) -> tuple[int, FieldElement]:
         if "*" in token:
             gtok, wtok = token.split("*", 1)
-            return gid_of(gtok), parse_element(wtok, spec)
+            return gid_of(gtok), element(wtok)
         return gid_of(token), spec.one()
 
     for raw in text.splitlines():
@@ -585,9 +599,11 @@ def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
             raise CircuitError(f"malformed gate line {raw!r}")
         gid = gid_of(lhs.strip())
         if kind == "input":
+            if not is_variable_name(toks[1]):
+                raise CircuitError(f"bad variable name {toks[1]!r} in line {raw!r}")
             gates[gid] = Gate(gid, VAR, name=toks[1])
         elif kind == "const":
-            gates[gid] = Gate(gid, CONST, value=parse_element(toks[1], spec))
+            gates[gid] = Gate(gid, CONST, value=element(toks[1]))
         elif kind in COMPUTATION:
             gates[gid] = Gate(gid, kind, args=(arg_of(toks[1]), arg_of(toks[2])))
         else:

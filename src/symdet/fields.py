@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 
 class FieldError(Exception):
@@ -468,13 +468,37 @@ def half(spec: FieldSpec) -> FieldElement:
     return spec.from_int(2).inverse()
 
 
+def _sample_bound(spec: FieldSpec) -> int:
+    """The ``rng.randrange`` bound whose draws are the field's elements: the
+    residues below p, or the GF(2^k) bit masks below 2^k."""
+    if spec.size is None:
+        raise UnsupportedField("cannot sample uniformly from Q")
+    return spec.size
+
+
 def sample_random(spec: FieldSpec, rng: random.Random) -> FieldElement:
     """Uniform element of a finite field; deterministic for a seeded rng."""
-    if spec.kind == "prime":
-        return FieldElement(spec, rng.randrange(spec.p))
-    if spec.kind == "binary":
-        return FieldElement(spec, rng.randrange(1 << spec.k))
-    raise UnsupportedField("cannot sample uniformly from Q")
+    return FieldElement(spec, rng.randrange(_sample_bound(spec)))
+
+
+def sample_lanes(
+    spec: FieldSpec, rng: random.Random, names: Sequence[str], t: int
+) -> dict[str, list[int]]:
+    """``t`` uniform points as lanes: the plain-int value of each of the
+    distinct ``names`` at every point, one int per point.
+
+    The draws are those of ``[{v: sample_random(spec, rng) for v in names}
+    for _ in range(t)]``, in the same order, so the lanes hold the values of
+    those points without boxing any of them.
+    """
+    bound = _sample_bound(spec)
+    lanes: dict[str, list[int]] = {v: [] for v in names}
+    appends = [lanes[v].append for v in names]
+    draw = rng.randrange
+    for _ in range(t):
+        for append in appends:
+            append(draw(bound))
+    return lanes
 
 
 def embed(x: FieldElement, spec: FieldSpec) -> FieldElement:

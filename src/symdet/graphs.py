@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .circuits import is_variable_name
 from .fields import RATIONAL, FieldElement, FieldSpec, embed, parse_element
 from .polynomials import DensePolynomial
 
@@ -92,10 +93,8 @@ class Weight:
 
 
 def parse_weight(token: str, spec: FieldSpec) -> Weight:
-    """A variable ``x``, a constant ``c`` or a scaled variable ``c*x``.
-
-    A variable name must read back as a variable when rendered bare: it is
-    non-empty and starts with neither a digit nor a sign."""
+    """A variable ``x``, a constant ``c`` or a scaled variable ``c*x``; the
+    variable name must pass :func:`~symdet.circuits.is_variable_name`."""
     token = token.strip()
     if "*" in token:
         ctext, name = token.split("*", 1)
@@ -106,7 +105,7 @@ def parse_weight(token: str, spec: FieldSpec) -> Weight:
         if head[:1].isdigit() or head[:2] in ("0x", "0X"):
             return Weight.const(parse_element(token, spec))
         name, coeff = token, None
-    if not name or name[0].isdigit() or name[0] in "+-":
+    if not is_variable_name(name):
         raise ValueError(f"malformed matrix entry {token!r}: bad variable name {name!r}")
     return Weight.var(name) if coeff is None else Weight.scaled(name, coeff)
 

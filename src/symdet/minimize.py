@@ -40,7 +40,13 @@ class ConstantCircuit(CircuitError):
 
 
 class _Scratch:
-    """Mutable working copy of a circuit."""
+    """Mutable working copy of a circuit.
+
+    ``users`` maps every gate to the arrows leaving it, ``(consumer, index)``
+    keys of an insertion-ordered dict; it is built by one scan of the
+    circuit and kept up to date by every method that moves an arrow, so no
+    rewrite rescans the circuit for a gate's consumers.
+    """
 
     def __init__(self, circuit: Circuit):
         self.spec = circuit.spec
@@ -56,6 +62,7 @@ class _Scratch:
         self.outputs = list(circuit.outputs)
         self.variables = circuit.variables
         self._next = max(self.kind) + 1 if self.kind else 0
+        self.users = self.consumers()
 
     def fresh_const_one(self) -> int:
         gid = self._next
@@ -64,14 +71,33 @@ class _Scratch:
         self.name[gid] = None
         self.value[gid] = self.spec.one()
         self.args[gid] = []
+        self.users[gid] = {}
         return gid
 
-    def consumers(self) -> dict[int, list[tuple[int, int]]]:
-        out: dict[int, list[tuple[int, int]]] = {gid: [] for gid in self.kind}
+    def consumers(self) -> dict[int, dict[tuple[int, int], None]]:
+        """The arrows leaving each gate, from a scan of every gate."""
+        out: dict[int, dict[tuple[int, int], None]] = {gid: {} for gid in self.kind}
         for gid, arglist in self.args.items():
             for idx, (a, _w) in enumerate(arglist):
-                out[a].append((gid, idx))
+                out[a][(gid, idx)] = None
         return out
+
+    def set_arg(self, gid: int, idx: int, a: int, w: FieldElement) -> None:
+        """Point argument ``idx`` of ``gid`` at ``a`` with weight ``w``."""
+        del self.users[self.args[gid][idx][0]][(gid, idx)]
+        self.args[gid][idx] = [a, w]
+        self.users[a][(gid, idx)] = None
+
+    def set_args(self, gid: int, args: list[list]) -> None:
+        """Replace every argument of ``gid``."""
+        self._drop_args(gid)
+        self.args[gid] = args
+        for idx, (a, _w) in enumerate(args):
+            self.users[a][(gid, idx)] = None
+
+    def _drop_args(self, gid: int) -> None:
+        for idx, (a, _w) in enumerate(self.args[gid]):
+            del self.users[a][(gid, idx)]
 
     def topo(self) -> list[int]:
         order: list[int] = []
@@ -97,7 +123,8 @@ class _Scratch:
         return order
 
     def delete(self, gid: int) -> None:
-        del self.kind[gid], self.name[gid], self.value[gid], self.args[gid]
+        self._drop_args(gid)
+        del self.kind[gid], self.name[gid], self.value[gid], self.args[gid], self.users[gid]
 
     def to_circuit(self) -> Circuit:
         live: set[int] = set()
@@ -137,11 +164,10 @@ def _constant_flags(s: _Scratch) -> dict[int, bool]:
 
 def _split_out_degree(s: _Scratch, gid: int) -> None:
     """Duplicate a constant input so that every copy has out-degree 1."""
-    users = s.consumers()[gid]
-    for cgid, idx in users[1:]:
+    for cgid, idx in list(s.users[gid])[1:]:
         dup = s.fresh_const_one()
         s.value[dup] = s.value[gid]
-        s.args[cgid][idx][0] = dup
+        s.set_arg(cgid, idx, dup, s.args[cgid][idx][1])
 
 
 def minimize(circuit: Circuit) -> Circuit:
@@ -180,7 +206,7 @@ def _rewrite(circuit: Circuit) -> Circuit:
             c = s.value[gid]
             s.value[gid] = one
             if not c.is_one():
-                for cgid, idx in s.consumers()[gid]:
+                for cgid, idx in s.users[gid]:
                     s.args[cgid][idx][1] = s.args[cgid][idx][1] * c
             _split_out_degree(s, gid)
 
@@ -194,14 +220,14 @@ def _rewrite(circuit: Circuit) -> Circuit:
         if not (const.get(a, True) and const.get(b, True)):
             continue
         v = wa + wb if s.kind[gid] == ADD else wa * wb
+        s.set_args(gid, [])
         if a != b:
             s.delete(b)
         s.delete(a)
         s.kind[gid] = CONST
         s.value[gid] = one
-        s.args[gid] = []
         if not v.is_one():
-            for cgid, idx in s.consumers()[gid]:
+            for cgid, idx in s.users[gid]:
                 s.args[cgid][idx][1] = s.args[cgid][idx][1] * v
         _split_out_degree(s, gid)
 
@@ -225,8 +251,8 @@ def _rewrite(circuit: Circuit) -> Circuit:
             continue
         beta, c1, gamma, c2 = split
         scale = c1 * c2
-        for cgid, idx in s.consumers()[gid]:
-            s.args[cgid][idx] = [gamma, s.args[cgid][idx][1] * scale]
+        for cgid, idx in list(s.users[gid]):
+            s.set_arg(cgid, idx, gamma, s.args[cgid][idx][1] * scale)
         s.delete(gid)
         s.delete(beta)
 
@@ -241,7 +267,7 @@ def _rewrite(circuit: Circuit) -> Circuit:
             scale = c1 * c2
             promotable = (
                 s.kind[gamma] in COMPUTATION
-                and len(s.consumers()[gamma]) == 1
+                and len(s.users[gamma]) == 1
                 and gamma not in s.outputs
             )
             if promotable:
@@ -259,7 +285,7 @@ def _rewrite(circuit: Circuit) -> Circuit:
                 # gate count by turning the product into a weighted addition
                 # (the second argument is a vanishing constant arrow)
                 s.kind[out] = ADD
-                s.args[out] = [[gamma, scale], [s.fresh_const_one(), s.spec.zero()]]
+                s.set_args(out, [[gamma, scale], [s.fresh_const_one(), s.spec.zero()]])
                 s.delete(beta)
                 break
 

@@ -22,6 +22,15 @@ nonzero in every lane), so the pivot search and the fill-in bookkeeping are
 paid once for all points.  :func:`det_eval` at one point is the one-lane
 case.  Over Q, :func:`det_eval` keeps dense elimination on exact field
 elements; it is the reference the tests check the lockstep path against.
+
+Nothing is boxed from the random draw to the verdict.  The trial points are
+drawn straight into the lane of each variable by
+:func:`~symdet.fields.sample_lanes`, which makes the draws of a
+trial-by-trial ``sample_random`` loop in the same order; the circuit side
+is raised to the tested power lane by lane; the verdict compares plain
+ints, and only the first failing point and its two values become field
+elements, as the witness.  The methods that take points as ``{variable:
+FieldElement}`` maps check them and unbox them into lanes first.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from .fields import (
     _gf2_mulmod,
     _gf2_tables,
     embed,
-    sample_random,
+    sample_lanes,
 )
 from .graphs import CONSTW, VARW, SymbolicMatrix
 from .oracles import cover_sign, symbolic_det
@@ -180,6 +189,17 @@ class _IntArith:
         self.scale = scale  # a constant times each lane
         self.inv = inv  # lanes must be nonzero
         self.submul = submul  # xs - fs * vs, lane by lane
+
+    def power(self, xs: list[int], e: int) -> list[int]:
+        """Each lane to the power ``e >= 0``, by square and multiply."""
+        out = None
+        while True:
+            if e & 1:
+                out = xs if out is None else self.mul(out, xs)
+            e >>= 1
+            if not e:
+                return [1] * len(xs) if out is None else out
+            xs = self.mul(xs, xs)
 
     def det(self, rows: list[dict[int, list[int]]], t: int) -> list[int]:
         """Determinants of ``t`` square matrices that share one sparsity
@@ -348,8 +368,11 @@ class CompiledCircuit:
 
     def evaluate(self, points: Sequence[Mapping[str, FieldElement]]) -> list[list[int]]:
         """The lane of each output over the points."""
-        lanes = _lanes_of(self.variables, points, self.spec)
-        t = len(points)
+        return self.lane_evaluate(_lanes_of(self.variables, points, self.spec), len(points))
+
+    def lane_evaluate(self, lanes: Mapping[str, list[int]], t: int) -> list[list[int]]:
+        """The lane of each output at ``t`` points given as the lane of each
+        variable."""
         add, mul, scale = self.arith.add, self.arith.mul, self.arith.scale
         vals = {gid: lanes[name] for gid, name in self.inputs}
         for gid, c in self.consts:
@@ -394,10 +417,17 @@ class CompiledMatrix:
         self.variables = tuple(sorted({s[2] for s in self.slots}))
 
     def rows(self, points: Sequence[Mapping[str, FieldElement]]) -> list[dict[int, list[int]]]:
-        """Fresh sparse rows ``{column: lane}`` of the matrix over the points;
-        an entry that is zero at every point is left out."""
-        lanes = _lanes_of(self.variables, points, self.spec)
-        t = len(points)
+        """Fresh sparse rows ``{column: lane}`` of the matrix over the points."""
+        return self.lane_rows(_lanes_of(self.variables, points, self.spec), len(points))
+
+    def det(self, points: Sequence[Mapping[str, FieldElement]]) -> list[int]:
+        """The determinant at each point."""
+        return self.lane_det(_lanes_of(self.variables, points, self.spec), len(points))
+
+    def lane_rows(self, lanes: Mapping[str, list[int]], t: int) -> list[dict[int, list[int]]]:
+        """Fresh sparse rows ``{column: lane}`` of the matrix at ``t`` points
+        given as the lane of each variable; an entry that is zero at every
+        point is left out."""
         scale = self.arith.scale
         rows = [{j: [v] * t for j, v in r.items()} for r in self.const_rows]
         for i, j, name, c in self.slots:
@@ -406,9 +436,10 @@ class CompiledMatrix:
                 rows[i][j] = x
         return rows
 
-    def det(self, points: Sequence[Mapping[str, FieldElement]]) -> list[int]:
-        """The determinant at each point, from one lockstep elimination."""
-        return self.arith.det(self.rows(points), len(points))
+    def lane_det(self, lanes: Mapping[str, list[int]], t: int) -> list[int]:
+        """The determinant at each of ``t`` points given as lanes, from one
+        lockstep elimination."""
+        return self.arith.det(self.lane_rows(lanes, t), t)
 
 
 def _dense_det(vals: list[list[FieldElement]], spec: FieldSpec) -> FieldElement:
@@ -496,9 +527,11 @@ def identity_test(
     """Schwartz-Zippel test of det(m) == circuit polynomial (to the given
     power); exact symbolic comparison when both sides are small enough.
 
-    All trial points are drawn first, in the order a trial-by-trial loop
-    would draw them; both sides are then evaluated at all of them in
-    lockstep, and the first point where they differ is the witness.
+    All trial points are drawn first, straight into the lane of each
+    variable, with the draws a trial-by-trial loop of ``sample_random``
+    would make; both sides are then evaluated at all of them in lockstep,
+    the circuit side raised to ``power`` lane by lane, and the first point
+    where the plain ints differ is boxed as the witness.
     """
     if len(circuit.outputs) != 1:
         raise ValueError("identity testing needs a single-output circuit")
@@ -508,6 +541,8 @@ def identity_test(
         trials = 20 if spec.size >= (1 << 32) else 40
     if trials < 1:
         raise ValueError(f"identity testing needs at least one trial, not {trials}")
+    if power < 0:
+        raise ValueError(f"identity testing compares polynomials, not power {power}")
 
     exact = None
     if exact_upgrade and power == 1:
@@ -518,10 +553,9 @@ def identity_test(
     compiled = CompiledMatrix(m, spec)
     program = CompiledCircuit(circuit, spec)
     variables = tuple(sorted(set(circuit.variables) | set(compiled.variables)))
-    rng = random.Random(seed)
-    points = [{v: sample_random(spec, rng) for v in variables} for _ in range(trials)]
-    lhs_lanes = program.evaluate(points)[0]
-    rhs_lanes = compiled.det(points)
+    lanes = sample_lanes(spec, random.Random(seed), variables, trials)
+    lhs_lanes = program.arith.power(program.lane_evaluate(lanes, trials)[0], power)
+    rhs_lanes = compiled.lane_det(lanes, trials)
     degree_bound = max(m.dim, power * program.degrees[0])
     common = dict(
         trials=trials,
@@ -531,15 +565,14 @@ def identity_test(
         degree_bound=degree_bound,
         error_bound_log2=trials * (math.log2(degree_bound) - math.log2(spec.size)),
     )
-    for point, x, y in zip(points, lhs_lanes, rhs_lanes):
-        lhs = FieldElement(spec, x) ** power
-        rhs = FieldElement(spec, y)
-        if lhs != rhs:
+    for trial, (x, y) in enumerate(zip(lhs_lanes, rhs_lanes)):
+        if x != y:
             return Verdict(
                 FAILED,
-                witness_point={v: e.render() for v, e in point.items()},
-                lhs=lhs.render(),
-                rhs=rhs.render(),
+                witness_point={v: FieldElement(spec, lane[trial]).render()
+                               for v, lane in lanes.items()},
+                lhs=FieldElement(spec, x).render(),
+                rhs=FieldElement(spec, y).render(),
                 **common,
             )
     if exact is False:

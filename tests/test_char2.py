@@ -357,14 +357,14 @@ def test_symbolic_verdict_carries_no_bound():
 
 
 def test_random_verdict_reports_first_mismatch(monkeypatch):
-    real = char2.partial_permanent_lanes
+    real = char2.per_star_lanes
 
-    def off_by_one_in_lane_2(b, points, spec):
-        lanes = real(b, points, spec)
-        lanes[2] ^= 1
-        return lanes
+    def off_by_one_in_lane_2(compiled, lanes, t):
+        out = real(compiled, lanes, t)
+        out[2] ^= 1
+        return out
 
-    monkeypatch.setattr(char2, "partial_permanent_lanes", off_by_one_in_lane_2)
+    monkeypatch.setattr(char2, "per_star_lanes", off_by_one_in_lane_2)
     b = all_variable(5, GF2_16)
     verdict = partial_perm_identity(b, trials=4, seed=3)
     assert not verdict.ok and verdict.method == "random" and verdict.trials == 4

@@ -372,6 +372,20 @@ def test_cli_malformed_circuit_line_exits_1(tmp_path, capsys, line):
     assert err.startswith("error:") and line.split()[-1] in err
 
 
+@pytest.mark.parametrize("name", ["3x", "-y", "+z"])
+def test_cli_build_rejects_circuit_input_name_a_matrix_cannot_hold(tmp_path, capsys, name):
+    """A name the matrix format reads back as a constant or a sign is
+    refused where it enters, not after the matrix is written."""
+    circ = tmp_path / "f.circuit"
+    line = f"g0 = input {name}"
+    circ.write_text(f"vars {name} w\n{line}\ng1 = input w\ng2 = add g0 g1\noutput g2\n")
+    matrix = tmp_path / "m.matrix"
+    for method in ("ws-nonsym", "ws-sym", "sym"):
+        code, out, err = run(["build", "--method", method, str(circ), "-o", str(matrix)], capsys)
+        assert code == 1 and out == "" and not matrix.exists()
+        assert err.startswith("error:") and repr(name) in err and repr(line) in err
+
+
 def test_cli_build_dot_draws_the_gadget_of_the_build(tmp_path, capsys):
     from symdet.formulas import build_sym_graph, build_valiant_digraph
     from symdet.graphs import export_dot

@@ -21,6 +21,7 @@ from symdet.fields import (
     half,
     is_prime,
     parse_element,
+    sample_lanes,
     sample_random,
 )
 
@@ -138,6 +139,30 @@ def test_sampling_gf2_in_range():
 def test_sampling_rational_unsupported():
     with pytest.raises(UnsupportedField):
         sample_random(RATIONAL, random.Random(0))
+
+
+LANE_DRAW_FIELDS = [Z7, PRIME_DEFAULT, FieldSpec.binary(8), GF2_16, FieldSpec.binary(24)]
+
+
+@pytest.mark.parametrize("spec", LANE_DRAW_FIELDS, ids=[str(f) for f in LANE_DRAW_FIELDS])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.sampled_from([0, 1, 2, 11]),
+       t=st.sampled_from([1, 2, 7]))
+def test_sample_lanes_draws_what_sample_random_draws(spec, seed, n, t):
+    """The lane draw is the boxed trial-major draw, value for value, and
+    leaves the generator where the boxed draw leaves it."""
+    names = tuple(sorted(f"x{k}" for k in range(n)))
+    fast, slow = random.Random(seed), random.Random(seed)
+    lanes = sample_lanes(spec, fast, names, t)
+    points = [{v: sample_random(spec, slow) for v in names} for _ in range(t)]
+    assert list(lanes) == list(names)
+    assert lanes == {v: [p[v].value for p in points] for v in names}
+    assert fast.random() == slow.random()
+
+
+def test_sample_lanes_rational_unsupported():
+    with pytest.raises(UnsupportedField):
+        sample_lanes(RATIONAL, random.Random(0), ("x",), 1)
 
 
 def test_sampling_z7_uniform_chi_square():

@@ -222,3 +222,25 @@ def test_green_size_exact_on_scaled_products(rng):
     for _ in range(40):
         c = random_circuit("formula", rng.randint(1, 10), 4, rng, const_prob=0.0)
         assert measure(c).green == _recursive_green_size(c) == measure(c).skinny
+
+
+def test_rewrite_scans_the_consumers_once(monkeypatch):
+    """The arrows leaving each gate are collected by one scan and then kept
+    up to date as the rules move them, so the rewrite stays linear."""
+    from symdet.minimize import _Scratch
+
+    scans = []
+    original = _Scratch.consumers
+
+    def counted(self):
+        scans.append(len(self.kind))
+        return original(self)
+
+    monkeypatch.setattr(_Scratch, "consumers", counted)
+    rng = random.Random(800)
+    c = random_circuit("weakly-skew", 800, 5, rng, const_prob=0.3, weighted=True)
+    assert sum(g.kind == "const" for g in c.gates.values()) > 50
+    m = minimize(c)
+    assert len(scans) <= 1
+    check_normal_form(m)
+    assert equivalent(c, m, rng)

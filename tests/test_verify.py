@@ -13,6 +13,7 @@ from symdet.fields import (
     GF2_16,
     PRIME_DEFAULT,
     RATIONAL,
+    FieldElement,
     FieldSpec,
     MixedFields,
     embed,
@@ -308,6 +309,58 @@ def test_lane_det_column_vanishing_in_one_lane(spec, monkeypatch):
     got = CompiledMatrix(m, spec).det(points)
     assert calls[0] == 3 and 1 in calls
     assert got == [(p["x"] * (1 - p["y"])).value for p in points]
+
+
+@pytest.mark.parametrize("spec", COMPILED_FIELDS, ids=FIELD_IDS)
+@settings(max_examples=30, deadline=None)
+@given(values=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**64)), min_size=1,
+                       max_size=7),
+       power=st.integers(0, 3))
+def test_lane_power_matches_field_element_power(spec, values, power):
+    xs = [field_value(spec, v % spec.size).value for v in values]
+    before = list(xs)
+    got = _IntArith(spec).power(xs, power)
+    assert got == [(FieldElement(spec, x) ** power).value for x in xs]
+    assert xs == before
+
+
+def test_identity_tests_never_box_trial_points(monkeypatch, fig1_formula):
+    """Trial points are drawn straight into lanes: with ``sample_random``
+    disabled everywhere, passing and failing verdicts still come out."""
+    import sys
+
+    from symdet.char2 import partial_perm_identity, square_matrix_char2
+
+    gf = CircuitBuilder(GF2_16)
+    x, y = gf.var("x"), gf.var("y")
+    square = gf.build([gf.add(gf.mul(x, y), gf.var("z"))])
+    gf = CircuitBuilder(GF2_16)
+    other = gf.build([gf.mul(gf.var("x"), gf.var("y"))])
+    m = sym_matrix(fig1_formula, "skinny")
+    wrong = mutate_matrix(m, random.Random(1))
+    names = [[f"b{i}{j}" for j in range(5)] for i in range(5)]
+    b = SymbolicMatrix([[Weight.var(x) for x in row] for row in names], spec=GF2_16)
+
+    def boxed(*args):
+        raise AssertionError("a trial point was boxed")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("symdet")]:
+        if getattr(module, "sample_random", None) is sample_random:
+            monkeypatch.setattr(module, "sample_random", boxed)
+    for spec in (PRIME_DEFAULT, FieldSpec.prime(65537)):
+        assert identity_test(fig1_formula, m, spec=spec, exact_upgrade=False).ok
+        assert identity_test(fig1_formula, wrong, spec=spec).status == FAILED
+    a = square_matrix_char2(square)
+    assert identity_test(square, a, spec=GF2_16, power=2).ok
+    assert identity_test(other, a, spec=GF2_16, power=2).status == FAILED
+    assert partial_perm_identity(b, seed=4).ok
+
+
+@pytest.mark.parametrize("power", [-1, -2])
+def test_identity_test_rejects_negative_power(fig1_formula, power):
+    m = sym_matrix(fig1_formula, "skinny")
+    with pytest.raises(ValueError, match="power"):
+        identity_test(fig1_formula, m, power=power)
 
 
 def formal_degree(circuit) -> int:
