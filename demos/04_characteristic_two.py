@@ -39,8 +39,9 @@ bmat = SymbolicMatrix(
     spec=GF2,
 )
 print("\nper*([[a,b],[c,d]]) =", partial_permanent(bmat).render())
-res = partial_perm_identity(bmat)
-print(f"det(A + I_4) == per*(B)^2 ({res.method}): {res.ok}")
+res = partial_perm_identity(bmat)  # tested in GF(2^16), which contains GF(2)
+print(f"det(A + I_4) == per*(B)^2: {res.status} "
+      f"({res.trials} trials in {res.field}, error <= 2^{res.error_bound_log2:.0f})")
 
 # counting mod 2: for a 0/1 biadjacency matrix the determinant computes the
 # parity of the number of partial matchings

@@ -22,24 +22,22 @@ exponent per byte, so a variable entry is one addition per term and a unit
 coefficient skips the multiplication; one :class:`DensePolynomial` is built
 at the end.  The identity check runs it on lanes, lists of plain ints with
 one int per trial point (see :mod:`symdet.verify`), so every trial comes
-from one pass, as det(A + I) comes from one lockstep elimination; the trial
-points are drawn straight into those lanes and compared as plain ints.
+from one pass, as det(A + I) comes from one lockstep elimination, and
+:func:`~symdet.verify.compare_lanes` makes the randomized verdict for every n.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Sequence
 
 from .circuits import Circuit
-from .fields import FieldElement, FieldSpec, GF2_16, MixedFields, embed, sample_lanes
+from .fields import FieldElement, FieldSpec, GF2_16, MixedFields, embed
 from .graphs import CONSTW, VARW, SymbolicMatrix, Weight, WeightedGraph
 from .polynomials import DensePolynomial, TooLarge
 from .weakly_skew import ws_nonsym_matrix
-from .verify import CompiledMatrix, _lanes_of
+from .verify import CompiledMatrix, Verdict, _lanes_of, compare_lanes
 
 
 class NotCharTwo(Exception):
@@ -224,85 +222,30 @@ def plus_identity(a: SymbolicMatrix) -> SymbolicMatrix:
                           allow_linear=a.allow_linear)
 
 
-@dataclass
-class PartialPermVerdict:
-    ok: bool
-    method: str             # "symbolic" | "random"
-    lhs: str                # det(A + I)
-    rhs: str                # per*(B)^2
-    trials: int = 0
-    # Schwartz-Zippel: a random verdict passes a false identity with
-    # probability at most (degree_bound / |field|)^trials = 2^error_bound_log2
-    degree_bound: int | None = None
-    error_bound_log2: float | None = None
-
-
 def partial_perm_identity(
     b: SymbolicMatrix,
     trials: int = 20,
     seed: int = 0,
     spec: FieldSpec = GF2_16,
-) -> PartialPermVerdict:
+) -> Verdict:
     """Check det(A + I_2n) = per*(B)^2 in characteristic 2, with
     A = [[0, B], [B^T, 0]], in ``spec``: B is embedded into ``spec`` first
-    (:class:`MixedFields` when it cannot be), then compared symbolically for
-    n <= 4 and by evaluation otherwise.  Both sides have degree at most 2n;
-    at ``trials`` random points det(A + I) comes from one lockstep
-    elimination and per*(B) from one DP pass on lanes, the first mismatch is
-    reported, and the verdict states the bound (2n / |F|)^trials."""
+    (:class:`MixedFields` when it cannot be).  Both sides have degree at most
+    2n; :func:`~symdet.verify.compare_lanes` compares them at ``trials``
+    random points, det(A + I) from one lockstep elimination and per*(B) from
+    one DP pass on lanes."""
     if spec.characteristic != 2:
         raise NotCharTwo(f"{spec} does not have characteristic 2")
-    if trials < 1:
-        raise ValueError(f"identity testing needs at least one trial, not {trials}")
     b = _embed_matrix(b, spec)
     n = b.dim
-    api = plus_identity(double_matrix(b).matrix)
+    api = CompiledMatrix(plus_identity(double_matrix(b).matrix), spec)
+    per = CompiledMatrix(b, spec)
     # a scaled entry whose coefficient embeds to 0 leaves A but not B
-    variables = tuple(sorted(set(api.variables()) | set(b.variables())))
-    if n <= 4:
-        from .oracles import symbolic_det
+    variables = tuple(sorted(set(api.variables) | set(per.variables)))
 
-        lhs = symbolic_det(api, variables=variables)
-        pstar = partial_permanent(b).with_variables(variables)
-        rhs = pstar * pstar
-        return PartialPermVerdict(
-            ok=lhs == rhs, method="symbolic", lhs=lhs.render(), rhs=rhs.render()
-        )
-    lanes = sample_lanes(spec, random.Random(seed), variables, trials)
-    compiled = CompiledMatrix(api, spec)
-    lhs_lanes = compiled.lane_det(lanes, trials)
-    pstar = per_star_lanes(CompiledMatrix(b, spec), lanes, trials)
-    rhs_lanes = compiled.arith.mul(pstar, pstar)
-    common = dict(method="random", trials=trials, degree_bound=2 * n,
-                  error_bound_log2=trials * (math.log2(2 * n) - math.log2(spec.size)))
-    for x, y in zip(lhs_lanes, rhs_lanes):
-        if x != y:
-            return PartialPermVerdict(ok=False, lhs=FieldElement(spec, x).render(),
-                                      rhs=FieldElement(spec, y).render(), **common)
-    return PartialPermVerdict(ok=True, lhs="", rhs="", **common)
+    def sides(lanes, t):
+        pstar = per_star_lanes(per, lanes, t)
+        return api.lane_det(lanes, t), api.arith.mul(pstar, pstar)
 
-
-def referee_submatrix_sum(b: SymbolicMatrix) -> DensePolynomial:
-    """Sum of per(M)^2 over all square submatrices M of B (empty one gives 1),
-    which equals det(A + I_2n) in characteristic 2."""
-    from itertools import combinations
-
-    from .oracles import ryser_permanent
-
-    n = b.dim
-    if n > 4:
-        raise TooLarge("referee cross-check capped at 4x4")
-    spec = b.spec
-    variables = b.variables()
-    total = DensePolynomial.constant(spec.one(), variables)
-    for k in range(1, n + 1):
-        for rows in combinations(range(n), k):
-            for cols in combinations(range(n), k):
-                sub = SymbolicMatrix(
-                    [[b.entry(i, j) for j in cols] for i in rows],
-                    spec=spec,
-                    allow_linear=True,
-                )
-                p = ryser_permanent(sub, variables=variables)
-                total = total + p * p
-    return total
+    return compare_lanes(sides, variables, spec, trials=trials, seed=seed,
+                         dimension=2 * n, degree_bound=2 * n)

@@ -35,7 +35,7 @@ from .graphs import export_dot, parse_matrix, render_matrix
 from .minimize import green_form, minimize
 from .oracles import symbolic_det
 from .polynomials import bounds_report
-from .verify import identity_test
+from .verify import identity_test, testable
 from .weakly_skew import ws_nonsym_matrix, ws_sym_lowering
 
 
@@ -226,10 +226,10 @@ def cmd_pperm(args) -> int:
     p = partial_permanent(m)
     print(p.render())
     if args.check_identity:
-        spec = args.field if args.field.characteristic == 2 else GF2_16
+        spec = args.field if args.field.characteristic == 2 and testable(args.field) else GF2_16
         verdict = partial_perm_identity(m, seed=_resolve_seed(args), spec=spec)
-        print(f"det(A+I) == per*(B)^2 [{verdict.method}"
-              f"{_bound_text(verdict.error_bound_log2)}]: {verdict.ok}")
+        print(f"det(A+I) == per*(B)^2 [random{_bound_text(verdict.error_bound_log2)}]:"
+              f" {verdict.ok}")
         return 0 if verdict.ok else 1
     return 0
 
@@ -241,7 +241,8 @@ def cmd_verify(args) -> int:
         m = parse_matrix(fh.read(), args.field)
     spec = args.test_field
     if spec is None:
-        spec = args.field if args.field.size else PRIME_DEFAULT
+        spec = (args.field if testable(args.field)
+                else GF2_16 if args.field.characteristic == 2 else PRIME_DEFAULT)
     verdict = identity_test(
         c, m, trials=args.trials, spec=spec, seed=seed, power=args.power
     )
@@ -378,7 +379,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--trials", type=int)
     p.add_argument("--test-field", type=field_from_flag, default=None,
-                   help="evaluation field (default: --field when finite, else p61)")
+                   help="evaluation field (default: --field when it has at least 2^16 "
+                   "elements, else gf2_16 in characteristic 2 and p61 otherwise)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ci", action="store_true",
                    help="reproducibility mode: an explicit --seed is mandatory")

@@ -505,11 +505,14 @@ def embed(x: FieldElement, spec: FieldSpec) -> FieldElement:
     """Carry an element into ``spec``.
 
     Rationals embed into Z_p (denominator inverted mod p) and into GF(2^k)
-    when the denominator is odd; same-spec elements pass through; anything
-    else raises :class:`MixedFields`.
+    when the denominator is odd; 0 and 1 of any GF(2^k), its prime subfield
+    GF(2), embed into any other GF(2^m); same-spec elements pass through;
+    anything else raises :class:`MixedFields`.
     """
     if x.spec == spec:
         return x
+    if x.spec.kind == spec.kind == "binary" and x.value in (0, 1):
+        return FieldElement(spec, x.value)
     if x.spec.kind == "rational":
         q: Fraction = x.value
         if spec.kind == "prime":

@@ -3,12 +3,15 @@
 Everything here is deliberately independent of the constructions it checks.
 Cycle-cover sums enumerate vertex permutations directly (with backtracking on
 the arc structure); the symbolic determinant is a cofactor expansion over
-column subsets; the permanent uses inclusion-exclusion.  All of them return
-:class:`DensePolynomial` values and are capped at small dimensions.
+column subsets; the permanent uses inclusion-exclusion, and the
+characteristic-2 referee sums squared permanents of square submatrices.
+All of them return :class:`DensePolynomial` values and are capped at small
+dimensions.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .fields import FieldSpec
@@ -261,6 +264,25 @@ def ryser_permanent(
         if bin(excluded).count("1") % 2:
             prod = -prod
         total = total + prod
+    return total
+
+
+def referee_submatrix_sum(b: SymbolicMatrix) -> DensePolynomial:
+    """Sum of per(M)^2 over all square submatrices M of B (empty one gives 1),
+    which equals det(A + I_2n) in characteristic 2."""
+    n = b.dim
+    if n > 4:
+        raise TooLarge("referee cross-check capped at 4x4")
+    spec = b.spec
+    variables = b.variables()
+    total = _one(spec, variables)
+    for k in range(1, n + 1):
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(n), k):
+                sub = SymbolicMatrix([[b.entry(i, j) for j in cols] for i in rows],
+                                     spec=spec, allow_linear=True)
+                p = ryser_permanent(sub, variables=variables)
+                total = total + p * p
     return total
 
 

@@ -24,7 +24,7 @@ from .circuits import ADD, CONST, VAR, Circuit, CircuitBuilder
 from .fields import RATIONAL, FieldElement, FieldSpec, MixedFields, embed
 
 
-class TooLarge(Exception):
+class TooLarge(ValueError):
     """Brute-force oracle invoked beyond its intended size."""
 
 

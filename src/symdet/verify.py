@@ -6,8 +6,9 @@ wrong matrix survives t trials is at most (D / |field|)^t, where D bounds
 the degree of both sides: the matrix dimension, and the formal degree of the
 circuit times the power tested.  That is negligible at the default of 20
 trials over Z_p with p = 2^61 - 1 (40 trials over the smaller GF(2^16)), and
-every randomized verdict states it.  Small instances are upgraded to exact
-symbolic comparison.  Failures carry a reproducible witness (seed and point).
+every randomized verdict states it; fields below 2^16 elements are refused.
+:func:`identity_test` upgrades small instances to exact symbolic comparison.
+Failures carry a reproducible witness (seed and point).
 
 Both sides are compiled once per field and evaluated at all trial points
 in lockstep: every value is a lane, a list of plain ints (Z_p residues or
@@ -23,28 +24,31 @@ paid once for all points.  :func:`det_eval` at one point is the one-lane
 case.  Over Q, :func:`det_eval` keeps dense elimination on exact field
 elements; it is the reference the tests check the lockstep path against.
 
-Nothing is boxed from the random draw to the verdict.  The trial points are
+Every randomized verdict, :func:`identity_test`'s and the partial permanent
+identity's of :mod:`symdet.char2`, comes from :func:`compare_lanes`, and
+nothing is boxed from the random draw to the verdict.  The trial points are
 drawn straight into the lane of each variable by
 :func:`~symdet.fields.sample_lanes`, which makes the draws of a
-trial-by-trial ``sample_random`` loop in the same order; the circuit side
-is raised to the tested power lane by lane; the verdict compares plain
-ints, and only the first failing point and its two values become field
-elements, as the witness.  The methods that take points as ``{variable:
-FieldElement}`` maps check them and unbox them into lanes first.
+trial-by-trial ``sample_random`` loop in the same order; the verdict
+compares plain ints, and only the first failing point and its two values
+become field elements, as the witness.  The methods that take points as
+``{variable: FieldElement}`` maps check them and unbox them into lanes
+first.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .circuits import ADD, COMPUTATION, CONST, VAR, Circuit, MissingAssignment
 from .fields import (
     FieldElement,
+    FieldError,
     FieldSpec,
     MixedFields,
     PRIME_DEFAULT,
@@ -60,8 +64,25 @@ from .oracles import cover_sign, symbolic_det
 from .polynomials import expand_circuit
 
 
-class FieldTooSmall(Exception):
+class FieldTooSmall(FieldError):
     """Identity testing needs at least 2^16 field elements."""
+
+
+def testable(spec: FieldSpec) -> bool:
+    """Whether identity testing may run in ``spec``: at least 2^16 elements."""
+    return spec.size is not None and spec.size >= 1 << 16
+
+
+def _trial_count(spec: FieldSpec, trials: int | None) -> int:
+    """The checked number of trials in ``spec``, by default 20 from 2^32
+    elements up and 40 below."""
+    if not testable(spec):
+        raise FieldTooSmall(f"{spec} has fewer than 2^16 elements")
+    if trials is None:
+        trials = 20 if spec.size >= (1 << 32) else 40
+    if trials < 1:
+        raise ValueError(f"identity testing needs at least one trial, not {trials}")
+    return trials
 
 
 VERIFIED_EXACT = "verified-exact"
@@ -515,6 +536,32 @@ def _exact_upgrade(circuit: Circuit, m: SymbolicMatrix) -> bool | None:
     return lhs == rhs
 
 
+def compare_lanes(sides: Callable[..., tuple[list[int], list[int]]], variables: Sequence[str],
+                  spec: FieldSpec, *, trials: int | None, seed: int, dimension: int,
+                  degree_bound: int) -> Verdict:
+    """The randomized verdict on two polynomials in ``variables`` of degree
+    at most ``degree_bound``: ``sides(lanes, t)`` evaluates both at ``t``
+    points given as lanes.  The first point where they differ is boxed as
+    the witness; the verdict states the bound (degree_bound / |F|)^trials."""
+    trials = _trial_count(spec, trials)
+    lanes = sample_lanes(spec, random.Random(seed), variables, trials)
+    lhs_lanes, rhs_lanes = sides(lanes, trials)
+    common = dict(trials=trials, field=str(spec), dimension=dimension, seed=seed,
+                  degree_bound=degree_bound,
+                  error_bound_log2=trials * (math.log2(degree_bound) - math.log2(spec.size)))
+    for trial, (x, y) in enumerate(zip(lhs_lanes, rhs_lanes)):
+        if x != y:
+            return Verdict(
+                FAILED,
+                witness_point={v: FieldElement(spec, lane[trial]).render()
+                               for v, lane in lanes.items()},
+                lhs=FieldElement(spec, x).render(),
+                rhs=FieldElement(spec, y).render(),
+                **common,
+            )
+    return Verdict(VERIFIED_RANDOM, **common)
+
+
 def identity_test(
     circuit: Circuit,
     m: SymbolicMatrix,
@@ -527,20 +574,12 @@ def identity_test(
     """Schwartz-Zippel test of det(m) == circuit polynomial (to the given
     power); exact symbolic comparison when both sides are small enough.
 
-    All trial points are drawn first, straight into the lane of each
-    variable, with the draws a trial-by-trial loop of ``sample_random``
-    would make; both sides are then evaluated at all of them in lockstep,
-    the circuit side raised to ``power`` lane by lane, and the first point
-    where the plain ints differ is boxed as the witness.
+    Both sides are compiled once and handed to :func:`compare_lanes`, the
+    circuit side raised to ``power`` lane by lane.
     """
     if len(circuit.outputs) != 1:
         raise ValueError("identity testing needs a single-output circuit")
-    if spec.size is None or spec.size < (1 << 16):
-        raise FieldTooSmall(f"{spec} has fewer than 2^16 elements")
-    if trials is None:
-        trials = 20 if spec.size >= (1 << 32) else 40
-    if trials < 1:
-        raise ValueError(f"identity testing needs at least one trial, not {trials}")
+    trials = _trial_count(spec, trials)
     if power < 0:
         raise ValueError(f"identity testing compares polynomials, not power {power}")
 
@@ -552,29 +591,15 @@ def identity_test(
         # exact is False: keep going to attach a concrete witness point
     compiled = CompiledMatrix(m, spec)
     program = CompiledCircuit(circuit, spec)
+
+    def sides(lanes, t):
+        circuit_side = program.arith.power(program.lane_evaluate(lanes, t)[0], power)
+        return circuit_side, compiled.lane_det(lanes, t)
+
     variables = tuple(sorted(set(circuit.variables) | set(compiled.variables)))
-    lanes = sample_lanes(spec, random.Random(seed), variables, trials)
-    lhs_lanes = program.arith.power(program.lane_evaluate(lanes, trials)[0], power)
-    rhs_lanes = compiled.lane_det(lanes, trials)
-    degree_bound = max(m.dim, power * program.degrees[0])
-    common = dict(
-        trials=trials,
-        field=str(spec),
-        dimension=m.dim,
-        seed=seed,
-        degree_bound=degree_bound,
-        error_bound_log2=trials * (math.log2(degree_bound) - math.log2(spec.size)),
-    )
-    for trial, (x, y) in enumerate(zip(lhs_lanes, rhs_lanes)):
-        if x != y:
-            return Verdict(
-                FAILED,
-                witness_point={v: FieldElement(spec, lane[trial]).render()
-                               for v, lane in lanes.items()},
-                lhs=FieldElement(spec, x).render(),
-                rhs=FieldElement(spec, y).render(),
-                **common,
-            )
-    if exact is False:
-        return Verdict(FAILED, lhs="symbolic mismatch", rhs="symbolic mismatch", **common)
-    return Verdict(VERIFIED_RANDOM, **common)
+    verdict = compare_lanes(sides, variables, spec, trials=trials, seed=seed, dimension=m.dim,
+                            degree_bound=max(m.dim, power * program.degrees[0]))
+    if exact is False and verdict.ok:
+        return replace(
+            verdict, status=FAILED, lhs="symbolic mismatch", rhs="symbolic mismatch")
+    return verdict

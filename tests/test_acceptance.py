@@ -17,8 +17,8 @@ import pytest
 from symdet.char2 import (
     double_matrix,
     partial_perm_identity,
+    partial_permanent,
     plus_identity,
-    referee_submatrix_sum,
     square_matrix_char2,
 )
 from symdet.circuits import (
@@ -44,6 +44,7 @@ from symdet.oracles import (
     cycle_cover_sum,
     enumerate_st_paths,
     path_weight,
+    referee_submatrix_sum,
     ryser_permanent,
     symbolic_det,
 )
@@ -55,7 +56,7 @@ from symdet.polynomials import (
     poly_to_formula,
     random_dense_polynomial,
 )
-from symdet.verify import det_eval, identity_test
+from symdet.verify import VERIFIED_RANDOM, det_eval, identity_test
 from symdet.weakly_skew import (
     build_ws_graph,
     check_ws_certificate,
@@ -292,15 +293,18 @@ def test_criterion_6_characteristic_2():
         assert verdict.ok, (i, verdict)
 
     for n in (1, 2, 3, 4):
+        # exact: symbolic det(A + I) against the squared per*(B)
         entries = [[Weight.var(f"b{i}_{j}") for j in range(n)] for i in range(n)]
-        verdict = partial_perm_identity(SymbolicMatrix(entries, spec=GF2))
-        assert verdict.ok and verdict.method == "symbolic", n
-    for n in (5, 6):
+        b = SymbolicMatrix(entries, spec=GF2)
+        pstar = partial_permanent(b)
+        lhs = symbolic_det(plus_identity(double_matrix(b).matrix), variables=pstar.variables)
+        assert lhs == pstar * pstar, n
+    for n in range(1, 7):
         entries = [[Weight.var(f"b{i}_{j}") for j in range(n)] for i in range(n)]
         verdict = partial_perm_identity(
-            SymbolicMatrix(entries, spec=GF2_16), trials=20, seed=n
+            SymbolicMatrix(entries, spec=GF2 if n <= 4 else GF2_16), trials=20, seed=n
         )
-        assert verdict.ok and verdict.method == "random", n
+        assert verdict.status == VERIFIED_RANDOM and verdict.field == "GF(2^16)", n
     for n in (1, 2, 3):
         entries = [[Weight.var(f"b{i}_{j}") for j in range(n)] for i in range(n)]
         b = SymbolicMatrix(entries, spec=GF2)
@@ -312,7 +316,7 @@ def test_criterion_6_characteristic_2():
     report(
         "6",
         f"100 char-2 squares (40-trial identities over GF(2^16), max dim {max_dim} "
-        "<= 2m+2); per* identity exact n<=4, random n=5,6; referee check n<=3",
+        "<= 2m+2); per* identity exact n<=4, random n=1-6; referee check n<=3",
         time.time() - t0,
         120,
     )

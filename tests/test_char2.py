@@ -14,7 +14,6 @@ from symdet.char2 import (
     partial_permanent,
     partial_permanent_lanes,
     plus_identity,
-    referee_submatrix_sum,
     square_matrix_char2,
 )
 from symdet.circuits import CircuitBuilder, measure, random_circuit
@@ -28,9 +27,9 @@ from symdet.fields import (
     sample_random,
 )
 from symdet.graphs import CONSTW, VARW, SymbolicMatrix, Weight
-from symdet.oracles import enumerate_cycle_covers, symbolic_det
+from symdet.oracles import enumerate_cycle_covers, referee_submatrix_sum, symbolic_det
 from symdet.polynomials import DensePolynomial, parse_polynomial
-from symdet.verify import identity_test
+from symdet.verify import FAILED, VERIFIED_RANDOM, det_eval, identity_test
 from tests.conftest import poly_equal
 
 
@@ -161,17 +160,31 @@ def test_frobenius_consistency_on_matchings(rng):
 def test_partial_perm_identity_n1_gf2():
     b = SymbolicMatrix([[Weight.var("b")]], spec=GF2)
     verdict = partial_perm_identity(b)
-    assert verdict.ok and verdict.method == "symbolic"
-    # det [[1, b], [b, 1]] = 1 - b^2 = (1+b)^2 mod 2
-    assert "b^2" in verdict.lhs
+    assert verdict.status == VERIFIED_RANDOM and verdict.field == "GF(2^16)"
+    assert verdict.dimension == verdict.degree_bound == 2
 
 
-def test_partial_perm_identity_symbolic_n_le_4(rng):
-    for n in (2, 3, 4):
-        entries = [[Weight.var(f"b{i}_{j}") for j in range(n)] for i in range(n)]
-        b = SymbolicMatrix(entries, spec=GF2)
-        verdict = partial_perm_identity(b)
-        assert verdict.ok and verdict.method == "symbolic", n
+def small_pperm_matrices(spec):
+    """For n = 1-4: the all-variable B, and B with a constant and a scaled
+    entry."""
+    for n in (1, 2, 3, 4):
+        b = all_variable(n, spec)
+        yield b
+        c = spec.one() if spec == GF2 else spec.from_bits(0x1F)
+        yield SymbolicMatrix(
+            [[Weight.const(c) if (i, j) == (0, 0) else
+              Weight.scaled(f"b{i}_{j}", c) if (i, j) == (n - 1, 0) else b.entry(i, j)
+              for j in range(n)] for i in range(n)],
+            spec=spec, allow_linear=True)
+
+
+def test_partial_perm_identity_symbolic_n_le_4():
+    """The identity holds exactly: symbolic det(A + I) against per*(B)^2."""
+    for spec in (GF2, GF2_16):
+        for b in small_pperm_matrices(spec):
+            lhs = symbolic_det(plus_identity(double_matrix(b).matrix), variables=b.variables())
+            rhs = partial_permanent(b).with_variables(b.variables())
+            assert lhs == rhs * rhs, (spec, b.dim)
 
 
 def test_partial_perm_identity_random_n5_n6():
@@ -179,7 +192,7 @@ def test_partial_perm_identity_random_n5_n6():
         entries = [[Weight.var(f"b{i}_{j}") for j in range(n)] for i in range(n)]
         b = SymbolicMatrix(entries, spec=GF2_16)
         verdict = partial_perm_identity(b, trials=20, seed=n)
-        assert verdict.ok and verdict.method == "random", n
+        assert verdict.status == VERIFIED_RANDOM, n
 
 
 @pytest.mark.parametrize("n", [1, 5])
@@ -342,18 +355,12 @@ def all_variable(n, spec):
     return SymbolicMatrix(entries, spec=spec)
 
 
-@pytest.mark.parametrize("n,trials", [(5, 20), (6, 3), (7, 1)])
+@pytest.mark.parametrize("n,trials", [(1, 20), (2, 20), (3, 20), (4, 20), (5, 20), (6, 3), (7, 1)])
 def test_random_verdict_states_schwartz_zippel_bound(n, trials):
     verdict = partial_perm_identity(all_variable(n, GF2_16), trials=trials, seed=1)
-    assert verdict.ok and verdict.method == "random"
-    assert verdict.degree_bound == 2 * n
+    assert verdict.status == VERIFIED_RANDOM and verdict.trials == trials
+    assert verdict.dimension == verdict.degree_bound == 2 * n
     assert verdict.error_bound_log2 == pytest.approx(trials * math.log2(2 * n / 2**16))
-
-
-def test_symbolic_verdict_carries_no_bound():
-    verdict = partial_perm_identity(all_variable(3, GF2_16))
-    assert verdict.method == "symbolic"
-    assert verdict.degree_bound is None and verdict.error_bound_log2 is None
 
 
 def test_random_verdict_reports_first_mismatch(monkeypatch):
@@ -365,11 +372,18 @@ def test_random_verdict_reports_first_mismatch(monkeypatch):
         return out
 
     monkeypatch.setattr(char2, "per_star_lanes", off_by_one_in_lane_2)
-    b = all_variable(5, GF2_16)
-    verdict = partial_perm_identity(b, trials=4, seed=3)
-    assert not verdict.ok and verdict.method == "random" and verdict.trials == 4
-    assert verdict.lhs != verdict.rhs and verdict.lhs.startswith("0x")
-    assert verdict.degree_bound == 10
+    for n in (2, 5):
+        b = all_variable(n, GF2_16)
+        verdict = partial_perm_identity(b, trials=4, seed=3)
+        assert verdict.status == FAILED and verdict.trials == 4 and verdict.seed == 3
+        assert verdict.degree_bound == 2 * n
+        # the witness is the point of lane 2, where per* was bumped by one
+        point = {v: GF2_16.from_bits(int(x, 16)) for v, x in verdict.witness_point.items()}
+        assert sorted(point) == list(b.variables())
+        det = det_eval(plus_identity(double_matrix(b).matrix), point)
+        pstar = partial_permanent([[w.eval(point, GF2_16) for w in row] for row in b.entries])
+        assert verdict.lhs == det.render() == (pstar * pstar).render()
+        assert verdict.rhs == ((pstar + 1) * (pstar + 1)).render()
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 5, 6])

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdet.circuits import classify, evaluate, measure, parse_circuit, render_circuit
 from symdet.cli import main, parse_expression
@@ -170,7 +176,7 @@ def variable_matrix_text(n):
 
 
 @pytest.mark.parametrize("text,method", [
-    ("2\na b\nc d\n", "symbolic"),
+    ("2\na b\nc d\n", "random, error <= 2^-280"),  # 20 log2(4 / 2^16)
     (variable_matrix_text(5), "random, error <= 2^-253"),  # 20 log2(10 / 2^16)
 ], ids=["n=2", "n=5"])
 def test_cli_pperm_verdict_over_q_does_not_depend_on_n(tmp_path, capsys, text, method):
@@ -347,6 +353,8 @@ def test_cli_build_never_reports_spurious_bound_violation(tmp_path, capsys, rng)
 
 X_CIRCUIT = "vars x\ng0 = input x\noutput g0\n"
 HALF_CIRCUIT = "vars x\ng0 = input x\ng1 = const 1/2\ng2 = add g0 g1\noutput g2\n"
+XY_PLUS_ONE = ("vars x y\ng0 = input x\ng1 = input y\ng2 = mul g0 g1\n"
+               "g3 = const 1\ng4 = add g2 g3\noutput g4\n")
 
 
 @pytest.mark.parametrize("circuit, matrix, flags", [
@@ -496,3 +504,105 @@ def test_cli_verify_states_error_bound(tmp_path, capsys):
     assert code == 0
     assert out == (f"verified-random (dimension {verdict['dimension']}, field Z_{PRIME_DEFAULT.p},"
                    f" trials 20, error <= 2^{bound})\n")
+
+
+# -- test fields ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("test_field", ["p:7", "gf2", "gf2:8"])
+def test_cli_verify_in_too_small_a_field_exits_1(tmp_path, capsys, test_field):
+    circ = tmp_path / "f.circuit"
+    circ.write_text(X_CIRCUIT)
+    mat = tmp_path / "m.matrix"
+    mat.write_text("1\nx\n")
+    code, out, err = run(["verify", str(circ), str(mat), "--test-field", test_field], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "2^16" in err
+
+
+def test_cli_pperm_beyond_the_symbolic_cap_exits_1(tmp_path, capsys):
+    mfile = tmp_path / "b.matrix"
+    mfile.write_text(variable_matrix_text(9))
+    code, out, err = run(["pperm", str(mfile)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "8x8" in err
+
+
+def test_cli_pperm_over_gf2_is_tested_in_gf2_16(tmp_path, capsys):
+    mfile = tmp_path / "b.matrix"
+    mfile.write_text(variable_matrix_text(5).replace("b2_3", "1"))
+    code, out, _ = run(["pperm", str(mfile), "--field", "gf2", "--check-identity",
+                        "--seed", "2"], capsys)
+    assert code == 0
+    # 20 log2(10 / 2^16), where testing in GF(2) itself stated 2^47
+    assert out.splitlines()[1] == "det(A+I) == per*(B)^2 [random, error <= 2^-253]: True"
+
+
+def test_cli_verify_over_gf2_is_tested_in_gf2_16(tmp_path, capsys):
+    circ = tmp_path / "f.circuit"
+    circ.write_text(XY_PLUS_ONE)
+    code, out, _ = run(["char2-square", str(circ), "--field", "gf2"], capsys)
+    assert code == 0
+    mat = tmp_path / "m.matrix"
+    mat.write_text(out)
+    code, out, _ = run(["verify", str(circ), str(mat), "--field", "gf2", "--power", "2",
+                        "--seed", "3", "--json"], capsys)
+    verdict = json.loads(out)
+    assert code == 0 and verdict["status"] == "verified-random"
+    assert verdict["field"] == "GF(2^16)" and verdict["trials"] == 40
+    assert verdict["error_bound_log2"] < -400
+
+
+def test_cli_pperm_constant_outside_gf2_of_small_field_exits_1(tmp_path, capsys):
+    """A GF(2^8) matrix is tested in GF(2^16), into which only its constants
+    0 and 1 embed."""
+    mfile = tmp_path / "b.matrix"
+    mfile.write_text("2\n0x3 a\nb c\n")
+    code, out, err = run(["pperm", str(mfile), "--field", "gf2:8", "--check-identity"],
+                         capsys)
+    assert code == 1
+    assert len(out.splitlines()) == 1  # per*(B) is printed before the check
+    assert err.startswith("error: cannot embed")
+    mfile.write_text("2\n1 a\nb c\n")
+    code, out, _ = run(["pperm", str(mfile), "--field", "gf2:8", "--check-identity"],
+                       capsys)
+    assert code == 0 and out.splitlines()[1].endswith("]: True")
+
+
+# -- fuzzing the pperm / verify boundary ---------------------------------------
+
+FUZZ_FIELDS = ("gf2", "gf2:8", "gf2_16", "q", "p61")
+FUZZ_TOKENS = (
+    "0", "x", "y", "b",                                        # valid everywhere
+    "1", "0x3", "0x80", "0x1f", "0x8001", "-1", "3", "1/3", "-2", "5",  # field constants
+    "3*x", "0x1f*y", "1/3*b",                                  # scaled variables
+    "2*", "-", "1/0", "0x",                                    # malformed
+)
+
+
+@st.composite
+def matrix_texts(draw):
+    """Matrix files of dimension 0-4: mostly well formed, some with ragged
+    rows or a wrong header."""
+    n = draw(st.integers(0, 4))
+    header = draw(st.one_of(st.just(str(n)), st.just(f"{n} symmetric"),
+                            st.sampled_from([str(n + 1), "x", "-1", ""])))
+    widths = st.integers(max(n - 1, 0), n + 1) if draw(st.booleans()) else st.just(n)
+    rows = [draw(st.lists(st.sampled_from(FUZZ_TOKENS), min_size=w, max_size=w))
+            for w in draw(st.lists(widths, min_size=n, max_size=n))]
+    return header + "\n" + "".join(" ".join(row) + "\n" for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=matrix_texts(), field=st.sampled_from(FUZZ_FIELDS))
+def test_cli_pperm_and_verify_exit_cleanly_on_any_matrix_text(text, field):
+    with tempfile.TemporaryDirectory() as tmp:
+        circ, mat = Path(tmp) / "f.circuit", Path(tmp) / "m.matrix"
+        circ.write_text(XY_PLUS_ONE)
+        mat.write_text(text)
+        for argv in (["pperm", str(mat), "--check-identity"],
+                     ["verify", str(circ), str(mat)]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([*argv, "--field", field, "--seed", "1"])
+            assert code in (0, 1), (argv, text)

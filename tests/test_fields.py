@@ -188,6 +188,19 @@ def test_embed_rational_to_prime_and_binary():
         embed(RATIONAL.from_fraction("1/2"), GF2_16)
 
 
+@pytest.mark.parametrize("source", [GF2, FieldSpec.binary(8)], ids=str)
+@pytest.mark.parametrize("target", [GF2_16, FieldSpec.binary(24)], ids=str)
+def test_embed_prime_subfield_of_binary_fields(source, target):
+    """0 and 1 of any GF(2^k) are GF(2), which every GF(2^m) contains."""
+    assert embed(source.zero(), target) == target.zero()
+    assert embed(source.one(), target) == target.one()
+    if source.k > 1:
+        with pytest.raises(MixedFields):
+            embed(source.from_bits(0x3), target)
+    with pytest.raises(MixedFields):
+        embed(source.one(), PRIME_DEFAULT)
+
+
 def test_pow_and_neg():
     x = Z7.from_int(3)
     assert x**6 == Z7.one()

@@ -8,10 +8,15 @@ characteristic-2 fields for every n, and over Q and p61 for n >= 5 (where
 the check embeds B into GF(2^16) by evaluation, or fails to).  Last come
 the all-variable matrices ``b{i}_{j}`` for n = 1-6 over GF(2^16), checked.
 
-Randomized verdict lines state their Schwartz-Zippel bound in the bracket,
-``[random, error <= 2^N]``; that clause is checked against the bound the
-test computes itself and removed before hashing, so the digest pins the
-polynomial lines, the verdicts, the exit codes and the rest of every line.
+Every verdict line is randomized, tested in GF(2^16) (the characteristic-2
+fields here are at most that large), and states its Schwartz-Zippel bound in
+the bracket, ``[random, error <= 2^N]``; that clause is checked against the
+bound the test computes itself and removed before hashing, so the digest
+pins the polynomial lines, the verdicts, the exit codes and the rest of
+every line.  The digest is that of the earlier output, which tested n <= 4
+symbolically (``[symbolic]``) and GF(2) matrices in GF(2) itself, with the
+bound removed and ``[symbolic]`` read as ``[random]``: the verdicts did not
+change.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import re
 
 from symdet.cli import main
 
-GOLDEN_SHA256 = "881a44f5e69afe29cd47e829151cc83bd51e702b1465ec5841dc7382a952c1fe"
+GOLDEN_SHA256 = "a8cc526f0b314e1f9783a3f8f6d768edf8d140e744b170c354ba29643093477a"
 
 FIELDS = {
     "gf2": ("1",),
@@ -33,7 +38,7 @@ FIELDS = {
     "q": ("1", "-1", "3", "1/3"),
     "p61": ("1", "-2", "5"),
 }
-FIELD_BITS = {"gf2": 1, "gf2_16": 16}
+CHAR2 = ("gf2", "gf2_16")
 BOUND = re.compile(r", error <= 2\^(-?\d+)\]")
 
 
@@ -66,7 +71,7 @@ def corpus():
                 seed = str(rng.randrange(1000))
                 label = f"n={n} {field} #{k}"
                 yield label, ["--field", field], text, n, field
-                if field in FIELD_BITS or n >= 5:
+                if field in CHAR2 or n >= 5:
                     yield (f"{label} check", ["--field", field, "--check-identity",
                                               "--seed", seed], text, n, field)
     for n in range(1, 7):
@@ -91,10 +96,9 @@ def test_pperm_stdout_matches_golden_digest(tmp_path):
         path.write_text(text)
         code, out = run_pperm(path, tail)
         bounds = BOUND.findall(out)
-        if "--check-identity" in tail and n >= 5 and field != "p61":
-            # 20 trials over GF(2^16), or over GF(2) itself
-            bits = FIELD_BITS.get(field, 16)
-            assert bounds == [str(math.ceil(20 * (math.log2(2 * n) - bits)))], (label, out)
+        if "--check-identity" in tail and field != "p61":
+            # 20 trials over GF(2^16)
+            assert bounds == [str(math.ceil(20 * (math.log2(2 * n) - 16)))], (label, out)
         else:
             assert bounds == [], (label, out)
         h.update(f"{label}\n{code}\n{BOUND.sub(']', out)}".encode())
