@@ -226,12 +226,19 @@ def classify(circuit: Circuit) -> WsClassification:
     cons = circuit.consumers()
     outputs = set(circuit.outputs)
 
+    # ancestor sets; only multiplication arguments' sets are read below, so
+    # any other is freed once its last consumer is built (O(n) on a chain)
+    mul_args = {a for g in circuit.gates.values() if g.kind == MUL for a, _w in g.args}
+    waiting = {gid: len(users) for gid, users in cons.items()}
     anc: dict[int, frozenset[int]] = {}
     for gid in topo:
         g = circuit.gates[gid]
         s = frozenset({gid})
         for a, _w in g.args:
             s |= anc[a]
+            waiting[a] -= 1
+            if not waiting[a] and a not in mul_args:
+                del anc[a]
         anc[gid] = s
 
     def arg_closed(alpha: Gate, beta: int) -> bool:
@@ -572,8 +579,8 @@ def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
         return x
 
     def gid_of(token: str) -> int:
-        if not token.startswith("g"):
-            raise CircuitError(f"expected gate reference, got {token!r}")
+        if not (token.startswith("g") and token[1:].isdecimal()):
+            raise ValueError(f"expected gate reference, got {token!r}")
         return int(token[1:])
 
     def arg_of(token: str) -> tuple[int, FieldElement]:
@@ -589,25 +596,29 @@ def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
         if line.startswith("vars "):
             variables = line.split()[1:]
             continue
-        if line.startswith("output"):
-            outputs = [gid_of(t) for t in line.split()[1:]]
-            continue
-        lhs, eq, rhs = line.partition("=")
-        toks = rhs.split()
-        kind = toks[0] if toks else None
-        if not eq or len(toks) != (2 if kind in ("input", "const") else 3):
-            raise CircuitError(f"malformed gate line {raw!r}")
-        gid = gid_of(lhs.strip())
-        if kind == "input":
-            if not is_variable_name(toks[1]):
-                raise CircuitError(f"bad variable name {toks[1]!r} in line {raw!r}")
-            gates[gid] = Gate(gid, VAR, name=toks[1])
-        elif kind == "const":
-            gates[gid] = Gate(gid, CONST, value=element(toks[1]))
-        elif kind in COMPUTATION:
-            gates[gid] = Gate(gid, kind, args=(arg_of(toks[1]), arg_of(toks[2])))
-        else:
-            raise CircuitError(f"unknown gate kind {kind!r} in line {raw!r}")
+        # a malformed constant or gate reference raises ValueError naming it
+        try:
+            if line.startswith("output"):
+                outputs = [gid_of(t) for t in line.split()[1:]]
+                continue
+            lhs, eq, rhs = line.partition("=")
+            toks = rhs.split()
+            kind = toks[0] if toks else None
+            if not eq or len(toks) != (2 if kind in ("input", "const") else 3):
+                raise CircuitError(f"malformed gate line {raw!r}")
+            gid = gid_of(lhs.strip())
+            if kind == "input":
+                if not is_variable_name(toks[1]):
+                    raise CircuitError(f"bad variable name {toks[1]!r} in line {raw!r}")
+                gates[gid] = Gate(gid, VAR, name=toks[1])
+            elif kind == "const":
+                gates[gid] = Gate(gid, CONST, value=element(toks[1]))
+            elif kind in COMPUTATION:
+                gates[gid] = Gate(gid, kind, args=(arg_of(toks[1]), arg_of(toks[2])))
+            else:
+                raise CircuitError(f"unknown gate kind {kind!r} in line {raw!r}")
+        except ValueError as exc:
+            raise CircuitError(f"{exc} in line {raw!r}") from None
     return validate(Circuit(gates, outputs, spec=spec, variables=variables))
 
 
@@ -653,6 +664,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+MAX_NESTING = 200  # nested parentheses; the descent takes 3 frames a level
+
+
 def parse_expression(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
     """Formula circuit for ``expr := term (('+'|'-') term)*`` with
     ``term := factor ('*' factor)*`` and parenthesized sub-expressions.
@@ -662,6 +676,7 @@ def parse_expression(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
     """
     tokens = _tokenize(text)
     pos = 0
+    depth = 0  # parentheses open around the current factor
     b = CircuitBuilder(spec)
 
     def peek():
@@ -696,17 +711,25 @@ def parse_expression(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
         return lower_product(factors)
 
     def parse_factor():
+        nonlocal depth
         kind, value, at = peek()
         if kind == "num":
             take()
-            return (None, parse_element(value, spec))
+            try:
+                return (None, parse_element(value, spec))
+            except ValueError as exc:
+                raise SyntaxErrorAt(str(exc), at) from None
         if kind == "name":
             take()
             return (b.var(value), spec.one())
         if kind == "(":
+            if depth == MAX_NESTING:
+                raise SyntaxErrorAt("expression nested too deeply", at)
             take()
+            depth += 1
             inner = parse_expr()
             take(")")
+            depth -= 1
             return inner
         raise SyntaxErrorAt(f"unexpected token {value!r}", at)
 

@@ -450,15 +450,16 @@ class FieldElement:
 def parse_element(text: str, spec: FieldSpec) -> FieldElement:
     """Parse a decimal integer, ``a/b`` fraction, or hex bit string."""
     text = text.strip()
-    if spec.kind == "binary" and text.startswith(("0x", "0X", "-0x")):
-        return spec.from_bits(int(text.lstrip("-"), 16))
-    if "/" in text or spec.kind != "prime":
-        try:
-            q = Fraction(text)
-        except ZeroDivisionError:
-            raise DivisionByZero(f"zero denominator in {text!r}") from None
-        return spec.from_fraction(q)
-    return spec.from_int(int(text, 0))
+    try:
+        if spec.kind == "binary" and text.startswith(("0x", "0X", "-0x")):
+            return spec.from_bits(int(text.lstrip("-"), 16))
+        if "/" in text or spec.kind != "prime":
+            return spec.from_fraction(Fraction(text))
+        return spec.from_int(int(text, 0))
+    except ZeroDivisionError:
+        raise DivisionByZero(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"malformed constant {text!r}") from None
 
 
 def half(spec: FieldSpec) -> FieldElement:

@@ -1,7 +1,8 @@
 """Lowering formulas to determinantal representations.
 
-Two constructions, both driven by path sums in a gadget (di)graph built over
-the formula tree:
+Two constructions, both driven by path sums in a gadget (di)graph placed
+straight on the formula's gates by one walk over an explicit stack (so depth
+costs no recursion), each construction handing the walk only its gadget step:
 
 * the corrected digraph construction (non-symmetric): a digraph G, vertices
   s and t and a scalar c0 with  c0 * sum_P (-1)^|P| w(P) = f  over all
@@ -22,6 +23,7 @@ path-sum identity and the structural conditions directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .circuits import (
     ADD,
@@ -32,7 +34,7 @@ from .circuits import (
     CircuitError,
     classify,
 )
-from .fields import FieldElement, FieldSpec, half
+from .fields import FieldElement, half
 from .graphs import (
     CONSTW,
     SymbolicMatrix,
@@ -43,53 +45,31 @@ from .graphs import (
     close_abp,
 )
 from .minimize import green_form
+from .weakly_skew import _input_weight
 
 
 class NotAFormula(CircuitError):
     pass
 
 
-# -- formula trees -----------------------------------------------------------
+def _walk(f: Circuit, s: int, t: int, step: Callable) -> None:
+    """Place the gadgets of formula ``f`` between vertices ``s`` and ``t``.
 
-Leaf = tuple  # ("var", name) | ("const", FieldElement)
-Node = tuple  # (op, (child, weight), (child, weight))
-
-
-def formula_tree(circuit: Circuit) -> Node:
-    """Tree view of a single-output formula circuit."""
-    cl = classify(circuit)
-    if not cl.is_formula:
-        raise NotAFormula("circuit is not a formula")
-    gates = circuit.gates
-
-    def walk(gid: int) -> Node:
-        g = gates[gid]
-        if g.kind == VAR:
-            return (VAR, g.name)
-        if g.kind == CONST:
-            return (CONST, g.value)
-        (a, wa), (b, wb) = g.args
-        return (g.kind, (walk(a), wa), (walk(b), wb))
-
-    return walk(circuit.outputs[0])
-
-
-def _deweight(node: Node, spec: FieldSpec) -> Node:
-    """Push arrow weights into explicit constant-factor products.
-
-    Classical (skinny-size) constructions assume weightless formulas, so a
-    weight c on an arrow becomes a multiplication by the constant c.
+    Jobs ``(gate, arrow weight, a, b)`` come off an explicit stack, so depth
+    costs no recursion.  ``step(*job)`` places one gadget and returns its
+    children's jobs, left first; a callable among them runs once the jobs
+    before it are done.  The left subtree is placed before the right one,
+    which fixes the vertex numbering.
     """
-    if node[0] in (VAR, CONST):
-        return node
-    op, (l, wl), (r, wr) = node
-    one = spec.one()
-    l, r = _deweight(l, spec), _deweight(r, spec)
-    if not wl.is_one():
-        l = (MUL, ((CONST, wl), one), (l, one))
-    if not wr.is_one():
-        r = (MUL, ((CONST, wr), one), (r, one))
-    return (op, (l, one), (r, one))
+    if not classify(f).is_formula:
+        raise NotAFormula("circuit is not a formula")
+    stack: list = [(f.outputs[0], f.spec.one(), s, t)]
+    while stack:
+        job = stack.pop()
+        if callable(job):
+            job()
+        else:
+            stack += reversed(step(*job))
 
 
 def _lemma_c0(op: str, cl: FieldElement, cr: FieldElement, mul_sign: int) -> FieldElement:
@@ -109,26 +89,25 @@ def _lemma_c0(op: str, cl: FieldElement, cr: FieldElement, mul_sign: int) -> Fie
     return cl if not cl.is_zero() else cr
 
 
-def _lemma_c0s(tree: Node, spec: FieldSpec, mul_sign: int) -> dict[int, FieldElement]:
-    """The lemma scalar of every sub-formula of ``tree``, keyed by the id of
-    its node (a leaf's is 1), from one bottom-up pass over an explicit stack,
-    so each node is combined once and no recursion is added."""
+def _lemma_c0s(f: Circuit, mul_sign: int) -> dict[int, FieldElement]:
+    """The lemma scalar of every gate of formula ``f`` (an input's is 1), in
+    one pass over the topological order, so each gate is combined once."""
     c0: dict[int, FieldElement] = {}
-    stack = [tree]
-    while stack:
-        node = stack[-1]
-        if node[0] in (VAR, CONST):
-            c0[id(node)] = spec.one()
-            stack.pop()
-            continue
-        op, (l, wl), (r, wr) = node
-        todo = [x for x in (l, r) if id(x) not in c0]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        c0[id(node)] = _lemma_c0(op, wl * c0[id(l)], wr * c0[id(r)], mul_sign)
+    for gid in f.topo_order():
+        gate = f.gates[gid]
+        if gate.is_input:
+            c0[gid] = f.spec.one()
+        else:
+            (l, wl), (r, wr) = gate.args
+            c0[gid] = _lemma_c0(gate.kind, wl * c0[l], wr * c0[r], mul_sign)
     return c0
+
+
+def _addition(gate, c0s: dict[int, FieldElement], a: int, b: int):
+    """The jobs of an addition whose branches of lemma scalar zero are
+    dropped, or None when both branches survive and need the gadget."""
+    live = [(x, w, a, b) for x, w in gate.args if not (w * c0s[x]).is_zero()]
+    return live if len(live) < 2 else None
 
 
 # -- certificates -------------------------------------------------------------
@@ -145,7 +124,6 @@ class PathSumCertificate:
     c0: FieldElement
     parity: str
     source: Circuit
-    tree: Node      # the formula tree of ``source`` the gadget was built over
 
 
 # ---------------------------------------------------------------------------
@@ -155,66 +133,50 @@ class PathSumCertificate:
 
 def build_valiant_digraph(f: Circuit) -> PathSumCertificate:
     """Digraph with at most gsize(f)+2 vertices realizing the signed path sum."""
-    spec = f.spec
     work = green_form(f)
-    tree = formula_tree(work)
-    c0s = _lemma_c0s(tree, spec, mul_sign=-1)
-    dg = WeightedDigraph(spec)
+    c0s = _lemma_c0s(work, mul_sign=-1)
+    dg = WeightedDigraph(work.spec)
     s, t = dg.add_vertex(), dg.add_vertex()
 
-    def build(node: Node, a: int, b: int) -> FieldElement:
-        if node[0] == VAR:
-            dg.add_arc(a, b, Weight.var(node[1]))
-            return spec.one()
-        if node[0] == CONST:
-            dg.add_arc(a, b, Weight.const(node[1]))
-            return spec.one()
-        op, (l, wl), (r, wr) = node
-        if op == MUL:
+    def step(gid: int, _w: FieldElement, a: int, b: int):
+        gate = work.gates[gid]
+        if gate.is_input:
+            dg.add_arc(a, b, _input_weight(gate))
+            return ()
+        (l, wl), (r, wr) = gate.args
+        if gate.kind == MUL:
             mid = dg.add_vertex()
-            ca = build(l, a, mid)
-            cb = build(r, mid, b)
-            return -(wl * wr * ca * cb)
-        cl, cr = wl * c0s[id(l)], wr * c0s[id(r)]
-        if cl.is_zero() and cr.is_zero():
-            return spec.zero()
-        if cl.is_zero():
-            return wr * build(r, a, b)
-        if cr.is_zero():
-            return wl * build(l, a, b)
+            return (l, wl, a, mid), (r, wr, mid, b)
+        jobs = _addition(gate, c0s, a, b)
+        if jobs is not None:
+            return jobs
         t2 = dg.add_vertex()
-        ca = build(l, a, b)
-        cb = build(r, a, t2)
-        dg.add_arc(t2, b, Weight.const(-(wr * cb) / (wl * ca)))
-        return wl * ca
+        dg.add_arc(t2, b, Weight.const(-(wr * c0s[r]) / (wl * c0s[l])))
+        return (l, wl, a, b), (r, wr, a, t2)
 
-    c0 = build(tree, s, t)
+    _walk(work, s, t, step)
     dg.roles.update(s=s, t=t)
-    return PathSumCertificate(dg, s, t, c0, PARITY_NONSYM, work, tree)
+    return PathSumCertificate(dg, s, t, c0s[work.outputs[0]], PARITY_NONSYM, work)
 
 
-def _product_fallback(tree: Node, spec: FieldSpec) -> SymbolicMatrix:
+def _product_fallback(f: Circuit) -> SymbolicMatrix:
     """Diagonal matrix for a formula with no addition: c * x_1 * ... * x_n."""
     names: list[str] = []
-    const = spec.one()
-
-    def walk(node: Node, w: FieldElement) -> None:
-        nonlocal const
+    const = f.spec.one()
+    stack = [(f.outputs[0], const)]
+    while stack:  # left factor first
+        gid, w = stack.pop()
+        gate = f.gates[gid]
         const = const * w
-        if node[0] == VAR:
-            names.append(node[1])
-        elif node[0] == CONST:
-            const = const * node[1]
-        else:
-            _, (l, wl), (r, wr) = node
-            walk(l, wl)
-            walk(r, wr)
-
-    walk(tree, spec.one())
+        if gate.kind == VAR:
+            names.append(gate.name)
+        elif gate.kind == CONST:
+            const = const * gate.value
+        stack += reversed(gate.args)
     diag = [Weight.var(x) for x in names]
     if not const.is_one() or not diag:
         diag.append(Weight.const(const))
-    return SymbolicMatrix([{i: w} for i, w in enumerate(diag)], spec=spec, symmetric=True)
+    return SymbolicMatrix([{i: w} for i, w in enumerate(diag)], spec=f.spec, symmetric=True)
 
 
 def valiant_matrix(f: Circuit) -> SymbolicMatrix:
@@ -231,7 +193,7 @@ def valiant_lowering(f: Circuit) -> tuple[SymbolicMatrix, PathSumCertificate]:
     cert = build_valiant_digraph(f)
     spec = f.spec
     if not any(g.kind == ADD for g in cert.source.gates.values()):
-        return _product_fallback(cert.tree, spec), cert
+        return _product_fallback(cert.source), cert
     dg, s, t, c0 = cert.graph, cert.s, cert.t, cert.c0
     if not any(v == t for _, v in dg.arcs):
         return SymbolicMatrix([[Weight.const(spec.zero())]], spec=spec), cert
@@ -266,21 +228,19 @@ def valiant_lowering(f: Circuit) -> tuple[SymbolicMatrix, PathSumCertificate]:
 def build_sym_graph(f: Circuit, mode: str = "skinny") -> PathSumCertificate:
     """Gadget graph meeting the symmetric path-sum conditions.
 
-    ``skinny`` follows the weightless construction (arrow weights are first
-    expanded into constant products); ``green`` minimizes first and carries
+    ``skinny`` follows the weightless construction (an arrow weight becomes
+    a product with a constant leaf); ``green`` minimizes first and carries
     constants in c0, giving at most 2*gsize+2 vertices.
     """
-    spec = f.spec
     if mode == "green":
         work = green_form(f)
-        tree = formula_tree(work)
+        c0s = _lemma_c0s(work, mul_sign=1)
     elif mode == "skinny":
         work = f
-        tree = _deweight(formula_tree(f), spec)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    c0s = _lemma_c0s(tree, spec, mul_sign=1) if mode == "green" else {}
+    spec = work.spec
+    one, minus_one = Weight.const(spec.one()), Weight.const(-spec.one())
     g = WeightedGraph(spec)
     s, t = g.add_vertex(), g.add_vertex()
 
@@ -293,47 +253,43 @@ def build_sym_graph(f: Circuit, mode: str = "skinny") -> PathSumCertificate:
             old = g.remove_edge(u, v)
             p, q = g.add_vertex(), g.add_vertex()
             g.add_edge(u, p, old)
-            g.add_edge(p, q, Weight.const(spec.one()))
-            g.add_edge(q, v, Weight.const(-spec.one()))
+            g.add_edge(p, q, one)
+            g.add_edge(q, v, minus_one)
         g.add_edge(u, v, w)
 
-    def build(node: Node, a: int, b: int) -> FieldElement:
-        if node[0] == VAR:
-            place_edge(a, b, Weight.var(node[1]))
-            return spec.one()
-        if node[0] == CONST:
-            place_edge(a, b, Weight.const(node[1]))
-            return spec.one()
-        op, (l, wl), (r, wr) = node
-        if op == MUL:
+    def step(gid: int, w: FieldElement, a: int, b: int):
+        if mode == "skinny" and not w.is_one():
             m1, m2 = g.add_vertex(), g.add_vertex()
-            ca = build(l, a, m1)
-            cb = build(r, m2, b)
-            g.add_edge(m1, m2, Weight.const(-spec.one()))
-            return wl * wr * ca * cb
+            g.add_edge(m1, m2, minus_one)
+            place_edge(a, m1, Weight.const(w))
+            return [(gid, spec.one(), m2, b)]
+        gate = work.gates[gid]
+        if gate.is_input:
+            place_edge(a, b, _input_weight(gate))
+            return ()
+        (l, wl), (r, wr) = gate.args
+        if gate.kind == MUL:
+            m1, m2 = g.add_vertex(), g.add_vertex()
+            g.add_edge(m1, m2, minus_one)
+            return (l, wl, a, m1), (r, wr, m2, b)
         if mode == "skinny":
-            # weightless tree: both lemma scalars are 1
-            build(l, a, b)
-            build(r, a, b)
-            return spec.one()
-        cl, cr = wl * c0s[id(l)], wr * c0s[id(r)]
-        if cl.is_zero() and cr.is_zero():
-            return spec.zero()
-        if cl.is_zero():
-            return wr * build(r, a, b)
-        if cr.is_zero():
-            return wl * build(l, a, b)
+            return (l, wl, a, b), (r, wr, a, b)
+        jobs = _addition(gate, c0s, a, b)
+        if jobs is not None:
+            return jobs
         t2 = g.add_vertex()
-        ca = build(l, a, b)
-        cb = build(r, a, t2)
-        u = g.add_vertex()
-        g.add_edge(t2, u, Weight.const(spec.one()))
-        g.add_edge(u, b, Weight.const(-(wr * cb) / (wl * ca)))
-        return wl * ca
 
-    c0 = build(tree, s, t)
+        def close() -> None:
+            u = g.add_vertex()
+            g.add_edge(t2, u, one)
+            g.add_edge(u, b, Weight.const(-(wr * c0s[r]) / (wl * c0s[l])))
+
+        return (l, wl, a, b), (r, wr, a, t2), close
+
+    _walk(work, s, t, step)
     g.roles.update(s=s, t=t)
-    return PathSumCertificate(g, s, t, c0, PARITY_SYM, work, tree)
+    c0 = c0s[work.outputs[0]] if mode == "green" else spec.one()
+    return PathSumCertificate(g, s, t, c0, PARITY_SYM, work)
 
 
 def sym_matrix(f: Circuit, mode: str = "skinny") -> SymbolicMatrix:

@@ -96,15 +96,18 @@ def parse_weight(token: str, spec: FieldSpec) -> Weight:
     """A variable ``x``, a constant ``c`` or a scaled variable ``c*x``; the
     variable name must pass :func:`~symdet.circuits.is_variable_name`."""
     token = token.strip()
-    if "*" in token:
-        ctext, name = token.split("*", 1)
-        name = name.strip()
-        coeff = parse_element(ctext, spec)
-    else:
-        head = token.lstrip("-")
-        if head[:1].isdigit() or head[:2] in ("0x", "0X"):
-            return Weight.const(parse_element(token, spec))
-        name, coeff = token, None
+    try:
+        if "*" in token:
+            ctext, name = token.split("*", 1)
+            name = name.strip()
+            coeff = parse_element(ctext, spec)
+        else:
+            head = token.lstrip("-")
+            if head[:1].isdigit() or head[:2] in ("0x", "0X"):
+                return Weight.const(parse_element(token, spec))
+            name, coeff = token, None
+    except ValueError as exc:  # a malformed constant
+        raise ValueError(f"malformed matrix entry {token!r}: {exc}") from None
     if not is_variable_name(name):
         raise ValueError(f"malformed matrix entry {token!r}: bad variable name {name!r}")
     return Weight.var(name) if coeff is None else Weight.scaled(name, coeff)

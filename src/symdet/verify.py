@@ -583,14 +583,15 @@ def identity_test(
     if power < 0:
         raise ValueError(f"identity testing compares polynomials, not power {power}")
 
+    # compiled first: a constant that does not embed is refused on both paths
+    compiled = CompiledMatrix(m, spec)
+    program = CompiledCircuit(circuit, spec)
     exact = None
     if exact_upgrade and power == 1:
         exact = _exact_upgrade(circuit, m)
         if exact:
             return Verdict(VERIFIED_EXACT, field=str(spec), dimension=m.dim)
         # exact is False: keep going to attach a concrete witness point
-    compiled = CompiledMatrix(m, spec)
-    program = CompiledCircuit(circuit, spec)
 
     def sides(lanes, t):
         circuit_side = program.arith.power(program.lane_evaluate(lanes, t)[0], power)

@@ -1,10 +1,11 @@
 """Lowering weakly skew circuits to determinantal representations.
 
 The symmetric construction builds one undirected gadget graph for the whole
-(possibly multiple-output) circuit by peeling output gates: an input or
-addition gate contributes a two-vertex gadget hanging off the distinguished
-vertex s or off the argument t-vertices; a multiplication merges the graph
-of its closed sub-circuit into the t-vertex of its reusable argument.  For
+(possibly multiple-output) circuit by peeling sink gates, popped from a heap
+of ready gates, so depth costs no recursion: an input or addition gate
+contributes a two-vertex gadget hanging off the distinguished vertex s or
+off the argument t-vertices; a multiplication merges the graph of its
+closed sub-circuit into the t-vertex of its reusable argument.  For
 every reusable gate a the graph holds a vertex t_a and a scalar c_a with
 
     c_a * sum over acceptable s-t_a-paths of (-1)^((|P|-1)/2) w(P) = f_a,
@@ -24,12 +25,14 @@ loops elsewhere; arc signs absorb the path-parity bookkeeping.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable
 
 from .circuits import (
     ADD,
     CONST,
+    MUL,
     VAR,
     Circuit,
     CircuitError,
@@ -75,14 +78,18 @@ def _lower(
 ) -> tuple[Circuit, dict[int, int], dict[int, FieldElement]]:
     """Peel a weakly skew circuit one gate at a time, sinks first.
 
+    Each part is peeled from a heap of ready sinks, largest gate first.  The
+    closed argument of a multiplication starts a part of its own, sourced at
+    the vertex of the reusable argument; a constant argument that green mode
+    folds into an addition's edge weight belongs to no part.  Gadgets are
+    emitted in reverse peel order, a multiplication right after its closed
+    part: it costs no node, aliasing its closed argument's vertex.
+
     ``node(arms)`` receives the ``(vertex, Weight)`` arms that feed a gate and
-    returns the vertex later gadgets attach to.  An input is one arm from the
-    current source; in green mode an addition with one constant argument
-    becomes two arms, one of them from the source carrying the constant.  A
-    multiplication costs no node: its closed argument is peeled with the
-    vertex of its reusable argument as source.  Returns the working circuit
-    (minimized in green mode), the vertex of every gate a and its scalar c_a:
-    c_a times the path sum into the vertex of a is f_a.
+    returns the vertex later gadgets attach to; an input or a folded constant
+    is an arm from the part's source.  Returns the working circuit (minimized
+    in green mode), the vertex of every gate a and its scalar c_a: c_a times
+    the path sum into the vertex of a is f_a.
     """
     if mode == "green":
         work = minimize(circuit)
@@ -94,60 +101,61 @@ def _lower(
     if not cl.is_weakly_skew:
         raise NotWeaklySkew("circuit is not weakly skew")
     gates = work.gates
-    consumers = work.consumers()
+    waiting = {gid: len(users) for gid, users in work.consumers().items()}
     one = work.spec.one()
     vertex: dict[int, int] = {}
     c_of: dict[int, FieldElement] = {}
 
-    def peel(gate_ids: frozenset[int], s: int) -> None:
-        if not gate_ids:
-            return
-        sink = max(
-            gid
-            for gid in gate_ids
-            if not any(c in gate_ids for c, _ in consumers[gid])
-        )
-        gate = gates[sink]
-        if gate.is_input:
-            peel(gate_ids - {sink}, s)
-            vertex[sink] = node([(s, _input_weight(gate))])
-            c_of[sink] = one
-            return
-        (a, wa), (b, wb) = gate.args
-        if gate.kind == ADD:
-            const_args = [(x, w) for x, w in gate.args if gates[x].kind == CONST]
-            if mode == "green" and len(const_args) == 1:
-                beta, c1 = const_args[0]
-                gamma, c2 = next((x, w) for x, w in gate.args if x != beta)
-                peel(gate_ids - {sink, beta}, s)
-                arms = [
-                    (vertex[gamma], Weight.const(c2 * c_of[gamma])),
-                    (s, Weight.const(c1 * gates[beta].value)),
-                ]
-            else:
-                peel(gate_ids - {sink}, s)
-                if a == b:
-                    arms = [(vertex[a], Weight.const((wa + wb) * c_of[a]))]
-                else:
-                    arms = [
-                        (vertex[a], Weight.const(wa * c_of[a])),
-                        (vertex[b], Weight.const(wb * c_of[b])),
-                    ]
-            vertex[sink] = node(arms)
-            c_of[sink] = one
-            return
-        # multiplication: peel the rest, then the closed sub-circuit with the
-        # reusable argument's vertex as its source
-        beta, closed_set = cl.closed_subcircuit_of[sink]
-        gamma = b if beta == a else a
-        w_beta = wa if beta == a else wb
-        w_gamma = wb if beta == a else wa
-        peel(gate_ids - {sink} - closed_set, s)
-        peel(frozenset(closed_set), vertex[gamma])
-        vertex[sink] = vertex[beta]
-        c_of[sink] = w_beta * w_gamma * c_of[beta] * c_of[gamma]
+    def folded(gate) -> int | None:
+        """The one constant argument of a green addition, else None."""
+        consts = [x for x, _ in gate.args if gates[x].kind == CONST]
+        return consts[0] if mode == "green" and gate.kind == ADD and len(consts) == 1 else None
 
-    peel(frozenset(gates), source)
+    def peel(ready: list[int]) -> list[int]:
+        """The gates of the part whose first sinks are ``ready``, in peel order."""
+        heap = [-gid for gid in ready]
+        heapq.heapify(heap)
+        order = []
+        while heap:
+            gid = -heapq.heappop(heap)
+            order.append(gid)
+            gate = gates[gid]
+            other = cl.closed_subcircuit_of[gid][0] if gate.kind == MUL else folded(gate)
+            for x, _ in gate.args:
+                if x != other:
+                    waiting[x] -= 1
+                    if not waiting[x]:
+                        heapq.heappush(heap, -x)
+        return order
+
+    def arms(gate, s: int) -> list[tuple[int, Weight]]:
+        """The arms feeding the node of an input or addition; two arrows
+        from one vertex make one arm."""
+        if gate.is_input:
+            return [(s, _input_weight(gate))]
+        beta, total = folded(gate), {}
+        for x, w in gate.args:
+            u, c = (s, gates[x].value) if x == beta else (vertex[x], c_of[x])
+            total[u] = total[u] + w * c if u in total else w * c
+        return [(u, Weight.const(c)) for u, c in total.items()]
+
+    jobs = [(gid, source) for gid in peel([gid for gid, n in waiting.items() if not n])]
+    while jobs:
+        gid, s = jobs.pop()
+        gate = gates[gid]
+        if gate.kind == MUL:
+            (a, wa), (b, wb) = gate.args
+            beta = cl.closed_subcircuit_of[gid][0]
+            if beta in vertex:
+                vertex[gid] = vertex[beta]
+                c_of[gid] = wa * wb * c_of[a] * c_of[b]
+            else:  # emit the closed part first, then come back to alias
+                gamma = b if beta == a else a
+                jobs.append((gid, s))
+                jobs += [(x, vertex[gamma]) for x in peel([beta])]
+            continue
+        vertex[gid] = node(arms(gate, s))
+        c_of[gid] = one
     return work, vertex, c_of
 
 

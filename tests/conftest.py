@@ -49,6 +49,15 @@ def leibniz_det(entries: list[list[DensePolynomial]]) -> DensePolynomial:
     return total
 
 
+def addition_chain(depth: int):
+    """((x0 + 2 x1) + 2 x2) + ... with ``depth`` weighted additions."""
+    b = CircuitBuilder()
+    acc = b.var("x0")
+    for k in range(1, depth + 1):
+        acc = b.add(acc, b.var(f"x{k % 7}"), 1, 2)
+    return b.build([acc])
+
+
 def entry_matters(m, i, j, rng) -> bool:
     """One-point probe that the (i, j) cofactor is nonzero, i.e. that a
     mutation there changes the determinant at all.  A mutation with an

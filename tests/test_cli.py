@@ -380,6 +380,59 @@ def test_cli_malformed_circuit_line_exits_1(tmp_path, capsys, line):
     assert err.startswith("error:") and line.split()[-1] in err
 
 
+def test_cli_malformed_matrix_constant_names_the_entry(tmp_path, capsys):
+    circ = tmp_path / "f.circuit"
+    circ.write_text(X_CIRCUIT)
+    mat = tmp_path / "m.matrix"
+    mat.write_text("1\n0x\n")
+    code, _, err = run(["verify", str(circ), str(mat), "--field", "p61"], capsys)
+    assert code == 1
+    assert err == "error: malformed matrix entry '0x': malformed constant '0x'\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("g1 = const 0x", "malformed constant '0x'"),
+    ("g1 = add g0 gx", "expected gate reference, got 'gx'"),
+])
+def test_cli_malformed_circuit_token_names_token_and_line(tmp_path, capsys, line, message):
+    circ = tmp_path / "f.circuit"
+    circ.write_text(f"vars x\ng0 = input x\n{line}\ng2 = add g0 g1\noutput g2\n")
+    code, _, err = run(["parse", str(circ), "--field", "p61"], capsys)
+    assert code == 1
+    assert err == f"error: {message} in line {line!r}\n"
+
+
+def test_cli_malformed_expression_constant_names_the_token(capsys):
+    code, _, err = run(["parse", "--expr", "x + 0x"], capsys)
+    assert code == 1
+    assert err == "error: malformed constant '0x' at position 4\n"
+
+
+def test_cli_expression_nesting_is_bounded(capsys):
+    from symdet.circuits import MAX_NESTING
+
+    nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    code, _, _ = run(["parse", "--expr", nested], capsys)
+    assert code == 0
+    code, _, err = run(["parse", "--expr", f"({nested})"], capsys)
+    assert code == 1
+    assert err.startswith("error: expression nested too deeply")
+
+
+def test_cli_exact_verdict_refuses_a_constant_that_does_not_embed(tmp_path, capsys):
+    """0x3 of GF(2^8) has no image in the GF(2^16) test field; the exact
+    comparison of a small matrix refuses it as the randomized test does."""
+    circ = tmp_path / "f.circuit"
+    circ.write_text("vars x\ng0 = input x\ng1 = const 0x3\ng2 = add g0 g1\noutput g2\n")
+    mat = tmp_path / "m.matrix"
+    code, _, _ = run(["build", "--field", "gf2:8", "--method", "ws-nonsym", "--size", "fat",
+                      str(circ), "-o", str(mat)], capsys)
+    assert code == 0
+    code, out, err = run(["verify", "--field", "gf2:8", str(circ), str(mat)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: cannot embed GF(2^8) element into GF(2^16)\n"
+
+
 @pytest.mark.parametrize("name", ["3x", "-y", "+z"])
 def test_cli_build_rejects_circuit_input_name_a_matrix_cannot_hold(tmp_path, capsys, name):
     """A name the matrix format reads back as a constant or a sign is

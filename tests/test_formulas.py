@@ -20,7 +20,7 @@ from symdet.formulas import (
 from symdet.graphs import entries_alphabet_ok, render_matrix
 from symdet.oracles import ryser_permanent, symbolic_det
 from symdet.polynomials import expand_circuit
-from tests.conftest import circuit_matches, poly_equal
+from tests.conftest import addition_chain, circuit_matches, poly_equal
 
 
 def formula(build):
@@ -264,15 +264,6 @@ def test_sym_graph_lower_bound_tight_on_sum_of_products():
         cert = build_sym_graph(f, "skinny")
         assert cert.graph.n == 2 * n + 2
         check_sym_certificate(cert)
-
-
-def addition_chain(depth: int):
-    """((x0 + 2 x1) + 2 x2) + ... with ``depth`` weighted additions."""
-    b = CircuitBuilder()
-    acc = b.var("x0")
-    for k in range(1, depth + 1):
-        acc = b.add(acc, b.var(f"x{k % 7}"), 1, 2)
-    return b.build([acc])
 
 
 @pytest.mark.parametrize("build", [lambda c: build_sym_graph(c, "green"),

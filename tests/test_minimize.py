@@ -177,27 +177,26 @@ def test_idempotent_on_green_size(rng):
 def _recursive_green_size(circuit):
     """Reference green size for formulas: additions and products of two
     non-constant sides cost 1, constant factors are free; variable-free
-    sub-formulas cost nothing (they fold to a scaled 1-input)."""
-    from symdet.formulas import formula_tree
+    sub-formulas cost nothing (they fold to a scaled 1-input).  Recursive
+    over the gates, so for small formulas only."""
+    gates = circuit.gates
 
-    def is_const(node):
-        if node[0] == "input":
+    def is_const(gid):
+        g = gates[gid]
+        if g.kind == "input":
             return False
-        if node[0] == "const":
-            return True
-        return is_const(node[1][0]) and is_const(node[2][0])
+        return all(is_const(a) for a, _ in g.args)
 
-    def size(node):
-        if node[0] in ("input", "const"):
+    def size(gid):
+        g = gates[gid]
+        if is_const(gid) or g.kind == "input":
             return 0
-        if is_const(node):
-            return 0
-        _, (l, _), (r, _) = node
-        if node[0] == "mul" and (is_const(l) or is_const(r)):
+        (l, _), (r, _) = g.args
+        if g.kind == "mul" and (is_const(l) or is_const(r)):
             return size(l) + size(r)
         return size(l) + size(r) + 1
 
-    return size(formula_tree(circuit))
+    return size(circuit.outputs[0])
 
 
 def test_green_matrix_dimension_meets_recursive_definition(rng):

@@ -1,11 +1,12 @@
 """End-to-end pipelines across module boundaries."""
 
 import random
+from functools import cache
 
 import pytest
 
 from symdet.char2 import partial_perm_identity, square_matrix_char2
-from symdet.circuits import classify, evaluate, measure, random_circuit
+from symdet.circuits import CircuitBuilder, classify, evaluate, measure, random_circuit
 from symdet.determinant import det_sym_matrix, det_variable
 from symdet.fields import GF2_16, PRIME_DEFAULT, RATIONAL, MixedFields, sample_random
 from symdet.formulas import sym_matrix, valiant_matrix
@@ -19,7 +20,7 @@ from symdet.polynomials import (
 )
 from symdet.verify import det_eval, identity_test
 from symdet.weakly_skew import ws_nonsym_matrix, ws_sym_matrix
-from tests.conftest import leibniz_det
+from tests.conftest import addition_chain, leibniz_det
 
 
 def test_dense_polynomial_to_symmetric_matrix(rng):
@@ -142,3 +143,54 @@ def test_no_production_path_reads_the_dense_view(monkeypatch, fig1_formula, fig1
     b = parse_matrix("5\n" + "\n".join(" ".join(f"b{i}{j}" if (i + j) % 3 else "0x1"
                                                  for j in range(5)) for i in range(5)), GF2_16)
     assert partial_perm_identity(b).ok
+
+
+# -- deep inputs ------------------------------------------------------------------
+
+
+def product_sum_chain(depth: int):
+    """((x0 * x1) + 2 x2) * x3 ... : ``depth`` gates alternating a
+    multiplication and a weighted addition."""
+    b = CircuitBuilder()
+    acc = b.var("x0")
+    for k in range(1, depth + 1):
+        x = b.var(f"x{k % 7}")
+        acc = b.mul(acc, x) if k % 2 else b.add(acc, x, 1, 2)
+    return b.build([acc])
+
+
+LOWERINGS = {
+    "sym-skinny": lambda c: sym_matrix(c, "skinny"),
+    "sym-green": lambda c: sym_matrix(c, "green"),
+    "valiant": valiant_matrix,
+    "ws-sym-fat": lambda c: ws_sym_matrix(c, "fat"),
+    "ws-sym-green": lambda c: ws_sym_matrix(c, "green"),
+    "ws-nonsym-fat": lambda c: ws_nonsym_matrix(c, "fat"),
+    "ws-nonsym-green": lambda c: ws_nonsym_matrix(c, "green"),
+}
+
+
+@cache
+def deep_chain(kind: str):
+    return product_sum_chain(1000) if kind == "product-sum-1000" else addition_chain(3000)
+
+
+@pytest.mark.parametrize("kind", ["product-sum-1000", "weighted-sum-3000"])
+@pytest.mark.parametrize("lowering", sorted(LOWERINGS))
+def test_deep_chain_lowers_under_the_default_recursion_limit(lowering, kind):
+    c = deep_chain(kind)
+    m = LOWERINGS[lowering](c)
+    assert identity_test(c, m, trials=2, seed=1).ok
+
+
+def test_cli_builds_and_verifies_a_deep_chain(tmp_path, capsys):
+    from symdet.circuits import render_circuit
+    from symdet.cli import main
+
+    circ = tmp_path / "deep.circuit"
+    circ.write_text(render_circuit(product_sum_chain(1000)))
+    matrix = tmp_path / "deep.matrix"
+    assert main(["build", "--method", "sym", "--size", "green",
+                 str(circ), "-o", str(matrix)]) == 0
+    assert main(["verify", str(circ), str(matrix), "--seed", "1", "--trials", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("verified")
