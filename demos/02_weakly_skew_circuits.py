@@ -17,6 +17,7 @@ from symdet import (
     ws_nonsym_matrix,
     ws_sym_matrix,
 )
+from symdet.circuits import reachable_from
 from symdet.weakly_skew import build_ws_graph, check_ws_certificate
 
 b = CircuitBuilder()
@@ -34,7 +35,7 @@ rep = measure(circuit)
 print(f"weakly skew: {cl.is_weakly_skew}, formula: {cl.is_formula}")
 print(f"fat size m = {rep.fat}, skinny e = {rep.skinny}, variable inputs i = {rep.var_inputs}")
 print("closed sub-circuits:",
-      {gid: sorted(sub) for gid, (_, sub) in cl.closed_subcircuit_of.items()})
+      {gid: sorted(reachable_from(circuit, [arg])) for gid, arg in cl.owned.items()})
 
 for mode, bound in (("fat", 2 * rep.fat + 1),
                     ("green", 2 * (rep.green + rep.var_inputs) + 1)):

@@ -32,7 +32,6 @@ value_matrix = SymbolicMatrix(
     [[Weight.var(det_variable(i, j)) for j in range(1, n + 1)]
      for i in range(1, n + 1)],
     spec=RATIONAL,
-    allow_linear=True,
 )
 rng = random.Random(0)
 for trial in range(3):

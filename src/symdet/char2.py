@@ -65,7 +65,7 @@ def double_matrix(m: SymbolicMatrix) -> BipartiteDoubling:
             rows[i][r + j] = w
             rows[r + j][i] = w
             g.add_edge(i, r + j, w)
-    doubled = SymbolicMatrix(rows, spec=spec, symmetric=True, allow_linear=m.allow_linear)
+    doubled = SymbolicMatrix(rows, spec=spec, symmetric=True)
     return BipartiteDoubling(source=m, graph=g, matrix=doubled)
 
 
@@ -205,7 +205,7 @@ def _embed_matrix(m: SymbolicMatrix, spec: FieldSpec) -> SymbolicMatrix:
         return Weight.const(c) if w.kind == CONSTW else Weight.scaled(w.name, c)
 
     return SymbolicMatrix([{j: image(w) for j, w in row.items()} for row in m.rows],
-                          spec=spec, symmetric=m.symmetric, allow_linear=m.allow_linear)
+                          spec=spec, symmetric=m.symmetric)
 
 
 def plus_identity(a: SymbolicMatrix) -> SymbolicMatrix:
@@ -218,8 +218,7 @@ def plus_identity(a: SymbolicMatrix) -> SymbolicMatrix:
         if w is not None and not w.is_zero():
             raise ValueError("diagonal already occupied")
         row[i] = one
-    return SymbolicMatrix(rows, spec=spec, symmetric=a.symmetric,
-                          allow_linear=a.allow_linear)
+    return SymbolicMatrix(rows, spec=spec, symmetric=a.symmetric)
 
 
 def partial_perm_identity(

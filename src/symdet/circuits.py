@@ -8,8 +8,10 @@ need no gates of their own.  Multiple output gates are permitted.
 
 Structural classification distinguishes formulas (every non-output gate has
 out-degree 1), weakly skew circuits (each multiplication owns one argument's
-sub-circuit outright) and general circuits, and records the closed
-sub-circuit of every multiplication together with the set of reusable gates.
+sub-circuit outright) and general circuits, and records the owned argument
+of every multiplication together with the set of reusable gates, in one
+union-find pass over the gates; :func:`reachable_from` gives an owned
+argument's closed sub-circuit.
 
 Circuits are immutable after :func:`validate`; every query here is pure.
 """
@@ -109,34 +111,8 @@ class Circuit:
 
     def topo_order(self) -> tuple[int, ...]:
         """Gate ids in topological order (arguments first); raises on cycles."""
-        if self._topo is not None:
-            return self._topo
-        state: dict[int, int] = {}
-        order: list[int] = []
-        for root in self.gates:
-            if state.get(root):
-                continue
-            stack = [(root, 0)]
-            while stack:
-                gid, i = stack.pop()
-                if i == 0:
-                    if state.get(gid) == 2:
-                        continue
-                    if state.get(gid) == 1:
-                        raise CyclicCircuit(f"cycle through gate {gid}")
-                    state[gid] = 1
-                gate = self.gates[gid]
-                if i < len(gate.args):
-                    stack.append((gid, i + 1))
-                    arg = gate.args[i][0]
-                    if state.get(arg) == 1:
-                        raise CyclicCircuit(f"cycle through gate {arg}")
-                    if state.get(arg) != 2:
-                        stack.append((arg, 0))
-                else:
-                    state[gid] = 2
-                    order.append(gid)
-        self._topo = tuple(order)
+        if self._topo is None:
+            self._topo = tuple(topo_sort({gid: g.args for gid, g in self.gates.items()}))
         return self._topo
 
     def consumers(self) -> dict[int, list[tuple[int, int]]]:
@@ -149,6 +125,35 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
+
+
+def topo_sort(args: Mapping[int, Sequence[Sequence]]) -> list[int]:
+    """Nodes in topological order, arguments first: depth-first postorder on
+    an explicit stack, roots and arguments in their given order.  ``args``
+    maps each node to its arguments, each a sequence whose first item is
+    the argument's id (a gate's ``(id, weight)`` pairs); raises
+    :class:`CyclicCircuit`."""
+    state: dict[int, int] = {}  # 1 while on the stack, 2 once placed
+    order: list[int] = []
+    for root in args:
+        if state.get(root):
+            continue
+        stack = [(root, 0)]
+        state[root] = 1
+        while stack:
+            node, i = stack.pop()
+            if i < len(args[node]):
+                stack.append((node, i + 1))
+                arg = args[node][i][0]
+                if state.get(arg) == 1:
+                    raise CyclicCircuit(f"cycle through gate {arg}")
+                if not state.get(arg):
+                    state[arg] = 1
+                    stack.append((arg, 0))
+            else:
+                state[node] = 2
+                order.append(node)
+    return order
 
 
 def validate(circuit: Circuit) -> Circuit:
@@ -210,71 +215,67 @@ def reachable_from(circuit: Circuit, roots: Iterable[int]) -> set[int]:
 class WsClassification:
     is_formula: bool
     is_weakly_skew: bool
-    #: mul gate id -> (owned argument id, gate ids of its closed sub-circuit)
-    closed_subcircuit_of: dict[int, tuple[int, frozenset[int]]]
+    #: multiplication gate id -> its owned argument, for every multiplication
+    #: that owns one (all of them when the circuit is weakly skew)
+    owned: dict[int, int]
     reusable: frozenset[int]
 
 
 def classify(circuit: Circuit) -> WsClassification:
     """Classify a validated circuit as formula / weakly skew / general.
 
-    A multiplication is weakly-skew-compliant if the sub-circuit of one of
-    its arguments is connected to the rest only through the arrow into the
-    multiplication; when both arguments qualify the left one is designated.
+    A multiplication owns its argument b when the sub-circuit of b (b and
+    every gate it reaches through arguments) holds no output and no arrow
+    leaves it but the one from b into the multiplication; when both
+    arguments qualify the left one is owned.  The circuit is weakly skew when
+    every multiplication owns an argument, and a gate is reusable when no
+    owned argument's sub-circuit contains it.
+
+    One pass in topological order keeps the gates built so far in a
+    union-find whose roots are the latest gate of their component; a root
+    holds the number of arrows leaving its component, an output's value
+    counting as one.  A gate heads a closed sub-circuit exactly when that
+    count is 1 as it is built: a joined gate outside its sub-circuit reaches
+    an output along a path that avoids it, and that path adds a leaving
+    arrow, as does a second arrow into the same consumer.
     """
     topo = circuit.topo_order()
     cons = circuit.consumers()
     outputs = set(circuit.outputs)
+    parent: dict[int, int] = {}
+    leaving: dict[int, int] = {}  # component root -> arrows leaving it
+    closed: set[int] = set()
+    owned: dict[int, int] = {}
 
-    # ancestor sets; only multiplication arguments' sets are read below, so
-    # any other is freed once its last consumer is built (O(n) on a chain)
-    mul_args = {a for g in circuit.gates.values() if g.kind == MUL for a, _w in g.args}
-    waiting = {gid: len(users) for gid, users in cons.items()}
-    anc: dict[int, frozenset[int]] = {}
+    def find(gid: int) -> int:
+        while parent[gid] != gid:
+            parent[gid] = parent[parent[gid]]  # path halving
+            gid = parent[gid]
+        return gid
+
     for gid in topo:
         g = circuit.gates[gid]
-        s = frozenset({gid})
-        for a, _w in g.args:
-            s |= anc[a]
-            waiting[a] -= 1
-            if not waiting[a] and a not in mul_args:
-                del anc[a]
-        anc[gid] = s
+        parent[gid] = gid
+        count = len(cons[gid]) + (gid in outputs)
+        if g.args:
+            # join the arguments' components; the two arrows into g stay inside
+            (a, _), (b, _) = g.args
+            ra, rb = find(a), find(b)
+            count += leaving.pop(ra) - 2
+            parent[ra] = gid
+            if rb != ra:
+                count += leaving.pop(rb)
+                parent[rb] = gid
+            if g.kind == MUL and (a in closed or b in closed):
+                owned[gid] = a if a in closed else b
+        leaving[gid] = count
+        if count == 1:
+            closed.add(gid)
 
-    def arg_closed(alpha: Gate, beta: int) -> bool:
-        sub = anc[beta]
-        if outputs & sub:
-            return False
-        for g in sub:
-            for c, _idx in cons[g]:
-                if c in sub:
-                    continue
-                if g == beta and c == alpha.gid:
-                    continue
-                return False
-        return True
-
-    closed: dict[int, tuple[int, frozenset[int]]] = {}
-    weakly_skew = True
-    for gid in topo:
-        g = circuit.gates[gid]
-        if g.kind != MUL:
-            continue
-        (a, _), (b, _) = g.args
-        if a == b:
-            weakly_skew = False  # two arrows leave the shared sub-circuit
-            continue
-        if arg_closed(g, a):
-            closed[gid] = (a, anc[a])
-        elif arg_closed(g, b):
-            closed[gid] = (b, anc[b])
-        else:
-            weakly_skew = False
-
-    in_closed: set[int] = set()
-    if weakly_skew:
-        for _arg, sub in closed.values():
-            in_closed |= sub
+    reusable = set(outputs)
+    for gid in reversed(topo):
+        if gid in reusable:
+            reusable.update(a for a, _w in circuit.gates[gid].args if a != owned.get(gid))
 
     is_formula = (
         len(circuit.outputs) == 1
@@ -284,9 +285,11 @@ def classify(circuit: Circuit) -> WsClassification:
     )
     return WsClassification(
         is_formula=is_formula,
-        is_weakly_skew=weakly_skew,
-        closed_subcircuit_of=closed,
-        reusable=frozenset(circuit.gates) - in_closed,
+        is_weakly_skew=all(
+            gid in owned for gid, g in circuit.gates.items() if g.kind == MUL
+        ),
+        owned=owned,
+        reusable=frozenset(reusable),
     )
 
 

@@ -13,9 +13,7 @@ entries are :class:`Weight` values, stored as its nonzeros only, one
 "Two fast algorithms for sparse matrices", 1978).  Gadget matrices of
 dimension n have O(n) nonzeros, so building, rendering, parsing and
 compiling read and write the nonzeros; the dense grid is a view for the
-oracles.  In strict mode (the default) scaled variables are rejected in
-final matrices; the comparison mode used for accounting against
-fixed-dimension constructions may allow them.
+oracles.
 """
 
 from __future__ import annotations
@@ -173,15 +171,6 @@ class WeightedGraph:
         g.n, g.edges, g.roles = self.n, dict(self.edges), dict(self.roles)
         return g
 
-    def neighbors(self, u: int) -> list[tuple[int, Weight]]:
-        out = []
-        for (a, b), w in self.edges.items():
-            if a == u:
-                out.append((b, w))
-            elif b == u:
-                out.append((a, w))
-        return out
-
     def __repr__(self) -> str:
         return f"<graph n={self.n} edges={len(self.edges)}>"
 
@@ -206,14 +195,12 @@ class SymbolicMatrix:
         rows: Sequence[Mapping[int, Weight] | Sequence[Weight]],
         spec: FieldSpec = RATIONAL,
         symmetric: bool = False,
-        allow_linear: bool = False,
     ):
         n = self.dim = len(rows)
         self.rows: tuple[dict[int, Weight], ...] = tuple(
             _sparse_row(row, n) for row in rows)
         self.spec = spec
         self.symmetric = symmetric
-        self.allow_linear = allow_linear
         self._zero = Weight.const(spec.zero())
         if symmetric:
             # the first broken pair of a dense scan: smallest i, then j < i
@@ -225,12 +212,6 @@ class SymbolicMatrix:
             ]
             if broken:
                 raise ValueError("symmetry broken at ({},{})".format(*min(broken)))
-        if not allow_linear:
-            if any(w.kind == SCALEDW for row in self.rows for w in row.values()):
-                raise ValueError(
-                    "scaled-variable entry in strict-mode matrix; "
-                    "pass allow_linear=True for comparison mode"
-                )
 
     @property
     def entries(self) -> tuple[tuple[Weight, ...], ...]:
@@ -249,8 +230,7 @@ class SymbolicMatrix:
         """Copy with one entry replaced (symmetry flag dropped)."""
         rows = [dict(r) for r in self.rows]
         rows[i][j] = w
-        return SymbolicMatrix(rows, spec=self.spec, symmetric=False,
-                              allow_linear=self.allow_linear)
+        return SymbolicMatrix(rows, spec=self.spec, symmetric=False)
 
     def _dense_text(self) -> list[list[str]]:
         """Each row's rendered cells: one zero token, then the nonzeros."""
@@ -292,11 +272,11 @@ def adjacency(g: WeightedGraph | WeightedDigraph) -> SymbolicMatrix:
     if isinstance(g, WeightedDigraph):
         for (u, v), w in g.arcs.items():
             rows[u][v] = w
-        return SymbolicMatrix(rows, spec=g.spec, symmetric=False, allow_linear=True)
+        return SymbolicMatrix(rows, spec=g.spec, symmetric=False)
     for (u, v), w in g.edges.items():
         rows[u][v] = w
         rows[v][u] = w
-    return SymbolicMatrix(rows, spec=g.spec, symmetric=True, allow_linear=True)
+    return SymbolicMatrix(rows, spec=g.spec, symmetric=True)
 
 
 def close_abp(
@@ -336,8 +316,10 @@ def parse_matrix(text: str, spec: FieldSpec = RATIONAL) -> SymbolicMatrix:
     if not lines:
         raise ValueError("empty matrix file")
     head = lines[0].split()
+    if not (head[0].isdecimal() and head[1:] in ([], ["symmetric"])):
+        raise ValueError(f"malformed matrix header '{lines[0]}'")
     dim = int(head[0])
-    symmetric = len(head) > 1 and head[1] == "symmetric"
+    symmetric = len(head) == 2
     if len(lines) - 1 != dim:
         raise ValueError(f"matrix header gives dimension {dim} but {len(lines) - 1} rows follow")
     # gadget matrices repeat a handful of tokens, so parse each one once;
@@ -357,7 +339,7 @@ def parse_matrix(text: str, spec: FieldSpec = RATIONAL) -> SymbolicMatrix:
             else:
                 zeros.add(tok)
         rows.append({j: weights[tok] for j, tok in enumerate(tokens) if tok not in zeros})
-    return SymbolicMatrix(rows, spec=spec, symmetric=symmetric, allow_linear=True)
+    return SymbolicMatrix(rows, spec=spec, symmetric=symmetric)
 
 
 def export_dot(g: WeightedGraph | WeightedDigraph) -> str:

@@ -30,6 +30,7 @@ from .circuits import (
     CircuitError,
     Gate,
     evaluate,
+    topo_sort,
     validate,
 )
 from .fields import FieldElement
@@ -99,29 +100,6 @@ class _Scratch:
         for idx, (a, _w) in enumerate(self.args[gid]):
             del self.users[a][(gid, idx)]
 
-    def topo(self) -> list[int]:
-        order: list[int] = []
-        seen: set[int] = set()
-
-        def visit(gid: int) -> None:
-            stack = [(gid, 0)]
-            while stack:
-                g, i = stack.pop()
-                if i == 0 and g in seen:
-                    continue
-                if i < len(self.args[g]):
-                    stack.append((g, i + 1))
-                    a = self.args[g][i][0]
-                    if a not in seen:
-                        stack.append((a, 0))
-                elif g not in seen:
-                    seen.add(g)
-                    order.append(g)
-
-        for o in list(self.kind):
-            visit(o)
-        return order
-
     def delete(self, gid: int) -> None:
         self._drop_args(gid)
         del self.kind[gid], self.name[gid], self.value[gid], self.args[gid], self.users[gid]
@@ -152,7 +130,7 @@ class _Scratch:
 
 def _constant_flags(s: _Scratch) -> dict[int, bool]:
     flags: dict[int, bool] = {}
-    for gid in s.topo():
+    for gid in topo_sort(s.args):
         if s.kind[gid] == VAR:
             flags[gid] = False
         elif s.kind[gid] == CONST:
@@ -212,7 +190,7 @@ def _rewrite(circuit: Circuit) -> Circuit:
 
     # rule 2: computation gates with two constant arguments collapse to a 1-input
     const = _constant_flags(s)  # rule 1 introduced fresh constant inputs
-    for gid in s.topo():
+    for gid in topo_sort(s.args):
         if s.kind.get(gid) not in COMPUTATION:
             continue
         (a, wa), (b, wb) = s.args[gid]
@@ -243,7 +221,7 @@ def _rewrite(circuit: Circuit) -> Circuit:
 
     # rule 3: interior multiplications with a constant argument are bypassed
     outs = set(s.outputs)
-    for gid in s.topo():
+    for gid in topo_sort(s.args):
         if s.kind.get(gid) != MUL or gid in outs:
             continue
         split = const_arg_split(gid)

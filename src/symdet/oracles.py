@@ -280,7 +280,7 @@ def referee_submatrix_sum(b: SymbolicMatrix) -> DensePolynomial:
         for rows in combinations(range(n), k):
             for cols in combinations(range(n), k):
                 sub = SymbolicMatrix([[b.entry(i, j) for j in cols] for i in rows],
-                                     spec=spec, allow_linear=True)
+                                     spec=spec)
                 p = ryser_permanent(sub, variables=variables)
                 total = total + p * p
     return total
@@ -372,6 +372,10 @@ def all_cycles_even(g: WeightedGraph) -> bool:
     """Every cycle has even length, i.e. the graph is loopless and bipartite."""
     if any(u == v for (u, v) in g.edges):
         return False
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     color: dict[int, int] = {}
     for start in range(g.n):
         if start in color:
@@ -380,7 +384,7 @@ def all_cycles_even(g: WeightedGraph) -> bool:
         queue = [start]
         while queue:
             u = queue.pop()
-            for v, _w in g.neighbors(u):
+            for v in adj[u]:
                 if v not in color:
                     color[v] = color[u] ^ 1
                     queue.append(v)

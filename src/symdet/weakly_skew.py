@@ -120,7 +120,7 @@ def _lower(
             gid = -heapq.heappop(heap)
             order.append(gid)
             gate = gates[gid]
-            other = cl.closed_subcircuit_of[gid][0] if gate.kind == MUL else folded(gate)
+            other = cl.owned[gid] if gate.kind == MUL else folded(gate)
             for x, _ in gate.args:
                 if x != other:
                     waiting[x] -= 1
@@ -145,7 +145,7 @@ def _lower(
         gate = gates[gid]
         if gate.kind == MUL:
             (a, wa), (b, wb) = gate.args
-            beta = cl.closed_subcircuit_of[gid][0]
+            beta = cl.owned[gid]
             if beta in vertex:
                 vertex[gid] = vertex[beta]
                 c_of[gid] = wa * wb * c_of[a] * c_of[b]

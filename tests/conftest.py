@@ -72,7 +72,7 @@ def entry_matters(m, i, j, rng) -> bool:
         for r in range(m.dim)
         if r != i
     ]
-    minor = SymbolicMatrix(minor_rows, spec=m.spec, allow_linear=True)
+    minor = SymbolicMatrix(minor_rows, spec=m.spec)
     point = {v: sample_random(PRIME_DEFAULT, rng) for v in m.variables()}
     return not det_eval(minor, point, PRIME_DEFAULT).is_zero()
 

@@ -249,7 +249,6 @@ def test_criterion_5_det_symmetrization():
             [[Weight.var(det_variable(i, j)) for j in range(1, n + 1)]
              for i in range(1, n + 1)],
             spec=RATIONAL,
-            allow_linear=True,
         )
         rng = random.Random(500 + n)
         for _ in range(trials):

@@ -175,7 +175,7 @@ def small_pperm_matrices(spec):
             [[Weight.const(c) if (i, j) == (0, 0) else
               Weight.scaled(f"b{i}_{j}", c) if (i, j) == (n - 1, 0) else b.entry(i, j)
               for j in range(n)] for i in range(n)],
-            spec=spec, allow_linear=True)
+            spec=spec)
 
 
 def test_partial_perm_identity_symbolic_n_le_4():
@@ -295,7 +295,7 @@ def test_symbolic_partial_permanent_matches_brute_force(spec, data):
     entry = pperm_entry(spec)
     rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                               min_size=n, max_size=n))
-    b = SymbolicMatrix(rows, spec=spec, allow_linear=True)
+    b = SymbolicMatrix(rows, spec=spec)
     p = partial_permanent(b)
     assert p == brute_per_star(b)
     assert p.render() == brute_per_star(b).render()
@@ -330,7 +330,7 @@ def test_lane_partial_permanent_matches_boxed_reference(spec, data, t):
     entry = st.one_of(pperm_entry(spec), small.map(Weight.const))
     rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                               min_size=n, max_size=n))
-    b = SymbolicMatrix(rows, spec=spec, allow_linear=True)
+    b = SymbolicMatrix(rows, spec=spec)
     value = st.one_of(small, element(spec))  # some entries vanish in some lanes
     points = [{v: data.draw(value) for v in PPERM_NAMES} for _ in range(t)]
     lanes = partial_permanent_lanes(b, points, spec)
@@ -393,7 +393,7 @@ def test_identity_embeds_b_into_the_test_field_for_every_n(n):
     entries = [[Weight.var(f"b{i}_{j}") for j in range(n)] for i in range(n)]
     entries[0][0] = Weight.const(RATIONAL.from_fraction("1/3"))
     entries[-1][0] = Weight.scaled("b0_1", RATIONAL.from_int(2))  # embeds to 0
-    b = SymbolicMatrix(entries, spec=RATIONAL, allow_linear=True)
+    b = SymbolicMatrix(entries, spec=RATIONAL)
     assert partial_perm_identity(b, seed=2).ok
 
 

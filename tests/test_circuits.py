@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,10 +17,12 @@ from symdet.circuits import (
     measure,
     parse_circuit,
     random_circuit,
+    reachable_from,
     render_circuit,
     validate,
 )
 from symdet.fields import RATIONAL, FieldSpec
+from symdet.minimize import ConstantCircuit, minimize
 
 Z7 = FieldSpec.prime(7)
 
@@ -99,8 +102,8 @@ def test_closed_subcircuits_of_weakly_skew_are_disjoint(rng):
         cl = classify(c)
         assert cl.is_weakly_skew
         tops = [
-            (gid, sub)
-            for gid, (_, sub) in cl.closed_subcircuit_of.items()
+            (gid, reachable_from(c, [arg]))
+            for gid, arg in cl.owned.items()
             if gid in cl.reusable
         ]
         for i, (g1, s1) in enumerate(tops):
@@ -113,11 +116,98 @@ def test_classify_soundness_removal_disconnects(rng):
     for _ in range(25):
         c = random_circuit("weakly-skew", rng.randint(3, 12), 3, rng)
         cl = classify(c)
-        for mul_gid, (_, sub) in cl.closed_subcircuit_of.items():
-            outside = set(c.gates) - set(sub) - {mul_gid}
+        for mul_gid, arg in cl.owned.items():
+            sub = reachable_from(c, [arg])
             for gid in sub:
                 for consumer, _pos in c.consumers()[gid]:
                     assert consumer in sub or consumer == mul_gid
+
+
+def reference_classify(c: Circuit):
+    """``classify`` straight from its docstring, on ``reachable_from`` sets:
+    (is_formula, is_weakly_skew, owned arguments in topological order,
+    reusable gates)."""
+    cons = c.consumers()
+
+    def owns(mul: int, arg: int) -> bool:
+        sub = reachable_from(c, [arg])
+        leaving = [(g, user) for g in sub for user, _pos in cons[g] if user not in sub]
+        return not sub & set(c.outputs) and leaving == [(arg, mul)]
+
+    owned = {}
+    for gid in c.topo_order():
+        args = [a for a, _w in c.gates[gid].args]
+        if c.gates[gid].kind == "mul" and any(owns(gid, a) for a in args):
+            owned[gid] = next(a for a in args if owns(gid, a))
+    muls = [gid for gid, g in c.gates.items() if g.kind == "mul"]
+    inside = set().union(*(reachable_from(c, [a]) for a in owned.values()))
+    is_formula = len(c.outputs) == 1 and all(
+        len(cons[gid]) == (0 if gid in c.outputs else 1) for gid in c.gates)
+    return (is_formula, all(m in owned for m in muls), list(owned.items()),
+            frozenset(c.gates) - inside)
+
+
+def random_dag(rng: random.Random) -> Circuit:
+    """A general circuit: arguments drawn from every earlier gate (so shared
+    and repeated arguments occur), every sink an output, and some consumed
+    gates outputs too, inside what would otherwise be closed sub-circuits."""
+    b = CircuitBuilder()
+    gates = [b.var(f"x{rng.randint(1, 3)}") for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(0, 14)):
+        op = b.mul if rng.random() < 0.5 else b.add
+        gates.append(op(rng.choice(gates), rng.choice(gates)))
+    used = {a for g in b._gates.values() for a, _w in g.args}
+    return b.build([g for g in gates if g not in used]
+                   + [g for g in gates if g in used and rng.random() < 0.15])
+
+
+def classify_corpus():
+    """Seeded formulas, weakly skew circuits (weighted, with constants,
+    minimized, with extra outputs among their reusable gates) and general
+    circuits."""
+    rng = random.Random(2024)
+    for _ in range(150):
+        yield random_circuit("formula", rng.randint(0, 12), 3, rng, weighted=True)
+        ws = random_circuit("weakly-skew", rng.randint(1, 30), 3, rng,
+                            const_prob=0.3, weighted=rng.random() < 0.5)
+        yield ws
+        try:
+            yield minimize(ws)
+        except ConstantCircuit:
+            pass
+        reusable = sorted(reference_classify(ws)[3] - set(ws.outputs))
+        extra = rng.sample(reusable, min(len(reusable), rng.randint(1, 3)))
+        yield validate(Circuit(ws.gates, [*ws.outputs, *extra], spec=ws.spec))
+        yield random_dag(rng)
+
+
+def test_classify_matches_reference_definition():
+    seen = {"formula": 0, "weakly skew": 0, "general": 0, "multi-output ws": 0}
+    for c in classify_corpus():
+        cl = classify(c)
+        assert (cl.is_formula, cl.is_weakly_skew, list(cl.owned.items()),
+                cl.reusable) == reference_classify(c), render_circuit(c)
+        kind = ("formula" if cl.is_formula else
+                "weakly skew" if cl.is_weakly_skew else "general")
+        seen[kind] += 1
+        seen["multi-output ws"] += cl.is_weakly_skew and len(c.outputs) > 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_classify_memory_is_linear_on_a_nested_multiplication_chain():
+    b = CircuitBuilder()
+    acc = b.var("x0")
+    for k in range(1, 1001):
+        acc = b.mul(acc, b.var(f"x{k % 7}"))
+    c = b.build([acc])
+    tracemalloc.start()
+    try:
+        cl = classify(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cl.is_weakly_skew and len(cl.owned) == 1000
+    assert peak < 8 * 2**20, f"classify peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_evaluate_fig1(fig1_formula, fig1_weakly_skew):

@@ -242,6 +242,18 @@ def test_cli_verify_rejects_matrix_of_wrong_dimension(tmp_path, capsys, text):
     assert err.startswith("error:") and "dimension" in err
 
 
+@pytest.mark.parametrize("header", ["1 symetric extra", "1.0", "1 symmetric symmetric",
+                                    "1 Symmetric", "+1", "-1", "x"])
+def test_cli_verify_rejects_malformed_matrix_header(tmp_path, capsys, header):
+    circ = tmp_path / "f.circuit"
+    circ.write_text(render_circuit(parse_expression("x")))
+    matrix = tmp_path / "m.matrix"
+    matrix.write_text(f"{header}\nx\n")
+    code, out, err = run(["verify", str(circ), str(matrix), "--seed", "1"], capsys)
+    assert code == 1 and not out
+    assert err == f"error: malformed matrix header '{header}'\n"
+
+
 @pytest.mark.parametrize("token", ["2*", "-", "3*0x"])
 def test_cli_verify_rejects_malformed_variable_token(tmp_path, capsys, token):
     circ = tmp_path / "f.circuit"

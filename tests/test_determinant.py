@@ -127,7 +127,6 @@ def test_det_sym_matrix_random_points(n):
         [[Weight.var(det_variable(i, j)) for j in range(1, n + 1)]
          for i in range(1, n + 1)],
         spec=RATIONAL,
-        allow_linear=True,
     )
     for _ in range(5):
         point = {
@@ -149,7 +148,6 @@ def test_det_sym_matrix_n6_random_points():
         [[Weight.var(det_variable(i, j)) for j in range(1, n + 1)]
          for i in range(1, n + 1)],
         spec=RATIONAL,
-        allow_linear=True,
     )
     for _ in range(2):
         point = {

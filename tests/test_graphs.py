@@ -213,14 +213,6 @@ def test_matrix_json():
     assert js["entries"][0][1] == "x"
 
 
-def test_strict_mode_rejects_scaled_entries():
-    scaled = Weight.scaled("x", RATIONAL.from_int(5))
-    with pytest.raises(ValueError):
-        SymbolicMatrix([[scaled]], spec=RATIONAL)
-    m = SymbolicMatrix([[scaled]], spec=RATIONAL, allow_linear=True)
-    assert m.entry(0, 0).render() == "5*x"
-
-
 def test_symmetry_flag_validated():
     with pytest.raises(ValueError):
         SymbolicMatrix([[wc(0), wv("x")], [wv("y"), wc(0)]], symmetric=True)
@@ -231,6 +223,9 @@ def test_entries_alphabet():
     assert entries_alphabet_ok(ok)
     bad = parse_matrix("1\n7")
     assert not entries_alphabet_ok(bad)
+    scaled = SymbolicMatrix([[Weight.scaled("x", RATIONAL.from_int(5))]], spec=RATIONAL)
+    assert scaled.entry(0, 0).render() == "5*x"
+    assert not entries_alphabet_ok(scaled)
 
 
 def test_export_dot():
@@ -345,10 +340,10 @@ def test_sparse_matrix_matches_dense_reference(spec, data):
     text = "\n".join([header] + [" ".join(row) for row in tokens]) + "\n"
     m = parse_matrix(text, spec)
     built = [
-        SymbolicMatrix(grid, spec=spec, symmetric=not broken, allow_linear=True),
+        SymbolicMatrix(grid, spec=spec, symmetric=not broken),
         # rows given right to left are stored in column order all the same
         SymbolicMatrix([dict(reversed(list(enumerate(row)))) for row in grid], spec=spec,
-                       symmetric=not broken, allow_linear=True),
+                       symmetric=not broken),
     ]
     rendered = "\n".join([header] + [" ".join(r) for r in dense_text(grid)]) + "\n"
     for x in [m] + built:
@@ -364,7 +359,7 @@ def test_sparse_matrix_matches_dense_reference(spec, data):
     if broken:
         for rows in (grid, [{j: w for j, w in enumerate(row)} for row in grid]):
             with pytest.raises(ValueError, match=re.escape("symmetry broken at (%d,%d)" % broken)):
-                SymbolicMatrix(rows, spec=spec, symmetric=True, allow_linear=True)
+                SymbolicMatrix(rows, spec=spec, symmetric=True)
 
     # determinants: the compiled sparse path against dense elimination
     names = ("x", "y", "z")

@@ -131,7 +131,7 @@ def pperm_matrix(rng: random.Random, n: int, spec: FieldSpec) -> SymbolicMatrix:
             else:
                 row.append(Weight.var(rng.choice(names)))
         rows.append(row)
-    return SymbolicMatrix(rows, spec=spec, allow_linear=True)
+    return SymbolicMatrix(rows, spec=spec)
 
 
 def test_verdicts_match_golden_digest():

@@ -133,7 +133,7 @@ RATIONAL_ENTRY = st.one_of(
 @given(rows=matrix_shapes(RATIONAL_ENTRY, Weight.const(RATIONAL.zero())),
        values=st.tuples(*[st.integers(-250, 250)] * len(NAMES)))
 def test_compiled_det_matches_dense_rational_reference(spec, rows, values):
-    m = SymbolicMatrix(rows, allow_linear=True)
+    m = SymbolicMatrix(rows)
     q_point = {v: RATIONAL.from_int(x) for v, x in zip(NAMES, values)}
     exact = det_eval(m, q_point, RATIONAL)
     point = {v: embed(x, spec) for v, x in q_point.items()}
@@ -155,7 +155,7 @@ def test_compiled_det_matches_cofactor_oracle_in_field(spec, data):
         st.tuples(st.sampled_from(NAMES), element).map(lambda t: Weight.scaled(*t)),
     )
     rows = data.draw(matrix_shapes(entry, zero))
-    m = SymbolicMatrix(rows, spec=spec, allow_linear=True)
+    m = SymbolicMatrix(rows, spec=spec)
     oracle = symbolic_det(m, variables=NAMES)
     compiled = CompiledMatrix(m, spec)
     rng = random.Random(data.draw(st.integers(0, 2**32)))
@@ -265,7 +265,7 @@ def field_value(spec, n):
        t=st.sampled_from(LANE_COUNTS), data=st.data())
 def test_lane_det_matches_dense_rational_reference(spec, rows, t, data):
     """Small values make entries vanish in some lanes but not in others."""
-    m = SymbolicMatrix(rows, allow_linear=True)
+    m = SymbolicMatrix(rows)
     value = st.one_of(st.integers(-2, 2), st.integers(-250, 250))
     q_points = [{v: RATIONAL.from_int(data.draw(value)) for v in NAMES} for _ in range(t)]
     points = [{v: embed(x, spec) for v, x in q.items()} for q in q_points]
