@@ -67,7 +67,6 @@ from .formulas import (
     build_sym_graph,
     build_valiant_digraph,
     sym_matrix,
-    to_permanent_matrix,
     valiant_matrix,
 )
 from .weakly_skew import build_ws_graph, ws_nonsym_matrix, ws_sym_matrix

@@ -16,7 +16,7 @@ permanent identity det(A + I) = per*(B)^2 for a bipartite biadjacency
 matrix B: covers by loops and 2-cycles are exactly partial matchings.
 
 per*(B) comes from one row-by-row DP over the set of used columns, written
-once and run on two kinds of value.  The symbolic per*(B) runs it on plain
+once and run on three kinds of value.  The symbolic per*(B) runs it on plain
 ``{monomial: coefficient}`` maps whose monomials are ints packing one
 exponent per byte, so a variable entry is one addition per term and a unit
 coefficient skips the multiplication; one :class:`DensePolynomial` is built
@@ -24,20 +24,22 @@ at the end.  The identity check runs it on lanes, lists of plain ints with
 one int per trial point (see :mod:`symdet.verify`), so every trial comes
 from one pass, as det(A + I) comes from one lockstep elimination, and
 :func:`~symdet.verify.compare_lanes` makes the randomized verdict for every n.
+A matrix of field elements runs it on the elements themselves.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .circuits import Circuit
 from .fields import FieldElement, FieldSpec, GF2_16, MixedFields, embed
 from .graphs import CONSTW, VARW, SymbolicMatrix, Weight, WeightedGraph
 from .polynomials import DensePolynomial, TooLarge
 from .weakly_skew import ws_nonsym_matrix
-from .verify import CompiledMatrix, Verdict, _lanes_of, compare_lanes
+from .verify import CompiledMatrix, Verdict, compare_lanes
 
 
 class NotCharTwo(Exception):
@@ -175,17 +177,8 @@ def partial_permanent(b) -> DensePolynomial | FieldElement:
     spec = rows[0][0].spec
     if any(x.spec != spec for row in rows for x in row):
         raise MixedFields("partial permanent of entries from several fields")
-    p = _expand([{j: Weight.const(x) for j, x in enumerate(row)} for row in rows], spec, ())
-    return p.coeffs.get((), spec.zero())
-
-
-def partial_permanent_lanes(
-    b: SymbolicMatrix, points: Sequence[Mapping[str, FieldElement]], spec: FieldSpec
-) -> list[int]:
-    """per*(B) at every point of a finite field, as plain ints (Z_p residues
-    or GF(2^k) bit masks)."""
-    compiled = CompiledMatrix(b, spec)
-    return per_star_lanes(compiled, _lanes_of(compiled.variables, points, spec), len(points))
+    rows = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in rows]
+    return _per_star(rows, spec.one(), operator.add, operator.mul)
 
 
 def per_star_lanes(compiled: CompiledMatrix, lanes: Mapping[str, list[int]], t: int) -> list[int]:
@@ -193,19 +186,6 @@ def per_star_lanes(compiled: CompiledMatrix, lanes: Mapping[str, list[int]], t: 
     the lane of each variable, from one DP pass on lanes of one int per point."""
     arith = compiled.arith
     return _per_star(compiled.lane_rows(lanes, t), [1] * t, arith.add, arith.mul)
-
-
-def _embed_matrix(m: SymbolicMatrix, spec: FieldSpec) -> SymbolicMatrix:
-    """The matrix with every constant embedded into ``spec``; raises
-    :class:`MixedFields` when a constant has no image there."""
-    def image(w: Weight) -> Weight:
-        if w.kind == VARW:
-            return w
-        c = embed(w.coeff, spec)
-        return Weight.const(c) if w.kind == CONSTW else Weight.scaled(w.name, c)
-
-    return SymbolicMatrix([{j: image(w) for j, w in row.items()} for row in m.rows],
-                          spec=spec, symmetric=m.symmetric)
 
 
 def plus_identity(a: SymbolicMatrix) -> SymbolicMatrix:
@@ -228,18 +208,17 @@ def partial_perm_identity(
     spec: FieldSpec = GF2_16,
 ) -> Verdict:
     """Check det(A + I_2n) = per*(B)^2 in characteristic 2, with
-    A = [[0, B], [B^T, 0]], in ``spec``: B is embedded into ``spec`` first
-    (:class:`MixedFields` when it cannot be).  Both sides have degree at most
-    2n; :func:`~symdet.verify.compare_lanes` compares them at ``trials``
-    random points, det(A + I) from one lockstep elimination and per*(B) from
-    one DP pass on lanes."""
+    A = [[0, B], [B^T, 0]], in ``spec``: compiling both sides embeds B's
+    constants (:class:`MixedFields` when one has no image).  Both sides have
+    degree at most 2n; :func:`~symdet.verify.compare_lanes` compares them at
+    ``trials`` random points, det(A + I) from one lockstep elimination and
+    per*(B) from one DP pass on lanes."""
     if spec.characteristic != 2:
         raise NotCharTwo(f"{spec} does not have characteristic 2")
-    b = _embed_matrix(b, spec)
     n = b.dim
     api = CompiledMatrix(plus_identity(double_matrix(b).matrix), spec)
     per = CompiledMatrix(b, spec)
-    # a scaled entry whose coefficient embeds to 0 leaves A but not B
+    # double_matrix drops a scaled entry with coefficient 0, B's slots keep it
     variables = tuple(sorted(set(api.variables) | set(per.variables)))
 
     def sides(lanes, t):

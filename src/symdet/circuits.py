@@ -570,7 +570,7 @@ def is_variable_name(name: str) -> bool:
 def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
     """Parse the circuit file format produced by :func:`render_circuit`."""
     gates: dict[int, Gate] = {}
-    outputs: list[int] = []
+    outputs: list[int] | None = None
     variables: list[str] | None = None
     # weights and constants repeat across a file, so parse each token once
     elements: dict[str, FieldElement] = {}
@@ -597,11 +597,15 @@ def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
         if not line:
             continue
         if line.startswith("vars "):
+            if variables is not None:
+                raise CircuitError(f"second vars line {raw!r}")
             variables = line.split()[1:]
             continue
         # a malformed constant or gate reference raises ValueError naming it
         try:
             if line.startswith("output"):
+                if outputs is not None:
+                    raise CircuitError(f"second output line {raw!r}")
                 outputs = [gid_of(t) for t in line.split()[1:]]
                 continue
             lhs, eq, rhs = line.partition("=")
@@ -610,6 +614,8 @@ def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
             if not eq or len(toks) != (2 if kind in ("input", "const") else 3):
                 raise CircuitError(f"malformed gate line {raw!r}")
             gid = gid_of(lhs.strip())
+            if gid in gates:
+                raise CircuitError(f"gate g{gid} defined again in line {raw!r}")
             if kind == "input":
                 if not is_variable_name(toks[1]):
                     raise CircuitError(f"bad variable name {toks[1]!r} in line {raw!r}")
@@ -622,7 +628,7 @@ def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
                 raise CircuitError(f"unknown gate kind {kind!r} in line {raw!r}")
         except ValueError as exc:
             raise CircuitError(f"{exc} in line {raw!r}") from None
-    return validate(Circuit(gates, outputs, spec=spec, variables=variables))
+    return validate(Circuit(gates, outputs or [], spec=spec, variables=variables))
 
 
 # ---------------------------------------------------------------------------

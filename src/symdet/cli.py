@@ -36,7 +36,7 @@ from .minimize import green_form, minimize
 from .oracles import symbolic_det
 from .polynomials import bounds_report
 from .verify import identity_test, testable
-from .weakly_skew import ws_nonsym_matrix, ws_sym_lowering
+from .weakly_skew import ws_nonsym_lowering, ws_sym_lowering
 
 
 def field_from_flag(text: str) -> FieldSpec:
@@ -69,7 +69,9 @@ def _resolve_seed(args) -> int:
 
 def _load_circuit(args) -> Circuit:
     spec = args.field
-    if getattr(args, "expr", None):
+    if args.expr is not None:
+        if args.circuit != "-":
+            raise CircuitError("give a circuit file or --expr, not both")
         return parse_expression(args.expr, spec)
     if args.circuit == "-":
         return parse_circuit(sys.stdin.read(), spec)
@@ -114,7 +116,7 @@ _BUILDERS = {
     "valiant": ("green", lambda c, size: valiant_lowering(c)),
     "sym": ("skinny", sym_lowering),
     "ws-sym": ("fat", ws_sym_lowering),
-    "ws-nonsym": ("fat", lambda c, size: (ws_nonsym_matrix(c, size), None)),
+    "ws-nonsym": ("fat", ws_nonsym_lowering),
 }
 
 

@@ -379,15 +379,3 @@ def check_valiant_certificate(cert: PathSumCertificate) -> None:
     total = total.scale(cert.c0)
     expected = expand_circuit(cert.source)[0]
     assert total == expected, "digraph path-sum identity failed"
-
-
-def to_permanent_matrix(m: SymbolicMatrix) -> SymbolicMatrix:
-    """Replace every -1 entry by 1; the permanent then computes the formula."""
-    spec = m.spec
-    minus_one = -spec.one()
-    one = Weight.const(spec.one())
-    rows = [
-        {j: one if (w.kind == CONSTW and w.coeff == minus_one) else w for j, w in row.items()}
-        for row in m.rows
-    ]
-    return SymbolicMatrix(rows, spec=spec, symmetric=m.symmetric)

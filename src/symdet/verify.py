@@ -20,9 +20,11 @@ embedded constants plus slots for its variable entries, so compiling costs
 O(nonzeros), and all its determinants come from one sparse elimination with
 Markowitz-style pivoting (fewest-entry column, shortest row whose entry is
 nonzero in every lane), so the pivot search and the fill-in bookkeeping are
-paid once for all points.  :func:`det_eval` at one point is the one-lane
-case.  Over Q, :func:`det_eval` keeps dense elimination on exact field
-elements; it is the reference the tests check the lockstep path against.
+paid once for all points.  Both are evaluated on lanes only.
+:func:`det_eval` is the one wrapper that boxes: it checks a
+``{variable: FieldElement}`` point and runs it as one lane.  Over Q it keeps
+dense elimination on exact field elements; that is the reference the tests
+check the lockstep path against.
 
 Every randomized verdict, :func:`identity_test`'s and the partial permanent
 identity's of :mod:`symdet.char2`, comes from :func:`compare_lanes`, and
@@ -31,9 +33,7 @@ drawn straight into the lane of each variable by
 :func:`~symdet.fields.sample_lanes`, which makes the draws of a
 trial-by-trial ``sample_random`` loop in the same order; the verdict
 compares plain ints, and only the first failing point and its two values
-become field elements, as the witness.  The methods that take points as
-``{variable: FieldElement}`` maps check them and unbox them into lanes
-first.
+become field elements, as the witness.
 """
 
 from __future__ import annotations
@@ -327,22 +327,6 @@ class _IntArith:
         return out
 
 
-def _lanes_of(
-    names: Sequence[str], points: Sequence[Mapping[str, FieldElement]], spec: FieldSpec
-) -> dict[str, list[int]]:
-    """The lane of each variable over the points.  Checks the points in order
-    and each in the order of ``names``, raising as ``circuits.evaluate`` would
-    on the first missing or foreign-field value."""
-    for point in points:
-        for name in names:
-            if name not in point:
-                raise MissingAssignment(f"no value for variable {name!r}")
-            x = point[name]
-            if x.spec != spec:
-                raise MixedFields(f"assignment for {name!r} lives in {x.spec}, not {spec}")
-    return {name: [point[name].value for point in points] for name in names}
-
-
 def _need_finite(spec: FieldSpec) -> None:
     if spec.size is None:
         raise UnsupportedField(f"compiled evaluation needs a finite field, not {spec}")
@@ -386,10 +370,6 @@ class CompiledCircuit:
                 degree[gid] = max(da, db) if g.kind == ADD else da + db
         self.degrees = tuple(degree[o] for o in circuit.outputs)
         self.variables = tuple(dict.fromkeys(name for _, name in self.inputs))
-
-    def evaluate(self, points: Sequence[Mapping[str, FieldElement]]) -> list[list[int]]:
-        """The lane of each output over the points."""
-        return self.lane_evaluate(_lanes_of(self.variables, points, self.spec), len(points))
 
     def lane_evaluate(self, lanes: Mapping[str, list[int]], t: int) -> list[list[int]]:
         """The lane of each output at ``t`` points given as the lane of each
@@ -437,14 +417,6 @@ class CompiledMatrix:
                     self.slots.append((i, j, w.name, embed(w.coeff, spec).value))
         self.variables = tuple(sorted({s[2] for s in self.slots}))
 
-    def rows(self, points: Sequence[Mapping[str, FieldElement]]) -> list[dict[int, list[int]]]:
-        """Fresh sparse rows ``{column: lane}`` of the matrix over the points."""
-        return self.lane_rows(_lanes_of(self.variables, points, self.spec), len(points))
-
-    def det(self, points: Sequence[Mapping[str, FieldElement]]) -> list[int]:
-        """The determinant at each point."""
-        return self.lane_det(_lanes_of(self.variables, points, self.spec), len(points))
-
     def lane_rows(self, lanes: Mapping[str, list[int]], t: int) -> list[dict[int, list[int]]]:
         """Fresh sparse rows ``{column: lane}`` of the matrix at ``t`` points
         given as the lane of each variable; an entry that is zero at every
@@ -491,33 +463,33 @@ def _dense_det(vals: list[list[FieldElement]], spec: FieldSpec) -> FieldElement:
 
 
 def det_eval(
-    m: SymbolicMatrix | CompiledMatrix,
-    assignment: Mapping[str, FieldElement],
-    spec: FieldSpec | None = None,
+    m: SymbolicMatrix, assignment: Mapping[str, FieldElement], spec: FieldSpec | None = None
 ) -> FieldElement:
-    """Exact determinant of the matrix at a point.
+    """Exact determinant of the matrix at a point, boxed.
 
-    Over a finite field the matrix is compiled (once, if a
-    :class:`CompiledMatrix` is passed) and eliminated sparsely as one lane;
-    over Q it is eliminated densely on field elements.
+    Raises :class:`MissingAssignment` naming the smallest unassigned variable,
+    or :class:`MixedFields` for a value from another field.  Over a finite
+    field the matrix is compiled and eliminated sparsely as one lane; over Q
+    it is eliminated densely on field elements.
     """
     spec = spec or m.spec
-    if isinstance(m, CompiledMatrix):
-        if spec != m.spec:
-            raise MixedFields(f"matrix compiled for {m.spec}, evaluated in {spec}")
-    elif spec.size is not None:
-        m = CompiledMatrix(m, spec)
-    else:
-        missing = set(m.variables()) - set(assignment)
-        if missing:
-            raise MissingAssignment(f"no value for variable {min(missing)!r}")
+    variables = m.variables()
+    missing = set(variables) - set(assignment)
+    if missing:
+        raise MissingAssignment(f"no value for variable {min(missing)!r}")
+    for name in variables:
+        if assignment[name].spec != spec:
+            raise MixedFields(f"assignment for {name!r} lives in {assignment[name].spec}, "
+                              f"not {spec}")
+    if spec.size is None:
         zero = spec.zero()
         vals = [[zero] * m.dim for _ in range(m.dim)]
         for i, row in enumerate(m.rows):
             for j, w in row.items():
                 vals[i][j] = w.eval(assignment, spec)
         return _dense_det(vals, spec)
-    return FieldElement(spec, m.det([assignment])[0])
+    lanes = {name: [assignment[name].value] for name in variables}
+    return FieldElement(spec, CompiledMatrix(m, spec).lane_det(lanes, 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,9 @@ class NotWeaklySkew(CircuitError):
 
 @dataclass
 class WsCertificate:
-    graph: WeightedGraph
+    graph: WeightedGraph | WeightedDigraph  # gadget graph, or the ABP digraph
     s: int
-    t_of: dict[int, int]            # reusable gate id -> t vertex
+    t_of: dict[int, int]            # reusable gate id -> t vertex (ABP: its vertex)
     c_of: dict[int, FieldElement]   # reusable gate id -> scalar
     source: Circuit
     mode: str
@@ -279,12 +279,12 @@ def check_ws_certificate(cert: WsCertificate, max_vertices: int = 14) -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_ws_abp(
-    circuit: Circuit, mode: str = "fat"
-) -> tuple[WeightedDigraph, int, dict[int, int], dict[int, FieldElement], Circuit]:
+def build_ws_abp(circuit: Circuit, mode: str = "fat") -> WsCertificate:
     """Path-sum ABP: for every reusable gate a, sum over s-to-vertex(a) paths
     of w(P) equals f_a / c_a.  One vertex per gate, none for multiplications
-    (they alias their closed argument's vertex) or absorbed constants."""
+    (they alias their closed argument's vertex) or absorbed constants.  The
+    certificate's graph is the digraph and ``t_of`` maps each gate to its
+    vertex."""
     dg = WeightedDigraph(circuit.spec)
 
     def node(arms) -> int:
@@ -296,7 +296,7 @@ def build_ws_abp(
     s = dg.add_vertex()
     dg.roles["s"] = s
     work, vert, c_of = _lower(circuit, mode, node, s)
-    return dg, s, vert, c_of, work
+    return WsCertificate(dg, s, vert, c_of, work, mode)
 
 
 def ws_nonsym_matrix(
@@ -308,22 +308,30 @@ def ws_nonsym_matrix(
     ``signed=False`` the arc negations are skipped and the matrix satisfies
     permanent = polynomial instead (the two coincide in characteristic 2).
     """
+    return ws_nonsym_lowering(circuit, mode, signed)[0]
+
+
+def ws_nonsym_lowering(
+    circuit: Circuit, mode: str = "fat", signed: bool = True
+) -> tuple[SymbolicMatrix, WsCertificate | None]:
+    """:func:`ws_nonsym_matrix` together with the ABP it closes, which is None
+    for the 1x1 matrix of a variable-free circuit in green mode."""
     if len(circuit.outputs) != 1:
         raise CircuitError("non-symmetric lowering needs a single-output circuit")
     if mode == "green":
         fallback = _constant_fallback(circuit)
         if fallback is not None:
-            return fallback
-    dg, s, vert, c_of, work = build_ws_abp(circuit, mode)
-    out = work.outputs[0]
-    t = vert[out]
+            return fallback, None
+    cert = build_ws_abp(circuit, mode)
+    dg, out = cert.graph, cert.source.outputs[0]
+    t = cert.t_of[out]
     minus_one = -dg.spec.one()
 
     def weight(u: int, v: int, w: Weight) -> Weight:
         if v == t:
-            return w.scale(c_of[out])  # each s-t path crosses exactly one in-arc of t
+            return w.scale(cert.c_of[out])  # each s-t path crosses exactly one in-arc of t
         # (-1)^|P| bookkeeping, spread over the arcs
         return w.scale(minus_one) if signed else w
 
     unit = Weight.const(dg.spec.one())
-    return adjacency(close_abp(dg, s, t, weight, loop=lambda v: unit))
+    return adjacency(close_abp(dg, cert.s, t, weight, loop=lambda v: unit)), cert

@@ -18,6 +18,11 @@ def poly_equal(p: DensePolynomial, q: DensePolynomial) -> bool:
     return p.with_variables(allvars) == q.with_variables(allvars)
 
 
+def lanes_of(points) -> dict:
+    """The lane of each variable over ``{variable: FieldElement}`` points."""
+    return {v: [p[v].value for p in points] for v in points[0]}
+
+
 def circuit_matches(matrix_poly: DensePolynomial, circuit: Circuit) -> bool:
     return poly_equal(matrix_poly, expand_circuit(circuit)[0])
 

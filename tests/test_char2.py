@@ -12,7 +12,7 @@ from symdet.char2 import (
     double_matrix,
     partial_perm_identity,
     partial_permanent,
-    partial_permanent_lanes,
+    per_star_lanes,
     plus_identity,
     square_matrix_char2,
 )
@@ -29,8 +29,8 @@ from symdet.fields import (
 from symdet.graphs import CONSTW, VARW, SymbolicMatrix, Weight
 from symdet.oracles import enumerate_cycle_covers, referee_submatrix_sum, symbolic_det
 from symdet.polynomials import DensePolynomial, parse_polynomial
-from symdet.verify import FAILED, VERIFIED_RANDOM, det_eval, identity_test
-from tests.conftest import poly_equal
+from symdet.verify import FAILED, VERIFIED_RANDOM, CompiledMatrix, det_eval, identity_test
+from tests.conftest import lanes_of, poly_equal
 
 
 def var_matrix(names, spec=RATIONAL):
@@ -333,7 +333,7 @@ def test_lane_partial_permanent_matches_boxed_reference(spec, data, t):
     b = SymbolicMatrix(rows, spec=spec)
     value = st.one_of(small, element(spec))  # some entries vanish in some lanes
     points = [{v: data.draw(value) for v in PPERM_NAMES} for _ in range(t)]
-    lanes = partial_permanent_lanes(b, points, spec)
+    lanes = per_star_lanes(CompiledMatrix(b, spec), lanes_of(points), t)
     assert len(lanes) == t
     for x, point in zip(lanes, points):
         expected = boxed_per_star([[w.eval(point, spec) for w in row] for row in b.entries])

@@ -383,13 +383,47 @@ def test_cli_verify_field_errors_exit_1(tmp_path, capsys, circuit, matrix, flags
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("line", ["g1 = const 1/0", "g1 = add g0", "foo"])
+# the last three define a gate, the outputs or the variables a second time
+@pytest.mark.parametrize("line", ["g1 = const 1/0", "g1 = add g0", "foo",
+                                  "g0 = const 1", "output g0", "vars x y"])
 def test_cli_malformed_circuit_line_exits_1(tmp_path, capsys, line):
     circ = tmp_path / "f.circuit"
     circ.write_text(f"vars x\ng0 = input x\n{line}\noutput g0\n")
     code, _, err = run(["parse", str(circ)], capsys)
     assert code == 1
     assert err.startswith("error:") and line.split()[-1] in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vars x\ng0 = input x\noutput g0 g5\n", "output 5 is not a gate"),
+    ("vars x\ng0 = input x\noutput g0 g0\n", "duplicate output gate"),
+    ("vars x\ng0 = input x\ng1 = add g0 g7\noutput g1\n", "references missing gate 7"),
+    ("vars x\ng0 = input x\ng1 = input y\ng2 = add g0 g1\noutput g2\n",
+     "undeclared variables {'y'}"),
+    ("vars x\ng0 = input x\n", "circuit needs at least one output"),
+], ids=["output-not-a-gate", "duplicate-output", "missing-gate", "undeclared-variable",
+        "no-output"])
+def test_cli_structurally_invalid_circuit_exits_1(tmp_path, capsys, text, message):
+    circ = tmp_path / "f.circuit"
+    circ.write_text(text)
+    code, out, err = run(["parse", str(circ)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+def test_cli_empty_expr_does_not_read_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(X_CIRCUIT))
+    code, out, err = run(["parse", "--expr", ""], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_circuit_file_and_expr_exit_1(tmp_path, capsys):
+    circ = tmp_path / "f.circuit"
+    circ.write_text(X_CIRCUIT)
+    code, out, err = run(["parse", str(circ), "--expr", "y"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: give a circuit file or --expr, not both\n"
 
 
 def test_cli_malformed_matrix_constant_names_the_entry(tmp_path, capsys):
@@ -462,7 +496,7 @@ def test_cli_build_rejects_circuit_input_name_a_matrix_cannot_hold(tmp_path, cap
 def test_cli_build_dot_draws_the_gadget_of_the_build(tmp_path, capsys):
     from symdet.formulas import build_sym_graph, build_valiant_digraph
     from symdet.graphs import export_dot
-    from symdet.weakly_skew import build_ws_graph
+    from symdet.weakly_skew import build_ws_abp, build_ws_graph
 
     c = parse_expression("(x+y)*(x+y) + 2*y*z")
     circ = tmp_path / "f.circuit"
@@ -473,6 +507,8 @@ def test_cli_build_dot_draws_the_gadget_of_the_build(tmp_path, capsys):
         ("sym", "green"): build_sym_graph(c, "green").graph,
         ("ws-sym", "fat"): build_ws_graph(c, "fat").graph,
         ("ws-sym", "green"): build_ws_graph(c, "green").graph,
+        ("ws-nonsym", "fat"): build_ws_abp(c, "fat").graph,
+        ("ws-nonsym", "green"): build_ws_abp(c, "green").graph,
     }
     for (method, size), graph in gadgets.items():
         dot = tmp_path / f"{method}-{size}.dot"

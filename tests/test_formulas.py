@@ -4,6 +4,7 @@ import symdet.formulas as formulas
 from symdet.circuits import (
     CircuitBuilder,
     measure,
+    parse_expression,
     random_circuit,
 )
 from symdet.fields import GF2_16, RATIONAL, CharTwoHalf
@@ -14,12 +15,12 @@ from symdet.formulas import (
     check_sym_certificate,
     check_valiant_certificate,
     sym_matrix,
-    to_permanent_matrix,
     valiant_matrix,
 )
 from symdet.graphs import entries_alphabet_ok, render_matrix
 from symdet.oracles import ryser_permanent, symbolic_det
 from symdet.polynomials import expand_circuit
+from symdet.weakly_skew import ws_nonsym_matrix
 from tests.conftest import addition_chain, circuit_matches, poly_equal
 
 
@@ -221,13 +222,15 @@ def test_sym_char2_rejected():
 
 
 def test_permanent_variant(rng):
-    for _ in range(25):
-        f = random_circuit("formula", rng.randint(0, 4), 3, rng, const_prob=0.0)
-        m = sym_matrix(f, "skinny")
-        if m.dim > 11:
-            continue
-        b = to_permanent_matrix(m)
-        assert circuit_matches(ryser_permanent(b), f)
+    """Unsigned, the path-sum matrix has permanent = formula, scaled arcs too."""
+    fs = [parse_expression("x*y + z")]
+    fs += [random_circuit("formula", rng.randint(0, 4), 3, rng, const_prob=0.3)
+           for _ in range(25)]
+    for f in fs:
+        for mode in ("fat", "green"):
+            b = ws_nonsym_matrix(f, mode, signed=False)
+            if b.dim <= 11:
+                assert circuit_matches(ryser_permanent(b), f)
 
 
 def test_fig1_through_both_formula_methods(fig1_formula):

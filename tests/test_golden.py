@@ -57,8 +57,9 @@ def _scalars(mapping) -> str:
 
 
 def _abp(c, mode) -> str:
-    dg, s, vert, c_of, work = build_ws_abp(c, mode)
-    return f"{export_dot(dg)}s={s} vert={sorted(vert.items())} c={_scalars(c_of)}"
+    cert = build_ws_abp(c, mode)
+    return (f"{export_dot(cert.graph)}s={cert.s} vert={sorted(cert.t_of.items())}"
+            f" c={_scalars(cert.c_of)}")
 
 
 def _ws_graph(c, mode) -> str:

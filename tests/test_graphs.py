@@ -27,7 +27,7 @@ from symdet.oracles import (
 )
 from symdet.polynomials import TooLarge, parse_polynomial
 from symdet.verify import CompiledMatrix, _dense_det
-from tests.conftest import poly_equal
+from tests.conftest import lanes_of, poly_equal
 
 
 def wv(name):
@@ -369,10 +369,10 @@ def test_sparse_matrix_matches_dense_reference(spec, data):
         exact = _dense_det([[w.eval(point, spec) for w in row] for row in grid], spec)
         for target in (PRIME_DEFAULT, FieldSpec.prime(65537)):
             compiled = CompiledMatrix(m, target)
-            lane = compiled.det([{v: embed(x, target) for v, x in point.items()}])
+            lane = compiled.lane_det(lanes_of([{v: embed(x, target) for v, x in point.items()}]), 1)
             assert lane == [embed(exact, target).value]
     else:
         values = data.draw(st.tuples(*[st.integers(0, spec.size - 1)] * 3))
         point = {v: spec.from_bits(x) for v, x in zip(names, values)}
         exact = _dense_det([[w.eval(point, spec) for w in row] for row in grid], spec)
-        assert CompiledMatrix(m, spec).det([point]) == [exact.value]
+        assert CompiledMatrix(m, spec).lane_det(lanes_of([point]), 1) == [exact.value]

@@ -194,3 +194,19 @@ def test_cli_builds_and_verifies_a_deep_chain(tmp_path, capsys):
                  str(circ), "-o", str(matrix)]) == 0
     assert main(["verify", str(circ), str(matrix), "--seed", "1", "--trials", "2"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("verified")
+
+
+def test_benchmark_traced_names_exist():
+    """Every function the benchmark's tracer wraps by name still exists, so
+    a rename cannot break ``perfbench/run.py --trace 1`` unnoticed."""
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name in tracing.SPANNED + tracing.COUNTED:
+        module, function = name.split(".")
+        assert callable(getattr(importlib.import_module(f"symdet.{module}"), function, None)), name

@@ -1,6 +1,5 @@
 import math
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -23,7 +22,7 @@ from symdet.formulas import sym_matrix
 from symdet.graphs import SymbolicMatrix, Weight, parse_matrix
 from symdet.oracles import symbolic_det
 from symdet.weakly_skew import ws_sym_matrix
-from tests.conftest import mutate_matrix
+from tests.conftest import lanes_of, mutate_matrix
 from symdet.verify import (
     FAILED,
     FieldTooSmall,
@@ -161,7 +160,8 @@ def test_compiled_det_matches_cofactor_oracle_in_field(spec, data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     for _ in range(2):  # a compiled matrix is reused across points
         point = {v: sample_random(spec, rng) for v in NAMES}
-        assert det_eval(compiled, point, spec) == oracle.evaluate(point, spec)
+        assert compiled.lane_det(lanes_of([point]), 1) == [oracle.evaluate(point, spec).value]
+        assert det_eval(m, point, spec) == oracle.evaluate(point, spec)
 
 
 @pytest.mark.parametrize("spec", [RATIONAL] + COMPILED_FIELDS, ids=["Q"] + FIELD_IDS)
@@ -169,6 +169,9 @@ def test_det_eval_unassigned_variable(spec):
     m = parse_matrix("2\nx 1\n3*y 0")
     with pytest.raises(MissingAssignment, match="'y'"):
         det_eval(m, {"x": spec.one()}, spec)
+    foreign = GF2_16 if spec != GF2_16 else PRIME_DEFAULT
+    with pytest.raises(MixedFields, match="'x'"):
+        det_eval(m, {"x": foreign.one(), "y": spec.one()}, spec)
 
 
 def test_identity_test_verifies_construction(fig1_formula):
@@ -270,7 +273,7 @@ def test_lane_det_matches_dense_rational_reference(spec, rows, t, data):
     q_points = [{v: RATIONAL.from_int(data.draw(value)) for v in NAMES} for _ in range(t)]
     points = [{v: embed(x, spec) for v, x in q.items()} for q in q_points]
     want = [embed(det_eval(m, q, RATIONAL), spec).value for q in q_points]
-    assert CompiledMatrix(m, spec).det(points) == want
+    assert CompiledMatrix(m, spec).lane_det(lanes_of(points), t) == want
 
 
 def spy_on_lane_det(monkeypatch) -> list[int]:
@@ -294,7 +297,7 @@ def test_lane_det_reruns_lanes_where_every_pivot_candidate_vanishes(spec, monkey
     values = [(0, 5), (5, 0), (5, 6)]
     points = [{"x": field_value(spec, x), "y": field_value(spec, y)} for x, y in values]
     calls = spy_on_lane_det(monkeypatch)
-    got = CompiledMatrix(m, spec).det(points)
+    got = CompiledMatrix(m, spec).lane_det(lanes_of(points), 3)
     assert calls == [3, 1]
     assert got == [(p["x"] - p["y"]).value for p in points]
     assert got == [det_eval(m, p, spec).value for p in points]
@@ -306,7 +309,7 @@ def test_lane_det_column_vanishing_in_one_lane(spec, monkeypatch):
     values = [(0, 3), (4, 0), (5, 1)]
     points = [{"x": field_value(spec, x), "y": field_value(spec, y)} for x, y in values]
     calls = spy_on_lane_det(monkeypatch)
-    got = CompiledMatrix(m, spec).det(points)
+    got = CompiledMatrix(m, spec).lane_det(lanes_of(points), 3)
     assert calls[0] == 3 and 1 in calls
     assert got == [(p["x"] * (1 - p["y"])).value for p in points]
 
@@ -391,21 +394,16 @@ def test_compiled_circuit_matches_evaluate(spec, seed, profile, t):
     points = [{v: sample_random(spec, rng) for v in c.variables} for _ in range(t)]
     compiled = CompiledCircuit(c, spec)
     want = [[evaluate(c, p, spec)[k].value for p in points] for k in range(len(c.outputs))]
-    assert compiled.evaluate(points) == want
+    assert compiled.lane_evaluate(lanes_of(points), t) == want
     assert compiled.degrees == (formal_degree(c),)
 
 
 def test_compiled_circuit_raises_like_evaluate():
-    b = CircuitBuilder()
-    c = b.build([b.add(b.mul(b.var("x"), b.var("y")), b.const(Fraction(1, 3)))])
-    one = PRIME_DEFAULT.one()
-    for point in ({"x": one}, {"x": one, "y": GF2_16.one()}):
-        with pytest.raises((MissingAssignment, MixedFields)) as want:
-            evaluate(c, point, PRIME_DEFAULT)
-        with pytest.raises(want.type, match=re.escape(str(want.value))):
-            CompiledCircuit(c, PRIME_DEFAULT).evaluate([{"x": one, "y": one}, point])
+    """A constant with no image in the field is refused when compiling."""
     b = CircuitBuilder()
     half = b.build([b.const(Fraction(1, 2))])
+    with pytest.raises(MixedFields):
+        evaluate(half, {}, GF2_16)
     with pytest.raises(MixedFields):
         CompiledCircuit(half, GF2_16)
 
