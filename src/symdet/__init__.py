@@ -53,9 +53,11 @@ from .graphs import (
     WeightedDigraph,
     WeightedGraph,
     adjacency,
+    close_symmetric,
     export_dot,
     parse_matrix,
     render_matrix,
+    split_vertices,
 )
 from .oracles import (
     cycle_cover_sum,
@@ -70,7 +72,7 @@ from .formulas import (
     valiant_matrix,
 )
 from .weakly_skew import build_ws_graph, ws_nonsym_matrix, ws_sym_matrix
-from .determinant import build_det_abp, det_sym_matrix, symmetrize_abp
+from .determinant import build_det_abp, det_sym_matrix
 from .char2 import partial_perm_identity, partial_permanent, square_matrix_char2
 from .verify import Verdict, det_eval, identity_test
 

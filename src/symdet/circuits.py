@@ -29,7 +29,6 @@ from .fields import (
     FieldSpec,
     MixedFields,
     embed,
-    half,  # noqa: F401  (re-exported for circuit users)
     parse_element,
 )
 
@@ -691,11 +690,14 @@ def parse_expression(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
     def peek():
         return tokens[pos]
 
+    def shown(tok) -> str:
+        return "end of expression" if tok[0] == "end" else f"token {tok[1]!r}"
+
     def take(kind=None):
         nonlocal pos
         tok = tokens[pos]
         if kind and tok[0] != kind:
-            raise SyntaxErrorAt(f"expected {kind}, got {tok[1]!r}", tok[2])
+            raise SyntaxErrorAt(f"expected {kind}, got {shown(tok)}", tok[2])
         pos += 1
         return tok
 
@@ -740,7 +742,7 @@ def parse_expression(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
             take(")")
             depth -= 1
             return inner
-        raise SyntaxErrorAt(f"unexpected token {value!r}", at)
+        raise SyntaxErrorAt(f"unexpected {shown(peek())}", at)
 
     def lower_product(factors):
         scalar = spec.one()
@@ -818,5 +820,4 @@ __all__ = [
     "UnreachableGate",
     "DuplicateVariable",
     "MissingAssignment",
-    "half",
 ]

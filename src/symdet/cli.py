@@ -143,6 +143,13 @@ def build_bound(method: str, size: str, c: Circuit) -> int:
     raise ValueError(method)
 
 
+def _check_bound(matrix, bound: int) -> None:
+    """A dimension above the theorem's bound is a hard error, reported
+    before anything is printed."""
+    if matrix.dim > bound:
+        raise ValueError(f"dimension {matrix.dim} exceeds bound {bound}")
+
+
 def cmd_build(args) -> int:
     c = _load_circuit(args)
     default_size, builder = _BUILDERS[args.method]
@@ -153,6 +160,7 @@ def cmd_build(args) -> int:
         return 1
     matrix, cert = builder(c, size)
     bound = build_bound(args.method, size, c)
+    _check_bound(matrix, bound)
     report = {
         "method": args.method,
         "size": size,
@@ -160,9 +168,6 @@ def cmd_build(args) -> int:
         "bound": bound,
         "symmetric": matrix.symmetric,
     }
-    if matrix.dim > bound:
-        print(f"error: dimension {matrix.dim} exceeds bound {bound}", file=sys.stderr)
-        return 1
     out = render_matrix(matrix)
     if args.output:
         with open(args.output, "w") as fh:
@@ -188,9 +193,7 @@ def cmd_build(args) -> int:
 def cmd_detsym(args) -> int:
     matrix = det_sym_matrix(args.n)
     bound = 4 * args.n**3 + 7
-    if matrix.dim > bound:
-        print(f"error: dimension {matrix.dim} exceeds bound {bound}", file=sys.stderr)
-        return 1
+    _check_bound(matrix, bound)
     print(f"# determinant representation n={args.n}: dimension {matrix.dim} <= {bound}",
           file=sys.stderr)
     sys.stdout.write(render_matrix(matrix))
@@ -208,9 +211,8 @@ def cmd_char2_square(args) -> int:
     c = _load_circuit(args)
     matrix = square_matrix_char2(c)
     bound = 2 * measure(c).fat + 2
+    _check_bound(matrix, bound)
     print(f"# char-2 square: dimension {matrix.dim} <= {bound}", file=sys.stderr)
-    if matrix.dim > bound:
-        return 1
     sys.stdout.write(render_matrix(matrix))
     return 0
 

@@ -12,18 +12,19 @@ States track the open walk (head, position) and the parity of walks closed
 so far; a closing arc lands in a state remembering only the closed head, so
 every transition consumes exactly one matrix entry and arcs between a given
 state pair are unique.  Sign-merging arcs of weight +-1 join the sinks into
-a single sink t.  Splitting every interior vertex into an in/out pair with
-a unit edge symmetrizes the program; closing with one extra vertex (edge
-weights 1/2 and (-1)^n) yields a symmetric matrix of dimension at most
-4n^3 + 7 whose determinant is DET_n.
+a single sink t.  The symmetric matrix is the one every construction
+builds (:mod:`symdet.graphs`): the program's vertex split, every vertex but
+s and t becoming an in/out pair joined by a unit edge, closed from t to s
+through one extra vertex (edge weights 1/2 and (-1)^n), of dimension at
+most 4n^3 + 7 and with determinant DET_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import FieldSpec, RATIONAL, half
-from .graphs import SymbolicMatrix, Weight, WeightedDigraph, WeightedGraph, adjacency
+from .fields import FieldSpec, RATIONAL
+from .graphs import SymbolicMatrix, Weight, WeightedDigraph, close_symmetric, split_vertices
 
 
 def det_variable(i: int, j: int) -> str:
@@ -166,31 +167,6 @@ def build_det_abp(n: int, spec: FieldSpec = RATIONAL) -> LayeredAbp:
     return LayeredAbp(dg, layers, index[S], plus_sinks, minus_sinks, t, n)
 
 
-def symmetrize_abp(abp: LayeredAbp) -> WeightedGraph:
-    """Vertex-split symmetrization: interior u becomes u_in - u_out with a
-    unit edge; every arc (u, v) becomes the edge u_out - v_in."""
-    dg = abp.digraph
-    spec = dg.spec
-    g = WeightedGraph(spec)
-    interior = [v for v in range(dg.n) if v not in (abp.s, abp.t)]
-    v_in: dict[int, int] = {}
-    v_out: dict[int, int] = {}
-    s_out = g.add_vertex()
-    for u in interior:
-        v_in[u] = g.add_vertex()
-        v_out[u] = g.add_vertex()
-    t_in = g.add_vertex()
-    v_out[abp.s] = s_out
-    v_in[abp.t] = t_in
-    one = Weight.const(spec.one())
-    for u in interior:
-        g.add_edge(v_in[u], v_out[u], one)
-    for (u, v), w in dg.arcs.items():
-        g.add_edge(v_out[u], v_in[v], w)
-    g.roles.update(s_out=s_out, t_in=t_in)
-    return g
-
-
 def det_sym_matrix(n: int, spec: FieldSpec = RATIONAL) -> SymbolicMatrix:
     """Symmetric matrix of dimension <= 4n^3+7 with determinant DET_n.
 
@@ -198,15 +174,10 @@ def det_sym_matrix(n: int, spec: FieldSpec = RATIONAL) -> SymbolicMatrix:
     {0, 1, -1, 1/2}.  Requires characteristic != 2.
     """
     abp = build_det_abp(n, spec)
-    g = symmetrize_abp(abp)
-    size_g = g.n
-    c = g.add_vertex()
-    g.add_edge(g.roles["t_in"], c, Weight.const(half(spec)))
-    # every s_out-t_in path has 2n+2 vertices; the matching completing a
-    # cover contributes sign (-1)^((|G|-2n-2)/2), which the closing edge must
+    g, copies = split_vertices(abp.digraph, spec.one(), [abp.s, abp.t])
+    # every s-t path has 2n+2 vertices; the matching completing a cover
+    # contributes sign (-1)^((|G|-2n-2)/2), which the closing edge must
     # match ((-1)^n at the unpruned size 4n^3+6)
-    exponent = (size_g - 2 * n - 2) // 2
+    exponent = (g.n - 2 * n - 2) // 2
     sign = spec.one() if exponent % 2 == 0 else -spec.one()
-    g.add_edge(c, g.roles["s_out"], Weight.const(sign))
-    g.roles["c"] = c
-    return adjacency(g)
+    return close_symmetric(g, copies[abp.s][0], copies[abp.t][0], spec.one(), sign)

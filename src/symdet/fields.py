@@ -107,17 +107,6 @@ def _gf2_poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def _gf2_powmod_x(e: int, m: int) -> int:
-    """x^e mod m over GF(2)[x]."""
-    result, base = 1, 2
-    while e:
-        if e & 1:
-            result = _gf2_mulmod(result, base, m)
-        base = _gf2_mulmod(base, base, m)
-        e >>= 1
-    return result
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -137,10 +126,10 @@ def gf2_irreducible(m: int) -> bool:
     k = _gf2_degree(m)
     if k < 1 or not (m & 1):
         return False
-    if _gf2_powmod_x(1 << k, m) != 2:  # x^(2^k) == x (mod m)
+    if _gf2_pow(2, 1 << k, m) != 2:  # x^(2^k) == x (mod m)
         return False
     for q in _prime_factors(k):
-        h = _gf2_powmod_x(1 << (k // q), m) ^ 2
+        h = _gf2_pow(2, 1 << (k // q), m) ^ 2
         if _gf2_poly_gcd(m, h) != 1:
             return False
     return True
@@ -305,6 +294,7 @@ def _gf2_tables(spec: FieldSpec) -> tuple[list[int], list[int]]:
 
 
 def _gf2_pow(a: int, e: int, m: int) -> int:
+    """a^e mod m over GF(2)[x]; x is ``a = 2``."""
     r = 1
     while e:
         if e & 1:

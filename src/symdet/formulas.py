@@ -34,7 +34,7 @@ from .circuits import (
     CircuitError,
     classify,
 )
-from .fields import FieldElement, half
+from .fields import FieldElement
 from .graphs import (
     CONSTW,
     SymbolicMatrix,
@@ -43,6 +43,7 @@ from .graphs import (
     WeightedGraph,
     adjacency,
     close_abp,
+    close_symmetric,
 )
 from .minimize import green_form
 from .weakly_skew import _input_weight
@@ -304,19 +305,13 @@ def sym_matrix(f: Circuit, mode: str = "skinny") -> SymbolicMatrix:
 def sym_lowering(
     f: Circuit, mode: str = "skinny"
 ) -> tuple[SymbolicMatrix, PathSumCertificate]:
-    """:func:`sym_matrix` together with the certificate it closes; the
-    closing vertex goes on a copy, so the certificate's graph is unchanged."""
+    """:func:`sym_matrix` together with the certificate it closes, whose
+    graph the closing leaves unchanged."""
     cert = build_sym_graph(f, mode)
-    g = cert.graph.copy()
-    spec = g.spec
-    size_g = g.n  # vertex count before the closing vertex
-    c = g.add_vertex()
-    g.add_edge(cert.t, c, Weight.const(cert.c0 * half(spec)))
+    spec = cert.graph.spec
     # closing weight (-1)^(|G|/2 - 1)
-    sign = spec.one() if (size_g // 2 - 1) % 2 == 0 else -spec.one()
-    g.add_edge(c, cert.s, Weight.const(sign))
-    g.roles["c"] = c
-    return adjacency(g), cert
+    sign = spec.one() if (cert.graph.n // 2 - 1) % 2 == 0 else -spec.one()
+    return close_symmetric(cert.graph, cert.s, cert.t, cert.c0, sign), cert
 
 
 def check_sym_certificate(cert: PathSumCertificate, max_vertices: int = 14) -> None:

@@ -7,6 +7,13 @@ recorded by role name so constructions are reproducible.  Graphs are
 undirected with loops allowed and no parallel edges; a graph's adjacency
 matrix is symmetric by construction.
 
+Every construction ends in one of two closings of an s-t path-sum graph.
+:func:`close_abp` merges t into s of a digraph and adds loops, so cycle
+covers are the s-t paths.  :func:`close_symmetric` joins t back to s of an
+undirected graph whose other vertices have exactly one matching completion;
+the graphs it closes are vertex splits (:func:`split_vertices`) of branching
+programs, or the formula gadgets, which are built undirected.
+
 :class:`SymbolicMatrix` is the target language: a square matrix whose
 entries are :class:`Weight` values, stored as its nonzeros only, one
 ``{column: weight}`` dict per row (the row-compressed storage of Gustavson,
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .circuits import is_variable_name
-from .fields import RATIONAL, FieldElement, FieldSpec, embed, parse_element
+from .fields import RATIONAL, FieldElement, FieldSpec, embed, half, parse_element
 from .polynomials import DensePolynomial
 
 
@@ -303,6 +310,51 @@ def close_abp(
             merged.add_arc(renum[v], renum[v], loop(v))
     merged.roles["s"] = renum[s]
     return merged
+
+
+def split_vertices(
+    dg: WeightedDigraph, unit: FieldElement, single: Iterable[int]
+) -> tuple[WeightedGraph, list[tuple[int, int]]]:
+    """Undirected vertex split of a digraph: every vertex not in ``single``
+    becomes an in copy and an out copy joined by an edge of weight ``unit``,
+    and arc (u, v) becomes the edge from the out copy of u to the in copy of
+    v.  Vertices keep their order, in copy first; an unsplit vertex is its
+    own in and out copy and keeps its roles.  Returns the graph and the
+    (in, out) copies of every vertex."""
+    g = WeightedGraph(dg.spec)
+    single = set(single)
+    copies = []
+    for v in range(dg.n):
+        v_in = g.add_vertex()
+        copies.append((v_in, v_in if v in single else g.add_vertex()))
+    link = Weight.const(unit)
+    for v_in, v_out in copies:
+        if v_in != v_out:
+            g.add_edge(v_in, v_out, link)
+    for (u, v), w in dg.arcs.items():
+        g.add_edge(copies[u][1], copies[v][0], w)
+    g.roles = {role: copies[v][0] for role, v in dg.roles.items() if v in single}
+    return g, copies
+
+
+def close_symmetric(
+    g: WeightedGraph, s: int, t: int, c: FieldElement, sign: FieldElement
+) -> SymbolicMatrix:
+    """The symmetric matrix closing the s-t paths of ``g`` back into s: the
+    edge t-s of weight sign*c/2 when |G| is odd, else one more vertex v with
+    edges t-v of weight c/2 and v-s of weight ``sign``.  A cycle cover then
+    runs one s-t path through the closing and completes it by the unique
+    matching of the rest, so each caller picks the ``sign`` that cancels the
+    matching's sign, and c/2 counts each path once for its two directions.
+    ``g`` is left unchanged."""
+    g = g.copy()
+    if g.n % 2:
+        g.add_edge(t, s, Weight.const(sign * c * half(g.spec)))
+    else:
+        v = g.add_vertex()
+        g.add_edge(t, v, Weight.const(c * half(g.spec)))
+        g.add_edge(v, s, Weight.const(sign))
+    return adjacency(g)
 
 
 def render_matrix(m: SymbolicMatrix) -> str:

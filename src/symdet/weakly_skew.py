@@ -1,33 +1,36 @@
 """Lowering weakly skew circuits to determinantal representations.
 
-The symmetric construction builds one undirected gadget graph for the whole
-(possibly multiple-output) circuit by peeling sink gates, popped from a heap
-of ready gates, so depth costs no recursion: an input or addition gate
-contributes a two-vertex gadget hanging off the distinguished vertex s or
-off the argument t-vertices; a multiplication merges the graph of its
-closed sub-circuit into the t-vertex of its reusable argument.  For
-every reusable gate a the graph holds a vertex t_a and a scalar c_a with
+Both lowerings start from one path-sum ABP of the whole (possibly
+multiple-output) circuit, built by peeling sink gates popped from a heap of
+ready gates, so depth costs no recursion.  An input or addition gets one
+vertex, fed by arcs from its argument vertices (or from the part's source);
+a multiplication adds the ABP of its closed sub-circuit, sourced at the
+vertex of its reusable argument, and takes the closed argument's vertex.
+For every reusable gate a, c_a times the sum of w(P) over the
+s-to-vertex(a) paths is f_a.
 
-    c_a * sum over acceptable s-t_a-paths of (-1)^((|P|-1)/2) w(P) = f_a,
+The symmetric construction is the vertex split of that ABP: every vertex
+but s becomes an in/out pair joined by an edge of weight -1, and t_a is the
+out copy of the vertex of a.  The split graph has |G| odd, all cycles even,
+all s-t_a-paths odd, a unique weight-1 perfect-matching completion for
+every acceptable path, and
 
-|G| odd, all cycles even, all s-t_a-paths odd, and a unique weight-1
-perfect-matching completion for every acceptable path.  Closing the output
-t-vertex back to s with weight c_out/2 * (-1)^((|G|-1)/2) gives a symmetric
-matrix of dimension at most 2m+1 (fat mode) or 2(e+i)+1 (green mode, after
-minimization, with constant addition arguments absorbed into edge weights).
+    c_a * sum over acceptable s-t_a-paths of (-1)^((|P|-1)/2) w(P) = f_a.
 
-The non-symmetric lowering drives the same peeling into a layered-free ABP:
-one vertex per gate (multiplications share their closed argument's vertex),
-arcs deliver path sums, and the ABP closes into a matrix of dimension at
-most m (fat) or e+i (green) by merging source and output and putting unit
-loops elsewhere; arc signs absorb the path-parity bookkeeping.
+Closing the output t-vertex back to s with weight c_out/2 * (-1)^((|G|-1)/2)
+gives a symmetric matrix of dimension at most 2m+1 (fat mode) or 2(e+i)+1
+(green mode, after minimization, with constant addition arguments absorbed
+into arc weights).
+
+The non-symmetric lowering closes the ABP itself into a matrix of dimension
+at most m (fat) or e+i (green) by merging source and output and putting
+unit loops elsewhere; arc signs absorb the path-parity bookkeeping.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable
 
 from .circuits import (
     ADD,
@@ -38,7 +41,7 @@ from .circuits import (
     CircuitError,
     classify,
 )
-from .fields import FieldElement, half
+from .fields import FieldElement
 from .graphs import (
     SymbolicMatrix,
     Weight,
@@ -46,6 +49,8 @@ from .graphs import (
     WeightedGraph,
     adjacency,
     close_abp,
+    close_symmetric,
+    split_vertices,
 )
 from .minimize import minimize
 
@@ -70,26 +75,23 @@ def _input_weight(gate) -> Weight:
     return Weight.const(gate.value)
 
 
-def _lower(
-    circuit: Circuit,
-    mode: str,
-    node: Callable[[list[tuple[int, Weight]]], int],
-    source: int,
-) -> tuple[Circuit, dict[int, int], dict[int, FieldElement]]:
-    """Peel a weakly skew circuit one gate at a time, sinks first.
+def build_ws_abp(circuit: Circuit, mode: str = "fat") -> WsCertificate:
+    """Path-sum ABP of a weakly skew circuit, peeled one gate at a time,
+    sinks first: for every reusable gate a, c_a times the sum over
+    s-to-vertex(a) paths of w(P) is f_a.  The certificate's graph is the
+    digraph and ``t_of`` maps each gate to its vertex.
 
     Each part is peeled from a heap of ready sinks, largest gate first.  The
     closed argument of a multiplication starts a part of its own, sourced at
     the vertex of the reusable argument; a constant argument that green mode
-    folds into an addition's edge weight belongs to no part.  Gadgets are
-    emitted in reverse peel order, a multiplication right after its closed
-    part: it costs no node, aliasing its closed argument's vertex.
-
-    ``node(arms)`` receives the ``(vertex, Weight)`` arms that feed a gate and
-    returns the vertex later gadgets attach to; an input or a folded constant
-    is an arm from the part's source.  Returns the working circuit (minimized
-    in green mode), the vertex of every gate a and its scalar c_a: c_a times
-    the path sum into the vertex of a is f_a.
+    folds into an addition's arc weight belongs to no part.  Vertices are
+    added in reverse peel order, a multiplication right after its closed
+    part: it costs no vertex, aliasing its closed argument's vertex.  An
+    input or addition gets one vertex, fed by one arc per argument vertex
+    (two arrows from one vertex make one arc); an input or a folded constant
+    is an arc from the part's source.  In green mode the circuit is
+    minimized first, so only computation gates and variable inputs cost
+    vertices.
     """
     if mode == "green":
         work = minimize(circuit)
@@ -103,6 +105,9 @@ def _lower(
     gates = work.gates
     waiting = {gid: len(users) for gid, users in work.consumers().items()}
     one = work.spec.one()
+    dg = WeightedDigraph(work.spec)
+    source = dg.add_vertex()
+    dg.roles["s"] = source
     vertex: dict[int, int] = {}
     c_of: dict[int, FieldElement] = {}
 
@@ -129,8 +134,7 @@ def _lower(
         return order
 
     def arms(gate, s: int) -> list[tuple[int, Weight]]:
-        """The arms feeding the node of an input or addition; two arrows
-        from one vertex make one arm."""
+        """The arcs feeding the vertex of an input or addition."""
         if gate.is_input:
             return [(s, _input_weight(gate))]
         beta, total = folded(gate), {}
@@ -149,45 +153,38 @@ def _lower(
             if beta in vertex:
                 vertex[gid] = vertex[beta]
                 c_of[gid] = wa * wb * c_of[a] * c_of[b]
-            else:  # emit the closed part first, then come back to alias
+            else:  # add the closed part first, then come back to alias
                 gamma = b if beta == a else a
                 jobs.append((gid, s))
                 jobs += [(x, vertex[gamma]) for x in peel([beta])]
             continue
-        vertex[gid] = node(arms(gate, s))
+        v = dg.add_vertex()
+        for u, w in arms(gate, s):
+            dg.add_arc(u, v, w)
+        vertex[gid] = v
         c_of[gid] = one
-    return work, vertex, c_of
+    return WsCertificate(dg, source, vertex, c_of, work, mode)
 
 
 def build_ws_graph(circuit: Circuit, mode: str = "fat") -> WsCertificate:
-    """Gadget graph for a multiple-output weakly skew circuit.
-
-    In fat mode every gate gets its own gadget; in green mode the circuit is
-    minimized first and constant addition arguments are folded into edge
-    weights, so only computation gates and variable inputs cost vertices.
-    """
-    g = WeightedGraph(circuit.spec)
-    minus_one = Weight.const(-circuit.spec.one())
-
-    def node(arms) -> int:
-        v, t = g.add_vertex(), g.add_vertex()
-        for u, w in arms:
-            g.add_edge(u, v, w)
-        g.add_edge(v, t, minus_one)
-        return t
-
-    s = g.add_vertex()
-    g.roles["s"] = s
-    work, t_of, c_of = _lower(circuit, mode, node, s)
-    return WsCertificate(g, s, t_of, c_of, work, mode)
+    """Gadget graph for a multiple-output weakly skew circuit: the vertex
+    split of :func:`build_ws_abp` with unit -1, s left whole, and the out
+    copy of its ABP vertex as each gate's t-vertex."""
+    abp = build_ws_abp(circuit, mode)
+    g, copies = split_vertices(abp.graph, -circuit.spec.one(), [abp.s])
+    t_of = {gid: copies[v][1] for gid, v in abp.t_of.items()}
+    return WsCertificate(g, abp.s, t_of, abp.c_of, abp.source, mode)
 
 
-def _constant_fallback(circuit: Circuit) -> SymbolicMatrix | None:
-    """Variable-free circuits have green size and input count 0; their
-    representation is the 1x1 matrix of the computed constant."""
+def _constant_fallback(circuit: Circuit, mode: str) -> SymbolicMatrix | None:
+    """The preamble of both single-output lowerings: refuse several outputs,
+    and in green mode represent a variable-free circuit (green size and input
+    count 0) by the 1x1 matrix of the computed constant."""
     from .circuits import evaluate
 
-    if any(g.kind == VAR for g in circuit.gates.values()):
+    if len(circuit.outputs) != 1:
+        raise CircuitError("weakly skew lowering needs a single-output circuit")
+    if mode != "green" or any(g.kind == VAR for g in circuit.gates.values()):
         return None
     value = evaluate(circuit, {})[0]
     return SymbolicMatrix([[Weight.const(value)]], spec=circuit.spec, symmetric=True)
@@ -203,24 +200,16 @@ def ws_sym_lowering(
     circuit: Circuit, mode: str = "fat"
 ) -> tuple[SymbolicMatrix, WsCertificate | None]:
     """:func:`ws_sym_matrix` together with the certificate it closes, which
-    is None for the 1x1 matrix of a variable-free circuit in green mode.  The
-    closing edge goes on a copy, so the certificate's graph is unchanged."""
-    if len(circuit.outputs) != 1:
-        raise CircuitError("symmetric lowering needs a single-output circuit")
-    if mode == "green":
-        fallback = _constant_fallback(circuit)
-        if fallback is not None:
-            return fallback, None
+    is None for the 1x1 matrix of a variable-free circuit in green mode."""
+    fallback = _constant_fallback(circuit, mode)
+    if fallback is not None:
+        return fallback, None
     cert = build_ws_graph(circuit, mode)
-    g = cert.graph.copy()
-    spec = g.spec
-    out = cert.source.outputs[0]
-    t = cert.t_of[out]
-    sign = spec.one() if ((g.n - 1) // 2) % 2 == 0 else -spec.one()
-    w_ts = cert.c_of[out] * half(spec) * sign
-    g.add_edge(t, cert.s, Weight.const(w_ts))
-    g.roles["t"] = t
-    return adjacency(g), cert
+    g, out = cert.graph, cert.source.outputs[0]
+    # the matching that completes an s-t path P has sign (-1)^((|G|-|P|)/2);
+    # times (-1)^((|G|-1)/2) it is the path-sum sign (-1)^((|P|-1)/2)
+    sign = g.spec.one() if ((g.n - 1) // 2) % 2 == 0 else -g.spec.one()
+    return close_symmetric(g, cert.s, cert.t_of[out], cert.c_of[out], sign), cert
 
 
 def check_ws_certificate(cert: WsCertificate, max_vertices: int = 14) -> None:
@@ -279,26 +268,6 @@ def check_ws_certificate(cert: WsCertificate, max_vertices: int = 14) -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_ws_abp(circuit: Circuit, mode: str = "fat") -> WsCertificate:
-    """Path-sum ABP: for every reusable gate a, sum over s-to-vertex(a) paths
-    of w(P) equals f_a / c_a.  One vertex per gate, none for multiplications
-    (they alias their closed argument's vertex) or absorbed constants.  The
-    certificate's graph is the digraph and ``t_of`` maps each gate to its
-    vertex."""
-    dg = WeightedDigraph(circuit.spec)
-
-    def node(arms) -> int:
-        v = dg.add_vertex()
-        for u, w in arms:
-            dg.add_arc(u, v, w)
-        return v
-
-    s = dg.add_vertex()
-    dg.roles["s"] = s
-    work, vert, c_of = _lower(circuit, mode, node, s)
-    return WsCertificate(dg, s, vert, c_of, work, mode)
-
-
 def ws_nonsym_matrix(
     circuit: Circuit, mode: str = "fat", signed: bool = True
 ) -> SymbolicMatrix:
@@ -316,12 +285,9 @@ def ws_nonsym_lowering(
 ) -> tuple[SymbolicMatrix, WsCertificate | None]:
     """:func:`ws_nonsym_matrix` together with the ABP it closes, which is None
     for the 1x1 matrix of a variable-free circuit in green mode."""
-    if len(circuit.outputs) != 1:
-        raise CircuitError("non-symmetric lowering needs a single-output circuit")
-    if mode == "green":
-        fallback = _constant_fallback(circuit)
-        if fallback is not None:
-            return fallback, None
+    fallback = _constant_fallback(circuit, mode)
+    if fallback is not None:
+        return fallback, None
     cert = build_ws_abp(circuit, mode)
     dg, out = cert.graph, cert.source.outputs[0]
     t = cert.t_of[out]

@@ -465,6 +465,27 @@ def test_cli_expression_nesting_is_bounded(capsys):
     assert err.startswith("error: expression nested too deeply")
 
 
+@pytest.mark.parametrize("expr", ["", "x +", "(x"])
+def test_cli_expression_names_its_end(capsys, expr):
+    code, out, err = run(["parse", "--expr", expr], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "end of expression" in err and "None" not in err
+
+
+def test_cli_char2_square_bound_failure_is_an_error_line(capsys, monkeypatch):
+    from symdet.fields import GF2_16
+    from symdet.graphs import SymbolicMatrix, Weight
+
+    one = Weight.const(GF2_16.one())
+    oversized = SymbolicMatrix([{i: one} for i in range(50)], spec=GF2_16, symmetric=True)
+    monkeypatch.setattr("symdet.cli.square_matrix_char2", lambda c: oversized)
+    code, out, err = run(["char2-square", "--expr", "x + y"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "dimension 50 exceeds bound" in err
+
+
 def test_cli_exact_verdict_refuses_a_constant_that_does_not_embed(tmp_path, capsys):
     """0x3 of GF(2^8) has no image in the GF(2^16) test field; the exact
     comparison of a small matrix refuses it as the randomized test does."""

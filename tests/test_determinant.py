@@ -7,10 +7,9 @@ from symdet.determinant import (
     build_det_abp,
     det_sym_matrix,
     det_variable,
-    symmetrize_abp,
 )
 from symdet.fields import PRIME_DEFAULT, RATIONAL, sample_random
-from symdet.graphs import SymbolicMatrix, Weight, entries_alphabet_ok
+from symdet.graphs import SymbolicMatrix, Weight, entries_alphabet_ok, split_vertices
 from symdet.oracles import (
     complement_vertices,
     enumerate_st_paths,
@@ -76,7 +75,7 @@ def test_abp_weights_alphabet():
 
 def test_symmetrize_structure():
     abp = build_det_abp(2)
-    g = symmetrize_abp(abp)
+    g, _ = split_vertices(abp.digraph, RATIONAL.one(), [abp.s, abp.t])
     assert g.n == 2 * (abp.digraph.n - 2) + 2
     ones = sum(1 for w in g.edges.values()
                if w.kind == "const" and w.coeff.is_one())
@@ -85,12 +84,12 @@ def test_symmetrize_structure():
 
 def test_symmetrized_acceptable_path_sum_n2():
     abp = build_det_abp(2)
-    g = symmetrize_abp(abp)
+    g, _ = split_vertices(abp.digraph, RATIONAL.one(), [abp.s, abp.t])
     variables = tuple(sorted({
         w.name for w in g.edges.values() if w.kind != "const"
     }))
     total = DensePolynomial.zero(RATIONAL, variables)
-    for path in enumerate_st_paths(g, g.roles["s_out"], g.roles["t_in"]):
+    for path in enumerate_st_paths(g, g.roles["s"], g.roles["t"]):
         if not is_acceptable(g, path):
             continue
         rest = complement_vertices(g, path)
@@ -101,8 +100,8 @@ def test_symmetrized_acceptable_path_sum_n2():
 
 def test_non_path_vertices_pair_up_in_unit_cycles():
     abp = build_det_abp(2)
-    g = symmetrize_abp(abp)
-    path = next(iter(enumerate_st_paths(g, g.roles["s_out"], g.roles["t_in"])))
+    g, _ = split_vertices(abp.digraph, RATIONAL.one(), [abp.s, abp.t])
+    path = next(iter(enumerate_st_paths(g, g.roles["s"], g.roles["t"])))
     rest = complement_vertices(g, path)
     assert unique_cover_is_weight1_matching(g, rest)
 

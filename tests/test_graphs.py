@@ -11,11 +11,13 @@ from symdet.graphs import (
     WeightedDigraph,
     WeightedGraph,
     adjacency,
+    close_symmetric,
     entries_alphabet_ok,
     export_dot,
     parse_matrix,
     parse_weight,
     render_matrix,
+    split_vertices,
 )
 from symdet.oracles import (
     cycle_cover_sum,
@@ -25,7 +27,7 @@ from symdet.oracles import (
     ryser_permanent,
     symbolic_det,
 )
-from symdet.polynomials import TooLarge, parse_polynomial
+from symdet.polynomials import DensePolynomial, TooLarge, parse_polynomial
 from symdet.verify import CompiledMatrix, _dense_det
 from tests.conftest import lanes_of, poly_equal
 
@@ -376,3 +378,55 @@ def test_sparse_matrix_matches_dense_reference(spec, data):
         point = {v: spec.from_bits(x) for v, x in zip(names, values)}
         exact = _dense_det([[w.eval(point, spec) for w in row] for row in grid], spec)
         assert CompiledMatrix(m, spec).lane_det(lanes_of([point]), 1) == [exact.value]
+
+
+def _small_abp() -> WeightedDigraph:
+    """s -> a -> t with weights x, y, and the parallel arc s -> t of weight z."""
+    dg = WeightedDigraph()
+    s, a, t = (dg.add_vertex() for _ in range(3))
+    dg.add_arc(s, a, wv("x"))
+    dg.add_arc(a, t, wv("y"))
+    dg.add_arc(s, t, wv("z"))
+    dg.roles.update(s=s, a=a, t=t)
+    return dg
+
+
+@pytest.mark.parametrize("unit, single", [(1, (0,)), (-1, (0,)), (1, (0, 2)), (-1, (0, 2))])
+def test_split_vertices_pairs_the_split_vertices_in_order(unit, single):
+    dg = _small_abp()
+    g, copies = split_vertices(dg, RATIONAL.from_int(unit), single)
+    expected, n = [], 0
+    for v in range(3):
+        expected.append((n, n) if v in single else (n, n + 1))
+        n = expected[-1][1] + 1
+    assert copies == expected and g.n == n
+    edges = {(copies[v][0], copies[v][1]): wc(unit) for v in range(3) if v not in single}
+    for (u, v), w in dg.arcs.items():
+        edges[tuple(sorted((copies[u][1], copies[v][0])))] = w
+    assert g.edges == edges
+    # an unsplit vertex keeps its role; the split a loses it
+    assert g.roles == {role: copies[v][0] for role, v in dg.roles.items() if v in single}
+
+
+@pytest.mark.parametrize("single", [(0,), (0, 2)])
+def test_close_symmetric_determinant_is_the_signed_path_sum(single):
+    """At odd |G| (s whole, unit -1) the closing is the edge t-s, at even |G|
+    (s and t whole, unit 1) one more vertex.  A cover runs one s-t path
+    through the closing in either direction and pairs the rest of G by unit
+    edges, each pair a 2-cycle of sign -1."""
+    unit = -1 if len(single) == 1 else 1
+    g, copies = split_vertices(_small_abp(), RATIONAL.from_int(unit), single)
+    s, t = copies[0][0], copies[2][1]
+    c, sign = RATIONAL.from_int(3), -RATIONAL.one()
+    before = (g.n, dict(g.edges), dict(g.roles))
+    m = close_symmetric(g, s, t, c, sign)
+    assert (g.n, g.edges, g.roles) == before
+    assert m.symmetric and m.dim == g.n + (g.n + 1) % 2
+    names = ("x", "y", "z")
+    x, y, z = (DensePolynomial.variable(v, names, RATIONAL) for v in names)
+    u = RATIONAL.from_int(unit)
+    if len(single) == 1:  # s a_in a_out t_in t_out, and s t_in t_out with a paired
+        paths = (x * y).scale(u * u) - z.scale(u * u * u)
+    else:                 # s a_in a_out t, and s t with a paired
+        paths = (x * y).scale(u) - z.scale(u * u)
+    assert poly_equal(symbolic_det(m), paths.scale(c * sign))

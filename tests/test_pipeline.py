@@ -210,3 +210,34 @@ def test_benchmark_traced_names_exist():
     for name in tracing.SPANNED + tracing.COUNTED:
         module, function = name.split(".")
         assert callable(getattr(importlib.import_module(f"symdet.{module}"), function, None)), name
+
+
+def test_src_has_no_unused_imports():
+    """A lint check that needs no install: every name a ``symdet`` module
+    imports at top level is used in it (as a name, or listed in its
+    ``__all__``), unless the import line says ``# noqa: F401``."""
+    import ast
+    from pathlib import Path
+
+    unused = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "symdet").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used.update(elt.value for elt in node.value.elts)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno}: {name}")
+    assert not unused, unused
