@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -243,3 +244,83 @@ def test_rewrite_scans_the_consumers_once(monkeypatch):
     assert len(scans) <= 1
     check_normal_form(m)
     assert equivalent(c, m, rng)
+
+
+# ---------------------------------------------------------------------------
+# byte-for-byte pin of minimize on a seeded corpus
+# ---------------------------------------------------------------------------
+
+MINIMIZE_SHA256 = "b1521e70963b7d781b11a92c66869a764880064be495fea6b160f2ebdb57f8cc"
+
+
+def _rule4_leaves_alone(c, gid, const) -> bool:
+    """True unless ``gid`` is a multiplication with exactly one constant
+    argument, the output gates rule 4 rewrites.  Extra outputs are drawn
+    among the others; an interior output that rule 4 rewrites has its own
+    test below."""
+    g = c.gates[gid]
+    return g.kind != "mul" or sum(const[a] for a, _ in g.args) != 1
+
+
+def _minimize_corpus():
+    """About 1300 seeded circuits: formulas and weakly skew circuits over
+    Q, Z_p and GF(2^16), weighted and not, with constant shares 0.2 to 0.7,
+    constant pools holding 0 (and 1/2 outside characteristic 2), a third
+    of them with one or two extra outputs."""
+    from symdet.circuits import Circuit, validate
+    from symdet.fields import GF2_16
+
+    gf = GF2_16.from_bits
+    fields = (
+        (RATIONAL, (1, -1, 0, Fraction(1, 2), 3), (1, 2, -1, Fraction(1, 2))),
+        (PRIME_DEFAULT, (1, -1, 0, Fraction(1, 2), 5), (1, 2, -1, Fraction(1, 2))),
+        (GF2_16, (1, 0, gf(3), gf(0x1F)), (1, gf(2), gf(7))),
+    )
+    rng = random.Random(20_13)
+    for spec, consts, weights in fields:
+        for profile in ("formula", "weakly-skew"):
+            for k in range(220):
+                budget = rng.randint(1, 12) if profile == "formula" else rng.randint(2, 18)
+                c = random_circuit(
+                    profile, budget, rng.randint(1, 4), rng, spec=spec,
+                    constant_pool=consts, weight_pool=weights,
+                    const_prob=0.2 + 0.5 * (k % 6) / 5, weighted=k % 2 == 0,
+                )
+                if rng.random() < 0.3:
+                    const = {}
+                    for gid in c.topo_order():
+                        g = c.gates[gid]
+                        const[gid] = g.kind == "const" or (
+                            g.kind != "input" and all(const[a] for a, _ in g.args)
+                        )
+                    pool = [gid for gid in c.gates
+                            if gid not in c.outputs and _rule4_leaves_alone(c, gid, const)]
+                    extra = rng.sample(pool, min(len(pool), rng.randint(1, 2)))
+                    c = validate(Circuit(c.gates, c.outputs + tuple(extra), spec=spec,
+                                         variables=c.variables))
+                yield c
+
+
+def test_minimized_circuits_match_golden_digest():
+    """Pins every minimized circuit of the corpus: its rendering, its gate
+    ids in dict order and its outputs, or the ConstantCircuit message."""
+    import hashlib
+
+    from symdet.circuits import render_circuit
+
+    digest = hashlib.sha256()
+    count = minted = promoted = 0
+    for c in _minimize_corpus():
+        count += 1
+        try:
+            m = minimize(c)
+        except ConstantCircuit as exc:
+            digest.update(f"raises ConstantCircuit: {exc}\n".encode())
+            continue
+        digest.update(render_circuit(m).encode())
+        digest.update(f"{list(m.gates)} {m.outputs}\n".encode())
+        minted += max(m.gates) > max(c.gates)
+        promoted += m.outputs != c.outputs
+    assert count >= 1000
+    assert minted and promoted
+    assert digest.hexdigest() == MINIMIZE_SHA256
