@@ -36,7 +36,7 @@ from typing import Mapping
 
 from .circuits import Circuit
 from .fields import FieldElement, FieldSpec, GF2_16, MixedFields, embed
-from .graphs import CONSTW, VARW, SymbolicMatrix, Weight, WeightedGraph
+from .graphs import CONSTW, VARW, SymbolicMatrix, Weight, WeightedGraph, adjacency
 from .polynomials import DensePolynomial, TooLarge
 from .weakly_skew import ws_nonsym_matrix
 from .verify import CompiledMatrix, Verdict, compare_lanes
@@ -55,20 +55,13 @@ class BipartiteDoubling:
 
 def double_matrix(m: SymbolicMatrix) -> BipartiteDoubling:
     """Bipartite doubling of the digraph represented by a square matrix."""
-    spec = m.spec
     r = m.dim
-    rows: list[dict[int, Weight]] = [{} for _ in range(2 * r)]
-    g = WeightedGraph(spec)
+    g = WeightedGraph(m.spec)
     g.n = 2 * r
     for i, row in enumerate(m.rows):
         for j, w in row.items():
-            if w.is_zero():
-                continue
-            rows[i][r + j] = w
-            rows[r + j][i] = w
-            g.add_edge(i, r + j, w)
-    doubled = SymbolicMatrix(rows, spec=spec, symmetric=True)
-    return BipartiteDoubling(source=m, graph=g, matrix=doubled)
+            g.add_edge(i, r + j, w)  # drops zero weights
+    return BipartiteDoubling(source=m, graph=g, matrix=adjacency(g))
 
 
 def square_matrix_char2(circuit: Circuit) -> SymbolicMatrix:

@@ -110,13 +110,14 @@ def cmd_minimize(args) -> int:
     return 0
 
 
-#: method -> (default size, build(circuit, size) -> (matrix, certificate of
-#: the gadget graph the matrix closes, or None where there is none))
+#: method -> (the sizes it builds, the default first; build(circuit, size) ->
+#: (matrix, certificate of the gadget graph the matrix closes, or None where
+#: there is none))
 _BUILDERS = {
-    "valiant": ("green", lambda c, size: valiant_lowering(c)),
-    "sym": ("skinny", sym_lowering),
-    "ws-sym": ("fat", ws_sym_lowering),
-    "ws-nonsym": ("fat", ws_nonsym_lowering),
+    "valiant": (("green",), lambda c, size: valiant_lowering(c)),
+    "sym": (("skinny", "green"), sym_lowering),
+    "ws-sym": (("fat", "green"), ws_sym_lowering),
+    "ws-nonsym": (("fat", "green"), ws_nonsym_lowering),
 }
 
 
@@ -151,9 +152,12 @@ def _check_bound(matrix, bound: int) -> None:
 
 
 def cmd_build(args) -> int:
+    sizes, builder = _BUILDERS[args.method]
+    size = args.size or sizes[0]
+    if size not in sizes:
+        raise ValueError(f"--method {args.method} has no size {size} "
+                         f"(it builds {' or '.join(sizes)})")
     c = _load_circuit(args)
-    default_size, builder = _BUILDERS[args.method]
-    size = args.size or default_size
     if args.method in ("sym", "ws-sym") and args.field.characteristic == 2:
         print("error: symmetric closing needs 1/2; characteristic 2 is not supported "
               "(see char2-square)", file=sys.stderr)
@@ -259,6 +263,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.n < 1 or args.d < 1:
+        raise ValueError("need n, d >= 1")
     print("n,d,formula_bound,sym_dimension_bound,quarez_dimension,monomial_formula_size")
     for n in range(1, args.n + 1) if args.table else [args.n]:
         for d in range(1, args.d + 1) if args.table else [args.d]:

@@ -91,6 +91,17 @@ def test_cli_minimize_roundtrip(tmp_path, capsys):
     assert evaluate(mini, {"x": num(1)})[0] == num(22)
 
 
+@pytest.mark.parametrize("method,size", [("valiant", "skinny"), ("valiant", "fat"),
+                                         ("sym", "fat"), ("ws-sym", "skinny"),
+                                         ("ws-nonsym", "skinny")])
+def test_cli_build_refuses_a_size_the_method_does_not_build(capsys, method, size):
+    code, out, err = run(["build", "--expr", "x*y + 2", "--method", method,
+                          "--size", size], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"--method {method} has no size {size}" in err
+
+
 def test_cli_build_and_verify(tmp_path, capsys):
     circ = tmp_path / "f.circuit"
     circ.write_text(render_circuit(parse_expression("(x+y)*(x+y) + 2*y*z")))
@@ -207,6 +218,14 @@ def test_cli_bounds_csv(capsys):
     header, row = out.splitlines()
     assert header.startswith("n,d,")
     assert row == "2,2,7,10,6,8"
+
+
+@pytest.mark.parametrize("argv", [["--n", "0", "--d", "1"],
+                                  ["--n", "2", "--d", "0", "--table"]])
+def test_cli_bounds_checks_n_and_d_before_printing(capsys, argv):
+    code, out, err = run(["bounds", *argv], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: need n, d >= 1\n"
 
 
 def test_cli_demo_is_deterministic(capsys):

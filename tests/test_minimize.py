@@ -225,25 +225,43 @@ def test_green_size_exact_on_scaled_products(rng):
 
 
 def test_rewrite_scans_the_consumers_once(monkeypatch):
-    """The arrows leaving each gate are collected by one scan and then kept
-    up to date as the rules move them, so the rewrite stays linear."""
-    from symdet.minimize import _Scratch
+    """The arrows leaving each gate are collected by one scan of the
+    circuit, so the rewrite stays linear."""
+    from symdet.circuits import Circuit
 
     scans = []
-    original = _Scratch.consumers
+    original = Circuit.consumers
 
     def counted(self):
-        scans.append(len(self.kind))
+        scans.append(len(self.gates))
         return original(self)
 
-    monkeypatch.setattr(_Scratch, "consumers", counted)
     rng = random.Random(800)
     c = random_circuit("weakly-skew", 800, 5, rng, const_prob=0.3, weighted=True)
     assert sum(g.kind == "const" for g in c.gates.values()) > 50
+    monkeypatch.setattr(Circuit, "consumers", counted)
     m = minimize(c)
+    monkeypatch.undo()
     assert len(scans) <= 1
     check_normal_form(m)
     assert equivalent(c, m, rng)
+
+
+def test_read_output_with_constant_factor_keeps_its_gate():
+    # 5*(x+y) is an output that another output reads: it cannot hand its
+    # place to x+y, so it becomes the addition (x+y)*5 + 0*1
+    from symdet.circuits import parse_circuit
+
+    c = parse_circuit(
+        "g0 = input x\ng1 = input y\ng2 = input z\ng3 = add g0 g1\n"
+        "g4 = const 5\ng5 = mul g4 g3\ng6 = add g5 g2\noutput g5 g6\n"
+    )
+    m = minimize(c)
+    check_normal_form(m)
+    assert m.outputs == (5, 6)
+    assert m.gates[5].kind == "add" and m.gates[5].args[0] == (3, num(5))
+    point = {"x": num(2), "y": num(3), "z": num(7)}
+    assert evaluate(m, point) == evaluate(c, point) == [num(25), num(32)]
 
 
 # ---------------------------------------------------------------------------
