@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,8 +9,15 @@ from symdet.determinant import (
     det_sym_matrix,
     det_variable,
 )
-from symdet.fields import PRIME_DEFAULT, RATIONAL, sample_random
-from symdet.graphs import SymbolicMatrix, Weight, entries_alphabet_ok, split_vertices
+from symdet.fields import PRIME_DEFAULT, RATIONAL, FieldSpec, sample_random
+from symdet.graphs import (
+    SymbolicMatrix,
+    Weight,
+    entries_alphabet_ok,
+    export_dot,
+    render_matrix,
+    split_vertices,
+)
 from symdet.oracles import (
     complement_vertices,
     enumerate_st_paths,
@@ -160,8 +168,31 @@ def test_det_sym_matrix_n6_random_points():
 
 
 def test_det_sym_matrix_over_prime_field():
-    from symdet.fields import FieldSpec
-
     spec = FieldSpec.prime((1 << 61) - 1)
     m = det_sym_matrix(2, spec)
     assert m.spec == spec and m.symmetric
+
+
+DET_SHA256 = "bcd4e6ac158a86250a280af6d5dc8b30f76e3c0c37aaa2623408503fdf46827a"
+
+
+def test_det_program_and_matrices_match_golden_digest():
+    """Byte-for-byte pin of the DET_n program (n = 1..7: DOT rendering,
+    layers, s, t, sinks, sorted arcs) and of the DET_n matrix (n = 1..6,
+    over Q and Z_101).  A rewrite of the program's generation must leave
+    it unchanged."""
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        abp = build_det_abp(n)
+        arcs = " ".join(
+            f"{u}>{v}:{w.render()}" for (u, v), w in sorted(abp.digraph.arcs.items())
+        )
+        digest.update(
+            f"n={n}\n{export_dot(abp.digraph)}layers={sorted(abp.layers.items())}"
+            f" s={abp.s} t={abp.t} plus={abp.plus_sinks} minus={abp.minus_sinks}"
+            f" arcs={arcs}\n".encode()
+        )
+    for spec in (RATIONAL, FieldSpec.prime(101)):
+        for n in range(1, 7):
+            digest.update(f"{spec} n={n}\n{render_matrix(det_sym_matrix(n, spec))}".encode())
+    assert digest.hexdigest() == DET_SHA256
