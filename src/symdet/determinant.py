@@ -9,10 +9,11 @@ the program satisfy
           - sum over s-to-minus-sink paths of w(P).
 
 States track the open walk (head, position) and the parity of walks closed
-so far; a closing arc lands in a state remembering only the closed head, so
-every transition consumes exactly one matrix entry and arcs between a given
-state pair are unique.  Sign-merging arcs of weight +-1 join the sinks into
-a single sink t.  The symmetric matrix is the one every construction
+so far; a closing arc lands in a state remembering only the closed head.
+One transition rule gives every arc, each consuming exactly one matrix
+entry, and the states are generated from s forward, so only the ones s
+reaches exist; those that reach no sink are then dropped.  Sign-merging
+arcs of weight +-1 join the sinks into a single sink t.  The symmetric matrix is the one every construction
 builds (:mod:`symdet.graphs`): the program's vertex split, every vertex but
 s and t becoming an in/out pair joined by a unit edge, closed from t to s
 through one extra vertex (edge weights 1/2 and (-1)^n), of dimension at
@@ -59,98 +60,67 @@ def _sign_of(n: int, closed_parity: int) -> int:
 def build_det_abp(n: int, spec: FieldSpec = RATIONAL) -> LayeredAbp:
     """Layered ABP whose signed path sum is the determinant of (x_ij).
 
-    State vocabulary (all at explicit layers 1..n-1):
-      ("W", l, h, u, p): open walk with head h at position u > h, p walks
-                         closed so far (mod 2), l entries consumed;
-      ("F", l, g, p):    between walks, last closed head g, parity p.
-    Arc weights are single matrix entries; opening a walk is fused into the
-    arc that consumes its first entry.
+    States at layer l (l entries consumed):
+      ("F", l, g, p):    between walks, last closed head g, p walks closed
+                         so far (mod 2); s is ("F", 0, 0, 0);
+      ("W", l, h, u, p): open walk with head h at position u > h.
+    One rule, ``moves``, gives every arc: a walk with head h at position u
+    (a fresh walk from an F state opens at u = h, for each h > g) consumes
+    x_uv to move on to v > h, or x_uh to close.  At the n-th entry only
+    closings remain: a walk closing goes to the sink ("T", sign), a
+    diagonal closing x_hh to ("TD", sign, h), so no two arcs are parallel.
+    States are generated forward from s, and those no sink is reached from
+    are dropped.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     one = spec.one()
-    S, T = ("s",), ("t",)
-    arcs: dict[tuple, Weight] = {}
 
-    def emit(src: tuple, dst: tuple, i: int, j: int) -> None:
-        key = (src, dst)
-        assert key not in arcs, f"parallel arc {key}"
-        arcs[key] = Weight.var(det_variable(i, j))
-
-    def final_dst(p: int, h: int | None) -> tuple:
-        sign = _sign_of(n, (p + 1) % 2)
-        return ("T", sign) if h is None else ("TD", sign, h)
-
-    if n == 1:
-        arcs[(S, ("T", 1))] = Weight.var(det_variable(1, 1))
-    else:
-        for h in range(1, n + 1):
+    def moves(state: tuple):
+        """(next state, i, j) for each entry x_ij that ``state`` may consume."""
+        if state[0] == "W":
+            _, l, h, u, p = state
+            walks = [(h, u)]
+        else:
+            _, l, g, p = state
+            walks = [(h, h) for h in range(g + 1, n + 1)]
+        for h, u in walks:
+            if l + 1 == n:
+                sign = _sign_of(n, 1 - p)
+                yield (("TD", sign, h) if u == h else ("T", sign)), u, h
+                continue
             for v in range(h + 1, n + 1):
-                emit(S, ("W", 1, h, v, 0), h, v)
-            arcs[(S, ("F", 1, h, 1))] = Weight.var(det_variable(h, h))
+                yield ("W", l + 1, h, v, p), u, v
+            yield ("F", l + 1, h, 1 - p), u, h
 
-        for layer in range(1, n - 1):
-            for h in range(1, n + 1):
-                for p in (0, 1):
-                    for u in range(h + 1, n + 1):
-                        src = ("W", layer, h, u, p)
-                        for v in range(h + 1, n + 1):
-                            emit(src, ("W", layer + 1, h, v, p), u, v)
-                        emit(src, ("F", layer + 1, h, (p + 1) % 2), u, h)
-                    src = ("F", layer, h, p)
-                    for h2 in range(h + 1, n + 1):
-                        for v in range(h2 + 1, n + 1):
-                            emit(src, ("W", layer + 1, h2, v, p), h2, v)
-                        emit(src, ("F", layer + 1, h2, (p + 1) % 2), h2, h2)
+    S = ("F", 0, 0, 0)
+    layer_of = {S: 0}
+    arcs: dict[tuple, Weight] = {}
+    frontier = [S]
+    for layer in range(1, n + 1):
+        reached: dict[tuple, None] = {}
+        for src in frontier:
+            for dst, i, j in moves(src):
+                assert (src, dst) not in arcs, f"parallel arc {(src, dst)}"
+                arcs[(src, dst)] = Weight.var(det_variable(i, j))
+                reached[dst] = None
+        frontier = list(reached)
+        layer_of.update(dict.fromkeys(frontier, layer))
 
-        # layer n-1 -> layer n: the last entry must close the open walk
-        for h in range(1, n + 1):
-            for p in (0, 1):
-                for u in range(h + 1, n + 1):
-                    emit(("W", n - 1, h, u, p), final_dst(p, None), u, h)
-                src = ("F", n - 1, h, p)
-                for h2 in range(h + 1, n + 1):
-                    emit(src, final_dst(p, h2), h2, h2)
-
-    # keep only states on an s -> sink path
-    succ: dict[tuple, list[tuple]] = {}
-    pred: dict[tuple, list[tuple]] = {}
-    for (src, dst) in arcs:
-        succ.setdefault(src, []).append(dst)
-        pred.setdefault(dst, []).append(src)
-    sinks = [st for st in pred if st[0] in ("T", "TD")]
-    forward = {S}
-    stack = [S]
-    while stack:
-        u = stack.pop()
-        for v in succ.get(u, []):
-            if v not in forward:
-                forward.add(v)
-                stack.append(v)
-    backward = set(sinks)
-    stack = list(sinks)
-    while stack:
-        u = stack.pop()
-        for v in pred.get(u, []):
-            if v not in backward:
-                backward.add(v)
-                stack.append(v)
-    live = (forward & backward) | {S} | (set(sinks) & forward)
-
-    def layer_of(st: tuple) -> int:
-        if st == S:
-            return 0
-        if st[0] in ("T", "TD"):
-            return n
-        return st[1]
+    # the last layer holds only sinks; keep the states a sink is reached from
+    # (arcs were made layer by layer, so one sweep back finds them all)
+    live = set(frontier)
+    for src, dst in reversed(arcs):
+        if dst in live:
+            live.add(src)
 
     dg = WeightedDigraph(spec)
-    ordered = sorted(live, key=lambda st: (layer_of(st), repr(st)))
+    ordered = sorted(live, key=lambda st: (layer_of[st], repr(st)))
     index = {st: dg.add_vertex() for st in ordered}
     for (src, dst), w in arcs.items():
-        if src in index and dst in index:
+        if src in live and dst in live:
             dg.add_arc(index[src], index[dst], w)
-    layers = {index[st]: layer_of(st) for st in ordered}
+    layers = {index[st]: layer_of[st] for st in ordered}
 
     plus_sinks = [index[st] for st in ordered if st[0] in ("T", "TD") and st[1] == 1]
     minus_sinks = [index[st] for st in ordered if st[0] in ("T", "TD") and st[1] == -1]
