@@ -232,20 +232,19 @@ class _IntArith:
         nonzero in every lane (Markowitz 1957), which keeps fill-in low on
         gadget matrices; the sign is the parity of the row -> column pivot
         map, computed once.  An entry that cancels in every lane is dropped.
-        When no row of the pivot column is nonzero in every lane, the lanes
-        where the best candidate vanishes are re-run one at a time and the
-        rest go on in lockstep; one lane never needs this.
+        When no row of the pivot column is nonzero in every lane, every lane
+        is eliminated alone from the original matrix; gadget matrices pivot
+        on constants, and one lane never needs this.
         """
         n = len(rows)
         mul, inv, submul, binary, p = (
             self.mul, self.inv, self.submul, self.binary, self.p)
-        out = [0] * t
-        lanes = list(range(t))  # the matrix each lockstep lane belongs to
+        zeros = [0] * t
         original = [dict(row) for row in rows] if t > 1 else None
         col_rows: list[set[int]] = [set() for _ in range(n)]
         for i, row in enumerate(rows):
             if not row:
-                return out
+                return zeros
             for j in row:
                 col_rows[j].add(i)
         # (entry count, column), pushed again whenever a count changes; an
@@ -255,41 +254,19 @@ class _IntArith:
         done = [False] * n
         pivot_col = [0] * n
         det = [1] * t
-        zeros = [0] * t
         for _ in range(n):
             k, pc = heappop(counts)
             while done[pc] or k != len(col_rows[pc]):
                 k, pc = heappop(counts)
             below = col_rows[pc]
             if not below:
-                return out
+                return zeros
             pr = min((r for r in below if all(rows[r][pc])),
                      key=lambda r: len(rows[r]), default=None)
             if pr is None:
-                # split off the lanes where the best candidate vanishes
-                pr = max(below, key=lambda r: (sum(map(bool, rows[r][pc])), -len(rows[r])))
-                keep = [i for i, v in enumerate(rows[pr][pc]) if v]
-                for i, v in enumerate(rows[pr][pc]):
-                    if not v:
-                        lane = lanes[i]
-                        out[lane] = self.det(
-                            [{c: [x[lane]] for c, x in row.items() if x[lane]}
-                             for row in original], 1)[0]
-                lanes = [lanes[i] for i in keep]
-                det = [det[i] for i in keep]
-                zeros = [0] * len(keep)
-                for r in set().union(*(col_rows[c] for c in range(n) if not done[c])):
-                    row = rows[r]
-                    for c, x in list(row.items()):
-                        x = [x[i] for i in keep]
-                        if any(x):
-                            row[c] = x
-                        else:
-                            del row[c]
-                            col_rows[c].discard(r)
-                            heappush(counts, (len(col_rows[c]), c))
-                    if not row:
-                        return out
+                return [self.det([{c: [x[lane]] for c, x in row.items() if x[lane]}
+                                  for row in original], 1)[0]
+                        for lane in range(t)]
             prow = rows[pr]
             pv = prow.pop(pc)
             det = mul(det, pv)
@@ -319,12 +296,10 @@ class _IntArith:
                         col_rows[c].discard(r)
                         heappush(counts, (len(col_rows[c]), c))
                 if not row:
-                    return out
+                    return zeros
         if not binary and cover_sign(dict(enumerate(pivot_col))) < 0:
             det = [(p - d) % p for d in det]
-        for lane, d in zip(lanes, det):
-            out[lane] = d
-        return out
+        return det
 
 
 def _need_finite(spec: FieldSpec) -> None:
