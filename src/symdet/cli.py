@@ -28,7 +28,7 @@ from .circuits import (
     render_circuit,
 )
 from .char2 import partial_perm_identity, partial_permanent, square_matrix_char2
-from .determinant import det_sym_matrix
+from .determinant import build_det_abp, det_sym_matrix
 from .fields import GF2, GF2_16, PRIME_DEFAULT, RATIONAL, FieldError, FieldSpec
 from .formulas import sym_lowering, valiant_lowering, valiant_matrix
 from .graphs import export_dot, parse_matrix, render_matrix
@@ -172,6 +172,9 @@ def cmd_build(args) -> int:
         "bound": bound,
         "symmetric": matrix.symmetric,
     }
+    if args.dot and cert is not None:
+        with open(args.dot, "w") as fh:
+            fh.write(export_dot(cert.graph))
     out = render_matrix(matrix)
     if args.output:
         with open(args.output, "w") as fh:
@@ -188,9 +191,6 @@ def cmd_build(args) -> int:
                   "can be sharpened to 2e+1 resp. 2e+2", file=sys.stderr)
         if not args.output:
             sys.stdout.write(out)
-    if args.dot and cert is not None:
-        with open(args.dot, "w") as fh:
-            fh.write(export_dot(cert.graph))
     return 0
 
 
@@ -198,14 +198,12 @@ def cmd_detsym(args) -> int:
     matrix = det_sym_matrix(args.n)
     bound = 4 * args.n**3 + 7
     _check_bound(matrix, bound)
+    if args.dot:
+        with open(args.dot, "w") as fh:
+            fh.write(export_dot(build_det_abp(args.n).digraph))
     print(f"# determinant representation n={args.n}: dimension {matrix.dim} <= {bound}",
           file=sys.stderr)
     sys.stdout.write(render_matrix(matrix))
-    if args.dot:
-        from .determinant import build_det_abp
-
-        with open(args.dot, "w") as fh:
-            fh.write(export_dot(build_det_abp(args.n).digraph))
     return 0
 
 

@@ -156,6 +156,16 @@ def test_cli_detsym(capsys):
     assert "<= 39" in err
 
 
+@pytest.mark.parametrize("argv", [["build", "--expr", "x*y + z", "--method", "sym"],
+                                  ["build", "--expr", "x*y + z", "--method", "ws-sym", "--json"],
+                                  ["detsym", "--n", "1"]])
+def test_cli_dot_write_fails_before_anything_is_printed(tmp_path, capsys, argv):
+    dot = tmp_path / "missing" / "g.dot"
+    code, out, err = run([*argv, "--dot", str(dot)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_cli_char2_square_and_verify(tmp_path, capsys):
     circ = tmp_path / "c.circuit"
     circ.write_text("vars x y\ng0 = input x\ng1 = input y\ng2 = add g0 g1\noutput g2\n")
