@@ -796,28 +796,3 @@ def parse_expression(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
         else:
             g = b.add(g, b.const(1), scalar, 0)
     return b.build([g])
-
-
-# re-exported so circuit users rarely need symdet.fields directly
-__all__ = [
-    "Gate",
-    "Circuit",
-    "CircuitBuilder",
-    "WsClassification",
-    "SizeReport",
-    "validate",
-    "classify",
-    "measure",
-    "evaluate",
-    "random_circuit",
-    "render_circuit",
-    "parse_circuit",
-    "parse_expression",
-    "CircuitError",
-    "SyntaxErrorAt",
-    "CyclicCircuit",
-    "BadArity",
-    "UnreachableGate",
-    "DuplicateVariable",
-    "MissingAssignment",
-]

@@ -113,17 +113,12 @@ def _addition(gate, c0s: dict[int, FieldElement], a: int, b: int):
 
 # -- certificates -------------------------------------------------------------
 
-PARITY_NONSYM = "(-1)^|P|"
-PARITY_SYM = "(-1)^(|P|/2+1)"
-
-
 @dataclass
 class PathSumCertificate:
     graph: WeightedDigraph | WeightedGraph
     s: int
     t: int
     c0: FieldElement
-    parity: str
     source: Circuit
 
 
@@ -157,7 +152,7 @@ def build_valiant_digraph(f: Circuit) -> PathSumCertificate:
 
     _walk(work, s, t, step)
     dg.roles.update(s=s, t=t)
-    return PathSumCertificate(dg, s, t, c0s[work.outputs[0]], PARITY_NONSYM, work)
+    return PathSumCertificate(dg, s, t, c0s[work.outputs[0]], work)
 
 
 def _product_fallback(f: Circuit) -> SymbolicMatrix:
@@ -290,7 +285,7 @@ def build_sym_graph(f: Circuit, mode: str = "skinny") -> PathSumCertificate:
     _walk(work, s, t, step)
     g.roles.update(s=s, t=t)
     c0 = c0s[work.outputs[0]] if mode == "green" else spec.one()
-    return PathSumCertificate(g, s, t, c0, PARITY_SYM, work)
+    return PathSumCertificate(g, s, t, c0, work)
 
 
 def sym_matrix(f: Circuit, mode: str = "skinny") -> SymbolicMatrix:

@@ -66,7 +66,6 @@ class WsCertificate:
     t_of: dict[int, int]            # reusable gate id -> t vertex (ABP: its vertex)
     c_of: dict[int, FieldElement]   # reusable gate id -> scalar
     source: Circuit
-    mode: str
 
 
 def _input_weight(gate) -> Weight:
@@ -163,7 +162,7 @@ def build_ws_abp(circuit: Circuit, mode: str = "fat") -> WsCertificate:
             dg.add_arc(u, v, w)
         vertex[gid] = v
         c_of[gid] = one
-    return WsCertificate(dg, source, vertex, c_of, work, mode)
+    return WsCertificate(dg, source, vertex, c_of, work)
 
 
 def build_ws_graph(circuit: Circuit, mode: str = "fat") -> WsCertificate:
@@ -173,7 +172,7 @@ def build_ws_graph(circuit: Circuit, mode: str = "fat") -> WsCertificate:
     abp = build_ws_abp(circuit, mode)
     g, copies = split_vertices(abp.graph, -circuit.spec.one(), [abp.s])
     t_of = {gid: copies[v][1] for gid, v in abp.t_of.items()}
-    return WsCertificate(g, abp.s, t_of, abp.c_of, abp.source, mode)
+    return WsCertificate(g, abp.s, t_of, abp.c_of, abp.source)
 
 
 def _constant_fallback(circuit: Circuit, mode: str) -> SymbolicMatrix | None:
