@@ -13,11 +13,13 @@ so far; a closing arc lands in a state remembering only the closed head.
 One transition rule gives every arc, each consuming exactly one matrix
 entry, and the states are generated from s forward, so only the ones s
 reaches exist; those that reach no sink are then dropped.  Sign-merging
-arcs of weight +-1 join the sinks into a single sink t.  The symmetric matrix is the one every construction
-builds (:mod:`symdet.graphs`): the program's vertex split, every vertex but
-s and t becoming an in/out pair joined by a unit edge, closed from t to s
-through one extra vertex (edge weights 1/2 and (-1)^n), of dimension at
-most 4n^3 + 7 and with determinant DET_n.
+arcs of weight +-1 join the sinks into a single sink t.  The symmetric
+matrix is the one every construction builds (:mod:`symdet.graphs`): the
+program's vertex split, every vertex but s and t becoming an in/out pair
+joined by a unit edge, closed from t to s through one extra vertex (every
+s-t path has 2n+2 vertices and counts positively), of dimension at most
+4n^3 + 7 and with determinant DET_n; :func:`det_sym_lowering` returns it
+with the program it closes.
 """
 
 from __future__ import annotations
@@ -143,11 +145,12 @@ def det_sym_matrix(n: int, spec: FieldSpec = RATIONAL) -> SymbolicMatrix:
     Entries are the matrix indeterminates x<i>_<j> and constants from
     {0, 1, -1, 1/2}.  Requires characteristic != 2.
     """
+    return det_sym_lowering(n, spec)[0]
+
+
+def det_sym_lowering(n: int, spec: FieldSpec = RATIONAL) -> tuple[SymbolicMatrix, LayeredAbp]:
+    """:func:`det_sym_matrix` together with the branching program it closes."""
     abp = build_det_abp(n, spec)
     g, copies = split_vertices(abp.digraph, spec.one(), [abp.s, abp.t])
-    # every s-t path has 2n+2 vertices; the matching completing a cover
-    # contributes sign (-1)^((|G|-2n-2)/2), which the closing edge must
-    # match ((-1)^n at the unpruned size 4n^3+6)
-    exponent = (g.n - 2 * n - 2) // 2
-    sign = spec.one() if exponent % 2 == 0 else -spec.one()
-    return close_symmetric(g, copies[abp.s][0], copies[abp.t][0], spec.one(), sign)
+    # every s-t path has 2n+2 vertices and counts positively
+    return close_symmetric(g, copies[abp.s][0], copies[abp.t][0], spec.one(), 2 * n + 2), abp

@@ -303,10 +303,8 @@ def sym_lowering(
     """:func:`sym_matrix` together with the certificate it closes, whose
     graph the closing leaves unchanged."""
     cert = build_sym_graph(f, mode)
-    spec = cert.graph.spec
-    # closing weight (-1)^(|G|/2 - 1)
-    sign = spec.one() if (cert.graph.n // 2 - 1) % 2 == 0 else -spec.one()
-    return close_symmetric(cert.graph, cert.s, cert.t, cert.c0, sign), cert
+    # the path sum counts (-1)^(|P|/2+1) w(P): paths of 2 vertices positively
+    return close_symmetric(cert.graph, cert.s, cert.t, cert.c0, 2), cert
 
 
 def check_sym_certificate(cert: PathSumCertificate, max_vertices: int = 14) -> None:

@@ -12,7 +12,9 @@ Every construction ends in one of two closings of an s-t path-sum graph.
 covers are the s-t paths.  :func:`close_symmetric` joins t back to s of an
 undirected graph whose other vertices have exactly one matching completion;
 the graphs it closes are vertex splits (:func:`split_vertices`) of branching
-programs, or the formula gadgets, which are built undirected.
+programs, or the formula gadgets, which are built undirected.  A lowering
+names the vertex count ``path_len`` (mod 4) of the paths it counts
+positively, and the closing derives the sign that makes it so.
 
 :class:`SymbolicMatrix` is the target language: a square matrix whose
 entries are :class:`Weight` values, stored as its nonzeros only, one
@@ -308,7 +310,6 @@ def close_abp(
     for v in keep:
         if v != s:
             merged.add_arc(renum[v], renum[v], loop(v))
-    merged.roles["s"] = renum[s]
     return merged
 
 
@@ -338,15 +339,17 @@ def split_vertices(
 
 
 def close_symmetric(
-    g: WeightedGraph, s: int, t: int, c: FieldElement, sign: FieldElement
+    g: WeightedGraph, s: int, t: int, c: FieldElement, path_len: int
 ) -> SymbolicMatrix:
-    """The symmetric matrix closing the s-t paths of ``g`` back into s: the
-    edge t-s of weight sign*c/2 when |G| is odd, else one more vertex v with
-    edges t-v of weight c/2 and v-s of weight ``sign``.  A cycle cover then
-    runs one s-t path through the closing and completes it by the unique
-    matching of the rest, so each caller picks the ``sign`` that cancels the
-    matching's sign, and c/2 counts each path once for its two directions.
-    ``g`` is left unchanged."""
+    """The symmetric matrix closing the s-t paths P of ``g`` back into s, of
+    determinant c * sum (-1)^((|P| - path_len)/2) w(P): the edge t-s of
+    weight sign*c/2 when |G| is odd, else one more vertex v with edges t-v of
+    weight c/2 and v-s of weight sign.  A cycle cover runs one s-t path
+    through the closing and completes it by the unique matching of the rest,
+    of sign (-1)^((|G| - |P|)/2), which sign = (-1)^((|G| - path_len)/2)
+    turns into the path's; c/2 counts each path once for its two directions.
+    ``path_len`` has the parity of |G|.  ``g`` is left unchanged."""
+    sign = g.spec.from_int((-1) ** ((g.n - path_len) // 2 % 2))
     g = g.copy()
     if g.n % 2:
         g.add_edge(t, s, Weight.const(sign * c * half(g.spec)))

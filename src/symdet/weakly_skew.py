@@ -17,10 +17,10 @@ every acceptable path, and
 
     c_a * sum over acceptable s-t_a-paths of (-1)^((|P|-1)/2) w(P) = f_a.
 
-Closing the output t-vertex back to s with weight c_out/2 * (-1)^((|G|-1)/2)
-gives a symmetric matrix of dimension at most 2m+1 (fat mode) or 2(e+i)+1
-(green mode, after minimization, with constant addition arguments absorbed
-into arc weights).
+Closing the output t-vertex back to s, with paths of 1 vertex counted
+positively (:func:`~symdet.graphs.close_symmetric`), gives a symmetric
+matrix of dimension at most 2m+1 (fat mode) or 2(e+i)+1 (green mode, after
+minimization, with constant addition arguments absorbed into arc weights).
 
 The non-symmetric lowering closes the ABP itself into a matrix of dimension
 at most m (fat) or e+i (green) by merging source and output and putting
@@ -205,10 +205,8 @@ def ws_sym_lowering(
         return fallback, None
     cert = build_ws_graph(circuit, mode)
     g, out = cert.graph, cert.source.outputs[0]
-    # the matching that completes an s-t path P has sign (-1)^((|G|-|P|)/2);
-    # times (-1)^((|G|-1)/2) it is the path-sum sign (-1)^((|P|-1)/2)
-    sign = g.spec.one() if ((g.n - 1) // 2) % 2 == 0 else -g.spec.one()
-    return close_symmetric(g, cert.s, cert.t_of[out], cert.c_of[out], sign), cert
+    # the path sum counts (-1)^((|P|-1)/2) w(P): paths of 1 vertex positively
+    return close_symmetric(g, cert.s, cert.t_of[out], cert.c_of[out], 1), cert
 
 
 def check_ws_certificate(cert: WsCertificate, max_vertices: int = 14) -> None:

@@ -408,25 +408,34 @@ def test_split_vertices_pairs_the_split_vertices_in_order(unit, single):
     assert g.roles == {role: copies[v][0] for role, v in dg.roles.items() if v in single}
 
 
-@pytest.mark.parametrize("single", [(0,), (0, 2)])
-def test_close_symmetric_determinant_is_the_signed_path_sum(single):
+@pytest.mark.parametrize("single, path_len", [
+    pytest.param((0,), 1, id="odd-1"),
+    pytest.param((0,), 3, id="odd-3"),
+    pytest.param((0, 2), 2, id="even-2"),
+    pytest.param((0, 2), 4, id="even-4"),
+])
+def test_close_symmetric_determinant_is_the_signed_path_sum(single, path_len):
     """At odd |G| (s whole, unit -1) the closing is the edge t-s, at even |G|
     (s and t whole, unit 1) one more vertex.  A cover runs one s-t path
     through the closing in either direction and pairs the rest of G by unit
-    edges, each pair a 2-cycle of sign -1."""
+    edges, so the determinant is c times the path sum that counts paths of
+    ``path_len`` vertices (mod 4) positively and the others negatively."""
     unit = -1 if len(single) == 1 else 1
     g, copies = split_vertices(_small_abp(), RATIONAL.from_int(unit), single)
     s, t = copies[0][0], copies[2][1]
-    c, sign = RATIONAL.from_int(3), -RATIONAL.one()
+    c = RATIONAL.from_int(3)
     before = (g.n, dict(g.edges), dict(g.roles))
-    m = close_symmetric(g, s, t, c, sign)
+    m = close_symmetric(g, s, t, c, path_len)
     assert (g.n, g.edges, g.roles) == before
     assert m.symmetric and m.dim == g.n + (g.n + 1) % 2
     names = ("x", "y", "z")
     x, y, z = (DensePolynomial.variable(v, names, RATIONAL) for v in names)
     u = RATIONAL.from_int(unit)
-    if len(single) == 1:  # s a_in a_out t_in t_out, and s t_in t_out with a paired
-        paths = (x * y).scale(u * u) - z.scale(u * u * u)
-    else:                 # s a_in a_out t, and s t with a paired
-        paths = (x * y).scale(u) - z.scale(u * u)
-    assert poly_equal(symbolic_det(m), paths.scale(c * sign))
+    if len(single) == 1:  # s a_in a_out t_in t_out, and s t_in t_out
+        paths = [(5, (x * y).scale(u * u)), (3, z.scale(u))]
+    else:                 # s a_in a_out t, and s t
+        paths = [(4, (x * y).scale(u)), (2, z)]
+    total = DensePolynomial.zero(RATIONAL, names)
+    for vertices, w in paths:
+        total = total + w.scale(RATIONAL.from_int((-1) ** ((vertices - path_len) // 2)))
+    assert poly_equal(symbolic_det(m), total.scale(c))
