@@ -35,20 +35,19 @@ from functools import reduce
 from typing import Mapping
 
 from .circuits import Circuit
-from .fields import FieldElement, FieldSpec, GF2_16, MixedFields, embed
+from .fields import FieldElement, FieldError, FieldSpec, GF2_16, MixedFields, embed
 from .graphs import CONSTW, VARW, SymbolicMatrix, Weight, WeightedGraph, adjacency
 from .polynomials import DensePolynomial, TooLarge
 from .weakly_skew import ws_nonsym_matrix
 from .verify import CompiledMatrix, Verdict, compare_lanes
 
 
-class NotCharTwo(Exception):
+class NotCharTwo(FieldError):
     """Construction only makes sense over a field of characteristic 2."""
 
 
 @dataclass
 class BipartiteDoubling:
-    source: SymbolicMatrix          # non-symmetric matrix M
     graph: WeightedGraph            # bipartite double, vertices v_s then v_t
     matrix: SymbolicMatrix          # symmetric adjacency [[0, M], [M^T, 0]]
 
@@ -61,7 +60,7 @@ def double_matrix(m: SymbolicMatrix) -> BipartiteDoubling:
     for i, row in enumerate(m.rows):
         for j, w in row.items():
             g.add_edge(i, r + j, w)  # drops zero weights
-    return BipartiteDoubling(source=m, graph=g, matrix=adjacency(g))
+    return BipartiteDoubling(graph=g, matrix=adjacency(g))
 
 
 def square_matrix_char2(circuit: Circuit) -> SymbolicMatrix:

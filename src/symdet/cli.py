@@ -17,6 +17,8 @@ import sys
 
 from .circuits import (
     ADD,
+    COMPUTATION,
+    VAR,
     Circuit,
     CircuitBuilder,
     CircuitError,
@@ -28,7 +30,7 @@ from .circuits import (
     render_circuit,
 )
 from .char2 import partial_perm_identity, partial_permanent, square_matrix_char2
-from .determinant import build_det_abp, det_sym_matrix
+from .determinant import det_sym_lowering, det_sym_matrix
 from .fields import GF2, GF2_16, PRIME_DEFAULT, RATIONAL, FieldError, FieldSpec
 from .formulas import sym_lowering, valiant_lowering, valiant_matrix
 from .graphs import export_dot, parse_matrix, render_matrix
@@ -122,25 +124,24 @@ _BUILDERS = {
 
 
 def build_bound(method: str, size: str, c: Circuit) -> int:
-    """Dimension bound promised by the applicable theorem."""
-    rep = measure(c)
+    """Dimension bound promised by the applicable theorem: a green size
+    counts the gates of ``green_form(c)``, a skinny or fat size those of
+    ``c``, which takes no rewrite."""
+    kinds = [g.kind for g in (green_form(c) if size == "green" else c).gates.values()]
+    e = sum(k in COMPUTATION for k in kinds)  # skinny or green size
+    ei = e + kinds.count(VAR)
     if method == "valiant":
-        # the builder decides on the minimized form: an addition-free green
-        # form takes the diagonal fallback of dimension (variable leaves)+1
-        has_add = any(g.kind == ADD for g in green_form(c).gates.values())
-        return rep.green + 1 if has_add else rep.var_inputs + 1
+        # an addition-free green form takes the diagonal fallback of
+        # dimension (variable leaves)+1
+        return e + 1 if ADD in kinds else kinds.count(VAR) + 1
     if method == "sym":
-        if size == "green":
-            return 2 * rep.green + 3
-        extra = sum(
-            1 for g in c.gates.values() for _, w in g.args if not w.is_one()
-        )
-        return 2 * (rep.skinny + extra) + 3
-    ei = rep.green + rep.var_inputs
+        extra = 0 if size == "green" else sum(
+            1 for g in c.gates.values() for _, w in g.args if not w.is_one())
+        return 2 * (e + extra) + 3
     if method == "ws-sym":
-        return 2 * rep.fat + 1 if size == "fat" else 2 * ei + 1
+        return 2 * len(kinds) + 1 if size == "fat" else 2 * ei + 1
     if method == "ws-nonsym":
-        return rep.fat + 1 if size == "fat" else ei + 1
+        return len(kinds) + 1 if size == "fat" else ei + 1
     raise ValueError(method)
 
 
@@ -195,12 +196,12 @@ def cmd_build(args) -> int:
 
 
 def cmd_detsym(args) -> int:
-    matrix = det_sym_matrix(args.n)
+    matrix, abp = det_sym_lowering(args.n)
     bound = 4 * args.n**3 + 7
     _check_bound(matrix, bound)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(export_dot(build_det_abp(args.n).digraph))
+            fh.write(export_dot(abp.digraph))
     print(f"# determinant representation n={args.n}: dimension {matrix.dim} <= {bound}",
           file=sys.stderr)
     sys.stdout.write(render_matrix(matrix))
@@ -208,11 +209,9 @@ def cmd_detsym(args) -> int:
 
 
 def cmd_char2_square(args) -> int:
-    if args.field.characteristic != 2:
-        args.field = GF2_16
     c = _load_circuit(args)
     matrix = square_matrix_char2(c)
-    bound = 2 * measure(c).fat + 2
+    bound = 2 * len(c.gates) + 2
     _check_bound(matrix, bound)
     print(f"# char-2 square: dimension {matrix.dim} <= {bound}", file=sys.stderr)
     sys.stdout.write(render_matrix(matrix))
@@ -371,7 +370,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("char2-square", help="characteristic-2 square construction")
     add_circuit_args(p)
-    p.set_defaults(fn=cmd_char2_square)
+    p.set_defaults(fn=cmd_char2_square, field=GF2_16)
 
     p = sub.add_parser("pperm", help="partial permanent of a matrix")
     p.add_argument("matrix")

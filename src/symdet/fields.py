@@ -174,10 +174,6 @@ class FieldSpec:
     modulus: int = 0
 
     @staticmethod
-    def rational() -> "FieldSpec":
-        return RATIONAL
-
-    @staticmethod
     def prime(p: int) -> "FieldSpec":
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")

@@ -166,6 +166,44 @@ def test_cli_dot_write_fails_before_anything_is_printed(tmp_path, capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_cli_detsym_dot_draws_the_program_it_closes(tmp_path, capsys, monkeypatch):
+    import sys
+
+    from symdet.determinant import build_det_abp as build
+    from symdet.graphs import export_dot
+
+    calls = []
+    for name, module in list(sys.modules.items()):  # every binding of the builder
+        if name.startswith("symdet") and getattr(module, "build_det_abp", None) is build:
+            monkeypatch.setattr(module, "build_det_abp",
+                                lambda *a, **k: calls.append(a) or build(*a, **k))
+    dot = tmp_path / "g.dot"
+    code, out, _ = run(["detsym", "--n", "2", "--dot", str(dot)], capsys)
+    assert code == 0 and out.splitlines()[0].endswith("symmetric")
+    assert len(calls) == 1
+    assert dot.read_text() == export_dot(build(2).digraph)
+
+
+@pytest.mark.parametrize("flags, status", [([], 0), (["--field", "gf2_16"], 0),
+                                           (["--field", "p61"], 1), (["--field", "q"], 1)])
+def test_cli_char2_square_builds_only_in_characteristic_2(capsys, flags, status):
+    code, out, err = run(["char2-square", "--expr", "x*y + z", *flags], capsys)
+    assert code == status
+    if status:
+        assert out == ""
+        assert err.startswith("error: circuit lives in") and err.count("\n") == 1
+    else:
+        assert out.splitlines()[0] == "8 symmetric" and "dimension 8 <= 12" in err
+
+
+@pytest.mark.parametrize("method", ["sym", "ws-sym"])
+def test_cli_symmetric_build_refuses_characteristic_2(capsys, method):
+    code, out, err = run(["build", "--expr", "x*y + z", "--method", method,
+                          "--field", "gf2_16"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: symmetric closing needs 1/2") and err.count("\n") == 1
+
+
 def test_cli_char2_square_and_verify(tmp_path, capsys):
     circ = tmp_path / "c.circuit"
     circ.write_text("vars x y\ng0 = input x\ng1 = input y\ng2 = add g0 g1\noutput g2\n")
@@ -605,7 +643,12 @@ def test_cli_build_minimizes_at_most_once(tmp_path, capsys, monkeypatch,
         code, _, _ = run(["build", "--method", method, "--size", size, str(path),
                           "--dot", str(tmp_path / "g.dot")], capsys)
         assert code == 0
-        assert len(rewrites) <= 1, (path.name, method, size, len(rewrites))
+        # a green build shares one rewrite; skinny and fat sizes need none
+        expected = 1 if size == "green" else 0
+        assert len(rewrites) == expected, (path.name, method, size, len(rewrites))
+    rewrites.clear()
+    code, _, _ = run(["char2-square", "--expr", "x*y + z"], capsys)
+    assert code == 0 and rewrites == []
 
 
 def test_cli_module_runs_without_warnings():
