@@ -1,0 +1,133 @@
+"""Fuzzing the circuit and expression parsers.
+
+Token-soup circuit files and ``--expr`` strings go through the parsers in
+process, where a parser returns or raises one of the library's error
+classes, and through ``symdet.cli.main``, where every input ends in exit
+status 0, or 1 with exactly one ``error:`` line.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symdet.circuits import CircuitError, parse_circuit, parse_expression
+from symdet.cli import field_from_flag, main
+from symdet.fields import FieldError
+
+FIELDS = ("q", "p61", "gf2", "gf2_16")
+PARSE_ERRORS = (CircuitError, ValueError, FieldError)
+FUZZ = settings(max_examples=150, deadline=2000, derandomize=True)
+
+CIRCUIT_TOKENS = (
+    "g0", "g1", "g3", "g7", "=", "input", "const", "add", "mul", "vars", "output", "x", "y", "z",
+    "1", "-1", "2", "1/2", "0x3", "g1*2", "g0*-1", "g2*1/3",   # well formed
+    "g", "g-1", "g2*", "*", "1/0", "0x", "x*y", "#", "add3", "ÿ",  # malformed
+)
+BUILDS = (
+    ["--method", "valiant"], ["--method", "sym"], ["--method", "sym", "--size", "green"],
+    ["--method", "ws-sym"], ["--method", "ws-nonsym", "--size", "green"],
+)
+
+
+@st.composite
+def circuit_texts(draw):
+    """A circuit file of up to 7 gates, mostly well formed, with up to two
+    corruptions: a line replaced by token soup, a token replaced, a line
+    dropped or repeated."""
+    lines, unread = [], []
+    for i in range(draw(st.integers(1, 7))):
+        if len(unread) < 2 or draw(st.booleans()):
+            kind = draw(st.sampled_from(("input", "const")))
+            value = ("x", "y", "z") if kind == "input" else ("1", "-1", "2", "1/2", "0x3")
+            lines.append(f"g{i} = {kind} {draw(st.sampled_from(value))}")
+        else:
+            # arguments not yet read, or now and then any earlier gate
+            args = [unread.pop(draw(st.integers(0, len(unread) - 1))) if draw(st.booleans())
+                    else draw(st.integers(0, i - 1)) for _ in range(2)]
+            weights = [draw(st.sampled_from(("", "", "*2", "*-1", "*1/2"))) for _ in args]
+            op = draw(st.sampled_from(("add", "mul")))
+            lines.append(f"g{i} = {op} g{args[0]}{weights[0]} g{args[1]}{weights[1]}")
+        unread.append(i)
+    lines.append("output " + " ".join(f"g{j}" for j in sorted(set(unread))))
+    if draw(st.booleans()):
+        lines.insert(0, "vars " + " ".join(draw(st.lists(st.sampled_from("xyz"), max_size=3))))
+    soup = st.lists(st.sampled_from(CIRCUIT_TOKENS), max_size=5).map(" ".join)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(("soup", "token", "drop", "repeat")))
+        if how == "soup":
+            lines[at] = draw(soup)
+        elif how == "token":
+            tokens = lines[at].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(CIRCUIT_TOKENS))
+            lines[at] = " ".join(tokens)
+        elif how == "drop":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+        if not lines:
+            break
+    return "".join(line + "\n" for line in lines)
+
+
+EXPRESSIONS = st.lists(
+    st.sampled_from(("x", "y", "z2", "(", ")", "+", "-", "*", " ", "2", "1/2", "0x3",
+                     "1/0", "3x", "/", "^", "_", ".", "é")),
+    max_size=12,
+).map("".join)
+
+
+def run_cli(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(argv, code: int, err: str) -> None:
+    assert code in (0, 1), (argv, code)
+    if code == 1:
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+
+
+@FUZZ
+@given(text=circuit_texts(), field=st.sampled_from(FIELDS))
+def test_parse_circuit_returns_or_raises_a_parse_error(text, field):
+    try:
+        parse_circuit(text, field_from_flag(field))
+    except PARSE_ERRORS:
+        pass
+
+
+@FUZZ
+@given(text=circuit_texts(), field=st.sampled_from(FIELDS), build=st.sampled_from(BUILDS))
+def test_cli_exits_cleanly_on_any_circuit_text(text, field, build):
+    with tempfile.TemporaryDirectory() as tmp:
+        circ = Path(tmp) / "f.circuit"
+        circ.write_text(text)
+        for argv in (["parse", str(circ)], ["minimize", str(circ)],
+                     ["build", str(circ), *build]):
+            argv += ["--field", field]
+            assert_clean_exit(argv, *run_cli(argv))
+
+
+@FUZZ
+@given(expr=EXPRESSIONS, field=st.sampled_from(FIELDS))
+def test_parse_expression_returns_or_raises_a_parse_error(expr, field):
+    try:
+        parse_expression(expr, field_from_flag(field))
+    except PARSE_ERRORS:
+        pass
+
+
+@FUZZ
+@given(expr=EXPRESSIONS, field=st.sampled_from(FIELDS))
+def test_cli_parse_expr_exits_cleanly(expr, field):
+    argv = ["parse", f"--expr={expr}", "--field", field]
+    assert_clean_exit(argv, *run_cli(argv))
