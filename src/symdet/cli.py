@@ -359,7 +359,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=sorted(_BUILDERS))
     p.add_argument("--size", choices=("skinny", "green", "fat"))
     p.add_argument("--json", action="store_true")
-    p.add_argument("--dot", help="write the gadget graph in DOT format")
+    p.add_argument("--dot", help="write the gadget graph in DOT format; for ws-nonsym it "
+                   "is the branching program, and the matrix rows are its vertices in "
+                   "order, less t and the eliminated relay vertices")
     p.add_argument("-o", "--output", help="write the matrix to a file")
     p.set_defaults(fn=cmd_build)
 

@@ -9,12 +9,14 @@ matrix is symmetric by construction.
 
 Every construction ends in one of two closings of an s-t path-sum graph.
 :func:`close_abp` merges t into s of a digraph and adds loops, so cycle
-covers are the s-t paths.  :func:`close_symmetric` joins t back to s of an
-undirected graph whose other vertices have exactly one matching completion;
-the graphs it closes are vertex splits (:func:`split_vertices`) of branching
-programs, or the formula gadgets, which are built undirected.  A lowering
-names the vertex count ``path_len`` (mod 4) of the paths it counts
-positively, and the closing derives the sign that makes it so.
+covers are the s-t paths, then eliminates the unit-loop vertices that only
+relay a constant (:func:`eliminate_pivots`).  :func:`close_symmetric` joins
+t back to s of an undirected graph whose other vertices have exactly one
+matching completion; the graphs it closes are vertex splits
+(:func:`split_vertices`) of branching programs, or the formula gadgets,
+which are built undirected.  A lowering names the vertex count
+``path_len`` (mod 4) of the paths it counts positively, and the closing
+derives the sign that makes it so.
 
 :class:`SymbolicMatrix` is the target language: a square matrix whose
 entries are :class:`Weight` values, stored as its nonzeros only, one
@@ -28,6 +30,7 @@ oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .circuits import is_variable_name
@@ -294,12 +297,16 @@ def close_abp(
     t: int,
     weight: Callable[[int, int, Weight], Weight],
     loop: Callable[[int], Weight],
+    sign: int = -1,
 ) -> WeightedDigraph:
     """Close an acyclic s-t branching program into a digraph whose cycle
     covers are its s-t paths, each closed through s and completed by loops:
     t merges into s, arc (u, v) gets weight ``weight(u, v, w)`` and every
-    vertex except s gets a loop of weight ``loop(v)``.  Vertices keep their
-    order with t removed; ``dg`` is left unchanged."""
+    vertex except s gets a loop of weight ``loop(v)``.  Then every singleton
+    pivot is eliminated (:func:`eliminate_pivots`, with ``sign``), so the
+    adjacency matrix keeps its determinant, or with ``sign=1`` its
+    permanent, and its rows are the kept program vertices in order, with t
+    and the eliminated vertices removed.  ``dg`` is left unchanged."""
     keep = [v for v in range(dg.n) if v != t]
     renum = {v: i for i, v in enumerate(keep)}
     renum[t] = renum[s]
@@ -310,7 +317,103 @@ def close_abp(
     for v in keep:
         if v != s:
             merged.add_arc(renum[v], renum[v], loop(v))
-    return merged
+    return eliminate_pivots(merged, sign)
+
+
+def eliminate_pivots(dg: WeightedDigraph, sign: int = -1) -> WeightedDigraph:
+    """The digraph of the adjacency matrix M with every singleton pivot
+    eliminated, in one worklist pass over the vertices in order.
+
+    A singleton pivot is a vertex k whose loop is the constant 1 and whose
+    column (row) holds one other nonzero, a constant a = M_ik (b = M_kj).
+    Adding ``sign`` * a times row k to row i (b times column k to column j)
+    clears that entry and leaves k's column (row) a unit vector, so k's row
+    and column go.  With ``sign=-1`` the determinant stays, with ``sign=1``
+    the permanent (by multilinearity); in characteristic 2 both agree.  A
+    pivot is taken only when every updated cell stays one term, that is
+    empty or a constant meeting a constant (a sum of 0 drops the arc), and
+    when k's line is no longer than the line it moves into, so an entry only
+    ever moves into a line at least as long and the pass stays near-linear.
+    Kept vertices keep their order; ``dg`` is left unchanged."""
+    n = dg.n
+    # off-diagonal arcs indexed both ways, the loops apart
+    out: list[dict[int, Weight]] = [{} for _ in range(n)]
+    inn: list[dict[int, Weight]] = [{} for _ in range(n)]
+    diag: list[Weight | None] = [None] * n
+    for (u, v), w in dg.arcs.items():
+        if u == v:
+            diag[u] = w
+        else:
+            out[u][v] = w
+            inn[v][u] = w
+
+    def is_unit(w: Weight | None) -> bool:
+        return w is not None and w.kind == CONSTW and w.coeff.is_one()
+
+    # a stack of the vertices to try, vertex 0 on top; a vertex goes back on
+    # whenever one of its lines changes
+    work = [k for k in range(n - 1, -1, -1)
+            if is_unit(diag[k]) and (len(inn[k]) == 1 or len(out[k]) == 1)]
+    queued = [False] * n
+    for k in work:
+        queued[k] = True
+    alive = [True] * n
+
+    def push(v: int) -> None:
+        if not queued[v]:
+            queued[v] = True
+            work.append(v)
+
+    def pivot(k: int, fwd: list[dict[int, Weight]], back: list[dict[int, Weight]]) -> bool:
+        """Move k's ``fwd`` line into that of the one entry i of its ``back``
+        line, if that keeps every cell one term."""
+        ((i, a),) = back[k].items()
+        moved, target = fwd[k], fwd[i]
+        if a.kind != CONSTW or len(moved) > len(target):
+            return False
+        for j, b in moved.items():  # check every cell before any arithmetic
+            cur = diag[i] if j == i else target.get(j)
+            if cur is not None and (cur.kind != CONSTW or b.kind != CONSTW):
+                return False
+        f = a.coeff if sign > 0 else -a.coeff
+        del target[k], back[k][i]
+        for j, b in moved.items():
+            del back[j][k]
+            w = b.scale(f)
+            cur = diag[i] if j == i else target.get(j)
+            if cur is not None:
+                w = Weight.const(cur.coeff + w.coeff)
+            if j == i:
+                diag[i] = None if w.is_zero() else w
+            elif w.is_zero():
+                del target[j], back[j][i]
+            else:
+                target[j] = back[j][i] = w
+            push(j)
+        moved.clear()
+        alive[k] = False
+        push(i)
+        return True
+
+    while work:
+        k = work.pop()
+        queued[k] = False
+        if not is_unit(diag[k]):
+            continue
+        if len(inn[k]) == 1 and pivot(k, out, inn):
+            continue
+        if len(out[k]) == 1:
+            pivot(k, inn, out)
+    renum = list(accumulate(alive, initial=0))  # new index of each kept vertex
+    reduced = WeightedDigraph(dg.spec)
+    reduced.n = renum[-1]
+    for u in range(n):
+        if alive[u]:
+            if diag[u] is not None:
+                reduced.arcs[renum[u], renum[u]] = diag[u]
+            for v, w in out[u].items():
+                reduced.arcs[renum[u], renum[v]] = w
+    return reduced
 
 
 def split_vertices(

@@ -473,7 +473,8 @@ def det_eval(
 
 
 def _exact_upgrade(circuit: Circuit, m: SymbolicMatrix) -> bool | None:
-    """Symbolic comparison for small instances; None when too large."""
+    """Symbolic comparison for small instances, over the matrix's own field
+    (not the test field); None when too large."""
     skinny = sum(1 for g in circuit.gates.values() if g.kind in COMPUTATION)
     if m.dim > 8 or skinny > 8:
         return None
@@ -536,8 +537,8 @@ def identity_test(
     exact = None
     if exact_upgrade and power == 1:
         exact = _exact_upgrade(circuit, m)
-        if exact:
-            return Verdict(VERIFIED_EXACT, field=str(spec), dimension=m.dim)
+        if exact:  # the verdict names the field the comparison ran in
+            return Verdict(VERIFIED_EXACT, field=str(m.spec), dimension=m.dim)
         # exact is False: keep going to attach a concrete witness point
 
     def sides(lanes, t):

@@ -24,7 +24,9 @@ minimization, with constant addition arguments absorbed into arc weights).
 
 The non-symmetric lowering closes the ABP itself into a matrix of dimension
 at most m (fat) or e+i (green) by merging source and output and putting
-unit loops elsewhere; arc signs absorb the path-parity bookkeeping.
+unit loops elsewhere; arc signs absorb the path-parity bookkeeping.  The
+closing then eliminates every vertex that only relays a constant, so the
+dimension is usually well below the bound.
 """
 
 from __future__ import annotations
@@ -271,7 +273,8 @@ def ws_nonsym_matrix(
     """Non-symmetric determinantal representation via the path-sum ABP.
 
     Dimension is at most m (fat size) or e+i (green mode).  With
-    ``signed=False`` the arc negations are skipped and the matrix satisfies
+    ``signed=False`` the arc negations are skipped, the closing eliminates
+    pivots with the sign that keeps the permanent, and the matrix satisfies
     permanent = polynomial instead (the two coincide in characteristic 2).
     """
     return ws_nonsym_lowering(circuit, mode, signed)[0]
@@ -297,4 +300,7 @@ def ws_nonsym_lowering(
         return w.scale(minus_one) if signed else w
 
     unit = Weight.const(dg.spec.one())
-    return adjacency(close_abp(dg, cert.s, t, weight, loop=lambda v: unit)), cert
+    # pivots add rows and columns with the sign that keeps the determinant,
+    # or, unsigned, the permanent
+    merged = close_abp(dg, cert.s, t, weight, loop=lambda v: unit, sign=-1 if signed else 1)
+    return adjacency(merged), cert

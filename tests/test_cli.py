@@ -193,7 +193,7 @@ def test_cli_char2_square_builds_only_in_characteristic_2(capsys, flags, status)
         assert out == ""
         assert err.startswith("error: circuit lives in") and err.count("\n") == 1
     else:
-        assert out.splitlines()[0] == "8 symmetric" and "dimension 8 <= 12" in err
+        assert out.splitlines()[0] == "4 symmetric" and "dimension 4 <= 12" in err
 
 
 @pytest.mark.parametrize("method", ["sym", "ws-sym"])
@@ -698,6 +698,20 @@ def test_cli_verify_states_error_bound(tmp_path, capsys):
     assert code == 0
     assert out == (f"verified-random (dimension {verdict['dimension']}, field Z_{PRIME_DEFAULT.p},"
                    f" trials 20, error <= 2^{bound})\n")
+
+
+def test_cli_exact_verdict_names_the_field_it_compared_in(tmp_path, capsys):
+    """The exact path compares over the matrix's field, Q here, not the
+    test field Z_p it would have drawn points from."""
+    matrix = tmp_path / "m.matrix"
+    code, _, _ = run(["build", "--method", "valiant", "--expr", "x*y + z", "-o", str(matrix)],
+                     capsys)
+    assert code == 0
+    verify = ["verify", "--expr", "x*y + z", str(matrix), "--seed", "1"]
+    code, out, _ = run(verify, capsys)
+    assert code == 0 and out == "verified-exact (dimension 3, field Q, trials 0)\n"
+    code, out, _ = run(verify + ["--json"], capsys)
+    assert code == 0 and json.loads(out)["field"] == "Q"
 
 
 # -- test fields ---------------------------------------------------------------

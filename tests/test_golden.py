@@ -37,9 +37,9 @@ from symdet.weakly_skew import (
     ws_sym_matrix,
 )
 
-GOLDEN_SHA256 = "07ecb10b0ef675aefd90637d8d0b13f0bf7803b6c3da7351d3a26e0f6faf01a3"
-JSON_SHA256 = "dbc0c1365c64c0d1f9188a2ded5bc310eaa97a1a7dd38e73b617d3360e6896a2"
-REPARSE_SHA256 = "e7a5dfa44f07508888c93ba15a64a1fa0d34d852b07003486f19113f532bbc30"
+GOLDEN_SHA256 = "d8bc89bdb58c88b8c0ceb5f3f3b24facaa97bec9bd3e43ad6131ffb823a895f6"
+JSON_SHA256 = "98f7e244734cff5100df78ca43566643529c3161004501277900adb5d54b2e53"
+REPARSE_SHA256 = "eb83fee81b367d874585fcf80ea213a158c651ba1947bfac37c59c7129fc7723"
 
 METHOD_SIZES = (
     ("valiant", "green"),

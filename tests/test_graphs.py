@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -11,7 +12,9 @@ from symdet.graphs import (
     WeightedDigraph,
     WeightedGraph,
     adjacency,
+    close_abp,
     close_symmetric,
+    eliminate_pivots,
     entries_alphabet_ok,
     export_dot,
     parse_matrix,
@@ -439,3 +442,68 @@ def test_close_symmetric_determinant_is_the_signed_path_sum(single, path_len):
     for vertices, w in paths:
         total = total + w.scale(RATIONAL.from_int((-1) ** ((vertices - path_len) // 2 % 2)))
     assert poly_equal(symbolic_det(m), total.scale(c))
+
+
+def _random_loop_digraph(rng: random.Random, spec: FieldSpec) -> WeightedDigraph:
+    """A sparse digraph on 1-7 vertices, most with a unit loop; the other
+    loops and the arcs are variables, scaled variables and constants from a
+    pool holding 0 and values whose sums cancel (+-1 and 2, or 1 and 3 in
+    characteristic 2)."""
+    pool = ([spec.from_bits(b) for b in (0, 1, 1, 3)] if spec.kind == "binary"
+            else [spec.from_int(k) for k in (0, 1, -1, 2)])
+
+    def weight() -> Weight:
+        r = rng.random()
+        if r < 0.6:
+            return Weight.const(rng.choice(pool))
+        name = rng.choice("xyz")
+        return Weight.var(name) if r < 0.85 else Weight.scaled(name, rng.choice(pool[1:]))
+
+    dg = WeightedDigraph(spec)
+    dg.n = rng.randint(1, 7)
+    for u in range(dg.n):
+        for v in range(dg.n):
+            if u == v:
+                w = Weight.const(spec.one()) if rng.random() < 0.75 else weight()
+                dg.add_arc(u, u, w)
+            elif rng.random() < 0.3:
+                dg.add_arc(u, v, weight())
+    return dg
+
+
+@pytest.mark.parametrize("spec", [RATIONAL, PRIME_DEFAULT, GF2_16], ids=str)
+def test_eliminate_pivots_keeps_determinant_and_permanent(spec):
+    """The singleton-pivot pass against the slow references: with sign -1
+    the determinant (cofactor expansion) is unchanged, with sign +1 the
+    permanent (Ryser), and neither dimension nor nonzeros grow."""
+    rng = random.Random(20261019)
+    eliminated = 0
+    for _ in range(300):
+        dg = _random_loop_digraph(rng, spec)
+        arcs = dict(dg.arcs)
+        before = adjacency(dg)
+        names = before.variables()
+        for sign, oracle in ((-1, symbolic_det), (1, ryser_permanent)):
+            after = adjacency(eliminate_pivots(dg, sign))
+            assert dg.arcs == arcs
+            assert after.dim <= before.dim
+            assert sum(map(len, after.rows)) <= sum(map(len, before.rows))
+            assert poly_equal(oracle(after, names), oracle(before, names))
+            eliminated += before.dim - after.dim
+    assert eliminated > 200
+
+
+def test_close_abp_eliminates_relay_vertices():
+    """A chain s -> a -> b -> t of unit-loop relays with constant arcs
+    closes to the 1x1 matrix of its signed path weight."""
+    dg = WeightedDigraph(RATIONAL)
+    for _ in range(4):
+        dg.add_vertex()
+    dg.add_arc(0, 1, wv("x"))
+    dg.add_arc(1, 2, wc(2))
+    dg.add_arc(2, 3, wc(3))
+    one = wc(1)
+    merged = close_abp(dg, 0, 3, weight=lambda u, v, w: w.scale(-RATIONAL.one()),
+                       loop=lambda v: one)
+    assert merged.n == 1
+    assert adjacency(merged).entry(0, 0).render() == "-6*x"

@@ -1,6 +1,7 @@
 """End-to-end pipelines across module boundaries."""
 
 import random
+import time
 from functools import cache
 
 import pytest
@@ -181,6 +182,20 @@ def test_deep_chain_lowers_under_the_default_recursion_limit(lowering, kind):
     c = deep_chain(kind)
     m = LOWERINGS[lowering](c)
     assert identity_test(c, m, trials=2, seed=1).ok
+
+
+@pytest.mark.parametrize("mode", ["fat", "green"])
+def test_deep_chain_sheds_its_relay_vertices(mode):
+    """The 3000-deep weighted sum closes to an ABP of 6001 vertices, s and
+    one per input and addition; every input vertex is a singleton pivot, so
+    the matrix keeps s and the additions.  The build takes about 0.3 s; with
+    a pass that moves the arcs of a growing column again at every addition
+    it reaches the same dimension in about 45 s, hence the budget."""
+    c = deep_chain("weighted-sum-3000")
+    start = time.perf_counter()
+    m = ws_nonsym_matrix(c, mode)
+    assert time.perf_counter() - start < 10
+    assert m.dim == 3001
 
 
 def test_cli_builds_and_verifies_a_deep_chain(tmp_path, capsys):

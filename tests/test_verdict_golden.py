@@ -31,7 +31,7 @@ from symdet.verify import Verdict, identity_test
 from symdet.weakly_skew import ws_nonsym_matrix, ws_sym_matrix
 from tests.conftest import leibniz_det
 
-GOLDEN_SHA256 = "e16009622d24f1c01bf0206a44ac3a41899c2d9c39a841cd2d93eecb38142ea8"
+GOLDEN_SHA256 = "a6c6488b5cecbcec15d2ce203f6cb2ebcaf825fe214d21a0f5d2a87510085111"
 
 PRIME_FIELDS = (PRIME_DEFAULT, FieldSpec.prime(65537))
 PPERM_FIELDS = (GF2_16, FieldSpec.binary(24))
