@@ -474,9 +474,10 @@ def det_eval(
 
 def _exact_upgrade(circuit: Circuit, m: SymbolicMatrix) -> bool | None:
     """Symbolic comparison for small instances, over the matrix's own field
-    (not the test field); None when too large."""
+    (not the test field); None when too large, or when the circuit lives in
+    another field, since then the two sides meet only in the test field."""
     skinny = sum(1 for g in circuit.gates.values() if g.kind in COMPUTATION)
-    if m.dim > 8 or skinny > 8:
+    if m.dim > 8 or skinny > 8 or circuit.spec != m.spec:
         return None
     variables = tuple(sorted(set(circuit.variables) | set(m.variables())))
     lhs = expand_circuit(circuit, variables=variables)[0]

@@ -186,7 +186,19 @@ def test_identity_test_exact_upgrade_small():
     f = b.build([b.add(b.var("x"), b.var("y"))])
     m = sym_matrix(f, "skinny")
     verdict = identity_test(f, m)
-    assert verdict.status == VERIFIED_EXACT
+    assert verdict.status == VERIFIED_EXACT and verdict.field == "Q"
+
+
+def test_identity_test_of_a_matrix_from_another_field_is_randomized():
+    """The exact path needs one field for both sides: a circuit over Q and
+    its matrix built over Z_p meet only in the test field, where they agree."""
+    from symdet.circuits import parse_expression
+    from symdet.formulas import valiant_matrix
+
+    f = parse_expression("x*y + z", RATIONAL)
+    m = valiant_matrix(parse_expression("x*y + z", PRIME_DEFAULT))
+    verdict = identity_test(f, m, seed=1)
+    assert verdict.status == VERIFIED_RANDOM and verdict.field == str(PRIME_DEFAULT)
 
 
 def test_identity_test_catches_perturbation(fig1_formula):
