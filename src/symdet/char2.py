@@ -21,7 +21,8 @@ once and run on three kinds of value.  The symbolic per*(B) runs it on plain
 exponent per byte, so a variable entry is one addition per term and a unit
 coefficient skips the multiplication; one :class:`DensePolynomial` is built
 at the end.  The identity check runs it on lanes, lists of plain ints with
-one int per trial point (see :mod:`symdet.verify`), so every trial comes
+one int per trial point (see :mod:`symdet.verify`), where a constant entry
+of B stays one scalar int that scales the lanes it meets; so every trial comes
 from one pass, as det(A + I) comes from one lockstep elimination, and
 :func:`~symdet.verify.compare_lanes` makes the randomized verdict for every n.
 A matrix of field elements runs it on the elements themselves.
@@ -175,9 +176,15 @@ def partial_permanent(b) -> DensePolynomial | FieldElement:
 
 def per_star_lanes(compiled: CompiledMatrix, lanes: Mapping[str, list[int]], t: int) -> list[int]:
     """per*(B), for B compiled into a finite field, at ``t`` points given as
-    the lane of each variable, from one DP pass on lanes of one int per point."""
+    the lane of each variable, from one DP pass on lanes of one int per point;
+    a constant entry of B stays a scalar and scales the lanes it meets."""
     arith = compiled.arith
-    return _per_star(compiled.lane_rows(lanes, t), [1] * t, arith.add, arith.mul)
+    scale, mul = arith.scale, arith.mul
+
+    def times(val, e):
+        return scale(e, val) if type(e) is int else mul(val, e)
+
+    return _per_star(compiled.lane_rows(lanes, t), [1] * t, arith.add, times)
 
 
 def plus_identity(a: SymbolicMatrix) -> SymbolicMatrix:

@@ -11,16 +11,22 @@ every randomized verdict states it; fields below 2^16 elements are refused.
 Failures carry a reproducible witness (seed and point).
 
 Both sides are compiled once per field and evaluated at all trial points
-in lockstep: every value is a lane, a list of plain ints (Z_p residues or
-GF(2^k) bit masks) with one int per point.  A :class:`CompiledCircuit` is
-the circuit as a topologically ordered program with its constants and
-arrow weights embedded once.  A :class:`CompiledMatrix` reads the stored
-nonzeros of a :class:`SymbolicMatrix` (never its dense view) and holds their
-embedded constants plus slots for its variable entries, so compiling costs
-O(nonzeros), and all its determinants come from one sparse elimination with
-Markowitz-style pivoting (fewest-entry column, shortest row whose entry is
-nonzero in every lane), so the pivot search and the fill-in bookkeeping are
-paid once for all points.  Both are evaluated on lanes only.
+in lockstep on plain ints (Z_p residues or GF(2^k) bit masks).  A value
+that differs from point to point is a lane, a list with one int per point.
+A :class:`CompiledCircuit` is the circuit as a topologically ordered
+program with its constants and arrow weights embedded once, evaluated on
+lanes.  A :class:`CompiledMatrix` reads the stored nonzeros of a
+:class:`SymbolicMatrix` (never its dense view) and holds their embedded
+constants plus slots for its variable entries, so compiling costs
+O(nonzeros).  All its determinants come from one sparse elimination with
+Markowitz-style pivoting (fewest-entry column, then a constant pivot, then
+the shortest row whose entry is nonzero in every lane), so the pivot search
+and the fill-in bookkeeping are paid once for all points.  A matrix
+constant is the same at every point, so the elimination keeps it a scalar,
+one int, and so is every value computed from scalars alone: gadget
+matrices are mostly constants, and a constant pivot then costs one scalar
+inversion, not one per point.  Only a variable entry, and what it touches,
+is a lane.
 :func:`det_eval` is the one wrapper that boxes: it checks a
 ``{variable: FieldElement}`` point and runs it as one lane.  Over Q it keeps
 dense elimination on exact field elements; that is the reference the tests
@@ -136,14 +142,27 @@ class Verdict:
 
 
 class _IntArith:
-    """Arithmetic of one finite field on lanes, lists of plain ints with one
-    int per trial point: Z_p residues, or GF(2^k) bit masks with log/exp
-    tables for k <= 16 and shift-and-add above."""
+    """Arithmetic of one finite field on plain ints: Z_p residues, or
+    GF(2^k) bit masks with log/exp tables for k <= 16 and shift-and-add
+    above.
+
+    Every operation comes in two forms side by side: on scalars, one int
+    standing for a value that is the same at every trial point (a compiled
+    constant), and on lanes, lists with one int per trial point."""
 
     def __init__(self, spec: FieldSpec):
         self.binary = spec.kind == "binary"
         self.p = p = spec.p
         if not self.binary:
+            def mul1(x, y):
+                return x * y % p
+
+            def inv1(x):
+                return pow(x, -1, p)
+
+            def submul1(x, f, v):
+                return (x - f * v) % p
+
             def add(xs, ys):
                 return [(x + y) % p for x, y in zip(xs, ys)]
 
@@ -170,6 +189,15 @@ class _IntArith:
             exp, log = _gf2_tables(spec)
             order = (1 << spec.k) - 1
 
+            def mul1(x, y):
+                return exp[log[x] + log[y]] if x and y else 0
+
+            def inv1(x):
+                return exp[order - log[x]]
+
+            def submul1(x, f, v):
+                return x ^ exp[log[f] + log[v]] if f and v else x
+
             def add(xs, ys):
                 return [x ^ y for x, y in zip(xs, ys)]
 
@@ -191,6 +219,15 @@ class _IntArith:
         else:
             mod = spec.modulus
 
+            def mul1(x, y):
+                return _gf2_mulmod(x, y, mod)
+
+            def inv1(x):
+                return _gf2_inverse(x, mod)
+
+            def submul1(x, f, v):
+                return x ^ _gf2_mulmod(f, v, mod)
+
             def add(xs, ys):
                 return [x ^ y for x, y in zip(xs, ys)]
 
@@ -205,9 +242,12 @@ class _IntArith:
 
             def submul(xs, fs, vs):
                 return [x ^ _gf2_mulmod(f, v, mod) for x, f, v in zip(xs, fs, vs)]
+        self.mul1 = mul1
+        self.inv1 = inv1  # x must be nonzero
+        self.submul1 = submul1  # x - f * v
         self.add = add
         self.mul = mul
-        self.scale = scale  # a constant times each lane
+        self.scale = scale  # a scalar times each lane
         self.inv = inv  # lanes must be nonzero
         self.submul = submul  # xs - fs * vs, lane by lane
 
@@ -222,24 +262,34 @@ class _IntArith:
                 return [1] * len(xs) if out is None else out
             xs = self.mul(xs, xs)
 
-    def det(self, rows: list[dict[int, list[int]]], t: int) -> list[int]:
+    def det(self, rows: list[dict[int, int | list[int]]], t: int) -> list[int]:
         """Determinants of ``t`` square matrices that share one sparsity
-        pattern: ``rows[i] = {j: lane}``, where lane l holds entry (i, j) of
-        matrix l and no lane list is all zero.  Consumes ``rows``.
+        pattern: ``rows[i] = {j: entry}``.  An entry is a lane, where lane l
+        holds entry (i, j) of matrix l and not every int is zero, or a
+        nonzero scalar, the entry of every matrix.  Consumes ``rows``.
 
         One elimination serves every lane.  Each step pivots on the remaining
-        column with the fewest entries, at its shortest row whose entry is
-        nonzero in every lane (Markowitz 1957), which keeps fill-in low on
-        gadget matrices; the sign is the parity of the row -> column pivot
-        map, computed once.  An entry that cancels in every lane is dropped.
-        When no row of the pivot column is nonzero in every lane, every lane
-        is eliminated alone from the original matrix; gadget matrices pivot
-        on constants, and one lane never needs this.
+        column with the fewest entries, at a row whose entry is nonzero in
+        every lane: a scalar entry if there is one, since its inverse is one
+        scalar inversion, and otherwise the shortest row (Markowitz 1957),
+        which keeps fill-in low on gadget matrices.  The sign is the parity
+        of the row -> column pivot map, computed once.  An update stays a
+        scalar while every operand is one, and becomes a lane where it meets
+        a lane; the determinant stays a scalar until the first lane pivot.
+        An entry that cancels in every lane is dropped.  When no row of the
+        pivot column is nonzero in every lane, every lane is eliminated alone
+        from the original matrix, with its entries as scalars; gadget
+        matrices pivot on constants, and one lane never needs this.
         """
         n = len(rows)
-        mul, inv, submul, binary, p = (
-            self.mul, self.inv, self.submul, self.binary, self.p)
+        mul1, inv1, submul1, mul, inv, submul, binary, p = (
+            self.mul1, self.inv1, self.submul1, self.mul, self.inv, self.submul,
+            self.binary, self.p)
         zeros = [0] * t
+
+        def widen(x):
+            return x if type(x) is list else [x] * t
+
         original = [dict(row) for row in rows] if t > 1 else None
         col_rows: list[set[int]] = [set() for _ in range(n)]
         for i, row in enumerate(rows):
@@ -253,7 +303,7 @@ class _IntArith:
         heapify(counts)
         done = [False] * n
         pivot_col = [0] * n
-        det = [1] * t
+        det = 1
         for _ in range(n):
             k, pc = heappop(counts)
             while done[pc] or k != len(col_rows[pc]):
@@ -261,15 +311,17 @@ class _IntArith:
             below = col_rows[pc]
             if not below:
                 return zeros
-            pr = min((r for r in below if all(rows[r][pc])),
-                     key=lambda r: len(rows[r]), default=None)
+            pr = min((r for r in below if type(rows[r][pc]) is int or all(rows[r][pc])),
+                     key=lambda r: (type(rows[r][pc]) is list, len(rows[r])), default=None)
             if pr is None:
-                return [self.det([{c: [x[lane]] for c, x in row.items() if x[lane]}
+                return [self.det([{c: x if type(x) is int else x[lane]
+                                   for c, x in row.items() if type(x) is int or x[lane]}
                                   for row in original], 1)[0]
                         for lane in range(t)]
             prow = rows[pr]
             pv = prow.pop(pc)
-            det = mul(det, pv)
+            det = (mul1(det, pv) if type(det) is type(pv) is int
+                   else mul(widen(det), widen(pv)))
             pivot_col[pr] = pc
             done[pc] = True
             below.discard(pr)
@@ -279,14 +331,21 @@ class _IntArith:
             if not below:
                 continue
             items = list(prow.items())
-            pinv = inv(pv)
+            pinv = inv1(pv) if type(pv) is int else inv(pv)
             for r in below:
                 row = rows[r]
-                fs = mul(row.pop(pc), pinv)
-                for c, vs in items:
+                f = row.pop(pc)
+                fs = (mul1(f, pinv) if type(f) is type(pinv) is int
+                      else mul(widen(f), widen(pinv)))
+                for c, v in items:
                     x = row.get(c)
-                    y = submul(zeros if x is None else x, fs, vs)
-                    if any(y):
+                    if type(fs) is type(v) is int and type(x) is not list:
+                        y = submul1(x or 0, fs, v)
+                        kept = y != 0
+                    else:
+                        y = submul(zeros if x is None else widen(x), widen(fs), widen(v))
+                        kept = any(y)
+                    if kept:
                         if x is None:
                             col_rows[c].add(r)
                             heappush(counts, (len(col_rows[c]), c))
@@ -298,8 +357,8 @@ class _IntArith:
                 if not row:
                     return zeros
         if not binary and cover_sign(dict(enumerate(pivot_col))) < 0:
-            det = [(p - d) % p for d in det]
-        return det
+            det = (p - det) % p if type(det) is int else [(p - d) % p for d in det]
+        return widen(det)
 
 
 def _need_finite(spec: FieldSpec) -> None:
@@ -339,7 +398,7 @@ class CompiledCircuit:
                 (a, wa), (b, wb) = g.args
                 wa, wb = embed(wa, spec).value, embed(wb, spec).value
                 if g.kind != ADD:  # one constant scales the product
-                    wa, wb = self.arith.mul([wa], [wb])[0], 1
+                    wa, wb = self.arith.mul1(wa, wb), 1
                 self.program.append((gid, g.kind, a, wa, b, wb))
                 da, db = degree[a], degree[b]
                 degree[gid] = max(da, db) if g.kind == ADD else da + db
@@ -370,8 +429,9 @@ class CompiledMatrix:
     Built from the matrix's stored entries: every constant becomes a plain
     int (a Z_p residue or a GF(2^k) bit mask) in per-row dicts, dropped
     when it vanishes in the field, and every variable entry becomes a slot
-    ``(i, j, variable, coefficient)``.  Evaluating at points fills lanes from
-    the constants and the slots, so nothing is re-embedded per point.
+    ``(i, j, variable, coefficient)``.  Evaluating at points fills lanes
+    from the slots only: a constant is the same at every point and stays
+    one scalar int, so nothing is re-embedded or copied per point.
     """
 
     def __init__(self, m: SymbolicMatrix, spec: FieldSpec):
@@ -392,12 +452,13 @@ class CompiledMatrix:
                     self.slots.append((i, j, w.name, embed(w.coeff, spec).value))
         self.variables = tuple(sorted({s[2] for s in self.slots}))
 
-    def lane_rows(self, lanes: Mapping[str, list[int]], t: int) -> list[dict[int, list[int]]]:
-        """Fresh sparse rows ``{column: lane}`` of the matrix at ``t`` points
-        given as the lane of each variable; an entry that is zero at every
-        point is left out."""
+    def lane_rows(self, lanes: Mapping[str, list[int]], t: int) -> list[dict[int, int | list[int]]]:
+        """Fresh sparse rows ``{column: entry}`` of the matrix at ``t`` points
+        given as the lane of each variable: a constant is its scalar int, a
+        variable entry its lane.  An entry that is zero at every point is
+        left out."""
         scale = self.arith.scale
-        rows = [{j: [v] * t for j, v in r.items()} for r in self.const_rows]
+        rows = [dict(r) for r in self.const_rows]
         for i, j, name, c in self.slots:
             x = lanes[name] if c == 1 else scale(c, lanes[name])
             if any(x):

@@ -326,6 +326,90 @@ def test_lane_det_column_vanishing_in_one_lane(spec, monkeypatch):
     assert got == [(p["x"] * (1 - p["y"])).value for p in points]
 
 
+@st.composite
+def mixed_matrices(draw, spec):
+    """A sparse matrix of dimension 1-7 over ``spec`` and ``t`` points as
+    lanes, in one of four shapes that steer the lockstep elimination:
+
+    - ``constant``: constants only, so every entry and pivot is a scalar;
+    - ``cancel``: constants, variables and scaled variables, with the
+      constants of one row a multiple of another's, so they cancel to 0
+      during fill-in;
+    - ``lane``: variables only, at points where none vanishes, so every
+      pivot is a lane;
+    - ``rerun``: variables only, each vanishing at one of the first three
+      points, so no pivot candidate is nonzero in every lane.
+    """
+    n = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(["constant", "cancel", "lane", "rerun"]))
+    element = st.one_of(st.integers(1, 3), st.integers(1, spec.size - 1)).map(
+        lambda v: field_value(spec, v))
+    zero = Weight.const(spec.zero())
+    const = element.map(Weight.const)
+    var = st.one_of(st.sampled_from(NAMES).map(Weight.var),
+                    st.tuples(st.sampled_from(NAMES), element).map(lambda t: Weight.scaled(*t)))
+    entry = {"constant": st.one_of(st.just(zero), const),
+             "cancel": st.one_of(st.just(zero), const, var)}.get(
+        shape, st.one_of(st.just(zero), var))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if shape == "cancel" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(element)
+        rows[j] = [w.scale(c) if w.kind == "const" else zero for w in rows[i]]
+        rows[j][draw(st.integers(0, n - 1))] = draw(var)
+    t = draw(st.sampled_from([3, 7] if shape == "rerun" else LANE_COUNTS))
+    value = element if shape in ("lane", "rerun") else st.one_of(
+        st.just(0), st.integers(0, 3), st.integers(0, spec.size - 1)).map(
+        lambda v: field_value(spec, v))
+    points = [{v: draw(value) for v in NAMES} for _ in range(t)]
+    if shape == "rerun":
+        for lane, v in enumerate(NAMES):
+            points[lane][v] = spec.zero()
+    return SymbolicMatrix(rows, spec=spec), points
+
+
+@pytest.mark.parametrize("spec", COMPILED_FIELDS, ids=FIELD_IDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lane_det_on_mixed_rows_matches_the_references(spec, data):
+    """Scalar constants beside lanes, against ``det_eval`` and against dense
+    elimination on field elements, one point at a time."""
+    m, points = data.draw(mixed_matrices(spec))
+    got = CompiledMatrix(m, spec).lane_det(lanes_of(points), len(points))
+    assert got == [det_eval(m, p, spec).value for p in points]
+    assert got == [_dense_det([[w.eval(p, spec) for w in row] for row in m.entries], spec).value
+                   for p in points]
+
+
+@pytest.mark.parametrize("spec", COMPILED_FIELDS, ids=FIELD_IDS)
+def test_constant_matrix_takes_no_lane_operation(spec):
+    """An all-constant matrix is eliminated on scalars: not one lane is
+    multiplied, inverted or updated, however many trial points there are.
+    The matrix is the path Laplacian (2 on the diagonal, -1 beside it) of
+    dimension 100 with its rows shuffled; over Q its determinant is 101."""
+    n, t = 100, 20
+    rng = random.Random(5)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    laplacian = [{j: num(2 if i == j else -1) for j in (i - 1, i, i + 1) if 0 <= j < n}
+                 for i in range(n)]
+    rows = [[Weight.const(laplacian[perm[i]].get(j, num(0))) for j in range(n)]
+            for i in range(n)]
+    m = SymbolicMatrix(rows)
+    inversions = sum(perm[j] > perm[i] for i in range(n) for j in range(i))
+    want = embed(num(-101 if inversions % 2 else 101), spec).value
+    compiled = CompiledMatrix(m, spec)
+    arith = compiled.arith
+    calls = []
+    for name in ("add", "mul", "scale", "inv", "submul"):
+        def spy(*args, name=name, op=getattr(arith, name)):
+            calls.append(name)
+            return op(*args)
+        setattr(arith, name, spy)
+    assert compiled.lane_det({}, t) == [want] * t
+    assert calls == []
+
+
 @pytest.mark.parametrize("spec", COMPILED_FIELDS, ids=FIELD_IDS)
 @settings(max_examples=30, deadline=None)
 @given(values=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**64)), min_size=1,
