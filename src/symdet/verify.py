@@ -609,7 +609,7 @@ def identity_test(
 
     variables = tuple(sorted(set(circuit.variables) | set(compiled.variables)))
     verdict = compare_lanes(sides, variables, spec, trials=trials, seed=seed, dimension=m.dim,
-                            degree_bound=max(m.dim, power * program.degrees[0]))
+                            degree_bound=max(m.dim, power * program.degrees[0], 1))
     if exact is False and verdict.ok:
         return replace(
             verdict, status=FAILED, lhs="symbolic mismatch", rhs="symbolic mismatch")

@@ -700,6 +700,16 @@ def test_cli_verify_states_error_bound(tmp_path, capsys):
                    f" trials 20, error <= 2^{bound})\n")
 
 
+def test_cli_verify_power_0_of_the_empty_matrix(tmp_path, capsys):
+    """det of the 0x0 matrix is 1 = 1^0; both sides are constants, and the
+    stated bound takes degree 1, not log2(0)."""
+    empty = tmp_path / "z.matrix"
+    empty.write_text("0\n")
+    code, out, err = run(["verify", "--expr", "1", str(empty), "--power", "0"], capsys)
+    assert code == 0 and err == ""
+    assert out.startswith("verified-random (dimension 0,")
+
+
 def test_cli_exact_verdict_names_the_field_it_compared_in(tmp_path, capsys):
     """The exact path compares over the matrix's field, Q here, not the
     test field Z_p it would have drawn points from."""

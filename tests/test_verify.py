@@ -587,6 +587,17 @@ def test_verdict_states_schwartz_zippel_bound(fig1_formula):
     assert "degree_bound" not in exact and "error_bound_log2" not in exact
 
 
+@pytest.mark.parametrize("power", [0, 1, 3])
+def test_identity_test_of_the_empty_matrix(power):
+    """det of the 0x0 matrix is 1, which every power of 1 matches; the
+    degree bound is clamped at 1, where log2 is defined."""
+    b = CircuitBuilder()
+    one = b.build([b.const(num(1))])
+    js = identity_test(one, parse_matrix("0"), power=power, exact_upgrade=False).to_json()
+    assert js["status"] == VERIFIED_RANDOM and js["degree_bound"] == 1
+    assert js["error_bound_log2"] == pytest.approx(-20 * math.log2(PRIME_DEFAULT.p))
+
+
 def test_identity_test_takes_the_variables_from_the_compiled_matrix(fig1_formula, monkeypatch):
     """Without the exact upgrade the dense matrix is scanned once, to compile
     it: with ``SymbolicMatrix.variables`` disabled the verdicts, witnesses
