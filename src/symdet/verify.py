@@ -3,8 +3,9 @@
 Randomized identity testing evaluates both sides at uniform points of a
 large finite field; by the Schwartz-Zippel bound the probability that a
 wrong matrix survives t trials is at most (D / |field|)^t, where D bounds
-the degree of both sides: the matrix dimension, and the formal degree of the
-circuit times the power tested.  That is negligible at the default of 20
+the degree of both sides: the number of rows, or of columns, of the matrix
+that hold a variable entry (whichever is smaller), and the formal degree of
+the circuit times the power tested.  That is negligible at the default of 20
 trials over Z_p with p = 2^61 - 1 (40 trials over the smaller GF(2^16)), and
 every randomized verdict states it; fields below 2^16 elements are refused.
 :func:`identity_test` upgrades small instances to exact symbolic comparison.
@@ -432,6 +433,11 @@ class CompiledMatrix:
     ``(i, j, variable, coefficient)``.  Evaluating at points fills lanes
     from the slots only: a constant is the same at every point and stays
     one scalar int, so nothing is re-embedded or copied per point.
+
+    ``degree`` bounds the degree of the determinant: each of its terms takes
+    one entry from every row and every column, and only a slot has degree
+    1, so it is the smaller of the number of rows and the number of columns
+    that hold a slot.
     """
 
     def __init__(self, m: SymbolicMatrix, spec: FieldSpec):
@@ -451,6 +457,7 @@ class CompiledMatrix:
                 else:
                     self.slots.append((i, j, w.name, embed(w.coeff, spec).value))
         self.variables = tuple(sorted({s[2] for s in self.slots}))
+        self.degree = min(len({s[0] for s in self.slots}), len({s[1] for s in self.slots}))
 
     def lane_rows(self, lanes: Mapping[str, list[int]], t: int) -> list[dict[int, int | list[int]]]:
         """Fresh sparse rows ``{column: entry}`` of the matrix at ``t`` points
@@ -609,7 +616,7 @@ def identity_test(
 
     variables = tuple(sorted(set(circuit.variables) | set(compiled.variables)))
     verdict = compare_lanes(sides, variables, spec, trials=trials, seed=seed, dimension=m.dim,
-                            degree_bound=max(m.dim, power * program.degrees[0], 1))
+                            degree_bound=max(compiled.degree, power * program.degrees[0], 1))
     if exact is False and verdict.ok:
         return replace(
             verdict, status=FAILED, lhs="symbolic mismatch", rhs="symbolic mismatch")

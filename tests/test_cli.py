@@ -691,7 +691,9 @@ def test_cli_verify_states_error_bound(tmp_path, capsys):
     verify = ["verify", "--expr", TEN_PRODUCTS, str(matrix), "--seed", "3"]
     code, out, _ = run(verify + ["--json"], capsys)
     verdict = json.loads(out)
-    assert code == 0 and verdict["degree_bound"] == max(verdict["dimension"], 2)
+    # the determinant's degree is at most the number of rows holding a
+    # variable: one per leaf of the ten products, plus one more
+    assert code == 0 and verdict["degree_bound"] == 22 < verdict["dimension"]
     bound = math.ceil(verdict["error_bound_log2"])
     assert bound < -1000
     code, out, _ = run(verify, capsys)

@@ -31,7 +31,7 @@ from symdet.verify import Verdict, identity_test
 from symdet.weakly_skew import ws_nonsym_matrix, ws_sym_matrix
 from tests.conftest import leibniz_det
 
-GOLDEN_SHA256 = "a6c6488b5cecbcec15d2ce203f6cb2ebcaf825fe214d21a0f5d2a87510085111"
+GOLDEN_SHA256 = "a6dc332df325b9648d0aab84038aab426fb51e52f2d1120aab0cb0a7d0ba9642"
 
 PRIME_FIELDS = (PRIME_DEFAULT, FieldSpec.prime(65537))
 PPERM_FIELDS = (GF2_16, FieldSpec.binary(24))

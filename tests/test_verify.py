@@ -504,12 +504,20 @@ def test_compiled_circuit_raises_like_evaluate():
         CompiledCircuit(half, GF2_16)
 
 
+def variable_lines(m: SymbolicMatrix) -> int:
+    """The smaller of the number of rows and of columns of ``m`` holding a
+    variable entry, which bounds the degree of det(m)."""
+    cells = [(i, j) for i, row in enumerate(m.entries) for j, w in enumerate(row)
+             if w.kind != "const"]
+    return min(len({i for i, _ in cells}), len({j for _, j in cells}))
+
+
 def reference_identity_test(circuit, m, spec, seed, power=1) -> dict:
     """A trial-by-trial identity test: ``circuits.evaluate`` against dense
     elimination on field elements, one point at a time."""
     trials = 20 if spec.size >= (1 << 32) else 40
     variables = tuple(sorted(set(circuit.variables) | set(m.variables())))
-    bound = max(m.dim, power * formal_degree(circuit))
+    bound = max(variable_lines(m), power * formal_degree(circuit), 1)
     out = {"status": VERIFIED_RANDOM, "trials": trials, "field": str(spec),
            "dimension": m.dim, "seed": seed, "degree_bound": bound,
            "error_bound_log2": trials * (math.log2(bound) - math.log2(spec.size))}
@@ -577,8 +585,8 @@ def test_identity_test_rejects_fewer_than_one_trial(trials):
 def test_verdict_states_schwartz_zippel_bound(fig1_formula):
     m = sym_matrix(fig1_formula, "skinny")
     js = identity_test(fig1_formula, m, seed=7).to_json()
-    bound = max(m.dim, 2)
-    assert js["degree_bound"] == bound
+    bound = max(variable_lines(m), 2)
+    assert js["degree_bound"] == bound < m.dim
     assert js["error_bound_log2"] == pytest.approx(20 * math.log2(bound / PRIME_DEFAULT.p))
     assert js["error_bound_log2"] < -1000
     b = CircuitBuilder()
