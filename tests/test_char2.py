@@ -406,3 +406,47 @@ def test_identity_rejects_entries_without_an_image(n):
     entries[0][0] = Weight.const(RATIONAL.from_fraction("1/2"))
     with pytest.raises(MixedFields):
         partial_perm_identity(SymbolicMatrix(entries, spec=RATIONAL))
+
+
+# constants beside variables: per*(B) runs on scalar ints and lanes at once
+MIXED_B = ("5\n"
+           "b0 0x3 0 b1 1\n"
+           "0x1F b2 1 0 b3\n"
+           "1 0 b4 0x3 0\n"
+           "0 b0 0x1F 1 b5\n"
+           "b6 1 0 0x3 0x1F\n")
+
+
+def per_star_of_changed_b(monkeypatch, b: SymbolicMatrix, spec) -> None:
+    """Make the per*(B) side of the identity read B with its (0, 1) entry
+    changed from 0x3 to 0x5, while det(A + I) still reads B."""
+    real = char2.per_star_lanes
+    changed = CompiledMatrix(b.with_entry(0, 1, Weight.const(spec.from_bits(0x5))), spec)
+    monkeypatch.setattr(char2, "per_star_lanes", lambda compiled, lanes, t:
+                        real(changed, lanes, t))
+
+
+def test_partial_perm_identity_with_constant_entries(monkeypatch):
+    from symdet.graphs import parse_matrix
+
+    b = parse_matrix(MIXED_B, GF2_16)
+    verdict = partial_perm_identity(b, seed=6)
+    assert verdict.status == VERIFIED_RANDOM and verdict.degree_bound == 10
+    per_star_of_changed_b(monkeypatch, b, GF2_16)
+    assert partial_perm_identity(b, seed=6).status == FAILED
+
+
+def test_cli_pperm_check_identity_with_constant_entries(tmp_path, capsys, monkeypatch):
+    from symdet.cli import main
+    from symdet.graphs import parse_matrix
+
+    mfile = tmp_path / "b.matrix"
+    mfile.write_text(MIXED_B)
+    argv = ["pperm", str(mfile), "--field", "gf2_16", "--check-identity", "--seed", "6"]
+    assert main(argv) == 0
+    per_star, check = capsys.readouterr().out.splitlines()
+    assert per_star == brute_per_star(parse_matrix(MIXED_B, GF2_16)).render()
+    assert check.endswith(": True")
+    per_star_of_changed_b(monkeypatch, parse_matrix(MIXED_B, GF2_16), GF2_16)
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[1].endswith(": False")

@@ -1,9 +1,11 @@
-"""Fuzzing the circuit and expression parsers.
+"""Fuzzing the circuit, expression and matrix parsers.
 
 Token-soup circuit files and ``--expr`` strings go through the parsers in
 process, where a parser returns or raises one of the library's error
 classes, and through ``symdet.cli.main``, where every input ends in exit
-status 0, or 1 with exactly one ``error:`` line.
+status 0, or 1 with exactly one ``error:`` line.  Token-soup matrix files go
+through ``parse_matrix`` in process, where a matrix that parses renders to
+text that parses back to it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from symdet.circuits import CircuitError, parse_circuit, parse_expression
 from symdet.cli import field_from_flag, main
 from symdet.fields import FieldError
+from symdet.graphs import parse_matrix, render_matrix
 
 FIELDS = ("q", "p61", "gf2", "gf2_16")
 PARSE_ERRORS = (CircuitError, ValueError, FieldError)
@@ -131,3 +134,55 @@ def test_parse_expression_returns_or_raises_a_parse_error(expr, field):
 def test_cli_parse_expr_exits_cleanly(expr, field):
     argv = ["parse", f"--expr={expr}", "--field", field]
     assert_clean_exit(argv, *run_cli(argv))
+
+
+MATRIX_FIELDS = ("q", "p61", "gf2_16")
+MATRIX_TOKENS = (
+    "0", "0", "x", "y", "b1_2", "1", "-1", "2", "1/2", "0x3", "0x1F", "3*x", "-1*y", "1/3*b1_2",
+    "0x3*x", "0*x",                                                   # well formed
+    "x*", "*x", "1/0", "0x", "0xZZ", "2**x", "x*y", "1/2/3", "--1", "1e3", "0x10001", "٣", "é",
+    "3x", "symmetric",                                                # malformed
+)
+
+
+@st.composite
+def matrix_texts(draw):
+    """A matrix file of dimension 0-4, mostly well formed, symmetric when its
+    header says so, with up to two corruptions: a header or a row replaced
+    by token soup, a token replaced, a row dropped or repeated."""
+    n = draw(st.integers(0, 4))
+    symmetric = draw(st.booleans())
+    cells = [[draw(st.sampled_from(MATRIX_TOKENS[:16])) for _ in range(n)] for _ in range(n)]
+    if symmetric:
+        cells = [[cells[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    lines = [f"{n} symmetric" if symmetric else str(n)] + [" ".join(row) for row in cells]
+    soup = st.lists(st.sampled_from(MATRIX_TOKENS + ("4", "symmetric", "-2", "")),
+                    max_size=5).map(" ".join)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(("soup", "token", "drop", "repeat")))
+        if how == "soup":
+            lines[at] = draw(soup)
+        elif how == "token":
+            tokens = lines[at].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(MATRIX_TOKENS))
+            lines[at] = " ".join(tokens)
+        elif how == "drop":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+        if not lines:
+            break
+    return "".join(line + "\n" for line in lines)
+
+
+@FUZZ
+@given(text=matrix_texts(), field=st.sampled_from(MATRIX_FIELDS))
+def test_parse_matrix_returns_or_raises_a_parse_error(text, field):
+    spec = field_from_flag(field)
+    try:
+        m = parse_matrix(text, spec)
+    except PARSE_ERRORS:
+        return
+    again = parse_matrix(render_matrix(m), spec)
+    assert (again.rows, again.symmetric) == (m.rows, m.symmetric)
