@@ -283,13 +283,18 @@ class _IntArith:
         matrices pivot on constants, and one lane never needs this.
         """
         n = len(rows)
-        mul1, inv1, submul1, mul, inv, submul, binary, p = (
-            self.mul1, self.inv1, self.submul1, self.mul, self.inv, self.submul,
+        mul1, inv1, submul1, mul, scale, inv, submul, binary, p = (
+            self.mul1, self.inv1, self.submul1, self.mul, self.scale, self.inv, self.submul,
             self.binary, self.p)
         zeros = [0] * t
 
         def widen(x):
             return x if type(x) is list else [x] * t
+
+        def times(x, y):
+            if type(x) is int:
+                return mul1(x, y) if type(y) is int else scale(x, y)
+            return scale(y, x) if type(y) is int else mul(x, y)
 
         original = [dict(row) for row in rows] if t > 1 else None
         col_rows: list[set[int]] = [set() for _ in range(n)]
@@ -321,8 +326,7 @@ class _IntArith:
                         for lane in range(t)]
             prow = rows[pr]
             pv = prow.pop(pc)
-            det = (mul1(det, pv) if type(det) is type(pv) is int
-                   else mul(widen(det), widen(pv)))
+            det = times(det, pv)
             pivot_col[pr] = pc
             done[pc] = True
             below.discard(pr)
@@ -336,8 +340,7 @@ class _IntArith:
             for r in below:
                 row = rows[r]
                 f = row.pop(pc)
-                fs = (mul1(f, pinv) if type(f) is type(pinv) is int
-                      else mul(widen(f), widen(pinv)))
+                fs = times(f, pinv)
                 for c, v in items:
                     x = row.get(c)
                     if type(fs) is type(v) is int and type(x) is not list:
