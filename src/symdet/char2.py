@@ -179,12 +179,7 @@ def per_star_lanes(compiled: CompiledMatrix, lanes: Mapping[str, list[int]], t: 
     the lane of each variable, from one DP pass on lanes of one int per point;
     a constant entry of B stays a scalar and scales the lanes it meets."""
     arith = compiled.arith
-    scale, mul = arith.scale, arith.mul
-
-    def times(val, e):
-        return scale(e, val) if type(e) is int else mul(val, e)
-
-    return _per_star(compiled.lane_rows(lanes, t), [1] * t, arith.add, times)
+    return _per_star(compiled.lane_rows(lanes, t), [1] * t, arith.add, arith.times)
 
 
 def plus_identity(a: SymbolicMatrix) -> SymbolicMatrix:

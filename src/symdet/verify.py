@@ -252,6 +252,13 @@ class _IntArith:
         self.inv = inv  # lanes must be nonzero
         self.submul = submul  # xs - fs * vs, lane by lane
 
+    def times(self, x: int | list[int], y: int | list[int]) -> int | list[int]:
+        """The product of two values, each a scalar or a lane: a scalar when
+        both are, else a fresh lane."""
+        if type(x) is int:
+            return self.mul1(x, y) if type(y) is int else self.scale(x, y)
+        return self.scale(y, x) if type(y) is int else self.mul(x, y)
+
     def power(self, xs: list[int], e: int) -> list[int]:
         """Each lane to the power ``e >= 0``, by square and multiply."""
         out = None
@@ -283,18 +290,12 @@ class _IntArith:
         matrices pivot on constants, and one lane never needs this.
         """
         n = len(rows)
-        mul1, inv1, submul1, mul, scale, inv, submul, binary, p = (
-            self.mul1, self.inv1, self.submul1, self.mul, self.scale, self.inv, self.submul,
-            self.binary, self.p)
+        inv1, submul1, times, inv, submul, binary, p = (
+            self.inv1, self.submul1, self.times, self.inv, self.submul, self.binary, self.p)
         zeros = [0] * t
 
         def widen(x):
             return x if type(x) is list else [x] * t
-
-        def times(x, y):
-            if type(x) is int:
-                return mul1(x, y) if type(y) is int else scale(x, y)
-            return scale(y, x) if type(y) is int else mul(x, y)
 
         original = [dict(row) for row in rows] if t > 1 else None
         col_rows: list[set[int]] = [set() for _ in range(n)]

@@ -26,7 +26,8 @@ from symdet.fields import (
     MixedFields,
     sample_random,
 )
-from symdet.graphs import CONSTW, VARW, SymbolicMatrix, Weight
+from symdet.cli import main
+from symdet.graphs import CONSTW, VARW, SymbolicMatrix, Weight, parse_matrix
 from symdet.oracles import enumerate_cycle_covers, referee_submatrix_sum, symbolic_det
 from symdet.polynomials import DensePolynomial, parse_polynomial
 from symdet.verify import FAILED, VERIFIED_RANDOM, CompiledMatrix, det_eval, identity_test
@@ -427,8 +428,6 @@ def per_star_of_changed_b(monkeypatch, b: SymbolicMatrix, spec) -> None:
 
 
 def test_partial_perm_identity_with_constant_entries(monkeypatch):
-    from symdet.graphs import parse_matrix
-
     b = parse_matrix(MIXED_B, GF2_16)
     verdict = partial_perm_identity(b, seed=6)
     assert verdict.status == VERIFIED_RANDOM and verdict.degree_bound == 10
@@ -437,9 +436,6 @@ def test_partial_perm_identity_with_constant_entries(monkeypatch):
 
 
 def test_cli_pperm_check_identity_with_constant_entries(tmp_path, capsys, monkeypatch):
-    from symdet.cli import main
-    from symdet.graphs import parse_matrix
-
     mfile = tmp_path / "b.matrix"
     mfile.write_text(MIXED_B)
     argv = ["pperm", str(mfile), "--field", "gf2_16", "--check-identity", "--seed", "6"]
