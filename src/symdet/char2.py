@@ -21,8 +21,7 @@ once and run on three kinds of value.  The symbolic per*(B) runs it on plain
 exponent per byte, so a variable entry is one addition per term and a unit
 coefficient skips the multiplication; one :class:`DensePolynomial` is built
 at the end.  The identity check runs it on lanes, lists of plain ints with
-one int per trial point (see :mod:`symdet.verify`), where a constant entry
-of B stays one scalar int that scales the lanes it meets; so every trial comes
+one int per trial point (see :mod:`symdet.verify`), so every trial comes
 from one pass, as det(A + I) comes from one lockstep elimination, and
 :func:`~symdet.verify.compare_lanes` makes the randomized verdict for every n.
 A matrix of field elements runs it on the elements themselves.
@@ -177,9 +176,12 @@ def partial_permanent(b) -> DensePolynomial | FieldElement:
 def per_star_lanes(compiled: CompiledMatrix, lanes: Mapping[str, list[int]], t: int) -> list[int]:
     """per*(B), for B compiled into a finite field, at ``t`` points given as
     the lane of each variable, from one DP pass on lanes of one int per point;
-    a constant entry of B stays a scalar and scales the lanes it meets."""
+    a constant entry of B, a scalar in the compiled rows, is widened into a
+    lane once, here."""
     arith = compiled.arith
-    return _per_star(compiled.lane_rows(lanes, t), [1] * t, arith.add, arith.times)
+    rows = [{j: e if type(e) is list else [e] * t for j, e in row.items()}
+            for row in compiled.lane_rows(lanes, t)]
+    return _per_star(rows, [1] * t, arith.add, arith.mul)
 
 
 def plus_identity(a: SymbolicMatrix) -> SymbolicMatrix:

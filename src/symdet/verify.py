@@ -294,9 +294,6 @@ class _IntArith:
             self.inv1, self.submul1, self.times, self.inv, self.submul, self.binary, self.p)
         zeros = [0] * t
 
-        def widen(x):
-            return x if type(x) is list else [x] * t
-
         original = [dict(row) for row in rows] if t > 1 else None
         col_rows: list[set[int]] = [set() for _ in range(n)]
         for i, row in enumerate(rows):
@@ -342,13 +339,16 @@ class _IntArith:
                 row = rows[r]
                 f = row.pop(pc)
                 fs = times(f, pinv)
+                scalar = type(fs) is int
                 for c, v in items:
                     x = row.get(c)
-                    if type(fs) is type(v) is int and type(x) is not list:
+                    if scalar and type(v) is int and type(x) is not list:
                         y = submul1(x or 0, fs, v)
                         kept = y != 0
-                    else:
-                        y = submul(zeros if x is None else widen(x), widen(fs), widen(v))
+                    else:  # a lane meets the update: widen its scalars
+                        y = submul(zeros if x is None else x if type(x) is list else [x] * t,
+                                   [fs] * t if scalar else fs,
+                                   v if type(v) is list else [v] * t)
                         kept = any(y)
                     if kept:
                         if x is None:
@@ -363,7 +363,7 @@ class _IntArith:
                     return zeros
         if not binary and cover_sign(dict(enumerate(pivot_col))) < 0:
             det = (p - det) % p if type(det) is int else [(p - d) % p for d in det]
-        return widen(det)
+        return det if type(det) is list else [det] * t
 
 
 def _need_finite(spec: FieldSpec) -> None:
