@@ -147,9 +147,11 @@ class _IntArith:
     GF(2^k) bit masks with log/exp tables for k <= 16 and shift-and-add
     above.
 
-    Every operation comes in two forms side by side: on scalars, one int
-    standing for a value that is the same at every trial point (a compiled
-    constant), and on lanes, lists with one int per trial point."""
+    Values are scalars, one int standing for a value that is the same at
+    every trial point (a compiled constant), or lanes, lists with one int per
+    trial point.  Multiplication, inversion and the elimination update
+    x - f * v come in both forms side by side; :meth:`times` multiplies a
+    mix of the two."""
 
     def __init__(self, spec: FieldSpec):
         self.binary = spec.kind == "binary"
