@@ -9,10 +9,13 @@ between threads.  Three kinds of field are supported:
 * ``binary(k)`` -- GF(2^k) as polynomials over GF(2) modulo a fixed
   irreducible, stored as bit masks.
 
-The default identity-testing field is Z_p with the Mersenne prime
-p = 2^61 - 1; the default binary field is GF(2^16) with modulus
-x^16 + x^5 + x^3 + x + 1.  For k <= 16 multiplication uses lazily built
-log/exp tables, which matters for randomized identity testing over GF(2^16).
+The arithmetic of a finite field on plain ints is written once, in
+:class:`IntArith` (``spec.arith``): :class:`FieldElement` boxes its scalar
+forms, only Q going through ``Fraction``, and :mod:`symdet.verify` runs its
+lane forms.  The default identity-testing field is Z_p with the Mersenne
+prime p = 2^61 - 1; the default binary field is GF(2^16) with modulus
+x^16 + x^5 + x^3 + x + 1, the smallest irreducible of degree 16, as every
+default modulus of GF(2^k), k <= 64, is the smallest of its degree.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
+from itertools import accumulate
 from typing import Sequence, Union
 
 
@@ -126,7 +131,7 @@ def gf2_irreducible(m: int) -> bool:
     k = _gf2_degree(m)
     if k < 1 or not (m & 1):
         return False
-    if _gf2_pow(2, 1 << k, m) != 2:  # x^(2^k) == x (mod m)
+    if _gf2_pow(2, 1 << k, m) != _gf2_mod(2, m):  # x^(2^k) == x (mod m)
         return False
     for q in _prime_factors(k):
         h = _gf2_pow(2, 1 << (k // q), m) ^ 2
@@ -184,9 +189,7 @@ class FieldSpec:
         if k < 1:
             raise ValueError("binary field degree must be >= 1")
         if modulus is None:
-            modulus = _DEFAULT_MODULI.get(k)
-            if modulus is None:
-                raise ValueError(f"no default modulus for GF(2^{k}); pass one")
+            modulus = _default_modulus(k)
         if _gf2_degree(modulus) != k or not gf2_irreducible(modulus):
             raise ValueError(f"modulus {modulus:#x} is not irreducible of degree {k}")
         return FieldSpec("binary", k=k, modulus=modulus)
@@ -219,20 +222,23 @@ class FieldSpec:
     def from_int(self, n: int) -> "FieldElement":
         if self.kind == "rational":
             return FieldElement(self, Fraction(n))
-        if self.kind == "prime":
-            return FieldElement(self, n % self.p)
-        return FieldElement(self, n % 2)
+        return FieldElement(self, self.arith.int1(n))
 
     def from_fraction(self, q: Union[Fraction, int, str]) -> "FieldElement":
         q = Fraction(q)
         if self.kind == "rational":
             return FieldElement(self, q)
-        return self.from_int(q.numerator) / self.from_int(q.denominator)
+        return FieldElement(self, self.arith.fraction1(q))
 
     def from_bits(self, mask: int) -> "FieldElement":
         if self.kind != "binary":
             raise UnsupportedField("bit masks only describe GF(2^k) elements")
         return FieldElement(self, _gf2_mod(mask, self.modulus) if mask.bit_length() > self.k else mask)
+
+    @cached_property
+    def arith(self) -> "IntArith":
+        """The plain-int arithmetic of a finite field, one per spec value."""
+        return _arith(self)
 
     def __str__(self) -> str:
         if self.kind == "rational":
@@ -242,16 +248,17 @@ class FieldSpec:
         return f"GF(2^{self.k})"
 
 
-_DEFAULT_MODULI = {
-    1: 0b11,                      # x + 1
-    2: 0b111,                     # x^2 + x + 1
-    3: 0b1011,
-    4: 0b10011,
-    8: 0x11B,                     # AES polynomial
-    16: DEFAULT_GF2_16_MODULUS,
-    24: 0x100001B,                # x^24 + x^4 + x^3 + x + 1
-    32: 0x10000008D,              # x^32 + x^7 + x^3 + x^2 + 1
-}
+@cache
+def _default_modulus(k: int) -> int:
+    """The smallest irreducible of degree ``k <= 64``, as a bit mask: the
+    AES polynomial at k = 8, ``DEFAULT_GF2_16_MODULUS`` at k = 16."""
+    if k > 64:
+        raise ValueError(f"no default modulus for GF(2^{k}); pass one")
+    m = (1 << k) | 1
+    while not gf2_irreducible(m):
+        m += 2
+    return m
+
 
 RATIONAL = FieldSpec("rational")
 PRIME_DEFAULT = FieldSpec("prime", p=DEFAULT_PRIME)
@@ -259,22 +266,14 @@ GF2 = FieldSpec("binary", k=1, modulus=0b11)
 GF2_16 = FieldSpec("binary", k=16, modulus=DEFAULT_GF2_16_MODULUS)
 
 
-# log/exp tables for small binary fields, keyed by (k, modulus)
-_GF2_TABLES: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-
-
-def _gf2_tables(spec: FieldSpec) -> tuple[list[int], list[int]]:
-    key = (spec.k, spec.modulus)
-    tables = _GF2_TABLES.get(key)
-    if tables is not None:
-        return tables
-    size = 1 << spec.k
+@cache
+def _gf2_tables(k: int, modulus: int) -> tuple[list[int], list[int]]:
+    """log/exp tables of GF(2^k), built once per (k, modulus)."""
+    size = 1 << k
     order = size - 1
     factors = _prime_factors(order)
-    g = 2
-    while True:
-        if all(_gf2_pow(g, order // q, spec.modulus) != 1 for q in factors):
-            break
+    g = 2  # the smallest generator of the multiplicative group
+    while not all(_gf2_pow(g, order // q, modulus) != 1 for q in factors):
         g += 1
     exp = [0] * (2 * order)
     log = [0] * size
@@ -282,10 +281,9 @@ def _gf2_tables(spec: FieldSpec) -> tuple[list[int], list[int]]:
     for i in range(order):
         exp[i] = x
         log[x] = i
-        x = _gf2_mulmod(x, g, spec.modulus)
+        x = _gf2_mulmod(x, g, modulus)
     for i in range(order, 2 * order):
         exp[i] = exp[i - order]
-    _GF2_TABLES[key] = (exp, log)
     return exp, log
 
 
@@ -301,8 +299,168 @@ def _gf2_pow(a: int, e: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# elements
+# elements: plain ints, and boxed
 # ---------------------------------------------------------------------------
+
+
+class IntArith:
+    """The arithmetic of one finite field on plain ints: Z_p residues, or
+    GF(2^k) bit masks by log/exp tables for k <= 16 and shift-and-add above.
+
+    A value is a scalar, one int that is the same at every trial point, or a
+    lane, a list with one int per trial point.  The scalar forms end in 1:
+    ``int1`` and :meth:`fraction1` map Z and Q into the field, ``neg1``
+    negates, and ``add1``, ``mul1``, ``inv1`` and ``submul1`` (x - f * v)
+    have the lane forms ``add``, ``mul``, ``inv`` and ``submul``; ``scale``
+    multiplies a lane by a scalar, :meth:`times` any mix of the two."""
+
+    def __init__(self, spec: FieldSpec):
+        if spec.size is None:
+            raise UnsupportedField(f"plain-int arithmetic needs a finite field, not {spec}")
+        self.spec = spec
+        p = spec.characteristic
+
+        def int1(n):
+            return n % p
+
+        if spec.kind == "prime":
+            def add1(x, y):
+                return (x + y) % p
+
+            def neg1(x):
+                return -x % p
+
+            def mul1(x, y):
+                return x * y % p
+
+            def inv1(x):
+                return pow(x, -1, p)
+
+            def submul1(x, f, v):
+                return (x - f * v) % p
+
+            def add(xs, ys):
+                return [(x + y) % p for x, y in zip(xs, ys)]
+
+            def mul(xs, ys):
+                return [x * y % p for x, y in zip(xs, ys)]
+
+            def scale(c, xs):
+                return [c * x % p for x in xs]
+
+            def inv(xs):
+                # Montgomery's trick: one modular inversion for all lanes
+                prefix = list(accumulate(xs, lambda a, b: a * b % p))
+                r = pow(prefix[-1], -1, p)
+                out = xs[:]
+                for i in range(len(xs) - 1, 0, -1):
+                    out[i] = r * prefix[i - 1] % p
+                    r = r * xs[i] % p
+                out[0] = r
+                return out
+
+            def submul(xs, fs, vs):
+                return [(x - f * v) % p for x, f, v in zip(xs, fs, vs)]
+        else:
+            def add1(x, y):
+                return x ^ y
+
+            def neg1(x):
+                return x
+
+            def add(xs, ys):
+                return [x ^ y for x, y in zip(xs, ys)]
+
+            if spec.k <= 16:
+                exp, log = _gf2_tables(spec.k, spec.modulus)
+                order = (1 << spec.k) - 1
+
+                def mul1(x, y):
+                    return exp[log[x] + log[y]] if x and y else 0
+
+                def inv1(x):
+                    return exp[order - log[x]]
+
+                def submul1(x, f, v):
+                    return x ^ exp[log[f] + log[v]] if f and v else x
+
+                def mul(xs, ys):
+                    return [exp[log[x] + log[y]] if x and y else 0 for x, y in zip(xs, ys)]
+
+                def scale(c, xs):
+                    if not c:
+                        return [0] * len(xs)
+                    c = log[c]
+                    return [exp[c + log[x]] if x else 0 for x in xs]
+
+                def inv(xs):
+                    return [exp[order - log[x]] for x in xs]
+
+                def submul(xs, fs, vs):
+                    return [x ^ exp[log[f] + log[v]] if f and v else x
+                            for x, f, v in zip(xs, fs, vs)]
+            else:
+                mod = spec.modulus
+
+                def mul1(x, y):
+                    return _gf2_mulmod(x, y, mod)
+
+                def inv1(x):
+                    return _gf2_inverse(x, mod)
+
+                def submul1(x, f, v):
+                    return x ^ _gf2_mulmod(f, v, mod)
+
+                def mul(xs, ys):
+                    return [_gf2_mulmod(x, y, mod) for x, y in zip(xs, ys)]
+
+                def scale(c, xs):
+                    return [_gf2_mulmod(c, x, mod) for x in xs]
+
+                def inv(xs):
+                    return [_gf2_inverse(x, mod) for x in xs]
+
+                def submul(xs, fs, vs):
+                    return [x ^ _gf2_mulmod(f, v, mod) for x, f, v in zip(xs, fs, vs)]
+        self.int1 = int1
+        self.add1 = add1
+        self.neg1 = neg1
+        self.mul1 = mul1
+        self.inv1 = inv1  # x must be nonzero
+        self.submul1 = submul1  # x - f * v
+        self.add = add
+        self.mul = mul
+        self.scale = scale  # a scalar times each lane
+        self.inv = inv  # lanes must be nonzero
+        self.submul = submul  # xs - fs * vs, lane by lane
+
+    def fraction1(self, q: Fraction) -> int:
+        """The image of ``q``; :class:`DivisionByZero` if its denominator vanishes."""
+        d = self.int1(q.denominator)
+        if not d:
+            raise DivisionByZero(f"inverse of zero in {self.spec}")
+        return self.mul1(self.int1(q.numerator), self.inv1(d))
+
+    def times(self, x: int | list[int], y: int | list[int]) -> int | list[int]:
+        """The product of two values, each a scalar or a lane: a scalar when
+        both are, else a fresh lane."""
+        if type(x) is int:
+            return self.mul1(x, y) if type(y) is int else self.scale(x, y)
+        return self.scale(y, x) if type(y) is int else self.mul(x, y)
+
+    def power(self, xs: list[int], e: int) -> list[int]:
+        """Each lane to the power ``e >= 0``, by square and multiply."""
+        out = None
+        while True:
+            if e & 1:
+                out = xs if out is None else self.mul(out, xs)
+            e >>= 1
+            if not e:
+                return [1] * len(xs) if out is None else out
+            xs = self.mul(xs, xs)
+
+
+_arith = cache(IntArith)  # one kernel per spec value
 
 
 class FieldElement:
@@ -333,9 +491,7 @@ class FieldElement:
         spec = self.spec
         if spec.kind == "rational":
             return FieldElement(spec, self.value + other.value)
-        if spec.kind == "prime":
-            return FieldElement(spec, (self.value + other.value) % spec.p)
-        return FieldElement(spec, self.value ^ other.value)
+        return FieldElement(spec, spec.arith.add1(self.value, other.value))
 
     __radd__ = __add__
 
@@ -343,9 +499,7 @@ class FieldElement:
         spec = self.spec
         if spec.kind == "rational":
             return FieldElement(spec, -self.value)
-        if spec.kind == "prime":
-            return FieldElement(spec, (-self.value) % spec.p)
-        return self
+        return FieldElement(spec, spec.arith.neg1(self.value))
 
     def __sub__(self, other) -> "FieldElement":
         other = self._coerce(other)
@@ -359,15 +513,7 @@ class FieldElement:
         spec = self.spec
         if spec.kind == "rational":
             return FieldElement(spec, self.value * other.value)
-        if spec.kind == "prime":
-            return FieldElement(spec, self.value * other.value % spec.p)
-        a, b = self.value, other.value
-        if a == 0 or b == 0:
-            return FieldElement(spec, 0)
-        if spec.k <= 16:
-            exp, log = _gf2_tables(spec)
-            return FieldElement(spec, exp[log[a] + log[b]])
-        return FieldElement(spec, _gf2_mulmod(a, b, spec.modulus))
+        return FieldElement(spec, spec.arith.mul1(self.value, other.value))
 
     __rmul__ = __mul__
 
@@ -377,13 +523,7 @@ class FieldElement:
             raise DivisionByZero(f"inverse of zero in {spec}")
         if spec.kind == "rational":
             return FieldElement(spec, 1 / self.value)
-        if spec.kind == "prime":
-            return FieldElement(spec, pow(self.value, -1, spec.p))
-        if spec.k <= 16:
-            exp, log = _gf2_tables(spec)
-            order = (1 << spec.k) - 1
-            return FieldElement(spec, exp[(order - log[self.value]) % order])
-        return FieldElement(spec, _gf2_inverse(self.value, spec.modulus))
+        return FieldElement(spec, spec.arith.inv1(self.value))
 
     def __truediv__(self, other) -> "FieldElement":
         other = self._coerce(other)
@@ -492,23 +632,20 @@ def embed(x: FieldElement, spec: FieldSpec) -> FieldElement:
     """Carry an element into ``spec``.
 
     Rationals embed into Z_p (denominator inverted mod p) and into GF(2^k)
-    when the denominator is odd; 0 and 1 of any GF(2^k), its prime subfield
-    GF(2), embed into any other GF(2^m); same-spec elements pass through;
-    anything else raises :class:`MixedFields`.
+    when the denominator is odd; 0 and 1 of any field of characteristic 2
+    (Z_2 or a GF(2^k)), its prime subfield GF(2), embed into any other;
+    same-spec elements pass through; anything else raises
+    :class:`MixedFields`.
     """
     if x.spec == spec:
         return x
-    if x.spec.kind == spec.kind == "binary" and x.value in (0, 1):
-        return FieldElement(spec, x.value)
-    if x.spec.kind == "rational":
+    if x.spec.kind == "rational" and spec.size is not None:
         q: Fraction = x.value
-        if spec.kind == "prime":
-            if q.denominator % spec.p == 0:
-                raise MixedFields(f"denominator of {q} vanishes in {spec}")
-            p = spec.p
-            return FieldElement(spec, q.numerator * pow(q.denominator, -1, p) % p)
-        if spec.kind == "binary":
-            if q.denominator % 2 == 0:
-                raise MixedFields(f"{q} has even denominator, not embeddable in {spec}")
-            return spec.from_int(q.numerator % 2)
+        try:
+            return FieldElement(spec, spec.arith.fraction1(q))
+        except DivisionByZero:
+            raise MixedFields(f"denominator of {q} vanishes in {spec}" if spec.kind == "prime"
+                              else f"{q} has even denominator, not embeddable in {spec}") from None
+    if x.spec.characteristic == spec.characteristic == 2 and x.value in (0, 1):
+        return FieldElement(spec, x.value)
     raise MixedFields(f"cannot embed {x.spec} element into {spec}")

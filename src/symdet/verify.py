@@ -12,8 +12,10 @@ every randomized verdict states it; fields below 2^16 elements are refused.
 Failures carry a reproducible witness (seed and point).
 
 Both sides are compiled once per field and evaluated at all trial points
-in lockstep on plain ints (Z_p residues or GF(2^k) bit masks).  A value
-that differs from point to point is a lane, a list with one int per point.
+in lockstep, by the field's plain-int arithmetic
+(:class:`~symdet.fields.IntArith`), to which this module adds only the
+elimination.  A value that differs from point to point is a lane, a list
+with one int per point.
 A :class:`CompiledCircuit` is the circuit as a topologically ordered
 program with its constants and arrow weights embedded once, evaluated on
 lanes.  A :class:`CompiledMatrix` reads the stored nonzeros of a
@@ -49,7 +51,6 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field, replace
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
 from .circuits import ADD, COMPUTATION, CONST, VAR, Circuit, MissingAssignment
@@ -57,12 +58,9 @@ from .fields import (
     FieldElement,
     FieldError,
     FieldSpec,
+    IntArith,
     MixedFields,
     PRIME_DEFAULT,
-    UnsupportedField,
-    _gf2_inverse,
-    _gf2_mulmod,
-    _gf2_tables,
     embed,
     sample_lanes,
 )
@@ -138,139 +136,13 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# lane arithmetic
+# lockstep elimination
 # ---------------------------------------------------------------------------
 
 
-class _IntArith:
-    """Arithmetic of one finite field on plain ints: Z_p residues, or
-    GF(2^k) bit masks with log/exp tables for k <= 16 and shift-and-add
-    above.
-
-    Values are scalars, one int standing for a value that is the same at
-    every trial point (a compiled constant), or lanes, lists with one int per
-    trial point.  Multiplication, inversion and the elimination update
-    x - f * v come in both forms side by side; :meth:`times` multiplies a
-    mix of the two."""
-
-    def __init__(self, spec: FieldSpec):
-        self.binary = spec.kind == "binary"
-        self.p = p = spec.p
-        if not self.binary:
-            def mul1(x, y):
-                return x * y % p
-
-            def inv1(x):
-                return pow(x, -1, p)
-
-            def submul1(x, f, v):
-                return (x - f * v) % p
-
-            def add(xs, ys):
-                return [(x + y) % p for x, y in zip(xs, ys)]
-
-            def mul(xs, ys):
-                return [x * y % p for x, y in zip(xs, ys)]
-
-            def scale(c, xs):
-                return [c * x % p for x in xs]
-
-            def inv(xs):
-                # Montgomery's trick: one modular inversion for all lanes
-                prefix = list(accumulate(xs, lambda a, b: a * b % p))
-                r = pow(prefix[-1], -1, p)
-                out = xs[:]
-                for i in range(len(xs) - 1, 0, -1):
-                    out[i] = r * prefix[i - 1] % p
-                    r = r * xs[i] % p
-                out[0] = r
-                return out
-
-            def submul(xs, fs, vs):
-                return [(x - f * v) % p for x, f, v in zip(xs, fs, vs)]
-        elif spec.k <= 16:
-            exp, log = _gf2_tables(spec)
-            order = (1 << spec.k) - 1
-
-            def mul1(x, y):
-                return exp[log[x] + log[y]] if x and y else 0
-
-            def inv1(x):
-                return exp[order - log[x]]
-
-            def submul1(x, f, v):
-                return x ^ exp[log[f] + log[v]] if f and v else x
-
-            def add(xs, ys):
-                return [x ^ y for x, y in zip(xs, ys)]
-
-            def mul(xs, ys):
-                return [exp[log[x] + log[y]] if x and y else 0 for x, y in zip(xs, ys)]
-
-            def scale(c, xs):
-                if not c:
-                    return [0] * len(xs)
-                c = log[c]
-                return [exp[c + log[x]] if x else 0 for x in xs]
-
-            def inv(xs):
-                return [exp[order - log[x]] for x in xs]
-
-            def submul(xs, fs, vs):
-                return [x ^ exp[log[f] + log[v]] if f and v else x
-                        for x, f, v in zip(xs, fs, vs)]
-        else:
-            mod = spec.modulus
-
-            def mul1(x, y):
-                return _gf2_mulmod(x, y, mod)
-
-            def inv1(x):
-                return _gf2_inverse(x, mod)
-
-            def submul1(x, f, v):
-                return x ^ _gf2_mulmod(f, v, mod)
-
-            def add(xs, ys):
-                return [x ^ y for x, y in zip(xs, ys)]
-
-            def mul(xs, ys):
-                return [_gf2_mulmod(x, y, mod) for x, y in zip(xs, ys)]
-
-            def scale(c, xs):
-                return [_gf2_mulmod(c, x, mod) for x in xs]
-
-            def inv(xs):
-                return [_gf2_inverse(x, mod) for x in xs]
-
-            def submul(xs, fs, vs):
-                return [x ^ _gf2_mulmod(f, v, mod) for x, f, v in zip(xs, fs, vs)]
-        self.mul1 = mul1
-        self.inv1 = inv1  # x must be nonzero
-        self.submul1 = submul1  # x - f * v
-        self.add = add
-        self.mul = mul
-        self.scale = scale  # a scalar times each lane
-        self.inv = inv  # lanes must be nonzero
-        self.submul = submul  # xs - fs * vs, lane by lane
-
-    def times(self, x: int | list[int], y: int | list[int]) -> int | list[int]:
-        """The product of two values, each a scalar or a lane: a scalar when
-        both are, else a fresh lane."""
-        if type(x) is int:
-            return self.mul1(x, y) if type(y) is int else self.scale(x, y)
-        return self.scale(y, x) if type(y) is int else self.mul(x, y)
-
-    def power(self, xs: list[int], e: int) -> list[int]:
-        """Each lane to the power ``e >= 0``, by square and multiply."""
-        out = None
-        while True:
-            if e & 1:
-                out = xs if out is None else self.mul(out, xs)
-            e >>= 1
-            if not e:
-                return [1] * len(xs) if out is None else out
-            xs = self.mul(xs, xs)
+class _IntArith(IntArith):
+    """A finite field's plain-int arithmetic, :class:`~symdet.fields.IntArith`,
+    with the lockstep elimination on its scalars and lanes."""
 
     def det(self, rows: list[dict[int, int | list[int]]], t: int) -> list[int]:
         """Determinants of ``t`` square matrices that share one sparsity
@@ -292,8 +164,8 @@ class _IntArith:
         matrices pivot on constants, and one lane never needs this.
         """
         n = len(rows)
-        inv1, submul1, times, inv, submul, binary, p = (
-            self.inv1, self.submul1, self.times, self.inv, self.submul, self.binary, self.p)
+        inv1, submul1, times, inv, submul = (
+            self.inv1, self.submul1, self.times, self.inv, self.submul)
         zeros = [0] * t
 
         original = [dict(row) for row in rows] if t > 1 else None
@@ -363,14 +235,9 @@ class _IntArith:
                         heappush(counts, (len(col_rows[c]), c))
                 if not row:
                     return zeros
-        if not binary and cover_sign(dict(enumerate(pivot_col))) < 0:
-            det = (p - det) % p if type(det) is int else [(p - d) % p for d in det]
+        if cover_sign(dict(enumerate(pivot_col))) < 0:
+            det = self.neg1(det) if type(det) is int else list(map(self.neg1, det))
         return det if type(det) is list else [det] * t
-
-
-def _need_finite(spec: FieldSpec) -> None:
-    if spec.size is None:
-        raise UnsupportedField(f"compiled evaluation needs a finite field, not {spec}")
 
 
 class CompiledCircuit:
@@ -385,8 +252,6 @@ class CompiledCircuit:
     """
 
     def __init__(self, circuit: Circuit, spec: FieldSpec):
-        _need_finite(spec)
-        self.spec = spec
         self.arith = _IntArith(spec)
         self.outputs = circuit.outputs
         self.inputs: list[tuple[int, str]] = []
@@ -447,8 +312,6 @@ class CompiledMatrix:
     """
 
     def __init__(self, m: SymbolicMatrix, spec: FieldSpec):
-        _need_finite(spec)
-        self.spec = spec
         self.arith = _IntArith(spec)
         self.const_rows: list[dict[int, int]] = [{} for _ in range(m.dim)]
         self.slots: list[tuple[int, int, str, int]] = []

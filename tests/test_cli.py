@@ -789,6 +789,43 @@ def test_cli_pperm_constant_outside_gf2_of_small_field_exits_1(tmp_path, capsys)
     assert code == 0 and out.splitlines()[1].endswith("]: True")
 
 
+@pytest.mark.parametrize("field", ["gf2:1", "gf2:5"])
+def test_cli_builds_over_any_small_binary_field(field, capsys):
+    """GF(2) itself, and degrees the default moduli were never listed for."""
+    code, out, _ = run(["build", "--expr", "x*y+x", "--method", "ws-nonsym",
+                        "--field", field], capsys)
+    assert code == 0 and out.startswith("2\n")
+
+
+def test_cli_binary_degree_without_default_modulus_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--expr", "x", "--method", "ws-nonsym", "--field", "gf2:65"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid field_from_flag value" in err and "Traceback" not in err
+
+
+def test_cli_z2_square_verifies_and_pperm_checks(tmp_path, capsys):
+    """Z_2 is GF(2): its matrices are tested in GF(2^16), which contains it."""
+    code, out, _ = run(["char2-square", "--expr", "x*y+z", "--field", "p:2"], capsys)
+    assert code == 0
+    mat = tmp_path / "m.matrix"
+    mat.write_text(out)
+    verify = ["verify", "--expr", "x*y+z", str(mat), "--field", "p:2", "--power", "2"]
+    code, out, _ = run(verify, capsys)
+    assert code == 0 and out.startswith("verified-random") and "GF(2^16)" in out
+    lines = mat.read_text().splitlines()
+    assert lines[:2] == ["4 symmetric", "0 0 z y"]
+    lines[:2] = ["4", "0 0 z x"]  # one entry changed, so no longer symmetric
+    mat.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(verify, capsys)
+    assert code == 1 and out.startswith("FAILED")
+    bfile = tmp_path / "b.matrix"
+    bfile.write_text("2\nx y\nz 1\n")
+    code, out, _ = run(["pperm", str(bfile), "--field", "p:2", "--check-identity"], capsys)
+    assert code == 0 and out.splitlines()[1].endswith("]: True")
+
+
 # -- fuzzing the pperm / verify boundary ---------------------------------------
 
 FUZZ_FIELDS = ("gf2", "gf2:8", "gf2_16", "q", "p61")

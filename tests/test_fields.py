@@ -12,6 +12,7 @@ from symdet.fields import (
     FieldSpec,
     GF2,
     GF2_16,
+    IntArith,
     MixedFields,
     PRIME_DEFAULT,
     RATIONAL,
@@ -61,6 +62,30 @@ def test_char2_addition_cancels():
 
 def test_gf2_16_modulus_is_irreducible():
     assert gf2_irreducible(GF2_16.modulus)
+
+
+def test_gf2_itself_is_a_binary_field():
+    """x + 1 is irreducible, though x^2 reduces to 1, not to x, modulo it."""
+    assert gf2_irreducible(0b11)
+    assert FieldSpec.binary(1) == GF2
+
+
+# the hand-written table the default moduli were once read from
+OLD_DEFAULT_MODULI = {1: 0b11, 2: 0b111, 3: 0b1011, 4: 0b10011, 8: 0x11B,
+                      16: 0x1002B, 24: 0x100001B, 32: 0x10000008D}
+
+
+@pytest.mark.parametrize("k", sorted(OLD_DEFAULT_MODULI))
+def test_default_modulus_is_the_smallest_irreducible(k):
+    assert FieldSpec.binary(k).modulus == OLD_DEFAULT_MODULI[k]
+    assert not any(gf2_irreducible(m) for m in range(1 << k, OLD_DEFAULT_MODULI[k]))
+
+
+def test_default_moduli_stop_at_degree_64():
+    assert gf2_irreducible(FieldSpec.binary(64).modulus)
+    with pytest.raises(ValueError, match="pass one"):
+        FieldSpec.binary(65)
+    assert FieldSpec.binary(65, modulus=(1 << 65) | (1 << 18) | 1).k == 65
 
 
 def test_binary_modulus_validation():
@@ -221,3 +246,109 @@ def test_gf2_32_carryless_path():
 def test_prime_spec_rejects_composite():
     with pytest.raises(ValueError):
         FieldSpec.prime(91)
+
+
+def test_embed_carries_gf2_between_z2_and_binary_fields():
+    """Z_2 is GF(2): its 0 and 1 embed into every GF(2^k), and back."""
+    z2 = FieldSpec.prime(2)
+    for target in (GF2, GF2_16, FieldSpec.binary(8)):
+        assert embed(z2.one(), target) == target.one()
+        assert embed(z2.zero(), target) == target.zero()
+        assert embed(target.one(), z2) == z2.one()
+    with pytest.raises(MixedFields):
+        embed(GF2_16.from_bits(0x2), z2)
+    with pytest.raises(MixedFields):
+        embed(z2.one(), Z7)
+
+
+# -- the plain-int kernel against arithmetic it does not use -------------------
+
+
+def clmul_mod(a, b, m):
+    """a * b in GF(2)[x] modulo m: a carry-less product, then long division."""
+    r = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            r ^= a << i
+    k = m.bit_length() - 1
+    for i in range(r.bit_length() - 1, k - 1, -1):
+        if r >> i & 1:
+            r ^= m << (i - k)
+    return r
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_gf2_kernel_exhaustively_against_carryless_products(k):
+    spec = FieldSpec.binary(k)
+    arith, m = IntArith(spec), spec.modulus
+    for x in range(1 << k):
+        assert arith.add1(x, 1) == x ^ 1 and arith.neg1(x) == x
+        assert [arith.mul1(x, y) for y in range(1 << k)] == [
+            clmul_mod(x, y, m) for y in range(1 << k)]
+        if x:
+            assert clmul_mod(x, arith.inv1(x), m) == 1
+
+
+BIG_BINARY = [FieldSpec.binary(k) for k in (12, 16, 24, 32, 64)]
+
+
+@pytest.mark.parametrize("spec", BIG_BINARY, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gf2_kernel_by_sampling_against_carryless_products(spec, data):
+    x, y = (data.draw(st.integers(1, (1 << spec.k) - 1)) for _ in range(2))
+    arith, m = IntArith(spec), spec.modulus
+    assert arith.mul1(x, y) == clmul_mod(x, y, m)
+    assert arith.mul1(x, 0) == arith.mul1(0, y) == 0
+    assert clmul_mod(x, arith.inv1(x), m) == 1
+
+
+PRIMES = [2, 3, 7, 101, 65537, DEFAULT_PRIME]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_prime_kernel_against_integer_arithmetic(p, data):
+    x, y, f = (data.draw(st.integers(0, p - 1)) for _ in range(3))
+    arith = IntArith(FieldSpec.prime(p))
+    assert arith.add1(x, y) == (x + y) % p
+    assert arith.neg1(x) == (p - x) % p
+    assert arith.mul1(x, y) == x * y % p
+    assert arith.submul1(x, f, y) == (x - f * y) % p
+    if x:
+        assert arith.inv1(x) == pow(x, p - 2, p)
+    q = Fraction(data.draw(st.integers(-10**30, 10**30)), data.draw(st.integers(1, 10**30)))
+    if q.denominator % p:
+        assert arith.fraction1(q) * q.denominator % p == q.numerator % p
+    with pytest.raises(DivisionByZero):
+        arith.fraction1(Fraction(1, p))
+
+
+KERNEL_FIELDS = [FieldSpec.prime(2), Z7, PRIME_DEFAULT, GF2, FieldSpec.binary(8), GF2_16,
+                 FieldSpec.binary(24)]
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), t=st.integers(1, 6))
+def test_kernel_lane_forms_match_scalar_forms(spec, data, t):
+    arith = IntArith(spec)
+    value = st.integers(0, spec.size - 1)
+    xs, ys, fs = ([data.draw(value) for _ in range(t)] for _ in range(3))
+    c = data.draw(value)
+    assert arith.add(xs, ys) == list(map(arith.add1, xs, ys))
+    assert arith.mul(xs, ys) == list(map(arith.mul1, xs, ys))
+    assert arith.scale(c, xs) == [arith.mul1(c, x) for x in xs]
+    assert arith.submul(xs, fs, ys) == list(map(arith.submul1, xs, fs, ys))
+    nonzero = [x or 1 for x in xs]
+    assert arith.inv(nonzero) == list(map(arith.inv1, nonzero))
+    assert arith.times(c, xs) == arith.times(xs, c) == arith.scale(c, xs)
+    assert arith.times(xs, ys) == arith.mul(xs, ys) and arith.times(c, c) == arith.mul1(c, c)
+    assert arith.power(xs, 3) == [arith.mul1(arith.mul1(x, x), x) for x in xs]
+
+
+def test_kernel_is_kept_once_per_spec_value():
+    assert FieldSpec.binary(16).arith is GF2_16.arith
+    with pytest.raises(UnsupportedField):
+        IntArith(RATIONAL)

@@ -256,3 +256,28 @@ def test_src_has_no_unused_imports():
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno}: {name}")
     assert not unused, unused
+
+
+def test_field_arithmetic_is_written_only_in_fields():
+    """The plain-int arithmetic of a finite field lives in ``fields.py``: no
+    other module imports a ``_gf2_*`` helper or compares a degree ``.k`` with
+    16, the largest degree with log/exp tables."""
+    import ast
+    from pathlib import Path
+
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "symdet").glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}: imports {alias.name}" for alias in node.names
+                          if alias.name.startswith("_gf2_")]
+            elif isinstance(node, ast.Attribute) and node.attr.startswith("_gf2_"):
+                found.append(f"{path.name}: uses {node.attr}")
+            elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if (any(isinstance(x, ast.Attribute) and x.attr == "k" for x in operands)
+                        and any(isinstance(x, ast.Constant) and x.value == 16 for x in operands)):
+                    found.append(f"{path.name}:{node.lineno}: compares .k with 16")
+    assert not found, found
