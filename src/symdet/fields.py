@@ -222,7 +222,7 @@ class FieldSpec:
     def from_int(self, n: int) -> "FieldElement":
         if self.kind == "rational":
             return FieldElement(self, Fraction(n))
-        return FieldElement(self, self.arith.int1(n))
+        return FieldElement(self, n % self.arith.p)
 
     def from_fraction(self, q: Union[Fraction, int, str]) -> "FieldElement":
         q = Fraction(q)
@@ -308,21 +308,18 @@ class IntArith:
     GF(2^k) bit masks by log/exp tables for k <= 16 and shift-and-add above.
 
     A value is a scalar, one int that is the same at every trial point, or a
-    lane, a list with one int per trial point.  The scalar forms end in 1:
-    ``int1`` and :meth:`fraction1` map Z and Q into the field, ``neg1``
-    negates, and ``add1``, ``mul1``, ``inv1`` and ``submul1`` (x - f * v)
-    have the lane forms ``add``, ``mul``, ``inv`` and ``submul``; ``scale``
-    multiplies a lane by a scalar, :meth:`times` any mix of the two."""
+    lane, a list with one int per trial point.  ``p`` is the characteristic,
+    an integer n is n % p, and :meth:`fraction1` maps Q into the field.  The
+    other scalar forms end in 1: ``neg1`` negates, and ``add1``, ``mul1``,
+    ``inv1`` and ``submul1`` (x - f * v) have the lane forms ``add``,
+    ``mul``, ``inv`` and ``submul``; ``scale`` multiplies a lane by a scalar,
+    :meth:`times` any mix of the two."""
 
     def __init__(self, spec: FieldSpec):
         if spec.size is None:
             raise UnsupportedField(f"plain-int arithmetic needs a finite field, not {spec}")
         self.spec = spec
-        p = spec.characteristic
-
-        def int1(n):
-            return n % p
-
+        self.p = p = spec.characteristic
         if spec.kind == "prime":
             def add1(x, y):
                 return (x + y) % p
@@ -422,7 +419,6 @@ class IntArith:
 
                 def submul(xs, fs, vs):
                     return [x ^ _gf2_mulmod(f, v, mod) for x, f, v in zip(xs, fs, vs)]
-        self.int1 = int1
         self.add1 = add1
         self.neg1 = neg1
         self.mul1 = mul1
@@ -436,10 +432,12 @@ class IntArith:
 
     def fraction1(self, q: Fraction) -> int:
         """The image of ``q``; :class:`DivisionByZero` if its denominator vanishes."""
-        d = self.int1(q.denominator)
+        n, d = q.numerator % self.p, q.denominator % self.p
+        if d == 1:  # every integer, and every q in characteristic 2 that has an image
+            return n
         if not d:
             raise DivisionByZero(f"inverse of zero in {self.spec}")
-        return self.mul1(self.int1(q.numerator), self.inv1(d))
+        return self.mul1(n, self.inv1(d))
 
     def times(self, x: int | list[int], y: int | list[int]) -> int | list[int]:
         """The product of two values, each a scalar or a lane: a scalar when
@@ -639,7 +637,7 @@ def embed(x: FieldElement, spec: FieldSpec) -> FieldElement:
     """
     if x.spec == spec:
         return x
-    if x.spec.kind == "rational" and spec.size is not None:
+    if x.spec.kind == "rational" and spec.kind != "rational":
         q: Fraction = x.value
         try:
             return FieldElement(spec, spec.arith.fraction1(q))

@@ -235,7 +235,7 @@ class _IntArith(IntArith):
                         heappush(counts, (len(col_rows[c]), c))
                 if not row:
                     return zeros
-        if cover_sign(dict(enumerate(pivot_col))) < 0:
+        if self.p != 2 and cover_sign(dict(enumerate(pivot_col))) < 0:  # -1 = 1 if p = 2
             det = self.neg1(det) if type(det) is int else list(map(self.neg1, det))
         return det if type(det) is list else [det] * t
 
