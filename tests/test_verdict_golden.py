@@ -10,8 +10,11 @@ verdicts for n = 5-7 over GF(2^16) and GF(2^24).  Every verdict is hashed
 as JSON, witness points and values included, so a change to how trial
 points are drawn, evaluated or compared shows here.  The partial permanent
 verdicts are hashed as the fields they were first pinned with
-(:func:`pperm_fields`), which leaves out their witness point.  A deliberate change
-of verdicts must say so and update the digest.
+(:func:`pperm_fields`), which leaves out their witness point.  Each build
+label has its own digest, and each mutation is drawn from a ``Random`` of
+its own, seeded by its place in the batch, so a construction whose output
+changes moves only its own label's digest.  A deliberate change of verdicts
+must say so and update the digests of the labels it changes.
 """
 
 from __future__ import annotations
@@ -31,7 +34,28 @@ from symdet.verify import Verdict, identity_test
 from symdet.weakly_skew import ws_nonsym_matrix, ws_sym_matrix
 from tests.conftest import leibniz_det
 
-GOLDEN_SHA256 = "a6dc332df325b9648d0aab84038aab426fb51e52f2d1120aab0cb0a7d0ba9642"
+GOLDEN = {
+    "sym skinny":
+        "986943a9f618b335d646a2b30e2c4e6dcc22b81c8d08c8221615d1995508e3ba",
+    "sym green":
+        "8f70de220a85cfebd9ec3cdeb341129f857cc8e7162b0c33b7b7307b18a27b82",
+    "valiant":
+        "221ce2f33fd834d362466bfceb38656d9026467f8726c3d1d83111ea87a339c5",
+    "ws-sym fat":
+        "e6ff6d5722c07757690ab58cb5d7e0afb2c3fbd3d4f4b9394293d6104f5f1325",
+    "ws-sym green":
+        "8b103eb10dfd5afbdf567e6f0afb8f2d7db8a9b3b6bed6e2471e932bd80e97d4",
+    "ws-nonsym fat":
+        "a92c0af8132ba22bcadcaf97e83029cee24acaf76e9b14c04004c43ce17f1722",
+    "ws-nonsym green":
+        "2d1a393184117645d38513b37456daf52aa353b6ed55f29dd751d158b4a72693",
+    "det":
+        "046bad735a62bf799d98cf762e2b393c663b6c43ed53bd48c988f00d92c98713",
+    "char2":
+        "9b1bf977d873d2bbf8951ec19ebfecbf07220f2497e2d026f61e8d0bdd3a39a2",
+    "pperm":
+        "753cbb7810812e571f5f8686b7ec2b24883f93b5c3eac65f81ff0ae808bf11bb",
+}
 
 PRIME_FIELDS = (PRIME_DEFAULT, FieldSpec.prime(65537))
 PPERM_FIELDS = (GF2_16, FieldSpec.binary(24))
@@ -44,6 +68,7 @@ FORMULA_BUILDS = [
     (sym_matrix, "green"),
     (lambda c, mode: valiant_matrix(c), None),
 ] + WS_BUILDS
+LABEL = {sym_matrix: "sym", ws_sym_matrix: "ws-sym", ws_nonsym_matrix: "ws-nonsym"}
 
 
 def mutate(m: SymbolicMatrix, rng: random.Random, replacement: Weight) -> SymbolicMatrix:
@@ -63,7 +88,7 @@ def det_circuit(n: int):
 
 
 def rational_cases(rng: random.Random):
-    """(circuit, matrix) over Q: every build, then one mutation of each."""
+    """(label, circuit, matrix) over Q: every build, then one mutation of each."""
     builds = []
     for k in range(24):
         formula = k % 2 == 0
@@ -71,40 +96,42 @@ def rational_cases(rng: random.Random):
                            rng.randint(1, 6 if formula else 10), 3, rng,
                            weighted=k % 4 >= 2, const_prob=0.2)
         for build, mode in FORMULA_BUILDS if formula else WS_BUILDS:
-            builds.append((c, build(c, mode)))
+            label = f"{LABEL[build]} {mode}" if build in LABEL else "valiant"
+            builds.append((label, c, build(c, mode)))
     for n in (2, 3):
-        builds.append((det_circuit(n), det_sym_matrix(n)))
-    for c, m in builds:
-        yield c, m
-        yield c, mutate(m, rng, Weight.const(RATIONAL.from_int(2)))
+        builds.append(("det", det_circuit(n), det_sym_matrix(n)))
+    for k, (label, c, m) in enumerate(builds):
+        yield label, c, m
+        yield label, c, mutate(m, random.Random(k), Weight.const(RATIONAL.from_int(2)))
 
 
 def verdicts():
-    """JSON text of every verdict in the batch, in a fixed order."""
+    """(label, JSON text) of every verdict in the batch, in a fixed order."""
     rng = random.Random(20261018)
     seed = 0
-    for c, m in rational_cases(rng):
+    for label, c, m in rational_cases(rng):
         for spec in PRIME_FIELDS:
             for exact in (True, False):
                 seed += 1
                 v = identity_test(c, m, spec=spec, seed=seed, exact_upgrade=exact)
-                yield json.dumps(v.to_json(), sort_keys=True)
+                yield label, json.dumps(v.to_json(), sort_keys=True)
     for k in range(24):
         c = random_circuit("formula" if k % 2 else "weakly-skew", rng.randint(1, 8), 3, rng,
                            spec=GF2_16, constant_pool=(1, 3, 7), const_prob=0.2,
                            weighted=k % 4 >= 2, weight_pool=(1, 1, 2, 5))
         a = square_matrix_char2(c)
-        for m in (a, mutate(a, rng, Weight.const(GF2_16.from_bits(0x1F)))):
+        mutant = mutate(a, random.Random(1000 + k), Weight.const(GF2_16.from_bits(0x1F)))
+        for m in (a, mutant):
             seed += 1
             v = identity_test(c, m, spec=GF2_16, seed=seed, power=2)
-            yield json.dumps(v.to_json(), sort_keys=True)
+            yield "char2", json.dumps(v.to_json(), sort_keys=True)
     for spec in PPERM_FIELDS:
         for n in (5, 6, 7):
             for trials in (1, 20):
                 seed += 1
                 b = pperm_matrix(rng, n, spec)
                 v = partial_perm_identity(b, trials=trials, seed=seed, spec=spec)
-                yield json.dumps(pperm_fields(v), sort_keys=True)
+                yield "pperm", json.dumps(pperm_fields(v), sort_keys=True)
 
 
 def pperm_fields(v: Verdict) -> dict:
@@ -135,11 +162,11 @@ def pperm_matrix(rng: random.Random, n: int, spec: FieldSpec) -> SymbolicMatrix:
 
 
 def test_verdicts_match_golden_digest():
-    digest = hashlib.sha256()
+    digests: dict = {}
     count = failed = 0
-    for text in verdicts():
+    for label, text in verdicts():
         count += 1
         failed += '"FAILED"' in text or '"ok": false' in text
-        digest.update(text.encode() + b"\0")
+        digests.setdefault(label, hashlib.sha256()).update(text.encode() + b"\0")
     assert count > 1000 and failed > 100, (count, failed)
-    assert digest.hexdigest() == GOLDEN_SHA256, f"{count} verdicts hash to {digest.hexdigest()}"
+    assert {label: d.hexdigest() for label, d in digests.items()} == GOLDEN
