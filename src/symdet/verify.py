@@ -275,7 +275,6 @@ class CompiledCircuit:
                 da, db = degree[a], degree[b]
                 degree[gid] = max(da, db) if g.kind == ADD else da + db
         self.degrees = tuple(degree[o] for o in circuit.outputs)
-        self.variables = tuple(dict.fromkeys(name for _, name in self.inputs))
 
     def lane_evaluate(self, lanes: Mapping[str, list[int]], t: int) -> list[list[int]]:
         """The lane of each output at ``t`` points given as the lane of each
