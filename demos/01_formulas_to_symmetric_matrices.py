@@ -26,7 +26,7 @@ print(f"formula sizes: skinny={rep.skinny} fat={rep.fat} green={rep.green}")
 # the gadget graph: every cycle is even, every s-t path is even, and the
 # signed path sum equals the polynomial
 cert = build_sym_graph(f, mode="green")
-print(f"\ngadget graph: {cert.graph.n} vertices, scalar c0 = {cert.c0}")
+print(f"\ngadget graph: {cert.graph.n} vertices, scalar c0 = {cert.output()[1]}")
 print(export_dot(cert.graph))
 
 m = sym_matrix(f, mode="green")

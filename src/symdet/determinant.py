@@ -60,7 +60,9 @@ def _sign_of(n: int, closed_parity: int) -> int:
 
 
 def build_det_abp(n: int, spec: FieldSpec = RATIONAL) -> LayeredAbp:
-    """Layered ABP whose signed path sum is the determinant of (x_ij).
+    """Layered ABP whose s-t path sum, unsigned like every branching
+    program's, is the determinant of (x_ij); the signs ride on the arcs
+    into t.
 
     States at layer l (l entries consumed):
       ("F", l, g, p):    between walks, last closed head g, p walks closed

@@ -4,10 +4,10 @@ Two constructions, both driven by path sums in a gadget (di)graph placed
 straight on the formula's gates by one walk over an explicit stack (so depth
 costs no recursion), each construction handing the walk only its gadget step:
 
-* the corrected digraph construction (non-symmetric): a digraph G, vertices
-  s and t and a scalar c0 with  c0 * sum_P (-1)^|P| w(P) = f  over all
-  s-t-paths P, closed into a matrix of dimension at most (green size + 1)
-  when the formula has an addition;
+* the corrected digraph construction (non-symmetric): a branching program
+  G, vertices s and t and a scalar c0 with  c0 * sum_P w(P) = f  over all
+  s-t-paths P, closed by :func:`~symdet.graphs.close_abp` into a matrix of
+  dimension at most (green size + 1) when the formula has an addition;
 
 * the symmetric gadget construction: a graph G whose s-t-path sum satisfies
   c0 * sum_P (-1)^(|P|/2+1) w(P) = f, with every cycle even, every path even
@@ -16,13 +16,13 @@ costs no recursion), each construction handing the walk only its gadget step:
   green size, by mode).
 
 Constant multiplications are free: they ride on c0 and on gadget edge
-weights.  Certificates retain the gadget graph so tests can audit the
-path-sum identity and the structural conditions directly.
+weights; the c0 of a product is the product of its arguments' scalars in
+both constructions.  Certificates retain the gadget graph so tests can
+audit the path-sum identity and the structural conditions directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .circuits import (
@@ -36,12 +36,11 @@ from .circuits import (
 )
 from .fields import FieldElement
 from .graphs import (
-    CONSTW,
+    PathSumCertificate,
     SymbolicMatrix,
     Weight,
     WeightedDigraph,
     WeightedGraph,
-    adjacency,
     close_abp,
     close_symmetric,
 )
@@ -73,24 +72,20 @@ def _walk(f: Circuit, s: int, t: int, step: Callable) -> None:
             stack += reversed(step(*job))
 
 
-def _lemma_c0(op: str, cl: FieldElement, cr: FieldElement, mul_sign: int) -> FieldElement:
+def _lemma_c0(op: str, cl: FieldElement, cr: FieldElement) -> FieldElement:
     """The scalar the path-sum lemma associates with a sub-formula ``op``
-    whose arguments' scalars, times their arrow weights, are ``cl``, ``cr``.
+    whose arguments' scalars, times their arrow weights, are ``cl``, ``cr``:
+    their product for a product, the first nonzero one for a sum.
 
     Zero exactly when the sub-formula vanishes because of zero weights, in
-    which case the branch is dropped from the construction.  ``mul_sign`` is
-    -1 for the digraph construction: merging the gadget endpoints there makes
-    every product flip the vertex-count parity of the through paths, so the
-    scalar absorbs one -1 per multiplication.  The symmetric construction
-    keeps its endpoints apart and carries the -1 on the connecting edge.
+    which case the branch is dropped from the construction.
     """
     if op == MUL:
-        prod = cl * cr
-        return -prod if mul_sign < 0 else prod
+        return cl * cr
     return cl if not cl.is_zero() else cr
 
 
-def _lemma_c0s(f: Circuit, mul_sign: int) -> dict[int, FieldElement]:
+def _lemma_c0s(f: Circuit) -> dict[int, FieldElement]:
     """The lemma scalar of every gate of formula ``f`` (an input's is 1), in
     one pass over the topological order, so each gate is combined once."""
     c0: dict[int, FieldElement] = {}
@@ -100,7 +95,7 @@ def _lemma_c0s(f: Circuit, mul_sign: int) -> dict[int, FieldElement]:
             c0[gid] = f.spec.one()
         else:
             (l, wl), (r, wr) = gate.args
-            c0[gid] = _lemma_c0(gate.kind, wl * c0[l], wr * c0[r], mul_sign)
+            c0[gid] = _lemma_c0(gate.kind, wl * c0[l], wr * c0[r])
     return c0
 
 
@@ -111,26 +106,16 @@ def _addition(gate, c0s: dict[int, FieldElement], a: int, b: int):
     return live if len(live) < 2 else None
 
 
-# -- certificates -------------------------------------------------------------
-
-@dataclass
-class PathSumCertificate:
-    graph: WeightedDigraph | WeightedGraph
-    s: int
-    t: int
-    c0: FieldElement
-    source: Circuit
-
-
 # ---------------------------------------------------------------------------
 # non-symmetric construction
 # ---------------------------------------------------------------------------
 
 
 def build_valiant_digraph(f: Circuit) -> PathSumCertificate:
-    """Digraph with at most gsize(f)+2 vertices realizing the signed path sum."""
+    """Branching program with at most gsize(f)+2 vertices and a scalar c0
+    with c0 * sum_P w(P) = f over its s-t paths P (unsigned)."""
     work = green_form(f)
-    c0s = _lemma_c0s(work, mul_sign=-1)
+    c0s = _lemma_c0s(work)
     dg = WeightedDigraph(work.spec)
     s, t = dg.add_vertex(), dg.add_vertex()
 
@@ -147,12 +132,13 @@ def build_valiant_digraph(f: Circuit) -> PathSumCertificate:
         if jobs is not None:
             return jobs
         t2 = dg.add_vertex()
-        dg.add_arc(t2, b, Weight.const(-(wr * c0s[r]) / (wl * c0s[l])))
+        dg.add_arc(t2, b, Weight.const((wr * c0s[r]) / (wl * c0s[l])))
         return (l, wl, a, b), (r, wr, a, t2)
 
     _walk(work, s, t, step)
     dg.roles.update(s=s, t=t)
-    return PathSumCertificate(dg, s, t, c0s[work.outputs[0]], work)
+    out = work.outputs[0]
+    return PathSumCertificate(dg, s, {out: t}, {out: c0s[out]}, work)
 
 
 def _product_fallback(f: Circuit) -> SymbolicMatrix:
@@ -187,33 +173,12 @@ def valiant_matrix(f: Circuit) -> SymbolicMatrix:
 def valiant_lowering(f: Circuit) -> tuple[SymbolicMatrix, PathSumCertificate]:
     """:func:`valiant_matrix` together with the certificate it closes."""
     cert = build_valiant_digraph(f)
-    spec = f.spec
     if not any(g.kind == ADD for g in cert.source.gates.values()):
         return _product_fallback(cert.source), cert
-    dg, s, t, c0 = cert.graph, cert.s, cert.t, cert.c0
-    if not any(v == t for _, v in dg.arcs):
-        return SymbolicMatrix([[Weight.const(spec.zero())]], spec=spec), cert
-
-    # c0 goes on the first vertex with a single constant out-arc (the free
-    # endpoint of some addition gadget); if every addition was pruned away,
-    # it goes on a fresh isolated loop, i.e. a 1x1 diagonal block
-    only_arc: dict[int, Weight | None] = {}
-    for (u, _), w in dg.arcs.items():
-        only_arc[u] = None if u in only_arc else w
-    host = min(
-        (u for u, w in only_arc.items()
-         if u not in (s, t) and w is not None and w.kind == CONSTW),
-        default=None,
-    )
-    merged = close_abp(
-        dg, s, t,
-        weight=lambda u, v, w: w.scale(c0) if u == host else w,
-        loop=lambda v: Weight.const(c0 if v == host else spec.one()),
-    )
-    if host is None and not c0.is_one():
-        v = merged.add_vertex()
-        merged.add_arc(v, v, Weight.const(c0))
-    return adjacency(merged), cert
+    t, c0 = cert.output()
+    if c0.is_zero() or not any(v == t for _, v in cert.graph.arcs):
+        return SymbolicMatrix([[Weight.const(f.spec.zero())]], spec=f.spec), cert
+    return close_abp(cert.graph, cert.s, t, c0), cert
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +195,7 @@ def build_sym_graph(f: Circuit, mode: str = "skinny") -> PathSumCertificate:
     """
     if mode == "green":
         work = green_form(f)
-        c0s = _lemma_c0s(work, mul_sign=1)
+        c0s = _lemma_c0s(work)
     elif mode == "skinny":
         work = f
     else:
@@ -284,8 +249,9 @@ def build_sym_graph(f: Circuit, mode: str = "skinny") -> PathSumCertificate:
 
     _walk(work, s, t, step)
     g.roles.update(s=s, t=t)
-    c0 = c0s[work.outputs[0]] if mode == "green" else spec.one()
-    return PathSumCertificate(g, s, t, c0, work)
+    out = work.outputs[0]
+    c0 = c0s[out] if mode == "green" else spec.one()
+    return PathSumCertificate(g, s, {out: t}, {out: c0}, work)
 
 
 def sym_matrix(f: Circuit, mode: str = "skinny") -> SymbolicMatrix:
@@ -304,7 +270,7 @@ def sym_lowering(
     graph the closing leaves unchanged."""
     cert = build_sym_graph(f, mode)
     # the path sum counts (-1)^(|P|/2+1) w(P): paths of 2 vertices positively
-    return close_symmetric(cert.graph, cert.s, cert.t, cert.c0, 2), cert
+    return close_symmetric(cert.graph, cert.s, *cert.output(), 2), cert
 
 
 def check_sym_certificate(cert: PathSumCertificate, max_vertices: int = 14) -> None:
@@ -326,18 +292,19 @@ def check_sym_certificate(cert: PathSumCertificate, max_vertices: int = 14) -> N
 
     g: WeightedGraph = cert.graph
     assert isinstance(g, WeightedGraph), "symmetric certificate needs a graph"
+    t, c0 = cert.output()
     if g.n > max_vertices:
         raise ValueError(f"certificate audit capped at {max_vertices} vertices")
     assert g.n % 2 == 0, "graph must have an even number of vertices"
     assert all_cycles_even(g), "odd cycle in gadget graph"
-    inner = complement_vertices(g, [cert.s, cert.t])
+    inner = complement_vertices(g, [cert.s, t])
     assert unique_cover_is_weight1_matching(g, inner), (
         "G minus {s, t} must have a unique weight-1 matching cover"
     )
     spec = g.spec
     variables = cert.source.variables
     total = DensePolynomial.zero(spec, variables)
-    for path in enumerate_st_paths(g, cert.s, cert.t):
+    for path in enumerate_st_paths(g, cert.s, t):
         assert len(path) % 2 == 0, "odd s-t path"
         rest = complement_vertices(g, path)
         assert unique_cover_is_weight1_matching(g, rest), (
@@ -347,23 +314,7 @@ def check_sym_certificate(cert: PathSumCertificate, max_vertices: int = 14) -> N
         if (len(path) // 2 + 1) % 2 == 1:
             w = -w
         total = total + w
-    total = total.scale(cert.c0)
+    total = total.scale(c0)
     expected = expand_circuit(cert.source)[0]
     assert total == expected, "path-sum identity failed"
 
-
-def check_valiant_certificate(cert: PathSumCertificate) -> None:
-    """Audit the digraph path-sum identity c0 * sum (-1)^|P| w(P) = f."""
-    from .oracles import enumerate_st_paths, path_weight
-    from .polynomials import DensePolynomial, expand_circuit
-
-    dg: WeightedDigraph = cert.graph
-    spec = dg.spec
-    variables = cert.source.variables
-    total = DensePolynomial.zero(spec, variables)
-    for path in enumerate_st_paths(dg, cert.s, cert.t):
-        w = path_weight(dg, path, variables, spec)
-        total = total + (w if len(path) % 2 == 0 else -w)
-    total = total.scale(cert.c0)
-    expected = expand_circuit(cert.source)[0]
-    assert total == expected, "digraph path-sum identity failed"

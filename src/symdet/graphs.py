@@ -7,10 +7,15 @@ recorded by role name so constructions are reproducible.  Graphs are
 undirected with loops allowed and no parallel edges; a graph's adjacency
 matrix is symmetric by construction.
 
-Every construction ends in one of two closings of an s-t path-sum graph.
-:func:`close_abp` merges t into s of a digraph and adds loops, so cycle
-covers are the s-t paths, then eliminates the unit-loop vertices that only
-relay a constant (:func:`eliminate_pivots`).  :func:`close_symmetric` joins
+Every construction ends in one of two closings of an s-t path-sum graph,
+recorded with its scalars in a :class:`PathSumCertificate`.  Every
+branching program (ABP) is an unsigned path sum, c * sum_P w(P) = f over
+its s-t paths P, and :func:`close_abp` is its one closing rule: scale the
+arcs into t by c, negate every other arc, merge t into s and give every
+other vertex a unit loop, so the cycle covers are the s-t paths, each of
+sign +1; then eliminate the unit-loop vertices that only relay a constant
+(:func:`eliminate_pivots`).  Without the negation (``sign=1``) the
+permanent is the path sum.  :func:`close_symmetric` joins
 t back to s of an undirected graph whose other vertices have exactly one
 matching completion; the graphs it closes are vertex splits
 (:func:`split_vertices`) of branching programs, or the formula gadgets,
@@ -31,11 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .circuits import is_variable_name
+from .circuits import Circuit, classify, is_variable_name
 from .fields import RATIONAL, FieldElement, FieldSpec, embed, half, parse_element
-from .polynomials import DensePolynomial
+from .polynomials import DensePolynomial, expand_gate_values
 
 
 VARW = "var"
@@ -291,33 +296,71 @@ def adjacency(g: WeightedGraph | WeightedDigraph) -> SymbolicMatrix:
     return SymbolicMatrix(rows, spec=g.spec, symmetric=True)
 
 
+@dataclass
+class PathSumCertificate:
+    """A gadget graph and the path sums it realizes: for every gate a of
+    ``targets``, ``scalars[a]`` times the sum of w(P) over the paths P from
+    s to ``targets[a]`` is the value f_a of gate a of ``source``.  The sum
+    is unsigned for a branching program (:func:`check_abp_certificate`);
+    the symmetric gadget graphs count each path with the sign their own
+    audits state."""
+
+    graph: WeightedGraph | WeightedDigraph
+    s: int
+    targets: dict[int, int]
+    scalars: dict[int, FieldElement]
+    source: Circuit
+
+    def output(self) -> tuple[int, FieldElement]:
+        """The target vertex and scalar of the source's first output."""
+        out = self.source.outputs[0]
+        return self.targets[out], self.scalars[out]
+
+
+def check_abp_certificate(cert: PathSumCertificate) -> None:
+    """Audit a branching program by enumerating its paths: for every
+    reusable gate a of ``targets``, scalars[a] * sum_P w(P) = f_a over the
+    s-targets[a] paths P.  Exponential; intended for test builds."""
+    from .oracles import enumerate_st_paths, path_sum
+
+    g, source = cert.graph, cert.source
+    values = expand_gate_values(source)
+    reusable = classify(source).reusable
+    for gid, t in sorted(cert.targets.items()):
+        if gid in reusable:
+            total = path_sum(g, enumerate_st_paths(g, cert.s, t), source.variables)
+            assert total.scale(cert.scalars[gid]) == values[gid], (
+                f"ABP path-sum identity failed at gate {gid}")
+
+
 def close_abp(
-    dg: WeightedDigraph,
-    s: int,
-    t: int,
-    weight: Callable[[int, int, Weight], Weight],
-    loop: Callable[[int], Weight],
-    sign: int = -1,
-) -> WeightedDigraph:
-    """Close an acyclic s-t branching program into a digraph whose cycle
-    covers are its s-t paths, each closed through s and completed by loops:
-    t merges into s, arc (u, v) gets weight ``weight(u, v, w)`` and every
-    vertex except s gets a loop of weight ``loop(v)``.  Then every singleton
-    pivot is eliminated (:func:`eliminate_pivots`, with ``sign``), so the
-    adjacency matrix keeps its determinant, or with ``sign=1`` its
-    permanent, and its rows are the kept program vertices in order, with t
-    and the eliminated vertices removed.  ``dg`` is left unchanged."""
+    dg: WeightedDigraph, s: int, t: int, c: FieldElement, sign: int = -1
+) -> SymbolicMatrix:
+    """The matrix of an acyclic s-t branching program whose path sum
+    c * sum_P w(P) is its determinant, or with ``sign=1`` its permanent.
+
+    Every s-t path crosses exactly one arc into t, and those arcs are
+    scaled by c; with ``sign=-1`` every other arc is negated.  t merges
+    into s and every other vertex gets a unit loop, so a cycle cover is one
+    s-t path closed through s, a cycle on |P| - 1 vertices, completed by
+    loops: its sign (-1)^|P| meets the |P| - 2 negated arcs.  Then every
+    singleton pivot is eliminated (:func:`eliminate_pivots`, with
+    ``sign``), which keeps the determinant (permanent); the rows are the
+    kept program vertices in order, with t and the eliminated vertices
+    removed.  ``dg`` is left unchanged."""
     keep = [v for v in range(dg.n) if v != t]
     renum = {v: i for i, v in enumerate(keep)}
     renum[t] = renum[s]
     merged = WeightedDigraph(dg.spec)
     merged.n = len(keep)
+    flip = dg.spec.from_int(sign)
     for (u, v), w in dg.arcs.items():
-        merged.add_arc(renum[u], renum[v], weight(u, v, w))
+        merged.add_arc(renum[u], renum[v], w.scale(c if v == t else flip))
+    unit = Weight.const(dg.spec.one())
     for v in keep:
         if v != s:
-            merged.add_arc(renum[v], renum[v], loop(v))
-    return eliminate_pivots(merged, sign)
+            merged.add_arc(renum[v], renum[v], unit)
+    return adjacency(eliminate_pivots(merged, sign))
 
 
 def eliminate_pivots(dg: WeightedDigraph, sign: int = -1) -> WeightedDigraph:

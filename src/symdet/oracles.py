@@ -338,6 +338,16 @@ def path_weight(
     return w
 
 
+def path_sum(
+    g: WeightedGraph | WeightedDigraph, paths: Iterable[Sequence[int]], variables
+) -> DensePolynomial:
+    """The unsigned sum of w(P) over ``paths`` of g."""
+    total = DensePolynomial.zero(g.spec, variables)
+    for path in paths:
+        total = total + path_weight(g, path, variables, g.spec)
+    return total
+
+
 def complement_vertices(g, path: Sequence[int]) -> list[int]:
     drop = set(path)
     return [v for v in range(g.n) if v not in drop]

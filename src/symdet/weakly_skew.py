@@ -22,17 +22,18 @@ positively (:func:`~symdet.graphs.close_symmetric`), gives a symmetric
 matrix of dimension at most 2m+1 (fat mode) or 2(e+i)+1 (green mode, after
 minimization, with constant addition arguments absorbed into arc weights).
 
-The non-symmetric lowering closes the ABP itself into a matrix of dimension
-at most m (fat) or e+i (green) by merging source and output and putting
-unit loops elsewhere; arc signs absorb the path-parity bookkeeping.  The
-closing then eliminates every vertex that only relays a constant, so the
-dimension is usually well below the bound.
+The non-symmetric lowering closes the ABP itself, c_t * sum_P w(P) = f
+over the s-t paths P of the output t, by the one closing rule of
+:func:`~symdet.graphs.close_abp`: the arcs into t carry c_t, every other
+arc is negated (or, for the permanent, kept), t merges into s and every
+other vertex gets a unit loop.  That gives a matrix of dimension at most m
+(fat) or e+i (green); the closing then eliminates every vertex that only
+relays a constant, so the dimension is usually well below the bound.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .circuits import (
     ADD,
@@ -45,11 +46,10 @@ from .circuits import (
 )
 from .fields import FieldElement
 from .graphs import (
+    PathSumCertificate,
     SymbolicMatrix,
     Weight,
     WeightedDigraph,
-    WeightedGraph,
-    adjacency,
     close_abp,
     close_symmetric,
     split_vertices,
@@ -61,26 +61,17 @@ class NotWeaklySkew(CircuitError):
     pass
 
 
-@dataclass
-class WsCertificate:
-    graph: WeightedGraph | WeightedDigraph  # gadget graph, or the ABP digraph
-    s: int
-    t_of: dict[int, int]            # reusable gate id -> t vertex (ABP: its vertex)
-    c_of: dict[int, FieldElement]   # reusable gate id -> scalar
-    source: Circuit
-
-
 def _input_weight(gate) -> Weight:
     if gate.kind == VAR:
         return Weight.var(gate.name)
     return Weight.const(gate.value)
 
 
-def build_ws_abp(circuit: Circuit, mode: str = "fat") -> WsCertificate:
+def build_ws_abp(circuit: Circuit, mode: str = "fat") -> PathSumCertificate:
     """Path-sum ABP of a weakly skew circuit, peeled one gate at a time,
     sinks first: for every reusable gate a, c_a times the sum over
     s-to-vertex(a) paths of w(P) is f_a.  The certificate's graph is the
-    digraph and ``t_of`` maps each gate to its vertex.
+    digraph and ``targets`` maps each gate to its vertex.
 
     Each part is peeled from a heap of ready sinks, largest gate first.  The
     closed argument of a multiplication starts a part of its own, sourced at
@@ -164,17 +155,17 @@ def build_ws_abp(circuit: Circuit, mode: str = "fat") -> WsCertificate:
             dg.add_arc(u, v, w)
         vertex[gid] = v
         c_of[gid] = one
-    return WsCertificate(dg, source, vertex, c_of, work)
+    return PathSumCertificate(dg, source, vertex, c_of, work)
 
 
-def build_ws_graph(circuit: Circuit, mode: str = "fat") -> WsCertificate:
+def build_ws_graph(circuit: Circuit, mode: str = "fat") -> PathSumCertificate:
     """Gadget graph for a multiple-output weakly skew circuit: the vertex
     split of :func:`build_ws_abp` with unit -1, s left whole, and the out
     copy of its ABP vertex as each gate's t-vertex."""
     abp = build_ws_abp(circuit, mode)
     g, copies = split_vertices(abp.graph, -circuit.spec.one(), [abp.s])
-    t_of = {gid: copies[v][1] for gid, v in abp.t_of.items()}
-    return WsCertificate(g, abp.s, t_of, abp.c_of, abp.source)
+    targets = {gid: copies[v][1] for gid, v in abp.targets.items()}
+    return PathSumCertificate(g, abp.s, targets, abp.scalars, abp.source)
 
 
 def _constant_fallback(circuit: Circuit, mode: str) -> SymbolicMatrix | None:
@@ -199,19 +190,18 @@ def ws_sym_matrix(circuit: Circuit, mode: str = "fat") -> SymbolicMatrix:
 
 def ws_sym_lowering(
     circuit: Circuit, mode: str = "fat"
-) -> tuple[SymbolicMatrix, WsCertificate | None]:
+) -> tuple[SymbolicMatrix, PathSumCertificate | None]:
     """:func:`ws_sym_matrix` together with the certificate it closes, which
     is None for the 1x1 matrix of a variable-free circuit in green mode."""
     fallback = _constant_fallback(circuit, mode)
     if fallback is not None:
         return fallback, None
     cert = build_ws_graph(circuit, mode)
-    g, out = cert.graph, cert.source.outputs[0]
     # the path sum counts (-1)^((|P|-1)/2) w(P): paths of 1 vertex positively
-    return close_symmetric(g, cert.s, cert.t_of[out], cert.c_of[out], 1), cert
+    return close_symmetric(cert.graph, cert.s, *cert.output(), 1), cert
 
 
-def check_ws_certificate(cert: WsCertificate, max_vertices: int = 14) -> None:
+def check_ws_certificate(cert: PathSumCertificate, max_vertices: int = 14) -> None:
     """Exhaustive audit of the certificate invariants.
 
     Checks: odd vertex count, even cycles, odd s-t_a paths, unique weight-1
@@ -242,7 +232,7 @@ def check_ws_certificate(cert: WsCertificate, max_vertices: int = 14) -> None:
     circuit = cert.source
     values = expand_gate_values(circuit)
     reusable = classify(circuit).reusable
-    for gid, t in sorted(cert.t_of.items()):
+    for gid, t in sorted(cert.targets.items()):
         if gid not in reusable:
             continue
         total = DensePolynomial.zero(spec, circuit.variables)
@@ -258,7 +248,7 @@ def check_ws_certificate(cert: WsCertificate, max_vertices: int = 14) -> None:
             if ((len(path) - 1) // 2) % 2 == 1:
                 w = -w
             total = total + w
-        total = total.scale(cert.c_of[gid])
+        total = total.scale(cert.scalars[gid])
         assert total == values[gid], f"path-sum identity failed at gate {gid}"
 
 
@@ -273,34 +263,21 @@ def ws_nonsym_matrix(
     """Non-symmetric determinantal representation via the path-sum ABP.
 
     Dimension is at most m (fat size) or e+i (green mode).  With
-    ``signed=False`` the arc negations are skipped, the closing eliminates
-    pivots with the sign that keeps the permanent, and the matrix satisfies
-    permanent = polynomial instead (the two coincide in characteristic 2).
+    ``signed=False`` the ABP is closed with ``sign=1``: the arc negations
+    are skipped, the closing eliminates pivots with the sign that keeps the
+    permanent, and the matrix satisfies permanent = polynomial instead (the
+    two coincide in characteristic 2).
     """
     return ws_nonsym_lowering(circuit, mode, signed)[0]
 
 
 def ws_nonsym_lowering(
     circuit: Circuit, mode: str = "fat", signed: bool = True
-) -> tuple[SymbolicMatrix, WsCertificate | None]:
+) -> tuple[SymbolicMatrix, PathSumCertificate | None]:
     """:func:`ws_nonsym_matrix` together with the ABP it closes, which is None
     for the 1x1 matrix of a variable-free circuit in green mode."""
     fallback = _constant_fallback(circuit, mode)
     if fallback is not None:
         return fallback, None
     cert = build_ws_abp(circuit, mode)
-    dg, out = cert.graph, cert.source.outputs[0]
-    t = cert.t_of[out]
-    minus_one = -dg.spec.one()
-
-    def weight(u: int, v: int, w: Weight) -> Weight:
-        if v == t:
-            return w.scale(cert.c_of[out])  # each s-t path crosses exactly one in-arc of t
-        # (-1)^|P| bookkeeping, spread over the arcs
-        return w.scale(minus_one) if signed else w
-
-    unit = Weight.const(dg.spec.one())
-    # pivots add rows and columns with the sign that keeps the determinant,
-    # or, unsigned, the permanent
-    merged = close_abp(dg, cert.s, t, weight, loop=lambda v: unit, sign=-1 if signed else 1)
-    return adjacency(merged), cert
+    return close_abp(cert.graph, cert.s, *cert.output(), sign=-1 if signed else 1), cert

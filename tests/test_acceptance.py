@@ -43,7 +43,7 @@ from symdet.minimize import minimize
 from symdet.oracles import (
     cycle_cover_sum,
     enumerate_st_paths,
-    path_weight,
+    path_sum,
     referee_submatrix_sum,
     ryser_permanent,
     symbolic_det,
@@ -225,9 +225,7 @@ def test_criterion_5_det_symmetrization():
         variables = tuple(
             sorted({w.name for w in abp.digraph.arcs.values() if w.kind != "const"})
         )
-        total = DensePolynomial.zero(RATIONAL, variables)
-        for path in enumerate_st_paths(abp.digraph, abp.s, abp.t):
-            total = total + path_weight(abp.digraph, path, variables, RATIONAL)
+        total = path_sum(abp.digraph, enumerate_st_paths(abp.digraph, abp.s, abp.t), variables)
         ref = leibniz_det(
             [
                 [DensePolynomial.variable(det_variable(i, j), variables, RATIONAL)

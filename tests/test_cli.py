@@ -721,7 +721,7 @@ def test_cli_exact_verdict_names_the_field_it_compared_in(tmp_path, capsys):
     assert code == 0
     verify = ["verify", "--expr", "x*y + z", str(matrix), "--seed", "1"]
     code, out, _ = run(verify, capsys)
-    assert code == 0 and out == "verified-exact (dimension 3, field Q, trials 0)\n"
+    assert code == 0 and out == "verified-exact (dimension 2, field Q, trials 0)\n"
     code, out, _ = run(verify + ["--json"], capsys)
     assert code == 0 and json.loads(out)["field"] == "Q"
 

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from symdet.determinant import (
-    LayeredAbp,
     build_det_abp,
     det_sym_matrix,
     det_variable,
@@ -22,7 +21,7 @@ from symdet.oracles import (
     complement_vertices,
     enumerate_st_paths,
     is_acceptable,
-    path_weight,
+    path_sum,
     symbolic_det,
     unique_cover_is_weight1_matching,
 )
@@ -42,22 +41,15 @@ def det_reference(n, variables):
     return leibniz_det(entries)
 
 
-def signed_path_sum(abp: LayeredAbp, variables):
-    dg = abp.digraph
-    total = DensePolynomial.zero(RATIONAL, variables)
-    for path in enumerate_st_paths(dg, abp.s, abp.t):
-        assert len(path) == abp.n + 2
-        total = total + path_weight(dg, path, variables, RATIONAL)
-    return total
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_abp_path_sum_equals_leibniz(n):
     abp = build_det_abp(n)
     variables = tuple(sorted({
         w.name for w in abp.digraph.arcs.values() if w.kind != "const"
     }))
-    assert poly_equal(signed_path_sum(abp, variables), det_reference(n, variables))
+    paths = enumerate_st_paths(abp.digraph, abp.s, abp.t)
+    assert all(len(path) == abp.n + 2 for path in paths)
+    assert poly_equal(path_sum(abp.digraph, paths, variables), det_reference(n, variables))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -96,14 +88,11 @@ def test_symmetrized_acceptable_path_sum_n2():
     variables = tuple(sorted({
         w.name for w in g.edges.values() if w.kind != "const"
     }))
-    total = DensePolynomial.zero(RATIONAL, variables)
-    for path in enumerate_st_paths(g, g.roles["s"], g.roles["t"]):
-        if not is_acceptable(g, path):
-            continue
-        rest = complement_vertices(g, path)
-        assert unique_cover_is_weight1_matching(g, rest)
-        total = total + path_weight(g, path, variables, RATIONAL)
-    assert poly_equal(total, det_reference(2, variables))
+    paths = [path for path in enumerate_st_paths(g, g.roles["s"], g.roles["t"])
+             if is_acceptable(g, path)]
+    for path in paths:
+        assert unique_cover_is_weight1_matching(g, complement_vertices(g, path))
+    assert poly_equal(path_sum(g, paths, variables), det_reference(2, variables))
 
 
 def test_non_path_vertices_pair_up_in_unit_cycles():

@@ -13,11 +13,10 @@ from symdet.formulas import (
     build_sym_graph,
     build_valiant_digraph,
     check_sym_certificate,
-    check_valiant_certificate,
     sym_matrix,
     valiant_matrix,
 )
-from symdet.graphs import entries_alphabet_ok, render_matrix
+from symdet.graphs import check_abp_certificate, entries_alphabet_ok, render_matrix
 from symdet.oracles import ryser_permanent, symbolic_det
 from symdet.polynomials import expand_circuit
 from symdet.weakly_skew import ws_nonsym_matrix
@@ -38,32 +37,33 @@ FXY = formula(lambda b: b.add(b.var("x"), b.var("y")))
 
 def test_valiant_digraph_base_case():
     cert = build_valiant_digraph(FX)
+    t, c0 = cert.output()
     assert cert.graph.n == 2
-    assert cert.c0.is_one()
+    assert c0.is_one()
     ((u, v),) = cert.graph.arcs
-    assert (u, v) == (cert.s, cert.t)
-    check_valiant_certificate(cert)
+    assert (u, v) == (cert.s, t)
+    check_abp_certificate(cert)
 
 
 def test_valiant_digraph_scalar_product():
     f = formula(lambda b: b.mul(b.const(5), b.var("x")))
     cert = build_valiant_digraph(f)
     assert cert.graph.n == 2      # same digraph as for x, c0 carries the 5
-    assert cert.c0 == RATIONAL.from_int(5)
-    check_valiant_certificate(cert)
+    assert cert.output()[1] == RATIONAL.from_int(5)
+    check_abp_certificate(cert)
 
 
 def test_valiant_digraph_sum():
     cert = build_valiant_digraph(FXY)
     assert cert.graph.n == 3
-    check_valiant_certificate(cert)
+    check_abp_certificate(cert)
 
 
 def test_valiant_digraph_random(rng):
     for _ in range(60):
         f = random_circuit("formula", rng.randint(0, 6), 3, rng,
                            weighted=True, const_prob=0.25)
-        check_valiant_certificate(build_valiant_digraph(f))
+        check_abp_certificate(build_valiant_digraph(f))
 
 
 def test_valiant_matrix_x_is_1x1():
@@ -76,6 +76,23 @@ def test_valiant_matrix_sum():
     m = valiant_matrix(FXY)
     assert m.dim == 2
     assert circuit_matches(symbolic_det(m), FXY)
+
+
+def test_valiant_matrix_of_xy_plus_z_is_pinned():
+    """The program s -> m -> t (x, y) and s -> t2 -> t (z, 1) closes with
+    its arcs into t kept (c0 = 1) and the others negated; the relay t2 is
+    then eliminated."""
+    m = valiant_matrix(parse_expression("x*y + z"))
+    assert [[w.render() for w in row] for row in m.entries] == [["z", "-1*x"], ["y", "1"]]
+
+
+def test_valiant_zero_scalar_gives_the_zero_matrix():
+    """A zero arrow weight into a product makes c0 = 0: the formula is 0,
+    and the lowering returns [[0]] as for a program with no s-t path."""
+    f = formula(lambda b: b.mul(b.add(b.var("x"), b.var("y")), b.var("z"), wa=0))
+    assert build_valiant_digraph(f).output()[1].is_zero()
+    m = valiant_matrix(f)
+    assert [[w.render() for w in row] for row in m.entries] == [["0"]]
 
 
 def test_valiant_pure_product_fallback():
@@ -284,4 +301,4 @@ def test_lemma_c0_is_combined_once_per_node(build, monkeypatch):
     cert = build(addition_chain(600))
     # one combination per addition node (600), none per leaf
     assert 0 < calls <= 600
-    assert not cert.c0.is_zero()
+    assert not cert.output()[1].is_zero()

@@ -61,13 +61,13 @@ GOLDEN = {
     "ws abp green":
         "c2b4f68e1bbc03fdfa00f7776f7029e2de9864c951036f3a3fcb689541e67920",
     "valiant":
-        "6721351db5c7ba8289cf4023541f5f68f60654799d54581f47b90d7b8ee39b21",
+        "4b8fee6f5ba842572e2225b30abaab2f55cedd5ec2e4f3283824c81c979be795",
     "sym skinny":
         "d11e51d1cf8c455467c6968a5a37f4ae6bf774d2e5c6da002a0cfc1b22b83830",
     "sym green":
         "1f432c671b29b6afa563fe018e6682355c16c5f9039bf8334bc1e25e662fee36",
     "valiant digraph":
-        "259e6f586ef410ada851c416c46959904aa1bfd50b364ea793179c505329faeb",
+        "afe3415799371668add6634a43093f21176c3fc6da0b36af1fb15ab9ee4e2f34",
     "sym graph skinny":
         "14e8554a3995011d3ef9947701475c34edb190b1f66dc10c8816795901ed7605",
     "sym graph green":
@@ -107,17 +107,17 @@ def _scalars(mapping) -> str:
 
 def _abp(c, mode) -> str:
     cert = build_ws_abp(c, mode)
-    return (f"{export_dot(cert.graph)}s={cert.s} vert={sorted(cert.t_of.items())}"
-            f" c={_scalars(cert.c_of)}")
+    return (f"{export_dot(cert.graph)}s={cert.s} vert={sorted(cert.targets.items())}"
+            f" c={_scalars(cert.scalars)}")
 
 
 def _ws_graph(c, mode) -> str:
     cert = build_ws_graph(c, mode)
-    return f"{export_dot(cert.graph)}t={sorted(cert.t_of.items())} c={_scalars(cert.c_of)}"
+    return f"{export_dot(cert.graph)}t={sorted(cert.targets.items())} c={_scalars(cert.scalars)}"
 
 
 def _path_sum(cert) -> str:
-    return f"{export_dot(cert.graph)}c0={cert.c0.render()}"
+    return f"{export_dot(cert.graph)}c0={cert.output()[1].render()}"
 
 
 def _outputs(c, formula: bool):

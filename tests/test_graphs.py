@@ -27,6 +27,7 @@ from symdet.oracles import (
     cycle_cover_sum_short,
     enumerate_cycle_covers,
     enumerate_st_paths,
+    path_sum,
     ryser_permanent,
     symbolic_det,
 )
@@ -495,15 +496,73 @@ def test_eliminate_pivots_keeps_determinant_and_permanent(spec):
 
 def test_close_abp_eliminates_relay_vertices():
     """A chain s -> a -> b -> t of unit-loop relays with constant arcs
-    closes to the 1x1 matrix of its signed path weight."""
+    closes to the 1x1 matrix of its path weight."""
     dg = WeightedDigraph(RATIONAL)
     for _ in range(4):
         dg.add_vertex()
     dg.add_arc(0, 1, wv("x"))
     dg.add_arc(1, 2, wc(2))
     dg.add_arc(2, 3, wc(3))
-    one = wc(1)
-    merged = close_abp(dg, 0, 3, weight=lambda u, v, w: w.scale(-RATIONAL.one()),
-                       loop=lambda v: one)
-    assert merged.n == 1
-    assert adjacency(merged).entry(0, 0).render() == "-6*x"
+    arcs = dict(dg.arcs)
+    m = close_abp(dg, 0, 3, RATIONAL.one())
+    assert dg.arcs == arcs
+    assert m.dim == 1 and m.entry(0, 0).render() == "6*x"
+
+
+def _cells(m: SymbolicMatrix) -> list[list[str]]:
+    return [[w.render() for w in row] for row in m.entries]
+
+
+def test_close_abp_scales_only_the_arcs_into_t():
+    """c rides on the arcs into t (a -> t and s -> t, merged into s); the
+    arc s -> a is only negated, and the unit loop of a stays 1."""
+    m = close_abp(_small_abp(), 0, 2, RATIONAL.from_int(3))
+    assert _cells(m) == [["3*z", "-1*x"], ["3*y", "1"]]
+    assert poly_equal(symbolic_det(m), parse_polynomial("3 * x y + 3 * z", ("x", "y", "z")))
+
+
+def test_close_abp_with_sign_1_keeps_the_permanent():
+    """Without the negation the permanent is the path sum; the
+    determinant then counts the path of three vertices negatively."""
+    m = close_abp(_small_abp(), 0, 2, RATIONAL.from_int(3), sign=1)
+    assert _cells(m) == [["3*z", "x"], ["3*y", "1"]]
+    names = ("x", "y", "z")
+    assert poly_equal(ryser_permanent(m, names), parse_polynomial("3 * x y + 3 * z", names))
+    assert poly_equal(symbolic_det(m), parse_polynomial("-3 * x y + 3 * z", names))
+
+
+def _random_abp(rng: random.Random, spec: FieldSpec) -> WeightedDigraph:
+    """An acyclic program on 2-7 vertices in topological order, s first and
+    t last, with variable, scaled and constant arcs."""
+    dg = WeightedDigraph(spec)
+    n = rng.randint(2, 7)
+    for _ in range(n):
+        dg.add_vertex()
+    for u in range(n - 1):
+        for v in range(u + 1, n):
+            if rng.random() < 0.45 or (u, v) == (0, n - 1):
+                r, c = rng.random(), spec.from_int(rng.choice((1, 2, 3, 5, -1)))
+                if r < 0.4:
+                    dg.add_arc(u, v, Weight.const(c))
+                elif r < 0.6:
+                    dg.add_arc(u, v, Weight.scaled(rng.choice("xyz"), c))
+                else:
+                    dg.add_arc(u, v, Weight.var(rng.choice("xyz")))
+    return dg
+
+
+@pytest.mark.parametrize("spec", [RATIONAL, PRIME_DEFAULT, GF2_16], ids=str)
+def test_close_abp_determinant_and_permanent_are_the_path_sum(spec):
+    """det (sign -1) and per (sign 1) of the closed program are both
+    c * sum_P w(P) over its s-t paths, on random programs."""
+    rng = random.Random(19)
+    names = ("x", "y", "z")
+    for _ in range(150):
+        dg = _random_abp(rng, spec)
+        t = dg.n - 1
+        c = spec.from_int(rng.choice((1, 2, 7)))
+        want = path_sum(dg, enumerate_st_paths(dg, 0, t), names).scale(c)
+        for sign, oracle in ((-1, symbolic_det), (1, ryser_permanent)):
+            m = close_abp(dg, 0, t, c, sign)
+            assert m.dim <= max(dg.n - 1, 1)
+            assert poly_equal(oracle(m, names), want)

@@ -40,7 +40,7 @@ GOLDEN = {
     "sym green":
         "8f70de220a85cfebd9ec3cdeb341129f857cc8e7162b0c33b7b7307b18a27b82",
     "valiant":
-        "221ce2f33fd834d362466bfceb38656d9026467f8726c3d1d83111ea87a339c5",
+        "71bbf1f613ab179fbffc54e72d67e25203b1555f4981f35a3247d584710e6b82",
     "ws-sym fat":
         "e6ff6d5722c07757690ab58cb5d7e0afb2c3fbd3d4f4b9394293d6104f5f1325",
     "ws-sym green":

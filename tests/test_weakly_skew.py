@@ -1,16 +1,23 @@
+import random
+
 import pytest
 
 from symdet.circuits import (
     CircuitBuilder,
     CircuitError,
+    classify,
     measure,
     random_circuit,
 )
-from symdet.fields import CharTwoHalf, GF2_16
+from symdet.fields import GF2_16, RATIONAL, CharTwoHalf
+from symdet.formulas import build_valiant_digraph
+from symdet.graphs import check_abp_certificate
+from symdet.minimize import ConstantCircuit
 from symdet.oracles import symbolic_det
 from symdet.verify import identity_test
 from symdet.weakly_skew import (
     NotWeaklySkew,
+    build_ws_abp,
     build_ws_graph,
     check_ws_certificate,
     ws_nonsym_matrix,
@@ -59,8 +66,49 @@ def test_multiple_outputs_allowed_in_graph():
     s2 = b.add(s1, y)
     c = b.build([s1, s2])
     cert = build_ws_graph(c, "fat")
-    assert set(c.outputs) <= set(cert.t_of)
+    assert set(c.outputs) <= set(cert.targets)
     check_ws_certificate(cert)
+
+
+POOLS = {
+    RATIONAL: {},
+    GF2_16: {"constant_pool": (1, 3, 7), "weight_pool": (1, 1, 2, 5)},
+}
+
+
+@pytest.mark.parametrize("spec", POOLS, ids=str)
+def test_every_branching_program_passes_the_abp_audit(spec):
+    """c_a * sum_P w(P) = f_a at every reusable gate of the weakly skew ABP,
+    fat and green, and at the output of the formula digraph: one unsigned
+    convention for every branching program."""
+    rng = random.Random(1019)
+    audited = 0
+    for i in range(150):
+        c = random_circuit("weakly-skew", rng.randint(1, 14), 3, rng, spec=spec,
+                           weighted=i % 2 == 1, const_prob=0.2, **POOLS[spec])
+        f = random_circuit("formula", rng.randint(0, 7), 3, rng, spec=spec,
+                           weighted=i % 2 == 1, const_prob=0.2, **POOLS[spec])
+        builds = [lambda: build_ws_abp(c, "fat"), lambda: build_ws_abp(c, "green"),
+                  lambda: build_valiant_digraph(f)]
+        for build in builds:
+            try:
+                cert = build()
+            except ConstantCircuit:  # green mode needs a non-constant output
+                continue
+            check_abp_certificate(cert)
+            audited += len(classify(cert.source).reusable & set(cert.targets))
+    assert audited > 1000, audited
+
+
+def test_abp_audit_catches_a_wrong_scalar():
+    b = CircuitBuilder()
+    c = b.build([b.add(b.mul(b.var("x"), b.var("y"), wa=2), b.var("z"))])
+    cert = build_ws_abp(c, "fat")
+    check_abp_certificate(cert)
+    out = c.outputs[0]
+    cert.scalars[out] = cert.scalars[out] + RATIONAL.one()
+    with pytest.raises(AssertionError, match=f"gate {out}"):
+        check_abp_certificate(cert)
 
 
 def test_sym_needs_single_output():
