@@ -336,17 +336,17 @@ def check_abp_certificate(cert: PathSumCertificate) -> None:
 def close_abp(
     dg: WeightedDigraph, s: int, t: int, c: FieldElement, sign: int = -1
 ) -> SymbolicMatrix:
-    """The matrix of an acyclic s-t branching program whose path sum
-    c * sum_P w(P) is its determinant, or with ``sign=1`` its permanent.
+    """The matrix whose determinant, or with ``sign=1`` permanent, is
+    c * sum_P w(P) over the s-t paths P of an acyclic branching program.
 
     Every s-t path crosses exactly one arc into t, and those arcs are
     scaled by c; with ``sign=-1`` every other arc is negated.  t merges
     into s and every other vertex gets a unit loop, so a cycle cover is one
     s-t path closed through s, a cycle on |P| - 1 vertices, completed by
-    loops: its sign (-1)^|P| meets the |P| - 2 negated arcs.  Then every
-    singleton pivot is eliminated (:func:`eliminate_pivots`, with
-    ``sign``), which keeps the determinant (permanent); the rows are the
-    kept program vertices in order, with t and the eliminated vertices
+    loops: its sign (-1)^|P| cancels against the |P| - 2 negated arcs.
+    Then every singleton pivot is eliminated (:func:`eliminate_pivots`,
+    with ``sign``), which keeps the determinant (permanent); the rows are
+    the kept program vertices in order, with t and the eliminated vertices
     removed.  ``dg`` is left unchanged."""
     keep = [v for v in range(dg.n) if v != t]
     renum = {v: i for i, v in enumerate(keep)}
