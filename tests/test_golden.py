@@ -6,9 +6,10 @@ every certificate, every ``build_bound`` value and ``square_matrix_char2``
 on fixed pseudo-random weighted and unweighted formulas and weakly skew
 circuits.  A construction that raises contributes its exception class, so
 the failure behaviour is pinned too.  Each label (one construction, size
-and output kind) has its own digest, over its outputs in corpus order: the
-rendered text, and for a matrix also ``to_json`` as ``symdet build --json``
-prints it and the text round trip ``render_matrix(parse_matrix(text))``.
+and output kind) has its own digest of its rendered outputs in corpus
+order, and each matrix label a second digest of the same matrices'
+``to_json`` as ``symdet build --json`` prints it and their text round trip
+``render_matrix(parse_matrix(text))``.
 Refactors of the lowering code or of the matrix representation must leave
 every digest unchanged; a deliberate change of output must say so and
 update the digests of the labels it changes, and only those.
@@ -39,19 +40,19 @@ from symdet.weakly_skew import (
     ws_sym_matrix,
 )
 
-GOLDEN = {
+GOLDEN_RENDERED = {
     "ws-sym fat":
-        "1dbd1297aa68f4675f1184381d2fedae0523fe234bbc588dea55edfe87cc96c2",
+        "1d353ee78c3a20e9a2f3c753e49ec624e497c12d5d6fb82e000f26fd04fc8380",
     "ws-sym green":
-        "a853e4e3aee55abd3cd523a9dfab3fe5902bcca9b3ee5701337e5133a3679088",
+        "7e4c87b3cbd7b3be8a5369c0e9cb30dba503ebe4fd367e1aabae484655ce2538",
     "ws-nonsym fat":
-        "181a2fa072fcc7c303cc6e6813a84d5290b286de78216127c9b6723dde4bc2e9",
+        "8be40f42be8313315beffcce645329af5beb07063801754171ee77f90244edb9",
     "ws-nonsym green":
-        "3684aad7876f1756831c1a64330eb20df43331d3870a5a3dde368a150f5dcd79",
+        "edc2b6802d9cf0e8fcf1eac02fb77b4b5e0ec5dc795a55ab6b5cc22e2e8b2488",
     "ws-nonsym fat unsigned":
-        "82c4111cd7738d1ddece932fe3e90a1fb6febda4de85f0290961048387b4fd73",
+        "6e15d3da07792a7af494a38883b6ffd0477e92e7852b564b1306b18cf1840abc",
     "ws-nonsym green unsigned":
-        "823dd2fcc15f558c2e9d01cca619a2d1989b921cac52d1720fef7d8d0f6fcefd",
+        "dfdc9d62d5b22f4c247c6c31d1b6457ea69b4f729444b15fe9b52195747f2298",
     "ws graph fat":
         "4f33ce09791e2b368b0b2f265400de1c04ba2ddc3e71fd96e579ff6b208ea61b",
     "ws graph green":
@@ -61,11 +62,11 @@ GOLDEN = {
     "ws abp green":
         "c2b4f68e1bbc03fdfa00f7776f7029e2de9864c951036f3a3fcb689541e67920",
     "valiant":
-        "4b8fee6f5ba842572e2225b30abaab2f55cedd5ec2e4f3283824c81c979be795",
+        "a459ad52acf7f0942cfc0075be65cd5d5f09332fa896a245d68a0d862493711a",
     "sym skinny":
-        "d11e51d1cf8c455467c6968a5a37f4ae6bf774d2e5c6da002a0cfc1b22b83830",
+        "85dcbc93355b926e44255c138f9f6e47c0f2170e3e323e411078933c57b54c67",
     "sym green":
-        "1f432c671b29b6afa563fe018e6682355c16c5f9039bf8334bc1e25e662fee36",
+        "bd905b5d7c3fca8a5fd67fdddd8ce04ce28fec943c0c15780263c0eb4be2cc00",
     "valiant digraph":
         "afe3415799371668add6634a43093f21176c3fc6da0b36af1fb15ab9ee4e2f34",
     "sym graph skinny":
@@ -87,7 +88,30 @@ GOLDEN = {
     "bound ws-nonsym green":
         "c2593cd63de6eacd4dd7c0cb582095623039c24f2a5367e10ccacd950943e97f",
     "char2":
-        "6d2db0b275618918045040ba95bfba6919b452c2aa789563ec6646d1d8776445",
+        "99b35f92b8ac08a5d77d78e0b815ebd494f19ec4488b085dc24f09a407d5adb0",
+}
+
+GOLDEN_ROUND_TRIP = {
+    "ws-sym fat":
+        "4721e0e32127cc2347e5363110536a5f415edef5d8e0fdc7ec459242cb429419",
+    "ws-sym green":
+        "245243c8449ab53de0e4f28f17763cade7f3aee69eba6a6e48f962851ab24621",
+    "ws-nonsym fat":
+        "827c396048ecefd1800de8c09080cae5c3ee928481091b3ba3e225a20dcf2315",
+    "ws-nonsym green":
+        "86ee3e4c70f40649749e6f44aaf822282fadea14414335147328855ada2454e3",
+    "ws-nonsym fat unsigned":
+        "54c16aa184faf803ff34df7d666c5459384ec7f9a5abafbcffa687dce93faa5d",
+    "ws-nonsym green unsigned":
+        "6062b2fa85d074bccbc92bad207a27e4376ece163f04992dc9d602b6f07bfca8",
+    "valiant":
+        "17e50528b2eb07300015a116921dbcf2543721367755c48b5736a6d87bb4f79b",
+    "sym skinny":
+        "6066d6f60ac59ff0c47af82322ffbcf268bca03c0dad6fe1aa6f8584f19bcd7f",
+    "sym green":
+        "72a629936f643d9391e39d9c5c66d96fba1c09d429320238713f5fdef6a5b71c",
+    "char2":
+        "a9e3512ca4574b928d4b7701755955aaba5d6c5e63041a662a50e2019963f000",
 }
 
 METHOD_SIZES = (
@@ -179,25 +203,34 @@ def corpus_outputs():
 
 
 @cache
-def corpus_digests() -> tuple[int, int, dict[str, str]]:
-    """(output count, matrix count, digest of each label's outputs)."""
-    digests: dict = {}
+def corpus_digests() -> tuple[int, dict[str, str], int, dict[str, str]]:
+    """(output count, digest of each label's rendered outputs, matrix count,
+    digest of each matrix label's ``to_json`` and text round trip)."""
+    rendered: dict = {}
+    round_trip: dict = {}
     count = matrices = 0
     for label, out in corpus_outputs():
         count += 1
-        digest = digests.setdefault(label, hashlib.sha256())
         if isinstance(out, SymbolicMatrix):
             matrices += 1
             text = render_matrix(out)
-            digest.update(text.encode() + b"\0")
+            digest = round_trip.setdefault(label, hashlib.sha256())
             digest.update(json.dumps(out.to_json(), indent=2).encode() + b"\0")
             digest.update(render_matrix(parse_matrix(text, out.spec)).encode() + b"\0")
         else:
-            digest.update(out.encode() + b"\0")
-    return count, matrices, {label: d.hexdigest() for label, d in digests.items()}
+            text = out
+        rendered.setdefault(label, hashlib.sha256()).update(text.encode() + b"\0")
+    return (count, {label: d.hexdigest() for label, d in rendered.items()},
+            matrices, {label: d.hexdigest() for label, d in round_trip.items()})
 
 
-def test_outputs_match_golden_digest_per_label():
-    count, matrices, digests = corpus_digests()
-    assert count > 5000 and matrices > 2000, (count, matrices)
-    assert digests == GOLDEN
+def test_rendered_outputs_match_golden_digest():
+    count, rendered, _, _ = corpus_digests()
+    assert count > 5000, count
+    assert rendered == GOLDEN_RENDERED
+
+
+def test_json_and_reparsed_matrices_match_golden_digests():
+    _, _, matrices, round_trip = corpus_digests()
+    assert matrices > 2000, matrices
+    assert round_trip == GOLDEN_ROUND_TRIP
