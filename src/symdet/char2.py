@@ -19,8 +19,11 @@ per*(B) comes from one row-by-row DP over the set of used columns, written
 once and run on three kinds of value.  The symbolic per*(B) runs it on plain
 ``{monomial: coefficient}`` maps whose monomials are ints packing one
 exponent per byte, so a variable entry is one addition per term and a unit
-coefficient skips the multiplication; one :class:`DensePolynomial` is built
-at the end.  The identity check runs it on lanes, lists of plain ints with
+coefficient skips the multiplication.  The packing is big-endian in the
+variable order, so :func:`render_partial_permanent` (what ``symdet pperm``
+prints) formats the map with :func:`~symdet.polynomials.render_packed`
+without unpacking a monomial, and :func:`partial_permanent` builds a
+:class:`DensePolynomial` from it for library callers.  The identity check runs it on lanes, lists of plain ints with
 one int per trial point (see :mod:`symdet.verify`), so every trial comes
 from one pass, as det(A + I) comes from one lockstep elimination, and
 :func:`~symdet.verify.compare_lanes` makes the randomized verdict for every n.
@@ -37,7 +40,7 @@ from typing import Mapping
 from .circuits import Circuit
 from .fields import FieldElement, FieldError, FieldSpec, GF2_16, MixedFields, embed
 from .graphs import CONSTW, VARW, SymbolicMatrix, Weight, WeightedGraph, adjacency
-from .polynomials import DensePolynomial, TooLarge
+from .polynomials import DensePolynomial, TooLarge, render_packed
 from .weakly_skew import ws_nonsym_matrix
 from .verify import CompiledMatrix, Verdict, compare_lanes
 
@@ -123,29 +126,39 @@ def _times(val: dict, entry: tuple[int, FieldElement | None]) -> dict:
     return {mono + shift: x * c for mono, x in val.items()}
 
 
-def _expand(rows, spec: FieldSpec, variables: tuple[str, ...]) -> DensePolynomial:
-    """Symbolic per* of sparse rows ``{column: weight}``, on plain monomial maps.
+def _expand(b: SymbolicMatrix) -> tuple[tuple[str, ...], dict[int, FieldElement]]:
+    """The variables of ``b`` and its symbolic per*, n <= 8, as a map from
+    packed monomials to nonzero coefficients.
 
-    A monomial is an int packing one exponent per byte, byte k for
-    ``variables[k]``.  An exponent is at most n <= 8 (one factor per row),
-    so it never carries into the next byte and a variable entry is one
-    addition.  One :class:`DensePolynomial` is built at the end.
+    A monomial is an int packing one exponent per byte, big-endian, so
+    ``variables[0]`` has the most significant byte and int order is
+    exponent-tuple order (see :func:`~symdet.polynomials.pack`).  An exponent
+    is at most n <= 8 (one factor per row), so it never carries into the next
+    byte and a variable entry is one addition.
     """
-    index = {v: k for k, v in enumerate(variables)}
+    if b.dim > 8:
+        raise TooLarge(f"symbolic partial permanent capped at 8x8, got {b.dim}")
+    if b.dim == 0:
+        raise ValueError("empty matrix")
+    spec, variables = b.spec, b.variables()
+    shift = {v: 8 * k for k, v in enumerate(reversed(variables))}
     packed = []
-    for row in rows:
+    for row in b.rows:
         r = {}
         for j, w in row.items():
             c = None if w.kind == VARW else embed(w.coeff, spec)
             if c is not None and c.is_zero():
                 continue
-            r[j] = (0 if w.kind == CONSTW else 1 << 8 * index[w.name],
+            r[j] = (0 if w.kind == CONSTW else 1 << shift[w.name],
                     None if c is None or c.is_one() else c)
         packed.append(r)
-    total = _per_star(packed, {0: spec.one()}, _merge, _times)
-    nv = len(variables)
-    return DensePolynomial(
-        spec, variables, {tuple(m.to_bytes(nv, "little")): c for m, c in total.items()})
+    return variables, _per_star(packed, {0: spec.one()}, _merge, _times)
+
+
+def render_partial_permanent(b: SymbolicMatrix) -> str:
+    """The text form of the symbolic per*(B), ``partial_permanent(b).render()``,
+    formatted straight from the packed monomials."""
+    return render_packed(*_expand(b))
 
 
 def partial_permanent(b) -> DensePolynomial | FieldElement:
@@ -156,11 +169,10 @@ def partial_permanent(b) -> DensePolynomial | FieldElement:
     list of :class:`FieldElement` rows (evaluated result).
     """
     if isinstance(b, SymbolicMatrix):
-        if b.dim > 8:
-            raise TooLarge(f"symbolic partial permanent capped at 8x8, got {b.dim}")
-        if b.dim == 0:
-            raise ValueError("empty matrix")
-        return _expand(b.rows, b.spec, b.variables())
+        variables, total = _expand(b)
+        nv = len(variables)
+        return DensePolynomial(
+            b.spec, variables, {tuple(m.to_bytes(nv, "big")): c for m, c in total.items()})
     rows = [list(row) for row in b]
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("partial permanent needs a square matrix")

@@ -29,7 +29,7 @@ from .circuits import (
     parse_expression,
     render_circuit,
 )
-from .char2 import partial_perm_identity, partial_permanent, square_matrix_char2
+from .char2 import partial_perm_identity, render_partial_permanent, square_matrix_char2
 from .determinant import det_sym_lowering, det_sym_matrix
 from .fields import GF2, GF2_16, PRIME_DEFAULT, RATIONAL, FieldError, FieldSpec
 from .formulas import sym_lowering, valiant_lowering, valiant_matrix
@@ -228,8 +228,7 @@ def _bound_text(error_bound_log2: float | None) -> str:
 def cmd_pperm(args) -> int:
     with open(args.matrix) as fh:
         m = parse_matrix(fh.read(), args.field)
-    p = partial_permanent(m)
-    print(p.render())
+    print(render_partial_permanent(m))
     if args.check_identity:
         spec = args.field if args.field.characteristic == 2 and testable(args.field) else GF2_16
         verdict = partial_perm_identity(m, seed=_resolve_seed(args), spec=spec)

@@ -312,8 +312,9 @@ class IntArith:
     an integer n is n % p, and :meth:`fraction1` maps Q into the field.  The
     other scalar forms end in 1: ``neg1`` negates, and ``add1``, ``mul1``,
     ``inv1`` and ``submul1`` (x - f * v) have the lane forms ``add``,
-    ``mul``, ``inv`` and ``submul``; ``scale`` multiplies a lane by a scalar,
-    :meth:`times` any mix of the two."""
+    ``mul``, ``inv`` and ``submul``; ``scale`` multiplies a lane by a scalar
+    into a fresh list (copying for 1 and negating for -1, without a
+    multiplication), :meth:`times` any mix of the two."""
 
     def __init__(self, spec: FieldSpec):
         if spec.size is None:
@@ -343,6 +344,10 @@ class IntArith:
                 return [x * y % p for x, y in zip(xs, ys)]
 
             def scale(c, xs):
+                if c == 1:
+                    return xs[:]
+                if c == p - 1:
+                    return [p - x if x else 0 for x in xs]
                 return [c * x % p for x in xs]
 
             def inv(xs):
@@ -385,6 +390,8 @@ class IntArith:
                     return [exp[log[x] + log[y]] if x and y else 0 for x, y in zip(xs, ys)]
 
                 def scale(c, xs):
+                    if c == 1:
+                        return xs[:]
                     if not c:
                         return [0] * len(xs)
                     c = log[c]
@@ -412,6 +419,8 @@ class IntArith:
                     return [_gf2_mulmod(x, y, mod) for x, y in zip(xs, ys)]
 
                 def scale(c, xs):
+                    if c == 1:
+                        return xs[:]
                     return [_gf2_mulmod(c, x, mod) for x in xs]
 
                 def inv(xs):

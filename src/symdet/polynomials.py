@@ -11,13 +11,17 @@ module also provides
   degree at most d in n variables,
 * :func:`bounds_report` -- the exact binomial bound values used to compare
   formula-derived symmetric representations against fixed-dimension ones.
+
+Every polynomial is printed by one term formatter, :func:`render_packed`,
+which reads monomials packed into ints by :func:`pack`, a fixed number of
+big-endian bytes per exponent, so that int order is the printed order;
+:meth:`DensePolynomial.render` packs its exponent tuples and calls it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Mapping, Sequence
 
 from .circuits import ADD, CONST, VAR, Circuit, CircuitBuilder
@@ -186,25 +190,75 @@ class DensePolynomial:
     # -- text form ----------------------------------------------------------------
 
     def render(self) -> str:
-        """Terms in increasing exponent-tuple order, ``c * x y^2`` each."""
-        if not self.coeffs:
-            return "0"
-        names = self.variables
-        positions = range(len(names))
-        try:  # as bytes, equal-length tuples of exponents < 256 sort the same
-            order = sorted(self.coeffs, key=bytes)
+        """Terms in increasing exponent-tuple order, ``c * x y^2`` each (see
+        :func:`render_packed`)."""
+        coeffs = self.coeffs
+        try:  # every exponent below 256, one byte each
+            packed, width = {int.from_bytes(bytes(m), "big"): c for m, c in coeffs.items()}, 1
         except ValueError:
-            order = sorted(self.coeffs)
-        parts = []
-        for mono in order:
-            c = self.coeffs[mono].render()
-            factors = " ".join([f"{names[k]}^{mono[k]}" if mono[k] > 1 else names[k]
-                                for k in compress(positions, mono)])
-            parts.append(f"{c} * {factors}" if factors else c)
-        return " + ".join(parts)
+            width = (max(map(max, coeffs)).bit_length() + 7) // 8
+            packed = {pack(m, width): c for m, c in coeffs.items()}
+        return render_packed(self.variables, packed, width)
 
     def __repr__(self) -> str:
         return f"<poly {self.render()}>"
+
+
+def pack(mono: Monomial, width: int) -> int:
+    """A monomial as one int, ``width`` bytes per exponent, big-endian: the
+    first variable's exponent is most significant, so for exponents below
+    ``256 ** width`` int order is exponent-tuple order."""
+    return int.from_bytes(b"".join(e.to_bytes(width, "big") for e in mono), "big")
+
+
+class _Factors(dict):
+    """The factor text ``x y^2`` of each packed run of exponents of ``names``,
+    formatted once on first use."""
+
+    def __init__(self, names: Sequence[str], width: int):
+        super().__init__()
+        self.names = names
+        self.width = width
+
+    def __missing__(self, packed: int) -> str:
+        w = self.width
+        raw = packed.to_bytes(len(self.names) * w, "big")
+        exps = [int.from_bytes(raw[k:k + w], "big") for k in range(0, len(raw), w)]
+        text = self[packed] = " ".join([name if e == 1 else f"{name}^{e}"
+                                        for name, e in zip(self.names, exps) if e])
+        return text
+
+
+def render_packed(names: Sequence[str], coeffs: Mapping[int, FieldElement],
+                  width: int = 1) -> str:
+    """The text form of a polynomial in ``names`` given as packed monomials
+    (see :func:`pack`) with nonzero coefficients of one field: terms in
+    increasing monomial order joined by `` + ``, each ``c * x y^2``, or ``c``
+    for the constant monomial, and ``0`` for no terms.
+
+    Each monomial splits into the exponents of the first and of the last
+    ``len(names) // 2`` variables; each distinct half and each distinct
+    coefficient is formatted once.
+    """
+    if not coeffs:
+        return "0"
+    names = tuple(names)
+    low = len(names) // 2
+    shift = 8 * width * low
+    mask = (1 << shift) - 1
+    high_text = _Factors(names[:len(names) - low], width)
+    low_text = _Factors(names[len(names) - low:], width)
+    coeff_text: dict = {}
+    parts = []
+    for mono in sorted(coeffs):
+        c = coeffs[mono]
+        ctext = coeff_text.get(c.value)
+        if ctext is None:
+            ctext = coeff_text[c.value] = c.render()
+        hi, lo = high_text[mono >> shift], low_text[mono & mask]
+        factors = f"{hi} {lo}" if hi and lo else hi or lo
+        parts.append(f"{ctext} * {factors}" if factors else ctext)
+    return " + ".join(parts)
 
 
 def parse_polynomial(

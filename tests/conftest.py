@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from itertools import compress
 
 import pytest
 
@@ -16,6 +17,27 @@ def poly_equal(p: DensePolynomial, q: DensePolynomial) -> bool:
     """Equality after aligning onto the union of the variable tuples."""
     allvars = tuple(sorted(set(p.variables) | set(q.variables)))
     return p.with_variables(allvars) == q.with_variables(allvars)
+
+
+def per_term_render(p: DensePolynomial) -> str:
+    """The text form of ``p`` by the per-term formatter that
+    :func:`~symdet.polynomials.render_packed` replaced: sort the exponent
+    tuples and format each term on its own, scanning every position."""
+    if not p.coeffs:
+        return "0"
+    names = p.variables
+    positions = range(len(names))
+    try:  # as bytes, equal-length tuples of exponents < 256 sort the same
+        order = sorted(p.coeffs, key=bytes)
+    except ValueError:
+        order = sorted(p.coeffs)
+    parts = []
+    for mono in order:
+        c = p.coeffs[mono].render()
+        factors = " ".join([f"{names[k]}^{mono[k]}" if mono[k] > 1 else names[k]
+                            for k in compress(positions, mono)])
+        parts.append(f"{c} * {factors}" if factors else c)
+    return " + ".join(parts)
 
 
 def lanes_of(points) -> dict:

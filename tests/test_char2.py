@@ -14,6 +14,7 @@ from symdet.char2 import (
     partial_permanent,
     per_star_lanes,
     plus_identity,
+    render_partial_permanent,
     square_matrix_char2,
 )
 from symdet.circuits import CircuitBuilder, measure, random_circuit
@@ -31,7 +32,7 @@ from symdet.graphs import CONSTW, VARW, SymbolicMatrix, Weight, parse_matrix
 from symdet.oracles import enumerate_cycle_covers, referee_submatrix_sum, symbolic_det
 from symdet.polynomials import DensePolynomial, parse_polynomial
 from symdet.verify import FAILED, VERIFIED_RANDOM, CompiledMatrix, det_eval, identity_test
-from tests.conftest import lanes_of, poly_equal
+from tests.conftest import lanes_of, per_term_render, poly_equal
 
 
 def var_matrix(names, spec=RATIONAL):
@@ -302,6 +303,22 @@ def test_symbolic_partial_permanent_matches_brute_force(spec, data):
     assert p.render() == brute_per_star(b).render()
 
 
+@pytest.mark.parametrize("spec", [GF2, GF2_16, RATIONAL, PRIME_DEFAULT],
+                         ids=["GF2", "GF2_16", "Q", "p61"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_render_partial_permanent_matches_polynomial_render(spec, data):
+    """The text printed from packed monomials is the text of the polynomial,
+    by the packed formatter and by the per-term formatter it replaced."""
+    n = data.draw(st.integers(1, 6))
+    entry = pperm_entry(spec)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    b = SymbolicMatrix(rows, spec=spec)
+    p = partial_permanent(b)
+    assert render_partial_permanent(b) == p.render() == per_term_render(p)
+
+
 def boxed_per_star(rows):
     """per* of field-element rows by the used-column DP on boxed elements."""
     n, spec = len(rows), rows[0][0].spec
@@ -446,3 +463,30 @@ def test_cli_pperm_check_identity_with_constant_entries(tmp_path, capsys, monkey
     per_star_of_changed_b(monkeypatch, parse_matrix(MIXED_B, GF2_16), GF2_16)
     assert main(argv) == 1
     assert capsys.readouterr().out.splitlines()[1].endswith(": False")
+
+
+def test_cli_pperm_builds_no_dense_polynomial(tmp_path, capsys, monkeypatch):
+    """``symdet pperm`` prints per*(B) straight from the packed monomials."""
+    n = 6
+    text = f"{n}\n" + "".join(
+        " ".join(f"b{i}_{j}" for j in range(1, n + 1)) + "\n" for i in range(1, n + 1))
+    mfile = tmp_path / "b.matrix"
+    mfile.write_text(text)
+    built = []
+    original = DensePolynomial.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DensePolynomial, "__init__", init)
+    argv = ["pperm", str(mfile), "--field", "gf2_16"]
+    assert main(argv) == 0
+    assert main([*argv, "--check-identity", "--seed", "3"]) == 0
+    assert built == []
+    monkeypatch.undo()
+    plain, checked, verdict = capsys.readouterr().out.splitlines()
+    assert plain == checked == partial_permanent(parse_matrix(text, GF2_16)).render()
+    assert plain.count(" + ") + 1 == sum(math.comb(n, k) ** 2 * math.factorial(k)
+                                         for k in range(n + 1))
+    assert verdict.endswith(": True")

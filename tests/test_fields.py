@@ -348,6 +348,18 @@ def test_kernel_lane_forms_match_scalar_forms(spec, data, t):
     assert arith.power(xs, 3) == [arith.mul1(arith.mul1(x, x), x) for x in xs]
 
 
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+def test_kernel_scale_by_zero_one_and_minus_one(spec):
+    """The scalars 1 and -1 take a path without a multiplication."""
+    arith = IntArith(spec)
+    xs = [0, 1, spec.size - 1, 0, spec.size // 2, 0]
+    for c in (0, 1, arith.neg1(1)):
+        got = arith.scale(c, xs)
+        assert got == [arith.mul1(c, x) for x in xs]
+        assert got is not xs
+    assert xs == [0, 1, spec.size - 1, 0, spec.size // 2, 0]
+
+
 def test_kernel_is_kept_once_per_spec_value():
     assert FieldSpec.binary(16).arith is GF2_16.arith
     with pytest.raises(UnsupportedField):

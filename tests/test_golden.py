@@ -4,10 +4,11 @@ The digest below covers the rendered matrix of every method and size
 (unsigned ``ws_nonsym_matrix`` included), the DOT rendering and scalars of
 every certificate, every ``build_bound`` value and ``square_matrix_char2``
 on fixed pseudo-random weighted and unweighted formulas and weakly skew
-circuits.  A construction that raises contributes its exception class, so
-the failure behaviour is pinned too.  Each label (one construction, size
-and output kind) has its own digest of its rendered outputs in corpus
-order, and each matrix label a second digest of the same matrices'
+circuits.  A construction that raises one of the library's errors
+(``CircuitError``, ``FieldError``, ``ValueError``) contributes its exception
+class, so the failure behaviour is pinned too; any other exception fails the
+test.  Each label (one construction, size and output kind) has its own
+digest of its rendered outputs in corpus order, and each matrix label a second digest of the same matrices'
 ``to_json`` as ``symdet build --json`` prints it and their text round trip
 ``render_matrix(parse_matrix(text))``.
 Refactors of the lowering code or of the matrix representation must leave
@@ -23,9 +24,9 @@ import random
 from functools import cache
 
 from symdet.char2 import square_matrix_char2
-from symdet.circuits import random_circuit
+from symdet.circuits import CircuitError, random_circuit
 from symdet.cli import build_bound
-from symdet.fields import GF2_16
+from symdet.fields import GF2_16, FieldError
 from symdet.formulas import (
     build_sym_graph,
     build_valiant_digraph,
@@ -177,7 +178,9 @@ def _outputs(c, formula: bool):
     for label, job in jobs:
         try:
             out = job()
-        except Exception as exc:  # the failure class is part of the pinned output
+        except (CircuitError, FieldError, ValueError) as exc:
+            # the library's failure class is part of the pinned output; any
+            # other exception is a fault of the harness and fails the test
             out = f"raises {type(exc).__name__}"
         yield label, out
 

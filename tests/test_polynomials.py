@@ -5,17 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdet.circuits import classify, evaluate, measure
-from symdet.fields import RATIONAL
+from symdet.fields import GF2_16, PRIME_DEFAULT, RATIONAL
 from symdet.polynomials import (
     DensePolynomial,
     ZeroPolynomial,
     bounds_report,
     expand_circuit,
     monomial_sum_circuit,
+    pack,
     parse_polynomial,
     poly_to_formula,
     random_dense_polynomial,
+    render_packed,
 )
+from tests.conftest import per_term_render
 
 
 def num(n):
@@ -221,3 +224,36 @@ def test_render_matches_reference(nv, data):
         st.tuples(*[exponent] * nv), st.integers(-5, 5).map(num), max_size=12))
     p = DensePolynomial(RATIONAL, variables, terms)
     assert p.render() == reference_render(p)
+
+
+@pytest.mark.parametrize("variables, terms, want", [
+    (("x", "y"), {}, "0"),
+    ((), {(): 3}, "3"),
+    (("x",), {(2,): -1, (0,): 2, (1,): 1}, "2 + 1 * x + -1 * x^2"),
+    (("x",), {(256,): 1, (255,): 2}, "2 * x^255 + 1 * x^256"),
+    (("x", "y", "z"), {(0, 300, 1): 1, (1, 0, 0): 5, (0, 70000, 0): 7},
+     "1 * y^300 z + 7 * y^70000 + 5 * x"),
+], ids=["zero", "no variables", "one variable", "exponent 256", "wide exponents"])
+def test_render_packed_on_edge_cases(variables, terms, want):
+    p = DensePolynomial(RATIONAL, variables, {m: num(c) for m, c in terms.items()})
+    width = max(1, (max((e for m in terms for e in m), default=0).bit_length() + 7) // 8)
+    packed = {pack(m, width): c for m, c in p.coeffs.items()}
+    assert render_packed(variables, packed, width) == p.render() == per_term_render(p) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(nv=st.integers(0, 5), spec=st.sampled_from([RATIONAL, PRIME_DEFAULT, GF2_16]),
+       data=st.data())
+def test_render_packed_matches_per_term_formatter(nv, spec, data):
+    variables = tuple(f"v{k}" for k in range(nv))
+    # some exponents need two or three bytes each
+    exponent = st.one_of(st.integers(0, 3), st.integers(250, 260), st.integers(0, 70000))
+    coeff = (st.integers(0, 9).map(spec.from_bits) if spec.kind == "binary"
+             else st.integers(-4, 4).map(spec.from_int))
+    terms = data.draw(st.dictionaries(st.tuples(*[exponent] * nv), coeff, max_size=12))
+    p = DensePolynomial(spec, variables, terms)
+    top = max((e for m in p.coeffs for e in m), default=0)
+    for width in range(max(1, (top.bit_length() + 7) // 8), 4):
+        packed = {pack(m, width): c for m, c in p.coeffs.items()}
+        assert render_packed(variables, packed, width) == per_term_render(p)
+    assert p.render() == per_term_render(p)
