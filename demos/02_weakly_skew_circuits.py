@@ -18,7 +18,8 @@ from symdet import (
     ws_sym_matrix,
 )
 from symdet.circuits import reachable_from
-from symdet.weakly_skew import build_ws_graph, check_ws_certificate
+from symdet.graphs import check_symmetric_certificate
+from symdet.weakly_skew import build_ws_graph
 
 b = CircuitBuilder()
 x, y = b.var("x"), b.var("y")
@@ -51,6 +52,6 @@ print(f"ws-nonsym fat: dimension {n.dim} <= {rep.fat + 1}")
 rng = random.Random(7)
 small = random_circuit("weakly-skew", 5, 3, rng)
 cert = build_ws_graph(small, "fat")
-check_ws_certificate(cert)
+check_symmetric_certificate(cert, 1)
 print(f"\naudited certificate of a random 5-gate circuit "
       f"({cert.graph.n} vertices): all invariants hold")

@@ -17,8 +17,11 @@ costs no recursion), each construction handing the walk only its gadget step:
 
 Constant multiplications are free: they ride on c0 and on gadget edge
 weights; the c0 of a product is the product of its arguments' scalars in
-both constructions.  Certificates retain the gadget graph so tests can
-audit the path-sum identity and the structural conditions directly.
+both constructions.  Certificates retain the gadget graph, which the tests
+audit with :func:`~symdet.graphs.check_abp_certificate` and the one
+symmetric audit, :func:`~symdet.graphs.check_symmetric_certificate` (with
+``path_len`` 2); neither is on a build's path, and no fast path imports
+the oracles they enumerate with.
 """
 
 from __future__ import annotations
@@ -271,50 +274,3 @@ def sym_lowering(
     cert = build_sym_graph(f, mode)
     # the path sum counts (-1)^(|P|/2+1) w(P): paths of 2 vertices positively
     return close_symmetric(cert.graph, cert.s, *cert.output(), 2), cert
-
-
-def check_sym_certificate(cert: PathSumCertificate, max_vertices: int = 14) -> None:
-    """Audit the three symmetric path-sum conditions by enumeration.
-
-    Asserts even vertex count, even cycles, even s-t paths, the unique
-    weight-1 perfect-matching completions, and the scaled path-sum identity
-    against the expanded source polynomial.  Exponential; intended for test
-    builds up to ``max_vertices``.
-    """
-    from .oracles import (
-        all_cycles_even,
-        complement_vertices,
-        enumerate_st_paths,
-        path_weight,
-        unique_cover_is_weight1_matching,
-    )
-    from .polynomials import DensePolynomial, expand_circuit
-
-    g: WeightedGraph = cert.graph
-    assert isinstance(g, WeightedGraph), "symmetric certificate needs a graph"
-    t, c0 = cert.output()
-    if g.n > max_vertices:
-        raise ValueError(f"certificate audit capped at {max_vertices} vertices")
-    assert g.n % 2 == 0, "graph must have an even number of vertices"
-    assert all_cycles_even(g), "odd cycle in gadget graph"
-    inner = complement_vertices(g, [cert.s, t])
-    assert unique_cover_is_weight1_matching(g, inner), (
-        "G minus {s, t} must have a unique weight-1 matching cover"
-    )
-    spec = g.spec
-    variables = cert.source.variables
-    total = DensePolynomial.zero(spec, variables)
-    for path in enumerate_st_paths(g, cert.s, t):
-        assert len(path) % 2 == 0, "odd s-t path"
-        rest = complement_vertices(g, path)
-        assert unique_cover_is_weight1_matching(g, rest), (
-            "path complement must have a unique weight-1 matching cover"
-        )
-        w = path_weight(g, path, variables, spec)
-        if (len(path) // 2 + 1) % 2 == 1:
-            w = -w
-        total = total + w
-    total = total.scale(c0)
-    expected = expand_circuit(cert.source)[0]
-    assert total == expected, "path-sum identity failed"
-

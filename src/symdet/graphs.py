@@ -21,7 +21,11 @@ matching completion; the graphs it closes are vertex splits
 (:func:`split_vertices`) of branching programs, or the formula gadgets,
 which are built undirected.  A lowering names the vertex count
 ``path_len`` (mod 4) of the paths it counts positively, and the closing
-derives the sign that makes it so.
+derives the sign that makes it so.  The tests audit each certificate by
+enumeration, a branching program by :func:`check_abp_certificate` and a
+symmetric gadget graph, with the same ``path_len``, by
+:func:`check_symmetric_certificate`; both import the oracles lazily, and no
+fast path imports them.
 
 :class:`SymbolicMatrix` is the target language: a square matrix whose
 entries are :class:`Weight` values, stored as its nonzeros only, one
@@ -301,9 +305,10 @@ class PathSumCertificate:
     """A gadget graph and the path sums it realizes: for every gate a of
     ``targets``, ``scalars[a]`` times the sum of w(P) over the paths P from
     s to ``targets[a]`` is the value f_a of gate a of ``source``.  The sum
-    is unsigned for a branching program (:func:`check_abp_certificate`);
-    the symmetric gadget graphs count each path with the sign their own
-    audits state."""
+    is unsigned for a branching program (:func:`check_abp_certificate`); a
+    symmetric gadget graph counts each path P with the sign
+    (-1)^((|P| - path_len)/2) of its closing
+    (:func:`check_symmetric_certificate`)."""
 
     graph: WeightedGraph | WeightedDigraph
     s: int
@@ -331,6 +336,58 @@ def check_abp_certificate(cert: PathSumCertificate) -> None:
             total = path_sum(g, enumerate_st_paths(g, cert.s, t), source.variables)
             assert total.scale(cert.scalars[gid]) == values[gid], (
                 f"ABP path-sum identity failed at gate {gid}")
+
+
+def check_symmetric_certificate(
+    cert: PathSumCertificate, path_len: int, max_vertices: int = 14
+) -> int:
+    """Audit a symmetric gadget graph by enumerating its paths, with the
+    ``path_len`` that :func:`close_symmetric` takes: |G| has the parity of
+    ``path_len`` and every cycle is even; G minus {s} (|G| odd) or minus
+    {s, t} (|G| even) has a unique weight-1 matching; and for every reusable
+    gate a of ``targets``, every s-targets[a] path P has the parity of
+    ``path_len``, every acceptable one leaves a unique weight-1 matching, and
+    scalars[a] * sum (-1)^((|P| - path_len)/2) w(P) = f_a over the acceptable
+    P.  Returns the number of unacceptable paths skipped, none on a formula
+    gadget.  Exponential; intended for test builds up to ``max_vertices``."""
+    from .oracles import (
+        all_cycles_even,
+        complement_vertices,
+        enumerate_st_paths,
+        is_acceptable,
+        path_weight,
+        unique_cover_is_weight1_matching,
+    )
+
+    g, source = cert.graph, cert.source
+    assert isinstance(g, WeightedGraph), "symmetric certificate needs a graph"
+    if g.n > max_vertices:
+        raise ValueError(f"certificate audit capped at {max_vertices} vertices")
+    assert (g.n - path_len) % 2 == 0, f"{g.n} vertices, path_len {path_len}: parities differ"
+    assert all_cycles_even(g), "odd cycle in gadget graph"
+    base = [cert.s] if g.n % 2 else [cert.s, cert.output()[0]]
+    assert unique_cover_is_weight1_matching(g, complement_vertices(g, base)), (
+        f"G minus {base} must have a unique weight-1 matching cover")
+    values = expand_gate_values(source)
+    reusable = classify(source).reusable
+    skipped = 0
+    for gid, t in sorted(cert.targets.items()):
+        if gid not in reusable:
+            continue
+        total = DensePolynomial.zero(g.spec, source.variables)
+        for path in enumerate_st_paths(g, cert.s, t):
+            assert (len(path) - path_len) % 2 == 0, (
+                f"s-t path of {len(path)} vertices at gate {gid}, path_len {path_len}")
+            if not is_acceptable(g, path):
+                skipped += 1
+                continue
+            assert unique_cover_is_weight1_matching(g, complement_vertices(g, path)), (
+                f"path complement at gate {gid} must have a unique weight-1 matching cover")
+            w = path_weight(g, path, source.variables, g.spec)
+            total = total + (-w if (len(path) - path_len) // 2 % 2 else w)
+        assert total.scale(cert.scalars[gid]) == values[gid], (
+            f"symmetric path-sum identity failed at gate {gid}")
+    return skipped
 
 
 def close_abp(

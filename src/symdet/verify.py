@@ -65,7 +65,7 @@ from .fields import (
     sample_lanes,
 )
 from .graphs import CONSTW, VARW, SymbolicMatrix
-from .oracles import cover_sign, symbolic_det
+from .oracles import symbolic_det
 from .polynomials import expand_circuit
 
 
@@ -140,6 +140,21 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
+def _cycle_count(perm: list[int]) -> int:
+    """The number of cycles of the permutation i -> perm[i] of n points, whose
+    sign is (-1)^(n - cycles)."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return cycles
+
+
 class _IntArith(IntArith):
     """A finite field's plain-int arithmetic, :class:`~symdet.fields.IntArith`,
     with the lockstep elimination on its scalars and lanes."""
@@ -155,9 +170,10 @@ class _IntArith(IntArith):
         every lane: a scalar entry if there is one, since its inverse is one
         scalar inversion, and otherwise the shortest row (Markowitz 1957),
         which keeps fill-in low on gadget matrices.  The sign is the parity
-        of the row -> column pivot map, computed once.  An update stays a
-        scalar while every operand is one, and becomes a lane where it meets
-        a lane; the determinant stays a scalar until the first lane pivot.
+        of the row -> column pivot map, n minus its number of cycles,
+        computed once.  An update stays a scalar while every operand is one,
+        and becomes a lane where it meets a lane; the determinant stays a
+        scalar until the first lane pivot.
         An entry that cancels in every lane is dropped.  When no row of the
         pivot column is nonzero in every lane, every lane is eliminated alone
         from the original matrix, with its entries as scalars; gadget
@@ -235,7 +251,7 @@ class _IntArith(IntArith):
                         heappush(counts, (len(col_rows[c]), c))
                 if not row:
                     return zeros
-        if self.p != 2 and cover_sign(dict(enumerate(pivot_col))) < 0:  # -1 = 1 if p = 2
+        if self.p != 2 and (n - _cycle_count(pivot_col)) % 2:  # -1 = 1 if p = 2
             det = self.neg1(det) if type(det) is int else list(map(self.neg1, det))
         return det if type(det) is list else [det] * t
 

@@ -201,57 +201,6 @@ def ws_sym_lowering(
     return close_symmetric(cert.graph, cert.s, *cert.output(), 1), cert
 
 
-def check_ws_certificate(cert: PathSumCertificate, max_vertices: int = 14) -> None:
-    """Exhaustive audit of the certificate invariants.
-
-    Checks: odd vertex count, even cycles, odd s-t_a paths, unique weight-1
-    matching completion of every acceptable path and of G minus {s}, and the
-    acceptable-path-sum identity for every reusable gate.  Exponential;
-    intended for instances with at most ``max_vertices`` vertices.
-    """
-    from .oracles import (
-        all_cycles_even,
-        complement_vertices,
-        enumerate_st_paths,
-        is_acceptable,
-        path_weight,
-        unique_cover_is_weight1_matching,
-    )
-    from .polynomials import DensePolynomial, expand_gate_values
-
-    g = cert.graph
-    if g.n > max_vertices:
-        raise ValueError(f"certificate audit capped at {max_vertices} vertices")
-    assert g.n % 2 == 1, "graph must have an odd number of vertices"
-    assert all_cycles_even(g), "odd cycle in gadget graph"
-    rest = complement_vertices(g, [cert.s])
-    assert unique_cover_is_weight1_matching(g, rest), (
-        "G minus {s} must have a unique weight-1 matching cover"
-    )
-    spec = g.spec
-    circuit = cert.source
-    values = expand_gate_values(circuit)
-    reusable = classify(circuit).reusable
-    for gid, t in sorted(cert.targets.items()):
-        if gid not in reusable:
-            continue
-        total = DensePolynomial.zero(spec, circuit.variables)
-        for path in enumerate_st_paths(g, cert.s, t):
-            assert len(path) % 2 == 1, "even s-t_a path"
-            if not is_acceptable(g, path):
-                continue
-            comp = complement_vertices(g, path)
-            assert unique_cover_is_weight1_matching(g, comp), (
-                "acceptable path complement must be a unique weight-1 matching"
-            )
-            w = path_weight(g, path, circuit.variables, spec)
-            if ((len(path) - 1) // 2) % 2 == 1:
-                w = -w
-            total = total + w
-        total = total.scale(cert.scalars[gid])
-        assert total == values[gid], f"path-sum identity failed at gate {gid}"
-
-
 # ---------------------------------------------------------------------------
 # non-symmetric (ABP) lowering
 # ---------------------------------------------------------------------------

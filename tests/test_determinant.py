@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from symdet.circuits import parse_expression
 from symdet.determinant import (
     build_det_abp,
     det_sym_matrix,
@@ -10,8 +11,10 @@ from symdet.determinant import (
 )
 from symdet.fields import PRIME_DEFAULT, RATIONAL, FieldSpec, sample_random
 from symdet.graphs import (
+    PathSumCertificate,
     SymbolicMatrix,
     Weight,
+    check_symmetric_certificate,
     entries_alphabet_ok,
     export_dot,
     render_matrix,
@@ -20,7 +23,6 @@ from symdet.graphs import (
 from symdet.oracles import (
     complement_vertices,
     enumerate_st_paths,
-    is_acceptable,
     path_sum,
     symbolic_det,
     unique_cover_is_weight1_matching,
@@ -83,16 +85,17 @@ def test_symmetrize_structure():
 
 
 def test_symmetrized_acceptable_path_sum_n2():
-    abp = build_det_abp(2)
-    g, _ = split_vertices(abp.digraph, RATIONAL.one(), [abp.s, abp.t])
-    variables = tuple(sorted({
-        w.name for w in g.edges.values() if w.kind != "const"
-    }))
-    paths = [path for path in enumerate_st_paths(g, g.roles["s"], g.roles["t"])
-             if is_acceptable(g, path)]
-    for path in paths:
-        assert unique_cover_is_weight1_matching(g, complement_vertices(g, path))
-    assert poly_equal(path_sum(g, paths, variables), det_reference(2, variables))
+    """The vertex splits of DET_1 and DET_2 pass the one symmetric audit
+    against the Leibniz expression: every s-t path has 2n+2 vertices and
+    counts positively."""
+    for n, leibniz in ((1, "x1_1"), (2, "x1_1*x2_2 - x1_2*x2_1")):
+        abp = build_det_abp(n)
+        g, _ = split_vertices(abp.digraph, RATIONAL.one(), [abp.s, abp.t])
+        source = parse_expression(leibniz)
+        out = source.outputs[0]
+        cert = PathSumCertificate(g, g.roles["s"], {out: g.roles["t"]}, {out: RATIONAL.one()},
+                                  source)
+        check_symmetric_certificate(cert, 2 * n + 2)
 
 
 def test_non_path_vertices_pair_up_in_unit_cycles():

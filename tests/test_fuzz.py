@@ -6,6 +6,13 @@ classes, and through ``symdet.cli.main``, where every input ends in exit
 status 0, or 1 with exactly one ``error:`` line.  Token-soup matrix files go
 through ``parse_matrix`` in process, where a matrix that parses renders to
 text that parses back to it.
+
+The differential property draws small weighted circuits, with 0 among their
+constants and arrow weights, over Q, Z_p and GF(2^16), and builds each with
+every method and size of ``symdet build`` that accepts it, and with
+``char2-square`` in characteristic 2: every matrix must respect its bound and
+pass ``identity_test``, and every certificate of at most 12 vertices its
+audit.
 """
 
 from __future__ import annotations
@@ -13,15 +20,23 @@ from __future__ import annotations
 import contextlib
 import io
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdet.circuits import CircuitError, parse_circuit, parse_expression
-from symdet.cli import field_from_flag, main
-from symdet.fields import FieldError
-from symdet.graphs import parse_matrix, render_matrix
+from symdet.char2 import square_matrix_char2
+from symdet.circuits import CircuitError, classify, parse_circuit, parse_expression, random_circuit
+from symdet.cli import _BUILDERS, build_bound, field_from_flag, main
+from symdet.fields import GF2_16, PRIME_DEFAULT, RATIONAL, FieldError
+from symdet.graphs import (
+    check_abp_certificate,
+    check_symmetric_certificate,
+    parse_matrix,
+    render_matrix,
+)
+from symdet.verify import identity_test
 
 FIELDS = ("q", "p61", "gf2", "gf2_16")
 PARSE_ERRORS = (CircuitError, ValueError, FieldError)
@@ -186,3 +201,44 @@ def test_parse_matrix_returns_or_raises_a_parse_error(text, field):
         return
     again = parse_matrix(render_matrix(m), spec)
     assert (again.rows, again.symmetric) == (m.rows, m.symmetric)
+
+
+# constants and arrow weights of each field, 0 among them
+POOLS = {
+    RATIONAL: (0, 1, -1, 2, Fraction(1, 2)),
+    PRIME_DEFAULT: (0, 1, -1, 2, Fraction(1, 2)),
+    GF2_16: tuple(GF2_16.from_bits(mask) for mask in (0, 1, 0x2, 0x3, 0x8000)),
+}
+# the symmetric methods, with the path_len their closing counts positively
+PATH_LEN = {"sym": 2, "ws-sym": 1}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(list(POOLS)), profile=st.sampled_from(("formula", "weakly-skew")),
+       budget=st.integers(1, 6), n_vars=st.integers(1, 3), rng=st.randoms(use_true_random=False))
+def test_every_build_of_a_small_weighted_circuit_is_certified(spec, profile, budget, n_vars, rng):
+    pool = POOLS[spec]
+    c = random_circuit(profile, budget, n_vars, rng, spec=spec, constant_pool=pool,
+                       const_prob=0.3, weighted=True, weight_pool=pool)
+    cl = classify(c)
+    char2 = spec.characteristic == 2
+    test_spec = GF2_16 if char2 else PRIME_DEFAULT
+    for method, (sizes, builder) in _BUILDERS.items():
+        if not (cl.is_formula if method in ("valiant", "sym") else cl.is_weakly_skew):
+            continue
+        if char2 and method in PATH_LEN:  # the symmetric closing needs 1/2
+            continue
+        for size in sizes:
+            matrix, cert = builder(c, size)
+            assert matrix.dim <= build_bound(method, size, c), (method, size)
+            assert identity_test(c, matrix, spec=test_spec).ok, (method, size)
+            if cert is not None and cert.graph.n <= 12:
+                if method in PATH_LEN:  # a formula gadget has no unacceptable path
+                    skipped = check_symmetric_certificate(cert, PATH_LEN[method])
+                    assert method != "sym" or skipped == 0
+                else:
+                    check_abp_certificate(cert)
+    if char2 and cl.is_weakly_skew:
+        square = square_matrix_char2(c)
+        assert square.dim <= 2 * len(c.gates) + 2
+        assert identity_test(c, square, spec=GF2_16, power=2).ok

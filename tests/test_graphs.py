@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symdet.circuits import CircuitBuilder
 from symdet.fields import GF2, GF2_16, PRIME_DEFAULT, RATIONAL, FieldSpec, embed
+from symdet.formulas import build_sym_graph
 from symdet.graphs import (
     SymbolicMatrix,
     Weight,
     WeightedDigraph,
     WeightedGraph,
     adjacency,
+    check_symmetric_certificate,
     close_abp,
     close_symmetric,
     eliminate_pivots,
@@ -33,6 +36,7 @@ from symdet.oracles import (
 )
 from symdet.polynomials import DensePolynomial, TooLarge, parse_polynomial
 from symdet.verify import CompiledMatrix, _dense_det
+from symdet.weakly_skew import build_ws_graph
 from tests.conftest import lanes_of, poly_equal
 
 
@@ -566,3 +570,35 @@ def test_close_abp_determinant_and_permanent_are_the_path_sum(spec):
             m = close_abp(dg, 0, t, c, sign)
             assert m.dim <= max(dg.n - 1, 1)
             assert poly_equal(oracle(m, names), want)
+
+
+def two_xy_plus_z():
+    b = CircuitBuilder()
+    return b.build([b.add(b.mul(b.var("x"), b.var("y"), wa=2), b.var("z"))])
+
+
+# each symmetric certificate with the path_len its lowering closes it with
+SYMMETRIC_CERTIFICATES = [(lambda c: build_sym_graph(c, "green"), 2),
+                          (lambda c: build_ws_graph(c, "fat"), 1)]
+
+
+@pytest.mark.parametrize("build, path_len", SYMMETRIC_CERTIFICATES)
+def test_symmetric_audit_catches_a_wrong_scalar(build, path_len):
+    c = two_xy_plus_z()
+    cert = build(c)
+    check_symmetric_certificate(cert, path_len)
+    out = c.outputs[0]
+    cert.scalars[out] = cert.scalars[out] + RATIONAL.one()
+    with pytest.raises(AssertionError, match=f"identity failed at gate {out}"):
+        check_symmetric_certificate(cert, path_len)
+
+
+@pytest.mark.parametrize("build, path_len", SYMMETRIC_CERTIFICATES)
+@pytest.mark.parametrize("shift, message", [(-2, "identity failed"), (2, "identity failed"),
+                                            (-1, "parities differ")])
+def test_symmetric_audit_catches_a_wrong_path_len(build, path_len, shift, message):
+    """A path_len of the right parity flips every sign, so the path sum is
+    -f; one of the wrong parity fails before any path is counted."""
+    cert = build(two_xy_plus_z())
+    with pytest.raises(AssertionError, match=message):
+        check_symmetric_certificate(cert, path_len + shift)

@@ -281,3 +281,25 @@ def test_field_arithmetic_is_written_only_in_fields():
                         and any(isinstance(x, ast.Constant) and x.value == 16 for x in operands)):
                     found.append(f"{path.name}:{node.lineno}: compares .k with 16")
     assert not found, found
+
+
+def test_only_the_audits_the_exact_upgrade_and_the_demo_import_the_oracles():
+    """The oracles stay independent of what they check: of the library's
+    modules only ``graphs`` (the certificate audits), ``verify`` (the exact
+    upgrade's ``symbolic_det``), ``cli`` (the demo) and ``__init__`` import
+    from ``oracles``, so no fast path can lean on an oracle."""
+    import ast
+    from pathlib import Path
+
+    importers = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "symdet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):  # also ``from . import oracles``
+                names = {alias.name for alias in node.names}
+                if (node.module or "").endswith("oracles") or "oracles" in names:
+                    importers.setdefault(path.stem, set()).update(names)
+            elif isinstance(node, ast.Import) and any(
+                    alias.name.endswith(".oracles") for alias in node.names):
+                importers.setdefault(path.stem, set()).add("oracles")
+    assert set(importers) <= {"graphs", "verify", "cli", "__init__"}, importers
+    assert importers["verify"] == {"symbolic_det"}

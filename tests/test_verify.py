@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,7 +21,7 @@ from symdet.fields import (
 )
 from symdet.formulas import sym_matrix
 from symdet.graphs import SymbolicMatrix, Weight, parse_matrix
-from symdet.oracles import symbolic_det
+from symdet.oracles import cover_sign, symbolic_det
 from symdet.weakly_skew import ws_sym_matrix
 from tests.conftest import lanes_of, mutate_matrix
 from symdet.verify import (
@@ -408,6 +409,24 @@ def test_constant_matrix_takes_no_lane_operation(spec):
         setattr(arith, name, spy)
     assert compiled.lane_det({}, t) == [want] * t
     assert calls == []
+
+
+@pytest.mark.parametrize("t", [1, 3])
+def test_lane_det_sign_of_every_permutation_matrix_is_the_cover_sign(t):
+    """The elimination's own parity of its pivot map against the oracle's,
+    on every permutation matrix up to 6x6 over Z_p: with constant entries,
+    which stay scalars, and with a variable in row 0, set to 1 in every
+    lane, which makes the determinant a lane."""
+    spec = PRIME_DEFAULT
+    one = Weight.const(spec.one())
+    for n in range(1, 7):
+        for perm in itertools.permutations(range(n)):
+            want = [spec.from_int(cover_sign(dict(enumerate(perm)))).value] * t
+            for first in (one, Weight.var("x")):
+                rows = [{j: one} for j in perm]
+                rows[0] = {perm[0]: first}
+                compiled = CompiledMatrix(SymbolicMatrix(rows, spec=spec), spec)
+                assert compiled.lane_det({"x": [1] * t}, t) == want, (perm, first)
 
 
 @pytest.mark.parametrize("spec", COMPILED_FIELDS, ids=FIELD_IDS)

@@ -11,7 +11,7 @@ from symdet.circuits import (
 )
 from symdet.fields import GF2_16, RATIONAL, CharTwoHalf
 from symdet.formulas import build_valiant_digraph
-from symdet.graphs import check_abp_certificate
+from symdet.graphs import check_abp_certificate, check_symmetric_certificate
 from symdet.minimize import ConstantCircuit
 from symdet.oracles import symbolic_det
 from symdet.verify import identity_test
@@ -19,7 +19,6 @@ from symdet.weakly_skew import (
     NotWeaklySkew,
     build_ws_abp,
     build_ws_graph,
-    check_ws_certificate,
     ws_nonsym_matrix,
     ws_sym_matrix,
 )
@@ -34,7 +33,7 @@ def test_single_input_gadget():
     assert g.n == 3
     rendered = sorted(w.render() for w in g.edges.values())
     assert rendered == ["-1", "x"]
-    check_ws_certificate(cert)
+    check_symmetric_certificate(cert, 1)
 
 
 def test_addition_with_equal_arguments_merges_to_weight_2():
@@ -44,7 +43,7 @@ def test_addition_with_equal_arguments_merges_to_weight_2():
     cert = build_ws_graph(c, "fat")
     weights = sorted(w.render() for w in cert.graph.edges.values())
     assert "2" in weights
-    check_ws_certificate(cert)
+    check_symmetric_certificate(cert, 1)
     m = ws_sym_matrix(c, "fat")
     assert circuit_matches(symbolic_det(m), c)
 
@@ -67,7 +66,7 @@ def test_multiple_outputs_allowed_in_graph():
     c = b.build([s1, s2])
     cert = build_ws_graph(c, "fat")
     assert set(c.outputs) <= set(cert.targets)
-    check_ws_certificate(cert)
+    check_symmetric_certificate(cert, 1)
 
 
 POOLS = {
@@ -137,7 +136,7 @@ def test_certificate_audits_random(rng):
         cert = build_ws_graph(c, "fat")
         assert cert.graph.n % 2 == 1
         if cert.graph.n <= 14:
-            check_ws_certificate(cert)
+            check_symmetric_certificate(cert, 1)
             audited += 1
     assert audited >= 40
 
@@ -157,7 +156,7 @@ def test_green_certificate_audits_random(rng):
             assert isinstance(exc, ConstantCircuit)
             continue
         if cert.graph.n <= 14:
-            check_ws_certificate(cert)
+            check_symmetric_certificate(cert, 1)
             audited += 1
     assert audited >= 20
 
@@ -219,7 +218,7 @@ def test_green_handles_minimized_scale_wrapper():
     b = CircuitBuilder()
     c = b.build([b.mul(b.const(5), b.var("x"))])
     cert = build_ws_graph(c, "green")
-    check_ws_certificate(cert)
+    check_symmetric_certificate(cert, 1)
     m = ws_sym_matrix(c, "green")
     assert circuit_matches(symbolic_det(m), c)
     n = ws_nonsym_matrix(c, "green")
