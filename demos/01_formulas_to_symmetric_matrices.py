@@ -23,8 +23,10 @@ f = parse_expression("(x+y)*(x+y) + 2*y*z")
 rep = measure(f)
 print(f"formula sizes: skinny={rep.skinny} fat={rep.fat} green={rep.green}")
 
-# the gadget graph: every cycle is even, every s-t path is even, and the
-# signed path sum equals the polynomial
+# the gadget graph is the vertex split of the formula's branching program
+# (build_valiant_digraph): every vertex but s and t becomes an in/out pair
+# joined by an edge of weight -1, so every cycle and every s-t path is even,
+# and the path sum signed by path length equals the polynomial
 cert = build_sym_graph(f, mode="green")
 print(f"\ngadget graph: {cert.graph.n} vertices, scalar c0 = {cert.output()[1]}")
 print(export_dot(cert.graph))

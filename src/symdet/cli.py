@@ -358,9 +358,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=sorted(_BUILDERS))
     p.add_argument("--size", choices=("skinny", "green", "fat"))
     p.add_argument("--json", action="store_true")
-    p.add_argument("--dot", help="write the gadget graph in DOT format; for ws-nonsym it "
-                   "is the branching program, and the matrix rows are its vertices in "
-                   "order, less t and the eliminated relay vertices")
+    p.add_argument("--dot", help="write the gadget graph in DOT format: for valiant and "
+                   "ws-nonsym the branching program, whose vertices in order, less t and "
+                   "the eliminated relay vertices, are the matrix rows; for sym and ws-sym "
+                   "the vertex split of that program, whose vertices in order are the "
+                   "matrix rows, then one closing vertex if their count is even")
     p.add_argument("-o", "--output", help="write the matrix to a file")
     p.set_defaults(fn=cmd_build)
 

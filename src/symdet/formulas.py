@@ -1,32 +1,38 @@
 """Lowering formulas to determinantal representations.
 
-Two constructions, both driven by path sums in a gadget (di)graph placed
-straight on the formula's gates by one walk over an explicit stack (so depth
-costs no recursion), each construction handing the walk only its gadget step:
+Both constructions start from one branching program (ABP) of the formula,
+placed straight on its gates by one walk over an explicit stack (so depth
+costs no recursion): vertices s and t and a scalar c0 with
+c0 * sum_P w(P) = f over all s-t paths P (:func:`build_valiant_digraph`).
+A product puts its factors in series through a fresh vertex; a sum puts
+its arms in parallel.  The program comes in two modes:
 
-* the corrected digraph construction (non-symmetric): a branching program
-  G, vertices s and t and a scalar c0 with  c0 * sum_P w(P) = f  over all
-  s-t-paths P, closed by :func:`~symdet.graphs.close_abp` into a matrix of
-  dimension at most (green size + 1) when the formula has an addition;
+* ``green`` minimizes first and carries constants in c0 and on the arc
+  that closes a sum's right arm, giving at most gsize+2 vertices;
 
-* the symmetric gadget construction: a graph G whose s-t-path sum satisfies
-  c0 * sum_P (-1)^(|P|/2+1) w(P) = f, with every cycle even, every path even
-  and a unique weight-1 perfect-matching completion, closed by one extra
-  vertex into a symmetric matrix of dimension at most 2e+3 (e = skinny or
-  green size, by mode).
+* ``skinny`` follows the weightless construction on the formula itself: a
+  non-unit arrow weight is an arc of that constant into a fresh vertex, a
+  sum's arms share both ends, and c0 = 1.
 
-Constant multiplications are free: they ride on c0 and on gadget edge
-weights; the c0 of a product is the product of its arguments' scalars in
-both constructions.  Certificates retain the gadget graph, which the tests
-audit with :func:`~symdet.graphs.check_abp_certificate` and the one
-symmetric audit, :func:`~symdet.graphs.check_symmetric_certificate` (with
-``path_len`` 2); neither is on a build's path, and no fast path imports
-the oracles they enumerate with.
+The non-symmetric lowering closes the program by
+:func:`~symdet.graphs.close_abp` into a matrix of dimension at most
+(green size + 1) when the formula has an addition.  The symmetric lowering
+closes its vertex split (:func:`~symdet.graphs.split_vertices`, unit -1,
+s and t whole), whose s-t paths P satisfy
+c0 * sum_P (-1)^(|P|/2+1) w(P) = f, by
+:func:`~symdet.graphs.close_symmetric` into a symmetric matrix of
+dimension at most 2e+3 (e = skinny or green size, by mode).
+
+Constant multiplications are free: they ride on c0 and on arc weights; the
+c0 of a product is the product of its arguments' scalars.  Certificates
+retain the program or its split, which the tests audit with
+:func:`~symdet.graphs.check_abp_certificate` and the one symmetric audit,
+:func:`~symdet.graphs.check_symmetric_certificate` (with ``path_len`` 2);
+neither is on a build's path, and no fast path imports the oracles they
+enumerate with.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from .circuits import (
     ADD,
@@ -43,9 +49,9 @@ from .graphs import (
     SymbolicMatrix,
     Weight,
     WeightedDigraph,
-    WeightedGraph,
     close_abp,
     close_symmetric,
+    split_vertices,
 )
 from .minimize import green_form
 from .weakly_skew import _input_weight
@@ -53,26 +59,6 @@ from .weakly_skew import _input_weight
 
 class NotAFormula(CircuitError):
     pass
-
-
-def _walk(f: Circuit, s: int, t: int, step: Callable) -> None:
-    """Place the gadgets of formula ``f`` between vertices ``s`` and ``t``.
-
-    Jobs ``(gate, arrow weight, a, b)`` come off an explicit stack, so depth
-    costs no recursion.  ``step(*job)`` places one gadget and returns its
-    children's jobs, left first; a callable among them runs once the jobs
-    before it are done.  The left subtree is placed before the right one,
-    which fixes the vertex numbering.
-    """
-    if not classify(f).is_formula:
-        raise NotAFormula("circuit is not a formula")
-    stack: list = [(f.outputs[0], f.spec.one(), s, t)]
-    while stack:
-        job = stack.pop()
-        if callable(job):
-            job()
-        else:
-            stack += reversed(step(*job))
 
 
 def _lemma_c0(op: str, cl: FieldElement, cr: FieldElement) -> FieldElement:
@@ -102,46 +88,72 @@ def _lemma_c0s(f: Circuit) -> dict[int, FieldElement]:
     return c0
 
 
-def _addition(gate, c0s: dict[int, FieldElement], a: int, b: int):
-    """The jobs of an addition whose branches of lemma scalar zero are
-    dropped, or None when both branches survive and need the gadget."""
-    live = [(x, w, a, b) for x, w in gate.args if not (w * c0s[x]).is_zero()]
-    return live if len(live) < 2 else None
-
-
 # ---------------------------------------------------------------------------
-# non-symmetric construction
+# the branching program and the non-symmetric construction
 # ---------------------------------------------------------------------------
 
 
-def build_valiant_digraph(f: Circuit) -> PathSumCertificate:
-    """Branching program with at most gsize(f)+2 vertices and a scalar c0
-    with c0 * sum_P w(P) = f over its s-t paths P (unsigned)."""
-    work = green_form(f)
-    c0s = _lemma_c0s(work)
+def build_valiant_digraph(f: Circuit, mode: str = "green") -> PathSumCertificate:
+    """Branching program of formula ``f`` and a scalar c0 with
+    c0 * sum_P w(P) = f over its s-t paths P (unsigned).
+
+    ``green`` minimizes first, drops the arms of lemma scalar zero and
+    carries constants in c0, giving at most gsize(f)+2 vertices; a sum's
+    right arm ends in a fresh vertex whose arc into the sum's end carries
+    the ratio of the arms' scalars.  ``skinny`` keeps ``f`` and c0 = 1: a
+    non-unit arrow weight is an arc of that constant into a fresh vertex,
+    and both arms of a sum run between the same two vertices, so an arc
+    that finds its place taken moves the resident arc onto a fresh vertex
+    p (u->p keeps its weight, p->v has weight 1).
+    """
+    if mode == "green":
+        work = green_form(f)
+        c0s = _lemma_c0s(work)
+    elif mode == "skinny":
+        work = f
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if not classify(work).is_formula:
+        raise NotAFormula("circuit is not a formula")
+    one = work.spec.one()
     dg = WeightedDigraph(work.spec)
     s, t = dg.add_vertex(), dg.add_vertex()
-
-    def step(gid: int, _w: FieldElement, a: int, b: int):
+    # jobs (gate, arrow weight, a, b) place the gate's program from a to b;
+    # the left subtree is placed first, which fixes the vertex numbering
+    stack = [(work.outputs[0], one, s, t)]
+    while stack:
+        gid, w, a, b = stack.pop()
+        if mode == "skinny" and not w.is_one():
+            m = dg.add_vertex()
+            dg.add_arc(a, m, Weight.const(w))
+            stack.append((gid, one, m, b))
+            continue
         gate = work.gates[gid]
         if gate.is_input:
-            dg.add_arc(a, b, _input_weight(gate))
-            return ()
+            arc = _input_weight(gate)
+            if (a, b) in dg.arcs and not arc.is_zero():
+                p = dg.add_vertex()
+                dg.add_arc(a, p, dg.arcs.pop((a, b)))
+                dg.add_arc(p, b, Weight.const(one))
+            dg.add_arc(a, b, arc)
+            continue
         (l, wl), (r, wr) = gate.args
         if gate.kind == MUL:
             mid = dg.add_vertex()
-            return (l, wl, a, mid), (r, wr, mid, b)
-        jobs = _addition(gate, c0s, a, b)
-        if jobs is not None:
-            return jobs
-        t2 = dg.add_vertex()
-        dg.add_arc(t2, b, Weight.const((wr * c0s[r]) / (wl * c0s[l])))
-        return (l, wl, a, b), (r, wr, a, t2)
-
-    _walk(work, s, t, step)
+            jobs = [(l, wl, a, mid), (r, wr, mid, b)]
+        elif mode == "skinny":
+            jobs = [(l, wl, a, b), (r, wr, a, b)]
+        else:
+            jobs = [(x, wx, a, b) for x, wx in gate.args if not (wx * c0s[x]).is_zero()]
+            if len(jobs) == 2:
+                t2 = dg.add_vertex()
+                dg.add_arc(t2, b, Weight.const((wr * c0s[r]) / (wl * c0s[l])))
+                jobs[1] = (r, wr, a, t2)
+        stack += reversed(jobs)
     dg.roles.update(s=s, t=t)
     out = work.outputs[0]
-    return PathSumCertificate(dg, s, {out: t}, {out: c0s[out]}, work)
+    c0 = c0s[out] if mode == "green" else one
+    return PathSumCertificate(dg, s, {out: t}, {out: c0}, work)
 
 
 def _product_fallback(f: Circuit) -> SymbolicMatrix:
@@ -190,71 +202,13 @@ def valiant_lowering(f: Circuit) -> tuple[SymbolicMatrix, PathSumCertificate]:
 
 
 def build_sym_graph(f: Circuit, mode: str = "skinny") -> PathSumCertificate:
-    """Gadget graph meeting the symmetric path-sum conditions.
-
-    ``skinny`` follows the weightless construction (an arrow weight becomes
-    a product with a constant leaf); ``green`` minimizes first and carries
-    constants in c0, giving at most 2*gsize+2 vertices.
-    """
-    if mode == "green":
-        work = green_form(f)
-        c0s = _lemma_c0s(work)
-    elif mode == "skinny":
-        work = f
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    spec = work.spec
-    one, minus_one = Weight.const(spec.one()), Weight.const(-spec.one())
-    g = WeightedGraph(spec)
-    s, t = g.add_vertex(), g.add_vertex()
-
-    def place_edge(u: int, v: int, w: Weight) -> None:
-        """Add a gadget edge; on collision the resident edge is rerouted
-        through two fresh vertices (weights x, 1, -1), keeping parities."""
-        if w.is_zero():
-            return
-        if g.has_edge(u, v):
-            old = g.remove_edge(u, v)
-            p, q = g.add_vertex(), g.add_vertex()
-            g.add_edge(u, p, old)
-            g.add_edge(p, q, one)
-            g.add_edge(q, v, minus_one)
-        g.add_edge(u, v, w)
-
-    def step(gid: int, w: FieldElement, a: int, b: int):
-        if mode == "skinny" and not w.is_one():
-            m1, m2 = g.add_vertex(), g.add_vertex()
-            g.add_edge(m1, m2, minus_one)
-            place_edge(a, m1, Weight.const(w))
-            return [(gid, spec.one(), m2, b)]
-        gate = work.gates[gid]
-        if gate.is_input:
-            place_edge(a, b, _input_weight(gate))
-            return ()
-        (l, wl), (r, wr) = gate.args
-        if gate.kind == MUL:
-            m1, m2 = g.add_vertex(), g.add_vertex()
-            g.add_edge(m1, m2, minus_one)
-            return (l, wl, a, m1), (r, wr, m2, b)
-        if mode == "skinny":
-            return (l, wl, a, b), (r, wr, a, b)
-        jobs = _addition(gate, c0s, a, b)
-        if jobs is not None:
-            return jobs
-        t2 = g.add_vertex()
-
-        def close() -> None:
-            u = g.add_vertex()
-            g.add_edge(t2, u, one)
-            g.add_edge(u, b, Weight.const(-(wr * c0s[r]) / (wl * c0s[l])))
-
-        return (l, wl, a, b), (r, wr, a, t2), close
-
-    _walk(work, s, t, step)
-    g.roles.update(s=s, t=t)
-    out = work.outputs[0]
-    c0 = c0s[out] if mode == "green" else spec.one()
-    return PathSumCertificate(g, s, {out: t}, {out: c0}, work)
+    """The vertex split of :func:`build_valiant_digraph` in ``mode``, with
+    unit -1 and s and t left whole: every cycle and every s-t path is even,
+    and c0 * sum_P (-1)^(|P|/2+1) w(P) = f over its s-t paths P."""
+    abp = build_valiant_digraph(f, mode)
+    g, copies = split_vertices(abp.graph, -f.spec.one(), [abp.s, *abp.targets.values()])
+    targets = {gid: copies[v][0] for gid, v in abp.targets.items()}
+    return PathSumCertificate(g, copies[abp.s][0], targets, abp.scalars, abp.source)
 
 
 def sym_matrix(f: Circuit, mode: str = "skinny") -> SymbolicMatrix:

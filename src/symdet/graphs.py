@@ -15,17 +15,17 @@ arcs into t by c, negate every other arc, merge t into s and give every
 other vertex a unit loop, so the cycle covers are the s-t paths, each of
 sign +1; then eliminate the unit-loop vertices that only relay a constant
 (:func:`eliminate_pivots`).  Without the negation (``sign=1``) the
-permanent is the path sum.  :func:`close_symmetric` joins
-t back to s of an undirected graph whose other vertices have exactly one
-matching completion; the graphs it closes are vertex splits
-(:func:`split_vertices`) of branching programs, or the formula gadgets,
-which are built undirected.  A lowering names the vertex count
-``path_len`` (mod 4) of the paths it counts positively, and the closing
-derives the sign that makes it so.  The tests audit each certificate by
-enumeration, a branching program by :func:`check_abp_certificate` and a
-symmetric gadget graph, with the same ``path_len``, by
-:func:`check_symmetric_certificate`; both import the oracles lazily, and no
-fast path imports them.
+permanent is the path sum.  :func:`close_symmetric` joins t back to s of
+an undirected graph whose other vertices have exactly one matching
+completion; every graph it closes is the vertex split
+(:func:`split_vertices`) of a branching program, the one symmetrization,
+which leaves s (and t, for the formula and DET_n programs) whole.  A
+lowering names the vertex count ``path_len`` (mod 4) of the paths it
+counts positively, and the closing derives the sign that makes it so.  The
+tests audit each certificate by enumeration, a branching program by
+:func:`check_abp_certificate` and a symmetric gadget graph, with the same
+``path_len``, by :func:`check_symmetric_certificate`; both import the
+oracles lazily, and no fast path imports them.
 
 :class:`SymbolicMatrix` is the target language: a square matrix whose
 entries are :class:`Weight` values, stored as its nonzeros only, one
@@ -180,12 +180,6 @@ class WeightedGraph:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"edge {u}-{v} outside vertex range")
         self.edges[key] = w
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
-    def remove_edge(self, u: int, v: int) -> Weight:
-        return self.edges.pop((min(u, v), max(u, v)))
 
     def copy(self) -> "WeightedGraph":
         g = WeightedGraph(self.spec)
@@ -349,7 +343,7 @@ def check_symmetric_certificate(
     ``path_len``, every acceptable one leaves a unique weight-1 matching, and
     scalars[a] * sum (-1)^((|P| - path_len)/2) w(P) = f_a over the acceptable
     P.  Returns the number of unacceptable paths skipped, none on a formula
-    gadget.  Exponential; intended for test builds up to ``max_vertices``."""
+    split.  Exponential; intended for test builds up to ``max_vertices``."""
     from .oracles import (
         all_cycles_even,
         complement_vertices,
@@ -544,7 +538,8 @@ def split_vertices(
 def close_symmetric(
     g: WeightedGraph, s: int, t: int, c: FieldElement, path_len: int
 ) -> SymbolicMatrix:
-    """The symmetric matrix closing the s-t paths P of ``g`` back into s, of
+    """The symmetric matrix closing the s-t paths P of ``g``, the vertex
+    split of a branching program (:func:`split_vertices`), back into s, of
     determinant c * sum (-1)^((|P| - path_len)/2) w(P): the edge t-s of
     weight sign*c/2 when |G| is odd, else one more vertex v with edges t-v of
     weight c/2 and v-s of weight sign.  A cycle cover runs one s-t path

@@ -7,7 +7,7 @@ from symdet.circuits import (
     parse_expression,
     random_circuit,
 )
-from symdet.fields import GF2_16, RATIONAL, CharTwoHalf
+from symdet.fields import GF2_16, PRIME_DEFAULT, RATIONAL, CharTwoHalf
 from symdet.formulas import (
     NotAFormula,
     build_sym_graph,
@@ -67,7 +67,8 @@ def test_valiant_digraph_random(rng):
     for _ in range(60):
         f = random_circuit("formula", rng.randint(0, 6), 3, rng,
                            weighted=True, const_prob=0.25)
-        check_abp_certificate(build_valiant_digraph(f))
+        for mode in ("green", "skinny"):
+            check_abp_certificate(build_valiant_digraph(f, mode))
 
 
 def test_valiant_matrix_x_is_1x1():
@@ -155,25 +156,42 @@ def test_sym_matrix_x_is_the_3x3_display():
 
 
 def test_sym_xy_matches_first_display():
-    """x+y: 5x5, equal to the worked 5x5 up to vertex order."""
+    """x+y: the worked 5x5 display, in vertex order s, u, v, t, c, is the
+    emitted matrix once its vertices are put in the emitted order s, t, u,
+    v, c and v's row and column are negated, a congruence by a signed
+    permutation: the emitted split gives the link u-v the unit -1 and the
+    rerouted arc's p->t the weight 1, where the display has 1 and -1."""
     m = sym_matrix(FXY, "skinny")
-    assert m.dim == 5 and m.symmetric
+    assert m.symmetric
     assert circuit_matches(symbolic_det(m), FXY)
-    rendered = {tuple(w.render() for w in row) for row in m.entries}
-    expected = {
-        ("0", "x", "0", "y", "-1"),
-        ("x", "0", "1", "0", "0"),
-        ("0", "1", "0", "-1", "0"),
-        ("y", "0", "-1", "0", "1/2"),
-        ("-1", "0", "0", "1/2", "0"),
-    }
-    # same multiset of rows as the worked example (vertex order: s,u,v,t,c)
-    assert {tuple(sorted(r)) for r in rendered} == {tuple(sorted(r)) for r in expected}
+    display = [
+        ["0", "x", "0", "y", "-1"],
+        ["x", "0", "1", "0", "0"],
+        ["0", "1", "0", "-1", "0"],
+        ["y", "0", "-1", "0", "1/2"],
+        ["-1", "0", "0", "1/2", "0"],
+    ]
+    order = [0, 3, 1, 2, 4]  # display index of each emitted vertex s, t, u, v, c
+    v = 3  # v's emitted index
+
+    def negated(cell: str) -> str:
+        return cell if cell == "0" else cell[1:] if cell.startswith("-") else "-" + cell
+
+    expected = [[negated(display[i][j]) if (a == v) != (b == v) else display[i][j]
+                 for b, j in enumerate(order)] for a, i in enumerate(order)]
+    assert [[w.render() for w in row] for row in m.entries] == expected
+    assert expected == [
+        ["0", "y", "x", "0", "-1"],
+        ["y", "0", "0", "1", "1/2"],
+        ["x", "0", "0", "-1", "0"],
+        ["0", "1", "-1", "0", "0"],
+        ["-1", "1/2", "0", "0", "0"],
+    ]
 
 
 def test_sym_conflict_repair_inserts_two_vertices():
     cert = build_sym_graph(FXY, "skinny")
-    assert cert.graph.n == 4  # s, t plus the rerouting pair
+    assert cert.graph.n == 4  # s, t plus the split of the rerouting vertex
     assert check_symmetric_certificate(cert, 2) == 0
 
 
@@ -205,6 +223,19 @@ def test_sym_green_certificate_random(rng):
         cert = build_sym_graph(f, "green")
         if cert.graph.n <= 12:
             assert check_symmetric_certificate(cert, 2) == 0
+
+
+@pytest.mark.parametrize("spec", [RATIONAL, PRIME_DEFAULT], ids=["Q", "Zp"])
+@pytest.mark.parametrize("mode", ["skinny", "green"])
+def test_sym_matrix_is_the_closed_split_of_the_formula_program(rng, spec, mode):
+    """Both formula lowerings ride on one program: the symmetric matrix
+    splits every vertex of the branching program but s and t, then closes
+    the even split by one vertex."""
+    for _ in range(40):
+        f = random_circuit("formula", rng.randint(0, 8), 4, rng, spec=spec,
+                           weighted=True, const_prob=0.2)
+        n = build_valiant_digraph(f, mode).graph.n
+        assert sym_matrix(f, mode).dim == 2 * n - 1
 
 
 def test_sym_matrix_dimension_and_alphabet(rng):

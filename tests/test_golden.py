@@ -65,15 +65,15 @@ GOLDEN_RENDERED = {
     "valiant":
         "a459ad52acf7f0942cfc0075be65cd5d5f09332fa896a245d68a0d862493711a",
     "sym skinny":
-        "85dcbc93355b926e44255c138f9f6e47c0f2170e3e323e411078933c57b54c67",
+        "c89f3cefc72bb0bb6380c9ebea94b702bce049126cdf0e4a325e8425d80a0ce6",
     "sym green":
-        "bd905b5d7c3fca8a5fd67fdddd8ce04ce28fec943c0c15780263c0eb4be2cc00",
+        "76212437a85e00801aa14d9844e5ab6c56a847178e334ccb4c2388440cef756a",
     "valiant digraph":
         "afe3415799371668add6634a43093f21176c3fc6da0b36af1fb15ab9ee4e2f34",
     "sym graph skinny":
-        "14e8554a3995011d3ef9947701475c34edb190b1f66dc10c8816795901ed7605",
+        "19037f6ffd5781c2d8a3fc9a8e7a3f5da3f7bca30ed92ab284bf222752bac2f0",
     "sym graph green":
-        "0d0aaf8eea9ac1d39195fffb4b41870d43cd9f80f1619c05ea39bbc2a678e5c1",
+        "8a9d3d5d78b98e9829ffb31c8b46636be21aa455e735b8d98fd656057eb2c3ab",
     "bound valiant green":
         "826f788e9fe93a1716eedf273738200f41c38c99043999c89a211183a483d127",
     "bound sym skinny":
@@ -108,9 +108,9 @@ GOLDEN_ROUND_TRIP = {
     "valiant":
         "17e50528b2eb07300015a116921dbcf2543721367755c48b5736a6d87bb4f79b",
     "sym skinny":
-        "6066d6f60ac59ff0c47af82322ffbcf268bca03c0dad6fe1aa6f8584f19bcd7f",
+        "722515f20a12f1b5c23a29290f92bdd5de14bd33143541d55691ea1f81591b92",
     "sym green":
-        "72a629936f643d9391e39d9c5c66d96fba1c09d429320238713f5fdef6a5b71c",
+        "2f4de9454a27b254d58eeecef865513a358c3f336ab4077029a7fc762f309ac0",
     "char2":
         "a9e3512ca4574b928d4b7701755955aaba5d6c5e63041a662a50e2019963f000",
 }

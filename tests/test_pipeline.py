@@ -303,3 +303,31 @@ def test_only_the_audits_the_exact_upgrade_and_the_demo_import_the_oracles():
                 importers.setdefault(path.stem, set()).add("oracles")
     assert set(importers) <= {"graphs", "verify", "cli", "__init__"}, importers
     assert importers["verify"] == {"symbolic_det"}
+
+
+def test_every_symmetric_matrix_is_the_closed_vertex_split_of_a_program():
+    """One symmetrization: an undirected graph is built only in ``graphs``
+    (the vertex split) and by the bipartite doubling of characteristic 2,
+    and only the three symmetric lowerings close one, so every symmetric
+    gadget matrix is the closed vertex split of a branching program."""
+    import ast
+    from pathlib import Path
+
+    def callers(name: str) -> set[tuple[str, str]]:
+        """(module, top-level definition) of every call of ``name``."""
+        found = set()
+        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "symdet").glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call) and name in (
+                            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                        found.add((path.stem, getattr(top, "name", "")))
+        return found
+
+    assert {(m, f) for m, f in callers("WeightedGraph") if m != "graphs"} == {
+        ("char2", "double_matrix")}
+    assert callers("close_symmetric") == {
+        ("formulas", "sym_lowering"),
+        ("weakly_skew", "ws_sym_lowering"),
+        ("determinant", "det_sym_lowering"),
+    }

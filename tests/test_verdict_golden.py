@@ -36,9 +36,9 @@ from tests.conftest import leibniz_det
 
 GOLDEN = {
     "sym skinny":
-        "986943a9f618b335d646a2b30e2c4e6dcc22b81c8d08c8221615d1995508e3ba",
+        "4e2e12342961a019939e70357e8a92c2ac000078ec18d8196b96ebbab218ca0e",
     "sym green":
-        "8f70de220a85cfebd9ec3cdeb341129f857cc8e7162b0c33b7b7307b18a27b82",
+        "524c9faf91466e00bf718ba635db9355773ab6a2f737562838d265b5694bed4b",
     "valiant":
         "71bbf1f613ab179fbffc54e72d67e25203b1555f4981f35a3247d584710e6b82",
     "ws-sym fat":
