@@ -3,8 +3,12 @@
 The gadget graphs of all constructions carry edge weights that are either a
 variable, a field constant, or (in intermediate digraphs only) a scaled
 variable.  Vertices are dense 0-based integers; distinguished vertices are
-recorded by role name so constructions are reproducible.  Graphs are
-undirected with loops allowed and no parallel edges; a graph's adjacency
+recorded by role name so constructions are reproducible.  A
+:class:`WeightedDigraph` is its arc map ``arcs``, the nonzeros of its
+adjacency matrix, with no parallel arcs.  An undirected graph, with loops
+allowed, is the :class:`WeightedDigraph` subclass :class:`WeightedGraph`
+whose arc map is symmetric: each edge is two opposite arcs of one weight,
+so its cycle covers are those of that symmetric digraph, and its adjacency
 matrix is symmetric by construction.
 
 Every construction ends in one of two closings of an s-t path-sum graph,
@@ -154,37 +158,29 @@ class WeightedDigraph:
             raise ValueError(f"arc {u}->{v} outside vertex range")
         self.arcs[(u, v)] = w
 
+    def copy(self) -> "WeightedDigraph":
+        g = type(self)(self.spec)
+        g.n, g.arcs, g.roles = self.n, dict(self.arcs), dict(self.roles)
+        return g
+
     def __repr__(self) -> str:
         return f"<digraph n={self.n} arcs={len(self.arcs)}>"
 
 
-class WeightedGraph:
-    """Edge-weighted undirected graph with loops, no parallel edges."""
-
-    def __init__(self, spec: FieldSpec = RATIONAL):
-        self.spec = spec
-        self.n = 0
-        self.edges: dict[tuple[int, int], Weight] = {}  # keys (u, v) with u <= v
-        self.roles: dict[str, int] = {}
-
-    def add_vertex(self) -> int:
-        self.n += 1
-        return self.n - 1
+class WeightedGraph(WeightedDigraph):
+    """Edge-weighted undirected graph with loops and no parallel edges,
+    stored as its symmetric digraph: an edge u-v is the two arcs u->v and
+    v->u of the same weight, a loop is one arc."""
 
     def add_edge(self, u: int, v: int, w: Weight) -> None:
-        if w.is_zero():
-            return
-        key = (min(u, v), max(u, v))
-        if key in self.edges:
-            raise ValueError(f"parallel edge {key}")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge {u}-{v} outside vertex range")
-        self.edges[key] = w
+        self.add_arc(u, v, w)
+        if u != v:
+            self.add_arc(v, u, w)
 
-    def copy(self) -> "WeightedGraph":
-        g = WeightedGraph(self.spec)
-        g.n, g.edges, g.roles = self.n, dict(self.edges), dict(self.roles)
-        return g
+    @property
+    def edges(self) -> dict[tuple[int, int], Weight]:
+        """Each edge once, keyed (u, v) with u <= v."""
+        return {(u, v): w for (u, v), w in self.arcs.items() if u <= v}
 
     def __repr__(self) -> str:
         return f"<graph n={self.n} edges={len(self.edges)}>"
@@ -281,17 +277,12 @@ def _sparse_row(row: Mapping[int, Weight] | Sequence[Weight], n: int) -> dict[in
     return {j: w for j, w in enumerate(row) if _stored(w)}
 
 
-def adjacency(g: WeightedGraph | WeightedDigraph) -> SymbolicMatrix:
-    """Adjacency matrix; graphs expand to symmetric digraphs."""
+def adjacency(g: WeightedDigraph) -> SymbolicMatrix:
+    """Adjacency matrix, symmetric exactly when ``g`` is a graph."""
     rows: list[dict[int, Weight]] = [{} for _ in range(g.n)]
-    if isinstance(g, WeightedDigraph):
-        for (u, v), w in g.arcs.items():
-            rows[u][v] = w
-        return SymbolicMatrix(rows, spec=g.spec, symmetric=False)
-    for (u, v), w in g.edges.items():
+    for (u, v), w in g.arcs.items():
         rows[u][v] = w
-        rows[v][u] = w
-    return SymbolicMatrix(rows, spec=g.spec, symmetric=True)
+    return SymbolicMatrix(rows, spec=g.spec, symmetric=isinstance(g, WeightedGraph))
 
 
 @dataclass
@@ -304,7 +295,7 @@ class PathSumCertificate:
     (-1)^((|P| - path_len)/2) of its closing
     (:func:`check_symmetric_certificate`)."""
 
-    graph: WeightedGraph | WeightedDigraph
+    graph: WeightedDigraph
     s: int
     targets: dict[int, int]
     scalars: dict[int, FieldElement]
@@ -595,10 +586,10 @@ def parse_matrix(text: str, spec: FieldSpec = RATIONAL) -> SymbolicMatrix:
     return SymbolicMatrix(rows, spec=spec, symmetric=symmetric)
 
 
-def export_dot(g: WeightedGraph | WeightedDigraph) -> str:
-    """Graphviz rendering; distinguished vertices keep their role names and
-    are double-circled."""
-    directed = isinstance(g, WeightedDigraph)
+def export_dot(g: WeightedDigraph) -> str:
+    """Graphviz rendering, each edge of a graph once; distinguished vertices
+    keep their role names and are double-circled."""
+    directed = not isinstance(g, WeightedGraph)
     name_of = {v: role for role, v in sorted(g.roles.items())}
 
     def node(v: int) -> str:
@@ -609,8 +600,7 @@ def export_dot(g: WeightedGraph | WeightedDigraph) -> str:
         shape = " [shape=doublecircle]" if v in name_of else ""
         lines.append(f"  {node(v)}{shape};")
     link = "->" if directed else "--"
-    items = g.arcs.items() if directed else g.edges.items()
-    for (u, v), w in sorted(items):
+    for (u, v), w in sorted((g.arcs if directed else g.edges).items()):
         lines.append(f'  {node(u)} {link} {node(v)} [label="{w.render()}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -2,9 +2,10 @@
 
 Everything here is deliberately independent of the constructions it checks.
 Cycle-cover sums enumerate vertex permutations directly (with backtracking on
-the arc structure); the symbolic determinant is a cofactor expansion over
-column subsets; the permanent uses inclusion-exclusion, and the
-characteristic-2 referee sums squared permanents of square submatrices.
+the arcs, so a graph's covers are those of its symmetric digraph); the
+symbolic determinant is a cofactor expansion over column subsets; the
+permanent uses inclusion-exclusion, and the characteristic-2 referee sums
+squared permanents of square submatrices.
 All of them return :class:`DensePolynomial` values and are capped at small
 dimensions.
 """
@@ -33,21 +34,8 @@ def _one(spec: FieldSpec, variables) -> DensePolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _arc_map(g: WeightedGraph | WeightedDigraph) -> dict[tuple[int, int], Weight]:
-    """Arcs of g seen as a digraph (graphs become symmetric digraphs)."""
-    if isinstance(g, WeightedDigraph):
-        return dict(g.arcs)
-    arcs: dict[tuple[int, int], Weight] = {}
-    for (u, v), w in g.edges.items():
-        arcs[(u, v)] = w
-        if u != v:
-            arcs[(v, u)] = w
-    return arcs
-
-
 def enumerate_cycle_covers(
-    g: WeightedGraph | WeightedDigraph,
-    vertices: Sequence[int] | None = None,
+    g: WeightedDigraph, vertices: Sequence[int] | None = None
 ) -> list[dict[int, int]]:
     """All cycle covers of the sub(di)graph induced on ``vertices``.
 
@@ -56,9 +44,8 @@ def enumerate_cycle_covers(
     """
     verts = list(range(g.n)) if vertices is None else sorted(vertices)
     vset = set(verts)
-    arcs = _arc_map(g)
     succ_options = {
-        u: [v for (a, v) in arcs if a == u and v in vset] for u in verts
+        u: [v for (a, v) in g.arcs if a == u and v in vset] for u in verts
     }
     covers: list[dict[int, int]] = []
     assignment: dict[int, int] = {}
@@ -106,22 +93,16 @@ def cover_sign(cover: dict[int, int]) -> int:
 
 
 def cover_weight(
-    g: WeightedGraph | WeightedDigraph,
-    cover: dict[int, int],
-    variables,
-    spec: FieldSpec,
+    g: WeightedDigraph, cover: dict[int, int], variables, spec: FieldSpec
 ) -> DensePolynomial:
-    arcs = _arc_map(g)
     w = _one(spec, variables)
     for u, v in cover.items():
-        w = w * arcs[(u, v)].as_polynomial(variables, spec)
+        w = w * g.arcs[(u, v)].as_polynomial(variables, spec)
     return w
 
 
 def cycle_cover_sum(
-    g: WeightedGraph | WeightedDigraph,
-    signed: bool,
-    variables: Sequence[str] | None = None,
+    g: WeightedDigraph, signed: bool, variables: Sequence[str] | None = None
 ) -> DensePolynomial:
     """Sum of (signed) weights of all cycle covers.
 
@@ -130,8 +111,7 @@ def cycle_cover_sum(
     """
     if g.n > 12:
         raise TooLarge(f"cycle cover enumeration capped at 12 vertices, got {g.n}")
-    weights = g.arcs.values() if isinstance(g, WeightedDigraph) else g.edges.values()
-    variables = tuple(variables) if variables is not None else _variables_of(weights)
+    variables = tuple(variables) if variables is not None else _variables_of(g.arcs.values())
     spec = g.spec
     total = DensePolynomial.zero(spec, variables)
     for cover in enumerate_cycle_covers(g):
@@ -152,16 +132,13 @@ def cycle_cover_sum_short(
     """
     if g.n > 16:
         raise TooLarge(f"short-cycle cover enumeration capped at 16 vertices, got {g.n}")
-    variables = (
-        tuple(variables) if variables is not None else _variables_of(g.edges.values())
-    )
+    variables = tuple(variables) if variables is not None else _variables_of(g.arcs.values())
     spec = g.spec
-    loops = {u: g.edges[(u, u)] for u in range(g.n) if (u, u) in g.edges}
+    loops = {u: w for (u, v), w in g.arcs.items() if u == v}
     adj: dict[int, list[tuple[int, Weight]]] = {u: [] for u in range(g.n)}
-    for (u, v), w in g.edges.items():
+    for (u, v), w in g.arcs.items():
         if u != v:
             adj[u].append((v, w))
-            adj[v].append((u, w))
 
     total = DensePolynomial.zero(spec, variables)
 
@@ -291,13 +268,10 @@ def referee_submatrix_sum(b: SymbolicMatrix) -> DensePolynomial:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_st_paths(
-    g: WeightedGraph | WeightedDigraph, s: int, t: int
-) -> list[list[int]]:
+def enumerate_st_paths(g: WeightedDigraph, s: int, t: int) -> list[list[int]]:
     """All simple s-t paths, as vertex lists (s and t included)."""
-    arcs = _arc_map(g)
     succ: dict[int, list[int]] = {u: [] for u in range(g.n)}
-    for (u, v) in arcs:
+    for (u, v) in g.arcs:
         if u != v:
             succ[u].append(v)
     for u in succ:
@@ -326,20 +300,16 @@ def enumerate_st_paths(
 
 
 def path_weight(
-    g: WeightedGraph | WeightedDigraph,
-    path: Sequence[int],
-    variables,
-    spec: FieldSpec,
+    g: WeightedDigraph, path: Sequence[int], variables, spec: FieldSpec
 ) -> DensePolynomial:
-    arcs = _arc_map(g)
     w = _one(spec, variables)
     for u, v in zip(path, path[1:]):
-        w = w * arcs[(u, v)].as_polynomial(variables, spec)
+        w = w * g.arcs[(u, v)].as_polynomial(variables, spec)
     return w
 
 
 def path_sum(
-    g: WeightedGraph | WeightedDigraph, paths: Iterable[Sequence[int]], variables
+    g: WeightedDigraph, paths: Iterable[Sequence[int]], variables
 ) -> DensePolynomial:
     """The unsigned sum of w(P) over ``paths`` of g."""
     total = DensePolynomial.zero(g.spec, variables)
@@ -373,19 +343,18 @@ def unique_cover_is_weight1_matching(g: WeightedGraph, vertices: Sequence[int]) 
     cycles = cover_cycles(cover)
     if any(len(c) != 2 for c in cycles):
         return False
-    variables = _variables_of(g.edges.values())
+    variables = _variables_of(g.arcs.values())
     w = cover_weight(g, cover, variables, g.spec)
     return w == _one(g.spec, variables)
 
 
 def all_cycles_even(g: WeightedGraph) -> bool:
     """Every cycle has even length, i.e. the graph is loopless and bipartite."""
-    if any(u == v for (u, v) in g.edges):
+    if any(u == v for (u, v) in g.arcs):
         return False
     adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
+    for u, v in g.arcs:
         adj[u].append(v)
-        adj[v].append(u)
     color: dict[int, int] = {}
     for start in range(g.n):
         if start in color:

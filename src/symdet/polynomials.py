@@ -139,23 +139,12 @@ class DensePolynomial:
                 coeffs[mono] = c if s is None else s + c
         return DensePolynomial(self.spec, self.variables, coeffs)
 
-    def __rmul__(self, other) -> "DensePolynomial":
-        if isinstance(other, FieldElement):
-            return self.scale(other)
-        return NotImplemented
-
     def scale(self, c: FieldElement) -> "DensePolynomial":
         if c.is_zero():
             return DensePolynomial.zero(self.spec, self.variables)
         return DensePolynomial(
             self.spec, self.variables, {m: c * v for m, v in self.coeffs.items()}
         )
-
-    def __pow__(self, e: int) -> "DensePolynomial":
-        result = DensePolynomial.constant(self.spec.one(), self.variables)
-        for _ in range(e):
-            result = result * self
-        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DensePolynomial):

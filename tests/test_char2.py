@@ -205,6 +205,19 @@ def test_partial_perm_identity_rejects_fewer_than_one_trial(n, trials):
         partial_perm_identity(SymbolicMatrix(entries, spec=GF2_16), trials=trials)
 
 
+def test_partial_perm_identity_needs_characteristic_2():
+    b = SymbolicMatrix([[Weight.var("b")]], spec=GF2)
+    with pytest.raises(NotCharTwo):
+        partial_perm_identity(b, spec=PRIME_DEFAULT)
+
+
+def test_plus_identity_refuses_an_occupied_diagonal():
+    a = SymbolicMatrix([[Weight.const(GF2.zero()), Weight.var("a")],
+                        [Weight.var("b"), Weight.var("c")]], spec=GF2)
+    with pytest.raises(ValueError, match="diagonal already occupied"):
+        plus_identity(a)
+
+
 def test_parity_of_partial_matchings_via_determinant(rng):
     """For 0/1 matrices, det(A+I) mod 2 is the parity of partial matchings."""
     for _ in range(10):

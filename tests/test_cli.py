@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from symdet.circuits import classify, evaluate, measure, parse_circuit, render_circuit
 from symdet.cli import main, parse_expression
 from symdet.fields import PRIME_DEFAULT, RATIONAL, sample_random
+from symdet.polynomials import expand_circuit, parse_polynomial
 
 
 def num(n):
@@ -371,6 +372,39 @@ def test_parse_expression_constant_only():
     assert evaluate(c, {})[0] == num(7)
     c = parse_expression("2*3 - 6")
     assert evaluate(c, {})[0] == num(0)
+
+
+# a scalar left over at the top scales the first arrow of a product; a bare
+# variable becomes the sum of its scaled arrow and a zero arrow from const 1
+LEFTOVER_SCALAR = [
+    ("-x*y", "-1 * x y", "vars x y\ng0 = input x\ng1 = input y\ng2 = mul g0*-1 g1\noutput g2\n"),
+    ("3*(x*y)", "3 * x y", "vars x y\ng0 = input x\ng1 = input y\ng2 = mul g0*3 g1\noutput g2\n"),
+    ("2*x", "2 * x", "vars x\ng0 = input x\ng1 = const 1\ng2 = add g0*2 g1*0\noutput g2\n"),
+    ("-x", "-1 * x", "vars x\ng0 = input x\ng1 = const 1\ng2 = add g0*-1 g1*0\noutput g2\n"),
+]
+
+
+@pytest.mark.parametrize("expr, poly, rendered", LEFTOVER_SCALAR, ids=[e for e, *_ in LEFTOVER_SCALAR])
+def test_parse_expression_applies_a_leftover_scalar(expr, poly, rendered):
+    c = parse_expression(expr)
+    assert expand_circuit(c)[0] == parse_polynomial(poly, c.variables)
+    assert render_circuit(c) == rendered
+
+
+@pytest.mark.parametrize("expr, poly, rendered", LEFTOVER_SCALAR, ids=[e for e, *_ in LEFTOVER_SCALAR])
+def test_cli_parse_render_echoes_the_canonical_circuit(capsys, expr, poly, rendered):
+    code, out, _ = run(["parse", f"--expr={expr}", "--render"], capsys)
+    assert code == 0
+    assert out.startswith("gates: 3\n") and out.endswith("\n" + rendered)
+
+
+def test_cli_verify_symbolic_mismatch_exits_1(tmp_path, capsys):
+    """det = x + p equals x in Z_p, p = 2^61 - 1, at every trial point, but
+    not over Q, where the exact comparison runs."""
+    matrix = tmp_path / "m.matrix"
+    matrix.write_text("2\nx -2305843009213693951\n1 1\n")
+    code, out, _ = run(["verify", "--expr", "x", str(matrix)], capsys)
+    assert code == 1 and out.startswith("FAILED (dimension 2, ")
 
 
 def test_cli_parse_reads_stdin(capsys, monkeypatch):

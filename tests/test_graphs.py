@@ -602,3 +602,64 @@ def test_symmetric_audit_catches_a_wrong_path_len(build, path_len, shift, messag
     cert = build(two_xy_plus_z())
     with pytest.raises(AssertionError, match=message):
         check_symmetric_certificate(cert, path_len + shift)
+
+
+def _random_graph(seed, spec=RATIONAL):
+    """A graph on 1-6 vertices with loops, zero weights, variables and
+    constants, each edge added in a random direction; returns the graph and
+    its nonzero edges keyed u <= v."""
+    rng = random.Random(seed)
+    g = WeightedGraph(spec)
+    for _ in range(rng.randint(1, 6)):
+        g.add_vertex()
+    placed = {}
+    for u in range(g.n):
+        for v in range(u, g.n):
+            r = rng.random()
+            if r < 0.3:
+                w = wv(rng.choice("abc"))
+            elif r < 0.6:
+                w = Weight.const(spec.from_int(rng.randint(-2, 2)))
+            else:
+                continue
+            g.add_edge(*((u, v) if rng.random() < 0.5 else (v, u)), w)
+            if not w.is_zero():
+                placed[u, v] = w
+    return g, placed
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_graph_is_the_symmetric_digraph_of_its_edges(seed):
+    """Every edge is stored as two arcs of one weight, every loop as one arc,
+    and ``edges`` lists each edge once, keyed u <= v."""
+    g, placed = _random_graph(seed)
+    assert g.arcs == {**placed, **{(v, u): w for (u, v), w in placed.items()}}
+    assert len(g.arcs) == 2 * len(placed) - sum(u == v for u, v in placed)
+    assert g.edges == placed and all(u <= v for u, v in g.edges)
+
+
+@pytest.mark.parametrize("spec", [RATIONAL, GF2], ids=str)
+@pytest.mark.parametrize("seed", range(15))
+def test_graph_reads_as_the_digraph_of_its_arcs(seed, spec):
+    """A digraph given the same arcs has the same adjacency rows, only not
+    flagged symmetric, and the same signed and unsigned cycle-cover sums."""
+    g, _ = _random_graph(seed, spec)
+    dg = WeightedDigraph(spec)
+    dg.n = g.n
+    for (u, v), w in g.arcs.items():
+        dg.add_arc(u, v, w)
+    mg, mdg = adjacency(g), adjacency(dg)
+    assert mg.rows == mdg.rows and mg.symmetric and not mdg.symmetric
+    for signed in (True, False):
+        assert cycle_cover_sum(g, signed) == cycle_cover_sum(dg, signed)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_graph_refuses_an_edge_in_either_direction_twice(seed):
+    g, placed = _random_graph(seed)
+    for u, v in placed:
+        with pytest.raises(ValueError):
+            g.add_edge(v, u, wv("z"))
+        with pytest.raises(ValueError):
+            g.add_edge(u, v, wv("z"))
+    assert g.edges == placed

@@ -331,3 +331,26 @@ def test_every_symmetric_matrix_is_the_closed_vertex_split_of_a_program():
         ("weakly_skew", "ws_sym_lowering"),
         ("determinant", "det_sym_lowering"),
     }
+
+
+def test_only_graphs_tells_a_graph_from_a_digraph():
+    """One graph representation: an undirected graph is the symmetric arc
+    map of its adjacency, so outside ``graphs`` no module reads the derived
+    ``edges`` view or asks ``isinstance`` whether a gadget graph is directed."""
+    import ast
+    from pathlib import Path
+
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "symdet").glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "edges":
+                found.append(f"{path.name}:{node.lineno}: reads .edges")
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                  and len(node.args) == 2):
+                named = {getattr(n, "id", None) or getattr(n, "attr", None)
+                         for n in ast.walk(node.args[1])}
+                if named & {"WeightedDigraph", "WeightedGraph"}:
+                    found.append(f"{path.name}:{node.lineno}: isinstance on a graph class")
+    assert not found, found

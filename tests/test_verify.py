@@ -190,6 +190,26 @@ def test_identity_test_exact_upgrade_small():
     assert verdict.status == VERIFIED_EXACT and verdict.field == "Q"
 
 
+def test_identity_test_reports_a_symbolic_mismatch_the_trials_miss():
+    """det = x + p with p = 2^61 - 1: over Q the exact comparison with the
+    circuit x fails, while in Z_p every trial agrees, so the verdict fails
+    with the mismatch named on both sides."""
+    from symdet.circuits import parse_expression
+
+    m = parse_matrix("2\nx -2305843009213693951\n1 1\n")
+    verdict = identity_test(parse_expression("x"), m)
+    assert verdict.status == FAILED and not verdict.ok
+    assert verdict.lhs == verdict.rhs == "symbolic mismatch"
+    assert verdict.trials == 20 and verdict.field == str(PRIME_DEFAULT)
+
+
+def test_identity_test_refuses_a_two_output_circuit():
+    b = CircuitBuilder()
+    c = b.build([b.var("x"), b.var("y")])
+    with pytest.raises(ValueError, match="single-output"):
+        identity_test(c, SymbolicMatrix([[Weight.var("x")]]))
+
+
 def test_identity_test_of_a_matrix_from_another_field_is_randomized():
     """The exact path needs one field for both sides: a circuit over Q and
     its matrix built over Z_p meet only in the test field, where they agree."""
