@@ -412,6 +412,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--expr" in argv[:-1]:  # its value may start with a minus, as in -x*y
+        i = argv.index("--expr")
+        argv[i:i + 2] = ["--expr=" + argv[i + 1]]
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)

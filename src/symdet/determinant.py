@@ -16,10 +16,9 @@ reaches exist; those that reach no sink are then dropped.  Sign-merging
 arcs of weight +-1 join the sinks into a single sink t.  The symmetric
 matrix is the one every construction builds (:mod:`symdet.graphs`): the
 program's vertex split, every vertex but s and t becoming an in/out pair
-joined by a unit edge, closed from t to s through one extra vertex (every
-s-t path has 2n+2 vertices and counts positively), of dimension at most
-4n^3 + 7 and with determinant DET_n; :func:`det_sym_lowering` returns it
-with the program it closes.
+joined by an edge of weight -1, closed from t to s through one extra
+vertex, of dimension at most 4n^3 + 7 and with determinant DET_n;
+:func:`det_sym_lowering` returns it with the program it closes.
 """
 
 from __future__ import annotations
@@ -153,6 +152,5 @@ def det_sym_matrix(n: int, spec: FieldSpec = RATIONAL) -> SymbolicMatrix:
 def det_sym_lowering(n: int, spec: FieldSpec = RATIONAL) -> tuple[SymbolicMatrix, LayeredAbp]:
     """:func:`det_sym_matrix` together with the branching program it closes."""
     abp = build_det_abp(n, spec)
-    g, copies = split_vertices(abp.digraph, spec.one(), [abp.s, abp.t])
-    # every s-t path has 2n+2 vertices and counts positively
-    return close_symmetric(g, copies[abp.s][0], copies[abp.t][0], spec.one(), 2 * n + 2), abp
+    g, copies = split_vertices(abp.digraph, [abp.s, abp.t])
+    return close_symmetric(g, copies[abp.s][0], copies[abp.t][0], spec.one()), abp

@@ -17,19 +17,17 @@ its arms in parallel.  The program comes in two modes:
 The non-symmetric lowering closes the program by
 :func:`~symdet.graphs.close_abp` into a matrix of dimension at most
 (green size + 1) when the formula has an addition.  The symmetric lowering
-closes its vertex split (:func:`~symdet.graphs.split_vertices`, unit -1,
-s and t whole), whose s-t paths P satisfy
-c0 * sum_P (-1)^(|P|/2+1) w(P) = f, by
-:func:`~symdet.graphs.close_symmetric` into a symmetric matrix of
-dimension at most 2e+3 (e = skinny or green size, by mode).
+closes its vertex split (:func:`~symdet.graphs.split_vertices`, s and t
+whole, so |G| is even) by :func:`~symdet.graphs.close_symmetric` into a
+symmetric matrix of determinant c0 * sum_P w(P) = f and dimension at most
+2e+3 (e = skinny or green size, by mode).
 
 Constant multiplications are free: they ride on c0 and on arc weights; the
 c0 of a product is the product of its arguments' scalars.  Certificates
 retain the program or its split, which the tests audit with
 :func:`~symdet.graphs.check_abp_certificate` and the one symmetric audit,
-:func:`~symdet.graphs.check_symmetric_certificate` (with ``path_len`` 2);
-neither is on a build's path, and no fast path imports the oracles they
-enumerate with.
+:func:`~symdet.graphs.check_symmetric_certificate`; neither is on a
+build's path, and no fast path imports the oracles they enumerate with.
 """
 
 from __future__ import annotations
@@ -51,10 +49,10 @@ from .graphs import (
     WeightedDigraph,
     close_abp,
     close_symmetric,
+    input_weight,
     split_vertices,
 )
 from .minimize import green_form
-from .weakly_skew import _input_weight
 
 
 class NotAFormula(CircuitError):
@@ -130,7 +128,7 @@ def build_valiant_digraph(f: Circuit, mode: str = "green") -> PathSumCertificate
             continue
         gate = work.gates[gid]
         if gate.is_input:
-            arc = _input_weight(gate)
+            arc = input_weight(gate)
             if (a, b) in dg.arcs and not arc.is_zero():
                 p = dg.add_vertex()
                 dg.add_arc(a, p, dg.arcs.pop((a, b)))
@@ -203,10 +201,10 @@ def valiant_lowering(f: Circuit) -> tuple[SymbolicMatrix, PathSumCertificate]:
 
 def build_sym_graph(f: Circuit, mode: str = "skinny") -> PathSumCertificate:
     """The vertex split of :func:`build_valiant_digraph` in ``mode``, with
-    unit -1 and s and t left whole: every cycle and every s-t path is even,
-    and c0 * sum_P (-1)^(|P|/2+1) w(P) = f over its s-t paths P."""
+    s and t left whole: every cycle and every s-t path is even, and
+    c0 * sum_P (-1)^(|P|/2+1) w(P) = f over its s-t paths P."""
     abp = build_valiant_digraph(f, mode)
-    g, copies = split_vertices(abp.graph, -f.spec.one(), [abp.s, *abp.targets.values()])
+    g, copies = split_vertices(abp.graph, [abp.s, *abp.targets.values()])
     targets = {gid: copies[v][0] for gid, v in abp.targets.items()}
     return PathSumCertificate(g, copies[abp.s][0], targets, abp.scalars, abp.source)
 
@@ -226,5 +224,4 @@ def sym_lowering(
     """:func:`sym_matrix` together with the certificate it closes, whose
     graph the closing leaves unchanged."""
     cert = build_sym_graph(f, mode)
-    # the path sum counts (-1)^(|P|/2+1) w(P): paths of 2 vertices positively
-    return close_symmetric(cert.graph, cert.s, *cert.output(), 2), cert
+    return close_symmetric(cert.graph, cert.s, *cert.output()), cert

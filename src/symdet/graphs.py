@@ -19,17 +19,16 @@ arcs into t by c, negate every other arc, merge t into s and give every
 other vertex a unit loop, so the cycle covers are the s-t paths, each of
 sign +1; then eliminate the unit-loop vertices that only relay a constant
 (:func:`eliminate_pivots`).  Without the negation (``sign=1``) the
-permanent is the path sum.  :func:`close_symmetric` joins t back to s of
-an undirected graph whose other vertices have exactly one matching
-completion; every graph it closes is the vertex split
-(:func:`split_vertices`) of a branching program, the one symmetrization,
-which leaves s (and t, for the formula and DET_n programs) whole.  A
-lowering names the vertex count ``path_len`` (mod 4) of the paths it
-counts positively, and the closing derives the sign that makes it so.  The
-tests audit each certificate by enumeration, a branching program by
-:func:`check_abp_certificate` and a symmetric gadget graph, with the same
-``path_len``, by :func:`check_symmetric_certificate`; both import the
-oracles lazily, and no fast path imports them.
+permanent is the path sum.  The one symmetrization is the vertex split
+(:func:`split_vertices`): every vertex but s (and t, when |G| is even)
+becomes an in/out pair joined by a link of weight -1, so a program path
+through k split vertices gains the sign (-1)^k.  :func:`close_symmetric`
+joins t back to s of such a split with the sign that |G| fixes, which
+cancels it, so its determinant is again c * sum_P w(P) over the program's
+s-t paths.  The tests audit each certificate by enumeration, a branching
+program by :func:`check_abp_certificate` and a symmetric gadget graph by
+:func:`check_symmetric_certificate`; both import the oracles lazily, and
+no fast path imports them.
 
 :class:`SymbolicMatrix` is the target language: a square matrix whose
 entries are :class:`Weight` values, stored as its nonzeros only, one
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
-from .circuits import Circuit, classify, is_variable_name
+from .circuits import VAR, Circuit, classify, is_variable_name
 from .fields import RATIONAL, FieldElement, FieldSpec, embed, half, parse_element
 from .polynomials import DensePolynomial, expand_gate_values
 
@@ -113,6 +112,11 @@ class Weight:
 
     def __repr__(self) -> str:
         return f"Weight({self.render()})"
+
+
+def input_weight(gate) -> Weight:
+    """The arc weight an input gate puts on a branching program."""
+    return Weight.var(gate.name) if gate.kind == VAR else Weight.const(gate.value)
 
 
 def parse_weight(token: str, spec: FieldSpec) -> Weight:
@@ -292,7 +296,7 @@ class PathSumCertificate:
     s to ``targets[a]`` is the value f_a of gate a of ``source``.  The sum
     is unsigned for a branching program (:func:`check_abp_certificate`); a
     symmetric gadget graph counts each path P with the sign
-    (-1)^((|P| - path_len)/2) of its closing
+    (-1)^((|P| - u)/2) of its closing, u = 2 - |G| mod 2
     (:func:`check_symmetric_certificate`)."""
 
     graph: WeightedDigraph
@@ -323,17 +327,15 @@ def check_abp_certificate(cert: PathSumCertificate) -> None:
                 f"ABP path-sum identity failed at gate {gid}")
 
 
-def check_symmetric_certificate(
-    cert: PathSumCertificate, path_len: int, max_vertices: int = 14
-) -> int:
+def check_symmetric_certificate(cert: PathSumCertificate, max_vertices: int = 14) -> int:
     """Audit a symmetric gadget graph by enumerating its paths, with the
-    ``path_len`` that :func:`close_symmetric` takes: |G| has the parity of
-    ``path_len`` and every cycle is even; G minus {s} (|G| odd) or minus
+    sign of :func:`close_symmetric`, which u = 2 - |G| mod 2 whole vertices
+    per path fix: every cycle is even; G minus {s} (|G| odd) or minus
     {s, t} (|G| even) has a unique weight-1 matching; and for every reusable
-    gate a of ``targets``, every s-targets[a] path P has the parity of
-    ``path_len``, every acceptable one leaves a unique weight-1 matching, and
-    scalars[a] * sum (-1)^((|P| - path_len)/2) w(P) = f_a over the acceptable
-    P.  Returns the number of unacceptable paths skipped, none on a formula
+    gate a of ``targets``, every s-targets[a] path P has the parity of u,
+    every acceptable one leaves a unique weight-1 matching, and
+    scalars[a] * sum (-1)^((|P| - u)/2) w(P) = f_a over the acceptable P.
+    Returns the number of unacceptable paths skipped, none on a formula
     split.  Exponential; intended for test builds up to ``max_vertices``."""
     from .oracles import (
         all_cycles_even,
@@ -348,9 +350,9 @@ def check_symmetric_certificate(
     assert isinstance(g, WeightedGraph), "symmetric certificate needs a graph"
     if g.n > max_vertices:
         raise ValueError(f"certificate audit capped at {max_vertices} vertices")
-    assert (g.n - path_len) % 2 == 0, f"{g.n} vertices, path_len {path_len}: parities differ"
     assert all_cycles_even(g), "odd cycle in gadget graph"
-    base = [cert.s] if g.n % 2 else [cert.s, cert.output()[0]]
+    whole = 2 - g.n % 2  # s, and t when |G| is even: on every s-t path
+    base = [cert.s, cert.output()[0]][:whole]
     assert unique_cover_is_weight1_matching(g, complement_vertices(g, base)), (
         f"G minus {base} must have a unique weight-1 matching cover")
     values = expand_gate_values(source)
@@ -361,15 +363,15 @@ def check_symmetric_certificate(
             continue
         total = DensePolynomial.zero(g.spec, source.variables)
         for path in enumerate_st_paths(g, cert.s, t):
-            assert (len(path) - path_len) % 2 == 0, (
-                f"s-t path of {len(path)} vertices at gate {gid}, path_len {path_len}")
+            assert (len(path) - whole) % 2 == 0, (
+                f"s-t path of {len(path)} vertices at gate {gid}, {whole} of them whole")
             if not is_acceptable(g, path):
                 skipped += 1
                 continue
             assert unique_cover_is_weight1_matching(g, complement_vertices(g, path)), (
                 f"path complement at gate {gid} must have a unique weight-1 matching cover")
             w = path_weight(g, path, source.variables, g.spec)
-            total = total + (-w if (len(path) - path_len) // 2 % 2 else w)
+            total = total + (-w if (len(path) - whole) // 2 % 2 else w)
         assert total.scale(cert.scalars[gid]) == values[gid], (
             f"symmetric path-sum identity failed at gate {gid}")
     return skipped
@@ -502,21 +504,21 @@ def eliminate_pivots(dg: WeightedDigraph, sign: int = -1) -> WeightedDigraph:
 
 
 def split_vertices(
-    dg: WeightedDigraph, unit: FieldElement, single: Iterable[int]
+    dg: WeightedDigraph, single: Iterable[int]
 ) -> tuple[WeightedGraph, list[tuple[int, int]]]:
     """Undirected vertex split of a digraph: every vertex not in ``single``
-    becomes an in copy and an out copy joined by an edge of weight ``unit``,
-    and arc (u, v) becomes the edge from the out copy of u to the in copy of
-    v.  Vertices keep their order, in copy first; an unsplit vertex is its
-    own in and out copy and keeps its roles.  Returns the graph and the
-    (in, out) copies of every vertex."""
+    becomes an in copy and an out copy joined by a link of weight -1, and
+    arc (u, v) becomes the edge from the out copy of u to the in copy of v.
+    Vertices keep their order, in copy first; an unsplit vertex is its own
+    in and out copy and keeps its roles.  Returns the graph and the (in,
+    out) copies of every vertex."""
     g = WeightedGraph(dg.spec)
     single = set(single)
     copies = []
     for v in range(dg.n):
         v_in = g.add_vertex()
         copies.append((v_in, v_in if v in single else g.add_vertex()))
-    link = Weight.const(unit)
+    link = Weight.const(-dg.spec.one())
     for v_in, v_out in copies:
         if v_in != v_out:
             g.add_edge(v_in, v_out, link)
@@ -526,19 +528,20 @@ def split_vertices(
     return g, copies
 
 
-def close_symmetric(
-    g: WeightedGraph, s: int, t: int, c: FieldElement, path_len: int
-) -> SymbolicMatrix:
-    """The symmetric matrix closing the s-t paths P of ``g``, the vertex
-    split of a branching program (:func:`split_vertices`), back into s, of
-    determinant c * sum (-1)^((|P| - path_len)/2) w(P): the edge t-s of
-    weight sign*c/2 when |G| is odd, else one more vertex v with edges t-v of
-    weight c/2 and v-s of weight sign.  A cycle cover runs one s-t path
-    through the closing and completes it by the unique matching of the rest,
-    of sign (-1)^((|G| - |P|)/2), which sign = (-1)^((|G| - path_len)/2)
-    turns into the path's; c/2 counts each path once for its two directions.
-    ``path_len`` has the parity of |G|.  ``g`` is left unchanged."""
-    sign = g.spec.from_int((-1) ** ((g.n - path_len) // 2 % 2))
+def close_symmetric(g: WeightedGraph, s: int, t: int, c: FieldElement) -> SymbolicMatrix:
+    """The symmetric matrix closing the s-t paths of ``g``, the vertex split
+    of a branching program (:func:`split_vertices`), back into s, of
+    determinant c * sum_P w(P) over the program's s-t paths P: the edge t-s
+    of weight sign*c/2 when |G| is odd, else one more vertex v with edges
+    t-v of weight c/2 and v-s of weight sign.  A program path through k
+    split vertices is a path of 2k + u vertices of G, u = 2 - |G| mod 2 of
+    them whole, whose links give it the sign (-1)^k.  A cycle cover runs it
+    through the closing and completes it by the unique matching of the
+    rest, of sign (-1)^((|G| - 2k - u)/2), which sign = (-1)^((|G| - u)/2)
+    turns into (-1)^k; c/2 counts each path once for its two directions.
+    ``g`` is left unchanged."""
+    whole = 2 - g.n % 2  # s, and t when |G| is even: on every s-t path
+    sign = g.spec.from_int((-1) ** ((g.n - whole) // 2 % 2))
     g = g.copy()
     if g.n % 2:
         g.add_edge(t, s, Weight.const(sign * c * half(g.spec)))

@@ -70,7 +70,7 @@ from .polynomials import expand_circuit
 
 
 class FieldTooSmall(FieldError):
-    """Identity testing needs at least 2^16 field elements."""
+    """Identity testing needs a finite field of at least 2^16 elements."""
 
 
 def testable(spec: FieldSpec) -> bool:
@@ -82,7 +82,8 @@ def _trial_count(spec: FieldSpec, trials: int | None) -> int:
     """The checked number of trials in ``spec``, by default 20 from 2^32
     elements up and 40 below."""
     if not testable(spec):
-        raise FieldTooSmall(f"{spec} has fewer than 2^16 elements")
+        raise FieldTooSmall(f"{spec} has fewer than 2^16 elements" if spec.size else
+                            f"identity testing samples from a finite field, not {spec}")
     if trials is None:
         trials = 20 if spec.size >= (1 << 32) else 40
     if trials < 1:

@@ -9,18 +9,20 @@ vertex of its reusable argument, and takes the closed argument's vertex.
 For every reusable gate a, c_a times the sum of w(P) over the
 s-to-vertex(a) paths is f_a.
 
-The symmetric construction is the vertex split of that ABP: every vertex
-but s becomes an in/out pair joined by an edge of weight -1, and t_a is the
-out copy of the vertex of a.  The split graph has |G| odd, all cycles even,
-all s-t_a-paths odd, a unique weight-1 perfect-matching completion for
-every acceptable path, and
+The symmetric construction is the vertex split of that ABP
+(:func:`~symdet.graphs.split_vertices`): every vertex but s becomes an
+in/out pair joined by an edge of weight -1, and t_a is the out copy of the
+vertex of a.  The split graph has |G| odd, all cycles even, all
+s-t_a-paths odd, a unique weight-1 perfect-matching completion for every
+acceptable path, and
 
     c_a * sum over acceptable s-t_a-paths of (-1)^((|P|-1)/2) w(P) = f_a.
 
-Closing the output t-vertex back to s, with paths of 1 vertex counted
-positively (:func:`~symdet.graphs.close_symmetric`), gives a symmetric
-matrix of dimension at most 2m+1 (fat mode) or 2(e+i)+1 (green mode, after
-minimization, with constant addition arguments absorbed into arc weights).
+Closing the output t-vertex back to s
+(:func:`~symdet.graphs.close_symmetric`) gives a symmetric matrix of
+determinant f and dimension at most 2m+1 (fat mode) or 2(e+i)+1 (green
+mode, after minimization, with constant addition arguments absorbed into
+arc weights).
 
 The non-symmetric lowering closes the ABP itself, c_t * sum_P w(P) = f
 over the s-t paths P of the output t, by the one closing rule of
@@ -52,6 +54,7 @@ from .graphs import (
     WeightedDigraph,
     close_abp,
     close_symmetric,
+    input_weight,
     split_vertices,
 )
 from .minimize import minimize
@@ -59,12 +62,6 @@ from .minimize import minimize
 
 class NotWeaklySkew(CircuitError):
     pass
-
-
-def _input_weight(gate) -> Weight:
-    if gate.kind == VAR:
-        return Weight.var(gate.name)
-    return Weight.const(gate.value)
 
 
 def build_ws_abp(circuit: Circuit, mode: str = "fat") -> PathSumCertificate:
@@ -128,7 +125,7 @@ def build_ws_abp(circuit: Circuit, mode: str = "fat") -> PathSumCertificate:
     def arms(gate, s: int) -> list[tuple[int, Weight]]:
         """The arcs feeding the vertex of an input or addition."""
         if gate.is_input:
-            return [(s, _input_weight(gate))]
+            return [(s, input_weight(gate))]
         beta, total = folded(gate), {}
         for x, w in gate.args:
             u, c = (s, gates[x].value) if x == beta else (vertex[x], c_of[x])
@@ -160,10 +157,10 @@ def build_ws_abp(circuit: Circuit, mode: str = "fat") -> PathSumCertificate:
 
 def build_ws_graph(circuit: Circuit, mode: str = "fat") -> PathSumCertificate:
     """Gadget graph for a multiple-output weakly skew circuit: the vertex
-    split of :func:`build_ws_abp` with unit -1, s left whole, and the out
-    copy of its ABP vertex as each gate's t-vertex."""
+    split of :func:`build_ws_abp` with s left whole, and the out copy of
+    its ABP vertex as each gate's t-vertex."""
     abp = build_ws_abp(circuit, mode)
-    g, copies = split_vertices(abp.graph, -circuit.spec.one(), [abp.s])
+    g, copies = split_vertices(abp.graph, [abp.s])
     targets = {gid: copies[v][1] for gid, v in abp.targets.items()}
     return PathSumCertificate(g, abp.s, targets, abp.scalars, abp.source)
 
@@ -197,8 +194,7 @@ def ws_sym_lowering(
     if fallback is not None:
         return fallback, None
     cert = build_ws_graph(circuit, mode)
-    # the path sum counts (-1)^((|P|-1)/2) w(P): paths of 1 vertex positively
-    return close_symmetric(cert.graph, cert.s, *cert.output(), 1), cert
+    return close_symmetric(cert.graph, cert.s, *cert.output()), cert
 
 
 # ---------------------------------------------------------------------------

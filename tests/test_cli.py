@@ -398,6 +398,28 @@ def test_cli_parse_render_echoes_the_canonical_circuit(capsys, expr, poly, rende
     assert out.startswith("gates: 3\n") and out.endswith("\n" + rendered)
 
 
+@pytest.mark.parametrize("command, expr", [
+    (["parse"], "-x*y"), (["minimize"], "-x"), (["build", "--method", "valiant"], "-x"),
+    (["char2-square"], "-x"), (["verify"], "-x"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_cli_expr_with_a_leading_minus_on_every_circuit_command(tmp_path, capsys, command, expr):
+    """``--expr`` takes the next argument whatever it starts with, and reads
+    it as ``--expr=<value>`` does."""
+    matrix = tmp_path / "m.matrix"
+    matrix.write_text("1\n-1*x\n")
+    tail = [str(matrix)] if command == ["verify"] else []
+    code, out, err = run(command + ["--expr", expr] + tail, capsys)
+    assert code == 0 and out
+    assert run(command + [f"--expr={expr}"] + tail, capsys) == (code, out, err)
+
+
+def test_cli_expr_without_a_value_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["parse", "--expr"])
+    assert exc.value.code == 2
+    assert "argument --expr: expected one argument" in capsys.readouterr().err
+
+
 def test_cli_verify_symbolic_mismatch_exits_1(tmp_path, capsys):
     """det = x + p equals x in Z_p, p = 2^61 - 1, at every trial point, but
     not over Q, where the exact comparison runs."""
@@ -772,6 +794,15 @@ def test_cli_verify_in_too_small_a_field_exits_1(tmp_path, capsys, test_field):
     code, out, err = run(["verify", str(circ), str(mat), "--test-field", test_field], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "2^16" in err
+
+
+def test_cli_verify_over_q_names_the_finite_field_it_needs(tmp_path, capsys):
+    """Q is refused for being infinite, not small: the trials sample points."""
+    mat = tmp_path / "m.matrix"
+    mat.write_text("1\nx\n")
+    code, out, err = run(["verify", "--expr", "x", str(mat), "--test-field", "q"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: identity testing samples from a finite field, not Q\n"
 
 
 def test_cli_pperm_beyond_the_symbolic_cap_exits_1(tmp_path, capsys):

@@ -146,7 +146,7 @@ def test_sym_graph_base_case():
     g = cert.graph
     assert g.n == 2
     assert list(g.edges.values())[0].render() == "x"
-    assert check_symmetric_certificate(cert, 2) == 0
+    assert check_symmetric_certificate(cert) == 0
 
 
 def test_sym_matrix_x_is_the_3x3_display():
@@ -192,7 +192,7 @@ def test_sym_xy_matches_first_display():
 def test_sym_conflict_repair_inserts_two_vertices():
     cert = build_sym_graph(FXY, "skinny")
     assert cert.graph.n == 4  # s, t plus the split of the rerouting vertex
-    assert check_symmetric_certificate(cert, 2) == 0
+    assert check_symmetric_certificate(cert) == 0
 
 
 def test_sym_chain_of_additions_vertex_count():
@@ -205,7 +205,7 @@ def test_sym_chain_of_additions_vertex_count():
         f = b.build([acc])
         cert = build_sym_graph(f, "skinny")
         assert cert.graph.n == 2 * n + 2, (n, cert.graph.n)
-        assert check_symmetric_certificate(cert, 2) == 0
+        assert check_symmetric_certificate(cert) == 0
 
 
 def test_sym_certificate_random(rng):
@@ -213,7 +213,7 @@ def test_sym_certificate_random(rng):
         f = random_circuit("formula", rng.randint(0, 5), 3, rng, const_prob=0.2)
         cert = build_sym_graph(f, "skinny")
         if cert.graph.n <= 12:
-            assert check_symmetric_certificate(cert, 2) == 0
+            assert check_symmetric_certificate(cert) == 0
 
 
 def test_sym_green_certificate_random(rng):
@@ -222,7 +222,7 @@ def test_sym_green_certificate_random(rng):
                            weighted=True, const_prob=0.3)
         cert = build_sym_graph(f, "green")
         if cert.graph.n <= 12:
-            assert check_symmetric_certificate(cert, 2) == 0
+            assert check_symmetric_certificate(cert) == 0
 
 
 @pytest.mark.parametrize("spec", [RATIONAL, PRIME_DEFAULT], ids=["Q", "Zp"])
@@ -318,7 +318,7 @@ def test_sym_graph_lower_bound_tight_on_sum_of_products():
         assert measure(f).skinny == 2 * n
         cert = build_sym_graph(f, "skinny")
         assert cert.graph.n == 2 * n + 2
-        assert check_symmetric_certificate(cert, 2) == 0
+        assert check_symmetric_certificate(cert) == 0
 
 
 @pytest.mark.parametrize("build", [lambda c: build_sym_graph(c, "green"),

@@ -209,8 +209,8 @@ POOLS = {
     PRIME_DEFAULT: (0, 1, -1, 2, Fraction(1, 2)),
     GF2_16: tuple(GF2_16.from_bits(mask) for mask in (0, 1, 0x2, 0x3, 0x8000)),
 }
-# the symmetric methods, with the path_len their closing counts positively
-PATH_LEN = {"sym": 2, "ws-sym": 1}
+# the symmetric methods
+SYMMETRIC = ("sym", "ws-sym")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -226,15 +226,15 @@ def test_every_build_of_a_small_weighted_circuit_is_certified(spec, profile, bud
     for method, (sizes, builder) in _BUILDERS.items():
         if not (cl.is_formula if method in ("valiant", "sym") else cl.is_weakly_skew):
             continue
-        if char2 and method in PATH_LEN:  # the symmetric closing needs 1/2
+        if char2 and method in SYMMETRIC:  # the symmetric closing needs 1/2
             continue
         for size in sizes:
             matrix, cert = builder(c, size)
             assert matrix.dim <= build_bound(method, size, c), (method, size)
             assert identity_test(c, matrix, spec=test_spec).ok, (method, size)
             if cert is not None and cert.graph.n <= 12:
-                if method in PATH_LEN:  # a formula gadget has no unacceptable path
-                    skipped = check_symmetric_certificate(cert, PATH_LEN[method])
+                if method in SYMMETRIC:  # a formula gadget has no unacceptable path
+                    skipped = check_symmetric_certificate(cert)
                     assert method != "sym" or skipped == 0
                 else:
                     check_abp_certificate(cert)

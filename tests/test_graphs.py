@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdet.circuits import CircuitBuilder
+from symdet.circuits import CircuitBuilder, random_circuit
+from symdet.determinant import build_det_abp
 from symdet.fields import GF2, GF2_16, PRIME_DEFAULT, RATIONAL, FieldSpec, embed
-from symdet.formulas import build_sym_graph
+from symdet.formulas import build_sym_graph, build_valiant_digraph
 from symdet.graphs import (
     SymbolicMatrix,
     Weight,
@@ -36,7 +37,7 @@ from symdet.oracles import (
 )
 from symdet.polynomials import DensePolynomial, TooLarge, parse_polynomial
 from symdet.verify import CompiledMatrix, _dense_det
-from symdet.weakly_skew import build_ws_graph
+from symdet.weakly_skew import build_ws_abp, build_ws_graph
 from tests.conftest import lanes_of, poly_equal
 
 
@@ -399,16 +400,16 @@ def _small_abp() -> WeightedDigraph:
     return dg
 
 
-@pytest.mark.parametrize("unit, single", [(1, (0,)), (-1, (0,)), (1, (0, 2)), (-1, (0, 2))])
-def test_split_vertices_pairs_the_split_vertices_in_order(unit, single):
+@pytest.mark.parametrize("single", [(0,), (0, 2)])
+def test_split_vertices_pairs_the_split_vertices_in_order(single):
     dg = _small_abp()
-    g, copies = split_vertices(dg, RATIONAL.from_int(unit), single)
+    g, copies = split_vertices(dg, single)
     expected, n = [], 0
     for v in range(3):
         expected.append((n, n) if v in single else (n, n + 1))
         n = expected[-1][1] + 1
     assert copies == expected and g.n == n
-    edges = {(copies[v][0], copies[v][1]): wc(unit) for v in range(3) if v not in single}
+    edges = {(copies[v][0], copies[v][1]): wc(-1) for v in range(3) if v not in single}
     for (u, v), w in dg.arcs.items():
         edges[tuple(sorted((copies[u][1], copies[v][0])))] = w
     assert g.edges == edges
@@ -416,37 +417,73 @@ def test_split_vertices_pairs_the_split_vertices_in_order(unit, single):
     assert g.roles == {role: copies[v][0] for role, v in dg.roles.items() if v in single}
 
 
-@pytest.mark.parametrize("single, path_len", [
+@pytest.mark.parametrize("single, whole", [
     pytest.param((0,), 1, id="odd-1"),
-    pytest.param((0,), 3, id="odd-3"),
     pytest.param((0, 2), 2, id="even-2"),
-    pytest.param((0, 2), 4, id="even-4"),
 ])
-def test_close_symmetric_determinant_is_the_signed_path_sum(single, path_len):
-    """At odd |G| (s whole, unit -1) the closing is the edge t-s, at even |G|
-    (s and t whole, unit 1) one more vertex.  A cover runs one s-t path
-    through the closing in either direction and pairs the rest of G by unit
-    edges, so the determinant is c times the path sum that counts paths of
-    ``path_len`` vertices (mod 4) positively and the others negatively."""
-    unit = -1 if len(single) == 1 else 1
-    g, copies = split_vertices(_small_abp(), RATIONAL.from_int(unit), single)
+def test_close_symmetric_determinant_is_the_signed_path_sum(single, whole):
+    """At odd |G| (s whole) the closing is the edge t-s, at even |G| (s and
+    t whole) one more vertex.  A cover runs one s-t path through the closing
+    in either direction and pairs the rest of G by its -1 links, so the
+    determinant is c times the path sum that counts paths of ``whole``
+    vertices (mod 4) positively and the others negatively; the links of the
+    split vertices cancel that sign, which leaves the program's unsigned
+    path sum c * (x*y + z)."""
+    g, copies = split_vertices(_small_abp(), single)
     s, t = copies[0][0], copies[2][1]
     c = RATIONAL.from_int(3)
     before = (g.n, dict(g.edges), dict(g.roles))
-    m = close_symmetric(g, s, t, c, path_len)
+    m = close_symmetric(g, s, t, c)
     assert (g.n, g.edges, g.roles) == before
-    assert m.symmetric and m.dim == g.n + (g.n + 1) % 2
+    assert m.symmetric and m.dim == g.n + (g.n + 1) % 2 and g.n % 2 == whole % 2
     names = ("x", "y", "z")
     x, y, z = (DensePolynomial.variable(v, names, RATIONAL) for v in names)
-    u = RATIONAL.from_int(unit)
     if len(single) == 1:  # s a_in a_out t_in t_out, and s t_in t_out
-        paths = [(5, (x * y).scale(u * u)), (3, z.scale(u))]
+        paths = [(5, x * y), (3, -z)]
     else:                 # s a_in a_out t, and s t
-        paths = [(4, (x * y).scale(u)), (2, z)]
+        paths = [(4, -(x * y)), (2, z)]
     total = DensePolynomial.zero(RATIONAL, names)
     for vertices, w in paths:
-        total = total + w.scale(RATIONAL.from_int((-1) ** ((vertices - path_len) // 2 % 2)))
+        total = total + w.scale(RATIONAL.from_int((-1) ** ((vertices - whole) // 2 % 2)))
+    assert total == x * y + z
     assert poly_equal(symbolic_det(m), total.scale(c))
+
+
+def _lowering_programs(kind, mode):
+    """The programs a symmetric lowering splits, each as (program, s, t, c,
+    the vertices left whole): DET_n for ``mode`` = n, or 15 seeded weighted
+    formulas or weakly skew circuits with a variable in ``mode``."""
+    if kind == "det":
+        abp = build_det_abp(mode)
+        return [(abp.digraph, abp.s, abp.t, RATIONAL.one(), [abp.s, abp.t])]
+    rng, programs = random.Random(25), []
+    while len(programs) < 15:
+        if kind == "formula":
+            c = random_circuit("formula", 4, 2, rng, weighted=True)
+        else:
+            c = random_circuit("weakly-skew", 6, 2, rng, weighted=True)
+        if not any(g.kind == "input" for g in c.gates.values()):
+            continue  # a variable-free circuit lowers to its 1x1 constant
+        cert = (build_valiant_digraph if kind == "formula" else build_ws_abp)(c, mode)
+        t, scalar = cert.output()
+        programs.append((cert.graph, cert.s, t, scalar,
+                         [cert.s, t] if kind == "formula" else [cert.s]))
+    return programs
+
+
+@pytest.mark.parametrize("kind, mode", [("formula", "skinny"), ("formula", "green"),
+                                        ("ws", "fat"), ("ws", "green"), ("det", 1), ("det", 2)])
+def test_closed_split_is_the_unsigned_path_sum_of_its_program(kind, mode):
+    """The one symmetric closing rule: split a program with -1 links,
+    leaving s whole and t too when the lowering does, and close it with c;
+    the determinant is c * sum_P w(P) over the program's s-t paths, the
+    convention :func:`close_abp` meets."""
+    for dg, s, t, c, single in _lowering_programs(kind, mode):
+        g, copies = split_vertices(dg, single)
+        m = close_symmetric(g, copies[s][0], copies[t][1], c)
+        names = tuple(sorted({w.name for w in dg.arcs.values() if w.kind != "const"}))
+        want = path_sum(dg, enumerate_st_paths(dg, s, t), names).scale(c)
+        assert poly_equal(symbolic_det(m, names, limit=40), want)
 
 
 def _random_loop_digraph(rng: random.Random, spec: FieldSpec) -> WeightedDigraph:
@@ -577,31 +614,36 @@ def two_xy_plus_z():
     return b.build([b.add(b.mul(b.var("x"), b.var("y"), wa=2), b.var("z"))])
 
 
-# each symmetric certificate with the path_len its lowering closes it with
+# each symmetric certificate with the whole vertices on each of its paths,
+# s and t of the formula split (|G| even) and s of the weakly skew one (odd)
 SYMMETRIC_CERTIFICATES = [(lambda c: build_sym_graph(c, "green"), 2),
                           (lambda c: build_ws_graph(c, "fat"), 1)]
 
 
-@pytest.mark.parametrize("build, path_len", SYMMETRIC_CERTIFICATES)
-def test_symmetric_audit_catches_a_wrong_scalar(build, path_len):
+@pytest.mark.parametrize("build, whole", SYMMETRIC_CERTIFICATES)
+def test_symmetric_audit_catches_a_wrong_scalar(build, whole):
     c = two_xy_plus_z()
     cert = build(c)
-    check_symmetric_certificate(cert, path_len)
+    assert 2 - cert.graph.n % 2 == whole
+    check_symmetric_certificate(cert)
     out = c.outputs[0]
     cert.scalars[out] = cert.scalars[out] + RATIONAL.one()
     with pytest.raises(AssertionError, match=f"identity failed at gate {out}"):
-        check_symmetric_certificate(cert, path_len)
+        check_symmetric_certificate(cert)
 
 
-@pytest.mark.parametrize("build, path_len", SYMMETRIC_CERTIFICATES)
-@pytest.mark.parametrize("shift, message", [(-2, "identity failed"), (2, "identity failed"),
-                                            (-1, "parities differ")])
-def test_symmetric_audit_catches_a_wrong_path_len(build, path_len, shift, message):
-    """A path_len of the right parity flips every sign, so the path sum is
-    -f; one of the wrong parity fails before any path is counted."""
-    cert = build(two_xy_plus_z())
-    with pytest.raises(AssertionError, match=message):
-        check_symmetric_certificate(cert, path_len + shift)
+@pytest.mark.parametrize("build, whole", SYMMETRIC_CERTIFICATES)
+def test_symmetric_audit_catches_a_flipped_link(build, whole):
+    """The -1 links carry the sign the closing cancels: with the link of the
+    first split vertex, the pair right after the whole ones, set to +1, the
+    paths through it count with the wrong sign at some gate."""
+    c = two_xy_plus_z()
+    cert = build(c)
+    g = cert.graph
+    assert g.arcs[whole, whole + 1] == g.arcs[whole + 1, whole] == wc(-1)
+    g.arcs[whole, whole + 1] = g.arcs[whole + 1, whole] = wc(1)
+    with pytest.raises(AssertionError, match="symmetric path-sum identity failed"):
+        check_symmetric_certificate(cert)
 
 
 def _random_graph(seed, spec=RATIONAL):

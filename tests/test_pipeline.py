@@ -308,8 +308,9 @@ def test_only_the_audits_the_exact_upgrade_and_the_demo_import_the_oracles():
 def test_every_symmetric_matrix_is_the_closed_vertex_split_of_a_program():
     """One symmetrization: an undirected graph is built only in ``graphs``
     (the vertex split) and by the bipartite doubling of characteristic 2,
-    and only the three symmetric lowerings close one, so every symmetric
-    gadget matrix is the closed vertex split of a branching program."""
+    only the three symmetric lowerings split a program and close the split,
+    so every symmetric gadget matrix is the closed vertex split of a
+    branching program."""
     import ast
     from pathlib import Path
 
@@ -331,6 +332,27 @@ def test_every_symmetric_matrix_is_the_closed_vertex_split_of_a_program():
         ("weakly_skew", "ws_sym_lowering"),
         ("determinant", "det_sym_lowering"),
     }
+    assert callers("split_vertices") == {
+        ("formulas", "build_sym_graph"),
+        ("weakly_skew", "build_ws_graph"),
+        ("determinant", "det_sym_lowering"),
+    }
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A helper two modules share has one public home: no module of
+    ``src/symdet`` imports an underscore name from a sibling module."""
+    import ast
+    from pathlib import Path
+
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "symdet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (
+                    node.module or "").startswith("symdet")):
+                found += [f"{path.name}:{node.lineno}: {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert not found, found
 
 
 def test_only_graphs_tells_a_graph_from_a_digraph():

@@ -50,7 +50,7 @@ GOLDEN = {
     "ws-nonsym green":
         "2d1a393184117645d38513b37456daf52aa353b6ed55f29dd751d158b4a72693",
     "det":
-        "046bad735a62bf799d98cf762e2b393c663b6c43ed53bd48c988f00d92c98713",
+        "719b70573067aa85957c6c42f658157694c7fb2a493de46117d081cc3681bc9f",
     "char2":
         "9b1bf977d873d2bbf8951ec19ebfecbf07220f2497e2d026f61e8d0bdd3a39a2",
     "pperm":
