@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -644,6 +645,32 @@ def test_symmetric_audit_catches_a_flipped_link(build, whole):
     g.arcs[whole, whole + 1] = g.arcs[whole + 1, whole] = wc(1)
     with pytest.raises(AssertionError, match="symmetric path-sum identity failed"):
         check_symmetric_certificate(cert)
+
+
+def _led_in(cert, length):
+    """The certificate with a chain of ``length`` new vertices joined by
+    unit edges leading into s, the far end of the chain the new source."""
+    g, head = cert.graph.copy(), cert.s
+    for _ in range(length):
+        v = g.add_vertex()
+        g.add_edge(v, head, wc(1))
+        head = v
+    return replace(cert, graph=g, s=head)
+
+
+@pytest.mark.parametrize("build, whole", SYMMETRIC_CERTIFICATES)
+@pytest.mark.parametrize("shift, message", [(-2, "identity failed"), (2, "identity failed")])
+def test_symmetric_audit_catches_a_wrong_path_len(build, whole, shift, message):
+    """A unit chain led into s lengthens every path by its length and keeps
+    the parity of |G|: four vertices keep every sign, 4 + shift vertices
+    make each path shift vertices longer than the sign expects, which flips
+    every sign, so the path sum is -f."""
+    cert = build(two_xy_plus_z())
+    check_symmetric_certificate(_led_in(cert, 4), max_vertices=cert.graph.n + 6)
+    wrong = _led_in(cert, 4 + shift)
+    assert 2 - wrong.graph.n % 2 == whole
+    with pytest.raises(AssertionError, match=message):
+        check_symmetric_certificate(wrong, max_vertices=cert.graph.n + 6)
 
 
 def _random_graph(seed, spec=RATIONAL):
