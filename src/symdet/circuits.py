@@ -131,7 +131,21 @@ def topo_sort(args: Mapping[int, Sequence[Sequence]]) -> list[int]:
     an explicit stack, roots and arguments in their given order.  ``args``
     maps each node to its arguments, each a sequence whose first item is
     the argument's id (a gate's ``(id, weight)`` pairs); raises
-    :class:`CyclicCircuit`."""
+    :class:`CyclicCircuit`.
+
+    When every node's arguments come before it in the mapping, the order
+    :func:`render_circuit` writes and :class:`CircuitBuilder` allocates,
+    that order is returned as it stands after one linear check: the walk
+    would reach each root with its arguments already placed and place it
+    at once, so its postorder is the mapping's order.  Any other order, a
+    cycle included, takes the walk."""
+    placed: set[int] = set()
+    for node, node_args in args.items():
+        if not all(a[0] in placed for a in node_args):
+            break
+        placed.add(node)
+    else:
+        return list(args)
     state: dict[int, int] = {}  # 1 while on the stack, 2 once placed
     order: list[int] = []
     for root in args:
@@ -585,11 +599,13 @@ def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
             raise ValueError(f"expected gate reference, got {token!r}")
         return int(token[1:])
 
+    one = spec.one()  # the weight of every unweighted arrow
+
     def arg_of(token: str) -> tuple[int, FieldElement]:
         if "*" in token:
             gtok, wtok = token.split("*", 1)
             return gid_of(gtok), element(wtok)
-        return gid_of(token), spec.one()
+        return gid_of(token), one
 
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

@@ -186,10 +186,6 @@ def cmd_build(args) -> int:
     else:
         print(f"# {args.method} ({size}): dimension {matrix.dim} <= {bound}",
               file=sys.stderr)
-        if args.method == "sym":
-            # sqrt-weighted variant, not constructed here (needs square roots)
-            print("# note: over the reals or complexes the symmetric dimension "
-                  "can be sharpened to 2e+1 resp. 2e+2", file=sys.stderr)
         if not args.output:
             sys.stdout.write(out)
     return 0

@@ -21,6 +21,7 @@ default modulus of GF(2^k), k <= 64, is the smallest of its degree.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -580,19 +581,28 @@ class FieldElement:
         return f"<{self.render()} in {self.spec}>"
 
 
+# an optional minus, then hex digits or a decimal integer or fraction
+_CONSTANT = re.compile(r"(-?)(?:0[xX]([0-9a-fA-F]+)|([0-9]+)(?:/([0-9]+))?)")
+
+
 def parse_element(text: str, spec: FieldSpec) -> FieldElement:
-    """Parse a decimal integer, ``a/b`` fraction, or hex bit string."""
+    """Parse a constant, one syntax in every field: an optional leading
+    minus, then a decimal integer, a fraction ``a/b`` of decimal integers
+    or, in a binary field only, a ``0x`` hex bit string.  Any other form
+    raises ``ValueError`` naming the constant."""
     text = text.strip()
-    try:
-        if spec.kind == "binary" and text.startswith(("0x", "0X", "-0x")):
-            return spec.from_bits(int(text.lstrip("-"), 16))
-        if "/" in text or spec.kind != "prime":
-            return spec.from_fraction(Fraction(text))
-        return spec.from_int(int(text, 0))
-    except ZeroDivisionError:
-        raise DivisionByZero(f"zero denominator in {text!r}") from None
-    except ValueError:
-        raise ValueError(f"malformed constant {text!r}") from None
+    m = _CONSTANT.fullmatch(text)
+    if m is None or (m[2] is not None and spec.kind != "binary"):
+        raise ValueError(f"malformed constant {text!r}")
+    minus, bits, num, den = m.groups()
+    if bits is not None:
+        return spec.from_bits(int(bits, 16))  # -x = x in characteristic 2
+    n = -int(num) if minus else int(num)
+    if den is None:
+        return spec.from_int(n)
+    if not int(den):
+        raise DivisionByZero(f"zero denominator in {text!r}")
+    return spec.from_fraction(Fraction(n, int(den)))
 
 
 def half(spec: FieldSpec) -> FieldElement:

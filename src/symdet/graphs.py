@@ -218,12 +218,14 @@ class SymbolicMatrix:
         self.symmetric = symmetric
         self._zero = Weight.const(spec.zero())
         if symmetric:
-            # the first broken pair of a dense scan: smallest i, then j < i
+            # the first broken pair of a dense scan: smallest i, then j < i;
+            # parse_matrix and adjacency give both halves one Weight, so
+            # identity settles almost every pair before ==
             broken = [
                 (max(i, j), min(i, j))
                 for i, row in enumerate(self.rows)
                 for j, w in row.items()
-                if self.rows[j].get(i) != w
+                if (x := self.rows[j].get(i)) is not w and x != w
             ]
             if broken:
                 raise ValueError("symmetry broken at ({},{})".format(*min(broken)))

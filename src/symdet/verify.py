@@ -21,10 +21,13 @@ program with its constants and arrow weights embedded once, evaluated on
 lanes.  A :class:`CompiledMatrix` reads the stored nonzeros of a
 :class:`SymbolicMatrix` (never its dense view) and holds their embedded
 constants plus slots for its variable entries, so compiling costs
-O(nonzeros).  All its determinants come from one sparse elimination with
-Markowitz-style pivoting (fewest-entry column, then a constant pivot, then
-the shortest row whose entry is nonzero in every lane), so the pivot search
-and the fill-in bookkeeping are paid once for all points.  A matrix
+O(nonzeros).  Both embed each distinct constant once per compile, through
+one memo (:func:`_embedder`), since gadget matrices and weighted circuits
+repeat a handful of values.  All determinants of a compiled matrix come
+from one sparse elimination with Markowitz-style pivoting (fewest-entry
+column, then a constant pivot, then the shortest row whose entry is
+nonzero in every lane), so the pivot search and the fill-in bookkeeping
+are paid once for all points.  A matrix
 constant is the same at every point, so the elimination keeps it a scalar,
 one int, and so is every value computed from scalars alone: gadget
 matrices are mostly constants, and a constant pivot then costs one scalar
@@ -173,16 +176,18 @@ class _IntArith(IntArith):
         which keeps fill-in low on gadget matrices.  The sign is the parity
         of the row -> column pivot map, n minus its number of cycles,
         computed once.  An update stays a scalar while every operand is one,
-        and becomes a lane where it meets a lane; the determinant stays a
-        scalar until the first lane pivot.
+        and becomes a lane where it meets a lane.  The scalar pivots multiply
+        into one scalar and the lane pivots into their own lane, so a scalar
+        pivot costs one multiplication, whatever came before it; the two
+        products meet once, at the end.
         An entry that cancels in every lane is dropped.  When no row of the
         pivot column is nonzero in every lane, every lane is eliminated alone
         from the original matrix, with its entries as scalars; gadget
         matrices pivot on constants, and one lane never needs this.
         """
         n = len(rows)
-        inv1, submul1, times, inv, submul = (
-            self.inv1, self.submul1, self.times, self.inv, self.submul)
+        mul1, inv1, submul1, times, mul, inv, submul = (
+            self.mul1, self.inv1, self.submul1, self.times, self.mul, self.inv, self.submul)
         zeros = [0] * t
 
         original = [dict(row) for row in rows] if t > 1 else None
@@ -198,7 +203,7 @@ class _IntArith(IntArith):
         heapify(counts)
         done = [False] * n
         pivot_col = [0] * n
-        det = 1
+        det, lane_det = 1, None  # the products of the scalar and of the lane pivots
         for _ in range(n):
             k, pc = heappop(counts)
             while done[pc] or k != len(col_rows[pc]):
@@ -215,7 +220,10 @@ class _IntArith(IntArith):
                         for lane in range(t)]
             prow = rows[pr]
             pv = prow.pop(pc)
-            det = times(det, pv)
+            if type(pv) is int:
+                det = mul1(det, pv)
+            else:
+                lane_det = pv if lane_det is None else mul(lane_det, pv)
             pivot_col[pr] = pc
             done[pc] = True
             below.discard(pr)
@@ -253,19 +261,39 @@ class _IntArith(IntArith):
                 if not row:
                     return zeros
         if self.p != 2 and (n - _cycle_count(pivot_col)) % 2:  # -1 = 1 if p = 2
-            det = self.neg1(det) if type(det) is int else list(map(self.neg1, det))
-        return det if type(det) is list else [det] * t
+            det = self.neg1(det)
+        return [det] * t if lane_det is None else self.scale(det, lane_det)
+
+
+def _embedder(spec: FieldSpec) -> Callable[[FieldElement], int]:
+    """The plain-int image in ``spec`` of a constant, by
+    :func:`~symdet.fields.embed` once per distinct constant: circuits and
+    gadget matrices repeat a handful of values.  The memo is keyed by the
+    constant's field object and value, not its value alone, so a constant
+    of another field is still refused (:class:`MixedFields`) even when an
+    equal value of the right field came first."""
+    memo: dict[tuple[int, object], int] = {}
+
+    def embedded(x: FieldElement) -> int:
+        key = (id(x.spec), x.value)
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = embed(x, spec).value
+        return v
+
+    return embedded
 
 
 class CompiledCircuit:
     """A :class:`Circuit` compiled once into a finite field.
 
     The program lists the computation gates in topological order with their
-    arrow weights embedded as plain ints, and every constant gate holds its
-    embedded value, so evaluating at many points embeds nothing again; a
-    weight-1 arrow skips its multiplication.  ``degrees`` holds the formal
-    degree of each output: 1 at a variable, 0 at a constant, the maximum at
-    an addition and the sum at a multiplication.
+    arrow weights embedded as plain ints, each distinct constant once
+    (:func:`_embedder`), and every constant gate holds its embedded value,
+    so evaluating at many points embeds nothing again; a weight-1 arrow
+    skips its multiplication.  ``degrees`` holds the formal degree of each
+    output: 1 at a variable, 0 at a constant, the maximum at an addition
+    and the sum at a multiplication.
     """
 
     def __init__(self, circuit: Circuit, spec: FieldSpec):
@@ -274,6 +302,7 @@ class CompiledCircuit:
         self.inputs: list[tuple[int, str]] = []
         self.consts: list[tuple[int, int]] = []
         self.program: list[tuple[int, str, int, int, int, int]] = []
+        embedded = _embedder(spec)
         degree: dict[int, int] = {}
         for gid in circuit.topo_order():
             g = circuit.gates[gid]
@@ -281,11 +310,11 @@ class CompiledCircuit:
                 self.inputs.append((gid, g.name))
                 degree[gid] = 1
             elif g.kind == CONST:
-                self.consts.append((gid, embed(g.value, spec).value))
+                self.consts.append((gid, embedded(g.value)))
                 degree[gid] = 0
             else:
                 (a, wa), (b, wb) = g.args
-                wa, wb = embed(wa, spec).value, embed(wb, spec).value
+                wa, wb = embedded(wa), embedded(wb)
                 if g.kind != ADD:  # one constant scales the product
                     wa, wb = self.arith.mul1(wa, wb), 1
                 self.program.append((gid, g.kind, a, wa, b, wb))
@@ -315,8 +344,9 @@ class CompiledMatrix:
     """A :class:`SymbolicMatrix` embedded once into a finite field.
 
     Built from the matrix's stored entries: every constant becomes a plain
-    int (a Z_p residue or a GF(2^k) bit mask) in per-row dicts, dropped
-    when it vanishes in the field, and every variable entry becomes a slot
+    int (a Z_p residue or a GF(2^k) bit mask), each distinct constant
+    embedded once (:func:`_embedder`), in per-row dicts, dropped when it
+    vanishes in the field, and every variable entry becomes a slot
     ``(i, j, variable, coefficient)``.  Evaluating at points fills lanes
     from the slots only: a constant is the same at every point and stays
     one scalar int, so nothing is re-embedded or copied per point.
@@ -331,16 +361,17 @@ class CompiledMatrix:
         self.arith = _IntArith(spec)
         self.const_rows: list[dict[int, int]] = [{} for _ in range(m.dim)]
         self.slots: list[tuple[int, int, str, int]] = []
+        embedded = _embedder(spec)
         for i, row in enumerate(m.rows):
             for j, w in row.items():
                 if w.kind == CONSTW:
-                    v = embed(w.coeff, spec).value
+                    v = embedded(w.coeff)
                     if v:  # a rational constant may vanish mod p
                         self.const_rows[i][j] = v
                 elif w.kind == VARW:
                     self.slots.append((i, j, w.name, 1))
                 else:
-                    self.slots.append((i, j, w.name, embed(w.coeff, spec).value))
+                    self.slots.append((i, j, w.name, embedded(w.coeff)))
         self.variables = tuple(sorted({s[2] for s in self.slots}))
         self.degree = min(len({s[0] for s in self.slots}), len({s[1] for s in self.slots}))
 

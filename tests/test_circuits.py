@@ -19,6 +19,7 @@ from symdet.circuits import (
     random_circuit,
     reachable_from,
     render_circuit,
+    topo_sort,
     validate,
 )
 from symdet.fields import RATIONAL, FieldSpec
@@ -320,3 +321,64 @@ def test_multi_output_text_round_trip():
     back = parse_circuit(text)
     point = {"x": num(3), "y": num(4)}
     assert evaluate(back, point) == evaluate(c, point)
+
+
+# -- topological order: the args-first case against the depth-first walk ------
+
+
+def reference_topo_sort(args) -> list[int]:
+    """Depth-first postorder on an explicit stack, roots and arguments in
+    their given order: the walk ``topo_sort`` takes for any order."""
+    state: dict[int, int] = {}  # 1 while on the stack, 2 once placed
+    order: list[int] = []
+    for root in args:
+        if state.get(root):
+            continue
+        stack = [(root, 0)]
+        state[root] = 1
+        while stack:
+            node, i = stack.pop()
+            if i < len(args[node]):
+                stack.append((node, i + 1))
+                arg = args[node][i][0]
+                if state.get(arg) == 1:
+                    raise CyclicCircuit(f"cycle through gate {arg}")
+                if not state.get(arg):
+                    state[arg] = 1
+                    stack.append((arg, 0))
+            else:
+                state[node] = 2
+                order.append(node)
+    return order
+
+
+@pytest.mark.parametrize("profile", ["formula", "weakly-skew"])
+def test_topo_sort_matches_the_depth_first_reference(profile):
+    """In builder order, arguments first, the order is the mapping's own;
+    with the gates re-inserted shuffled it is the walk's postorder."""
+    rng = random.Random(11)
+    for _ in range(60):
+        c = random_circuit(profile, rng.randint(0, 40), 4, rng, weighted=rng.random() < 0.5)
+        args = {gid: g.args for gid, g in c.gates.items()}
+        assert topo_sort(args) == reference_topo_sort(args) == list(args)
+        ids = list(args)
+        rng.shuffle(ids)
+        shuffled = {gid: args[gid] for gid in ids}
+        assert topo_sort(shuffled) == reference_topo_sort(shuffled)
+
+
+def test_a_file_listing_a_gate_before_its_arguments_parses():
+    text = ("vars x y z\ng4 = mul g3 g0\ng3 = add g1 g2*-2\ng0 = input x\n"
+            "g2 = input z\ng1 = input y\ng5 = add g4 g2\noutput g5\n")
+    c = parse_circuit(text)
+    assert c.topo_order() == (1, 2, 3, 0, 4, 5)
+    assert evaluate(c, {"x": num(2), "y": num(3), "z": num(5)}) == [num((3 - 10) * 2 + 5)]
+
+
+@pytest.mark.parametrize("text", [
+    "vars x\ng0 = input x\ng1 = add g2 g0\ng2 = mul g1 g0\noutput g2\n",
+    "vars x\ng0 = input x\ng1 = add g1 g0\noutput g1\n",
+], ids=["cycle", "self-reference"])
+def test_a_cyclic_file_is_refused(text):
+    with pytest.raises(CyclicCircuit):
+        parse_circuit(text)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -148,6 +149,13 @@ def test_cli_verify_detects_corruption(tmp_path, capsys):
     assert code == 1
     verdict = json.loads(out)
     assert verdict["status"] == "FAILED" and "witness" in verdict
+
+
+def test_cli_sym_build_stderr_is_its_bound_line(capsys):
+    code, out, err = run(["build", "--expr", "x*y + z", "--method", "sym"], capsys)
+    dim = int(out.split()[0])
+    assert code == 0
+    assert re.fullmatch(rf"# sym \(skinny\): dimension {dim} <= \d+\n", err)
 
 
 def test_cli_detsym(capsys):
@@ -571,6 +579,15 @@ def test_cli_malformed_circuit_token_names_token_and_line(tmp_path, capsys, line
     assert err == f"error: {message} in line {line!r}\n"
 
 
+def test_cli_constant_in_exponent_form_is_malformed_over_gf2_16(tmp_path, capsys):
+    """1e5 is no constant in any field; over GF(2^16) it once read as 0."""
+    circ = tmp_path / "f.circuit"
+    circ.write_text("vars x\ng0 = input x\ng1 = const 1e5\ng2 = add g0 g1\noutput g2\n")
+    code, out, err = run(["parse", str(circ), "--field", "gf2_16"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: malformed constant '1e5' in line 'g1 = const 1e5'\n"
+
+
 def test_cli_malformed_expression_constant_names_the_token(capsys):
     code, _, err = run(["parse", "--expr", "x + 0x"], capsys)
     assert code == 1
@@ -596,17 +613,23 @@ def test_cli_expression_names_its_end(capsys, expr):
     assert "end of expression" in err and "None" not in err
 
 
-def test_cli_char2_square_bound_failure_is_an_error_line(capsys, monkeypatch):
+@pytest.mark.parametrize("dim", [9, 8])
+def test_cli_char2_square_bound_failure_is_an_error_line(capsys, monkeypatch, dim):
+    """x + y has 3 gates, so its bound is 8: one row over it is an error
+    line, a matrix at the bound is emitted."""
     from symdet.fields import GF2_16
     from symdet.graphs import SymbolicMatrix, Weight
 
     one = Weight.const(GF2_16.one())
-    oversized = SymbolicMatrix([{i: one} for i in range(50)], spec=GF2_16, symmetric=True)
-    monkeypatch.setattr("symdet.cli.square_matrix_char2", lambda c: oversized)
+    identity = SymbolicMatrix([{i: one} for i in range(dim)], spec=GF2_16, symmetric=True)
+    monkeypatch.setattr("symdet.cli.square_matrix_char2", lambda c: identity)
     code, out, err = run(["char2-square", "--expr", "x + y"], capsys)
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "dimension 50 exceeds bound" in err
+    if dim > 8:
+        assert code == 1 and out == ""
+        assert err == f"error: dimension {dim} exceeds bound 8\n"
+    else:
+        assert code == 0 and out.startswith(f"{dim} symmetric\n")
+        assert err == f"# char-2 square: dimension {dim} <= 8\n"
 
 
 def test_cli_exact_verdict_refuses_a_constant_that_does_not_embed(tmp_path, capsys):

@@ -9,6 +9,7 @@ from symdet.fields import (
     CharTwoHalf,
     DEFAULT_PRIME,
     DivisionByZero,
+    FieldElement,
     FieldSpec,
     GF2,
     GF2_16,
@@ -147,6 +148,51 @@ def test_render_round_trip_gf2k():
     x = GF2_16.from_bits(0x1F3A)
     assert x.render() == "0x1f3a"
     assert parse_element(x.render(), GF2_16) == x
+
+
+# one constant syntax in every field: an optional minus, a decimal integer
+# or fraction a/b, and 0x hex in binary fields only; None marks a malformed
+# constant.  Columns: Q, Z_7, GF(2^16).
+CONSTANT_TABLE = [
+    ("5", Fraction(5), 5, 1),
+    ("-5", Fraction(-5), 2, 1),
+    ("12/9", Fraction(4, 3), 6, 0),
+    ("-1/3", Fraction(-1, 3), 2, 1),
+    ("007", Fraction(7), 0, 1),
+    (" 3 ", Fraction(3), 3, 1),
+    ("0x1f", None, None, 0x1F),
+    ("-0x1f", None, None, 0x1F),
+    ("0X1F", None, None, 0x1F),
+    ("1e5", None, None, None),
+    ("1.5", None, None, None),
+    ("0b101", None, None, None),
+    ("0o7", None, None, None),
+    ("1_000", None, None, None),
+    ("+5", None, None, None),
+    ("--5", None, None, None),
+    ("1/-2", None, None, None),
+    ("0x", None, None, None),
+    ("0x1/3", None, None, None),
+    ("\u0665", None, None, None),  # an Arabic-Indic five, a digit to str.isdigit
+    ("", None, None, None),
+]
+
+
+@pytest.mark.parametrize("text, q, z7, gf", CONSTANT_TABLE,
+                         ids=[repr(row[0]) for row in CONSTANT_TABLE])
+def test_parse_element_has_one_syntax_in_every_field(text, q, z7, gf):
+    for spec, want in ((RATIONAL, q), (Z7, z7), (GF2_16, gf)):
+        if want is None:
+            with pytest.raises(ValueError, match="malformed constant"):
+                parse_element(text, spec)
+        else:
+            assert parse_element(text, spec) == FieldElement(spec, want)
+
+
+@pytest.mark.parametrize("spec", [RATIONAL, Z7, GF2_16], ids=str)
+def test_parse_element_zero_denominator(spec):
+    with pytest.raises(DivisionByZero):
+        parse_element("1/0", spec)
 
 
 def test_sampling_deterministic():

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdet.circuits import CircuitBuilder, MissingAssignment, evaluate, random_circuit
+from symdet.circuits import (
+    Circuit,
+    CircuitBuilder,
+    Gate,
+    MissingAssignment,
+    evaluate,
+    random_circuit,
+)
 from symdet.fields import (
     GF2,
     GF2_16,
@@ -350,7 +357,7 @@ def test_lane_det_column_vanishing_in_one_lane(spec, monkeypatch):
 @st.composite
 def mixed_matrices(draw, spec):
     """A sparse matrix of dimension 1-7 over ``spec`` and ``t`` points as
-    lanes, in one of four shapes that steer the lockstep elimination:
+    lanes, in one of five shapes that steer the lockstep elimination:
 
     - ``constant``: constants only, so every entry and pivot is a scalar;
     - ``cancel``: constants, variables and scaled variables, with the
@@ -359,10 +366,13 @@ def mixed_matrices(draw, spec):
     - ``lane``: variables only, at points where none vanishes, so every
       pivot is a lane;
     - ``rerun``: variables only, each vanishing at one of the first three
-      points, so no pivot candidate is nonzero in every lane.
+      points, so no pivot candidate is nonzero in every lane;
+    - ``interleaved``: a diagonal that alternates a variable and a nonzero
+      constant, under sparse constants and variables, at points where no
+      variable vanishes, so scalar pivots follow lane pivots.
     """
     n = draw(st.integers(1, 7))
-    shape = draw(st.sampled_from(["constant", "cancel", "lane", "rerun"]))
+    shape = draw(st.sampled_from(["constant", "cancel", "lane", "rerun", "interleaved"]))
     element = st.one_of(st.integers(1, 3), st.integers(1, spec.size - 1)).map(
         lambda v: field_value(spec, v))
     zero = Weight.const(spec.zero())
@@ -370,16 +380,20 @@ def mixed_matrices(draw, spec):
     var = st.one_of(st.sampled_from(NAMES).map(Weight.var),
                     st.tuples(st.sampled_from(NAMES), element).map(lambda t: Weight.scaled(*t)))
     entry = {"constant": st.one_of(st.just(zero), const),
-             "cancel": st.one_of(st.just(zero), const, var)}.get(
+             "cancel": st.one_of(st.just(zero), const, var),
+             "interleaved": st.one_of(st.just(zero), st.just(zero), const, var)}.get(
         shape, st.one_of(st.just(zero), var))
     rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if shape == "interleaved":
+        for i in range(n):
+            rows[i][i] = draw(var if i % 2 == 0 else const)
     if shape == "cancel" and n > 1:
         i, j = draw(st.permutations(range(n)))[:2]
         c = draw(element)
         rows[j] = [w.scale(c) if w.kind == "const" else zero for w in rows[i]]
         rows[j][draw(st.integers(0, n - 1))] = draw(var)
     t = draw(st.sampled_from([3, 7] if shape == "rerun" else LANE_COUNTS))
-    value = element if shape in ("lane", "rerun") else st.one_of(
+    value = element if shape in ("lane", "rerun", "interleaved") else st.one_of(
         st.just(0), st.integers(0, 3), st.integers(0, spec.size - 1)).map(
         lambda v: field_value(spec, v))
     points = [{v: draw(value) for v in NAMES} for _ in range(t)]
@@ -429,6 +443,30 @@ def test_constant_matrix_takes_no_lane_operation(spec):
         setattr(arith, name, spy)
     assert compiled.lane_det({}, t) == [want] * t
     assert calls == []
+
+
+@pytest.mark.parametrize("spec", COMPILED_FIELDS, ids=FIELD_IDS)
+def test_scalar_pivots_after_a_lane_pivot_multiply_one_scalar(spec):
+    """The diagonal matrix x, c_1, ..., c_39 with c_i = i + 1 (a bit mask in
+    GF(2^k)): the lane pivot x comes first, since every column has one
+    entry, and the 39 constant pivots after it multiply one scalar; the
+    lane meets their product once, at the end."""
+    n, t = 40, 20
+    diagonal = [field_value(spec, i + 1) for i in range(1, n)]
+    rows = [{0: Weight.var("x")}] + [{i: Weight.const(c)} for i, c in enumerate(diagonal, 1)]
+    compiled = CompiledMatrix(SymbolicMatrix(rows, spec=spec), spec)
+    arith = compiled.arith
+    calls = []
+    for name in ("mul", "scale"):
+        def spy(*args, name=name, op=getattr(arith, name)):
+            calls.append(name)
+            return op(*args)
+        setattr(arith, name, spy)
+    xs = [field_value(spec, 1 + k) for k in range(t)]
+    got = compiled.lane_det({"x": [x.value for x in xs]}, t)
+    product = math.prod(diagonal, start=spec.one())
+    assert got == [(x * product).value for x in xs]
+    assert calls == ["scale"]
 
 
 @pytest.mark.parametrize("t", [1, 3])
@@ -661,3 +699,70 @@ def test_identity_test_takes_the_variables_from_the_compiled_matrix(fig1_formula
     monkeypatch.setattr(SymbolicMatrix, "variables", no_scan)
     assert [identity_test(fig1_formula, x, seed=3, exact_upgrade=False).to_json()
             for x in (m, wrong)] == expected
+
+
+# -- embedding each distinct constant once -----------------------------------
+
+
+def spy_on_embed(monkeypatch) -> list:
+    """Record every constant that compiling hands to ``fields.embed``."""
+    calls = []
+
+    def spy(x, spec):
+        calls.append(x)
+        return embed(x, spec)
+
+    monkeypatch.setattr("symdet.verify.embed", spy)
+    return calls
+
+
+def test_compiling_a_weighted_circuit_embeds_each_distinct_constant_once(monkeypatch):
+    c = random_circuit("weakly-skew", 60, 4, random.Random(7), constant_pool=CONSTANT_POOL,
+                       const_prob=0.3, weighted=True, weight_pool=WEIGHT_POOL)
+    constants = [g.value for g in c.gates.values() if g.kind == "const"]
+    constants += [w for g in c.gates.values() for _, w in g.args]
+    calls = spy_on_embed(monkeypatch)
+    CompiledCircuit(c, PRIME_DEFAULT)
+    assert len(calls) == len(set(calls)) and set(calls) == set(constants)
+    assert len(calls) < len(constants)
+
+
+def test_compiling_det_3_embeds_each_distinct_constant_once(monkeypatch):
+    from symdet.determinant import det_sym_matrix
+
+    m = det_sym_matrix(3)
+    constants = [w.coeff for row in m.rows for w in row.values() if w.kind != "var"]
+    calls = spy_on_embed(monkeypatch)
+    CompiledMatrix(m, PRIME_DEFAULT)
+    assert len(calls) == len(set(calls)) and set(calls) == set(constants)
+    assert len(calls) < len(constants)
+
+
+Z7 = FieldSpec.prime(7)
+
+
+@pytest.mark.parametrize("first", [3, 5], ids=["same value first", "other value first"])
+def test_compiling_a_circuit_refuses_a_constant_of_another_field(first):
+    """A Z_7 constant among rational ones has no image in the test field,
+    also when a rational constant of the same value was embedded before."""
+    one = RATIONAL.one()
+    for late in ("gate", "weight"):
+        gates = {0: Gate(0, "const", value=num(first)), 1: Gate(1, "input", name="x")}
+        if late == "gate":
+            gates[2] = Gate(2, "const", value=Z7.from_int(3))
+            gates[3] = Gate(3, "add", args=((0, one), (2, one)))
+            gates[4] = Gate(4, "mul", args=((3, one), (1, one)))
+        else:
+            gates[3] = Gate(3, "add", args=((0, one), (1, Z7.from_int(3))))
+        c = Circuit(gates, [max(gates)])
+        with pytest.raises(MixedFields):
+            CompiledCircuit(c, PRIME_DEFAULT)
+
+
+@pytest.mark.parametrize("first", [3, 5], ids=["same value first", "other value first"])
+def test_compiling_a_matrix_refuses_a_constant_of_another_field(first):
+    for late in (Weight.const(Z7.from_int(3)), Weight.scaled("x", Z7.from_int(3))):
+        m = SymbolicMatrix([{0: Weight.const(num(first)), 1: Weight.var("x")},
+                            {0: Weight.var("y"), 1: late}])
+        with pytest.raises(MixedFields):
+            CompiledMatrix(m, PRIME_DEFAULT)
