@@ -199,10 +199,14 @@ def validate(circuit: Circuit) -> Circuit:
     names = {g.name for g in circuit.gates.values() if g.kind == VAR}
     if not names <= set(circuit.variables):
         raise DuplicateVariable(f"undeclared variables {names - set(circuit.variables)}")
-    circuit.topo_order()  # raises CyclicCircuit
-    live = reachable_from(circuit, circuit.outputs)
-    dead = set(circuit.gates) - live
-    if dead:
+    # one reverse pass over the topological order (it raises CyclicCircuit)
+    # marks the outputs, then the arguments of every marked gate
+    live = set(circuit.outputs)
+    for gid in reversed(circuit.topo_order()):
+        if gid in live:
+            live.update(a for a, _ in circuit.gates[gid].args)
+    if len(live) != len(circuit.gates):
+        dead = set(circuit.gates) - live
         raise UnreachableGate(f"gates {sorted(dead)} unreachable from any output")
     return circuit
 

@@ -4,18 +4,20 @@ Every value is an immutable :class:`FieldElement` tagged with its
 :class:`FieldSpec`; all operations are pure, so elements can be shared freely
 between threads.  Three kinds of field are supported:
 
-* ``rational``  -- arbitrary-precision Q (``fractions.Fraction`` underneath),
+* ``rational``  -- arbitrary-precision Q, each value in one canonical form:
+  a plain ``int`` when it is an integer, else a ``fractions.Fraction``,
 * ``prime(p)``  -- residues mod a prime p,
 * ``binary(k)`` -- GF(2^k) as polynomials over GF(2) modulo a fixed
   irreducible, stored as bit masks.
 
 The arithmetic of a finite field on plain ints is written once, in
 :class:`IntArith` (``spec.arith``): :class:`FieldElement` boxes its scalar
-forms, only Q going through ``Fraction``, and :mod:`symdet.verify` runs its
-lane forms.  The default identity-testing field is Z_p with the Mersenne
-prime p = 2^61 - 1; the default binary field is GF(2^16) with modulus
-x^16 + x^5 + x^3 + x + 1, the smallest irreducible of degree 16, as every
-default modulus of GF(2^k), k <= 64, is the smallest of its degree.
+forms, only the proper fractions of Q going through ``Fraction``, and
+:mod:`symdet.verify` runs its lane forms.  The default identity-testing
+field is Z_p with the Mersenne prime p = 2^61 - 1; the default binary field
+is GF(2^16) with modulus x^16 + x^5 + x^3 + x + 1, the smallest irreducible
+of degree 16, as every default modulus of GF(2^k), k <= 64, is the smallest
+of its degree.
 """
 
 from __future__ import annotations
@@ -222,13 +224,13 @@ class FieldSpec:
 
     def from_int(self, n: int) -> "FieldElement":
         if self.kind == "rational":
-            return FieldElement(self, Fraction(n))
+            return FieldElement(self, n)
         return FieldElement(self, n % self.arith.p)
 
     def from_fraction(self, q: Union[Fraction, int, str]) -> "FieldElement":
         q = Fraction(q)
         if self.kind == "rational":
-            return FieldElement(self, q)
+            return FieldElement(self, _canonical(q))
         return FieldElement(self, self.arith.fraction1(q))
 
     def from_bits(self, mask: int) -> "FieldElement":
@@ -471,8 +473,18 @@ class IntArith:
 _arith = cache(IntArith)  # one kernel per spec value
 
 
+def _canonical(q: int | Fraction) -> int | Fraction:
+    """The stored form of a rational: the plain int when it is an integer."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
+
+
 class FieldElement:
-    """Immutable element of Q, Z_p or GF(2^k)."""
+    """Immutable element of Q, Z_p or GF(2^k).
+
+    ``value`` is a plain int, except for a proper fraction of Q, which is a
+    ``Fraction``; the constructors and operators keep that form, so elements
+    are built only in this module (and by :mod:`symdet.verify`, from the ints
+    of a finite field)."""
 
     __slots__ = ("spec", "value")
 
@@ -485,7 +497,7 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise MixedFields(f"{self.spec} vs {other.spec}")
             return other
         if isinstance(other, int):
@@ -498,7 +510,7 @@ class FieldElement:
         other = self._coerce(other)
         spec = self.spec
         if spec.kind == "rational":
-            return FieldElement(spec, self.value + other.value)
+            return FieldElement(spec, _canonical(self.value + other.value))
         return FieldElement(spec, spec.arith.add1(self.value, other.value))
 
     __radd__ = __add__
@@ -520,7 +532,7 @@ class FieldElement:
         other = self._coerce(other)
         spec = self.spec
         if spec.kind == "rational":
-            return FieldElement(spec, self.value * other.value)
+            return FieldElement(spec, _canonical(self.value * other.value))
         return FieldElement(spec, spec.arith.mul1(self.value, other.value))
 
     __rmul__ = __mul__
@@ -530,7 +542,7 @@ class FieldElement:
         if self.is_zero():
             raise DivisionByZero(f"inverse of zero in {spec}")
         if spec.kind == "rational":
-            return FieldElement(spec, 1 / self.value)
+            return FieldElement(spec, _canonical(Fraction(1, self.value)))
         return FieldElement(spec, spec.arith.inv1(self.value))
 
     def __truediv__(self, other) -> "FieldElement":

@@ -72,18 +72,24 @@ def _lemma_c0(op: str, cl: FieldElement, cr: FieldElement) -> FieldElement:
     return cl if not cl.is_zero() else cr
 
 
-def _lemma_c0s(f: Circuit) -> dict[int, FieldElement]:
-    """The lemma scalar of every gate of formula ``f`` (an input's is 1), in
-    one pass over the topological order, so each gate is combined once."""
+def _lemma_c0s(
+    f: Circuit,
+) -> tuple[dict[int, FieldElement], dict[int, tuple[FieldElement, FieldElement]]]:
+    """The lemma scalar of every gate of formula ``f`` (an input's is 1), and
+    of every computation gate the scalars of its two arms, each argument's
+    scalar times its arrow weight, in one pass over the topological order,
+    so each gate is combined once."""
     c0: dict[int, FieldElement] = {}
+    arms: dict[int, tuple[FieldElement, FieldElement]] = {}
     for gid in f.topo_order():
         gate = f.gates[gid]
         if gate.is_input:
             c0[gid] = f.spec.one()
         else:
             (l, wl), (r, wr) = gate.args
-            c0[gid] = _lemma_c0(gate.kind, wl * c0[l], wr * c0[r])
-    return c0
+            arms[gid] = cl, cr = wl * c0[l], wr * c0[r]
+            c0[gid] = _lemma_c0(gate.kind, cl, cr)
+    return c0, arms
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +112,7 @@ def build_valiant_digraph(f: Circuit, mode: str = "green") -> PathSumCertificate
     """
     if mode == "green":
         work = green_form(f)
-        c0s = _lemma_c0s(work)
+        c0s, arms = _lemma_c0s(work)
     elif mode == "skinny":
         work = f
     else:
@@ -142,10 +148,11 @@ def build_valiant_digraph(f: Circuit, mode: str = "green") -> PathSumCertificate
         elif mode == "skinny":
             jobs = [(l, wl, a, b), (r, wr, a, b)]
         else:
-            jobs = [(x, wx, a, b) for x, wx in gate.args if not (wx * c0s[x]).is_zero()]
+            jobs = [(x, wx, a, b) for (x, wx), c in zip(gate.args, arms[gid]) if not c.is_zero()]
             if len(jobs) == 2:
+                cl, cr = arms[gid]
                 t2 = dg.add_vertex()
-                dg.add_arc(t2, b, Weight.const((wr * c0s[r]) / (wl * c0s[l])))
+                dg.add_arc(t2, b, Weight.const(cr / cl))
                 jobs[1] = (r, wr, a, t2)
         stack += reversed(jobs)
     dg.roles.update(s=s, t=t)

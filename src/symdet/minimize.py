@@ -111,17 +111,21 @@ def _rewrite(circuit: Circuit) -> Circuit:
             value[gid] = x + y if g.kind == ADD else x * y
         elif gid not in outs and one_constant_factor(g):
             (c, wc), (x, wx) = g.args if const[g.args[0][0]] else g.args[::-1]
-            r, s = bypass.get(x, (x, one))
-            bypass[gid] = (r, (wc * value[c]) * (wx * s))
+            if x in bypass:
+                x, s = bypass[x]
+                wx = wx * s
+            bypass[gid] = (x, (wc * value[c]) * wx)
         elif g.kind != VAR:
             args[gid] = []
             for idx, (a, w) in enumerate(g.args):
                 if const[a]:
                     args[gid].append([one_input[gid, idx], w * value[a]])
                 else:
-                    r, s = bypass.get(a, (a, one))
-                    args[gid].append([r, w * s])
-                    uses[r] += 1
+                    if a in bypass:
+                        a, s = bypass[a]
+                        w = w * s
+                    args[gid].append([a, w])
+                    uses[a] += 1
 
     # an output multiplication with a constant argument hands the constant
     # to its other argument gamma: gamma becomes the output when nothing else

@@ -271,11 +271,14 @@ def _embedder(spec: FieldSpec) -> Callable[[FieldElement], int]:
     gadget matrices repeat a handful of values.  The memo is keyed by the
     constant's field object and value, not its value alone, so a constant
     of another field is still refused (:class:`MixedFields`) even when an
-    equal value of the right field came first."""
-    memo: dict[tuple[int, object], int] = {}
+    equal value of the right field came first.  The value enters the key as
+    its numerator and denominator, ints that hash in C where a proper
+    fraction of Q would hash through ``Fraction.__hash__``."""
+    memo: dict[tuple[int, int, int], int] = {}
 
     def embedded(x: FieldElement) -> int:
-        key = (id(x.spec), x.value)
+        q = x.value
+        key = (id(x.spec), q.numerator, q.denominator)
         v = memo.get(key)
         if v is None:
             v = memo[key] = embed(x, spec).value

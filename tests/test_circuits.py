@@ -60,6 +60,28 @@ def test_unreachable_gate_rejected():
         b.build([x])
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_dead_gates_are_named_in_sorted_order(seed):
+    """``validate`` names, sorted, exactly the gates that ``reachable_from``
+    the outputs leaves out, also with two outputs and dead gates that read
+    live ones."""
+    rng = random.Random(seed)
+    c = random_circuit(rng.choice(["formula", "weakly-skew"]), rng.randint(1, 12), 3, rng)
+    gates, one = dict(c.gates), RATIONAL.one()
+    for gid in range(max(gates) + 1, max(gates) + 1 + rng.randint(1, 4)):
+        args = ((rng.choice(list(gates)), one), (rng.choice(list(gates)), one))
+        gates[gid] = Gate(gid, rng.choice(["add", "mul"]), args=args)
+    outputs = rng.sample(sorted(gates), rng.randint(1, 2))
+    circuit = Circuit(gates, outputs)
+    dead = sorted(set(gates) - reachable_from(circuit, outputs))
+    if not dead:
+        assert validate(circuit) is circuit
+        return
+    with pytest.raises(UnreachableGate) as exc:
+        validate(circuit)
+    assert str(exc.value) == f"gates {dead} unreachable from any output"
+
+
 def test_duplicate_variable_list_rejected():
     g0 = Gate(0, "input", name="x")
     with pytest.raises(DuplicateVariable):

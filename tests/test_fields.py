@@ -410,3 +410,70 @@ def test_kernel_is_kept_once_per_spec_value():
     assert FieldSpec.binary(16).arith is GF2_16.arith
     with pytest.raises(UnsupportedField):
         IntArith(RATIONAL)
+
+
+# -- the canonical form of Q: a plain int when integral, else a Fraction ------
+
+RATIONALS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.fractions(min_value=-(10**3), max_value=10**3, max_denominator=50),
+)
+
+
+def assert_rational(x: FieldElement, want: Fraction) -> None:
+    """``x`` is the rational ``want``, stored as an int exactly when integral."""
+    want = Fraction(want)
+    assert x.spec is RATIONAL and x.value == want
+    assert type(x.value) is (int if want.denominator == 1 else Fraction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=RATIONALS, b=RATIONALS, e=st.integers(-4, 4))
+def test_every_rational_route_is_canonical_and_exact(a, b, e):
+    """Every constructor and operator of Q agrees with ``Fraction`` and
+    stores an integer as a plain int, a proper fraction as a Fraction."""
+    a, b = Fraction(a), Fraction(b)
+    x = RATIONAL.from_fraction(a)
+    y = RATIONAL.from_fraction(b)
+    assert_rational(x, a)
+    assert_rational(parse_element(str(a), RATIONAL), a)
+    if a.denominator == 1:
+        assert_rational(RATIONAL.from_int(a.numerator), a)
+    assert_rational(x + y, a + b)
+    assert_rational(x - y, a - b)
+    assert_rational(x * y, a * b)
+    assert_rational(-x, -a)
+    assert_rational(x + 1, a + 1)
+    assert_rational(2 * x, 2 * a)
+    if b:
+        assert_rational(x / y, a / b)
+    if a:
+        assert_rational(x.inverse(), 1 / a)
+    if a or e >= 0:
+        assert_rational(x**e, a**e)
+
+
+def test_rational_inverse_of_an_integer_is_exact():
+    got = RATIONAL.from_int(3).inverse().value
+    assert got == Fraction(1, 3) and not isinstance(got, float)
+
+
+def test_equal_rationals_are_one_key_however_built(monkeypatch):
+    """2, 4/2 and (1/2)^-1 are one element: equal, hashed alike, one dict key
+    and one entry of the verifier's embedding memo."""
+    import symdet.verify as verify
+
+    two = [RATIONAL.from_int(2), RATIONAL.from_fraction("4/2"), half(RATIONAL).inverse()]
+    assert all(x == two[0] and hash(x) == hash(two[0]) for x in two)
+    assert all(type(x.value) is int for x in two)
+    assert len({x: None for x in two}) == 1
+    calls = []
+
+    def counting(x, spec):
+        calls.append(x)
+        return embed(x, spec)
+
+    monkeypatch.setattr(verify, "embed", counting)
+    embedded = verify._embedder(PRIME_DEFAULT)
+    assert [embedded(x) for x in two] == [2, 2, 2]
+    assert len(calls) == 1

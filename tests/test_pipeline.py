@@ -283,6 +283,22 @@ def test_field_arithmetic_is_written_only_in_fields():
     assert not found, found
 
 
+def test_only_fields_and_verify_construct_field_elements():
+    """A rational is stored in one form, a plain int when it is an integer,
+    because only ``fields`` calls the ``FieldElement`` constructor, and
+    ``verify``, which boxes the ints of a finite field (one form only)."""
+    import ast
+    from pathlib import Path
+
+    callers = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "symdet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "FieldElement" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                callers.add(path.name)
+    assert callers == {"fields.py", "verify.py"}
+
+
 def test_only_the_audits_the_exact_upgrade_and_the_demo_import_the_oracles():
     """The oracles stay independent of what they check: of the library's
     modules only ``graphs`` (the certificate audits), ``verify`` (the exact
