@@ -30,7 +30,7 @@ from .circuits import (
     render_circuit,
 )
 from .char2 import partial_perm_identity, render_partial_permanent, square_matrix_char2
-from .determinant import det_sym_lowering, det_sym_matrix
+from .determinant import LayeredAbp, det_sym_lowering, det_sym_matrix
 from .fields import GF2, GF2_16, PRIME_DEFAULT, RATIONAL, FieldError, FieldSpec
 from .formulas import sym_lowering, valiant_lowering, valiant_matrix
 from .graphs import export_dot, parse_matrix, render_matrix
@@ -112,21 +112,28 @@ def cmd_minimize(args) -> int:
     return 0
 
 
-#: method -> (the sizes it builds, the default first; build(circuit, size) ->
-#: (matrix, certificate of the gadget graph the matrix closes, or None where
-#: there is none))
+#: method -> (the sizes it builds, the default first; lower(circuit, size) ->
+#: (matrix, what it closes for ``--dot`` to draw: a gadget graph's
+#: certificate, DET_n's program or None)).  ``detsym`` takes no circuit and
+#: builds no named size: its size is n.
 _BUILDERS = {
     "valiant": (("green",), lambda c, size: valiant_lowering(c)),
     "sym": (("skinny", "green"), sym_lowering),
     "ws-sym": (("fat", "green"), ws_sym_lowering),
     "ws-nonsym": (("fat", "green"), ws_nonsym_lowering),
+    "char2-square": (("fat",), lambda c, size: (square_matrix_char2(c), None)),
+    "detsym": ((), lambda c, n: det_sym_lowering(n)),
 }
 
 
-def build_bound(method: str, size: str, c: Circuit) -> int:
+def build_bound(method: str, size: str | int, c: Circuit | None = None) -> int:
     """Dimension bound promised by the applicable theorem: a green size
     counts the gates of ``green_form(c)``, a skinny or fat size those of
-    ``c``, which takes no rewrite."""
+    ``c``, which takes no rewrite; DET_n's size is n."""
+    if method == "detsym":
+        return 4 * size**3 + 7
+    if method == "char2-square":  # the bipartite double of the ws-nonsym matrix
+        return 2 * build_bound("ws-nonsym", size, c)
     kinds = [g.kind for g in (green_form(c) if size == "green" else c).gates.values()]
     e = sum(k in COMPUTATION for k in kinds)  # skinny or green size
     ei = e + kinds.count(VAR)
@@ -145,72 +152,40 @@ def build_bound(method: str, size: str, c: Circuit) -> int:
     raise ValueError(method)
 
 
-def _check_bound(matrix, bound: int) -> None:
-    """A dimension above the theorem's bound is a hard error, reported
-    before anything is printed."""
-    if matrix.dim > bound:
-        raise ValueError(f"dimension {matrix.dim} exceeds bound {bound}")
-
-
 def cmd_build(args) -> int:
-    sizes, builder = _BUILDERS[args.method]
-    size = args.size or sizes[0]
-    if size not in sizes:
+    """``build``, ``detsym`` and ``char2-square``: lower by the method's row
+    of ``_BUILDERS``, hold the matrix to ``build_bound`` (a dimension above
+    it is a hard error, reported before anything is written), then emit."""
+    sizes, lower = _BUILDERS[args.method]
+    size = sizes[0] if args.size is None else args.size
+    if sizes and size not in sizes:
         raise ValueError(f"--method {args.method} has no size {size} "
                          f"(it builds {' or '.join(sizes)})")
-    c = _load_circuit(args)
+    c = _load_circuit(args) if sizes else None
     if args.method in ("sym", "ws-sym") and args.field.characteristic == 2:
         print("error: symmetric closing needs 1/2; characteristic 2 is not supported "
               "(see char2-square)", file=sys.stderr)
         return 1
-    matrix, cert = builder(c, size)
+    matrix, cert = lower(c, size)
     bound = build_bound(args.method, size, c)
-    _check_bound(matrix, bound)
-    report = {
-        "method": args.method,
-        "size": size,
-        "dimension": matrix.dim,
-        "bound": bound,
-        "symmetric": matrix.symmetric,
-    }
+    if matrix.dim > bound:
+        raise ValueError(f"dimension {matrix.dim} exceeds bound {bound}")
     if args.dot and cert is not None:
         with open(args.dot, "w") as fh:
-            fh.write(export_dot(cert.graph))
+            fh.write(export_dot(cert.digraph if isinstance(cert, LayeredAbp) else cert.graph))
     out = render_matrix(matrix)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(out)
     if args.json:
-        report["matrix"] = matrix.to_json()
-        print(json.dumps(report, indent=2))
+        print(json.dumps({"method": args.method, "size": size, "dimension": matrix.dim,
+                          "bound": bound, "symmetric": matrix.symmetric,
+                          "matrix": matrix.to_json()}, indent=2))
     else:
-        print(f"# {args.method} ({size}): dimension {matrix.dim} <= {bound}",
-              file=sys.stderr)
+        print(f"# {args.label.format(method=args.method, size=size)}: "
+              f"dimension {matrix.dim} <= {bound}", file=sys.stderr)
         if not args.output:
             sys.stdout.write(out)
-    return 0
-
-
-def cmd_detsym(args) -> int:
-    matrix, abp = det_sym_lowering(args.n)
-    bound = 4 * args.n**3 + 7
-    _check_bound(matrix, bound)
-    if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(export_dot(abp.digraph))
-    print(f"# determinant representation n={args.n}: dimension {matrix.dim} <= {bound}",
-          file=sys.stderr)
-    sys.stdout.write(render_matrix(matrix))
-    return 0
-
-
-def cmd_char2_square(args) -> int:
-    c = _load_circuit(args)
-    matrix = square_matrix_char2(c)
-    bound = 2 * len(c.gates) + 2
-    _check_bound(matrix, bound)
-    print(f"# char-2 square: dimension {matrix.dim} <= {bound}", file=sys.stderr)
-    sys.stdout.write(render_matrix(matrix))
     return 0
 
 
@@ -309,7 +284,7 @@ def cmd_demo(args) -> int:
     print()
     print("== determinant polynomial, n = 2 ==")
     md = det_sym_matrix(2)
-    print(f"dimension {md.dim} <= {4 * 8 + 7}, det = {symbolic_det(md).render()}")
+    print(f"dimension {md.dim} <= {build_bound('detsym', 2)}, det = {symbolic_det(md).render()}")
 
     print()
     print("== characteristic 2: square of x + y over GF(2^16) ==")
@@ -351,7 +326,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a determinantal representation")
     add_circuit_args(p)
-    p.add_argument("--method", required=True, choices=sorted(_BUILDERS))
+    p.add_argument("--method", required=True,
+                   choices=sorted(set(_BUILDERS) - {"detsym", "char2-square"}))
     p.add_argument("--size", choices=("skinny", "green", "fat"))
     p.add_argument("--json", action="store_true")
     p.add_argument("--dot", help="write the gadget graph in DOT format: for valiant and "
@@ -360,16 +336,18 @@ def _parser() -> argparse.ArgumentParser:
                    "the vertex split of that program, whose vertices in order are the "
                    "matrix rows, then one closing vertex if their count is even")
     p.add_argument("-o", "--output", help="write the matrix to a file")
-    p.set_defaults(fn=cmd_build)
+    p.set_defaults(fn=cmd_build, label="{method} ({size})")
 
     p = sub.add_parser("detsym", help="symmetric representation of DET_n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", dest="size", metavar="N", type=int, required=True)
     p.add_argument("--dot", help="write the branching program in DOT format")
-    p.set_defaults(fn=cmd_detsym)
+    p.set_defaults(fn=cmd_build, method="detsym", label="determinant representation n={size}",
+                   json=False, output=None)
 
     p = sub.add_parser("char2-square", help="characteristic-2 square construction")
     add_circuit_args(p)
-    p.set_defaults(fn=cmd_char2_square, field=GF2_16)
+    p.set_defaults(fn=cmd_build, method="char2-square", label="char-2 square", field=GF2_16,
+                   size=None, json=False, output=None, dot=None)
 
     p = sub.add_parser("pperm", help="partial permanent of a matrix")
     p.add_argument("matrix")

@@ -207,7 +207,7 @@ class SymbolicMatrix:
 
     def __init__(
         self,
-        rows: Sequence[Mapping[int, Weight] | Sequence[Weight]],
+        rows: Sequence[dict[int, Weight] | Sequence[Weight]],
         spec: FieldSpec = RATIONAL,
         symmetric: bool = False,
     ):
@@ -271,10 +271,10 @@ class SymbolicMatrix:
         return f"<{'symmetric ' if self.symmetric else ''}matrix dim={self.dim}>"
 
 
-def _sparse_row(row: Mapping[int, Weight] | Sequence[Weight], n: int) -> dict[int, Weight]:
+def _sparse_row(row: dict[int, Weight] | Sequence[Weight], n: int) -> dict[int, Weight]:
     """The stored entries of one row in column order, the order a dense scan
     visits them, so compiling and eliminating work as on the dense grid."""
-    if isinstance(row, Mapping):
+    if isinstance(row, dict):
         if any(not 0 <= j < n for j in row):
             raise ValueError("matrix entry outside the square")
         return {j: row[j] for j in sorted(row) if _stored(row[j])}

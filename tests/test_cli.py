@@ -165,6 +165,34 @@ def test_cli_detsym(capsys):
     assert "<= 39" in err
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cli_detsym_prints_the_library_matrix_and_its_bound_line(capsys, n):
+    from symdet.determinant import det_sym_matrix
+    from symdet.graphs import render_matrix
+
+    m = det_sym_matrix(n)
+    code, out, err = run(["detsym", "--n", str(n)], capsys)
+    assert code == 0 and out == render_matrix(m)
+    assert err == f"# determinant representation n={n}: dimension {m.dim} <= {4 * n**3 + 7}\n"
+
+
+@pytest.mark.parametrize("field", ["gf2_16", "gf2:8"])
+def test_cli_char2_square_prints_the_library_matrix_and_its_bound_line(capsys, field):
+    """The square's bound is twice the ws-nonsym fat bound, 2m + 2."""
+    from symdet.char2 import square_matrix_char2
+    from symdet.cli import build_bound, field_from_flag
+    from symdet.graphs import render_matrix
+
+    expr = "(x+y)*(x+y) + x*y*z"
+    c = parse_expression(expr, field_from_flag(field))
+    m = square_matrix_char2(c)
+    bound = 2 * build_bound("ws-nonsym", "fat", c)
+    assert bound == 2 * len(c.gates) + 2
+    code, out, err = run(["char2-square", "--expr", expr, "--field", field], capsys)
+    assert code == 0 and out == render_matrix(m)
+    assert err == f"# char-2 square: dimension {m.dim} <= {bound}\n"
+
+
 @pytest.mark.parametrize("argv", [["build", "--expr", "x*y + z", "--method", "sym"],
                                   ["build", "--expr", "x*y + z", "--method", "ws-sym", "--json"],
                                   ["detsym", "--n", "1"]])
@@ -615,21 +643,36 @@ def test_cli_expression_names_its_end(capsys, expr):
 
 @pytest.mark.parametrize("dim", [9, 8])
 def test_cli_char2_square_bound_failure_is_an_error_line(capsys, monkeypatch, dim):
-    """x + y has 3 gates, so its bound is 8: one row over it is an error
-    line, a matrix at the bound is emitted."""
+    """One bound check serves the three build subcommands.  x + y has 3
+    gates, so its char-2 square bound is 8 and its ws-nonsym fat bound 4;
+    DET_1's bound is 11.  A lowering that returns one row over the bound
+    (dim 9) is an error line, one at the bound (dim 8) is emitted."""
+    from symdet.cli import _BUILDERS, build_bound
     from symdet.fields import GF2_16
     from symdet.graphs import SymbolicMatrix, Weight
 
-    one = Weight.const(GF2_16.one())
-    identity = SymbolicMatrix([{i: one} for i in range(dim)], spec=GF2_16, symmetric=True)
-    monkeypatch.setattr("symdet.cli.square_matrix_char2", lambda c: identity)
-    code, out, err = run(["char2-square", "--expr", "x + y"], capsys)
-    if dim > 8:
-        assert code == 1 and out == ""
-        assert err == f"error: dimension {dim} exceeds bound 8\n"
-    else:
-        assert code == 0 and out.startswith(f"{dim} symmetric\n")
-        assert err == f"# char-2 square: dimension {dim} <= 8\n"
+    c = parse_expression("x + y")
+    cases = [
+        (["char2-square", "--expr", "x + y"], "char2-square", GF2_16, 8, "char-2 square"),
+        (["detsym", "--n", "1"], "detsym", RATIONAL, 11, "determinant representation n=1"),
+        (["build", "--method", "ws-nonsym", "--size", "fat", "--expr", "x + y"], "ws-nonsym",
+         RATIONAL, 4, "ws-nonsym (fat)"),
+    ]
+    assert [build_bound("char2-square", "fat", c), build_bound("detsym", 1),
+            build_bound("ws-nonsym", "fat", c)] == [bound for *_, bound, _ in cases]
+    for argv, method, spec, bound, label in cases:
+        rows = dim - 8 + bound
+        one = Weight.const(spec.one())
+        identity = SymbolicMatrix([{i: one} for i in range(rows)], spec=spec, symmetric=True)
+        monkeypatch.setitem(_BUILDERS, method,
+                            (_BUILDERS[method][0], lambda c, size, m=identity: (m, None)))
+        code, out, err = run(argv, capsys)
+        if rows > bound:
+            assert code == 1 and out == ""
+            assert err == f"error: dimension {rows} exceeds bound {bound}\n"
+        else:
+            assert code == 0 and out.startswith(f"{rows} symmetric\n")
+            assert err == f"# {label}: dimension {rows} <= {bound}\n"
 
 
 def test_cli_exact_verdict_refuses_a_constant_that_does_not_embed(tmp_path, capsys):

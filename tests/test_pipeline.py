@@ -355,6 +355,28 @@ def test_every_symmetric_matrix_is_the_closed_vertex_split_of_a_program():
     }
 
 
+def test_every_build_subcommand_emits_through_one_function():
+    """One build path: inside ``cli``, rendering a matrix, writing a DOT
+    file and holding a dimension to its bound each happen in one function,
+    so ``build``, ``detsym`` and ``char2-square`` cannot fork again."""
+    import ast
+    from pathlib import Path
+
+    cli = Path(__file__).resolve().parents[1] / "src" / "symdet" / "cli.py"
+    tree = ast.parse(cli.read_text())
+    found: dict[str, set[str]] = {"render_matrix": set(), "export_dot": set(), "bound": set()}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in found:
+                found[node.func.id].add(getattr(top, "name", ""))
+            elif isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Attribute) and side.attr == "dim"
+                    for side in [node.left, *node.comparators]):
+                found["bound"].add(getattr(top, "name", ""))
+    assert found == {"render_matrix": {"cmd_build"}, "export_dot": {"cmd_build"},
+                     "bound": {"cmd_build"}}, found
+
+
 def test_no_module_imports_a_private_name_of_another():
     """A helper two modules share has one public home: no module of
     ``src/symdet`` imports an underscore name from a sibling module."""
