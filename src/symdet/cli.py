@@ -30,7 +30,7 @@ from .circuits import (
     render_circuit,
 )
 from .char2 import partial_perm_identity, render_partial_permanent, square_matrix_char2
-from .determinant import LayeredAbp, det_sym_lowering, det_sym_matrix
+from .determinant import det_sym_lowering, det_sym_matrix
 from .fields import GF2, GF2_16, PRIME_DEFAULT, RATIONAL, FieldError, FieldSpec
 from .formulas import sym_lowering, valiant_lowering, valiant_matrix
 from .graphs import export_dot, parse_matrix, render_matrix
@@ -112,17 +112,14 @@ def cmd_minimize(args) -> int:
     return 0
 
 
-#: method -> (the sizes it builds, the default first; lower(circuit, size) ->
-#: (matrix, what it closes for ``--dot`` to draw: a gadget graph's
-#: certificate, DET_n's program or None)).  ``detsym`` takes no circuit and
-#: builds no named size: its size is n.
+#: method -> (the sizes it builds, the default first; build(circuit, size) ->
+#: (matrix, certificate of the gadget graph the matrix closes, or None where
+#: there is none))
 _BUILDERS = {
     "valiant": (("green",), lambda c, size: valiant_lowering(c)),
     "sym": (("skinny", "green"), sym_lowering),
     "ws-sym": (("fat", "green"), ws_sym_lowering),
     "ws-nonsym": (("fat", "green"), ws_nonsym_lowering),
-    "char2-square": (("fat",), lambda c, size: (square_matrix_char2(c), None)),
-    "detsym": ((), lambda c, n: det_sym_lowering(n)),
 }
 
 
@@ -152,27 +149,45 @@ def build_bound(method: str, size: str | int, c: Circuit | None = None) -> int:
     raise ValueError(method)
 
 
-def cmd_build(args) -> int:
-    """``build``, ``detsym`` and ``char2-square``: lower by the method's row
-    of ``_BUILDERS``, hold the matrix to ``build_bound`` (a dimension above
-    it is a hard error, reported before anything is written), then emit."""
-    sizes, lower = _BUILDERS[args.method]
-    size = sizes[0] if args.size is None else args.size
-    if sizes and size not in sizes:
+def _lower_circuit(args):
+    """``build``: the ``--method`` row of ``_BUILDERS`` at ``--size``.
+    Each lowering returns (size, circuit, matrix, what ``--dot`` draws)."""
+    sizes, builder = _BUILDERS[args.method]
+    size = args.size or sizes[0]
+    if size not in sizes:
         raise ValueError(f"--method {args.method} has no size {size} "
                          f"(it builds {' or '.join(sizes)})")
-    c = _load_circuit(args) if sizes else None
+    c = _load_circuit(args)
     if args.method in ("sym", "ws-sym") and args.field.characteristic == 2:
-        print("error: symmetric closing needs 1/2; characteristic 2 is not supported "
-              "(see char2-square)", file=sys.stderr)
-        return 1
-    matrix, cert = lower(c, size)
+        raise ValueError("symmetric closing needs 1/2; characteristic 2 is not supported "
+                         "(see char2-square)")
+    matrix, cert = builder(c, size)
+    return size, c, matrix, None if cert is None else cert.graph
+
+
+def _lower_det(args):
+    """``detsym``: DET_n takes no circuit; its size is n."""
+    matrix, abp = det_sym_lowering(args.size)
+    return args.size, None, matrix, abp.digraph
+
+
+def _lower_square(args):
+    """``char2-square``: bounded as twice the ``ws-nonsym`` fat size."""
+    c = _load_circuit(args)
+    return "fat", c, square_matrix_char2(c), None
+
+
+def cmd_build(args) -> int:
+    """``build``, ``detsym`` and ``char2-square``: lower by the subcommand's
+    ``lower``, hold the matrix to ``build_bound`` (a dimension above it is a
+    hard error, reported before anything is written), then emit."""
+    size, c, matrix, graph = args.lower(args)
     bound = build_bound(args.method, size, c)
     if matrix.dim > bound:
         raise ValueError(f"dimension {matrix.dim} exceeds bound {bound}")
-    if args.dot and cert is not None:
+    if args.dot and graph is not None:
         with open(args.dot, "w") as fh:
-            fh.write(export_dot(cert.digraph if isinstance(cert, LayeredAbp) else cert.graph))
+            fh.write(export_dot(graph))
     out = render_matrix(matrix)
     if args.output:
         with open(args.output, "w") as fh:
@@ -327,7 +342,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build a determinantal representation")
     add_circuit_args(p)
     p.add_argument("--method", required=True,
-                   choices=sorted(set(_BUILDERS) - {"detsym", "char2-square"}))
+                   choices=sorted(_BUILDERS))
     p.add_argument("--size", choices=("skinny", "green", "fat"))
     p.add_argument("--json", action="store_true")
     p.add_argument("--dot", help="write the gadget graph in DOT format: for valiant and "
@@ -336,18 +351,18 @@ def _parser() -> argparse.ArgumentParser:
                    "the vertex split of that program, whose vertices in order are the "
                    "matrix rows, then one closing vertex if their count is even")
     p.add_argument("-o", "--output", help="write the matrix to a file")
-    p.set_defaults(fn=cmd_build, label="{method} ({size})")
+    p.set_defaults(fn=cmd_build, lower=_lower_circuit, label="{method} ({size})")
 
     p = sub.add_parser("detsym", help="symmetric representation of DET_n")
     p.add_argument("--n", dest="size", metavar="N", type=int, required=True)
     p.add_argument("--dot", help="write the branching program in DOT format")
-    p.set_defaults(fn=cmd_build, method="detsym", label="determinant representation n={size}",
-                   json=False, output=None)
+    p.set_defaults(fn=cmd_build, lower=_lower_det, method="detsym",
+                   label="determinant representation n={size}", json=False, output=None)
 
     p = sub.add_parser("char2-square", help="characteristic-2 square construction")
     add_circuit_args(p)
-    p.set_defaults(fn=cmd_build, method="char2-square", label="char-2 square", field=GF2_16,
-                   size=None, json=False, output=None, dot=None)
+    p.set_defaults(fn=cmd_build, lower=_lower_square, method="char2-square",
+                   label="char-2 square", field=GF2_16, json=False, output=None, dot=None)
 
     p = sub.add_parser("pperm", help="partial permanent of a matrix")
     p.add_argument("matrix")

@@ -648,24 +648,30 @@ def test_cli_char2_square_bound_failure_is_an_error_line(capsys, monkeypatch, di
     DET_1's bound is 11.  A lowering that returns one row over the bound
     (dim 9) is an error line, one at the bound (dim 8) is emitted."""
     from symdet.cli import _BUILDERS, build_bound
+    from symdet.determinant import det_sym_lowering
     from symdet.fields import GF2_16
     from symdet.graphs import SymbolicMatrix, Weight
 
     c = parse_expression("x + y")
+    abp = det_sym_lowering(1)[1]
+    # (argv, field, bound, label, patch: matrix -> (name, what the CLI calls))
     cases = [
-        (["char2-square", "--expr", "x + y"], "char2-square", GF2_16, 8, "char-2 square"),
-        (["detsym", "--n", "1"], "detsym", RATIONAL, 11, "determinant representation n=1"),
-        (["build", "--method", "ws-nonsym", "--size", "fat", "--expr", "x + y"], "ws-nonsym",
-         RATIONAL, 4, "ws-nonsym (fat)"),
+        (["char2-square", "--expr", "x + y"], GF2_16, 8, "char-2 square",
+         lambda m: ("symdet.cli.square_matrix_char2", lambda c: m)),
+        (["detsym", "--n", "1"], RATIONAL, 11, "determinant representation n=1",
+         lambda m: ("symdet.cli.det_sym_lowering", lambda n: (m, abp))),
+        (["build", "--method", "ws-nonsym", "--size", "fat", "--expr", "x + y"], RATIONAL, 4,
+         "ws-nonsym (fat)",
+         lambda m: ("symdet.cli._BUILDERS", {**_BUILDERS, "ws-nonsym": (
+             _BUILDERS["ws-nonsym"][0], lambda c, size: (m, None))})),
     ]
     assert [build_bound("char2-square", "fat", c), build_bound("detsym", 1),
-            build_bound("ws-nonsym", "fat", c)] == [bound for *_, bound, _ in cases]
-    for argv, method, spec, bound, label in cases:
+            build_bound("ws-nonsym", "fat", c)] == [bound for _, _, bound, _, _ in cases]
+    for argv, spec, bound, label, patch in cases:
         rows = dim - 8 + bound
         one = Weight.const(spec.one())
         identity = SymbolicMatrix([{i: one} for i in range(rows)], spec=spec, symmetric=True)
-        monkeypatch.setitem(_BUILDERS, method,
-                            (_BUILDERS[method][0], lambda c, size, m=identity: (m, None)))
+        monkeypatch.setattr(*patch(identity))
         code, out, err = run(argv, capsys)
         if rows > bound:
             assert code == 1 and out == ""

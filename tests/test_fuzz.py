@@ -26,6 +26,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symdet.char2 import square_matrix_char2
 from symdet.circuits import CircuitError, classify, parse_circuit, parse_expression, random_circuit
 from symdet.cli import _BUILDERS, build_bound, field_from_flag, main
 from symdet.fields import GF2_16, PRIME_DEFAULT, RATIONAL, FieldError
@@ -227,16 +228,17 @@ def test_every_build_of_a_small_weighted_circuit_is_certified(spec, profile, bud
             continue
         if char2 and method in SYMMETRIC:  # the symmetric closing needs 1/2
             continue
-        if (method == "char2-square") != char2:  # the square is built in characteristic 2 only
-            continue
-        for size in sizes:  # none for detsym, which takes no circuit
+        for size in sizes:
             matrix, cert = builder(c, size)
             assert matrix.dim <= build_bound(method, size, c), (method, size)
-            power = 2 if method == "char2-square" else 1
-            assert identity_test(c, matrix, spec=test_spec, power=power).ok, (method, size)
+            assert identity_test(c, matrix, spec=test_spec).ok, (method, size)
             if cert is not None and cert.graph.n <= 12:
                 if method in SYMMETRIC:  # a formula gadget has no unacceptable path
                     skipped = check_symmetric_certificate(cert)
                     assert method != "sym" or skipped == 0
                 else:
                     check_abp_certificate(cert)
+    if char2 and cl.is_weakly_skew:
+        square = square_matrix_char2(c)
+        assert square.dim <= 2 * len(c.gates) + 2
+        assert identity_test(c, square, spec=GF2_16, power=2).ok
