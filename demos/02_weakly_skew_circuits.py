@@ -18,7 +18,7 @@ from symdet import (
     ws_sym_matrix,
 )
 from symdet.circuits import reachable_from
-from symdet.graphs import check_symmetric_certificate
+from symdet.oracles import check_symmetric_certificate
 from symdet.weakly_skew import build_ws_graph
 
 b = CircuitBuilder()

@@ -543,9 +543,7 @@ def random_circuit(
         return sinks[0]
 
     root = gen_ws(size_budget)
-    live = reachable_from(Circuit(b._gates, [root], spec=spec), [root])
-    gates = {gid: g for gid, g in b._gates.items() if gid in live}
-    return validate(Circuit(gates, [root], spec=spec))
+    return validate(Circuit(b._gates, [root], spec=spec))
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +578,9 @@ def render_circuit(circuit: Circuit) -> str:
 
 def is_variable_name(name: str) -> bool:
     """A variable name reads back as a variable when a matrix entry renders
-    it bare: it is non-empty and starts with neither a digit nor a sign."""
-    return bool(name) and not name[0].isdigit() and name[0] not in "+-"
+    it bare: it is non-empty, starts with neither a digit nor a sign, and
+    holds no ``*``, which a matrix entry reads as scaling."""
+    return bool(name) and not name[0].isdigit() and name[0] not in "+-" and "*" not in name
 
 
 def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:

@@ -24,10 +24,11 @@ symmetric matrix of determinant c0 * sum_P w(P) = f and dimension at most
 
 Constant multiplications are free: they ride on c0 and on arc weights; the
 c0 of a product is the product of its arguments' scalars.  Certificates
-retain the program or its split, which the tests audit with
-:func:`~symdet.graphs.check_abp_certificate` and the one symmetric audit,
-:func:`~symdet.graphs.check_symmetric_certificate`; neither is on a
-build's path, and no fast path imports the oracles they enumerate with.
+retain the program or its split, which the tests audit with the
+oracles' :func:`~symdet.oracles.check_abp_certificate` and the one
+symmetric audit, :func:`~symdet.oracles.check_symmetric_certificate`;
+neither is on a build's path, and this module imports neither the oracles
+nor the symbolic polynomials.
 """
 
 from __future__ import annotations

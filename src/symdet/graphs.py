@@ -25,10 +25,10 @@ becomes an in/out pair joined by a link of weight -1, so a program path
 through k split vertices gains the sign (-1)^k.  :func:`close_symmetric`
 joins t back to s of such a split with the sign that |G| fixes, which
 cancels it, so its determinant is again c * sum_P w(P) over the program's
-s-t paths.  The tests audit each certificate by enumeration, a branching
-program by :func:`check_abp_certificate` and a symmetric gadget graph by
-:func:`check_symmetric_certificate`; both import the oracles lazily, and
-no fast path imports them.
+s-t paths.  The tests audit each certificate by enumeration, with the
+oracles' :func:`~symdet.oracles.check_abp_certificate` and
+:func:`~symdet.oracles.check_symmetric_certificate`; this module imports
+neither the oracles nor the symbolic polynomials.
 
 :class:`SymbolicMatrix` is the target language: a square matrix whose
 entries are :class:`Weight` values, stored as its nonzeros only, one
@@ -45,9 +45,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
-from .circuits import VAR, Circuit, classify, is_variable_name
+from .circuits import VAR, Circuit, is_variable_name
 from .fields import RATIONAL, FieldElement, FieldSpec, embed, half, parse_element
-from .polynomials import DensePolynomial, expand_gate_values
 
 
 VARW = "var"
@@ -86,14 +85,6 @@ class Weight:
         if self.kind == CONSTW:
             return Weight.const(self.coeff * c)
         return Weight.scaled(self.name, self.coeff * c)
-
-    def as_polynomial(self, variables, spec: FieldSpec) -> DensePolynomial:
-        if self.kind == CONSTW:
-            return DensePolynomial.constant(embed(self.coeff, spec), variables)
-        p = DensePolynomial.variable(self.name, variables, spec)
-        if self.kind == SCALEDW:
-            p = p.scale(embed(self.coeff, spec))
-        return p
 
     def eval(self, assignment: Mapping[str, FieldElement], spec: FieldSpec) -> FieldElement:
         if self.kind == CONSTW:
@@ -296,10 +287,11 @@ class PathSumCertificate:
     """A gadget graph and the path sums it realizes: for every gate a of
     ``targets``, ``scalars[a]`` times the sum of w(P) over the paths P from
     s to ``targets[a]`` is the value f_a of gate a of ``source``.  The sum
-    is unsigned for a branching program (:func:`check_abp_certificate`); a
-    symmetric gadget graph counts each path P with the sign
-    (-1)^((|P| - u)/2) of its closing, u = 2 - |G| mod 2
-    (:func:`check_symmetric_certificate`)."""
+    is unsigned for a branching program
+    (:func:`~symdet.oracles.check_abp_certificate`); a symmetric gadget
+    graph counts each path P with the sign (-1)^((|P| - u)/2) of its
+    closing, u = 2 - |G| mod 2
+    (:func:`~symdet.oracles.check_symmetric_certificate`)."""
 
     graph: WeightedDigraph
     s: int
@@ -311,72 +303,6 @@ class PathSumCertificate:
         """The target vertex and scalar of the source's first output."""
         out = self.source.outputs[0]
         return self.targets[out], self.scalars[out]
-
-
-def check_abp_certificate(cert: PathSumCertificate) -> None:
-    """Audit a branching program by enumerating its paths: for every
-    reusable gate a of ``targets``, scalars[a] * sum_P w(P) = f_a over the
-    s-targets[a] paths P.  Exponential; intended for test builds."""
-    from .oracles import enumerate_st_paths, path_sum
-
-    g, source = cert.graph, cert.source
-    values = expand_gate_values(source)
-    reusable = classify(source).reusable
-    for gid, t in sorted(cert.targets.items()):
-        if gid in reusable:
-            total = path_sum(g, enumerate_st_paths(g, cert.s, t), source.variables)
-            assert total.scale(cert.scalars[gid]) == values[gid], (
-                f"ABP path-sum identity failed at gate {gid}")
-
-
-def check_symmetric_certificate(cert: PathSumCertificate, max_vertices: int = 14) -> int:
-    """Audit a symmetric gadget graph by enumerating its paths, with the
-    sign of :func:`close_symmetric`, which u = 2 - |G| mod 2 whole vertices
-    per path fix: every cycle is even; G minus {s} (|G| odd) or minus
-    {s, t} (|G| even) has a unique weight-1 matching; and for every reusable
-    gate a of ``targets``, every s-targets[a] path P has the parity of u,
-    every acceptable one leaves a unique weight-1 matching, and
-    scalars[a] * sum (-1)^((|P| - u)/2) w(P) = f_a over the acceptable P.
-    Returns the number of unacceptable paths skipped, none on a formula
-    split.  Exponential; intended for test builds up to ``max_vertices``."""
-    from .oracles import (
-        all_cycles_even,
-        complement_vertices,
-        enumerate_st_paths,
-        is_acceptable,
-        path_weight,
-        unique_cover_is_weight1_matching,
-    )
-
-    g, source = cert.graph, cert.source
-    assert isinstance(g, WeightedGraph), "symmetric certificate needs a graph"
-    if g.n > max_vertices:
-        raise ValueError(f"certificate audit capped at {max_vertices} vertices")
-    assert all_cycles_even(g), "odd cycle in gadget graph"
-    whole = 2 - g.n % 2  # s, and t when |G| is even: on every s-t path
-    base = [cert.s, cert.output()[0]][:whole]
-    assert unique_cover_is_weight1_matching(g, complement_vertices(g, base)), (
-        f"G minus {base} must have a unique weight-1 matching cover")
-    values = expand_gate_values(source)
-    reusable = classify(source).reusable
-    skipped = 0
-    for gid, t in sorted(cert.targets.items()):
-        if gid not in reusable:
-            continue
-        total = DensePolynomial.zero(g.spec, source.variables)
-        for path in enumerate_st_paths(g, cert.s, t):
-            assert (len(path) - whole) % 2 == 0, (
-                f"s-t path of {len(path)} vertices at gate {gid}, {whole} of them whole")
-            if not is_acceptable(g, path):
-                skipped += 1
-                continue
-            assert unique_cover_is_weight1_matching(g, complement_vertices(g, path)), (
-                f"path complement at gate {gid} must have a unique weight-1 matching cover")
-            w = path_weight(g, path, source.variables, g.spec)
-            total = total + (-w if (len(path) - whole) // 2 % 2 else w)
-        assert total.scale(cert.scalars[gid]) == values[gid], (
-            f"symmetric path-sum identity failed at gate {gid}")
-    return skipped
 
 
 def close_abp(

@@ -7,17 +7,30 @@ symbolic determinant is a cofactor expansion over column subsets; the
 permanent uses inclusion-exclusion, and the characteristic-2 referee sums
 squared permanents of square submatrices.
 All of them return :class:`DensePolynomial` values and are capped at small
-dimensions.
+dimensions.  The two certificate audits enumerate too, so they are test
+references and live here: :func:`check_abp_certificate` for a branching
+program and :func:`check_symmetric_certificate` for a symmetric graph.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .fields import FieldSpec
-from .graphs import CONSTW, SymbolicMatrix, Weight, WeightedDigraph, WeightedGraph
-from .polynomials import DensePolynomial, TooLarge
+from .circuits import classify
+from .fields import FieldSpec, embed
+from .graphs import (
+    CONSTW,
+    SCALEDW,
+    PathSumCertificate,
+    SymbolicMatrix,
+    Weight,
+    WeightedDigraph,
+    WeightedGraph,
+    adjacency,
+)
+from .polynomials import DensePolynomial, TooLarge, expand_gate_values
 
 
 def _variables_of(weights: Iterable[Weight]) -> tuple[str, ...]:
@@ -27,6 +40,14 @@ def _variables_of(weights: Iterable[Weight]) -> tuple[str, ...]:
 
 def _one(spec: FieldSpec, variables) -> DensePolynomial:
     return DensePolynomial.constant(spec.one(), variables)
+
+
+def _poly(w: Weight, variables, spec: FieldSpec) -> DensePolynomial:
+    """An arc weight as a polynomial in ``variables`` over ``spec``."""
+    if w.kind == CONSTW:
+        return DensePolynomial.constant(embed(w.coeff, spec), variables)
+    p = DensePolynomial.variable(w.name, variables, spec)
+    return p.scale(embed(w.coeff, spec)) if w.kind == SCALEDW else p
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +118,7 @@ def cover_weight(
 ) -> DensePolynomial:
     w = _one(spec, variables)
     for u, v in cover.items():
-        w = w * g.arcs[(u, v)].as_polynomial(variables, spec)
+        w = w * _poly(g.arcs[(u, v)], variables, spec)
     return w
 
 
@@ -150,10 +171,10 @@ def cycle_cover_sum_short(
         u = mask_free[0]
         rest = mask_free[1:]
         if u in loops:
-            rec(rest, acc * loops[u].as_polynomial(variables, spec))
+            rec(rest, acc * _poly(loops[u], variables, spec))
         for v, w in adj[u]:
             if v in rest:
-                wp = w.as_polynomial(variables, spec)
+                wp = _poly(w, variables, spec)
                 rec([x for x in rest if x != v], acc * wp * wp)
 
     rec(list(range(g.n)), _one(spec, variables))
@@ -181,7 +202,7 @@ def symbolic_det(
     variables = tuple(variables) if variables is not None else m.variables()
     spec = m.spec
     entry_polys = [
-        [m.entry(i, j).as_polynomial(variables, spec) for j in range(n)]
+        [_poly(m.entry(i, j), variables, spec) for j in range(n)]
         for i in range(n)
     ]
     zeros = [[m.entry(i, j).is_zero() for j in range(n)] for i in range(n)]
@@ -221,7 +242,7 @@ def ryser_permanent(
     variables = tuple(variables) if variables is not None else m.variables()
     spec = m.spec
     entry_polys = [
-        [m.entry(i, j).as_polynomial(variables, spec) for j in range(n)]
+        [_poly(m.entry(i, j), variables, spec) for j in range(n)]
         for i in range(n)
     ]
     total = DensePolynomial.zero(spec, variables)
@@ -264,7 +285,7 @@ def referee_submatrix_sum(b: SymbolicMatrix) -> DensePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# paths and audit helpers
+# paths and the certificate audits
 # ---------------------------------------------------------------------------
 
 
@@ -304,7 +325,7 @@ def path_weight(
 ) -> DensePolynomial:
     w = _one(spec, variables)
     for u, v in zip(path, path[1:]):
-        w = w * g.arcs[(u, v)].as_polynomial(variables, spec)
+        w = w * _poly(g.arcs[(u, v)], variables, spec)
     return w
 
 
@@ -323,29 +344,21 @@ def complement_vertices(g, path: Sequence[int]) -> list[int]:
     return [v for v in range(g.n) if v not in drop]
 
 
-def is_acceptable(g: WeightedGraph, path: Sequence[int]) -> bool:
-    """A path is acceptable when the rest of the graph has a cycle cover."""
-    rest = complement_vertices(g, path)
-    if not rest:
-        return True
-    return bool(enumerate_cycle_covers(g, rest))
-
-
 def unique_cover_is_weight1_matching(g: WeightedGraph, vertices: Sequence[int]) -> bool:
     """True iff the induced subgraph has exactly one cycle cover and that
     cover is a perfect matching (2-cycles only) of weight 1."""
-    if not vertices:
-        return True
-    covers = enumerate_cycle_covers(g, vertices)
+    return _is_weight1_matching(g, enumerate_cycle_covers(g, vertices))
+
+
+def _is_weight1_matching(g: WeightedGraph, covers: list[dict[int, int]]) -> bool:
+    """True iff ``covers`` is one cover, a perfect matching of weight 1."""
     if len(covers) != 1:
         return False
     cover = covers[0]
-    cycles = cover_cycles(cover)
-    if any(len(c) != 2 for c in cycles):
+    if any(len(c) != 2 for c in cover_cycles(cover)):
         return False
     variables = _variables_of(g.arcs.values())
-    w = cover_weight(g, cover, variables, g.spec)
-    return w == _one(g.spec, variables)
+    return cover_weight(g, cover, variables, g.spec) == _one(g.spec, variables)
 
 
 def all_cycles_even(g: WeightedGraph) -> bool:
@@ -370,3 +383,66 @@ def all_cycles_even(g: WeightedGraph) -> bool:
                 elif color[v] == color[u]:
                     return False
     return True
+
+
+def check_abp_certificate(cert: PathSumCertificate) -> None:
+    """Audit a branching program by enumerating its paths: for every
+    reusable gate a of ``targets``, scalars[a] * sum_P w(P) = f_a over the
+    s-targets[a] paths P.  Exponential; intended for test builds."""
+    g, source = cert.graph, cert.source
+    values = expand_gate_values(source)
+    reusable = classify(source).reusable
+    for gid, t in sorted(cert.targets.items()):
+        if gid in reusable:
+            total = path_sum(g, enumerate_st_paths(g, cert.s, t), source.variables)
+            assert total.scale(cert.scalars[gid]) == values[gid], (
+                f"ABP path-sum identity failed at gate {gid}")
+
+
+def check_symmetric_certificate(cert: PathSumCertificate, max_vertices: int = 14) -> int:
+    """Audit a symmetric gadget graph by enumerating its paths, with the
+    sign of :func:`~symdet.graphs.close_symmetric`, which u = 2 - |G| mod 2
+    whole vertices per path fix: every cycle is even; G minus {s} (|G| odd)
+    or minus {s, t} (|G| even) has a unique weight-1 matching; and for every
+    reusable gate a of ``targets``, every s-targets[a] path P has the parity
+    of u, every acceptable one (its complement has a cycle cover) leaves a
+    unique weight-1 matching, and scalars[a] * sum (-1)^((|P| - u)/2) w(P)
+    = f_a over the acceptable P.  Enumerates the cycle covers of each vertex
+    set once.  Returns the number of unacceptable paths skipped, none on a
+    formula split.  Exponential; intended for test builds up to
+    ``max_vertices``."""
+    g, source = cert.graph, cert.source
+    assert adjacency(g).symmetric, "symmetric certificate needs a graph"
+    if g.n > max_vertices:
+        raise ValueError(f"certificate audit capped at {max_vertices} vertices")
+    assert all_cycles_even(g), "odd cycle in gadget graph"
+
+    @cache  # two paths, or a path and the base, may leave the same vertex set
+    def covers_left_by(on: frozenset[int]) -> list[dict[int, int]]:
+        return enumerate_cycle_covers(g, complement_vertices(g, on))
+
+    whole = 2 - g.n % 2  # s, and t when |G| is even: on every s-t path
+    base = [cert.s, cert.output()[0]][:whole]
+    assert _is_weight1_matching(g, covers_left_by(frozenset(base))), (
+        f"G minus {base} must have a unique weight-1 matching cover")
+    values = expand_gate_values(source)
+    reusable = classify(source).reusable
+    skipped = 0
+    for gid, t in sorted(cert.targets.items()):
+        if gid not in reusable:
+            continue
+        total = DensePolynomial.zero(g.spec, source.variables)
+        for path in enumerate_st_paths(g, cert.s, t):
+            assert (len(path) - whole) % 2 == 0, (
+                f"s-t path of {len(path)} vertices at gate {gid}, {whole} of them whole")
+            left = covers_left_by(frozenset(path))
+            if not left:
+                skipped += 1
+                continue
+            assert _is_weight1_matching(g, left), (
+                f"path complement at gate {gid} must have a unique weight-1 matching cover")
+            w = path_weight(g, path, source.variables, g.spec)
+            total = total + (-w if (len(path) - whole) // 2 % 2 else w)
+        assert total.scale(cert.scalars[gid]) == values[gid], (
+            f"symmetric path-sum identity failed at gate {gid}")
+    return skipped

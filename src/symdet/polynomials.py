@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .circuits import ADD, CONST, VAR, Circuit, CircuitBuilder
-from .fields import RATIONAL, FieldElement, FieldSpec, MixedFields, embed
+from .fields import RATIONAL, FieldElement, FieldSpec, MixedFields, embed, parse_element
 
 
 class TooLarge(ValueError):
@@ -254,8 +254,6 @@ def parse_polynomial(
     text: str, variables: Sequence[str], spec: FieldSpec = RATIONAL
 ) -> DensePolynomial:
     """Parse the ``coef * x1^e1 x2^e2 [+ ...]`` polynomial format."""
-    from .fields import parse_element
-
     variables = tuple(variables)
     pos = {v: i for i, v in enumerate(variables)}
     coeffs: dict[Monomial, FieldElement] = {}

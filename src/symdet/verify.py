@@ -12,10 +12,10 @@ every randomized verdict states it; fields below 2^16 elements are refused.
 Failures carry a reproducible witness (seed and point).
 
 Both sides are compiled once per field and evaluated at all trial points
-in lockstep, by the field's plain-int arithmetic
+in lockstep, by the field's one plain-int kernel ``spec.arith``
 (:class:`~symdet.fields.IntArith`), to which this module adds only the
-elimination.  A value that differs from point to point is a lane, a list
-with one int per point.
+elimination, :func:`_lockstep_det`.  A value that differs from point to
+point is a lane, a list with one int per point.
 A :class:`CompiledCircuit` is the circuit as a topologically ordered
 program with its constants and arrow weights embedded once, evaluated on
 lanes.  A :class:`CompiledMatrix` reads the stored nonzeros of a
@@ -159,110 +159,106 @@ def _cycle_count(perm: list[int]) -> int:
     return cycles
 
 
-class _IntArith(IntArith):
-    """A finite field's plain-int arithmetic, :class:`~symdet.fields.IntArith`,
-    with the lockstep elimination on its scalars and lanes."""
+def _lockstep_det(arith: IntArith, rows: list[dict[int, int | list[int]]], t: int) -> list[int]:
+    """Determinants of ``t`` square matrices that share one sparsity pattern,
+    ``rows[i] = {j: entry}``, in the plain ints of ``arith``.  An entry is a
+    lane, where lane l holds entry (i, j) of matrix l and not every int is
+    zero, or a nonzero scalar, the entry of every matrix.  Consumes ``rows``.
 
-    def det(self, rows: list[dict[int, int | list[int]]], t: int) -> list[int]:
-        """Determinants of ``t`` square matrices that share one sparsity
-        pattern: ``rows[i] = {j: entry}``.  An entry is a lane, where lane l
-        holds entry (i, j) of matrix l and not every int is zero, or a
-        nonzero scalar, the entry of every matrix.  Consumes ``rows``.
+    One elimination serves every lane.  Each step pivots on the remaining
+    column with the fewest entries, at a row whose entry is nonzero in
+    every lane: a scalar entry if there is one, since its inverse is one
+    scalar inversion, and otherwise the shortest row (Markowitz 1957),
+    which keeps fill-in low on gadget matrices.  The sign is the parity
+    of the row -> column pivot map, n minus its number of cycles,
+    computed once.  An update stays a scalar while every operand is one,
+    and becomes a lane where it meets a lane.  The scalar pivots multiply
+    into one scalar and the lane pivots into their own lane, so a scalar
+    pivot costs one multiplication, whatever came before it; the two
+    products meet once, at the end.
+    An entry that cancels in every lane is dropped.  When no row of the
+    pivot column is nonzero in every lane, every lane is eliminated alone
+    from the original matrix, with its entries as scalars; gadget
+    matrices pivot on constants, and one lane never needs this.
+    """
+    n = len(rows)
+    mul1, inv1, submul1, times, mul, inv, submul = (
+        arith.mul1, arith.inv1, arith.submul1, arith.times, arith.mul, arith.inv, arith.submul)
+    zeros = [0] * t
 
-        One elimination serves every lane.  Each step pivots on the remaining
-        column with the fewest entries, at a row whose entry is nonzero in
-        every lane: a scalar entry if there is one, since its inverse is one
-        scalar inversion, and otherwise the shortest row (Markowitz 1957),
-        which keeps fill-in low on gadget matrices.  The sign is the parity
-        of the row -> column pivot map, n minus its number of cycles,
-        computed once.  An update stays a scalar while every operand is one,
-        and becomes a lane where it meets a lane.  The scalar pivots multiply
-        into one scalar and the lane pivots into their own lane, so a scalar
-        pivot costs one multiplication, whatever came before it; the two
-        products meet once, at the end.
-        An entry that cancels in every lane is dropped.  When no row of the
-        pivot column is nonzero in every lane, every lane is eliminated alone
-        from the original matrix, with its entries as scalars; gadget
-        matrices pivot on constants, and one lane never needs this.
-        """
-        n = len(rows)
-        mul1, inv1, submul1, times, mul, inv, submul = (
-            self.mul1, self.inv1, self.submul1, self.times, self.mul, self.inv, self.submul)
-        zeros = [0] * t
-
-        original = [dict(row) for row in rows] if t > 1 else None
-        col_rows: list[set[int]] = [set() for _ in range(n)]
-        for i, row in enumerate(rows):
+    original = [dict(row) for row in rows] if t > 1 else None
+    col_rows: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        if not row:
+            return zeros
+        for j in row:
+            col_rows[j].add(i)
+    # (entry count, column), pushed again whenever a count changes; an
+    # entry is stale once its count or its column's pivot has moved on
+    counts = [(len(s), c) for c, s in enumerate(col_rows)]
+    heapify(counts)
+    done = [False] * n
+    pivot_col = [0] * n
+    det, lane_det = 1, None  # the products of the scalar and of the lane pivots
+    for _ in range(n):
+        k, pc = heappop(counts)
+        while done[pc] or k != len(col_rows[pc]):
+            k, pc = heappop(counts)
+        below = col_rows[pc]
+        if not below:
+            return zeros
+        pr = min((r for r in below if type(rows[r][pc]) is int or all(rows[r][pc])),
+                 key=lambda r: (type(rows[r][pc]) is list, len(rows[r])), default=None)
+        if pr is None:
+            return [_lockstep_det(arith, [{c: x if type(x) is int else x[lane]
+                                          for c, x in row.items() if type(x) is int or x[lane]}
+                                         for row in original], 1)[0]
+                    for lane in range(t)]
+        prow = rows[pr]
+        pv = prow.pop(pc)
+        if type(pv) is int:
+            det = mul1(det, pv)
+        else:
+            lane_det = pv if lane_det is None else mul(lane_det, pv)
+        pivot_col[pr] = pc
+        done[pc] = True
+        below.discard(pr)
+        for c in prow:
+            col_rows[c].discard(pr)
+            heappush(counts, (len(col_rows[c]), c))
+        if not below:
+            continue
+        items = list(prow.items())
+        pinv = inv1(pv) if type(pv) is int else inv(pv)
+        for r in below:
+            row = rows[r]
+            f = row.pop(pc)
+            fs = times(f, pinv)
+            scalar = type(fs) is int
+            for c, v in items:
+                x = row.get(c)
+                if scalar and type(v) is int and type(x) is not list:
+                    y = submul1(x or 0, fs, v)
+                    kept = y != 0
+                else:  # a lane meets the update: widen its scalars
+                    y = submul(zeros if x is None else x if type(x) is list else [x] * t,
+                               [fs] * t if scalar else fs,
+                               v if type(v) is list else [v] * t)
+                    kept = any(y)
+                if kept:
+                    if x is None:
+                        col_rows[c].add(r)
+                        heappush(counts, (len(col_rows[c]), c))
+                    row[c] = y
+                elif x is not None:
+                    del row[c]
+                    col_rows[c].discard(r)
+                    heappush(counts, (len(col_rows[c]), c))
             if not row:
                 return zeros
-            for j in row:
-                col_rows[j].add(i)
-        # (entry count, column), pushed again whenever a count changes; an
-        # entry is stale once its count or its column's pivot has moved on
-        counts = [(len(s), c) for c, s in enumerate(col_rows)]
-        heapify(counts)
-        done = [False] * n
-        pivot_col = [0] * n
-        det, lane_det = 1, None  # the products of the scalar and of the lane pivots
-        for _ in range(n):
-            k, pc = heappop(counts)
-            while done[pc] or k != len(col_rows[pc]):
-                k, pc = heappop(counts)
-            below = col_rows[pc]
-            if not below:
-                return zeros
-            pr = min((r for r in below if type(rows[r][pc]) is int or all(rows[r][pc])),
-                     key=lambda r: (type(rows[r][pc]) is list, len(rows[r])), default=None)
-            if pr is None:
-                return [self.det([{c: x if type(x) is int else x[lane]
-                                   for c, x in row.items() if type(x) is int or x[lane]}
-                                  for row in original], 1)[0]
-                        for lane in range(t)]
-            prow = rows[pr]
-            pv = prow.pop(pc)
-            if type(pv) is int:
-                det = mul1(det, pv)
-            else:
-                lane_det = pv if lane_det is None else mul(lane_det, pv)
-            pivot_col[pr] = pc
-            done[pc] = True
-            below.discard(pr)
-            for c in prow:
-                col_rows[c].discard(pr)
-                heappush(counts, (len(col_rows[c]), c))
-            if not below:
-                continue
-            items = list(prow.items())
-            pinv = inv1(pv) if type(pv) is int else inv(pv)
-            for r in below:
-                row = rows[r]
-                f = row.pop(pc)
-                fs = times(f, pinv)
-                scalar = type(fs) is int
-                for c, v in items:
-                    x = row.get(c)
-                    if scalar and type(v) is int and type(x) is not list:
-                        y = submul1(x or 0, fs, v)
-                        kept = y != 0
-                    else:  # a lane meets the update: widen its scalars
-                        y = submul(zeros if x is None else x if type(x) is list else [x] * t,
-                                   [fs] * t if scalar else fs,
-                                   v if type(v) is list else [v] * t)
-                        kept = any(y)
-                    if kept:
-                        if x is None:
-                            col_rows[c].add(r)
-                            heappush(counts, (len(col_rows[c]), c))
-                        row[c] = y
-                    elif x is not None:
-                        del row[c]
-                        col_rows[c].discard(r)
-                        heappush(counts, (len(col_rows[c]), c))
-                if not row:
-                    return zeros
-        if self.p != 2 and (n - _cycle_count(pivot_col)) % 2:  # -1 = 1 if p = 2
-            det = self.neg1(det)
-        return [det] * t if lane_det is None else self.scale(det, lane_det)
+    if arith.p != 2 and (n - _cycle_count(pivot_col)) % 2:  # -1 = 1 if p = 2
+        det = arith.neg1(det)
+    return [det] * t if lane_det is None else arith.scale(det, lane_det)
 
 
 def _embedder(spec: FieldSpec) -> Callable[[FieldElement], int]:
@@ -300,7 +296,7 @@ class CompiledCircuit:
     """
 
     def __init__(self, circuit: Circuit, spec: FieldSpec):
-        self.arith = _IntArith(spec)
+        self.arith = spec.arith
         self.outputs = circuit.outputs
         self.inputs: list[tuple[int, str]] = []
         self.consts: list[tuple[int, int]] = []
@@ -361,7 +357,7 @@ class CompiledMatrix:
     """
 
     def __init__(self, m: SymbolicMatrix, spec: FieldSpec):
-        self.arith = _IntArith(spec)
+        self.arith = spec.arith
         self.const_rows: list[dict[int, int]] = [{} for _ in range(m.dim)]
         self.slots: list[tuple[int, int, str, int]] = []
         embedded = _embedder(spec)
@@ -394,7 +390,7 @@ class CompiledMatrix:
     def lane_det(self, lanes: Mapping[str, list[int]], t: int) -> list[int]:
         """The determinant at each of ``t`` points given as lanes, from one
         lockstep elimination."""
-        return self.arith.det(self.lane_rows(lanes, t), t)
+        return _lockstep_det(self.arith, self.lane_rows(lanes, t), t)
 
 
 def _dense_det(vals: list[list[FieldElement]], spec: FieldSpec) -> FieldElement:

@@ -31,6 +31,10 @@ arc is negated (or, for the permanent, kept), t merges into s and every
 other vertex gets a unit loop.  That gives a matrix of dimension at most m
 (fat) or e+i (green); the closing then eliminates every vertex that only
 relays a constant, so the dimension is usually well below the bound.
+
+The tests audit the ABP and its split with the oracles'
+:func:`~symdet.oracles.check_abp_certificate` and
+:func:`~symdet.oracles.check_symmetric_certificate`.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .circuits import (
     Circuit,
     CircuitError,
     classify,
+    evaluate,
 )
 from .fields import FieldElement
 from .graphs import (
@@ -169,8 +174,6 @@ def _constant_fallback(circuit: Circuit, mode: str) -> SymbolicMatrix | None:
     """The preamble of both single-output lowerings: refuse several outputs,
     and in green mode represent a variable-free circuit (green size and input
     count 0) by the 1x1 matrix of the computed constant."""
-    from .circuits import evaluate
-
     if len(circuit.outputs) != 1:
         raise CircuitError("weakly skew lowering needs a single-output circuit")
     if mode != "green" or any(g.kind == VAR for g in circuit.gates.values()):

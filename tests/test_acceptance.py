@@ -36,12 +36,12 @@ from symdet.graphs import (
     Weight,
     WeightedDigraph,
     WeightedGraph,
-    check_symmetric_certificate,
     entries_alphabet_ok,
     parse_matrix,
 )
 from symdet.minimize import minimize
 from symdet.oracles import (
+    check_symmetric_certificate,
     cycle_cover_sum,
     enumerate_st_paths,
     path_sum,

@@ -585,6 +585,26 @@ def test_cli_circuit_file_and_expr_exit_1(tmp_path, capsys):
     assert err == "error: give a circuit file or --expr, not both\n"
 
 
+def test_cli_parse_refuses_a_variable_name_with_a_star(tmp_path, capsys):
+    """A name a matrix entry would read as a scaling is no variable name, so
+    ``build`` cannot write a matrix that ``verify`` refuses."""
+    circ = tmp_path / "f.circuit"
+    circ.write_text("g0 = input a*b\ng1 = input c\ng2 = add g0 g1\noutput g2\n")
+    code, out, err = run(["parse", str(circ)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: bad variable name 'a*b' in line 'g0 = input a*b'\n"
+
+
+def test_cli_verify_refuses_a_scaled_entry_with_a_star_in_its_name(tmp_path, capsys):
+    circ = tmp_path / "f.circuit"
+    circ.write_text(render_circuit(parse_expression("2*a*b")))
+    mat = tmp_path / "m.matrix"
+    mat.write_text("1\n2*a*b\n")
+    code, out, err = run(["verify", str(circ), str(mat), "--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: malformed matrix entry '2*a*b': bad variable name 'a*b'\n"
+
+
 def test_cli_malformed_matrix_constant_names_the_entry(tmp_path, capsys):
     circ = tmp_path / "f.circuit"
     circ.write_text(X_CIRCUIT)

@@ -14,13 +14,13 @@ from symdet.graphs import (
     PathSumCertificate,
     SymbolicMatrix,
     Weight,
-    check_symmetric_certificate,
     entries_alphabet_ok,
     export_dot,
     render_matrix,
     split_vertices,
 )
 from symdet.oracles import (
+    check_symmetric_certificate,
     complement_vertices,
     enumerate_st_paths,
     path_sum,

@@ -15,13 +15,13 @@ from symdet.formulas import (
     sym_matrix,
     valiant_matrix,
 )
-from symdet.graphs import (
+from symdet.graphs import entries_alphabet_ok, render_matrix
+from symdet.oracles import (
     check_abp_certificate,
     check_symmetric_certificate,
-    entries_alphabet_ok,
-    render_matrix,
+    ryser_permanent,
+    symbolic_det,
 )
-from symdet.oracles import ryser_permanent, symbolic_det
 from symdet.polynomials import expand_circuit
 from symdet.weakly_skew import ws_nonsym_matrix
 from tests.conftest import addition_chain, circuit_matches, poly_equal

@@ -30,12 +30,8 @@ from symdet.char2 import square_matrix_char2
 from symdet.circuits import CircuitError, classify, parse_circuit, parse_expression, random_circuit
 from symdet.cli import _BUILDERS, build_bound, field_from_flag, main
 from symdet.fields import GF2_16, PRIME_DEFAULT, RATIONAL, FieldError
-from symdet.graphs import (
-    check_abp_certificate,
-    check_symmetric_certificate,
-    parse_matrix,
-    render_matrix,
-)
+from symdet.graphs import parse_matrix, render_matrix
+from symdet.oracles import check_abp_certificate, check_symmetric_certificate
 from symdet.verify import identity_test
 
 FIELDS = ("q", "p61", "gf2", "gf2_16")

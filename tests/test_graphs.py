@@ -16,7 +16,6 @@ from symdet.graphs import (
     WeightedDigraph,
     WeightedGraph,
     adjacency,
-    check_symmetric_certificate,
     close_abp,
     close_symmetric,
     eliminate_pivots,
@@ -28,6 +27,7 @@ from symdet.graphs import (
     split_vertices,
 )
 from symdet.oracles import (
+    check_symmetric_certificate,
     cycle_cover_sum,
     cycle_cover_sum_short,
     enumerate_cycle_covers,
@@ -645,6 +645,31 @@ def test_symmetric_audit_catches_a_flipped_link(build, whole):
     g.arcs[whole, whole + 1] = g.arcs[whole + 1, whole] = wc(1)
     with pytest.raises(AssertionError, match="symmetric path-sum identity failed"):
         check_symmetric_certificate(cert)
+
+
+def test_symmetric_audit_enumerates_each_vertex_set_once(monkeypatch):
+    """The audit needs the cycle covers of G minus its whole vertices and
+    of every path complement; it enumerates those of each vertex set once,
+    whether it skips the path or checks its matching, and when two paths or
+    a path and the whole vertices leave the same set."""
+    calls = []
+    original = enumerate_cycle_covers
+
+    def spy(g, vertices=None):
+        calls.append(frozenset(range(g.n) if vertices is None else vertices))
+        return original(g, vertices)
+
+    monkeypatch.setattr("symdet.oracles.enumerate_cycle_covers", spy)
+    rng = random.Random(5)
+    certs = [build_ws_graph(random_circuit("weakly-skew", rng.randint(2, 5), 3, rng,
+                                           weighted=True), "fat") for _ in range(20)]
+    certs += [build_sym_graph(random_circuit("formula", rng.randint(1, 4), 3, rng,
+                                             weighted=True), "skinny") for _ in range(20)]
+    for cert in certs:
+        if cert.graph.n <= 14:  # the audit's cap
+            calls.clear()
+            check_symmetric_certificate(cert)
+            assert calls and len(calls) == len(set(calls)), calls
 
 
 def _led_in(cert, length):

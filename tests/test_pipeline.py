@@ -1,8 +1,10 @@
 """End-to-end pipelines across module boundaries."""
 
+import ast
 import random
 import time
 from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,8 @@ from symdet.polynomials import (
 from symdet.verify import det_eval, identity_test
 from symdet.weakly_skew import ws_nonsym_matrix, ws_sym_matrix
 from tests.conftest import addition_chain, leibniz_det
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "symdet"
 
 
 def test_dense_polynomial_to_symmetric_matrix(rng):
@@ -216,7 +220,6 @@ def test_benchmark_traced_names_exist():
     a rename cannot break ``perfbench/run.py --trace 1`` unnoticed."""
     import importlib
     import importlib.util
-    from pathlib import Path
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
@@ -231,11 +234,8 @@ def test_src_has_no_unused_imports():
     """A lint check that needs no install: every name a ``symdet`` module
     imports at top level is used in it (as a name, or listed in its
     ``__all__``), unless the import line says ``# noqa: F401``."""
-    import ast
-    from pathlib import Path
-
     unused = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "symdet").glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         text = path.read_text()
@@ -262,11 +262,8 @@ def test_field_arithmetic_is_written_only_in_fields():
     """The plain-int arithmetic of a finite field lives in ``fields.py``: no
     other module imports a ``_gf2_*`` helper or compares a degree ``.k`` with
     16, the largest degree with log/exp tables."""
-    import ast
-    from pathlib import Path
-
     found = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "symdet").glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         if path.name == "fields.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
@@ -287,11 +284,8 @@ def test_only_fields_and_verify_construct_field_elements():
     """A rational is stored in one form, a plain int when it is an integer,
     because only ``fields`` calls the ``FieldElement`` constructor, and
     ``verify``, which boxes the ints of a finite field (one form only)."""
-    import ast
-    from pathlib import Path
-
     callers = set()
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "symdet").glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call) and "FieldElement" in (
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
@@ -299,26 +293,64 @@ def test_only_fields_and_verify_construct_field_elements():
     assert callers == {"fields.py", "verify.py"}
 
 
-def test_only_the_audits_the_exact_upgrade_and_the_demo_import_the_oracles():
-    """The oracles stay independent of what they check: of the library's
-    modules only ``graphs`` (the certificate audits), ``verify`` (the exact
-    upgrade's ``symbolic_det``), ``cli`` (the demo) and ``__init__`` import
-    from ``oracles``, so no fast path can lean on an oracle."""
-    import ast
-    from pathlib import Path
+def symdet_imports(path: Path) -> list[tuple[str, set[str]]]:
+    """Every ``symdet`` module that ``path`` imports, at module or function
+    level, with the names imported from it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or (
+                node.module or "").startswith("symdet")):
+            names = {alias.name for alias in node.names}
+            module = (node.module or "").rpartition(".")[2]
+            if module in ("", "symdet"):  # ``from . import oracles``
+                found += [(name, set()) for name in names]
+            else:
+                found.append((module, names))
+        elif isinstance(node, ast.Import):
+            found += [(alias.name.rpartition(".")[2], set())
+                      for alias in node.names if alias.name.startswith("symdet.")]
+    return found
 
+
+def test_only_the_exact_upgrade_and_the_demo_import_the_oracles():
+    """The oracles stay independent of what they check: of the library's
+    modules only ``verify`` (the exact upgrade's ``symbolic_det``), ``cli``
+    (the demo) and ``__init__`` import from ``oracles``, which holds the
+    certificate audits, so no fast path can lean on an oracle."""
     importers = {}
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "symdet").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):  # also ``from . import oracles``
-                names = {alias.name for alias in node.names}
-                if (node.module or "").endswith("oracles") or "oracles" in names:
-                    importers.setdefault(path.stem, set()).update(names)
-            elif isinstance(node, ast.Import) and any(
-                    alias.name.endswith(".oracles") for alias in node.names):
-                importers.setdefault(path.stem, set()).add("oracles")
-    assert set(importers) <= {"graphs", "verify", "cli", "__init__"}, importers
+    for path in sorted(SRC.glob("*.py")):
+        for module, names in symdet_imports(path):
+            if module == "oracles":
+                importers.setdefault(path.stem, set()).update(names)
+    assert set(importers) <= {"verify", "cli", "__init__"}, importers
     assert importers["verify"] == {"symbolic_det"}
+
+
+def test_the_constructions_import_neither_the_oracles_nor_the_polynomials():
+    """The modules a build runs through depend only on ``fields`` and each
+    other: none imports the exponential references in ``oracles`` or the
+    symbolic layer in ``polynomials``, at module or function level."""
+    constructions = {"circuits", "minimize", "graphs", "formulas", "weakly_skew", "determinant"}
+    found = [f"{stem}.py imports {module}"
+             for stem in sorted(constructions)
+             for module, _ in symdet_imports(SRC / f"{stem}.py")
+             if module not in constructions | {"fields"}]
+    assert not found, found
+
+
+def test_the_only_deferred_import_breaks_a_real_cycle():
+    """Imports sit at module level, except the one from ``minimize`` inside
+    ``circuits.measure``: ``minimize`` imports ``circuits``, and the
+    benchmark traces ``measure`` by that name."""
+    deferred = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if node is not top and isinstance(node, (ast.Import, ast.ImportFrom)):
+                    module = getattr(node, "module", None) or ", ".join(
+                        alias.name for alias in node.names)
+                    deferred.add((path.stem, getattr(top, "name", ""), module))
+    assert deferred == {("circuits", "measure", "minimize")}, deferred
 
 
 def test_every_symmetric_matrix_is_the_closed_vertex_split_of_a_program():
@@ -327,13 +359,10 @@ def test_every_symmetric_matrix_is_the_closed_vertex_split_of_a_program():
     only the three symmetric lowerings split a program and close the split,
     so every symmetric gadget matrix is the closed vertex split of a
     branching program."""
-    import ast
-    from pathlib import Path
-
     def callers(name: str) -> set[tuple[str, str]]:
         """(module, top-level definition) of every call of ``name``."""
         found = set()
-        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "symdet").glob("*.py")):
+        for path in sorted(SRC.glob("*.py")):
             for top in ast.parse(path.read_text()).body:
                 for node in ast.walk(top):
                     if isinstance(node, ast.Call) and name in (
@@ -359,11 +388,7 @@ def test_every_build_subcommand_emits_through_one_function():
     """One build path: inside ``cli``, rendering a matrix, writing a DOT
     file and holding a dimension to its bound each happen in one function,
     so ``build``, ``detsym`` and ``char2-square`` cannot fork again."""
-    import ast
-    from pathlib import Path
-
-    cli = Path(__file__).resolve().parents[1] / "src" / "symdet" / "cli.py"
-    tree = ast.parse(cli.read_text())
+    tree = ast.parse((SRC / "cli.py").read_text())
     found: dict[str, set[str]] = {"render_matrix": set(), "export_dot": set(), "bound": set()}
     for top in tree.body:
         for node in ast.walk(top):
@@ -380,11 +405,8 @@ def test_every_build_subcommand_emits_through_one_function():
 def test_no_module_imports_a_private_name_of_another():
     """A helper two modules share has one public home: no module of
     ``src/symdet`` imports an underscore name from a sibling module."""
-    import ast
-    from pathlib import Path
-
     found = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "symdet").glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and (node.level or (
                     node.module or "").startswith("symdet")):
@@ -397,11 +419,8 @@ def test_only_graphs_tells_a_graph_from_a_digraph():
     """One graph representation: an undirected graph is the symmetric arc
     map of its adjacency, so outside ``graphs`` no module reads the derived
     ``edges`` view or asks ``isinstance`` whether a gadget graph is directed."""
-    import ast
-    from pathlib import Path
-
     found = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "symdet").glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         if path.name == "graphs.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):

@@ -40,7 +40,7 @@ from symdet.verify import (
     CompiledMatrix,
     Verdict,
     _dense_det,
-    _IntArith,
+    _lockstep_det,
     det_eval,
     identity_test,
 )
@@ -319,13 +319,13 @@ def test_lane_det_matches_dense_rational_reference(spec, rows, t, data):
 def spy_on_lane_det(monkeypatch) -> list[int]:
     """Record the lane count of every elimination, re-runs included."""
     calls = []
-    original = _IntArith.det
+    original = _lockstep_det
 
-    def det(self, rows, t):
+    def det(arith, rows, t):
         calls.append(t)
-        return original(self, rows, t)
+        return original(arith, rows, t)
 
-    monkeypatch.setattr(_IntArith, "det", det)
+    monkeypatch.setattr("symdet.verify._lockstep_det", det)
     return calls
 
 
@@ -495,7 +495,7 @@ def test_lane_det_sign_of_every_permutation_matrix_is_the_cover_sign(t):
 def test_lane_power_matches_field_element_power(spec, values, power):
     xs = [field_value(spec, v % spec.size).value for v in values]
     before = list(xs)
-    got = _IntArith(spec).power(xs, power)
+    got = spec.arith.power(xs, power)
     assert got == [(FieldElement(spec, x) ** power).value for x in xs]
     assert xs == before
 

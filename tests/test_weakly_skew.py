@@ -11,9 +11,8 @@ from symdet.circuits import (
 )
 from symdet.fields import GF2_16, RATIONAL, CharTwoHalf
 from symdet.formulas import build_valiant_digraph
-from symdet.graphs import check_abp_certificate, check_symmetric_certificate
 from symdet.minimize import ConstantCircuit
-from symdet.oracles import symbolic_det
+from symdet.oracles import check_abp_certificate, check_symmetric_certificate, symbolic_det
 from symdet.verify import identity_test
 from symdet.weakly_skew import (
     NotWeaklySkew,
