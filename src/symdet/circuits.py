@@ -397,6 +397,8 @@ class CircuitBuilder:
         return self.spec.from_fraction(Fraction(w))
 
     def var(self, name: str) -> int:
+        if not is_variable_name(name):
+            raise CircuitError(f"bad variable name {name!r}")
         gid = len(self._gates)
         self._gates[gid] = Gate(gid, VAR, name=name)
         return gid

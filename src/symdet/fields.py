@@ -645,15 +645,21 @@ def sample_lanes(
 
     The draws are those of ``[{v: sample_random(spec, rng) for v in names}
     for _ in range(t)]``, in the same order, so the lanes hold the values of
-    those points without boxing any of them.
+    those points without boxing any of them: each draw runs the rejection
+    loop of ``random.Random.randrange(bound)`` itself, ``getrandbits`` of
+    the bound's bit length until the draw is below the bound.
     """
     bound = _sample_bound(spec)
+    k = bound.bit_length()
     lanes: dict[str, list[int]] = {v: [] for v in names}
     appends = [lanes[v].append for v in names]
-    draw = rng.randrange
+    getrandbits = rng.getrandbits
     for _ in range(t):
         for append in appends:
-            append(draw(bound))
+            r = getrandbits(k)
+            while r >= bound:
+                r = getrandbits(k)
+            append(r)
     return lanes
 
 

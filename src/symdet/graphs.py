@@ -202,9 +202,23 @@ class SymbolicMatrix:
         spec: FieldSpec = RATIONAL,
         symmetric: bool = False,
     ):
-        n = self.dim = len(rows)
-        self.rows: tuple[dict[int, Weight], ...] = tuple(
-            _sparse_row(row, n) for row in rows)
+        n = len(rows)
+        self._store(tuple(_sparse_row(row, n) for row in rows), spec, symmetric)
+
+    @classmethod
+    def _of_stored_rows(cls, rows: list[dict[int, Weight]], spec: FieldSpec,
+                        symmetric: bool) -> "SymbolicMatrix":
+        """The matrix of rows that :func:`parse_matrix` builds in stored
+        form, in column order and without a constant zero, unchecked but
+        for the symmetry."""
+        m = cls.__new__(cls)
+        m._store(tuple(rows), spec, symmetric)
+        return m
+
+    def _store(self, rows: tuple[dict[int, Weight], ...], spec: FieldSpec,
+               symmetric: bool) -> None:
+        self.dim = len(rows)
+        self.rows = rows
         self.spec = spec
         self.symmetric = symmetric
         self._zero = Weight.const(spec.zero())
@@ -214,9 +228,9 @@ class SymbolicMatrix:
             # identity settles almost every pair before ==
             broken = [
                 (max(i, j), min(i, j))
-                for i, row in enumerate(self.rows)
+                for i, row in enumerate(rows)
                 for j, w in row.items()
-                if (x := self.rows[j].get(i)) is not w and x != w
+                if (x := rows[j].get(i)) is not w and x != w
             ]
             if broken:
                 raise ValueError("symmetry broken at ({},{})".format(*min(broken)))
@@ -514,7 +528,7 @@ def parse_matrix(text: str, spec: FieldSpec = RATIONAL) -> SymbolicMatrix:
             else:
                 zeros.add(tok)
         rows.append({j: weights[tok] for j, tok in enumerate(tokens) if tok not in zeros})
-    return SymbolicMatrix(rows, spec=spec, symmetric=symmetric)
+    return SymbolicMatrix._of_stored_rows(rows, spec, symmetric)
 
 
 def export_dot(g: WeightedDigraph) -> str:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import replace
 
 from .circuits import (
     ADD,
@@ -158,7 +157,7 @@ def _rewrite(circuit: Circuit) -> Circuit:
     for gid in live:
         if gid in args:
             kind = ADD if gid in added else gates[gid].kind
-            result[gid] = replace(gates[gid], kind=kind, args=tuple(map(tuple, args[gid])))
+            result[gid] = Gate(gid, kind, args=tuple(map(tuple, args[gid])))
         elif gid in gates and gates[gid].kind == VAR:
             result[gid] = gates[gid]
         else:

@@ -21,18 +21,22 @@ program with its constants and arrow weights embedded once, evaluated on
 lanes.  A :class:`CompiledMatrix` reads the stored nonzeros of a
 :class:`SymbolicMatrix` (never its dense view) and holds their embedded
 constants plus slots for its variable entries, so compiling costs
-O(nonzeros).  Both embed each distinct constant once per compile, through
-one memo (:func:`_embedder`), since gadget matrices and weighted circuits
-repeat a handful of values.  All determinants of a compiled matrix come
-from one sparse elimination with Markowitz-style pivoting (fewest-entry
-column, then a constant pivot, then the shortest row whose entry is
-nonzero in every lane), so the pivot search and the fill-in bookkeeping
-are paid once for all points.  A matrix
+O(nonzeros); it classifies each :class:`~symdet.graphs.Weight` object
+once, keyed by identity, since :func:`~symdet.graphs.parse_matrix` gives
+every cell of one token one object.  Both embed each distinct constant
+once per compile, through one memo (:func:`_embedder`), since gadget
+matrices and weighted circuits repeat a handful of values.  All
+determinants of a compiled matrix come from one sparse elimination with
+Markowitz-style pivoting (fewest-entry column, then a constant pivot,
+then the shortest row whose entry is nonzero in every lane), so the pivot
+search and the fill-in bookkeeping are paid once for all points.  A matrix
 constant is the same at every point, so the elimination keeps it a scalar,
 one int, and so is every value computed from scalars alone: gadget
 matrices are mostly constants, and a constant pivot then costs one scalar
-inversion, not one per point.  Only a variable entry, and what it touches,
-is a lane.
+inversion, not one per point.  Most pivots of gadget matrices are unit
+loops and vertex-split links, 1 and -1, which are their own inverses:
+they cost no inversion, and under -1 a lane factor is added, not negated.
+Only a variable entry, and what it touches, is a lane.
 :func:`det_eval` is the one wrapper that boxes: it checks a
 ``{variable: FieldElement}`` point and runs it as one lane.  Over Q it keeps
 dense elimination on exact field elements; that is the reference the tests
@@ -182,9 +186,11 @@ def _lockstep_det(arith: IntArith, rows: list[dict[int, int | list[int]]], t: in
     matrices pivot on constants, and one lane never needs this.
     """
     n = len(rows)
-    mul1, inv1, submul1, times, mul, inv, submul = (
-        arith.mul1, arith.inv1, arith.submul1, arith.times, arith.mul, arith.inv, arith.submul)
+    neg1, mul1, inv1, submul1, times, add, mul, scale, inv, submul = (
+        arith.neg1, arith.mul1, arith.inv1, arith.submul1, arith.times, arith.add, arith.mul,
+        arith.scale, arith.inv, arith.submul)
     zeros = [0] * t
+    minus_one = neg1(1)
 
     original = [dict(row) for row in rows] if t > 1 else None
     col_rows: list[set[int]] = [set() for _ in range(n)]
@@ -193,8 +199,9 @@ def _lockstep_det(arith: IntArith, rows: list[dict[int, int | list[int]]], t: in
             return zeros
         for j in row:
             col_rows[j].add(i)
-    # (entry count, column), pushed again whenever a count changes; an
-    # entry is stale once its count or its column's pivot has moved on
+    # (entry count, column) with each remaining column's count at most its
+    # current one: pushed when a count drops, pushed back when popped after
+    # it grew, stale once its column is done or its count dropped below it
     counts = [(len(s), c) for c, s in enumerate(col_rows)]
     heapify(counts)
     done = [False] * n
@@ -203,12 +210,20 @@ def _lockstep_det(arith: IntArith, rows: list[dict[int, int | list[int]]], t: in
     for _ in range(n):
         k, pc = heappop(counts)
         while done[pc] or k != len(col_rows[pc]):
+            if not done[pc] and k < len(col_rows[pc]):
+                heappush(counts, (len(col_rows[pc]), pc))
             k, pc = heappop(counts)
         below = col_rows[pc]
         if not below:
             return zeros
-        pr = min((r for r in below if type(rows[r][pc]) is int or all(rows[r][pc])),
-                 key=lambda r: (type(rows[r][pc]) is list, len(rows[r])), default=None)
+        # a scalar pivot first, then the shortest row: a lane's key is
+        # offset by n, the most entries a row can hold
+        pr, best = None, 2 * n + 1
+        for r in below:
+            x = rows[r][pc]
+            key = len(rows[r]) if type(x) is int else n + len(rows[r]) if all(x) else best
+            if key < best:
+                pr, best = r, key
         if pr is None:
             return [_lockstep_det(arith, [{c: x if type(x) is int else x[lane]
                                           for c, x in row.items() if type(x) is int or x[lane]}
@@ -224,40 +239,57 @@ def _lockstep_det(arith: IntArith, rows: list[dict[int, int | list[int]]], t: in
         done[pc] = True
         below.discard(pr)
         for c in prow:
-            col_rows[c].discard(pr)
-            heappush(counts, (len(col_rows[c]), c))
+            col = col_rows[c]
+            col.discard(pr)
+            heappush(counts, (len(col), c))
         if not below:
             continue
         items = list(prow.items())
-        pinv = inv1(pv) if type(pv) is int else inv(pv)
+        # a pivot of 1 or -1 (a unit loop, a split link) is its own inverse:
+        # a scalar factor is at most negated, and a lane factor f under -1
+        # adds f * v, so no lane is negated
+        one = pv == 1
+        unit = one or pv == minus_one
+        pinv = None if unit else inv1(pv) if type(pv) is int else inv(pv)
         for r in below:
             row = rows[r]
             f = row.pop(pc)
-            fs = times(f, pinv)
+            plus = unit and not one and type(f) is list  # y = x + f * v
+            fs = f if one or plus else neg1(f) if unit else times(f, pinv)
             scalar = type(fs) is int
             for c, v in items:
                 x = row.get(c)
                 if scalar and type(v) is int and type(x) is not list:
                     y = submul1(x or 0, fs, v)
                     kept = y != 0
-                else:  # a lane meets the update: widen its scalars
-                    y = submul(zeros if x is None else x if type(x) is list else [x] * t,
-                               [fs] * t if scalar else fs,
-                               v if type(v) is list else [v] * t)
+                elif plus and type(v) is list:  # two lanes under -1
+                    y = mul(fs, v)
+                    if x is not None:
+                        y = add(x if type(x) is list else [x] * t, y)
+                    kept = any(y)
+                else:  # a lane meets the update
+                    if plus:  # x + f * v = x - f * (-v)
+                        v = neg1(v)
+                    if x is None and (scalar or type(v) is int):
+                        y = scale(neg1(fs), v) if scalar else scale(neg1(v), fs)
+                    else:  # widen the scalars
+                        y = submul(zeros if x is None else x if type(x) is list else [x] * t,
+                                   [fs] * t if scalar else fs,
+                                   v if type(v) is list else [v] * t)
                     kept = any(y)
                 if kept:
                     if x is None:
                         col_rows[c].add(r)
-                        heappush(counts, (len(col_rows[c]), c))
                     row[c] = y
                 elif x is not None:
                     del row[c]
-                    col_rows[c].discard(r)
-                    heappush(counts, (len(col_rows[c]), c))
+                    col = col_rows[c]
+                    col.discard(r)
+                    heappush(counts, (len(col), c))
             if not row:
                 return zeros
     if arith.p != 2 and (n - _cycle_count(pivot_col)) % 2:  # -1 = 1 if p = 2
-        det = arith.neg1(det)
+        det = neg1(det)
     return [det] * t if lane_det is None else arith.scale(det, lane_det)
 
 
@@ -342,10 +374,11 @@ class CompiledCircuit:
 class CompiledMatrix:
     """A :class:`SymbolicMatrix` embedded once into a finite field.
 
-    Built from the matrix's stored entries: every constant becomes a plain
-    int (a Z_p residue or a GF(2^k) bit mask), each distinct constant
-    embedded once (:func:`_embedder`), in per-row dicts, dropped when it
-    vanishes in the field, and every variable entry becomes a slot
+    Built from the matrix's stored entries, each Weight object classified
+    once: every constant becomes a plain int (a Z_p residue or a GF(2^k)
+    bit mask), each distinct constant embedded once (:func:`_embedder`),
+    in per-row dicts, dropped when it vanishes in the field, and every
+    variable entry becomes a slot
     ``(i, j, variable, coefficient)``.  Evaluating at points fills lanes
     from the slots only: a constant is the same at every point and stays
     one scalar int, so nothing is re-embedded or copied per point.
@@ -361,16 +394,22 @@ class CompiledMatrix:
         self.const_rows: list[dict[int, int]] = [{} for _ in range(m.dim)]
         self.slots: list[tuple[int, int, str, int]] = []
         embedded = _embedder(spec)
+        # each Weight object once: (None, its embedded value) for a
+        # constant, (variable, coefficient) for a slot
+        classified: dict[int, tuple[str | None, int]] = {}
         for i, row in enumerate(m.rows):
+            const_row = self.const_rows[i]
             for j, w in row.items():
-                if w.kind == CONSTW:
-                    v = embedded(w.coeff)
-                    if v:  # a rational constant may vanish mod p
-                        self.const_rows[i][j] = v
-                elif w.kind == VARW:
-                    self.slots.append((i, j, w.name, 1))
-                else:
-                    self.slots.append((i, j, w.name, embedded(w.coeff)))
+                entry = classified.get(id(w))
+                if entry is None:
+                    entry = classified[id(w)] = (
+                        (None, embedded(w.coeff)) if w.kind == CONSTW else
+                        (w.name, 1) if w.kind == VARW else (w.name, embedded(w.coeff)))
+                name, v = entry
+                if name is not None:
+                    self.slots.append((i, j, name, v))
+                elif v:  # a rational constant may vanish mod p
+                    const_row[j] = v
         self.variables = tuple(sorted({s[2] for s in self.slots}))
         self.degree = min(len({s[0] for s in self.slots}), len({s[1] for s in self.slots}))
 

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -7,6 +8,7 @@ from symdet.circuits import (
     BadArity,
     Circuit,
     CircuitBuilder,
+    CircuitError,
     CyclicCircuit,
     DuplicateVariable,
     Gate,
@@ -80,6 +82,14 @@ def test_dead_gates_are_named_in_sorted_order(seed):
     with pytest.raises(UnreachableGate) as exc:
         validate(circuit)
     assert str(exc.value) == f"gates {dead} unreachable from any output"
+
+
+@pytest.mark.parametrize("name", ["a*b", "2x", ""])
+def test_builder_refuses_a_variable_name_that_does_not_read_back(name):
+    """A name ``parse_circuit`` and ``parse_matrix`` refuse is refused when
+    the circuit is built, not when its text is read back."""
+    with pytest.raises(CircuitError, match=re.escape(repr(name))):
+        CircuitBuilder().var(name)
 
 
 def test_duplicate_variable_list_rejected():

@@ -308,7 +308,7 @@ TOKENS = {
     GF2_16: ["0", "0x0", "0x00", "0x1", "0x1f", "3", "0xabc",
              "x", "y", "z", "0x3*x", "0x0*y", "0*z"],
 }
-ZEROS = {RATIONAL: ["0", "0/3", "-0"], GF2_16: ["0", "0x0", "0x00"]}
+ZEROS = {RATIONAL: ["0", "0/3", "-0", "0/5"], GF2_16: ["0", "0x0", "0x00", "-0", "0/5"]}
 
 
 @st.composite
@@ -358,6 +358,9 @@ def test_sparse_matrix_matches_dense_reference(spec, data):
                        symmetric=not broken),
     ]
     rendered = "\n".join([header] + [" ".join(r) for r in dense_text(grid)]) + "\n"
+    # parse_matrix hands its rows over unchecked: they are the checked ones
+    checked = SymbolicMatrix(m.entries, spec=spec, symmetric=not broken)
+    assert [list(row.items()) for row in m.rows] == [list(row.items()) for row in checked.rows]
     for x in [m] + built:
         assert all(list(row) == sorted(row) for row in x.rows)
         assert x.entries == tuple(tuple(row) for row in grid)
@@ -372,6 +375,8 @@ def test_sparse_matrix_matches_dense_reference(spec, data):
         for rows in (grid, [{j: w for j, w in enumerate(row)} for row in grid]):
             with pytest.raises(ValueError, match=re.escape("symmetry broken at (%d,%d)" % broken)):
                 SymbolicMatrix(rows, spec=spec, symmetric=True)
+        with pytest.raises(ValueError, match=re.escape("symmetry broken at (%d,%d)" % broken)):
+            parse_matrix("\n".join([f"{n} symmetric"] + [" ".join(row) for row in tokens]), spec)
 
     # determinants: the compiled sparse path against dense elimination
     names = ("x", "y", "z")

@@ -27,7 +27,15 @@ from symdet.fields import (
     sample_random,
 )
 from symdet.formulas import sym_matrix
-from symdet.graphs import SymbolicMatrix, Weight, parse_matrix
+from symdet.graphs import (
+    SymbolicMatrix,
+    Weight,
+    WeightedDigraph,
+    close_symmetric,
+    parse_matrix,
+    parse_weight,
+    split_vertices,
+)
 from symdet.oracles import cover_sign, symbolic_det
 from symdet.weakly_skew import ws_sym_matrix
 from tests.conftest import lanes_of, mutate_matrix
@@ -40,6 +48,7 @@ from symdet.verify import (
     CompiledMatrix,
     Verdict,
     _dense_det,
+    _embedder,
     _lockstep_det,
     det_eval,
     identity_test,
@@ -357,7 +366,7 @@ def test_lane_det_column_vanishing_in_one_lane(spec, monkeypatch):
 @st.composite
 def mixed_matrices(draw, spec):
     """A sparse matrix of dimension 1-7 over ``spec`` and ``t`` points as
-    lanes, in one of five shapes that steer the lockstep elimination:
+    lanes, in one of seven shapes that steer the lockstep elimination:
 
     - ``constant``: constants only, so every entry and pivot is a scalar;
     - ``cancel``: constants, variables and scaled variables, with the
@@ -369,31 +378,46 @@ def mixed_matrices(draw, spec):
       points, so no pivot candidate is nonzero in every lane;
     - ``interleaved``: a diagonal that alternates a variable and a nonzero
       constant, under sparse constants and variables, at points where no
-      variable vanishes, so scalar pivots follow lane pivots.
+      variable vanishes, so scalar pivots follow lane pivots;
+    - ``unit``: a diagonal of 1 and -1 under sparse variables and constants
+      1 and -1, at points where no variable vanishes, so most pivots are 1
+      or -1 with lanes in their column and row;
+    - ``fill``: dimension 4-7 with few zeros, so updating the rows below a
+      pivot fills in other columns and raises their counts before they are
+      chosen.
     """
     n = draw(st.integers(1, 7))
-    shape = draw(st.sampled_from(["constant", "cancel", "lane", "rerun", "interleaved"]))
+    shape = draw(st.sampled_from(
+        ["constant", "cancel", "lane", "rerun", "interleaved", "unit", "fill"]))
+    if shape == "fill":
+        n = max(n, 4)
     element = st.one_of(st.integers(1, 3), st.integers(1, spec.size - 1)).map(
         lambda v: field_value(spec, v))
     zero = Weight.const(spec.zero())
     const = element.map(Weight.const)
     var = st.one_of(st.sampled_from(NAMES).map(Weight.var),
                     st.tuples(st.sampled_from(NAMES), element).map(lambda t: Weight.scaled(*t)))
+    unit = st.sampled_from([spec.one(), -spec.one()]).map(Weight.const)
     entry = {"constant": st.one_of(st.just(zero), const),
              "cancel": st.one_of(st.just(zero), const, var),
-             "interleaved": st.one_of(st.just(zero), st.just(zero), const, var)}.get(
+             "interleaved": st.one_of(st.just(zero), st.just(zero), const, var),
+             "unit": st.one_of(st.just(zero), st.just(zero), unit, var),
+             "fill": st.one_of(st.just(zero), const, const, var)}.get(
         shape, st.one_of(st.just(zero), var))
     rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
     if shape == "interleaved":
         for i in range(n):
             rows[i][i] = draw(var if i % 2 == 0 else const)
+    if shape == "unit":
+        for i in range(n):
+            rows[i][i] = draw(unit)
     if shape == "cancel" and n > 1:
         i, j = draw(st.permutations(range(n)))[:2]
         c = draw(element)
         rows[j] = [w.scale(c) if w.kind == "const" else zero for w in rows[i]]
         rows[j][draw(st.integers(0, n - 1))] = draw(var)
     t = draw(st.sampled_from([3, 7] if shape == "rerun" else LANE_COUNTS))
-    value = element if shape in ("lane", "rerun", "interleaved") else st.one_of(
+    value = element if shape in ("lane", "rerun", "interleaved", "unit", "fill") else st.one_of(
         st.just(0), st.integers(0, 3), st.integers(0, spec.size - 1)).map(
         lambda v: field_value(spec, v))
     points = [{v: draw(value) for v in NAMES} for _ in range(t)]
@@ -404,7 +428,7 @@ def mixed_matrices(draw, spec):
 
 
 @pytest.mark.parametrize("spec", COMPILED_FIELDS, ids=FIELD_IDS)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_lane_det_on_mixed_rows_matches_the_references(spec, data):
     """Scalar constants beside lanes, against ``det_eval`` and against dense
@@ -416,8 +440,24 @@ def test_lane_det_on_mixed_rows_matches_the_references(spec, data):
                    for p in points]
 
 
+# every lane operation of the kernel that the elimination calls
+LANE_OPS = ("add", "mul", "scale", "inv", "submul")
+
+
+def spy_on_arith(monkeypatch, arith, names) -> list[tuple[str, tuple]]:
+    """Record every call of the ``names`` operations of ``arith`` with its
+    arguments, until the test ends."""
+    calls = []
+    for name in names:
+        def spy(*args, name=name, op=getattr(arith, name)):
+            calls.append((name, args))
+            return op(*args)
+        monkeypatch.setattr(arith, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("spec", COMPILED_FIELDS, ids=FIELD_IDS)
-def test_constant_matrix_takes_no_lane_operation(spec):
+def test_constant_matrix_takes_no_lane_operation(spec, monkeypatch):
     """An all-constant matrix is eliminated on scalars: not one lane is
     multiplied, inverted or updated, however many trial points there are.
     The matrix is the path Laplacian (2 on the diagonal, -1 beside it) of
@@ -434,19 +474,13 @@ def test_constant_matrix_takes_no_lane_operation(spec):
     inversions = sum(perm[j] > perm[i] for i in range(n) for j in range(i))
     want = embed(num(-101 if inversions % 2 else 101), spec).value
     compiled = CompiledMatrix(m, spec)
-    arith = compiled.arith
-    calls = []
-    for name in ("add", "mul", "scale", "inv", "submul"):
-        def spy(*args, name=name, op=getattr(arith, name)):
-            calls.append(name)
-            return op(*args)
-        setattr(arith, name, spy)
+    calls = spy_on_arith(monkeypatch, compiled.arith, LANE_OPS)
     assert compiled.lane_det({}, t) == [want] * t
     assert calls == []
 
 
 @pytest.mark.parametrize("spec", COMPILED_FIELDS, ids=FIELD_IDS)
-def test_scalar_pivots_after_a_lane_pivot_multiply_one_scalar(spec):
+def test_scalar_pivots_after_a_lane_pivot_multiply_one_scalar(spec, monkeypatch):
     """The diagonal matrix x, c_1, ..., c_39 with c_i = i + 1 (a bit mask in
     GF(2^k)): the lane pivot x comes first, since every column has one
     entry, and the 39 constant pivots after it multiply one scalar; the
@@ -455,18 +489,73 @@ def test_scalar_pivots_after_a_lane_pivot_multiply_one_scalar(spec):
     diagonal = [field_value(spec, i + 1) for i in range(1, n)]
     rows = [{0: Weight.var("x")}] + [{i: Weight.const(c)} for i, c in enumerate(diagonal, 1)]
     compiled = CompiledMatrix(SymbolicMatrix(rows, spec=spec), spec)
-    arith = compiled.arith
-    calls = []
-    for name in ("mul", "scale"):
-        def spy(*args, name=name, op=getattr(arith, name)):
-            calls.append(name)
-            return op(*args)
-        setattr(arith, name, spy)
+    calls = spy_on_arith(monkeypatch, compiled.arith, LANE_OPS)
     xs = [field_value(spec, 1 + k) for k in range(t)]
     got = compiled.lane_det({"x": [x.value for x in xs]}, t)
     product = math.prod(diagonal, start=spec.one())
     assert got == [(x * product).value for x in xs]
-    assert calls == ["scale"]
+    assert [name for name, _ in calls] == ["scale"]
+
+
+PRIME_FIELDS = [f for f in COMPILED_FIELDS if f.kind == "prime"]
+
+
+@pytest.mark.parametrize("spec", PRIME_FIELDS, ids=str)
+def test_unit_pivots_of_a_split_chain_invert_nothing_and_negate_no_lane(spec, monkeypatch):
+    """The vertex split of the program s -> v1 -> ... -> v5 -> t with arc
+    weights x0, ..., x5, closed with c = 2: its constant pivots are the -1
+    links and the closing's 1 and -1.  A pivot of 1 or -1 is its own
+    inverse, so no constant is inverted, and under a -1 pivot a lane factor
+    f adds f * v where the update would negate f first: no lane is scaled
+    by -1.  The determinant is 2 x0 ... x5."""
+    n, t = 7, 5
+    dg = WeightedDigraph(spec)
+    for _ in range(n):
+        dg.add_vertex()
+    for v in range(n - 1):
+        dg.add_arc(v, v + 1, Weight.var(f"x{v}"))
+    g, copies = split_vertices(dg, [0, n - 1])
+    m = close_symmetric(g, 0, copies[n - 1][0], spec.from_int(2))
+    lanes = {f"x{v}": [field_value(spec, 2 + v + 10 * k).value for k in range(t)]
+             for v in range(n - 1)}
+    want = [2 * math.prod(lane[k] for lane in lanes.values()) % spec.p for k in range(t)]
+    compiled = CompiledMatrix(m, spec)
+    minus_one = spec.arith.neg1(1)
+    calls = spy_on_arith(monkeypatch, compiled.arith, ("inv1",) + LANE_OPS)
+    assert compiled.lane_det(lanes, t) == want
+    assert not [name for name, _ in calls if name == "inv1"]
+    assert not [args for name, args in calls if name == "scale" and args[0] == minus_one]
+
+
+def test_compiling_a_parsed_matrix_classifies_each_token_once(monkeypatch):
+    """``parse_matrix`` gives every cell of one token one Weight, so
+    compiling the parsed path Laplacian of dimension 100, with 2 and 3*x
+    alternating on its diagonal and -1 beside it, embeds once per distinct
+    token, three times, not once per entry; it compiles to what a matrix
+    whose every entry is a Weight of its own compiles to."""
+    n = 100
+    cells = [["3*x" if i == j and i % 2 else "2" if i == j else "-1" if abs(i - j) == 1
+              else "0" for j in range(n)] for i in range(n)]
+    text = "\n".join([f"{n} symmetric"] + [" ".join(row) for row in cells])
+    embedded = []
+
+    def counting(spec):
+        embed_one = _embedder(spec)
+
+        def spy(x):
+            embedded.append(x)
+            return embed_one(x)
+        return spy
+
+    monkeypatch.setattr("symdet.verify._embedder", counting)
+    compiled = CompiledMatrix(parse_matrix(text), PRIME_DEFAULT)
+    assert len(embedded) == 3
+    own = SymbolicMatrix([[parse_weight(tok, RATIONAL) for tok in row] for row in cells])
+    reference = CompiledMatrix(own, PRIME_DEFAULT)
+    assert len(embedded) == 3 + 3 * n - 2  # and then once per entry
+    assert compiled.const_rows == reference.const_rows
+    assert compiled.slots == reference.slots
+    assert compiled.variables == reference.variables == ("x",)
 
 
 @pytest.mark.parametrize("t", [1, 3])
