@@ -31,6 +31,7 @@ from .circuits import (
     Gate,
     classify,
     evaluate,
+    is_formula,
     measure,
     parse_circuit,
     parse_expression,

@@ -7,11 +7,21 @@ delivers c times the value of a, so subtraction and constant multiplication
 need no gates of their own.  Multiple output gates are permitted.
 
 Structural classification distinguishes formulas (every non-output gate has
-out-degree 1), weakly skew circuits (each multiplication owns one argument's
-sub-circuit outright) and general circuits, and records the owned argument
-of every multiplication together with the set of reusable gates, in one
-union-find pass over the gates; :func:`reachable_from` gives an owned
-argument's closed sub-circuit.
+out-degree 1, :func:`is_formula`, one count of readers), weakly skew
+circuits (each multiplication owns one argument's sub-circuit outright) and
+general circuits, and records the owned argument of every multiplication
+together with the set of reusable gates, in one union-find pass over the
+gates; :func:`reachable_from` gives an owned argument's closed sub-circuit.
+
+Each invariant is checked once, where it is established.  :func:`validate`
+is the one check of a circuit built in the library: every gate on its own
+(arity, name, value, arguments that exist), then the wiring (outputs,
+declared variables, every gate live, no cycle).  :func:`parse_circuit`
+reads and checks a file in one pass: its lines give every gate its kind,
+arity, name and value, and a file whose every argument names a gate of an
+earlier line, the order :func:`render_circuit` writes, is in topological
+order as read, so only its wiring is checked; any other order goes through
+:func:`validate`'s walk.
 
 Circuits are immutable after :func:`validate`; every query here is pure.
 """
@@ -135,17 +145,10 @@ def topo_sort(args: Mapping[int, Sequence[Sequence]]) -> list[int]:
 
     When every node's arguments come before it in the mapping, the order
     :func:`render_circuit` writes and :class:`CircuitBuilder` allocates,
-    that order is returned as it stands after one linear check: the walk
-    would reach each root with its arguments already placed and place it
-    at once, so its postorder is the mapping's order.  Any other order, a
-    cycle included, takes the walk."""
-    placed: set[int] = set()
-    for node, node_args in args.items():
-        if not all(a[0] in placed for a in node_args):
-            break
-        placed.add(node)
-    else:
-        return list(args)
+    the walk reaches each root with its arguments already placed, so its
+    postorder is the mapping's order; :func:`validate` and
+    :func:`parse_circuit` note that case as they check each gate and take
+    the mapping's order without a walk."""
     state: dict[int, int] = {}  # 1 while on the stack, 2 once placed
     order: list[int] = []
     for root in args:
@@ -172,9 +175,20 @@ def topo_sort(args: Mapping[int, Sequence[Sequence]]) -> list[int]:
 def validate(circuit: Circuit) -> Circuit:
     """Check all structural invariants; returns the circuit unchanged.
 
-    Raises :class:`BadArity`, :class:`CyclicCircuit`, :class:`UnreachableGate`
-    or :class:`DuplicateVariable`.
+    The outputs first, then every gate on its own (:func:`_check_gates`),
+    then the wiring (:func:`_check_wiring`).  When every gate's arguments
+    come before it, that order is the topological order and no walk is
+    taken.  Raises :class:`BadArity`, :class:`CyclicCircuit`,
+    :class:`UnreachableGate` or :class:`DuplicateVariable`.
     """
+    _check_outputs(circuit)
+    if _check_gates(circuit):
+        circuit._topo = tuple(circuit.gates)  # the walk's postorder, see topo_sort
+    _check_wiring(circuit, {g.name for g in circuit.gates.values() if g.kind == VAR})
+    return circuit
+
+
+def _check_outputs(circuit: Circuit) -> None:
     if not circuit.outputs:
         raise CircuitError("circuit needs at least one output")
     for o in circuit.outputs:
@@ -182,7 +196,16 @@ def validate(circuit: Circuit) -> Circuit:
             raise CircuitError(f"output {o} is not a gate")
     if len(set(circuit.outputs)) != len(circuit.outputs):
         raise CircuitError("duplicate output gate")
-    for g in circuit.gates.values():
+
+
+def _check_gates(circuit: Circuit) -> bool:
+    """The per-gate part of :func:`validate`: arity, a variable's name, a
+    constant's value, and arguments that are gates.  Returns whether every
+    argument is a gate that comes before its reader in ``circuit.gates``."""
+    gates = circuit.gates
+    seen: set[int] = set()
+    in_order = True
+    for gid, g in gates.items():
         if g.is_input and g.args:
             raise BadArity(f"input gate {g.gid} has arguments")
         if g.kind in COMPUTATION and len(g.args) != 2:
@@ -192,23 +215,32 @@ def validate(circuit: Circuit) -> Circuit:
         if g.kind == CONST and g.value is None:
             raise CircuitError(f"constant gate {g.gid} has no value")
         for a, _w in g.args:
-            if a not in circuit.gates:
+            if a not in gates:
                 raise CircuitError(f"gate {g.gid} references missing gate {a}")
+            in_order = in_order and a in seen
+        seen.add(gid)
+    return in_order
+
+
+def _check_wiring(circuit: Circuit, names: set[str]) -> None:
+    """The wiring part of :func:`validate`: the declared variables, which
+    must hold ``names``, the names of the variable gates; then one reverse
+    pass over the topological order (it raises :class:`CyclicCircuit`)
+    marks the outputs, then the arguments of every marked gate, and every
+    gate must be marked."""
     if len(set(circuit.variables)) != len(circuit.variables):
         raise DuplicateVariable(f"variable list {circuit.variables} has duplicates")
-    names = {g.name for g in circuit.gates.values() if g.kind == VAR}
     if not names <= set(circuit.variables):
         raise DuplicateVariable(f"undeclared variables {names - set(circuit.variables)}")
-    # one reverse pass over the topological order (it raises CyclicCircuit)
-    # marks the outputs, then the arguments of every marked gate
+    gates = circuit.gates
     live = set(circuit.outputs)
     for gid in reversed(circuit.topo_order()):
         if gid in live:
-            live.update(a for a, _ in circuit.gates[gid].args)
-    if len(live) != len(circuit.gates):
-        dead = set(circuit.gates) - live
+            for a, _w in gates[gid].args:
+                live.add(a)
+    if len(live) != len(gates):
+        dead = set(gates) - live
         raise UnreachableGate(f"gates {sorted(dead)} unreachable from any output")
-    return circuit
 
 
 def reachable_from(circuit: Circuit, roots: Iterable[int]) -> set[int]:
@@ -236,6 +268,23 @@ class WsClassification:
     #: that owns one (all of them when the circuit is weakly skew)
     owned: dict[int, int]
     reusable: frozenset[int]
+
+
+def is_formula(circuit: Circuit) -> bool:
+    """Whether a validated circuit is a formula: one output, which nothing
+    reads, and every other gate read exactly once.  One count of readers
+    settles it: in a validated circuit of one output every other gate is
+    live, so read at least once, and nothing reads the output, so it is a
+    formula exactly when no gate is read twice."""
+    if len(circuit.outputs) != 1:
+        return False
+    read: set[int] = set()
+    for g in circuit.gates.values():
+        for a, _w in g.args:
+            if a in read:
+                return False
+            read.add(a)
+    return True
 
 
 def classify(circuit: Circuit) -> WsClassification:
@@ -294,14 +343,8 @@ def classify(circuit: Circuit) -> WsClassification:
         if gid in reusable:
             reusable.update(a for a, _w in circuit.gates[gid].args if a != owned.get(gid))
 
-    is_formula = (
-        len(circuit.outputs) == 1
-        and all(
-            len(cons[gid]) == (0 if gid in outputs else 1) for gid in circuit.gates
-        )
-    )
     return WsClassification(
-        is_formula=is_formula,
+        is_formula=is_formula(circuit),
         is_weakly_skew=all(
             gid in owned for gid, g in circuit.gates.items() if g.kind == MUL
         ),
@@ -586,31 +629,25 @@ def is_variable_name(name: str) -> bool:
 
 
 def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
-    """Parse the circuit file format produced by :func:`render_circuit`."""
+    """Parse the circuit file format produced by :func:`render_circuit`.
+
+    One pass reads and checks every line: a gate line gives its gate a
+    kind, an arity, a name or a value by its form.  When every argument
+    names a gate of an earlier line, the order :func:`render_circuit`
+    writes, the file order is the topological order, and only the wiring
+    is left to check (outputs, declared variables, liveness); any other
+    order goes through :func:`validate`'s walk."""
     gates: dict[int, Gate] = {}
     outputs: list[int] | None = None
     variables: list[str] | None = None
+    names: set[str] = set()  # of the variable gates, in file order
+    in_order = True  # every argument so far names a gate already read
     # weights and constants repeat across a file, so parse each token once
     elements: dict[str, FieldElement] = {}
-
-    def element(token: str) -> FieldElement:
-        x = elements.get(token)
-        if x is None:
-            x = elements[token] = parse_element(token, spec)
-        return x
-
-    def gid_of(token: str) -> int:
-        if not (token.startswith("g") and token[1:].isdecimal()):
-            raise ValueError(f"expected gate reference, got {token!r}")
-        return int(token[1:])
-
     one = spec.one()  # the weight of every unweighted arrow
 
-    def arg_of(token: str) -> tuple[int, FieldElement]:
-        if "*" in token:
-            gtok, wtok = token.split("*", 1)
-            return gid_of(gtok), element(wtok)
-        return gid_of(token), one
+    def not_a_reference(token: str) -> ValueError:
+        return ValueError(f"expected gate reference, got {token!r}")
 
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -626,29 +663,64 @@ def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
             if line.startswith("output"):
                 if outputs is not None:
                     raise CircuitError(f"second output line {raw!r}")
-                outputs = [gid_of(t) for t in line.split()[1:]]
+                outputs = []
+                for tok in line.split()[1:]:
+                    if not (tok[:1] == "g" and tok[1:].isdecimal()):
+                        raise not_a_reference(tok)
+                    outputs.append(int(tok[1:]))
                 continue
             lhs, eq, rhs = line.partition("=")
             toks = rhs.split()
             kind = toks[0] if toks else None
             if not eq or len(toks) != (2 if kind in ("input", "const") else 3):
                 raise CircuitError(f"malformed gate line {raw!r}")
-            gid = gid_of(lhs.strip())
+            lhs = lhs.strip()
+            if not (lhs[:1] == "g" and lhs[1:].isdecimal()):
+                raise not_a_reference(lhs)
+            gid = int(lhs[1:])
             if gid in gates:
                 raise CircuitError(f"gate g{gid} defined again in line {raw!r}")
-            if kind == "input":
-                if not is_variable_name(toks[1]):
-                    raise CircuitError(f"bad variable name {toks[1]!r} in line {raw!r}")
-                gates[gid] = Gate(gid, VAR, name=toks[1])
+            if kind in COMPUTATION:
+                args = []
+                for tok in toks[1:]:
+                    if "*" in tok:
+                        tok, wtok = tok.split("*", 1)
+                    else:
+                        wtok = None
+                    if not (tok[:1] == "g" and tok[1:].isdecimal()):
+                        raise not_a_reference(tok)
+                    a = int(tok[1:])
+                    if wtok is None:
+                        w = one
+                    else:
+                        w = elements.get(wtok)
+                        if w is None:
+                            w = elements[wtok] = parse_element(wtok, spec)
+                    in_order = in_order and a in gates
+                    args.append((a, w))
+                gates[gid] = Gate(gid, kind, args=tuple(args))
+            elif kind == "input":
+                name = toks[1]
+                if not is_variable_name(name):
+                    raise CircuitError(f"bad variable name {name!r} in line {raw!r}")
+                gates[gid] = Gate(gid, VAR, name=name)
+                names.add(name)
             elif kind == "const":
-                gates[gid] = Gate(gid, CONST, value=element(toks[1]))
-            elif kind in COMPUTATION:
-                gates[gid] = Gate(gid, kind, args=(arg_of(toks[1]), arg_of(toks[2])))
+                w = elements.get(toks[1])
+                if w is None:
+                    w = elements[toks[1]] = parse_element(toks[1], spec)
+                gates[gid] = Gate(gid, CONST, value=w)
             else:
                 raise CircuitError(f"unknown gate kind {kind!r} in line {raw!r}")
         except ValueError as exc:
             raise CircuitError(f"{exc} in line {raw!r}") from None
-    return validate(Circuit(gates, outputs or [], spec=spec, variables=variables))
+    circuit = Circuit(gates, outputs or [], spec=spec, variables=variables)
+    if not in_order:
+        return validate(circuit)
+    circuit._topo = tuple(gates)
+    _check_outputs(circuit)
+    _check_wiring(circuit, names)
+    return circuit
 
 
 # ---------------------------------------------------------------------------

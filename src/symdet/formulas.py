@@ -40,7 +40,7 @@ from .circuits import (
     VAR,
     Circuit,
     CircuitError,
-    classify,
+    is_formula,
 )
 from .fields import FieldElement
 from .graphs import (
@@ -118,7 +118,7 @@ def build_valiant_digraph(f: Circuit, mode: str = "green") -> PathSumCertificate
         work = f
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if not classify(work).is_formula:
+    if not is_formula(work):
         raise NotAFormula("circuit is not a formula")
     one = work.spec.one()
     dg = WeightedDigraph(work.spec)

@@ -208,9 +208,9 @@ class SymbolicMatrix:
     @classmethod
     def _of_stored_rows(cls, rows: list[dict[int, Weight]], spec: FieldSpec,
                         symmetric: bool) -> "SymbolicMatrix":
-        """The matrix of rows that :func:`parse_matrix` builds in stored
-        form, in column order and without a constant zero, unchecked but
-        for the symmetry."""
+        """The matrix of rows that :func:`parse_matrix` and
+        :func:`adjacency` build in stored form, in column order, in range
+        and without a constant zero, unchecked but for the symmetry."""
         m = cls.__new__(cls)
         m._store(tuple(rows), spec, symmetric)
         return m
@@ -289,11 +289,19 @@ def _sparse_row(row: dict[int, Weight] | Sequence[Weight], n: int) -> dict[int, 
 
 
 def adjacency(g: WeightedDigraph) -> SymbolicMatrix:
-    """Adjacency matrix, symmetric exactly when ``g`` is a graph."""
-    rows: list[dict[int, Weight]] = [{} for _ in range(g.n)]
+    """Adjacency matrix, symmetric exactly when ``g`` is a graph.  The arcs
+    are bucketed by column, then the buckets filled into the rows column by
+    column, so every row is stored in column order as it is built; the
+    range of every arc is :meth:`WeightedDigraph.add_arc`'s check."""
+    cols: list[list[tuple[int, Weight]]] = [[] for _ in range(g.n)]
     for (u, v), w in g.arcs.items():
-        rows[u][v] = w
-    return SymbolicMatrix(rows, spec=g.spec, symmetric=isinstance(g, WeightedGraph))
+        if _stored(w):
+            cols[v].append((u, w))
+    rows: list[dict[int, Weight]] = [{} for _ in range(g.n)]
+    for v, col in enumerate(cols):
+        for u, w in col:
+            rows[u][v] = w
+    return SymbolicMatrix._of_stored_rows(rows, g.spec, isinstance(g, WeightedGraph))
 
 
 @dataclass

@@ -18,7 +18,9 @@ elimination, :func:`_lockstep_det`.  A value that differs from point to
 point is a lane, a list with one int per point.
 A :class:`CompiledCircuit` is the circuit as a topologically ordered
 program with its constants and arrow weights embedded once, evaluated on
-lanes.  A :class:`CompiledMatrix` reads the stored nonzeros of a
+lanes; it looks each weight object up once, keyed by identity, since
+:func:`~symdet.circuits.parse_circuit` gives every arrow of one weight
+token one object.  A :class:`CompiledMatrix` reads the stored nonzeros of a
 :class:`SymbolicMatrix` (never its dense view) and holds their embedded
 constants plus slots for its variable entries, so compiling costs
 O(nonzeros); it classifies each :class:`~symdet.graphs.Weight` object
@@ -319,7 +321,9 @@ class CompiledCircuit:
     """A :class:`Circuit` compiled once into a finite field.
 
     The program lists the computation gates in topological order with their
-    arrow weights embedded as plain ints, each distinct constant once
+    arrow weights embedded as plain ints, each weight object looked up once
+    by identity (:func:`~symdet.circuits.parse_circuit` gives each token
+    one element) and each distinct constant embedded once
     (:func:`_embedder`), and every constant gate holds its embedded value,
     so evaluating at many points embeds nothing again; a weight-1 arrow
     skips its multiplication.  ``degrees`` holds the formal degree of each
@@ -333,7 +337,15 @@ class CompiledCircuit:
         self.inputs: list[tuple[int, str]] = []
         self.consts: list[tuple[int, int]] = []
         self.program: list[tuple[int, str, int, int, int, int]] = []
-        embedded = _embedder(spec)
+        embed_value = _embedder(spec)
+        by_id: dict[int, int] = {}  # id of a weight or constant -> its image
+
+        def embedded(x: FieldElement) -> int:
+            v = by_id.get(id(x))
+            if v is None:
+                v = by_id[id(x)] = embed_value(x)
+            return v
+
         degree: dict[int, int] = {}
         for gid in circuit.topo_order():
             g = circuit.gates[gid]

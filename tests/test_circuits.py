@@ -24,7 +24,7 @@ from symdet.circuits import (
     topo_sort,
     validate,
 )
-from symdet.fields import RATIONAL, FieldSpec
+from symdet.fields import RATIONAL, FieldSpec, MixedFields
 from symdet.minimize import ConstantCircuit, minimize
 
 Z7 = FieldSpec.prime(7)
@@ -90,6 +90,60 @@ def test_builder_refuses_a_variable_name_that_does_not_read_back(name):
     the circuit is built, not when its text is read back."""
     with pytest.raises(CircuitError, match=re.escape(repr(name))):
         CircuitBuilder().var(name)
+
+
+X = Gate(0, "input", name="x")
+ONE = RATIONAL.one()
+
+
+@pytest.mark.parametrize("gates,error,message", [
+    ({0: Gate(0, "input", name="x", args=((0, ONE),))}, BadArity,
+     "input gate 0 has arguments"),
+    ({0: Gate(0, "input")}, CircuitError, "variable gate 0 has no name"),
+    ({0: Gate(0, "const")}, CircuitError, "constant gate 0 has no value"),
+    ({0: X, 1: Gate(1, "mul", args=((0, ONE),))}, BadArity, "gate 1 needs exactly 2 arguments"),
+    ({0: X, 1: Gate(1, "add", args=((0, ONE), (7, ONE)))}, CircuitError,
+     "gate 1 references missing gate 7"),
+], ids=["input-with-arguments", "variable-without-name", "constant-without-value",
+        "one-argument", "missing-argument"])
+def test_validate_names_the_faulty_gate(gates, error, message):
+    """Each per-gate check of ``validate``, which ``parse_circuit`` leaves
+    to the form of a line, on a circuit built by hand."""
+    with pytest.raises(error) as exc:
+        validate(Circuit(gates, [max(gates)], variables=["x"]))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("gates,outputs,variables,message", [
+    ({0: X, 1: Gate(1, "add", args=((0, ONE), (7, ONE)))}, [9], ["x"],
+     "output 9 is not a gate"),
+    ({0: X, 1: Gate(1, "add", args=((0, ONE), (7, ONE))), 2: Gate(2, "input", name="y")},
+     [1], ["x"], "gate 1 references missing gate 7"),
+    ({0: X, 1: Gate(1, "input", name="y")}, [0], ["x"], "undeclared variables {'y'}"),
+], ids=["output-then-gate", "gate-then-variable", "variable-then-liveness"])
+def test_validate_reports_the_outputs_then_each_gate_then_the_wiring(
+        gates, outputs, variables, message):
+    """Of two faults, ``validate`` reports the one it checks first."""
+    with pytest.raises(CircuitError) as exc:
+        validate(Circuit(gates, outputs, variables=variables))
+    assert str(exc.value) == message
+
+
+def test_parse_refuses_an_unknown_gate_kind():
+    text = "vars x\ng0 = input x\ng1 = sub g0 g0\noutput g1\n"
+    with pytest.raises(CircuitError) as exc:
+        parse_circuit(text)
+    assert str(exc.value) == "unknown gate kind 'sub' in line 'g1 = sub g0 g0'"
+
+
+def test_builder_refuses_a_weight_from_another_field():
+    b = CircuitBuilder(Z7)
+    x = b.var("x")
+    with pytest.raises(MixedFields) as exc:
+        b.mul(x, x, RATIONAL.from_int(2))
+    assert str(exc.value) == f"weight in {RATIONAL}, builder over {Z7}"
+    with pytest.raises(MixedFields):
+        b.const(RATIONAL.from_int(2))
 
 
 def test_duplicate_variable_list_rejected():

@@ -799,6 +799,50 @@ def test_cli_build_minimizes_at_most_once(tmp_path, capsys, monkeypatch,
     assert code == 0 and rewrites == []
 
 
+def spy_on_symdet(monkeypatch, name) -> list[str]:
+    """Record the module through which each call of the library function
+    ``name`` goes, in every ``symdet`` module that binds it."""
+    import sys
+
+    import symdet.circuits
+
+    fn = getattr(symdet.circuits, name)
+    calls = []
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("symdet") and getattr(module, name, None) is fn:
+            def spy(*args, _where=mod_name, **kwargs):
+                calls.append(_where)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_cli_build_and_verify_check_a_rendered_formula_once(tmp_path, capsys, monkeypatch):
+    """A rendered file is in topological order as read, so building a
+    formula never sorts its gates nor classifies them (one count of readers
+    says it is a formula), and only ``minimize`` validates, for green sizes,
+    the circuit it writes; verifying sorts and validates nothing."""
+    formula = tmp_path / "f.circuit"
+    formula.write_text(render_circuit(parse_expression("(x+y)*(x+y) + 2*y*z + 3")))
+    spies = {name: spy_on_symdet(monkeypatch, name)
+             for name in ("classify", "topo_sort", "validate")}
+    for method, size in (("valiant", "green"), ("sym", "skinny"), ("sym", "green")):
+        matrix = tmp_path / f"{method}-{size}.mat"
+        for calls in spies.values():
+            calls.clear()
+        code, _, _ = run(["build", str(formula), "--method", method, "--size", size,
+                          "-o", str(matrix)], capsys)
+        assert code == 0
+        assert spies["classify"] == spies["topo_sort"] == [], (method, size)
+        assert spies["validate"] == (["symdet.minimize"] if size == "green" else []), (
+            method, size)
+        for calls in spies.values():
+            calls.clear()
+        code, out, _ = run(["verify", str(formula), str(matrix), "--seed", "1"], capsys)
+        assert code == 0 and out.startswith("verified")
+        assert spies["validate"] == spies["topo_sort"] == [], (method, size)
+
+
 def test_cli_module_runs_without_warnings():
     # importing symdet must not import symdet.cli, or ``python -m symdet.cli``
     # warns that the module was already in sys.modules

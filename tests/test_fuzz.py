@@ -23,13 +23,28 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symdet.char2 import square_matrix_char2
-from symdet.circuits import CircuitError, classify, parse_circuit, parse_expression, random_circuit
+from symdet.circuits import (
+    COMPUTATION,
+    CONST,
+    VAR,
+    Circuit,
+    CircuitError,
+    Gate,
+    classify,
+    is_variable_name,
+    parse_circuit,
+    parse_expression,
+    random_circuit,
+    render_circuit,
+    topo_sort,
+    validate,
+)
 from symdet.cli import _BUILDERS, build_bound, field_from_flag, main
-from symdet.fields import GF2_16, PRIME_DEFAULT, RATIONAL, FieldError
+from symdet.fields import GF2_16, PRIME_DEFAULT, RATIONAL, FieldError, parse_element
 from symdet.graphs import parse_matrix, render_matrix
 from symdet.oracles import check_abp_certificate, check_symmetric_certificate
 from symdet.verify import identity_test
@@ -88,6 +103,106 @@ def circuit_texts(draw):
         if not lines:
             break
     return "".join(line + "\n" for line in lines)
+
+
+def reference_parse_circuit(text, spec):
+    """The line parser that checks nothing a line's form does not, then
+    the whole of ``validate``: the slow path ``parse_circuit`` must agree
+    with, gate for gate and message for message."""
+    gates, outputs, variables = {}, None, None
+
+    def gid_of(token):
+        if not (token.startswith("g") and token[1:].isdecimal()):
+            raise ValueError(f"expected gate reference, got {token!r}")
+        return int(token[1:])
+
+    def arg_of(token):
+        if "*" in token:
+            gtok, wtok = token.split("*", 1)
+            return gid_of(gtok), parse_element(wtok, spec)
+        return gid_of(token), spec.one()
+
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("vars "):
+            if variables is not None:
+                raise CircuitError(f"second vars line {raw!r}")
+            variables = line.split()[1:]
+            continue
+        try:
+            if line.startswith("output"):
+                if outputs is not None:
+                    raise CircuitError(f"second output line {raw!r}")
+                outputs = [gid_of(t) for t in line.split()[1:]]
+                continue
+            lhs, eq, rhs = line.partition("=")
+            toks = rhs.split()
+            kind = toks[0] if toks else None
+            if not eq or len(toks) != (2 if kind in ("input", "const") else 3):
+                raise CircuitError(f"malformed gate line {raw!r}")
+            gid = gid_of(lhs.strip())
+            if gid in gates:
+                raise CircuitError(f"gate g{gid} defined again in line {raw!r}")
+            if kind == "input":
+                if not is_variable_name(toks[1]):
+                    raise CircuitError(f"bad variable name {toks[1]!r} in line {raw!r}")
+                gates[gid] = Gate(gid, VAR, name=toks[1])
+            elif kind == "const":
+                gates[gid] = Gate(gid, CONST, value=parse_element(toks[1], spec))
+            elif kind in COMPUTATION:
+                gates[gid] = Gate(gid, kind, args=(arg_of(toks[1]), arg_of(toks[2])))
+            else:
+                raise CircuitError(f"unknown gate kind {kind!r} in line {raw!r}")
+        except ValueError as exc:
+            raise CircuitError(f"{exc} in line {raw!r}") from None
+    return validate(Circuit(gates, outputs or [], spec=spec, variables=variables))
+
+
+def parsed_or_raised(parse, text, spec):
+    """What ``parse`` makes of ``text``: the circuit's gates, outputs,
+    variables and topological order, or the type and message it raised."""
+    try:
+        c = parse(text, spec)
+    except PARSE_ERRORS as exc:
+        return type(exc), str(exc)
+    return c.gates, c.outputs, c.variables, c.topo_order()
+
+
+@st.composite
+def shuffled_render_texts(draw):
+    """A rendered random circuit with its gate lines shuffled: arguments
+    that come later in the file, a case the render order never has."""
+    c = random_circuit(draw(st.sampled_from(("formula", "weakly-skew"))),
+                       draw(st.integers(1, 12)), 3, draw(st.randoms(use_true_random=False)),
+                       const_prob=0.3, weighted=draw(st.booleans()))
+    lines = render_circuit(c).splitlines()
+    head, gates, tail = lines[:1], lines[1:-1], lines[-1:]
+    return "".join(line + "\n" for line in head + draw(st.permutations(gates)) + tail)
+
+
+@FUZZ
+@given(text=st.one_of(circuit_texts(), shuffled_render_texts()),
+       field=st.sampled_from(FIELDS))
+@example(text="vars x\ng0 = input x\ng1 = add g0 g7\noutput g9\n", field="q")
+@example(text="vars x\ng1 = add g0 g0\ng0 = input x\n", field="q")
+@example(text="vars x\ng0 = input x\ng1 = input y\noutput g0\n", field="q")
+@example(text="vars x y\ng0 = input x\ng1 = input y\noutput g0\n", field="q")
+@example(text="g0 = input x\ng1 = add g0 g2\ng2 = mul g1 g0\noutput g2 g2\n", field="q")
+@example(text="g0 = input x\ng1 = add g0 g2\ng2 = mul g1 g0\noutput g2\n", field="q")
+def test_parse_circuit_agrees_with_the_line_parser_and_validate(text, field):
+    """The one-pass reader against the reference: the same circuit and
+    topological order, the walk's postorder, or the same error.  The
+    examples hold two faults each, so the first one reported must be the
+    reference's: a missing argument and an output that is no gate, no
+    output and a later argument, an undeclared variable and a dead gate, a
+    dead gate alone, a cycle and a repeated output, a cycle alone."""
+    spec = field_from_flag(field)
+    got = parsed_or_raised(parse_circuit, text, spec)
+    assert got == parsed_or_raised(reference_parse_circuit, text, spec)
+    if isinstance(got[0], dict):
+        assert list(got[3]) == topo_sort({gid: g.args for gid, g in got[0].items()})
 
 
 EXPRESSIONS = st.lists(

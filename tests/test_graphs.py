@@ -82,6 +82,55 @@ def test_adjacency_of_digraph_not_symmetric():
     assert m.entry(1, 0).is_zero()
 
 
+@pytest.mark.parametrize("u,v", [(0, 2), (2, 0), (-1, 0), (0, -1), (2, 2)])
+def test_add_arc_refuses_an_arc_outside_the_vertex_range(u, v):
+    """``add_arc`` is the one range check on the way to ``adjacency``."""
+    dg = WeightedDigraph()
+    for _ in range(2):
+        dg.add_vertex()
+    with pytest.raises(ValueError, match=re.escape(f"arc {u}->{v} outside vertex range")):
+        dg.add_arc(u, v, wv("x"))
+    assert not dg.arcs
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([{0: wv("x")}, {2: wv("y")}], "matrix entry outside the square"),
+    ([{0: wv("x")}, {-1: wv("y")}], "matrix entry outside the square"),
+    ([[wv("x"), wc(1)], [wv("y")]], "matrix is not square"),
+])
+def test_symbolic_matrix_refuses_a_row_that_does_not_fit(rows, message):
+    """The checks of the public constructor, which ``adjacency`` and
+    ``parse_matrix`` do not take."""
+    with pytest.raises(ValueError, match=message):
+        SymbolicMatrix(rows)
+
+
+def test_adjacency_rows_are_those_the_checked_constructor_stores():
+    """Arcs and edges added in random order: ``adjacency`` stores, key
+    order included, the rows that ``SymbolicMatrix`` stores from the same
+    cells through its checked path, and flags a graph symmetric."""
+    rng = random.Random(31)
+    weights = [wv("x"), wv("y"), wc(2), wc(-1), wc("1/2"),
+               Weight.scaled("z", RATIONAL.from_int(3))]
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        g = rng.choice([WeightedDigraph, WeightedGraph])()
+        for _ in range(n):
+            g.add_vertex()
+        cells = [(u, v) for u in range(n) for v in range(n)]
+        rng.shuffle(cells)
+        for u, v in cells[:rng.randint(0, len(cells))]:
+            if (u, v) not in g.arcs:
+                add = g.add_edge if isinstance(g, WeightedGraph) else g.add_arc
+                add(u, v, rng.choice(weights))
+        cells = [{v: w for (r, v), w in g.arcs.items() if r == u} for u in range(n)]
+        symmetric = isinstance(g, WeightedGraph)
+        want = SymbolicMatrix(cells, spec=g.spec, symmetric=symmetric)
+        m = adjacency(g)
+        assert m.symmetric == symmetric
+        assert [list(row.items()) for row in m.rows] == [list(row.items()) for row in want.rows]
+
+
 def test_triangle_matrix_and_det():
     m = adjacency(triangle_2xyz())
     d = symbolic_det(m)

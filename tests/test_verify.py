@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from symdet.circuits import (
     Gate,
     MissingAssignment,
     evaluate,
+    parse_circuit,
     random_circuit,
 )
 from symdet.fields import (
@@ -527,6 +530,41 @@ def test_unit_pivots_of_a_split_chain_invert_nothing_and_negate_no_lane(spec, mo
     assert not [args for name, args in calls if name == "scale" and args[0] == minus_one]
 
 
+def pivot_order_matrices():
+    """3,500 seeded sparse matrices over Z_101 in plain ints: dimension 3-9
+    at density 0.45, and every seventh of the ``fill`` shape, dimension 4-7
+    at density 0.85, where fill-in raises column counts before the columns
+    are chosen."""
+    rng = random.Random(2031)
+    for k in range(3500):
+        fill = k % 7 == 0
+        n = rng.randint(4, 7) if fill else rng.randint(3, 9)
+        density = 0.85 if fill else 0.45
+        yield [{j: rng.randrange(1, 101) for j in range(n) if rng.random() < density}
+               for _ in range(n)]
+
+
+def test_the_elimination_pivots_in_a_pinned_order(monkeypatch):
+    """The scalar pivots of ``_lockstep_det`` in the order it takes them:
+    it multiplies each into the determinant by one ``mul1``, so the
+    arguments of those calls are the pivot sequence.  A determinant does
+    not depend on the order, so only this golden sees a change to the
+    column heap (a column whose count grew since it was pushed must be
+    pushed back, not dropped)."""
+    arith = FieldSpec.prime(101).arith
+    calls = spy_on_arith(monkeypatch, arith, ("mul1",))
+    digest = hashlib.sha256()
+    pivots = 0
+    for rows in pivot_order_matrices():
+        calls.clear()
+        det = _lockstep_det(arith, rows, 1)
+        digest.update(repr(([args[1] for _, args in calls], det)).encode())
+        pivots += len(calls)
+    assert pivots == 32448
+    assert digest.hexdigest() == (
+        "c197786a7fa687140975fc1b2cc0b6773b44194cf2b92e9c8f668d8651d61d82")
+
+
 def test_compiling_a_parsed_matrix_classifies_each_token_once(monkeypatch):
     """``parse_matrix`` gives every cell of one token one Weight, so
     compiling the parsed path Laplacian of dimension 100, with 2 and 3*x
@@ -556,6 +594,45 @@ def test_compiling_a_parsed_matrix_classifies_each_token_once(monkeypatch):
     assert compiled.const_rows == reference.const_rows
     assert compiled.slots == reference.slots
     assert compiled.variables == reference.variables == ("x",)
+
+
+def test_compiling_a_parsed_circuit_embeds_each_weight_object_once(monkeypatch):
+    """``parse_circuit`` gives every arrow of one weight token, and every
+    unweighted arrow, one element, so compiling a chain of 100 gates whose
+    arrows carry 2, -1 and 1 and whose one constant is 1/2 looks up four
+    objects, not one per arrow and constant; it compiles to what a circuit
+    whose every weight is an element of its own compiles to."""
+    n = 100
+    lines = ["vars x", "g0 = input x", "g1 = const 1/2"]
+    for i in range(2, n):
+        kind, wa, wb = ("add", "*2", "*-1") if i % 2 else ("mul", "", "*2")
+        lines.append(f"g{i} = {kind} g{i - 1}{wa} g{i % 2}{wb}")
+    lines.append(f"output g{n - 1}")
+    embedded = []
+
+    def counting(spec):
+        embed_one = _embedder(spec)
+
+        def spy(x):
+            embedded.append(x)
+            return embed_one(x)
+        return spy
+
+    monkeypatch.setattr("symdet.verify._embedder", counting)
+    c = parse_circuit("\n".join(lines) + "\n")
+    compiled = CompiledCircuit(c, PRIME_DEFAULT)
+    assert len(embedded) == 4
+
+    def own(x):
+        return RATIONAL.from_fraction(x.value)
+
+    c_own = Circuit({gid: replace(g, value=g.value and own(g.value),
+                                  args=tuple((a, own(w)) for a, w in g.args))
+                     for gid, g in c.gates.items()}, c.outputs)
+    reference = CompiledCircuit(c_own, PRIME_DEFAULT)
+    assert len(embedded) == 4 + 1 + 2 * (n - 2)  # and then once per arrow and constant
+    assert (compiled.inputs, compiled.consts, compiled.program, compiled.degrees) == (
+        reference.inputs, reference.consts, reference.program, reference.degrees)
 
 
 @pytest.mark.parametrize("t", [1, 3])
