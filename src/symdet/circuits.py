@@ -18,10 +18,10 @@ is the one check of a circuit built in the library: every gate on its own
 (arity, name, value, arguments that exist), then the wiring (outputs,
 declared variables, every gate live, no cycle).  :func:`parse_circuit`
 reads and checks a file in one pass: its lines give every gate its kind,
-arity, name and value, and a file whose every argument names a gate of an
-earlier line, the order :func:`render_circuit` writes, is in topological
-order as read, so only its wiring is checked; any other order goes through
-:func:`validate`'s walk.
+arity, name and value, a well-formed gate line by one pattern match, and a
+file whose every argument names a gate of an earlier line, the order
+:func:`render_circuit` writes, is in topological order as read, so only its
+wiring is checked; any other order goes through :func:`validate`'s walk.
 
 Circuits are immutable after :func:`validate`; every query here is pure.
 """
@@ -29,6 +29,7 @@ Circuits are immutable after :func:`validate`; every query here is pure.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -74,23 +75,61 @@ MUL = "mul"
 COMPUTATION = (ADD, MUL)
 
 
-@dataclass(frozen=True)
 class Gate:
-    """One circuit vertex.
+    """One circuit vertex, an immutable value.
 
     ``args`` is the ordered pair of (argument gate id, arrow weight) for
-    computation gates and the empty tuple for inputs.
+    computation gates and the empty tuple for inputs.  A slotted class:
+    ``__init__`` writes each slot through its descriptor, past the
+    ``__setattr__`` guard that makes assignment raise; equality and hashing
+    are by value, and the repr lists every field.
     """
 
-    gid: int
-    kind: str
-    name: str | None = None
-    value: FieldElement | None = None
-    args: tuple[tuple[int, FieldElement], ...] = ()
+    __slots__ = __match_args__ = ("gid", "kind", "name", "value", "args")
+
+    def __init__(
+        self,
+        gid: int,
+        kind: str,
+        name: str | None = None,
+        value: FieldElement | None = None,
+        args: tuple[tuple[int, FieldElement], ...] = (),
+    ):
+        _set_gid(self, gid)
+        _set_kind(self, kind)
+        _set_name(self, name)
+        _set_value(self, value)
+        _set_args(self, args)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Gate is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Gate is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.gid, self.kind, self.name, self.value, self.args)
+                == (other.gid, other.kind, other.name, other.value, other.args))
+
+    def __hash__(self) -> int:
+        return hash((self.gid, self.kind, self.name, self.value, self.args))
+
+    def __reduce__(self):
+        return Gate, (self.gid, self.kind, self.name, self.value, self.args)
+
+    def __repr__(self) -> str:
+        return (f"Gate(gid={self.gid!r}, kind={self.kind!r}, name={self.name!r}, "
+                f"value={self.value!r}, args={self.args!r})")
 
     @property
     def is_input(self) -> bool:
         return self.kind in (VAR, CONST)
+
+
+_set_gid, _set_kind, _set_name, _set_value, _set_args = (
+    Gate.__dict__[slot].__set__ for slot in Gate.__slots__)
 
 
 class Circuit:
@@ -628,15 +667,32 @@ def is_variable_name(name: str) -> bool:
     return bool(name) and not name[0].isdigit() and name[0] not in "+-" and "*" not in name
 
 
+# A gate line in one of its three well-formed shapes, matched on the raw
+# line, surrounding whitespace and a trailing comment included: the gate id,
+# then the kind, the two argument ids and their weight tokens of a
+# computation, or the name of a variable, or the token of a constant.  ``\s``
+# is the whitespace of ``str.split`` and ``str.strip``; a line it does not
+# match goes through the per-line checks, which name its first fault.
+_GATE_LINE = re.compile(
+    r"\s*g([0-9]+)\s*=\s*(?:"
+    r"(add|mul)\s+g([0-9]+)(?:\*([^\s#]+))?\s+g([0-9]+)(?:\*([^\s#]+))?"
+    r"|input\s+([^\s#]+)|const\s+([^\s#]+))\s*(?:#.*)?")
+
+
 def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
     """Parse the circuit file format produced by :func:`render_circuit`.
 
     One pass reads and checks every line: a gate line gives its gate a
-    kind, an arity, a name or a value by its form.  When every argument
-    names a gate of an earlier line, the order :func:`render_circuit`
-    writes, the file order is the topological order, and only the wiring
-    is left to check (outputs, declared variables, liveness); any other
-    order goes through :func:`validate`'s walk."""
+    kind, an arity, a name or a value by its form.  A gate line in one of
+    the three shapes ``g<n> = add|mul g<a>[*w] g<b>[*w]``, ``g<n> = input
+    <name>`` and ``g<n> = const <c>`` is read by one pattern match; the
+    ``vars`` and ``output`` lines and any other line go through the
+    per-line checks, so each fault is named as a line-by-line reading
+    names it.  When every argument names a gate of an earlier line, the
+    order :func:`render_circuit` writes, the file order is the topological
+    order, and only the wiring is left to check (outputs, declared
+    variables, liveness); any other order goes through :func:`validate`'s
+    walk."""
     gates: dict[int, Gate] = {}
     outputs: list[int] | None = None
     variables: list[str] | None = None
@@ -645,11 +701,42 @@ def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
     # weights and constants repeat across a file, so parse each token once
     elements: dict[str, FieldElement] = {}
     one = spec.one()  # the weight of every unweighted arrow
+    match_gate = _GATE_LINE.fullmatch
+
+    def element(token: str) -> FieldElement:
+        w = elements.get(token)
+        if w is None:
+            w = elements[token] = parse_element(token, spec)
+        return w
 
     def not_a_reference(token: str) -> ValueError:
         return ValueError(f"expected gate reference, got {token!r}")
 
     for raw in text.splitlines():
+        m = match_gate(raw)
+        if m is not None:
+            gid, kind, a, wa, b, wb, name, const = m.groups()
+            gid = int(gid)
+            if gid in gates:
+                raise CircuitError(f"gate g{gid} defined again in line {raw!r}")
+            try:  # a malformed weight or constant raises ValueError naming it
+                if kind is not None:
+                    a, b = int(a), int(b)
+                    wa = one if wa is None else element(wa)
+                    wb = one if wb is None else element(wb)
+                    in_order = in_order and a in gates and b in gates
+                    gates[gid] = Gate(gid, kind, None, None, ((a, wa), (b, wb)))
+                elif name is not None:
+                    if name not in names:  # each name is checked once
+                        if not is_variable_name(name):
+                            raise CircuitError(f"bad variable name {name!r} in line {raw!r}")
+                        names.add(name)
+                    gates[gid] = Gate(gid, VAR, name)
+                else:
+                    gates[gid] = Gate(gid, CONST, None, element(const))
+            except ValueError as exc:
+                raise CircuitError(f"{exc} in line {raw!r}") from None
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -690,12 +777,7 @@ def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
                     if not (tok[:1] == "g" and tok[1:].isdecimal()):
                         raise not_a_reference(tok)
                     a = int(tok[1:])
-                    if wtok is None:
-                        w = one
-                    else:
-                        w = elements.get(wtok)
-                        if w is None:
-                            w = elements[wtok] = parse_element(wtok, spec)
+                    w = one if wtok is None else element(wtok)
                     in_order = in_order and a in gates
                     args.append((a, w))
                 gates[gid] = Gate(gid, kind, args=tuple(args))
@@ -706,10 +788,7 @@ def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
                 gates[gid] = Gate(gid, VAR, name=name)
                 names.add(name)
             elif kind == "const":
-                w = elements.get(toks[1])
-                if w is None:
-                    w = elements[toks[1]] = parse_element(toks[1], spec)
-                gates[gid] = Gate(gid, CONST, value=w)
+                gates[gid] = Gate(gid, CONST, value=element(toks[1]))
             else:
                 raise CircuitError(f"unknown gate kind {kind!r} in line {raw!r}")
         except ValueError as exc:

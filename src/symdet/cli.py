@@ -317,8 +317,14 @@ def cmd_demo(args) -> int:
     return 0
 
 
-@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The top-level parser, whose subparsers are the subcommands."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, by name."""
     top = argparse.ArgumentParser(prog="symdet", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -397,7 +403,23 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="reproduce the worked examples")
     p.set_defaults(fn=cmd_demo)
 
-    return top
+    return top, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, with the top-level parser's part done
+    here: a known subcommand's own parser reads ``argv[1:]`` into a
+    namespace that holds the subcommand's name, the namespace the top-level
+    parser would return.  Without a subcommand, with an unknown one or with
+    arguments left over, the top-level parser reads ``argv`` and reports it,
+    so every usage line, message and exit code is its own."""
+    top, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return top.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -405,7 +427,7 @@ def main(argv=None) -> int:
     if "--expr" in argv[:-1]:  # its value may start with a minus, as in -x*y
         i = argv.index("--expr")
         argv[i:i + 2] = ["--expr=" + argv[i + 1]]
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.fn(args)
     except (CircuitError, FieldError, ValueError, OSError) as exc:

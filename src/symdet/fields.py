@@ -484,16 +484,26 @@ class FieldElement:
     ``value`` is a plain int, except for a proper fraction of Q, which is a
     ``Fraction``; the constructors and operators keep that form, so elements
     are built only in this module (and by :mod:`symdet.verify`, from the ints
-    of a finite field)."""
+    of a finite field).
+
+    A slotted class whose ``__init__`` writes each slot through its
+    descriptor, past the ``__setattr__`` guard that makes assignment
+    raise."""
 
     __slots__ = ("spec", "value")
 
     def __init__(self, spec: FieldSpec, value):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "value", value)
+        _set_spec(self, spec)
+        _set_value(self, value)
 
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
+    def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FieldElement is immutable")
+
+    def __reduce__(self):
+        return FieldElement, (self.spec, self.value)
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
@@ -591,6 +601,9 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"<{self.render()} in {self.spec}>"
+
+
+_set_spec, _set_value = (FieldElement.__dict__[slot].__set__ for slot in FieldElement.__slots__)
 
 
 # an optional minus, then hex digits or a decimal integer or fraction

@@ -54,13 +54,37 @@ CONSTW = "const"
 SCALEDW = "scaled"
 
 
-@dataclass(frozen=True)
 class Weight:
-    """Edge weight: a variable, a constant, or a constant multiple of a variable."""
+    """Edge weight: a variable, a constant, or a constant multiple of a variable.
 
-    kind: str
-    name: str | None = None
-    coeff: FieldElement | None = None
+    An immutable value, slotted like :class:`~symdet.circuits.Gate`:
+    ``__init__`` writes each slot through its descriptor, past the
+    ``__setattr__`` guard that makes assignment raise, and equality and
+    hashing are by value."""
+
+    __slots__ = __match_args__ = ("kind", "name", "coeff")
+
+    def __init__(self, kind: str, name: str | None = None, coeff: FieldElement | None = None):
+        _set_kind(self, kind)
+        _set_name(self, name)
+        _set_coeff(self, coeff)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Weight is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Weight is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.name, self.coeff) == (other.kind, other.name, other.coeff)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.name, self.coeff))
+
+    def __reduce__(self):
+        return Weight, (self.kind, self.name, self.coeff)
 
     @staticmethod
     def var(name: str) -> "Weight":
@@ -103,6 +127,9 @@ class Weight:
 
     def __repr__(self) -> str:
         return f"Weight({self.render()})"
+
+
+_set_kind, _set_name, _set_coeff = (Weight.__dict__[slot].__set__ for slot in Weight.__slots__)
 
 
 def input_weight(gate) -> Weight:

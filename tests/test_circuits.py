@@ -1,3 +1,4 @@
+import copy
 import random
 import re
 import tracemalloc
@@ -25,6 +26,7 @@ from symdet.circuits import (
     validate,
 )
 from symdet.fields import RATIONAL, FieldSpec, MixedFields
+from symdet.graphs import Weight
 from symdet.minimize import ConstantCircuit, minimize
 
 Z7 = FieldSpec.prime(7)
@@ -32,6 +34,33 @@ Z7 = FieldSpec.prime(7)
 
 def num(n):
     return RATIONAL.from_int(n)
+
+
+# each immutable value type, by a maker of two equal values and a different one
+VALUE_TYPES = {
+    "gate": lambda v: Gate(2, "add", args=((0, num(1)), (1, num(v)))),
+    "input gate": lambda v: Gate(v, "input", name="x"),
+    "weight": lambda v: Weight.scaled("x", num(v)),
+    "element": lambda v: Z7.from_int(v),
+}
+
+
+@pytest.mark.parametrize("make", VALUE_TYPES.values(), ids=VALUE_TYPES)
+def test_value_types_are_immutable_and_compare_by_value(make):
+    a, b = make(3), make(3)
+    assert a is not b and a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a != make(4)
+    for slot in (*type(a).__slots__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, slot, None)
+        with pytest.raises(AttributeError):
+            delattr(a, slot)
+    assert a == b == copy.copy(a) == copy.deepcopy(a)
+
+
+def test_gate_repr_is_its_field_list():
+    assert repr(Gate(0, "input", name="x")) == (
+        "Gate(gid=0, kind='input', name='x', value=None, args=())")
 
 
 def test_single_input_is_valid():

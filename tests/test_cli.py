@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -327,6 +328,46 @@ def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["build", "--method", "nope", "--expr", "x"])
     assert exc.value.code == 2
+
+
+def parse_outcome(parse, argv, capsys):
+    """What ``parse`` makes of ``argv``: the namespace's items in order, the
+    exit status it raised, or what it returned; then its stdout and stderr."""
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    if isinstance(result, argparse.Namespace):
+        result = list(vars(result).items())
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+# argv as ``main`` hands it to the parser, a leading-minus --expr joined to it
+DISPATCH_ARGVS = [
+    ["-h"], ["build", "-h"],
+    ["build", "--expr=x"],                                   # --method missing
+    ["build", "--expr=x", "--method", "sym", "--bogus"],     # an unknown option
+    ["build", "--expr=x", "--method", "sym", "extra"],       # an extra positional
+    ["bounds", "--n", "2", "--d", "2", "3"],
+    ["build", "--expr=-x*y", "--method", "sym"],             # parses
+    ["verify", "--expr=-x", "m.matrix", "--seed", "3", "--json"],
+    ["build", "--expr=-x*y", "--method", "sym", "extra"],
+    [], ["nosuch", "--n", "2"], ["--n", "2", "bounds"],      # no or an unknown subcommand
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=str)
+def test_cli_dispatch_reads_argv_as_the_top_level_parser(argv, capsys):
+    """Handing argv to the subcommand's own parser gives the top-level
+    parser's namespace, or its exit status, usage and message; so does
+    ``main`` wherever parsing ends the run."""
+    from symdet.cli import _parse_args, _parser
+
+    expected = parse_outcome(_parser().parse_args, argv, capsys)
+    assert parse_outcome(_parse_args, argv, capsys) == expected
+    if expected[0][0] == "exit":
+        assert parse_outcome(main, argv, capsys) == expected
 
 
 def test_cli_bad_file_exits_1(capsys):

@@ -113,6 +113,16 @@ def test_division_by_zero():
         GF2_16.zero().inverse()
 
 
+def test_gf2k_kernel_above_the_tables_inverts_by_euclid_and_rejects_zero():
+    """Above k = 16 the GF(2^k) kernel inverts by extended Euclid, which
+    raises on zero itself, one value or a lane alike."""
+    arith = FieldSpec.binary(17).arith
+    assert arith.mul1(0x1234, arith.inv1(0x1234)) == 1
+    for invert in (lambda: arith.inv1(0), lambda: arith.inv([1, 0])):
+        with pytest.raises(DivisionByZero, match=r"inverse of zero in GF\(2\^k\)"):
+            invert()
+
+
 @given(st.integers(min_value=0, max_value=2**16 - 1),
        st.integers(min_value=0, max_value=2**16 - 1))
 def test_frobenius_in_gf2_16(a, b):

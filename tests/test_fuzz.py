@@ -5,7 +5,9 @@ process, where a parser returns or raises one of the library's error
 classes, and through ``symdet.cli.main``, where every input ends in exit
 status 0, or 1 with exactly one ``error:`` line.  Token-soup matrix files go
 through ``parse_matrix`` in process, where a matrix that parses renders to
-text that parses back to it.
+text that parses back to it.  Rendered circuits with mutated tokens check
+the gate lines ``parse_circuit`` reads by pattern against a line-by-line
+reading of the same file.
 
 The differential property draws small weighted circuits, with 0 among their
 constants and arrow weights, over Q, Z_p and GF(2^16), and builds each with
@@ -203,6 +205,77 @@ def test_parse_circuit_agrees_with_the_line_parser_and_validate(text, field):
     assert got == parsed_or_raised(reference_parse_circuit, text, spec)
     if isinstance(got[0], dict):
         assert list(got[3]) == topo_sort({gid: g.args for gid, g in got[0].items()})
+
+
+# spellings of whitespace: the pattern of a gate line must split and strip
+# as ``str.split`` and ``str.strip`` do
+SPACES = (" ", "  ", "\t", " \t", "\xa0", "\u2003", "\x1f", "\x0b")
+# a gate reference spelled every way, the weights among them
+REFERENCE_FORMS = ("g{}", "g{}*2", "g{}*-1", "g{}*1/2", "g{}*0x3", "g{}*1/0", "g{}*x",
+                   "g{}*", "g{}*2*3", "g0{}", "g", "gx", "g-{}", "G{}", "g{}.0", "g{} ",
+                   "g\u0663", "g{}\u0663", "g\U0001d7d9", "g{}#*2", "g{}*2#x")
+TOKEN_FORMS = ("add", "mul", "input", "const", "output", "vars", "=", "x", "y", "1", "-1",
+               "1/2", "0x3", "\u0663", "x#", "add3", "ÿ", "g1=", "=g1")
+
+
+@st.composite
+def mutated_render_texts(draw):
+    """A rendered random circuit whose lines have their tokens mutated:
+    odd whitespace, weighted and malformed references, Unicode digits, a
+    repeated gate id, tokens replaced, added or dropped, comments."""
+    c = random_circuit(draw(st.sampled_from(("formula", "weakly-skew"))),
+                       draw(st.integers(1, 8)), 3, draw(st.randoms(use_true_random=False)),
+                       const_prob=0.3, weighted=draw(st.booleans()))
+    lines = render_circuit(c).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[at].split(" ")
+        i = draw(st.integers(0, len(tokens) - 1))
+        how = draw(st.sampled_from(("space", "reference", "token", "extra", "drop", "id",
+                                    "comment")))
+        if how == "space":
+            seps = [draw(st.sampled_from(SPACES + ("",))) for _ in tokens]
+            lines[at] = draw(st.sampled_from(SPACES + ("",))) + "".join(
+                t + sep for t, sep in zip(tokens, seps))
+            continue
+        if how == "reference":
+            tokens[i] = draw(st.sampled_from(REFERENCE_FORMS)).format(draw(st.integers(0, 9)))
+        elif how == "token":
+            tokens[i] = draw(st.sampled_from(TOKEN_FORMS))
+        elif how == "extra":
+            tokens.insert(i, draw(st.sampled_from(TOKEN_FORMS + REFERENCE_FORMS[:3])).format(1))
+        elif how == "drop":
+            del tokens[i]
+        elif how == "id":
+            tokens[0] = f"g{draw(st.integers(0, len(lines)))}"
+        else:
+            tokens.insert(i, "#" + draw(st.sampled_from(TOKEN_FORMS)))
+        lines[at] = " ".join(tokens)
+    return "".join(line + "\n" for line in lines)
+
+
+@FUZZ
+@given(text=mutated_render_texts(), field=st.sampled_from(FIELDS))
+@example(text="vars x\ng0 =\tinput  x\t\ng1\xa0=  add g0*2 g0 # c\noutput g1\n", field="q")
+@example(text="vars x\ng0 = input x\ng1 = add g0*2*3 g0\noutput g1\n", field="q")
+@example(text="vars x\ng0 = input x\ng1 = add g0* g0\noutput g1\n", field="q")
+@example(text="vars x\ng0 = input x\ng\u0661 = add g0 g\u0660\noutput g1\n", field="q")
+@example(text="vars x\ng0 = input x\ng0 = const 1\noutput g0\n", field="q")
+@example(text="vars x\ng0 = input x\ng1 = mul g0 g0 g0\noutput g1\n", field="q")
+@example(text="vars x\ng0 = input x y\noutput g0\n", field="q")
+@example(text="vars x\ng0 = input x\ng1 = const 0x3#x\ng2 = add g0 g1*1/0\noutput g2\n",
+         field="p61")
+@example(text="vars x\ng0 = input x\ng1 = add g0*2#x g0\noutput g1\n", field="q")
+@example(text="vars x\ng0 = input -x\noutput g0\n", field="q")
+@example(text="vars x\ng0 = input x\ng1 = add g0 g2\ng2 = input x\noutput g1\n", field="q")
+def test_parse_circuit_fast_path_agrees_with_the_line_parser(text, field):
+    """The pattern-matched gate lines against a line-by-line reading of the
+    same file (``reference_parse_circuit``): the same gates, outputs,
+    variables and order, or the same error and message, whichever line the
+    pattern takes and whichever it leaves to the per-line checks."""
+    spec = field_from_flag(field)
+    assert (parsed_or_raised(parse_circuit, text, spec)
+            == parsed_or_raised(reference_parse_circuit, text, spec))
 
 
 EXPRESSIONS = st.lists(

@@ -11,6 +11,7 @@ from symdet.determinant import build_det_abp
 from symdet.fields import GF2, GF2_16, PRIME_DEFAULT, RATIONAL, FieldSpec, embed
 from symdet.formulas import build_sym_graph, build_valiant_digraph
 from symdet.graphs import (
+    PathSumCertificate,
     SymbolicMatrix,
     Weight,
     WeightedDigraph,
@@ -750,6 +751,47 @@ def test_symmetric_audit_catches_a_wrong_path_len(build, whole, shift, message):
     assert 2 - wrong.graph.n % 2 == whole
     with pytest.raises(AssertionError, match=message):
         check_symmetric_certificate(wrong, max_vertices=cert.graph.n + 6)
+
+
+def _x_plus_y_certificate(n, edges, targets):
+    """A hand-built certificate for the source x + y (g0 = x, g1 = y,
+    g2 = g0 + g1, all three reusable): a graph on ``n`` vertices with the
+    unit edges ``edges``, source s = 0, and ``targets`` for g0, g1 and the
+    output g2, every scalar 1.  |G| is even in each use, so s and the
+    output's target are the whole vertices."""
+    b = CircuitBuilder()
+    source = b.build([b.add(b.var("x"), b.var("y"))])
+    g = WeightedGraph()
+    for _ in range(n):
+        g.add_vertex()
+    for u, v in edges:
+        g.add_edge(u, v, wc(1))
+    return PathSumCertificate(g, 0, dict(enumerate(targets)),
+                              dict.fromkeys(range(3), RATIONAL.one()), source)
+
+
+# each failing case of one clause of the symmetric audit, every earlier
+# clause holding: the base set G - {s, t} = {2, 3, 4, 5} holds the 4-cycle
+# 2-3-4-5, so two weight-1 matchings; s = 0 and t = 1 on the same side of a
+# bipartite graph, so the path 0-2-1 has 3 vertices; the path 0-2 to g0's
+# target leaves {1, 3, 4, 5}, which holds the weight-1 4-cycle 1-3-4-5, while
+# the base set {2, 3, 4, 5} has the one matching 2-5, 3-4
+AUDIT_CLAUSE_FAILURES = [
+    (6, [(0, 3), (1, 2), (2, 3), (3, 4), (4, 5), (5, 2)], (1, 1, 1),
+     r"G minus \[0, 1\] must have a unique weight-1 matching cover"),
+    (4, [(0, 2), (2, 1), (2, 3)], (1, 1, 1),
+     "s-t path of 3 vertices at gate 0, 2 of them whole"),
+    (6, [(0, 2), (1, 3), (3, 4), (4, 5), (5, 1), (2, 5)], (2, 2, 1),
+     "path complement at gate 0 must have a unique weight-1 matching cover"),
+]
+
+
+@pytest.mark.parametrize("n, edges, targets, message", AUDIT_CLAUSE_FAILURES)
+def test_symmetric_audit_names_the_clause_that_fails(n, edges, targets, message):
+    """The base matching, the path parity and the complement matching each
+    have a case that only they catch, each reported with its own message."""
+    with pytest.raises(AssertionError, match=message):
+        check_symmetric_certificate(_x_plus_y_certificate(n, edges, targets))
 
 
 def _random_graph(seed, spec=RATIONAL):

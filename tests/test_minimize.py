@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from symdet.circuits import (
+    Circuit,
     CircuitBuilder,
     classify,
     evaluate,
@@ -113,6 +114,39 @@ def test_normal_form_postconditions(rng):
         except ConstantCircuit:
             continue
         check_normal_form(m)
+
+
+def _not_normal(case):
+    """A circuit that breaks one post-condition of ``check_normal_form``,
+    every condition checked before it holding."""
+    b = CircuitBuilder()
+    x = b.var("x")
+    if case == "label":
+        return b.build([b.add(x, b.const(2))])
+    if case == "out-degree":
+        one = b.const(1)
+        return b.build([b.add(b.add(x, one), b.add(b.var("y"), one))])
+    if case == "two constants":
+        return b.build([b.mul(x, b.add(b.const(1), b.const(1)))])
+    if case == "constant product":
+        return b.build([b.mul(x, b.const(1))])
+    # a constant addition ahead of the constant sum it reads, so the outer
+    # addition is checked first
+    sum_of_ones = b.add(b.const(1), b.const(1))
+    c = b.build([b.add(x, sum_of_ones)])
+    return Circuit({c.outputs[0]: c.gates[c.outputs[0]], **c.gates}, c.outputs)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("label", "constant input 1 not labelled 1"),
+    ("out-degree", "constant input 1 has out-degree > 1"),
+    ("two constants", "addition 3 has two constant arguments"),
+    ("constant product", "multiplication 2 has a constant argument"),
+    ("computed constant", "constant argument 3 of addition 4 is not an input"),
+])
+def test_normal_form_check_names_each_broken_condition(case, message):
+    with pytest.raises(AssertionError, match=message):
+        check_normal_form(_not_normal(case))
 
 
 def test_polynomial_preserved_on_200_random_circuits():

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -626,8 +625,8 @@ def test_compiling_a_parsed_circuit_embeds_each_weight_object_once(monkeypatch):
     def own(x):
         return RATIONAL.from_fraction(x.value)
 
-    c_own = Circuit({gid: replace(g, value=g.value and own(g.value),
-                                  args=tuple((a, own(w)) for a, w in g.args))
+    c_own = Circuit({gid: Gate(gid, g.kind, g.name, g.value and own(g.value),
+                               tuple((a, own(w)) for a, w in g.args))
                      for gid, g in c.gates.items()}, c.outputs)
     reference = CompiledCircuit(c_own, PRIME_DEFAULT)
     assert len(embedded) == 4 + 1 + 2 * (n - 2)  # and then once per arrow and constant
