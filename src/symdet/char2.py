@@ -16,25 +16,30 @@ permanent identity det(A + I) = per*(B)^2 for a bipartite biadjacency
 matrix B: covers by loops and 2-cycles are exactly partial matchings.
 
 per*(B) comes from one row-by-row DP over the set of used columns, written
-once and run on three kinds of value.  The symbolic per*(B) runs it on plain
-``{monomial: coefficient}`` maps whose monomials are ints packing one
-exponent per byte, so a variable entry is one addition per term and a unit
-coefficient skips the multiplication.  The packing is big-endian in the
-variable order, so :func:`render_partial_permanent` (what ``symdet pperm``
-prints) formats the map with :func:`~symdet.polynomials.render_packed`
-without unpacking a monomial, and :func:`partial_permanent` builds a
-:class:`DensePolynomial` from it for library callers.  The identity check runs it on lanes, lists of plain ints with
-one int per trial point (see :mod:`symdet.verify`), so every trial comes
-from one pass, as det(A + I) comes from one lockstep elimination, and
-:func:`~symdet.verify.compare_lanes` makes the randomized verdict for every n.
-A matrix of field elements runs it on the elements themselves.
+once and run on three kinds of value.  Each step of the DP is one
+multiply-add, a mask's value times an entry added into the value of the
+mask with that entry's column set, and the last row is folded straight into
+the total, so no map is built for it and no sum over 2^n masks is taken at
+the end.  The symbolic per*(B) runs it on plain ``{monomial: coefficient}``
+maps whose monomials are ints packing one exponent per byte, so a variable
+entry is one addition per term, a unit coefficient skips the multiplication
+and a multiply-add is one pass over the mask's map.  The packing is
+big-endian in the variable order, so :func:`render_partial_permanent` (what
+``symdet pperm`` prints) formats the map with
+:func:`~symdet.polynomials.render_packed` without unpacking a monomial, and
+:func:`partial_permanent` builds a :class:`DensePolynomial` from it for
+library callers.  The identity check runs it on lanes, lists of plain ints
+with one int per trial point (see :mod:`symdet.verify`), its multiply-add
+the lane kernel ``IntArith.addmul``, so every trial comes from one pass, as
+det(A + I) comes from one lockstep elimination, and
+:func:`~symdet.verify.compare_lanes` makes the randomized verdict for every
+n.  A matrix of field elements runs it on the elements themselves.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import Mapping
 
 from .circuits import Circuit
@@ -80,29 +85,40 @@ def square_matrix_char2(circuit: Circuit) -> SymbolicMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _per_star(rows: list[dict], one, add, mul):
+def _per_star(rows: list[dict], one, add, mul, addmul):
     """per* by a row-by-row DP over the set of used columns.
 
     ``rows[i]`` maps column j to entry (i, j), zero entries left out; ``one``
-    is the empty map's value, ``add(x, y)`` may reuse ``x``, and ``mul(x, e)``
+    is the empty map's value, and the result for no rows.  ``add(x, y)`` and
+    ``addmul(x, v, e)``, which is x + v * e, may reuse ``x``; ``mul(v, e)``
     returns a fresh value.  Every value in the DP is a distinct object and
-    is read only while its own mask is expanded, so reuse is safe.
+    is read only while its own mask is expanded, so reuse is safe.  The last
+    row is folded straight into the total: a mask's value is added once,
+    for the row left unmatched, and once times each entry in a free column.
     """
+    if not rows:
+        return one
     acc = {0: one}
-    for row in rows:
+    for row in rows[:-1]:
         nxt: dict[int, object] = {}
+        get = nxt.get
         for mask, val in acc.items():
-            cur = nxt.get(mask)
+            cur = get(mask)
             nxt[mask] = val if cur is None else add(cur, val)  # row unmatched
             for j, e in row.items():
                 bit = 1 << j
                 if mask & bit:
                     continue
-                term = mul(val, e)
-                cur = nxt.get(mask | bit)
-                nxt[mask | bit] = term if cur is None else add(cur, term)
+                cur = get(mask | bit)
+                nxt[mask | bit] = mul(val, e) if cur is None else addmul(cur, val, e)
         acc = nxt
-    return reduce(add, acc.values())
+    last, total = rows[-1], None
+    for mask, val in acc.items():
+        for j, e in last.items():
+            if not mask >> j & 1:
+                total = mul(val, e) if total is None else addmul(total, val, e)
+        total = val if total is None else add(total, val)
+    return total
 
 
 def _merge(dst: dict, src: dict) -> dict:
@@ -124,6 +140,25 @@ def _times(val: dict, entry: tuple[int, FieldElement | None]) -> dict:
     if c is None:
         return {mono + shift: x for mono, x in val.items()}
     return {mono + shift: x * c for mono, x in val.items()}
+
+
+def _addmul(dst: dict, src: dict, entry: tuple[int, FieldElement | None]) -> dict:
+    """``dst + src * entry`` into ``dst`` (see :func:`_times`), in one pass
+    over ``src``, dropping cancelled terms."""
+    shift, c = entry
+    get = dst.get
+    for mono, x in src.items():
+        if c is not None:
+            x = x * c
+        mono += shift
+        y = get(mono)
+        if y is not None:
+            x = y + x
+            if not x:
+                del dst[mono]
+                continue
+        dst[mono] = x
+    return dst
 
 
 def _expand(b: SymbolicMatrix) -> tuple[tuple[str, ...], dict[int, FieldElement]]:
@@ -152,7 +187,7 @@ def _expand(b: SymbolicMatrix) -> tuple[tuple[str, ...], dict[int, FieldElement]
             r[j] = (0 if w.kind == CONSTW else 1 << shift[w.name],
                     None if c is None or c.is_one() else c)
         packed.append(r)
-    return variables, _per_star(packed, {0: spec.one()}, _merge, _times)
+    return variables, _per_star(packed, {0: spec.one()}, _merge, _times, _addmul)
 
 
 def render_partial_permanent(b: SymbolicMatrix) -> str:
@@ -182,7 +217,8 @@ def partial_permanent(b) -> DensePolynomial | FieldElement:
     if any(x.spec != spec for row in rows for x in row):
         raise MixedFields("partial permanent of entries from several fields")
     rows = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in rows]
-    return _per_star(rows, spec.one(), operator.add, operator.mul)
+    return _per_star(rows, spec.one(), operator.add, operator.mul,
+                     lambda x, v, e: x + v * e)
 
 
 def per_star_lanes(compiled: CompiledMatrix, lanes: Mapping[str, list[int]], t: int) -> list[int]:
@@ -193,7 +229,7 @@ def per_star_lanes(compiled: CompiledMatrix, lanes: Mapping[str, list[int]], t: 
     arith = compiled.arith
     rows = [{j: e if type(e) is list else [e] * t for j, e in row.items()}
             for row in compiled.lane_rows(lanes, t)]
-    return _per_star(rows, [1] * t, arith.add, arith.mul)
+    return _per_star(rows, [1] * t, arith.add, arith.mul, arith.addmul)
 
 
 def plus_identity(a: SymbolicMatrix) -> SymbolicMatrix:

@@ -72,7 +72,7 @@ def _resolve_seed(args) -> int:
 def _load_circuit(args) -> Circuit:
     spec = args.field
     if args.expr is not None:
-        if args.circuit != "-":
+        if args.circuit not in ("-", None):
             raise CircuitError("give a circuit file or --expr, not both")
         return parse_expression(args.expr, spec)
     if args.circuit == "-":
@@ -225,6 +225,8 @@ def cmd_pperm(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.circuit is None and args.expr is None:  # a lone path is the matrix
+        _parsers()[1]["verify"].error("the following arguments are required: matrix")
     seed = _resolve_seed(args)
     c = _load_circuit(args)
     with open(args.matrix) as fh:
@@ -328,9 +330,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     top = argparse.ArgumentParser(prog="symdet", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_circuit_args(p):
-        p.add_argument("circuit", nargs="?", default="-",
-                       help="circuit file (default: stdin)")
+    def add_circuit_args(p, default="-", help="circuit file (default: stdin)"):
+        p.add_argument("circuit", nargs="?", default=default, help=help)
         p.add_argument("--expr", help="inline expression instead of a file")
         p.add_argument("--field", type=field_from_flag, default=RATIONAL,
                        help="constant field: q, p61, p:<prime>, gf2, gf2_16, gf2:<k>")
@@ -380,7 +381,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.set_defaults(fn=cmd_pperm)
 
     p = sub.add_parser("verify", help="identity-test a circuit against a matrix")
-    add_circuit_args(p)
+    add_circuit_args(p, None, "circuit file, - for stdin (omitted with --expr)")
     p.add_argument("matrix")
     p.add_argument("--trials", type=int)
     p.add_argument("--test-field", type=field_from_flag, default=None,

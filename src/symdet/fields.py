@@ -271,7 +271,9 @@ GF2_16 = FieldSpec("binary", k=16, modulus=DEFAULT_GF2_16_MODULUS)
 
 @cache
 def _gf2_tables(k: int, modulus: int) -> tuple[list[int], list[int]]:
-    """log/exp tables of GF(2^k), built once per (k, modulus)."""
+    """log/exp tables of GF(2^k), built once per (k, modulus): ``exp`` lists
+    the powers of the smallest generator g twice over, each power the last
+    one times g by shifts and xors, and ``log`` inverts its first half."""
     size = 1 << k
     order = size - 1
     factors = _prime_factors(order)
@@ -281,12 +283,25 @@ def _gf2_tables(k: int, modulus: int) -> tuple[list[int], list[int]]:
     exp = [0] * (2 * order)
     log = [0] * size
     x = 1
-    for i in range(order):
-        exp[i] = x
-        log[x] = i
-        x = _gf2_mulmod(x, g, modulus)
-    for i in range(order, 2 * order):
-        exp[i] = exp[i - order]
+    if g < 4:  # g = x or x + 1: times g is one shift, an xor and a reduction
+        low = g & 1
+        for i in range(order):
+            exp[i] = exp[i + order] = x
+            log[x] = i
+            x = x << 1 ^ x * low
+            if x >> k:
+                x ^= modulus
+    else:  # the xor of x shifted by each lower bit of g, the overflow folded back
+        shifts = [s for s in range(g.bit_length()) if g >> s & 1]
+        top = shifts.pop()
+        fold = [_gf2_mod(h << k, modulus) for h in range(1 << top)]
+        for i in range(order):
+            exp[i] = exp[i + order] = x
+            log[x] = i
+            y = x << top
+            for s in shifts:
+                y ^= x << s
+            x = y & order ^ fold[y >> k]
     return exp, log
 
 
@@ -315,9 +330,10 @@ class IntArith:
     an integer n is n % p, and :meth:`fraction1` maps Q into the field.  The
     other scalar forms end in 1: ``neg1`` negates, and ``add1``, ``mul1``,
     ``inv1`` and ``submul1`` (x - f * v) have the lane forms ``add``,
-    ``mul``, ``inv`` and ``submul``; ``scale`` multiplies a lane by a scalar
-    into a fresh list (copying for 1 and negating for -1, without a
-    multiplication), :meth:`times` any mix of the two."""
+    ``mul``, ``inv`` and ``submul``, and ``addmul`` is the lane form of
+    x + f * v; ``scale`` multiplies a lane by a scalar into a fresh list
+    (copying for 1 and negating for -1, without a multiplication),
+    :meth:`times` any mix of the two."""
 
     def __init__(self, spec: FieldSpec):
         if spec.size is None:
@@ -366,6 +382,9 @@ class IntArith:
 
             def submul(xs, fs, vs):
                 return [(x - f * v) % p for x, f, v in zip(xs, fs, vs)]
+
+            def addmul(xs, fs, vs):
+                return [(x + f * v) % p for x, f, v in zip(xs, fs, vs)]
         else:
             def add1(x, y):
                 return x ^ y
@@ -431,6 +450,7 @@ class IntArith:
 
                 def submul(xs, fs, vs):
                     return [x ^ _gf2_mulmod(f, v, mod) for x, f, v in zip(xs, fs, vs)]
+            addmul = submul  # x + f * v is x - f * v in characteristic 2
         self.add1 = add1
         self.neg1 = neg1
         self.mul1 = mul1
@@ -441,6 +461,7 @@ class IntArith:
         self.scale = scale  # a scalar times each lane
         self.inv = inv  # lanes must be nonzero
         self.submul = submul  # xs - fs * vs, lane by lane
+        self.addmul = addmul  # xs + fs * vs, lane by lane
 
     def fraction1(self, q: Fraction) -> int:
         """The image of ``q``; :class:`DivisionByZero` if its denominator vanishes."""

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby, repeat
+from operator import and_, attrgetter, rshift
 from typing import Mapping, Sequence
 
 from .circuits import ADD, CONST, VAR, Circuit, CircuitBuilder
@@ -212,7 +214,8 @@ class _Factors(dict):
     def __missing__(self, packed: int) -> str:
         w = self.width
         raw = packed.to_bytes(len(self.names) * w, "big")
-        exps = [int.from_bytes(raw[k:k + w], "big") for k in range(0, len(raw), w)]
+        exps = raw if w == 1 else [int.from_bytes(raw[k:k + w], "big")
+                                   for k in range(0, len(raw), w)]
         text = self[packed] = " ".join([name if e == 1 else f"{name}^{e}"
                                         for name, e in zip(self.names, exps) if e])
         return text
@@ -226,8 +229,11 @@ def render_packed(names: Sequence[str], coeffs: Mapping[int, FieldElement],
     for the constant monomial, and ``0`` for no terms.
 
     Each monomial splits into the exponents of the first and of the last
-    ``len(names) // 2`` variables; each distinct half and each distinct
-    coefficient is formatted once.
+    ``len(names) // 2`` variables; each distinct half is formatted once, and
+    the high-half and low-half texts of the sorted monomials come from maps
+    over them.  In that order the terms that share a coefficient and a high
+    half stand together, so each such run is one ``str.join`` of its low
+    halves, and its coefficient is formatted once per run.
     """
     if not coeffs:
         return "0"
@@ -237,16 +243,25 @@ def render_packed(names: Sequence[str], coeffs: Mapping[int, FieldElement],
     mask = (1 << shift) - 1
     high_text = _Factors(names[:len(names) - low], width)
     low_text = _Factors(names[len(names) - low:], width)
+    monos = sorted(coeffs)
+    values = map(attrgetter("value"), map(coeffs.__getitem__, monos))
+    highs = map(high_text.__getitem__, map(rshift, monos, repeat(shift)))
+    lows = list(map(low_text.__getitem__, map(and_, monos, repeat(mask))))
     coeff_text: dict = {}
     parts = []
-    for mono in sorted(coeffs):
-        c = coeffs[mono]
-        ctext = coeff_text.get(c.value)
-        if ctext is None:
-            ctext = coeff_text[c.value] = c.render()
-        hi, lo = high_text[mono >> shift], low_text[mono & mask]
-        factors = f"{hi} {lo}" if hi and lo else hi or lo
-        parts.append(f"{ctext} * {factors}" if factors else ctext)
+    i = 0
+    for (value, hi), run in groupby(zip(values, highs)):
+        end = i + len(list(run))
+        c = coeff_text.get(value)
+        if c is None:
+            c = coeff_text[value] = coeffs[monos[i]].render()
+        if not lows[i]:  # the run's first monomial has no low half
+            parts.append(f"{c} * {hi}" if hi else c)
+            i += 1
+        if i < end:
+            head = f"{c} * {hi} " if hi else f"{c} * "
+            parts.append(head + f" + {head}".join(lows[i:end]))
+            i = end
     return " + ".join(parts)
 
 

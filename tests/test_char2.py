@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from itertools import combinations, permutations
 
@@ -376,6 +377,73 @@ def test_boxed_reference_agrees_with_value_rows():
     for n in range(1, 6):
         rows = [[sample_random(GF2_16, rng) for _ in range(n)] for _ in range(n)]
         assert partial_permanent(rows) == boxed_per_star(rows)
+
+
+# -- the folded DP: the last row straight into the total -----------------------
+
+
+def with_zero_row(data, spec, n, entry):
+    """``n`` rows of ``entry`` weights, one of them (the last one, often)
+    all zero."""
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    zero = data.draw(st.one_of(st.just(n - 1), st.integers(0, n - 1)))
+    rows[zero] = [Weight.const(spec.zero())] * n
+    return SymbolicMatrix(rows, spec=spec)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF2_16, RATIONAL, FieldSpec.prime(101)], ids=str)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_folded_symbolic_per_star_matches_brute_force_with_a_zero_row(spec, data):
+    n = data.draw(st.integers(1, 4))
+    b = with_zero_row(data, spec, n, pperm_entry(spec))
+    want = brute_per_star(b)
+    assert partial_permanent(b) == want
+    assert render_partial_permanent(b) == per_term_render(want)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.prime(101), GF2_16], ids=str)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), t=st.sampled_from([1, 3]))
+def test_folded_lane_per_star_matches_brute_force_with_a_zero_row(spec, data, t):
+    n = data.draw(st.integers(1, 4))
+    b = with_zero_row(data, spec, n, pperm_entry(spec))
+    points = [{v: data.draw(element(spec)) for v in PPERM_NAMES} for _ in range(t)]
+    lanes = per_star_lanes(CompiledMatrix(b, spec), lanes_of(points), t)
+    want = brute_per_star(b)
+    assert lanes == [want.evaluate(point).value for point in points]
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.prime(101), GF2_16, RATIONAL], ids=str)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_folded_value_per_star_matches_the_unfolded_dp_with_a_zero_row(spec, data):
+    n = data.draw(st.integers(1, 5))
+    rows = [[w.coeff for w in row]
+            for row in with_zero_row(data, spec, n, element(spec).map(Weight.const)).entries]
+    assert partial_permanent(rows) == boxed_per_star(rows)
+
+
+def test_per_star_of_no_rows_and_of_one_empty_row_is_one():
+    """The empty partial map alone: ``one`` itself, for every kind of value."""
+    arith = GF2_16.arith
+    kinds = [({0: GF2_16.one()}, char2._merge, char2._times, char2._addmul),
+             ([1, 1, 1], arith.add, arith.mul, arith.addmul),
+             (GF2_16.one(), operator.add, operator.mul, lambda x, v, e: x + v * e)]
+    for one, *ops in kinds:
+        assert char2._per_star([], one, *ops) is one
+        assert char2._per_star([{}], one, *ops) is one
+
+
+def test_per_star_of_one_row_adds_each_entry_to_one():
+    x, y = GF2_16.from_bits(0x1F), GF2_16.from_bits(3)
+    assert partial_permanent([[x]]) == GF2_16.one() + x
+    arith = GF2_16.arith
+    assert char2._per_star([{0: [2, 0], 1: [5, 7]}], [1, 1], arith.add, arith.mul,
+                           arith.addmul) == [1 ^ 2 ^ 5, 1 ^ 7]
+    b = SymbolicMatrix([[Weight.scaled("a", y)]], spec=GF2_16)
+    assert render_partial_permanent(b) == "0x1 + 0x3 * a"
 
 
 # -- verdicts ------------------------------------------------------------------

@@ -516,6 +516,42 @@ def test_cli_parse_reads_stdin(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["skinny"] == 2
 
 
+class _UnreadableStdin:
+    """A standard input whose every read fails the test."""
+
+    def read(self, *args):
+        pytest.fail("standard input was read")
+
+    readline = readlines = __iter__ = read
+
+
+def test_cli_verify_with_only_a_circuit_path_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """``verify c.circuit`` with the matrix forgotten: argparse gives the one
+    path to ``matrix``, so it is a usage error naming the matrix argument,
+    not a circuit read from standard input."""
+    monkeypatch.setattr("sys.stdin", _UnreadableStdin())
+    circ = tmp_path / "f.circuit"
+    circ.write_text(X_CIRCUIT)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(circ), "--seed", "1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: symdet verify ")
+    assert out.err.endswith("symdet verify: error: the following arguments are required: matrix\n")
+
+
+def test_cli_verify_reads_the_circuit_from_stdin_given_a_dash(tmp_path, capsys, monkeypatch):
+    matrix = tmp_path / "m.matrix"
+    matrix.write_text("1\nx\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(X_CIRCUIT))
+    code, out, _ = run(["verify", "-", str(matrix)], capsys)
+    assert code == 0 and out.startswith("verified-exact (dimension 1, ")
+    monkeypatch.setattr("sys.stdin", _UnreadableStdin())
+    code, out, _ = run(["verify", "--expr", "x", str(matrix)], capsys)
+    assert code == 0 and out.startswith("verified-exact (dimension 1, ")
+
+
 def test_cli_build_valiant_bound_uses_minimized_form(tmp_path, capsys):
     # the addition vanishes under minimization (1+1 folds), so the builder
     # takes the diagonal fallback; the reported bound must follow suit

@@ -18,6 +18,7 @@ from symdet.fields import (
     PRIME_DEFAULT,
     RATIONAL,
     UnsupportedField,
+    _gf2_tables,
     embed,
     gf2_irreducible,
     half,
@@ -80,6 +81,36 @@ OLD_DEFAULT_MODULI = {1: 0b11, 2: 0b111, 3: 0b1011, 4: 0b10011, 8: 0x11B,
 def test_default_modulus_is_the_smallest_irreducible(k):
     assert FieldSpec.binary(k).modulus == OLD_DEFAULT_MODULI[k]
     assert not any(gf2_irreducible(m) for m in range(1 << k, OLD_DEFAULT_MODULI[k]))
+
+
+def mulmod_tables(k, modulus):
+    """The log/exp tables of GF(2^k) by one carry-less product per power of
+    the smallest generator, found as the smallest g whose powers take all
+    2^k - 1 nonzero values."""
+    order = (1 << k) - 1
+    for g in range(2, order + 1):
+        exp, x = [], 1
+        while not exp or x != 1:
+            exp.append(x)
+            x = clmul_mod(x, g, modulus)
+        if len(exp) == order:
+            break
+    log = [0] * (order + 1)
+    for i, x in enumerate(exp):
+        log[x] = i
+    return exp + exp, log
+
+
+# 0x1008D (x^16 + x^7 + x^3 + x^2 + 1), whose smallest generator is x^2 + x,
+# and 0x17B, whose smallest generator is x^3 + 1; the default moduli's are
+# x, x + 1 or x^2 + x + 1
+TABLE_MODULI = [(k, FieldSpec.binary(k).modulus) for k in range(2, 17)] + [
+    (16, 0x1008D), (8, 0x17B)]
+
+
+@pytest.mark.parametrize("k, modulus", TABLE_MODULI, ids=lambda v: hex(v))
+def test_gf2_tables_are_the_powers_of_the_smallest_generator(k, modulus):
+    assert _gf2_tables(k, modulus) == mulmod_tables(k, modulus)
 
 
 def test_default_moduli_stop_at_degree_64():
@@ -402,6 +433,25 @@ def test_kernel_lane_forms_match_scalar_forms(spec, data, t):
     assert arith.times(c, xs) == arith.times(xs, c) == arith.scale(c, xs)
     assert arith.times(xs, ys) == arith.mul(xs, ys) and arith.times(c, c) == arith.mul1(c, c)
     assert arith.power(xs, 3) == [arith.mul1(arith.mul1(x, x), x) for x in xs]
+
+
+ADDMUL_FIELDS = [FieldSpec.prime(2), Z7, FieldSpec.prime(101), PRIME_DEFAULT, GF2,
+                 FieldSpec.binary(8), GF2_16, FieldSpec.binary(17), FieldSpec.binary(24),
+                 FieldSpec.binary(64)]
+
+
+@pytest.mark.parametrize("spec", ADDMUL_FIELDS, ids=str)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), t=st.integers(1, 6))
+def test_kernel_addmul_is_add_of_mul(spec, data, t):
+    """``addmul`` is x + f * v lane by lane, in Z_p, in GF(2^k) on the
+    log/exp tables (k <= 16) and on carry-less products (k > 16)."""
+    arith = IntArith(spec)
+    value = st.one_of(st.integers(0, min(2, spec.size - 1)), st.integers(0, spec.size - 1))
+    xs, fs, vs = ([data.draw(value) for _ in range(t)] for _ in range(3))
+    before = (xs[:], fs[:], vs[:])
+    assert arith.addmul(xs, fs, vs) == arith.add(xs, arith.mul(fs, vs))
+    assert (xs, fs, vs) == before
 
 
 @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)

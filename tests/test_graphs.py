@@ -28,12 +28,15 @@ from symdet.graphs import (
     split_vertices,
 )
 from symdet.oracles import (
+    _is_weight1_matching,
+    all_cycles_even,
     check_symmetric_certificate,
     cycle_cover_sum,
     cycle_cover_sum_short,
     enumerate_cycle_covers,
     enumerate_st_paths,
     path_sum,
+    referee_submatrix_sum,
     ryser_permanent,
     symbolic_det,
 )
@@ -792,6 +795,72 @@ def test_symmetric_audit_names_the_clause_that_fails(n, edges, targets, message)
     have a case that only they catch, each reported with its own message."""
     with pytest.raises(AssertionError, match=message):
         check_symmetric_certificate(_x_plus_y_certificate(n, edges, targets))
+
+
+def _graph(n, edges=()):
+    g = WeightedGraph()
+    for _ in range(n):
+        g.add_vertex()
+    for u, v in edges:
+        g.add_edge(u, v, wc(1))
+    return g
+
+
+def _zeros(n):
+    return SymbolicMatrix([[wc(0)] * n for _ in range(n)])
+
+
+# each oracle's size cap, one past it, with its own message
+ORACLE_CAPS = [
+    (lambda: cycle_cover_sum_short(_graph(17)), TooLarge,
+     "short-cycle cover enumeration capped at 16 vertices, got 17"),
+    (lambda: symbolic_det(_zeros(4), limit=3), TooLarge,
+     "symbolic determinant capped at 3x3, got 4"),
+    (lambda: symbolic_det(_zeros(17)), TooLarge,
+     "symbolic determinant capped at 16x16, got 17"),
+    (lambda: ryser_permanent(_zeros(13)), TooLarge,
+     "permanent oracle capped at 12x12, got 13"),
+    (lambda: referee_submatrix_sum(_zeros(5)), TooLarge,
+     "referee cross-check capped at 4x4"),
+    (lambda: check_symmetric_certificate(_x_plus_y_certificate(*AUDIT_CLAUSE_FAILURES[0][:3]),
+                                         max_vertices=5), ValueError,
+     "certificate audit capped at 5 vertices"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", ORACLE_CAPS,
+                         ids=["short-covers", "det-limit", "det-default", "ryser",
+                              "referee", "audit"])
+def test_oracle_caps_refuse_one_past_the_cap(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_oracles_run_at_their_caps():
+    assert cycle_cover_sum_short(_graph(16)).is_zero()  # no loops: no cover
+    assert symbolic_det(_zeros(3), limit=3).is_zero()
+    assert referee_submatrix_sum(_zeros(4)) == DensePolynomial.constant(RATIONAL.one(), ())
+
+
+def test_weight1_matching_check_refuses_a_cover_with_a_longer_cycle():
+    """One cover, of weight 1, is still no matching when a cycle of it is
+    not a 2-cycle: here the 4-cycle 0-1-2-3, against a matching of the same
+    graph."""
+    square = _graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert _is_weight1_matching(square, [{0: 1, 1: 0, 2: 3, 3: 2}])
+    assert not _is_weight1_matching(square, [{0: 1, 1: 2, 2: 3, 3: 0}])
+    assert not _is_weight1_matching(square, [{0: 1, 1: 0, 2: 3, 3: 2}] * 2)
+
+
+@pytest.mark.parametrize("n, edges, even", [
+    (4, [(0, 1), (1, 2), (2, 3), (3, 0)], True),
+    (4, [(0, 1), (1, 2), (2, 3), (3, 3)], False),   # a loop
+    (5, [(0, 1), (1, 2), (2, 0), (3, 4)], False),   # a triangle
+    (6, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 2), (3, 5)], False),  # odd, in a second part
+], ids=["square", "loop", "triangle", "odd-in-second-component"])
+def test_all_cycles_even_refuses_a_loop_and_an_odd_cycle(n, edges, even):
+    assert all_cycles_even(_graph(n, edges)) is even
 
 
 def _random_graph(seed, spec=RATIONAL):

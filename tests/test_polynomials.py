@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdet.circuits import classify, evaluate, measure
-from symdet.fields import GF2_16, PRIME_DEFAULT, RATIONAL
+from symdet.fields import GF2_16, PRIME_DEFAULT, RATIONAL, FieldSpec
 from symdet.polynomials import (
     DensePolynomial,
     ZeroPolynomial,
@@ -257,3 +257,39 @@ def test_render_packed_matches_per_term_formatter(nv, spec, data):
         packed = {pack(m, width): c for m, c in p.coeffs.items()}
         assert render_packed(variables, packed, width) == per_term_render(p)
     assert p.render() == per_term_render(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nv=st.integers(1, 6), data=st.data(),
+       spec=st.sampled_from([RATIONAL, FieldSpec.prime(101), FieldSpec.binary(8), GF2_16]))
+def test_render_packed_joins_runs_as_the_per_term_formatter_formats_terms(nv, spec, data):
+    """Every pairing of a few high halves with a few low halves, so terms
+    share a high half in runs; two coefficients, so a changed coefficient
+    breaks a run; the all-zero half (an empty high or low factor text, and
+    with both the constant term) drawn often; exponents of 2 and 3, and
+    with one of 300 two bytes per exponent."""
+    variables = tuple(f"v{k}" for k in range(nv))
+    low = nv // 2
+    exponent = st.sampled_from([0, 0, 1, 2, 3])
+    half = [st.lists(st.tuples(*[exponent] * k), min_size=1, max_size=4, unique=True)
+            for k in (nv - low, low)]
+    highs, lows = data.draw(half[0]), data.draw(half[1])
+    for halves, k in ((highs, nv - low), (lows, low)):
+        if data.draw(st.booleans()) and (0,) * k not in halves:
+            halves.append((0,) * k)
+    pool = [spec.from_int(c) for c in (1, 2, 3, 5) if spec.from_int(c)]
+    if spec.kind == "binary":
+        pool = [spec.from_bits(c) for c in (1, 2, 0x1F)]
+    coeffs = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2))
+    terms = {h + lo: data.draw(st.sampled_from(coeffs)) for h in highs for lo in lows}
+    if data.draw(st.booleans()):
+        mono = data.draw(st.sampled_from(sorted(terms)))
+        k = data.draw(st.integers(0, nv - 1))
+        terms[mono[:k] + (300,) + mono[k + 1:]] = coeffs[0]
+    p = DensePolynomial(spec, variables, terms)
+    want = per_term_render(p)
+    top = max(e for m in p.coeffs for e in m)
+    for width in range(1 if top < 256 else 2, 3):
+        packed = {pack(m, width): c for m, c in p.coeffs.items()}
+        assert render_packed(variables, packed, width) == want
+    assert p.render() == want
