@@ -225,8 +225,6 @@ def cmd_pperm(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.circuit is None and args.expr is None:  # a lone path is the matrix
-        _parsers()[1]["verify"].error("the following arguments are required: matrix")
     seed = _resolve_seed(args)
     c = _load_circuit(args)
     with open(args.matrix) as fh:
@@ -330,11 +328,13 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     top = argparse.ArgumentParser(prog="symdet", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_circuit_args(p, default="-", help="circuit file (default: stdin)"):
-        p.add_argument("circuit", nargs="?", default=default, help=help)
+    def add_circuit_args(p):
+        circuit = p.add_argument("circuit", nargs="?", default="-",
+                                 help="circuit file (default: stdin)")
         p.add_argument("--expr", help="inline expression instead of a file")
         p.add_argument("--field", type=field_from_flag, default=RATIONAL,
                        help="constant field: q, p61, p:<prime>, gf2, gf2_16, gf2:<k>")
+        return circuit
 
     p = sub.add_parser("parse", help="validate, classify and measure a circuit")
     add_circuit_args(p)
@@ -381,7 +381,10 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.set_defaults(fn=cmd_pperm)
 
     p = sub.add_parser("verify", help="identity-test a circuit against a matrix")
-    add_circuit_args(p, None, "circuit file, - for stdin (omitted with --expr)")
+    # no default circuit: a lone path, which argparse gives to matrix, is
+    # then told apart from "-" and refused in _parse_args
+    add_circuit_args(p).help = "circuit file, - for stdin (omitted with --expr)"
+    p.set_defaults(circuit=None)
     p.add_argument("matrix")
     p.add_argument("--trials", type=int)
     p.add_argument("--test-field", type=field_from_flag, default=None,
@@ -413,12 +416,16 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     namespace that holds the subcommand's name, the namespace the top-level
     parser would return.  Without a subcommand, with an unknown one or with
     arguments left over, the top-level parser reads ``argv`` and reports it,
-    so every usage line, message and exit code is its own."""
+    so every usage line, message and exit code is its own.  ``verify`` with
+    neither a circuit nor ``--expr`` (one path, taken as the matrix) is a
+    usage error naming the missing matrix, not a circuit read from stdin."""
     top, commands = _parsers()
     command = commands.get(argv[0]) if argv else None
     if command is not None:
         args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if not rest:
+            if args.command == "verify" and args.circuit is None and args.expr is None:
+                command.error("the following arguments are required: matrix")
             return args
     return top.parse_args(argv)
 

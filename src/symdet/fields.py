@@ -283,25 +283,18 @@ def _gf2_tables(k: int, modulus: int) -> tuple[list[int], list[int]]:
     exp = [0] * (2 * order)
     log = [0] * size
     x = 1
-    if g < 4:  # g = x or x + 1: times g is one shift, an xor and a reduction
-        low = g & 1
-        for i in range(order):
-            exp[i] = exp[i + order] = x
-            log[x] = i
-            x = x << 1 ^ x * low
-            if x >> k:
-                x ^= modulus
-    else:  # the xor of x shifted by each lower bit of g, the overflow folded back
-        shifts = [s for s in range(g.bit_length()) if g >> s & 1]
-        top = shifts.pop()
-        fold = [_gf2_mod(h << k, modulus) for h in range(1 << top)]
-        for i in range(order):
-            exp[i] = exp[i + order] = x
-            log[x] = i
-            y = x << top
-            for s in shifts:
-                y ^= x << s
-            x = y & order ^ fold[y >> k]
+    # x times g is the xor of x shifted by each bit of g, the bits above k
+    # folded back through a table of their residues
+    shifts = [s for s in range(g.bit_length()) if g >> s & 1]
+    top = shifts.pop()
+    fold = [_gf2_mod(h << k, modulus) for h in range(1 << top)]
+    for i in range(order):
+        exp[i] = exp[i + order] = x
+        log[x] = i
+        y = x << top
+        for s in shifts:
+            y ^= x << s
+        x = y & order ^ fold[y >> k]
     return exp, log
 
 

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby, repeat
-from operator import and_, attrgetter, rshift
 from typing import Mapping, Sequence
 
 from .circuits import ADD, CONST, VAR, Circuit, CircuitBuilder
@@ -229,11 +227,8 @@ def render_packed(names: Sequence[str], coeffs: Mapping[int, FieldElement],
     for the constant monomial, and ``0`` for no terms.
 
     Each monomial splits into the exponents of the first and of the last
-    ``len(names) // 2`` variables; each distinct half is formatted once, and
-    the high-half and low-half texts of the sorted monomials come from maps
-    over them.  In that order the terms that share a coefficient and a high
-    half stand together, so each such run is one ``str.join`` of its low
-    halves, and its coefficient is formatted once per run.
+    ``len(names) // 2`` variables; each distinct half and each distinct
+    coefficient is formatted once.
     """
     if not coeffs:
         return "0"
@@ -243,25 +238,16 @@ def render_packed(names: Sequence[str], coeffs: Mapping[int, FieldElement],
     mask = (1 << shift) - 1
     high_text = _Factors(names[:len(names) - low], width)
     low_text = _Factors(names[len(names) - low:], width)
-    monos = sorted(coeffs)
-    values = map(attrgetter("value"), map(coeffs.__getitem__, monos))
-    highs = map(high_text.__getitem__, map(rshift, monos, repeat(shift)))
-    lows = list(map(low_text.__getitem__, map(and_, monos, repeat(mask))))
     coeff_text: dict = {}
     parts = []
-    i = 0
-    for (value, hi), run in groupby(zip(values, highs)):
-        end = i + len(list(run))
-        c = coeff_text.get(value)
-        if c is None:
-            c = coeff_text[value] = coeffs[monos[i]].render()
-        if not lows[i]:  # the run's first monomial has no low half
-            parts.append(f"{c} * {hi}" if hi else c)
-            i += 1
-        if i < end:
-            head = f"{c} * {hi} " if hi else f"{c} * "
-            parts.append(head + f" + {head}".join(lows[i:end]))
-            i = end
+    for mono in sorted(coeffs):
+        c = coeffs[mono]
+        ctext = coeff_text.get(c.value)
+        if ctext is None:
+            ctext = coeff_text[c.value] = c.render()
+        hi, lo = high_text[mono >> shift], low_text[mono & mask]
+        factors = f"{hi} {lo}" if hi and lo else hi or lo
+        parts.append(f"{ctext} * {factors}" if factors else ctext)
     return " + ".join(parts)
 
 

@@ -262,12 +262,12 @@ def test_render_packed_matches_per_term_formatter(nv, spec, data):
 @settings(max_examples=150, deadline=None)
 @given(nv=st.integers(1, 6), data=st.data(),
        spec=st.sampled_from([RATIONAL, FieldSpec.prime(101), FieldSpec.binary(8), GF2_16]))
-def test_render_packed_joins_runs_as_the_per_term_formatter_formats_terms(nv, spec, data):
-    """Every pairing of a few high halves with a few low halves, so terms
-    share a high half in runs; two coefficients, so a changed coefficient
-    breaks a run; the all-zero half (an empty high or low factor text, and
-    with both the constant term) drawn often; exponents of 2 and 3, and
-    with one of 300 two bytes per exponent."""
+def test_render_packed_formats_shared_halves_as_the_per_term_formatter(nv, spec, data):
+    """Every pairing of a few high halves with a few low halves, so each
+    half's text is shared by several terms; two coefficients; the all-zero
+    half (an empty high or low factor text, and with both the constant
+    term) drawn often; exponents of 2 and 3, read straight from the bytes
+    at width 1, and with one of 300 two bytes per exponent."""
     variables = tuple(f"v{k}" for k in range(nv))
     low = nv // 2
     exponent = st.sampled_from([0, 0, 1, 2, 3])
