@@ -18,7 +18,7 @@ is the one check of a circuit built in the library: every gate on its own
 (arity, name, value, arguments that exist), then the wiring (outputs,
 declared variables, every gate live, no cycle).  :func:`parse_circuit`
 reads and checks a file in one pass: its lines give every gate its kind,
-arity, name and value, a well-formed gate line by one pattern match, and a
+arity, name and value, every gate line by one pattern match, and a
 file whose every argument names a gate of an earlier line, the order
 :func:`render_circuit` writes, is in topological order as read, so only its
 wiring is checked; any other order goes through :func:`validate`'s walk.
@@ -170,9 +170,6 @@ class Circuit:
             for idx, (a, _w) in enumerate(g.args):
                 out[a].append((g.gid, idx))
         return out
-
-    def __len__(self) -> int:
-        return len(self.gates)
 
 
 def topo_sort(args: Mapping[int, Sequence[Sequence]]) -> list[int]:
@@ -503,9 +500,7 @@ class CircuitBuilder:
     def mul(self, a: int, b: int, wa=1, wb=1) -> int:
         return self._comp(MUL, a, b, wa, wb)
 
-    def build(self, outputs: Sequence[int] | None = None) -> Circuit:
-        if outputs is None:
-            outputs = [len(self._gates) - 1]
+    def build(self, outputs: Sequence[int]) -> Circuit:
         return validate(Circuit(self._gates, outputs, spec=self.spec))
 
 
@@ -610,10 +605,7 @@ def random_circuit(
                 fresh(b.add(x, y, w(), w()))
                 budget -= 1
             else:
-                max_sub = min(budget - len(sinks) - 1, 7)
-                if max_sub < 1:
-                    continue
-                sub_budget = rng.randint(1, max_sub)
+                sub_budget = rng.randint(1, min(budget - len(sinks) - 1, 7))
                 closed_root = gen_ws(sub_budget)
                 y = pick(True)
                 consume(y)
@@ -671,11 +663,11 @@ def is_variable_name(name: str) -> bool:
 # line, surrounding whitespace and a trailing comment included: the gate id,
 # then the kind, the two argument ids and their weight tokens of a
 # computation, or the name of a variable, or the token of a constant.  ``\s``
-# is the whitespace of ``str.split`` and ``str.strip``; a line it does not
-# match goes through the per-line checks, which name its first fault.
+# is the whitespace of ``str.split``, ``\d`` the digits of ``str.isdecimal``: it
+# takes every gate line the per-line checks pass; they only name a fault.
 _GATE_LINE = re.compile(
-    r"\s*g([0-9]+)\s*=\s*(?:"
-    r"(add|mul)\s+g([0-9]+)(?:\*([^\s#]+))?\s+g([0-9]+)(?:\*([^\s#]+))?"
+    r"\s*g(\d+)\s*=\s*(?:"
+    r"(add|mul)\s+g(\d+)(?:\*([^\s#]+))?\s+g(\d+)(?:\*([^\s#]+))?"
     r"|input\s+([^\s#]+)|const\s+([^\s#]+))\s*(?:#.*)?")
 
 
@@ -683,20 +675,19 @@ def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
     """Parse the circuit file format produced by :func:`render_circuit`.
 
     One pass reads and checks every line: a gate line gives its gate a
-    kind, an arity, a name or a value by its form.  A gate line in one of
-    the three shapes ``g<n> = add|mul g<a>[*w] g<b>[*w]``, ``g<n> = input
-    <name>`` and ``g<n> = const <c>`` is read by one pattern match; the
-    ``vars`` and ``output`` lines and any other line go through the
-    per-line checks, so each fault is named as a line-by-line reading
-    names it.  When every argument names a gate of an earlier line, the
-    order :func:`render_circuit` writes, the file order is the topological
-    order, and only the wiring is left to check (outputs, declared
-    variables, liveness); any other order goes through :func:`validate`'s
-    walk."""
+    kind, an arity, a name or a value by its form.  Every gate line is
+    read by one pattern match of its three shapes ``g<n> = add|mul
+    g<a>[*w] g<b>[*w]``, ``g<n> = input <name>`` and ``g<n> = const <c>``;
+    any other line but ``vars`` and ``output`` goes through the per-line
+    checks, which only name its first fault.  When every argument names a
+    gate of an earlier line, the order :func:`render_circuit` writes, the
+    file order is the topological order, and only the wiring is left to
+    check (outputs, declared variables, liveness); any other order goes
+    through :func:`validate`'s walk."""
     gates: dict[int, Gate] = {}
     outputs: list[int] | None = None
     variables: list[str] | None = None
-    names: set[str] = set()  # of the variable gates, in file order
+    names: set[str] = set()  # of the variable gates
     in_order = True  # every argument so far names a gate already read
     # weights and constants repeat across a file, so parse each token once
     elements: dict[str, FieldElement] = {}
@@ -756,41 +747,25 @@ def parse_circuit(text: str, spec: FieldSpec = RATIONAL) -> Circuit:
                         raise not_a_reference(tok)
                     outputs.append(int(tok[1:]))
                 continue
+            # a gate line _GATE_LINE refused: name the first check it fails
             lhs, eq, rhs = line.partition("=")
             toks = rhs.split()
             kind = toks[0] if toks else None
-            if not eq or len(toks) != (2 if kind in ("input", "const") else 3):
-                raise CircuitError(f"malformed gate line {raw!r}")
-            lhs = lhs.strip()
-            if not (lhs[:1] == "g" and lhs[1:].isdecimal()):
-                raise not_a_reference(lhs)
-            gid = int(lhs[1:])
-            if gid in gates:
-                raise CircuitError(f"gate g{gid} defined again in line {raw!r}")
-            if kind in COMPUTATION:
-                args = []
+            if eq and len(toks) == (2 if kind in (VAR, CONST) else 3):
+                lhs = lhs.strip()
+                if not (lhs[:1] == "g" and lhs[1:].isdecimal()):
+                    raise not_a_reference(lhs)
+                if int(lhs[1:]) in gates:
+                    raise CircuitError(f"gate g{int(lhs[1:])} defined again in line {raw!r}")
+                if kind not in COMPUTATION:  # an input or const line this far matched
+                    raise CircuitError(f"unknown gate kind {kind!r} in line {raw!r}")
                 for tok in toks[1:]:
-                    if "*" in tok:
-                        tok, wtok = tok.split("*", 1)
-                    else:
-                        wtok = None
+                    tok, star, wtok = tok.partition("*")
                     if not (tok[:1] == "g" and tok[1:].isdecimal()):
                         raise not_a_reference(tok)
-                    a = int(tok[1:])
-                    w = one if wtok is None else element(wtok)
-                    in_order = in_order and a in gates
-                    args.append((a, w))
-                gates[gid] = Gate(gid, kind, args=tuple(args))
-            elif kind == "input":
-                name = toks[1]
-                if not is_variable_name(name):
-                    raise CircuitError(f"bad variable name {name!r} in line {raw!r}")
-                gates[gid] = Gate(gid, VAR, name=name)
-                names.add(name)
-            elif kind == "const":
-                gates[gid] = Gate(gid, CONST, value=element(toks[1]))
-            else:
-                raise CircuitError(f"unknown gate kind {kind!r} in line {raw!r}")
+                    if star:
+                        element(wtok)  # an empty weight, which the pattern refuses
+            raise CircuitError(f"malformed gate line {raw!r}")
         except ValueError as exc:
             raise CircuitError(f"{exc} in line {raw!r}") from None
     circuit = Circuit(gates, outputs or [], spec=spec, variables=variables)

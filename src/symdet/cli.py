@@ -51,10 +51,13 @@ def field_from_flag(text: str) -> FieldSpec:
         return GF2
     if text in ("gf2_16", "gf2k", "gf216"):
         return GF2_16
-    if text.startswith("p:"):
-        return FieldSpec.prime(int(text[2:]))
-    if text.startswith("gf2:"):
-        return FieldSpec.binary(int(text[4:]))
+    if text.startswith(("p:", "gf2:")):
+        make = FieldSpec.prime if text[0] == "p" else FieldSpec.binary
+        n = int(text.partition(":")[2])
+        try:  # argparse shows the message of an ArgumentTypeError only
+            return make(n)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(f"unknown field {text!r}")
 
 
@@ -146,7 +149,7 @@ def build_bound(method: str, size: str | int, c: Circuit | None = None) -> int:
         return 2 * len(kinds) + 1 if size == "fat" else 2 * ei + 1
     if method == "ws-nonsym":
         return len(kinds) + 1 if size == "fat" else ei + 1
-    raise ValueError(method)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _lower_circuit(args):
@@ -418,11 +421,15 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     arguments left over, the top-level parser reads ``argv`` and reports it,
     so every usage line, message and exit code is its own.  ``verify`` with
     neither a circuit nor ``--expr`` (one path, taken as the matrix) is a
-    usage error naming the missing matrix, not a circuit read from stdin."""
+    usage error naming the missing matrix, not a circuit read from stdin;
+    with ``--expr`` and a path left over, it is one naming the conflict."""
     top, commands = _parsers()
     command = commands.get(argv[0]) if argv else None
     if command is not None:
         args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if (args.command == "verify" and args.expr is not None
+                and any(a == "-" or a[:1] != "-" for a in rest)):
+            command.error("give a circuit file or --expr, not both")
         if not rest:
             if args.command == "verify" and args.circuit is None and args.expr is None:
                 command.error("the following arguments are required: matrix")

@@ -107,10 +107,7 @@ def _gf2_mulmod(a: int, b: int, m: int) -> int:
 
 def _gf2_poly_gcd(a: int, b: int) -> int:
     while b:
-        if _gf2_degree(a) < _gf2_degree(b):
-            a, b = b, a
-            continue
-        a = _gf2_mod(a, b)
+        a = _gf2_mod(a, b)  # a itself when deg a < deg b: the swap orders them
         a, b = b, a
     return a
 
@@ -144,16 +141,14 @@ def gf2_irreducible(m: int) -> bool:
 
 
 def _gf2_inverse(a: int, m: int) -> int:
-    """Extended Euclid over GF(2)[x]."""
+    """Extended Euclid over GF(2)[x] for an element ``a`` reduced modulo
+    ``m``, so deg a < deg m; each step keeps deg r0 >= deg r1."""
     if a == 0:
         raise DivisionByZero("inverse of zero in GF(2^k)")
     r0, r1 = m, a
     s0, s1 = 0, 1
     while r1:
         dr = _gf2_degree(r0) - _gf2_degree(r1)
-        if dr < 0:
-            r0, r1, s0, s1 = r1, r0, s1, s0
-            continue
         r0 ^= r1 << dr
         s0 ^= s1 << dr
         if r0 == 0 or _gf2_degree(r0) < _gf2_degree(r1):

@@ -314,9 +314,7 @@ def enumerate_st_paths(g: WeightedDigraph, s: int, t: int) -> list[list[int]]:
             path.pop()
             on_path.discard(v)
 
-    if s == t:
-        return [[s]]
-    dfs(s)
+    dfs(s)  # [[s]] when s == t
     return paths
 
 
@@ -362,9 +360,7 @@ def _is_weight1_matching(g: WeightedGraph, covers: list[dict[int, int]]) -> bool
 
 
 def all_cycles_even(g: WeightedGraph) -> bool:
-    """Every cycle has even length, i.e. the graph is loopless and bipartite."""
-    if any(u == v for (u, v) in g.arcs):
-        return False
+    """Every cycle has even length, i.e. the graph is bipartite (a loop is not)."""
     adj: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.arcs:
         adj[u].append(v)

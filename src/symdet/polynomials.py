@@ -390,9 +390,7 @@ def poly_to_formula(p: DensePolynomial) -> Circuit:
             return linear_comb(terms)
         with_k, without = split(poly, k)
         ra = build(with_k, k, delta - 1)
-        rb = build(without, k - 1, delta)
-        if ra is None and rb is None:
-            return None
+        rb = build(without, k - 1, delta)  # one of them is nonzero, as poly is
         if ra is None:
             return rb
         xk = b.var(p.variables[k - 1])

@@ -497,3 +497,8 @@ def test_a_file_listing_a_gate_before_its_arguments_parses():
 def test_a_cyclic_file_is_refused(text):
     with pytest.raises(CyclicCircuit):
         parse_circuit(text)
+
+
+def test_random_circuit_refuses_an_unknown_profile():
+    with pytest.raises(ValueError, match="unknown profile 'skew'"):
+        random_circuit("skew", 3, 2, random.Random(0))

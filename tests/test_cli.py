@@ -541,6 +541,23 @@ def test_cli_verify_with_only_a_circuit_path_is_a_usage_error(tmp_path, capsys, 
     assert out.err.endswith("symdet verify: error: the following arguments are required: matrix\n")
 
 
+def test_cli_verify_with_a_circuit_path_and_expr_is_a_usage_error(tmp_path, capsys):
+    """``verify c.circuit --expr E m.matrix``: argparse gives the circuit
+    path to ``matrix`` and leaves the matrix over, so verify's own parser
+    names the conflict, as ``parse c.circuit --expr E`` does."""
+    circ = tmp_path / "f.circuit"
+    circ.write_text(X_CIRCUIT)
+    matrix = tmp_path / "m.matrix"
+    matrix.write_text("1\nx\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(circ), "--expr", "x", str(matrix), "--seed", "1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: symdet verify ")
+    assert out.err.endswith("symdet verify: error: give a circuit file or --expr, not both\n")
+
+
 def test_cli_verify_reads_the_circuit_from_stdin_given_a_dash(tmp_path, capsys, monkeypatch):
     matrix = tmp_path / "m.matrix"
     matrix.write_text("1\nx\n")
@@ -1080,7 +1097,35 @@ def test_cli_binary_degree_without_default_modulus_exits_2(capsys):
         main(["build", "--expr", "x", "--method", "ws-nonsym", "--field", "gf2:65"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "invalid field_from_flag value" in err and "Traceback" not in err
+    assert err.endswith("error: argument --field: no default modulus for GF(2^65); pass one\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, reason", [
+    ("p:1", "1 is not prime"),
+    ("p:1763", "1763 is not prime"),  # 41 * 43: a Miller-Rabin witness refuses it
+    ("gf2:0", "binary field degree must be >= 1"),
+    ("zz", "unknown field 'zz'"),
+])
+def test_cli_refused_field_says_why(field, reason, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["parse", "--expr", "x", "--field", field])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith(f"symdet parse: error: argument --field: {reason}\n")
+
+
+def test_cli_detsym_refuses_n_below_1(capsys):
+    code, out, err = run(["detsym", "--n", "0"], capsys)
+    assert (code, out, err) == (1, "", "error: need n >= 1\n")
+
+
+def test_build_bound_refuses_an_unknown_method():
+    from symdet.cli import build_bound
+
+    with pytest.raises(ValueError, match="unknown method 'green'"):
+        build_bound("green", "fat", parse_expression("x*y"))
 
 
 def test_cli_z2_square_verifies_and_pperm_checks(tmp_path, capsys):

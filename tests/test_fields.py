@@ -537,3 +537,8 @@ def test_equal_rationals_are_one_key_however_built(monkeypatch):
     embedded = verify._embedder(PRIME_DEFAULT)
     assert [embedded(x) for x in two] == [2, 2, 2]
     assert len(calls) == 1
+
+
+def test_from_bits_refuses_a_field_other_than_gf2k():
+    with pytest.raises(UnsupportedField, match="bit masks only describe GF"):
+        FieldSpec.prime(101).from_bits(0x3)

@@ -337,3 +337,8 @@ def test_lemma_c0_is_combined_once_per_node(build, monkeypatch):
     # one combination per addition node (600), none per leaf
     assert 0 < calls <= 600
     assert not cert.output()[1].is_zero()
+
+
+def test_valiant_digraph_refuses_an_unknown_size():
+    with pytest.raises(ValueError, match="unknown mode 'fat'"):
+        build_valiant_digraph(parse_expression("x*y"), "fat")

@@ -268,6 +268,12 @@ def mutated_render_texts(draw):
 @example(text="vars x\ng0 = input x\ng1 = add g0*2#x g0\noutput g1\n", field="q")
 @example(text="vars x\ng0 = input -x\noutput g0\n", field="q")
 @example(text="vars x\ng0 = input x\ng1 = add g0 g2\ng2 = input x\noutput g1\n", field="q")
+@example(text="vars x\ng\u0661 = input x\noutput g1\n", field="q")
+@example(text="vars x\ng0 = input x\ng\U0001d7d9 = const 3\ng2 = add g0 g\u0661\noutput g2\n",
+         field="q")
+@example(text="vars x\ng0 = input x\ng1 = input x\ng2 = mul g\u0660*2 g\U0001d7d9*1/3\n"
+         "output g2\n", field="q")
+@example(text="vars x y\ng0 = input x\ng1 = input y\ng2 = add g0* g1\noutput g2\n", field="q")
 def test_parse_circuit_fast_path_agrees_with_the_line_parser(text, field):
     """The pattern-matched gate lines against a line-by-line reading of the
     same file (``reference_parse_circuit``): the same gates, outputs,

@@ -312,6 +312,7 @@ def test_st_paths_enumeration():
     g = triangle_2xyz()
     paths = enumerate_st_paths(g, 0, 2)
     assert sorted(paths) == [[0, 1, 2], [0, 2]]
+    assert enumerate_st_paths(g, 1, 1) == [[1]]  # the one path of no arcs
 
 
 def test_reversing_a_cover_cycle_preserves_weight(rng):

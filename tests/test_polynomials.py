@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdet.circuits import classify, evaluate, measure
-from symdet.fields import GF2_16, PRIME_DEFAULT, RATIONAL, FieldSpec
+from symdet.fields import GF2_16, PRIME_DEFAULT, RATIONAL, FieldSpec, MixedFields
 from symdet.polynomials import (
     DensePolynomial,
     ZeroPolynomial,
@@ -293,3 +293,25 @@ def test_render_packed_formats_shared_halves_as_the_per_term_formatter(nv, spec,
         packed = {pack(m, width): c for m, c in p.coeffs.items()}
         assert render_packed(variables, packed, width) == want
     assert p.render() == want
+
+
+def test_dense_polynomial_refuses_a_mismatched_shape_or_field():
+    xy = ("x", "y")
+    with pytest.raises(ValueError, match=r"monomial \(1,\) does not match \('x', 'y'\)"):
+        DensePolynomial(RATIONAL, xy, {(1,): RATIONAL.one()})
+    with pytest.raises(ValueError, match="'z' not in"):
+        DensePolynomial.variable("z", xy)
+    x = DensePolynomial.variable("x", xy)
+    with pytest.raises(ValueError, match=r"target variables lack \['y'\]"):
+        x.with_variables(("x",))
+    with pytest.raises(ValueError, match="variable mismatch"):
+        x + DensePolynomial.variable("x", ("x",))
+    with pytest.raises(MixedFields, match=f"{RATIONAL} vs {PRIME_DEFAULT}"):
+        x + DensePolynomial.variable("x", xy, PRIME_DEFAULT)
+
+
+@pytest.mark.parametrize("call", [lambda: monomial_sum_circuit(0, 1),
+                                  lambda: bounds_report(1, 0)])
+def test_monomial_sum_and_bounds_need_n_and_d_at_least_1(call):
+    with pytest.raises(ValueError, match=r"need n, d >= 1"):
+        call()

@@ -7,6 +7,7 @@ from symdet.circuits import (
     CircuitError,
     classify,
     measure,
+    parse_expression,
     random_circuit,
 )
 from symdet.fields import GF2_16, RATIONAL, CharTwoHalf
@@ -232,3 +233,8 @@ def test_measure_green_survives_constant_output_multi():
     c = b.build([const_out, var_out])
     rep = measure(c)
     assert rep.green == rep.skinny == 2
+
+
+def test_ws_abp_refuses_an_unknown_size():
+    with pytest.raises(ValueError, match="unknown mode 'skinny'"):
+        build_ws_abp(parse_expression("x*y"), "skinny")
