@@ -51,11 +51,17 @@ def field_from_flag(text: str) -> FieldSpec:
         return GF2
     if text in ("gf2_16", "gf2k", "gf216"):
         return GF2_16
-    if text.startswith(("p:", "gf2:")):
-        make = FieldSpec.prime if text[0] == "p" else FieldSpec.binary
-        n = int(text.partition(":")[2])
+    kind, colon, n = text.partition(":")
+    if colon and kind in ("p", "gf2"):
         try:  # argparse shows the message of an ArgumentTypeError only
-            return make(n)
+            n = int(n)
+        except ValueError:
+            form = f"{kind}:<{'prime' if kind == 'p' else 'k'}>"
+            raise argparse.ArgumentTypeError(f"{text!r} is not of the form {form}") from None
+        if kind == "gf2" and n > 64:
+            raise argparse.ArgumentTypeError(f"gf2:<k> needs 1 <= k <= 64, not {n}")
+        try:
+            return (FieldSpec.prime if kind == "p" else FieldSpec.binary)(n)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(f"unknown field {text!r}")
@@ -336,7 +342,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
                                  help="circuit file (default: stdin)")
         p.add_argument("--expr", help="inline expression instead of a file")
         p.add_argument("--field", type=field_from_flag, default=RATIONAL,
-                       help="constant field: q, p61, p:<prime>, gf2, gf2_16, gf2:<k>")
+                       help="constant field: q, p61, p:<prime>, gf2, gf2_16, "
+                       "gf2:<k> with 1 <= k <= 64")
         return circuit
 
     p = sub.add_parser("parse", help="validate, classify and measure a circuit")
@@ -422,13 +429,14 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     so every usage line, message and exit code is its own.  ``verify`` with
     neither a circuit nor ``--expr`` (one path, taken as the matrix) is a
     usage error naming the missing matrix, not a circuit read from stdin;
-    with ``--expr`` and a path left over, it is one naming the conflict."""
+    with ``--expr`` and a circuit, before it or after it, it is one naming
+    the conflict."""
     top, commands = _parsers()
     command = commands.get(argv[0]) if argv else None
     if command is not None:
         args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if (args.command == "verify" and args.expr is not None
-                and any(a == "-" or a[:1] != "-" for a in rest)):
+        if args.command == "verify" and args.expr is not None and (
+                args.circuit is not None or any(a == "-" or a[:1] != "-" for a in rest)):
             command.error("give a circuit file or --expr, not both")
         if not rest:
             if args.command == "verify" and args.circuit is None and args.expr is None:

@@ -14,8 +14,9 @@ Failures carry a reproducible witness (seed and point).
 Both sides are compiled once per field and evaluated at all trial points
 in lockstep, by the field's one plain-int kernel ``spec.arith``
 (:class:`~symdet.fields.IntArith`), to which this module adds only the
-elimination, :func:`_lockstep_det`.  A value that differs from point to
-point is a lane, a list with one int per point.
+two eliminations, :func:`_lockstep_det` and :func:`_symmetric_det`.  A
+value that differs from point to point is a lane, a list with one int per
+point.
 A :class:`CompiledCircuit` is the circuit as a topologically ordered
 program with its constants and arrow weights embedded once, evaluated on
 lanes; it looks each weight object up once, keyed by identity, since
@@ -31,7 +32,14 @@ matrices and weighted circuits repeat a handful of values.  All
 determinants of a compiled matrix come from one sparse elimination with
 Markowitz-style pivoting (fewest-entry column, then a constant pivot,
 then the shortest row whose entry is nonzero in every lane), so the pivot
-search and the fill-in bookkeeping are paid once for all points.  A matrix
+search and the fill-in bookkeeping are paid once for all points.  A
+matrix whose header says symmetric, as every symmetric construction's
+does, goes to :func:`_symmetric_det`: it pivots on a diagonal entry or on
+a 2x2 block [[0, a], [a, 0]], the vertex split's -1 links, so what is
+left stays symmetric and each cell of an update is computed once for both
+triangles.  Any other matrix goes to :func:`_lockstep_det`, and so does
+what is left of a symmetric one when no such pivot is nonzero in every
+lane.  A matrix
 constant is the same at every point, so the elimination keeps it a scalar,
 one int, and so is every value computed from scalars alone: gadget
 matrices are mostly constants, and a constant pivot then costs one scalar
@@ -165,6 +173,29 @@ def _cycle_count(perm: list[int]) -> int:
     return cycles
 
 
+def _lane_update(arith: IntArith, t: int) -> Callable:
+    """``update(x, fs, v, plus, scalar)``, the entry x - fs * v of an
+    elimination step where a lane meets it (x + fs * v under ``plus``, the
+    form a -1 pivot takes with a lane factor, so that no lane is negated):
+    x is None when the entry is absent, ``scalar`` says fs is one, and a
+    scalar is widened only where it meets a lane."""
+    neg1, mul, scale, submul, addmul = (
+        arith.neg1, arith.mul, arith.scale, arith.submul, arith.addmul)
+    zeros = [0] * t
+
+    def update(x, fs, v, plus, scalar):
+        if plus and type(v) is list:  # two lanes under -1
+            return mul(fs, v) if x is None else addmul(x if type(x) is list else [x] * t, fs, v)
+        if plus:  # x + f * v = x - f * (-v)
+            v = neg1(v)
+        if x is None and (scalar or type(v) is int):
+            return scale(neg1(fs), v) if scalar else scale(neg1(v), fs)
+        return submul(zeros if x is None else x if type(x) is list else [x] * t,
+                      [fs] * t if scalar else fs, v if type(v) is list else [v] * t)
+
+    return update
+
+
 def _lockstep_det(arith: IntArith, rows: list[dict[int, int | list[int]]], t: int) -> list[int]:
     """Determinants of ``t`` square matrices that share one sparsity pattern,
     ``rows[i] = {j: entry}``, in the plain ints of ``arith``.  An entry is a
@@ -188,9 +219,9 @@ def _lockstep_det(arith: IntArith, rows: list[dict[int, int | list[int]]], t: in
     matrices pivot on constants, and one lane never needs this.
     """
     n = len(rows)
-    neg1, mul1, inv1, submul1, times, add, mul, scale, inv, submul = (
-        arith.neg1, arith.mul1, arith.inv1, arith.submul1, arith.times, arith.add, arith.mul,
-        arith.scale, arith.inv, arith.submul)
+    neg1, mul1, inv1, submul1, times, mul, inv = (
+        arith.neg1, arith.mul1, arith.inv1, arith.submul1, arith.times, arith.mul, arith.inv)
+    update = _lane_update(arith, t)
     zeros = [0] * t
     minus_one = neg1(1)
 
@@ -264,20 +295,8 @@ def _lockstep_det(arith: IntArith, rows: list[dict[int, int | list[int]]], t: in
                 if scalar and type(v) is int and type(x) is not list:
                     y = submul1(x or 0, fs, v)
                     kept = y != 0
-                elif plus and type(v) is list:  # two lanes under -1
-                    y = mul(fs, v)
-                    if x is not None:
-                        y = add(x if type(x) is list else [x] * t, y)
-                    kept = any(y)
-                else:  # a lane meets the update
-                    if plus:  # x + f * v = x - f * (-v)
-                        v = neg1(v)
-                    if x is None and (scalar or type(v) is int):
-                        y = scale(neg1(fs), v) if scalar else scale(neg1(v), fs)
-                    else:  # widen the scalars
-                        y = submul(zeros if x is None else x if type(x) is list else [x] * t,
-                                   [fs] * t if scalar else fs,
-                                   v if type(v) is list else [v] * t)
+                else:
+                    y = update(x, fs, v, plus, scalar)
                     kept = any(y)
                 if kept:
                     if x is None:
@@ -291,6 +310,128 @@ def _lockstep_det(arith: IntArith, rows: list[dict[int, int | list[int]]], t: in
             if not row:
                 return zeros
     if arith.p != 2 and (n - _cycle_count(pivot_col)) % 2:  # -1 = 1 if p = 2
+        det = neg1(det)
+    return [det] * t if lane_det is None else arith.scale(det, lane_det)
+
+
+def _symmetric_det(arith: IntArith, rows: list[dict[int, int | list[int]]], t: int) -> list[int]:
+    """The lanes of :func:`_lockstep_det` for symmetric matrices,
+    ``rows[i][j] == rows[j][i]``, by principal pivots, which keep what is
+    left symmetric.  Consumes ``rows``.
+
+    Each step takes the remaining row c with the fewest entries.  It
+    pivots on the diagonal entry d of c when that is nonzero in every
+    lane; when c has none, on the block [[0, a], [a, 0]] of c and a
+    neighbour l with no diagonal entry, a = M_cl nonzero in every lane, a
+    scalar before a lane and then the shortest row l (Bunch and Kaufman
+    1977; Markowitz 1957).  The block's determinant is -a², a sign and a
+    square, so it is invertible in every field; the vertex split's zero
+    diagonal pivots this way on its -1 links.  Every cell {i, j} of the
+    Schur update is one value stored in both triangles: it loses
+    b_ci * b_cj / d once per unordered pair under d, and b_ci * b_lj / a
+    for each i of row c and j of row l under a block (twice on the
+    diagonal, where characteristic 2 changes nothing).  Scalars, lanes and
+    the pivots of 1 and -1 are kept as :func:`_lockstep_det` keeps them.
+    A block that updates nothing ends with 0 as soon as it empties a row,
+    before any lane arithmetic.  When no pivot of c is nonzero in every lane,
+    :func:`_lockstep_det` takes the remaining Schur complement.
+    """
+    n = len(rows)
+    neg1, mul1, inv1, submul1, times, add1, add, mul, inv = (
+        arith.neg1, arith.mul1, arith.inv1, arith.submul1, arith.times, arith.add1, arith.add,
+        arith.mul, arith.inv)
+    update = _lane_update(arith, t)
+    zeros = [0] * t
+    minus_one = neg1(1)
+    counts = [(len(row), c) for c, row in enumerate(rows)]
+    heapify(counts)
+    done = [False] * n
+    det, lane_det, flips = 1, None, 0  # the determinant is (-1)^flips * det * lane_det
+    left = n
+    while left:
+        k, c = heappop(counts)
+        while done[c] or k != len(rows[c]):  # stale: every touched row is pushed again
+            k, c = heappop(counts)
+        prow = rows[c]
+        if not prow:
+            return zeros
+        pv = prow.get(c)
+        if pv is None:  # a block, with the key of _lockstep_det's pivot row
+            l, best = None, 2 * n + 1
+            for r, x in prow.items():
+                if r not in rows[r]:
+                    key = len(rows[r]) if type(x) is int else n + len(rows[r]) if all(x) else best
+                    if key < best:
+                        l, best = r, key
+        else:
+            l = c if type(pv) is int or all(pv) else None
+        if l is None:
+            rest = [i for i in range(n) if not done[i]]
+            at = {i: r for r, i in enumerate(rest)}
+            tail = _lockstep_det(arith, [{at[j]: x for j, x in rows[i].items()} for i in rest], t)
+            lane_det = tail if lane_det is None else mul(lane_det, tail)
+            break
+        done[c] = True
+        left -= 1
+        if l == c:
+            del prow[c]
+            items = list(prow.items())
+            for i, _ in items:
+                del rows[i][c]
+            jobs = [(i, f, items[r:]) for r, (i, f) in enumerate(items)]
+            touched = items
+            square = None if pv == 1 else pv
+        else:
+            done[l] = True
+            left -= 1
+            pv = prow.pop(l)
+            lrow = rows[l]
+            del lrow[c]
+            items, targets = list(prow.items()), list(lrow.items())
+            for i, _ in items:
+                del rows[i][c]
+            for j, _ in targets:
+                del rows[j][l]
+            if not (items and targets) and any(not rows[i] for i, _ in items or targets):
+                return zeros
+            # i in both rows meets its own diagonal once, for two terms
+            jobs = [(i, f, targets if i not in lrow else
+                     [(j, v if j != i else add1(v, v) if type(v) is int else add(v, v))
+                      for j, v in targets if j != i or arith.p != 2])
+                    for i, f in items]
+            touched = items + targets
+            flips += 1
+            square = None if pv == 1 or pv == minus_one else times(pv, pv)
+        if square is not None:
+            if type(square) is int:
+                det = mul1(det, square)
+            else:
+                lane_det = square if lane_det is None else mul(lane_det, square)
+        one = pv == 1
+        unit = one or pv == minus_one
+        pinv = None if unit or not jobs else inv1(pv) if type(pv) is int else inv(pv)
+        for i, f, targets in jobs:
+            plus = unit and not one and type(f) is list  # y = x + f * v
+            fs = f if one or plus else neg1(f) if unit else times(f, pinv)
+            scalar = type(fs) is int
+            row = rows[i]
+            for j, v in targets:
+                x = row.get(j)
+                if scalar and type(v) is int and type(x) is not list:
+                    y = submul1(x or 0, fs, v)
+                    kept = y != 0
+                else:
+                    y = update(x, fs, v, plus, scalar)
+                    kept = any(y)
+                if kept:
+                    row[j] = rows[j][i] = y
+                elif x is not None:
+                    del row[j]
+                    if j != i:
+                        del rows[j][i]
+        for i, _ in touched:
+            heappush(counts, (len(rows[i]), i))
+    if arith.p != 2 and flips % 2:
         det = neg1(det)
     return [det] * t if lane_det is None else arith.scale(det, lane_det)
 
@@ -423,6 +564,7 @@ class CompiledMatrix:
                 elif v:  # a rational constant may vanish mod p
                     const_row[j] = v
         self.variables = tuple(sorted({s[2] for s in self.slots}))
+        self.symmetric = m.symmetric
         self.degree = min(len({s[0] for s in self.slots}), len({s[1] for s in self.slots}))
 
     def lane_rows(self, lanes: Mapping[str, list[int]], t: int) -> list[dict[int, int | list[int]]]:
@@ -440,8 +582,10 @@ class CompiledMatrix:
 
     def lane_det(self, lanes: Mapping[str, list[int]], t: int) -> list[int]:
         """The determinant at each of ``t`` points given as lanes, from one
-        lockstep elimination."""
-        return _lockstep_det(self.arith, self.lane_rows(lanes, t), t)
+        lockstep elimination: :func:`_symmetric_det` for a matrix whose
+        header says symmetric, :func:`_lockstep_det` for any other."""
+        det = _symmetric_det if self.symmetric else _lockstep_det
+        return det(self.arith, self.lane_rows(lanes, t), t)
 
 
 def _dense_det(vals: list[list[FieldElement]], spec: FieldSpec) -> FieldElement:

@@ -558,6 +558,27 @@ def test_cli_verify_with_a_circuit_path_and_expr_is_a_usage_error(tmp_path, caps
     assert out.err.endswith("symdet verify: error: give a circuit file or --expr, not both\n")
 
 
+@pytest.mark.parametrize("circuit", ["file", "-"])
+def test_cli_verify_with_expr_before_a_circuit_is_the_same_usage_error(circuit, tmp_path,
+                                                                        capsys, monkeypatch):
+    """``verify --expr E c.circuit m.matrix``: argparse fills both
+    positionals, and the conflict is refused as in the other order, with
+    exit 2 and verify's usage, before a file or stdin is read."""
+    circ = tmp_path / "f.circuit"
+    circ.write_text(X_CIRCUIT)
+    matrix = tmp_path / "m.matrix"
+    matrix.write_text("1\nx\n")
+    monkeypatch.setattr("sys.stdin", _UnreadableStdin())
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--expr", "x", str(circ) if circuit == "file" else "-", str(matrix),
+              "--seed", "1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: symdet verify ")
+    assert out.err.endswith("symdet verify: error: give a circuit file or --expr, not both\n")
+
+
 def test_cli_verify_reads_the_circuit_from_stdin_given_a_dash(tmp_path, capsys, monkeypatch):
     matrix = tmp_path / "m.matrix"
     matrix.write_text("1\nx\n")
@@ -1097,7 +1118,7 @@ def test_cli_binary_degree_without_default_modulus_exits_2(capsys):
         main(["build", "--expr", "x", "--method", "ws-nonsym", "--field", "gf2:65"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.endswith("error: argument --field: no default modulus for GF(2^65); pass one\n")
+    assert err.endswith("error: argument --field: gf2:<k> needs 1 <= k <= 64, not 65\n")
     assert "Traceback" not in err
 
 
@@ -1106,6 +1127,8 @@ def test_cli_binary_degree_without_default_modulus_exits_2(capsys):
     ("p:1763", "1763 is not prime"),  # 41 * 43: a Miller-Rabin witness refuses it
     ("gf2:0", "binary field degree must be >= 1"),
     ("zz", "unknown field 'zz'"),
+    ("p:abc", "'p:abc' is not of the form p:<prime>"),
+    ("gf2:", "'gf2:' is not of the form gf2:<k>"),
 ])
 def test_cli_refused_field_says_why(field, reason, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -13,8 +13,9 @@ The differential property draws small weighted circuits, with 0 among their
 constants and arrow weights, over Q, Z_p and GF(2^16), and builds each with
 every method and size of ``symdet build`` that accepts it, and with
 ``char2-square`` in characteristic 2: every matrix must respect its bound and
-pass ``identity_test``, and every certificate of at most 12 vertices its
-audit.
+pass ``identity_test``, every certificate of at most 12 vertices its
+audit, and every symmetric matrix must get the same lanes from the
+symmetric elimination that verifies it as from the general one.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ from symdet.circuits import (
     validate,
 )
 from symdet.cli import _BUILDERS, build_bound, field_from_flag, main
-from symdet.fields import GF2_16, PRIME_DEFAULT, RATIONAL, FieldError, parse_element
+from symdet.fields import GF2_16, PRIME_DEFAULT, RATIONAL, FieldError, parse_element, sample_lanes
 from symdet.graphs import parse_matrix, render_matrix
 from symdet.oracles import check_abp_certificate, check_symmetric_certificate
-from symdet.verify import identity_test
+from symdet.verify import CompiledMatrix, _lockstep_det, _symmetric_det, identity_test
 
 FIELDS = ("q", "p61", "gf2", "gf2_16")
 PARSE_ERRORS = (CircuitError, ValueError, FieldError)
@@ -403,6 +404,17 @@ POOLS = {
 SYMMETRIC = ("sym", "ws-sym")
 
 
+def eliminate_both_ways(m, spec, rng, t: int = 5) -> tuple[list[int], list[int]]:
+    """The lanes of ``_symmetric_det`` and of ``_lockstep_det`` on the
+    symmetric matrix ``m`` compiled into ``spec``, at ``t`` points drawn
+    from ``rng``."""
+    assert m.symmetric
+    compiled = CompiledMatrix(m, spec)
+    lanes = sample_lanes(spec, rng, compiled.variables, t)
+    return tuple(det(compiled.arith, compiled.lane_rows(lanes, t), t)
+                 for det in (_symmetric_det, _lockstep_det))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(spec=st.sampled_from(list(POOLS)), profile=st.sampled_from(("formula", "weakly-skew")),
        budget=st.integers(1, 6), n_vars=st.integers(1, 3), rng=st.randoms(use_true_random=False))
@@ -422,6 +434,9 @@ def test_every_build_of_a_small_weighted_circuit_is_certified(spec, profile, bud
             matrix, cert = builder(c, size)
             assert matrix.dim <= build_bound(method, size, c), (method, size)
             assert identity_test(c, matrix, spec=test_spec).ok, (method, size)
+            if method in SYMMETRIC:
+                symmetric, general = eliminate_both_ways(matrix, test_spec, rng)
+                assert symmetric == general, (method, size)
             if cert is not None and cert.graph.n <= 12:
                 if method in SYMMETRIC:  # a formula gadget has no unacceptable path
                     skipped = check_symmetric_certificate(cert)
@@ -432,3 +447,5 @@ def test_every_build_of_a_small_weighted_circuit_is_certified(spec, profile, bud
         square = square_matrix_char2(c)
         assert square.dim <= 2 * len(c.gates) + 2
         assert identity_test(c, square, spec=GF2_16, power=2).ok
+        symmetric, general = eliminate_both_ways(square, GF2_16, rng)
+        assert symmetric == general

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symdet.char2 import partial_perm_identity, square_matrix_char2
 from symdet.circuits import (
     Circuit,
     CircuitBuilder,
@@ -17,6 +18,8 @@ from symdet.circuits import (
     parse_circuit,
     random_circuit,
 )
+from symdet.cli import _BUILDERS
+from symdet.determinant import det_sym_matrix
 from symdet.fields import (
     GF2,
     GF2_16,
@@ -52,6 +55,7 @@ from symdet.verify import (
     _dense_det,
     _embedder,
     _lockstep_det,
+    _symmetric_det,
     det_eval,
     identity_test,
 )
@@ -562,6 +566,174 @@ def test_the_elimination_pivots_in_a_pinned_order(monkeypatch):
     assert pivots == 32448
     assert digest.hexdigest() == (
         "c197786a7fa687140975fc1b2cc0b6773b44194cf2b92e9c8f668d8651d61d82")
+
+
+SYMMETRIC_FIELDS = [FieldSpec.prime(101), PRIME_DEFAULT, GF2_16]
+
+
+@st.composite
+def symmetric_rows(draw, spec):
+    """Symmetric plain-int rows of dimension 1-8 in ``spec`` at ``t`` points,
+    in the form ``CompiledMatrix.lane_rows`` gives, each cell {i, j} one
+    value in both rows: absent, a nonzero scalar, a lane, or a lane that
+    vanishes at one point.  The diagonal is empty, full or mixed, and two
+    rows may be made equal, so the matrix is singular."""
+    n = draw(st.integers(1, 8))
+    t = draw(st.sampled_from([1, 3, 5]))
+    nonzero = st.one_of(st.integers(1, 3), st.integers(1, spec.size - 1))
+    lane = st.lists(nonzero, min_size=t, max_size=t)
+    diagonal = draw(st.sampled_from(["zero", "full", "mixed"]))
+    rows = [{} for _ in range(n)]
+
+    def put(i, j, x):
+        if x is None:
+            rows[i].pop(j, None)
+            rows[j].pop(i, None)
+        else:
+            rows[i][j] = rows[j][i] = x
+
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and diagonal == "zero":
+                continue
+            kinds = ["scalar", "lane", "vanishing"]
+            kind = draw(st.sampled_from(kinds if i == j and diagonal == "full" else
+                                        ["absent", "absent"] + kinds))
+            if kind == "scalar":
+                put(i, j, draw(nonzero))
+            elif kind != "absent":
+                x = draw(lane)
+                if kind == "vanishing" and t > 1:
+                    x[draw(st.integers(0, t - 1))] = 0
+                put(i, j, x)
+    if n > 1 and draw(st.booleans()):  # row j a copy of row i
+        i, j = draw(st.permutations(range(n)))[:2]
+        for k in range(n):
+            if k not in (i, j):
+                put(j, k, rows[i].get(k))
+        put(i, j, rows[i].get(i))
+        put(j, j, rows[i].get(i))
+    return rows, t
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_FIELDS, ids=str)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_symmetric_det_gives_the_lanes_of_lockstep_det(spec, data):
+    """The symmetric elimination against the general one, on random
+    symmetric matrices; in Z_101 small values cancel often."""
+    rows, t = data.draw(symmetric_rows(spec))
+    general = _lockstep_det(spec.arith, [dict(row) for row in rows], t)
+    assert _symmetric_det(spec.arith, rows, t) == general
+
+
+def spy_on_eliminations(monkeypatch) -> list[tuple[str, int, int]]:
+    """Record the name, dimension and lane count of every elimination that
+    runs, in order, re-runs and hand-overs included."""
+    calls = []
+    for name, original in (("symmetric", _symmetric_det), ("general", _lockstep_det)):
+        def det(arith, rows, t, name=name, original=original):
+            calls.append((name, len(rows), t))
+            return original(arith, rows, t)
+        monkeypatch.setattr(f"symdet.verify.{original.__name__}", det)
+    return calls
+
+
+@pytest.mark.parametrize("spec", COMPILED_FIELDS, ids=FIELD_IDS)
+def test_symmetric_det_hands_what_is_left_to_lockstep_det(spec, monkeypatch):
+    """The symmetric twin of the re-run test above.  The -1 link of rows 0
+    and 1 is the first pivot.  Row 2 comes next: it has no diagonal entry,
+    x joins it to row 3 and vanishes at the first point, and row 4 has a
+    diagonal entry.  So no pivot of row 2 is nonzero in every lane, and
+    ``_lockstep_det`` takes the 3x3 that is left, where column 2 holds x
+    and y only and every lane is eliminated alone."""
+    m = parse_matrix("5 symmetric\n0 -1 0 0 0\n-1 0 0 0 0\n0 0 0 x y\n0 0 x 0 1\n0 0 y 1 1")
+    values = [(0, 5), (5, 0), (5, 6)]
+    points = [{"x": field_value(spec, x), "y": field_value(spec, y)} for x, y in values]
+    calls = spy_on_eliminations(monkeypatch)
+    got = CompiledMatrix(m, spec).lane_det(lanes_of(points), 3)
+    assert calls == [("symmetric", 5, 3), ("general", 3, 3)] + [("general", 3, 1)] * 3
+    # -1 * det [[0, x, y], [x, 0, 1], [y, 1, 1]] = x^2 - 2xy
+    assert got == [(p["x"] * p["x"] - p["x"] * p["y"] - p["x"] * p["y"]).value for p in points]
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_FIELDS, ids=str)
+def test_a_block_that_empties_a_row_ends_before_any_lane_operation(spec, monkeypatch):
+    """Row 0 of the path x - y is joined to row 1 alone, so its block
+    updates nothing and leaves row 2 empty: the determinant is 0 at every
+    point, found before the block's x^2 is multiplied out."""
+    m = parse_matrix("3 symmetric\n0 x 0\nx 0 y\n0 y 0")
+    compiled = CompiledMatrix(m, spec)
+    calls = spy_on_arith(monkeypatch, compiled.arith, LANE_OPS)
+    assert compiled.lane_det({"x": [2, 3], "y": [4, 5]}, 2) == [0, 0]
+    assert calls == []
+
+
+def test_every_symmetric_output_is_verified_by_the_symmetric_step(monkeypatch):
+    """A determinant cannot tell the two eliminations apart, so this pins
+    the route: every ``sym``, ``ws-sym``, ``detsym`` and ``char2-square``
+    output, and the A + I of the partial permanent identity, is verified by
+    ``_symmetric_det`` alone, and every ``valiant`` and ``ws-nonsym``
+    output by ``_lockstep_det``."""
+    formula = random_circuit("formula", 8, 3, random.Random(1), weighted=True)
+    ws = random_circuit("weakly-skew", 12, 3, random.Random(2), spec=GF2_16, constant_pool=())
+    calls = spy_on_eliminations(monkeypatch)
+    for method, (sizes, builder) in _BUILDERS.items():
+        for size in sizes:
+            m = builder(formula, size)[0]
+            calls.clear()
+            assert identity_test(formula, m, exact_upgrade=False).ok
+            route = "symmetric" if method in ("sym", "ws-sym") else "general"
+            assert calls == [(route, m.dim, 20)], (method, size)
+    detsym = det_sym_matrix(2)
+    calls.clear()
+    det_eval(detsym, {v: sample_random(PRIME_DEFAULT, random.Random(3))
+                      for v in detsym.variables()}, PRIME_DEFAULT)
+    assert calls == [("symmetric", detsym.dim, 1)]
+    square = square_matrix_char2(ws)
+    calls.clear()
+    assert identity_test(ws, square, spec=GF2_16, power=2, exact_upgrade=False).ok
+    assert calls == [("symmetric", square.dim, 40)]
+    calls.clear()
+    assert partial_perm_identity(parse_matrix("2\nx y\nz 1", GF2_16)).ok
+    assert calls == [("symmetric", 4, 20)]
+
+
+def symmetric_pivot_order_matrices():
+    """3,500 seeded sparse symmetric matrices over Z_101 in plain ints:
+    dimension 3-9 at density 0.45, and every seventh dimension 4-7 at
+    density 0.85, each diagonal entry present with probability 0.3, so
+    both diagonal and block pivots are taken."""
+    rng = random.Random(2036)
+    for k in range(3500):
+        fill = k % 7 == 0
+        n = rng.randint(4, 7) if fill else rng.randint(3, 9)
+        density = 0.85 if fill else 0.45
+        rows = [{} for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < (0.3 if i == j else density):
+                    rows[i][j] = rows[j][i] = rng.randrange(1, 101)
+        yield rows
+
+
+def test_the_symmetric_elimination_pivots_in_a_pinned_order(monkeypatch):
+    """The golden of the test above for ``_symmetric_det``: the arguments
+    of every ``inv1`` and ``mul1`` call, which invert each pivot, square
+    each block's entry and multiply the determinant and the factors, in
+    the order the elimination takes them."""
+    arith = FieldSpec.prime(101).arith
+    calls = spy_on_arith(monkeypatch, arith, ("inv1", "mul1"))
+    digest = hashlib.sha256()
+    count = 0
+    for rows in symmetric_pivot_order_matrices():
+        calls.clear()
+        det = _symmetric_det(arith, rows, 1)
+        digest.update(repr((calls, det)).encode())
+        count += len(calls)
+    assert count == 35378
+    assert digest.hexdigest() == (
+        "49cf632550df7cfbfdd2ef266334e6d1e919491630b242108009296c561dee99")
 
 
 def test_compiling_a_parsed_matrix_classifies_each_token_once(monkeypatch):
